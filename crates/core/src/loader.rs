@@ -1,4 +1,5 @@
-//! Loading externally captured traces from disk.
+//! Loading capture units into the pipeline — one salvage path for every
+//! source.
 //!
 //! This is the adoption path the paper envisions ("we plan to make
 //! DiffAudit's implementation and datasets available"): an auditor collects
@@ -27,16 +28,24 @@
 //! `.har` files are parsed as HAR 1.2; `.pcap` files are decoded through
 //! the TCP/TLS pipeline using the sibling key-log file (flows without a
 //! logged key are reported as opaque, exactly like pinned apps).
+//!
+//! Three sources feed the same per-unit loader: a capture directory
+//! ([`load_capture_dir`], the CLI), an in-memory upload
+//! ([`load_memory_service`], the serve daemon), and a generated dataset
+//! ([`MemoryService::from_capture`] → [`load_memory_service`], behind
+//! [`crate::pipeline::Pipeline::run`]). Each unit is read on its worker
+//! thread (a disk read, or the upload itself), salvage-decoded, and
+//! accounted under one `loader.unit` span with one ledger entry, so the
+//! path tests and benches exercise is the path the CLI and daemon ship.
 
 use crate::pipeline::{LoadedUnit, ServiceInput};
 use crate::salvage::{ServiceLedger, UnitLedger};
 use diffaudit_json::{parse, Json};
 use diffaudit_nettrace::capture::DecodeError;
 use diffaudit_nettrace::salvage::{SalvageLog, Stage};
-use diffaudit_nettrace::{decode_auto, decode_auto_salvage_ctl, har_to_exchanges};
-use diffaudit_nettrace::{har_to_exchanges_salvage_ctl, HarError, KeyLog};
+use diffaudit_nettrace::{decode_auto_salvage_ctl, har_to_exchanges_salvage_ctl, HarError, KeyLog};
 use diffaudit_obs::Scope;
-use diffaudit_services::{Platform, TraceCategory, TraceKind};
+use diffaudit_services::{Platform, ServiceCapture, TraceArtifact, TraceCategory, TraceKind};
 use diffaudit_util::cancel::{Ctl, Interrupt};
 use std::path::{Path, PathBuf};
 
@@ -158,7 +167,7 @@ fn read_manifest(dir: &Path) -> Result<Manifest, LoadError> {
     let manifest = parse(&manifest_text)
         .map_err(|e| LoadError::ManifestJson(manifest_path.clone(), e.to_string()))?;
 
-    let header = (|| {
+    (|| {
         let service = manifest
             .get("service")
             .ok_or_else(|| shape_error("missing \"service\" object".into()))?;
@@ -176,140 +185,136 @@ fn read_manifest(dir: &Path) -> Result<Manifest, LoadError> {
                 "service.firstPartyDomains must not be empty".into(),
             ));
         }
-        let unit_entries = manifest
-            .get("units")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| shape_error("missing \"units\" array".into()))?
-            .to_vec();
-        Ok((name, slug, first_party_domains, unit_entries))
+        Ok(Manifest {
+            path: manifest_path.clone(),
+            name,
+            slug,
+            first_party_domains,
+            unit_entries: manifest
+                .get("units")
+                .and_then(Json::as_arr)
+                .ok_or_else(|| shape_error("missing \"units\" array".into()))?
+                .to_vec(),
+        })
     })()
-    .map_err(|e: LoadError| e.with_manifest_path(&manifest_path))?;
-    let (name, slug, first_party_domains, unit_entries) = header;
-    Ok(Manifest {
-        path: manifest_path,
-        name,
-        slug,
-        first_party_domains,
-        unit_entries,
-    })
+    .map_err(|e: LoadError| e.with_manifest_path(&manifest_path))
 }
 
-/// Load one manifest unit entry. With `salvage: Some(log)`, artifact decode
-/// uses the per-record salvage readers and accounts damage in `log`; with
-/// `None`, any damage is a hard error (the pre-salvage behaviour). The
-/// salvage decoders check `ctl` between records, so an expired deadline or
-/// a cancelled job surfaces as [`LoadError::Interrupted`] for this unit.
-///
-/// The second tuple element is the number of artifact bytes read from disk
-/// (HAR text, or pcap container plus key log) — the caller accounts it as
-/// `loader.unit.bytes.in` for the resource profiler.
-fn load_unit(
-    dir: &Path,
-    entry: &Json,
-    index: usize,
-    mut salvage: Option<&mut SalvageLog>,
-    ctl: &Ctl,
-) -> Result<(LoadedUnit, u64), LoadError> {
+/// Read one manifest unit entry from `dir` into memory. Runs on the
+/// per-unit worker, so disk reads overlap other units' decode.
+// lint:allow(par-discipline): one read per unit, on purpose — a worker
+// reads its own unit's files so I/O overlaps other units' decode.
+fn read_unit(dir: &Path, entry: &Json, index: usize) -> Result<MemoryUnit, LoadError> {
     let ctx = format!("units[{index}]");
     let file = str_field(entry, "file", &ctx)?;
     let platform = parse_platform(str_field(entry, "platform", &ctx)?)?;
     let kind = parse_kind(str_field(entry, "kind", &ctx)?)?;
     let category = parse_category(str_field(entry, "category", &ctx)?)?;
     let path = dir.join(file);
-    if file.ends_with(".har") {
-        let text = std::fs::read_to_string(&path).map_err(|e| LoadError::Io(path.clone(), e))?;
-        let exchanges = match salvage {
-            Some(log) => har_to_exchanges_salvage_ctl(&text, log, ctl).map_err(|e| match e {
-                HarError::Interrupted(i) => LoadError::Interrupted(path.clone(), i),
-                other => LoadError::Artifact(path.clone(), other.to_string()),
-            })?,
-            None => har_to_exchanges(&text)
-                .map_err(|e| LoadError::Artifact(path.clone(), e.to_string()))?,
-        };
-        let n = exchanges.len();
-        Ok((
-            LoadedUnit {
-                platform,
-                kind,
-                category,
-                exchanges,
-                opaque_snis: Vec::new(),
-                packet_count: n,
-                flow_count: n,
-            },
-            text.len() as u64,
-        ))
+    let artifact = if file.ends_with(".har") {
+        MemoryArtifact::Har(
+            std::fs::read_to_string(&path).map_err(|e| LoadError::Io(path.clone(), e))?,
+        )
     } else if file.ends_with(".pcap") || file.ends_with(".pcapng") {
         let bytes = std::fs::read(&path).map_err(|e| LoadError::Io(path.clone(), e))?;
-        let mut in_bytes = bytes.len() as u64;
         let keylog = match entry.get("keylog").and_then(Json::as_str) {
             Some(keylog_file) => {
                 let keylog_path = dir.join(keylog_file);
-                let text = std::fs::read_to_string(&keylog_path)
-                    .map_err(|e| LoadError::Io(keylog_path.clone(), e))?;
-                in_bytes += text.len() as u64;
-                match salvage.as_deref_mut() {
-                    Some(log) => KeyLog::parse_salvage(&text, log),
-                    None => KeyLog::parse(&text),
-                }
+                Some(
+                    std::fs::read_to_string(&keylog_path)
+                        .map_err(|e| LoadError::Io(keylog_path.clone(), e))?,
+                )
             }
-            None => KeyLog::new(),
+            None => None,
         };
-        let decoded = match salvage {
-            Some(log) => {
-                decode_auto_salvage_ctl(&bytes, &keylog, log, ctl).map_err(|e| match e {
-                    DecodeError::Interrupted(i) => LoadError::Interrupted(path.clone(), i),
-                    other => LoadError::Artifact(path.clone(), other.to_string()),
-                })?
-            }
-            None => decode_auto(&bytes, &keylog)
-                .map_err(|e| LoadError::Artifact(path.clone(), e.to_string()))?,
-        };
-        Ok((
-            LoadedUnit {
-                platform,
-                kind,
-                category,
-                exchanges: decoded.exchanges,
-                opaque_snis: decoded.opaque.into_iter().filter_map(|o| o.sni).collect(),
-                packet_count: decoded.packet_count,
-                flow_count: decoded.flow_count,
-            },
-            in_bytes,
-        ))
+        MemoryArtifact::Capture { bytes, keylog }
     } else {
-        Err(shape_error(format!(
+        return Err(shape_error(format!(
             "{ctx}: file {file:?} must end in .har, .pcap, or .pcapng"
-        )))
-    }
+        )));
+    };
+    Ok(MemoryUnit {
+        label: file.to_string(),
+        platform,
+        kind,
+        category,
+        artifact,
+    })
 }
 
-/// Salvage-load one manifest unit entry on a worker thread: times the load
-/// as a `loader.unit` span, tallies loaded/dropped counters and the
-/// exchange-count histogram into the worker's private recorder, and folds
-/// any error into the unit's salvage log. Returns the unit's display label,
-/// the load result (the error already rendered to its display string), and
-/// the per-unit ledger entry.
-fn load_unit_salvage(
-    dir: &Path,
-    entry: &Json,
+/// Salvage-decode one unit's artifact: HAR text, or capture bytes plus an
+/// optional key log. Per-record damage is accounted in `log`; the salvage
+/// readers check `ctl` between records. `path` names the artifact in
+/// errors (the file on disk, or the upload label).
+fn decode_unit(
+    unit: &MemoryUnit,
+    path: &Path,
+    log: &mut SalvageLog,
+    ctl: &Ctl,
+) -> Result<LoadedUnit, LoadError> {
+    let (exchanges, opaque_snis, packet_count, flow_count) = match &unit.artifact {
+        MemoryArtifact::Har(text) => {
+            let exchanges = har_to_exchanges_salvage_ctl(text, log, ctl).map_err(|e| match e {
+                HarError::Interrupted(i) => LoadError::Interrupted(path.to_path_buf(), i),
+                other => LoadError::Artifact(path.to_path_buf(), other.to_string()),
+            })?;
+            let n = exchanges.len();
+            (exchanges, Vec::new(), n, n)
+        }
+        MemoryArtifact::Capture { bytes, keylog } => {
+            let keys = match keylog {
+                Some(text) => KeyLog::parse_salvage(text, log),
+                None => KeyLog::new(),
+            };
+            let decoded = decode_auto_salvage_ctl(bytes, &keys, log, ctl).map_err(|e| match e {
+                DecodeError::Interrupted(i) => LoadError::Interrupted(path.to_path_buf(), i),
+                other => LoadError::Artifact(path.to_path_buf(), other.to_string()),
+            })?;
+            let opaque = decoded.opaque.into_iter().filter_map(|o| o.sni).collect();
+            (
+                decoded.exchanges,
+                opaque,
+                decoded.packet_count,
+                decoded.flow_count,
+            )
+        }
+    };
+    Ok(LoadedUnit {
+        platform: unit.platform,
+        kind: unit.kind,
+        category: unit.category,
+        exchanges,
+        opaque_snis,
+        packet_count,
+        flow_count,
+    })
+}
+
+/// Load one unit on a worker thread, from disk or memory alike: `read`
+/// yields the in-memory unit, which is salvage-decoded under a
+/// `loader.unit` span. Loaded/dropped counters, bytes in and the
+/// exchange-count histogram go to the worker's private recorder; any error
+/// becomes a `unit`-stage drop (offset = unit index) in the unit's own
+/// salvage log. Returns the unit's ledger label, the load result (the
+/// error rendered to its display string), and that log.
+fn load_unit(
+    label: String,
+    path: &Path,
     index: usize,
-    manifest_path: &Path,
     recorder: &mut diffaudit_obs::LocalRecorder,
     ctl: &Ctl,
+    read: impl FnOnce() -> Result<MemoryUnit, LoadError>,
 ) -> (String, Result<LoadedUnit, String>, SalvageLog) {
-    let label = entry
-        .get("file")
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .unwrap_or_else(|| format!("units[{index}]"));
     let mut log = SalvageLog::new();
-    // A unit whose control is already tripped drops without touching the
-    // filesystem; units that start decoding are interrupted between records
-    // by the salvage readers.
-    let outcome = recorder.time("loader.unit", || match ctl.check() {
-        Err(i) => Err(LoadError::Interrupted(dir.join(&label), i)),
-        Ok(()) => load_unit(dir, entry, index, Some(&mut log), ctl),
+    // A unit whose control is already tripped drops without being read;
+    // units that start decoding are interrupted between records by the
+    // salvage readers.
+    let outcome = recorder.time("loader.unit", || {
+        ctl.check()
+            .map_err(|i| LoadError::Interrupted(path.to_path_buf(), i))?;
+        let unit = read()?;
+        let in_bytes = unit.artifact.byte_len();
+        decode_unit(&unit, path, &mut log, ctl).map(|loaded| (loaded, in_bytes))
     });
     let result = match outcome {
         Ok((unit, in_bytes)) => {
@@ -324,7 +329,7 @@ fn load_unit_salvage(
             Ok(unit)
         }
         Err(e) => {
-            let reason = e.with_manifest_path(manifest_path).to_string();
+            let reason = e.to_string();
             recorder.add("loader.units.dropped", 1);
             log.dropped(Stage::Unit, reason.clone(), Some(index as u64));
             Err(reason)
@@ -334,55 +339,23 @@ fn load_unit_salvage(
 }
 
 /// Load a capture directory (containing `manifest.json`) into a
-/// [`ServiceInput`] ready for [`crate::pipeline::Pipeline::run_inputs`].
-/// Any damage anywhere in the directory is a hard error; see
-/// [`load_capture_dir_salvage`] for the skip-and-record variant.
-pub fn load_capture_dir(dir: &Path) -> Result<ServiceInput, LoadError> {
-    let manifest = read_manifest(dir)?;
-    let ctl = Ctl::unbounded();
-    let mut units = Vec::with_capacity(manifest.unit_entries.len());
-    for (i, entry) in manifest.unit_entries.iter().enumerate() {
-        let (unit, in_bytes) = load_unit(dir, entry, i, None, &ctl)
-            .map_err(|e| e.with_manifest_path(&manifest.path))?;
-        diffaudit_obs::add("loader.unit.bytes.in", in_bytes);
-        units.push(unit);
-    }
-    Ok(ServiceInput {
-        name: manifest.name,
-        slug: manifest.slug,
-        first_party_domains: manifest.first_party_domains,
-        units,
-    })
-}
-
-/// Salvage-mode directory load: manifest-level damage (unreadable or
-/// malformed `manifest.json`, broken service header) is still a hard error,
-/// but each unit is isolated — a unit that cannot be loaded is dropped into
-/// the ledger (stage `unit`, offset = manifest entry index) instead of
-/// aborting the audit, and units that do load account their own per-record
-/// damage through the salvage readers.
+/// [`ServiceInput`] ready for [`crate::pipeline::Pipeline::run_inputs`],
+/// plus its degradation ledger.
 ///
-/// On a pristine directory the returned [`ServiceInput`] is identical to
-/// [`load_capture_dir`]'s and the ledger is clean.
-pub fn load_capture_dir_salvage(dir: &Path) -> Result<(ServiceInput, ServiceLedger), LoadError> {
-    load_capture_dir_salvage_threads(dir, diffaudit_util::par::available_threads())
-}
-
-/// [`load_capture_dir_salvage`] with an explicit worker-thread count (the
-/// `--threads` CLI flag lands here; 1 forces the serial path).
-pub fn load_capture_dir_salvage_threads(
-    dir: &Path,
-    threads: usize,
-) -> Result<(ServiceInput, ServiceLedger), LoadError> {
-    load_capture_dir_salvage_scoped(dir, threads, &Scope::global(), &Ctl::unbounded())
-}
-
-/// [`load_capture_dir_salvage_threads`] with explicit instrumentation
-/// [`Scope`] and cancellation [`Ctl`] — the serve daemon's disk path. A
-/// tripped control does not abort the load: every unit still gets a ledger
-/// entry, but interrupted units are dropped with a `timeout:`/`cancelled:`
-/// reason so the run degrades per salvage policy instead of vanishing.
-pub fn load_capture_dir_salvage_scoped(
+/// Manifest-level damage (unreadable or malformed `manifest.json`, broken
+/// service header) is a hard error, but each unit is isolated: a unit that
+/// cannot be loaded is dropped into the ledger (stage `unit`, offset =
+/// manifest entry index) instead of aborting the audit, and units that do
+/// load account their own per-record damage through the salvage readers.
+/// Whether any damage fails the run is the caller's
+/// [`crate::salvage::SalvagePolicy`] (`--strict` tolerates none).
+///
+/// Units load in parallel over `threads` workers (1 = serial), with
+/// instrumentation in `scope`. A tripped `ctl` does not abort the load:
+/// every unit still gets a ledger entry, but interrupted units are dropped
+/// with a `timeout:`/`cancelled:` reason so the run degrades per salvage
+/// policy instead of vanishing.
+pub fn load_capture_dir(
     dir: &Path,
     threads: usize,
     scope: &Scope,
@@ -390,30 +363,35 @@ pub fn load_capture_dir_salvage_scoped(
 ) -> Result<(ServiceInput, ServiceLedger), LoadError> {
     scope.time("loader.dir", || {
         let manifest = read_manifest(dir)?;
-        // Units are independent, so they load in parallel over the scoped
-        // executor (1 = today's serial path). Workers record `loader.unit`
-        // timings and counters into per-thread recorders merged at join, and
-        // never emit events — the debug/warn lines below go out on this thread
-        // afterwards, in manifest order, so the event stream and both returned
-        // vectors are identical for every thread count.
-        let loaded: Vec<(String, Result<LoadedUnit, String>, SalvageLog)> =
-            diffaudit_util::par::par_map_ctx(
-                threads.max(1),
-                &manifest.unit_entries,
-                diffaudit_obs::LocalRecorder::new,
-                |recorder, i, entry| {
-                    load_unit_salvage(dir, entry, i, &manifest.path, recorder, ctl)
-                },
-                |recorder| scope.absorb(recorder),
-            );
-        let (input, ledger) = collect_loaded_units(
+        // Workers record `loader.unit` timings and counters into per-thread
+        // recorders merged at join, and never emit events — the debug/warn
+        // lines go out on this thread afterwards, in manifest order, so the
+        // event stream and both returned vectors are identical for every
+        // thread count.
+        let loaded = diffaudit_util::par::par_map_ctx(
+            threads.max(1),
+            &manifest.unit_entries,
+            diffaudit_obs::LocalRecorder::new,
+            |recorder, i, entry| {
+                let label = entry
+                    .get("file")
+                    .and_then(Json::as_str)
+                    .map(str::to_string)
+                    .unwrap_or_else(|| format!("units[{i}]"));
+                let path = dir.join(&label);
+                load_unit(label, &path, i, recorder, ctl, || {
+                    read_unit(dir, entry, i).map_err(|e| e.with_manifest_path(&manifest.path))
+                })
+            },
+            |recorder| scope.absorb(recorder),
+        );
+        Ok(collect_loaded_units(
             manifest.name,
             manifest.slug,
             manifest.first_party_domains,
             loaded,
             scope,
-        );
-        Ok((input, ledger))
+        ))
     })
 }
 
@@ -468,8 +446,9 @@ fn collect_loaded_units(
     )
 }
 
-/// A trace artifact held in memory — the serve daemon's upload path, where
-/// captures arrive over HTTP and never touch the filesystem.
+/// A trace artifact held in memory: a serve daemon upload (captures
+/// arrive over HTTP and never touch the filesystem), a generated unit, or
+/// a file the disk loader has just read.
 #[derive(Debug, Clone)]
 pub enum MemoryArtifact {
     /// HAR 1.2 text (DevTools/Proxyman exports).
@@ -516,97 +495,60 @@ pub struct MemoryService {
     pub units: Vec<MemoryUnit>,
 }
 
-/// Salvage-decode one in-memory unit on a worker thread — the in-memory
-/// mirror of [`load_unit_salvage`], with the same spans, counters, and
-/// drop accounting.
-fn load_memory_unit(
-    unit: MemoryUnit,
-    index: usize,
-    recorder: &mut diffaudit_obs::LocalRecorder,
-    ctl: &Ctl,
-) -> (String, Result<LoadedUnit, String>, SalvageLog) {
-    let MemoryUnit {
-        label,
-        platform,
-        kind,
-        category,
-        artifact,
-    } = unit;
-    let mut log = SalvageLog::new();
-    let in_bytes = match &artifact {
-        MemoryArtifact::Har(text) => text.len() as u64,
-        MemoryArtifact::Capture { bytes, keylog } => {
-            bytes.len() as u64 + keylog.as_ref().map_or(0, |k| k.len() as u64)
-        }
-    };
-    let outcome = recorder.time("loader.unit", || match ctl.check() {
-        Err(i) => Err(format!("{i} (while loading {label})")),
-        Ok(()) => match &artifact {
-            MemoryArtifact::Har(text) => har_to_exchanges_salvage_ctl(text, &mut log, ctl)
-                .map(|exchanges| {
-                    let n = exchanges.len();
-                    LoadedUnit {
-                        platform,
-                        kind,
-                        category,
-                        exchanges,
-                        opaque_snis: Vec::new(),
-                        packet_count: n,
-                        flow_count: n,
-                    }
-                })
-                .map_err(|e| match e {
-                    HarError::Interrupted(i) => format!("{i} (while loading {label})"),
-                    other => format!("failed to decode {label}: {other}"),
-                }),
+impl MemoryArtifact {
+    /// Artifact bytes the decoder reads (HAR text, or capture plus key
+    /// log) — the `loader.unit.bytes.in` the resource profiler divides by.
+    fn byte_len(&self) -> u64 {
+        match self {
+            MemoryArtifact::Har(text) => text.len() as u64,
             MemoryArtifact::Capture { bytes, keylog } => {
-                let keys = match keylog {
-                    Some(text) => KeyLog::parse_salvage(text, &mut log),
-                    None => KeyLog::new(),
-                };
-                decode_auto_salvage_ctl(bytes, &keys, &mut log, ctl)
-                    .map(|decoded| LoadedUnit {
-                        platform,
-                        kind,
-                        category,
-                        exchanges: decoded.exchanges,
-                        opaque_snis: decoded.opaque.into_iter().filter_map(|o| o.sni).collect(),
-                        packet_count: decoded.packet_count,
-                        flow_count: decoded.flow_count,
-                    })
-                    .map_err(|e| match e {
-                        DecodeError::Interrupted(i) => format!("{i} (while loading {label})"),
-                        other => format!("failed to decode {label}: {other}"),
-                    })
+                bytes.len() as u64 + keylog.as_ref().map_or(0, |k| k.len() as u64)
             }
-        },
-    });
-    let result = match outcome {
-        Ok(unit) => {
-            log.ok(Stage::Unit);
-            recorder.add("loader.units.loaded", 1);
-            recorder.add("loader.unit.bytes.in", in_bytes);
-            recorder.observe(
-                "loader.unit.exchanges",
-                &diffaudit_obs::RECORD_BOUNDS,
-                unit.exchanges.len() as u64,
-            );
-            Ok(unit)
         }
-        Err(reason) => {
-            recorder.add("loader.units.dropped", 1);
-            log.dropped(Stage::Unit, reason.clone(), Some(index as u64));
-            Err(reason)
+    }
+}
+
+impl MemoryService {
+    /// The in-memory upload equivalent of one generated service: each
+    /// artifact is copied into a [`MemoryUnit`] labelled with the file
+    /// name [`write_dataset`] gives it on disk.
+    pub fn from_capture(capture: &ServiceCapture) -> MemoryService {
+        let units = capture
+            .artifacts
+            .iter()
+            .map(|artifact| MemoryUnit {
+                label: UnitNames::of(artifact).file,
+                platform: artifact.platform,
+                kind: artifact.kind,
+                category: artifact.category,
+                artifact: match (&artifact.pcap, &artifact.har) {
+                    (Some(bytes), _) => MemoryArtifact::Capture {
+                        bytes: bytes.clone(),
+                        keylog: artifact.keylog.clone(),
+                    },
+                    (None, har) => MemoryArtifact::Har(har.clone().unwrap_or_default()),
+                },
+            })
+            .collect();
+        MemoryService {
+            name: capture.spec.name.to_string(),
+            slug: capture.spec.slug.to_string(),
+            first_party_domains: capture
+                .spec
+                .first_party_domains
+                .iter()
+                .map(|d| d.to_string())
+                .collect(),
+            units,
         }
-    };
-    (label, result, log)
+    }
 }
 
 /// Salvage-load an in-memory service upload into a [`ServiceInput`] +
-/// [`ServiceLedger`] pair — [`load_capture_dir_salvage_scoped`] for the
-/// serve daemon's HTTP upload path. There is no manifest file to fail on,
-/// so this is infallible at the service level: every unit either loads or
-/// lands in the ledger as a drop (interrupted units with a
+/// [`ServiceLedger`] pair — [`load_capture_dir`] for the serve daemon's
+/// HTTP upload path and for generated datasets. There is no manifest file
+/// to fail on, so this is infallible at the service level: every unit
+/// either loads or lands in the ledger as a drop (interrupted units with a
 /// `timeout:`/`cancelled:` reason), and the salvage policy decides what the
 /// degradation means.
 pub fn load_memory_service(
@@ -622,16 +564,57 @@ pub fn load_memory_service(
             first_party_domains,
             units,
         } = svc;
-        let loaded: Vec<(String, Result<LoadedUnit, String>, SalvageLog)> =
-            diffaudit_util::par::par_map_ctx_owned(
-                threads.max(1),
-                units,
-                diffaudit_obs::LocalRecorder::new,
-                |recorder, i, unit| load_memory_unit(unit, i, recorder, ctl),
-                |recorder| scope.absorb(recorder),
-            );
+        let loaded = diffaudit_util::par::par_map_ctx_owned(
+            threads.max(1),
+            units,
+            diffaudit_obs::LocalRecorder::new,
+            |recorder, i, unit| {
+                let label = unit.label.clone();
+                let path = PathBuf::from(&label);
+                load_unit(label, &path, i, recorder, ctl, || Ok(unit))
+            },
+            |recorder| scope.absorb(recorder),
+        );
         collect_loaded_units(name, slug, first_party_domains, loaded, scope)
     })
+}
+
+/// How a generated unit is spelled on disk: its manifest `platform`,
+/// `kind` and `category` values, its artifact `file` (`<stem>.pcap` for a
+/// capture, `<stem>.har` otherwise) and its `keylog` (`<stem>.keys`).
+/// [`MemoryService::from_capture`] labels the unit with `file`, so it
+/// carries the same ledger label on the disk and in-memory paths.
+struct UnitNames {
+    platform: String,
+    kind: &'static str,
+    category: String,
+    file: String,
+    keylog: String,
+}
+
+impl UnitNames {
+    fn of(artifact: &TraceArtifact) -> UnitNames {
+        let platform = artifact.platform.label().to_lowercase();
+        let kind = match artifact.kind {
+            TraceKind::AccountCreation => "account-creation",
+            TraceKind::LoggedIn => "logged-in",
+            TraceKind::LoggedOut => "logged-out",
+        };
+        let category = artifact.category.label().to_lowercase().replace(' ', "-");
+        let stem = format!("{platform}-{category}-{kind}");
+        let ext = if artifact.pcap.is_some() {
+            "pcap"
+        } else {
+            "har"
+        };
+        UnitNames {
+            file: format!("{stem}.{ext}"),
+            keylog: format!("{stem}.keys"),
+            platform,
+            kind,
+            category,
+        }
+    }
 }
 
 /// Write a generated dataset to disk in the loader's directory layout —
@@ -641,42 +624,34 @@ pub fn write_dataset(
     dataset: &diffaudit_services::GeneratedDataset,
     out: &Path,
 ) -> Result<Vec<PathBuf>, LoadError> {
+    let write = |path: PathBuf, bytes: &[u8]| {
+        std::fs::write(&path, bytes).map_err(|e| LoadError::Io(path, e))
+    };
     let mut dirs = Vec::new();
     for capture in &dataset.services {
         let dir = out.join(capture.spec.slug);
         std::fs::create_dir_all(&dir).map_err(|e| LoadError::Io(dir.clone(), e))?;
         let mut units_json = Vec::new();
         for artifact in &capture.artifacts {
-            let platform = artifact.platform.label().to_lowercase();
-            let kind = match artifact.kind {
-                TraceKind::AccountCreation => "account-creation",
-                TraceKind::LoggedIn => "logged-in",
-                TraceKind::LoggedOut => "logged-out",
-            };
-            let category = artifact.category.label().to_lowercase().replace(' ', "-");
-            let stem = format!("{platform}-{category}-{kind}");
+            let names = UnitNames::of(artifact);
             let mut unit = Json::obj()
-                .with("platform", Json::str(platform))
-                .with("kind", Json::str(kind))
-                .with("category", Json::str(category));
-            if let Some(har) = &artifact.har {
-                let file = format!("{stem}.har");
-                let path = dir.join(&file);
-                std::fs::write(&path, har).map_err(|e| LoadError::Io(path.clone(), e))?;
-                unit.set("file", Json::str(file));
-            }
-            if let Some(pcap) = &artifact.pcap {
-                let file = format!("{stem}.pcap");
-                let path = dir.join(&file);
-                std::fs::write(&path, pcap).map_err(|e| LoadError::Io(path.clone(), e))?;
-                unit.set("file", Json::str(file));
-                if let Some(keylog) = &artifact.keylog {
-                    let keys_file = format!("{stem}.keys");
-                    let keys_path = dir.join(&keys_file);
-                    std::fs::write(&keys_path, keylog)
-                        .map_err(|e| LoadError::Io(keys_path.clone(), e))?;
-                    unit.set("keylog", Json::str(keys_file));
+                .with("platform", Json::str(names.platform))
+                .with("kind", Json::str(names.kind))
+                .with("category", Json::str(names.category));
+            match (&artifact.pcap, &artifact.har) {
+                (Some(pcap), _) => {
+                    write(dir.join(&names.file), pcap)?;
+                    unit.set("file", Json::str(names.file));
+                    if let Some(keylog) = &artifact.keylog {
+                        write(dir.join(&names.keylog), keylog.as_bytes())?;
+                        unit.set("keylog", Json::str(names.keylog));
+                    }
                 }
+                (None, Some(har)) => {
+                    write(dir.join(&names.file), har.as_bytes())?;
+                    unit.set("file", Json::str(names.file));
+                }
+                (None, None) => {}
             }
             units_json.push(unit);
         }
@@ -699,9 +674,10 @@ pub fn write_dataset(
                     ),
             )
             .with("units", Json::Arr(units_json));
-        let manifest_path = dir.join("manifest.json");
-        std::fs::write(&manifest_path, manifest.to_pretty_string())
-            .map_err(|e| LoadError::Io(manifest_path.clone(), e))?;
+        write(
+            dir.join("manifest.json"),
+            manifest.to_pretty_string().as_bytes(),
+        )?;
         dirs.push(dir);
     }
     Ok(dirs)
@@ -711,7 +687,9 @@ pub fn write_dataset(
 mod tests {
     use super::*;
     use crate::diff::ObservedGrid;
+    use crate::export::outcome_to_json;
     use crate::pipeline::{ClassificationMode, Pipeline};
+    use crate::salvage::{DegradationLedger, RunStatus, SalvagePolicy};
     use diffaudit_services::{generate_dataset, service_by_slug, DatasetOptions};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -724,33 +702,44 @@ mod tests {
         dir
     }
 
+    fn load(dir: &Path) -> Result<(ServiceInput, ServiceLedger), LoadError> {
+        load_capture_dir(dir, 2, &Scope::global(), &Ctl::unbounded())
+    }
+
+    fn ledger_json(ledger: ServiceLedger) -> String {
+        let mut run = DegradationLedger::new();
+        run.services.push(ledger);
+        run.to_json().to_pretty_string()
+    }
+
     #[test]
     fn write_then_load_round_trips_the_audit() {
-        let dataset = generate_dataset(&DatasetOptions {
-            seed: 21,
-            volume_scale: 0.03,
-            mobile_pinned_fraction: 0.1,
-            services: vec!["tiktok".into()],
-        });
-        let dir = temp_dir("roundtrip");
-        let service_dirs = write_dataset(&dataset, &dir).unwrap();
-        assert_eq!(service_dirs.len(), 1);
+        let (dataset, dir, service_dir) = written_service_dir("roundtrip");
 
         // Load back from disk and audit.
-        let input = load_capture_dir(&service_dirs[0]).unwrap();
+        let (input, disk_ledger) = load(&service_dir).unwrap();
         assert_eq!(input.slug, "tiktok");
         assert_eq!(input.units.len(), 14);
-        let outcome = Pipeline::new(ClassificationMode::Oracle(dataset.key_truth.clone()))
-            .run_inputs(vec![input]);
+        let oracle = || Pipeline::new(ClassificationMode::Oracle(dataset.key_truth.clone()));
+        let outcome = oracle().run_inputs(vec![input]);
 
-        // The from-disk audit must agree with the in-memory audit.
-        let reference =
-            Pipeline::new(ClassificationMode::Oracle(dataset.key_truth.clone())).run(&dataset);
-        let from_disk = ObservedGrid::build(&outcome.services[0]);
-        let in_memory = ObservedGrid::build(&reference.services[0]);
-        assert_eq!(from_disk.cells(), in_memory.cells());
+        // The from-disk audit must agree with the in-memory audit, document
+        // for document, and both loads must account identically.
+        let reference = oracle().run(&dataset);
+        assert_eq!(
+            outcome_to_json(&outcome, &[]).to_pretty_string(),
+            outcome_to_json(&reference, &[]).to_pretty_string()
+        );
+        let (_, mem_ledger) = load_memory_service(
+            MemoryService::from_capture(&dataset.services[0]),
+            2,
+            &Scope::global(),
+            &Ctl::unbounded(),
+        );
+        assert_eq!(ledger_json(disk_ledger), ledger_json(mem_ledger));
 
         // And it recovers the encoded spec.
+        let from_disk = ObservedGrid::build(&outcome.services[0]);
         let spec = service_by_slug("tiktok").unwrap();
         let (missing, spurious) = from_disk.compare_activity(&spec);
         assert!(missing.is_empty() && spurious.is_empty());
@@ -758,29 +747,72 @@ mod tests {
     }
 
     #[test]
+    fn generated_services_load_clean_under_their_disk_names() {
+        let dataset = generate_dataset(&DatasetOptions {
+            seed: 5,
+            volume_scale: 0.01,
+            mobile_pinned_fraction: 0.1,
+            services: Vec::new(),
+        });
+        assert_eq!(dataset.services.len(), 6);
+        let dir = temp_dir("six-services");
+        let service_dirs = write_dataset(&dataset, &dir).unwrap();
+        for (capture, service_dir) in dataset.services.iter().zip(&service_dirs) {
+            let (input, ledger) = load_memory_service(
+                MemoryService::from_capture(capture),
+                2,
+                &Scope::global(),
+                &Ctl::unbounded(),
+            );
+            let merged = ledger.merged();
+            assert!(merged.is_clean(), "{}: ledger not clean", capture.spec.slug);
+            assert!(merged.conserved());
+            assert_eq!(input.units.len(), capture.artifacts.len());
+            assert_eq!(ledger.units.len(), capture.artifacts.len());
+
+            let manifest = read_manifest(service_dir).unwrap();
+            let disk_names: Vec<&str> = manifest
+                .unit_entries
+                .iter()
+                .map(|e| e.get("file").and_then(Json::as_str).unwrap())
+                .collect();
+            let labels: Vec<&str> = ledger.units.iter().map(|u| u.file.as_str()).collect();
+            assert_eq!(labels, disk_names);
+            assert!(disk_names.iter().all(|f| service_dir.join(f).is_file()));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn manifest_errors_are_described() {
         let dir = temp_dir("errors");
         // No manifest at all.
-        assert!(matches!(load_capture_dir(&dir), Err(LoadError::Io(..))));
+        assert!(matches!(load(&dir), Err(LoadError::Io(..))));
         // Bad JSON — and the error names the manifest.
         std::fs::write(dir.join("manifest.json"), "{oops").unwrap();
-        let err = load_capture_dir(&dir).unwrap_err();
+        let err = load(&dir).unwrap_err();
         assert!(matches!(err, LoadError::ManifestJson(..)));
         assert!(err.to_string().contains("manifest.json"), "{err}");
         // Missing fields — also attributed to the manifest.
         std::fs::write(dir.join("manifest.json"), "{}").unwrap();
-        let err = load_capture_dir(&dir).unwrap_err();
+        let err = load(&dir).unwrap_err();
         assert!(matches!(err, LoadError::ManifestShape(..)));
         assert!(err.to_string().contains("manifest.json"), "{err}");
-        // Bad platform.
+        // A bad platform is unit-level damage: the unit drops into the
+        // ledger with a reason that names the value and the manifest.
         std::fs::write(
             dir.join("manifest.json"),
             r#"{"service":{"name":"X","slug":"x","firstPartyDomains":["x.com"]},
                 "units":[{"file":"a.har","platform":"fridge","kind":"logged-in","category":"child"}]}"#,
         )
         .unwrap();
-        let err = load_capture_dir(&dir).unwrap_err();
-        assert!(err.to_string().contains("fridge"), "{err}");
+        let (input, ledger) = load(&dir).unwrap();
+        assert!(input.units.is_empty());
+        assert_eq!(ledger.units.len(), 1);
+        assert!(ledger.units[0].unit_dropped());
+        let reason = &ledger.units[0].log.drops()[0].reason;
+        assert!(reason.contains("fridge"), "{reason}");
+        assert!(reason.contains("manifest.json"), "{reason}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -799,14 +831,30 @@ mod tests {
 
     #[test]
     fn salvage_load_matches_strict_on_clean_directory() {
+        use diffaudit_nettrace::{decode_auto, har_to_exchanges};
         let (_, dir, service_dir) = written_service_dir("salvage-clean");
-        let strict = load_capture_dir(&service_dir).unwrap();
-        let (salvaged, ledger) = load_capture_dir_salvage(&service_dir).unwrap();
-        assert_eq!(salvaged.slug, strict.slug);
-        assert_eq!(salvaged.units.len(), strict.units.len());
-        for (a, b) in salvaged.units.iter().zip(&strict.units) {
-            assert_eq!(a.exchanges, b.exchanges);
-            assert_eq!(a.opaque_snis, b.opaque_snis);
+        let (salvaged, ledger) = load(&service_dir).unwrap();
+        let manifest = read_manifest(&service_dir).unwrap();
+        assert_eq!(salvaged.slug, manifest.slug);
+        assert_eq!(salvaged.units.len(), manifest.unit_entries.len());
+        // The strict nettrace decoders are the reference.
+        for (unit, entry) in salvaged.units.iter().zip(&manifest.unit_entries) {
+            let file = service_dir.join(entry.get("file").and_then(Json::as_str).unwrap());
+            let (exchanges, opaque_snis) = match entry.get("keylog").and_then(Json::as_str) {
+                None => (
+                    har_to_exchanges(&std::fs::read_to_string(&file).unwrap()).unwrap(),
+                    Vec::new(),
+                ),
+                Some(keys) => {
+                    let keylog =
+                        KeyLog::parse(&std::fs::read_to_string(service_dir.join(keys)).unwrap());
+                    let decoded = decode_auto(&std::fs::read(&file).unwrap(), &keylog).unwrap();
+                    let opaque = decoded.opaque.into_iter().filter_map(|o| o.sni).collect();
+                    (decoded.exchanges, opaque)
+                }
+            };
+            assert_eq!(unit.exchanges, exchanges);
+            assert_eq!(unit.opaque_snis, opaque_snis);
         }
         let merged = ledger.merged();
         assert!(
@@ -814,66 +862,20 @@ mod tests {
             "clean directory must yield a clean ledger"
         );
         assert!(merged.conserved());
-        assert_eq!(ledger.units.len(), strict.units.len());
+        assert_eq!(ledger.units.len(), salvaged.units.len());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Build the in-memory upload equivalent of a generated service's
-    /// capture artifacts.
-    fn memory_service_from(dataset: &diffaudit_services::GeneratedDataset) -> MemoryService {
-        let capture = &dataset.services[0];
-        let units = capture
-            .artifacts
-            .iter()
-            .map(|artifact| {
-                let platform = artifact.platform;
-                let kind = artifact.kind;
-                let category = artifact.category;
-                let label = format!(
-                    "{}-{}",
-                    platform.label().to_lowercase(),
-                    category.label().to_lowercase().replace(' ', "-")
-                );
-                let mem = if let Some(har) = &artifact.har {
-                    MemoryArtifact::Har(har.clone())
-                } else {
-                    MemoryArtifact::Capture {
-                        bytes: artifact.pcap.clone().unwrap(),
-                        keylog: artifact.keylog.clone(),
-                    }
-                };
-                MemoryUnit {
-                    label,
-                    platform,
-                    kind,
-                    category,
-                    artifact: mem,
-                }
-            })
-            .collect();
-        MemoryService {
-            name: capture.spec.name.to_string(),
-            slug: capture.spec.slug.to_string(),
-            first_party_domains: capture
-                .spec
-                .first_party_domains
-                .iter()
-                .map(|d| d.to_string())
-                .collect(),
-            units,
-        }
     }
 
     #[test]
     fn memory_load_matches_disk_load() {
         let (dataset, dir, service_dir) = written_service_dir("memory-parity");
-        let (from_disk, disk_ledger) = load_capture_dir_salvage(&service_dir).unwrap();
+        let (from_disk, disk_ledger) = load(&service_dir).unwrap();
         let scope = diffaudit_obs::Scope::job("test.memory");
         let (from_memory, mem_ledger) = load_memory_service(
-            memory_service_from(&dataset),
+            MemoryService::from_capture(&dataset.services[0]),
             2,
             &scope,
-            &diffaudit_util::cancel::Ctl::unbounded(),
+            &Ctl::unbounded(),
         );
         assert_eq!(from_memory.slug, from_disk.slug);
         assert_eq!(from_memory.units.len(), from_disk.units.len());
@@ -901,9 +903,9 @@ mod tests {
             mobile_pinned_fraction: 0.1,
             services: vec!["tiktok".into()],
         });
-        let svc = memory_service_from(&dataset);
+        let svc = MemoryService::from_capture(&dataset.services[0]);
         let total = svc.units.len();
-        let ctl = diffaudit_util::cancel::Ctl::new(
+        let ctl = Ctl::new(
             diffaudit_util::cancel::CancelToken::new(),
             diffaudit_util::cancel::Deadline::within(std::time::Duration::ZERO),
         );
@@ -930,13 +932,11 @@ mod tests {
     #[test]
     fn expired_ctl_drops_disk_units_with_timeout_reason() {
         let (_, dir, service_dir) = written_service_dir("disk-timeout");
-        let ctl = diffaudit_util::cancel::Ctl::new(
+        let ctl = Ctl::new(
             diffaudit_util::cancel::CancelToken::new(),
             diffaudit_util::cancel::Deadline::within(std::time::Duration::ZERO),
         );
-        let (input, ledger) =
-            load_capture_dir_salvage_scoped(&service_dir, 2, &diffaudit_obs::Scope::global(), &ctl)
-                .unwrap();
+        let (input, ledger) = load_capture_dir(&service_dir, 2, &Scope::global(), &ctl).unwrap();
         assert!(input.units.is_empty());
         assert!(ledger.units.iter().all(|u| u
             .log
@@ -949,7 +949,7 @@ mod tests {
     #[test]
     fn salvage_load_isolates_a_broken_unit() {
         let (_, dir, service_dir) = written_service_dir("salvage-broken");
-        let strict_units = load_capture_dir(&service_dir).unwrap().units.len();
+        let all_units = load(&service_dir).unwrap().0.units.len();
         // Destroy one pcap's header so its unit cannot be decoded at all.
         let victim = std::fs::read_dir(&service_dir)
             .unwrap()
@@ -958,13 +958,12 @@ mod tests {
             .unwrap();
         std::fs::write(&victim, b"not a pcap").unwrap();
 
-        assert!(load_capture_dir(&service_dir).is_err());
-        let (salvaged, ledger) = load_capture_dir_salvage(&service_dir).unwrap();
-        assert_eq!(salvaged.units.len(), strict_units - 1);
+        let (salvaged, ledger) = load(&service_dir).unwrap();
+        assert_eq!(salvaged.units.len(), all_units - 1);
         let merged = ledger.merged();
         assert!(merged.conserved());
         assert_eq!(merged.stage(Stage::Unit).dropped, 1);
-        assert_eq!(merged.stage(Stage::Unit).processed, strict_units as u64 - 1);
+        assert_eq!(merged.stage(Stage::Unit).processed, all_units as u64 - 1);
         let dropped = ledger
             .units
             .iter()
@@ -980,6 +979,14 @@ mod tests {
                 .any(|d| d.reason.contains(victim_name)),
             "drop reason should name the artifact"
         );
+        // Strict mode is a policy over the same ledger: any drop fails it.
+        let mut run = DegradationLedger::new();
+        run.services.push(ledger);
+        let strict = SalvagePolicy {
+            strict: true,
+            ..SalvagePolicy::default()
+        };
+        assert_eq!(strict.evaluate(&run), RunStatus::Failed);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

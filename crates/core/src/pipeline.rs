@@ -1,12 +1,13 @@
 //! The end-to-end pipeline: capture artifacts → observed dataset.
 //!
-//! Mirrors the paper's post-processing: decode each unit's artifact (HAR or
-//! pcap + key log), extract raw data types from every outgoing request,
-//! classify the *unique* raw types once (the paper classified its 3,968
-//! unique types in batch), analyze destinations, and assemble per-unit
-//! observations ready for the differential audit.
+//! Mirrors the paper's post-processing: [`crate::loader`] decodes each
+//! unit's artifact (HAR or pcap + key log); the pipeline then extracts raw
+//! data types from every outgoing request, classifies the *unique* raw
+//! types once (the paper classified its 3,968 unique types in batch),
+//! analyzes destinations, and assembles per-unit observations ready for the
+//! differential audit.
 //!
-//! Decode/extract and per-service assembly shard per unit over the
+//! Extraction and per-service assembly shard per unit over the
 //! scoped-thread executor in [`diffaudit_util::par`]; only the unique-key
 //! classification pass needs a global view. Determinism is preserved by
 //! construction: workers return results in input order, the unique-key set
@@ -18,14 +19,15 @@
 use crate::dest::DestinationAnalyzer;
 use crate::extract::extract_request;
 use crate::flow::{DataFlow, FlowTable4};
+use crate::loader::{load_memory_service, MemoryService};
 use diffaudit_blocklist::DestinationClass;
 use diffaudit_classifier::cache::{config_fingerprint, CacheReport, ClassifyCache};
 use diffaudit_classifier::majority::TEMPERATURE_GRID;
 use diffaudit_classifier::{ConfidenceAggregation, MajorityEnsemble};
-use diffaudit_nettrace::{decode_pcap, har_to_exchanges, Exchange, KeyLog};
+use diffaudit_nettrace::Exchange;
 use diffaudit_obs::Scope;
 use diffaudit_ontology::DataTypeCategory;
-use diffaudit_services::{GeneratedDataset, Platform, ServiceCapture, TraceCategory, TraceKind};
+use diffaudit_services::{GeneratedDataset, Platform, TraceCategory, TraceKind};
 use diffaudit_util::cancel::{Ctl, Interrupt};
 use diffaudit_util::par::{self, Key, KeyInterner};
 use std::collections::{BTreeSet, HashMap};
@@ -216,78 +218,25 @@ impl Pipeline {
         self.threads.unwrap_or_else(par::available_threads)
     }
 
-    /// Run over a generated dataset.
+    /// Run over a generated dataset, through the same salvage loader as
+    /// capture directories and daemon uploads: each service becomes a
+    /// [`MemoryService`] and is loaded by [`load_memory_service`]. Services
+    /// convert and load one at a time, so only one service's artifact bytes
+    /// are ever copied.
     pub fn run(&self, dataset: &GeneratedDataset) -> AuditOutcome {
-        let _run_span = diffaudit_obs::span("pipeline");
-        let scope = Scope::global();
-        let threads = self.threads();
-        let interner = KeyInterner::new();
-
-        // Phase 1: decode every unit (sharded per unit over the executor)
-        // and gather raw entries into the shared key batch.
-        let decode_span = diffaudit_obs::span("pipeline.decode");
-        let unit_refs: Vec<&diffaudit_services::TraceArtifact> = dataset
-            .services
-            .iter()
-            .flat_map(|capture| capture.artifacts.iter())
-            .collect();
-        let batch = KeyBatch::new();
-        let units = par::par_map_ctx(
-            threads,
-            &unit_refs,
-            UnitCtx::new,
-            |ctx, _, artifact| {
-                ctx.recorder
-                    .add("pipeline.decode.bytes.in", artifact_bytes(artifact));
-                let unit = ctx.recorder.time("pipeline.unit.decode", || {
-                    decode_artifact(artifact, &interner)
-                });
-                ctx.gather(&unit);
-                unit
-            },
-            |ctx| ctx.finish(&batch, &scope),
-        );
-        decode_span.finish();
-        let (unique_keys, key_occurrences) = batch.into_parts();
-        record_key_stats(&scope, key_occurrences, unique_keys.len());
-
-        // Phase 2: classify unique keys once.
-        let (key_labels, cache) = self.classify_keys_scoped(&unique_keys, &scope);
-
-        // Phase 3: destination analysis + assembly, parallel per service
-        // (each service gets its own memoizing analyzer).
-        let assemble_span = diffaudit_obs::span("pipeline.assemble");
-        let mut units = units.into_iter();
-        let grouped: Vec<(&ServiceCapture, Vec<DecodedUnit>)> = dataset
+        let (scope, ctl) = (Scope::global(), Ctl::unbounded());
+        let inputs = dataset
             .services
             .iter()
             .map(|capture| {
-                (
-                    capture,
-                    units.by_ref().take(capture.artifacts.len()).collect(),
-                )
+                let svc = MemoryService::from_capture(capture);
+                load_memory_service(svc, self.threads(), &scope, &ctl).0
             })
             .collect();
-        let services = par::par_map_owned(threads, grouped, |_, (capture, units)| {
-            assemble_service(
-                capture.spec.name,
-                capture.spec.slug,
-                &capture.spec.first_party_domains,
-                units,
-                &key_labels,
-            )
-        });
-        assemble_span.finish();
-        AuditOutcome {
-            services,
-            key_labels,
-            unique_raw_keys: unique_keys.len(),
-            cache,
-        }
+        self.run_inputs(inputs)
     }
 
-    /// Run over externally supplied inputs (decoded traces loaded from
-    /// disk — see [`crate::loader`]).
+    /// Run over decoded inputs (see [`crate::loader`]).
     pub fn run_inputs(&self, inputs: Vec<ServiceInput>) -> AuditOutcome {
         match self.run_inputs_scoped(inputs, &Scope::global(), &Ctl::unbounded()) {
             Ok(outcome) => outcome,
@@ -409,11 +358,6 @@ impl Pipeline {
             unique_raw_keys: unique_keys.len(),
             cache,
         })
-    }
-
-    /// Classify a set of unique raw keys according to the mode.
-    pub fn classify_keys(&self, keys: &BTreeSet<Key>) -> HashMap<Key, Option<DataTypeCategory>> {
-        self.classify_keys_scoped(keys, &Scope::global()).0
     }
 
     fn classify_keys_scoped(
@@ -593,7 +537,7 @@ struct DecodedUnit {
     flow_count: usize,
 }
 
-/// Per-worker decode/extract context: a private metric recorder plus the
+/// Per-worker extract context: a private metric recorder plus the
 /// thread's share of the unique-key batch. Merged once at join.
 struct UnitCtx {
     recorder: diffaudit_obs::LocalRecorder,
@@ -659,16 +603,6 @@ impl KeyBatch {
     }
 }
 
-/// Logical size of one generated artifact: the bytes the decode stage
-/// actually reads (HAR text, pcap container, TLS key log). Feeds the
-/// `pipeline.decode.bytes.in` counter the resource profiler derives
-/// stage throughput from.
-fn artifact_bytes(artifact: &diffaudit_services::TraceArtifact) -> u64 {
-    artifact.har.as_ref().map_or(0, |h| h.len() as u64)
-        + artifact.pcap.as_ref().map_or(0, |p| p.len() as u64)
-        + artifact.keylog.as_ref().map_or(0, |k| k.len() as u64)
-}
-
 /// Logical size of one decoded unit: the exchange payloads the extract
 /// stage walks (`pipeline.extract.bytes.in`).
 fn unit_bytes(unit: &LoadedUnit) -> u64 {
@@ -682,7 +616,12 @@ fn extract_unit(unit: LoadedUnit, interner: &KeyInterner) -> DecodedUnit {
         .exchanges
         .into_iter()
         .map(|ex| {
-            let keys = extract_keys(&ex, interner);
+            let mut keys: Vec<Key> = extract_request(&ex.request)
+                .into_iter()
+                .map(|e| interner.intern(&e.key))
+                .collect();
+            keys.sort();
+            keys.dedup();
             (ex, keys)
         })
         .collect();
@@ -694,63 +633,6 @@ fn extract_unit(unit: LoadedUnit, interner: &KeyInterner) -> DecodedUnit {
         opaque_snis: unit.opaque_snis,
         packet_count: unit.packet_count,
         flow_count: unit.flow_count,
-    }
-}
-
-fn extract_keys(ex: &Exchange, interner: &KeyInterner) -> Vec<Key> {
-    let mut keys: Vec<Key> = extract_request(&ex.request)
-        .into_iter()
-        .map(|e| interner.intern(&e.key))
-        .collect();
-    keys.sort();
-    keys.dedup();
-    keys
-}
-
-/// Decode one generated artifact into a [`DecodedUnit`]. Pure per-unit
-/// work — safe to shard over the executor.
-fn decode_artifact(
-    artifact: &diffaudit_services::TraceArtifact,
-    interner: &KeyInterner,
-) -> DecodedUnit {
-    let (exchanges, opaque_snis, packet_count, flow_count) = match artifact.platform {
-        Platform::Web | Platform::Desktop => {
-            let exchanges = artifact
-                .har
-                .as_deref()
-                .map(|har| har_to_exchanges(har).expect("generated HAR parses"))
-                .unwrap_or_default();
-            let n = exchanges.len();
-            (exchanges, Vec::new(), n, n)
-        }
-        Platform::Mobile => {
-            let keylog = KeyLog::parse(artifact.keylog.as_deref().unwrap_or(""));
-            let trace = decode_pcap(artifact.pcap.as_deref().unwrap_or(&[]), &keylog)
-                .expect("generated pcap decodes");
-            let opaque = trace.opaque.iter().filter_map(|o| o.sni.clone()).collect();
-            (
-                trace.exchanges,
-                opaque,
-                trace.packet_count,
-                trace.flow_count,
-            )
-        }
-    };
-    let requests = exchanges
-        .into_iter()
-        .map(|ex| {
-            let keys = extract_keys(&ex, interner);
-            (ex, keys)
-        })
-        .collect();
-    DecodedUnit {
-        platform: artifact.platform,
-        kind: artifact.kind,
-        category: artifact.category,
-        requests,
-        opaque_snis,
-        packet_count,
-        flow_count,
     }
 }
 

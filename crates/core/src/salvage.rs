@@ -10,6 +10,7 @@
 use diffaudit_classifier::CacheReport;
 use diffaudit_json::Json;
 use diffaudit_nettrace::salvage::{SalvageLog, Stage};
+use diffaudit_obs::{Scope, SALVAGE_PREFIX};
 
 /// Degradation account for one capture unit (one artifact file).
 #[derive(Debug)]
@@ -47,6 +48,25 @@ impl ServiceLedger {
             log.merge(&unit.log);
         }
         log
+    }
+}
+
+/// Mirror a ledger's per-stage tallies into `scope` as counters, so a run's
+/// metrics document is conservation-checkable against its ledger: for
+/// every stage,
+///   `counters["salvage.<stage>.processed"]` == ledger processed and
+///   `counters["salvage.<stage>.dropped"]`   == ledger dropped.
+pub fn mirror_counters(log: &SalvageLog, scope: &Scope) {
+    for (stage, counts) in log.stages() {
+        let label = stage.label();
+        // lint:allow(metric-discipline): `salvage.<stage>.*` is a closed
+        // family — `stage` ranges over the ledger's fixed stage enum.
+        scope.add(
+            &format!("{SALVAGE_PREFIX}{label}.processed"),
+            counts.processed,
+        );
+        // lint:allow(metric-discipline): closed family, same as above.
+        scope.add(&format!("{SALVAGE_PREFIX}{label}.dropped"), counts.dropped);
     }
 }
 

@@ -859,9 +859,9 @@ mod tests {
 
     fn resource_snapshot(peak: u64) -> Snapshot {
         let mut m = Metrics::new();
-        m.span_done("pipeline.decode", 100_000);
+        m.span_done("pipeline.extract", 100_000);
         m.res_done(
-            "pipeline.decode",
+            "pipeline.extract",
             &crate::res::SpanResources {
                 peak_rss_bytes: peak,
                 rss_delta_bytes: 1_000,
@@ -881,7 +881,7 @@ mod tests {
     #[test]
     fn resources_round_trip_through_the_snapshot_document() {
         let snap = resource_snapshot(64 * 1024 * 1024);
-        let doc = snap.resources.get("pipeline.decode").unwrap();
+        let doc = snap.resources.get("pipeline.extract").unwrap();
         assert_eq!(doc.count, 1);
         assert_eq!(doc.peak_rss_bytes, 64 * 1024 * 1024);
         assert_eq!(doc.rss_delta_bytes, 1_000);
@@ -904,7 +904,7 @@ mod tests {
         assert_eq!(diff.verdict, Verdict::Regressed);
         assert!(diff
             .regressions
-            .contains(&"rss:pipeline.decode".to_string()));
+            .contains(&"rss:pipeline.extract".to_string()));
         let text = render_diff(&diff, &options);
         assert!(text.contains("resources (peak RSS):"));
         assert!(text.contains("peak-RSS growth"));

@@ -1413,7 +1413,7 @@ mod tests {
     fn res_stats_fold_and_export() {
         let mut m = Metrics::new();
         m.res_done(
-            "pipeline.decode",
+            "pipeline.extract",
             &SpanResources {
                 peak_rss_bytes: 10_000,
                 rss_delta_bytes: 4_000,
@@ -1422,7 +1422,7 @@ mod tests {
             },
         );
         m.res_done(
-            "pipeline.decode",
+            "pipeline.extract",
             &SpanResources {
                 peak_rss_bytes: 8_000,
                 rss_delta_bytes: -1_000,
@@ -1430,7 +1430,7 @@ mod tests {
                 bytes_in: 2_000,
             },
         );
-        let stats = *m.resource("pipeline.decode").unwrap();
+        let stats = *m.resource("pipeline.extract").unwrap();
         assert_eq!(stats.count, 2);
         assert_eq!(stats.peak_rss_bytes, 10_000); // max, not sum
         assert_eq!(stats.rss_delta_bytes, 3_000); // signed net
@@ -1442,7 +1442,7 @@ mod tests {
             uptime_us: 1,
         }
         .to_json();
-        let doc = json.pointer("/resources/pipeline.decode").unwrap();
+        let doc = json.pointer("/resources/pipeline.extract").unwrap();
         assert_eq!(doc.pointer("/count").and_then(Json::as_i64), Some(2));
         assert_eq!(
             doc.pointer("/peakRssB").and_then(Json::as_i64),

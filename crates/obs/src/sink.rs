@@ -168,7 +168,7 @@ mod tests {
 
     #[test]
     fn span_resources_extend_the_record_with_optional_keys() {
-        let sp = span_record(3, 30, "pipeline.decode", Some("pipeline"), 500);
+        let sp = span_record(3, 30, "pipeline.extract", Some("pipeline"), 500);
         let sp = with_span_resources(
             sp,
             &crate::res::SpanResources {

@@ -95,15 +95,17 @@
 use diffaudit::audit::{audit_service, AuditFinding};
 use diffaudit::diff::ObservedGrid;
 use diffaudit::export;
-use diffaudit::loader::{load_capture_dir_salvage_threads, write_dataset};
+use diffaudit::loader::{load_capture_dir, write_dataset};
 use diffaudit::pipeline::{ClassificationMode, Pipeline};
 use diffaudit::report;
-use diffaudit::salvage::{cache_ledger, DegradationLedger, RunStatus, SalvagePolicy};
+use diffaudit::salvage::{
+    cache_ledger, mirror_counters, DegradationLedger, RunStatus, SalvagePolicy,
+};
 use diffaudit_json::Json;
-use diffaudit_nettrace::salvage::Stage;
 use diffaudit_obs as obs;
 use diffaudit_serve::{ServeConfig, Server};
 use diffaudit_services::{generate_dataset_threads, service_by_slug, DatasetOptions};
+use diffaudit_util::cancel::Ctl;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -469,7 +471,7 @@ fn cmd_audit(args: &[String], threads: usize) -> ExitCode {
     let mut inputs = Vec::new();
     let mut ledger = DegradationLedger::new();
     for dir in &dirs {
-        match load_capture_dir_salvage_threads(dir, threads) {
+        match load_capture_dir(dir, threads, &obs::Scope::global(), &Ctl::unbounded()) {
             Ok((input, service_ledger)) => {
                 let dropped = service_ledger.merged().total_dropped();
                 let mut fields = vec![
@@ -493,24 +495,8 @@ fn cmd_audit(args: &[String], threads: usize) -> ExitCode {
     load_span.finish();
 
     // Mirror the degradation ledger into the metrics registry so the
-    // `--metrics-out` document is conservation-checkable against the
-    // ledger: for every stage,
-    //   counters["salvage.<stage>.processed"] == ledger processed
-    //   counters["salvage.<stage>.dropped"]   == ledger dropped.
-    for (stage, counts) in ledger.merged().stages() {
-        let label = stage.label();
-        // lint:allow(metric-discipline): `salvage.<stage>.*` is a closed
-        // family — `stage` ranges over the ledger's fixed stage enum.
-        obs::add(
-            &format!("{}{label}.processed", obs::SALVAGE_PREFIX),
-            counts.processed,
-        );
-        // lint:allow(metric-discipline): closed family, same as above.
-        obs::add(
-            &format!("{}{label}.dropped", obs::SALVAGE_PREFIX),
-            counts.dropped,
-        );
-    }
+    // `--metrics-out` document is conservation-checkable against it.
+    mirror_counters(&ledger.merged(), &obs::Scope::global());
 
     let status = policy.evaluate(&ledger);
     if status == RunStatus::Failed {
@@ -539,9 +525,7 @@ fn cmd_audit(args: &[String], threads: usize) -> ExitCode {
     let status = match outcome.cache.as_ref() {
         Some(cache_report) if !cache_report.damage.is_empty() => {
             let cache_service = cache_ledger(cache_report);
-            let counts = cache_service.merged().stage(Stage::Cache);
-            obs::add("salvage.cache.processed", counts.processed);
-            obs::add("salvage.cache.dropped", counts.dropped);
+            mirror_counters(&cache_service.merged(), &obs::Scope::global());
             ledger.services.push(cache_service);
             let status = policy.evaluate(&ledger);
             if status == RunStatus::Failed {

@@ -24,9 +24,10 @@ use diffaudit::export;
 use diffaudit::loader::{load_memory_service, MemoryService};
 use diffaudit::pipeline::{AuditOutcome, ClassificationMode, Pipeline};
 use diffaudit::report;
-use diffaudit::salvage::{cache_ledger, DegradationLedger, RunStatus, SalvagePolicy};
+use diffaudit::salvage::{
+    cache_ledger, mirror_counters, DegradationLedger, RunStatus, SalvagePolicy,
+};
 use diffaudit_json::Json;
-use diffaudit_nettrace::salvage::Stage;
 use diffaudit_obs::{MetricsSnapshot, Scope};
 use diffaudit_util::cancel::{CancelToken, Ctl, Deadline, Interrupt};
 use std::collections::HashMap;
@@ -178,20 +179,7 @@ pub fn run_job(request: JobRequest, token: CancelToken, threads: usize) -> JobOu
     let mut ledger = DegradationLedger::new();
     ledger.services.push(service_ledger);
     // Mirror the ledger into the job's metrics, same counters as the CLI.
-    for (stage, counts) in ledger.merged().stages() {
-        let label = stage.label();
-        // lint:allow(metric-discipline): `salvage.<stage>.*` is a closed
-        // family — `stage` ranges over the ledger's fixed stage enum.
-        scope.add(
-            &format!("{}{label}.processed", diffaudit_obs::SALVAGE_PREFIX),
-            counts.processed,
-        );
-        // lint:allow(metric-discipline): closed family, same as above.
-        scope.add(
-            &format!("{}{label}.dropped", diffaudit_obs::SALVAGE_PREFIX),
-            counts.dropped,
-        );
-    }
+    mirror_counters(&ledger.merged(), &scope);
 
     let status = request.policy.evaluate(&ledger);
     if status == RunStatus::Failed {
@@ -252,9 +240,7 @@ pub fn run_job(request: JobRequest, token: CancelToken, threads: usize) -> JobOu
             let status = match outcome.cache.as_ref() {
                 Some(report) if !report.damage.is_empty() => {
                     let cache_service = cache_ledger(report);
-                    let counts = cache_service.merged().stage(Stage::Cache);
-                    scope.add("salvage.cache.processed", counts.processed);
-                    scope.add("salvage.cache.dropped", counts.dropped);
+                    mirror_counters(&cache_service.merged(), &scope);
                     ledger.services.push(cache_service);
                     request.policy.evaluate(&ledger)
                 }
@@ -287,7 +273,6 @@ pub fn run_job(request: JobRequest, token: CancelToken, threads: usize) -> JobOu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diffaudit::loader::{MemoryArtifact, MemoryUnit};
     use diffaudit_services::{generate_dataset, DatasetOptions};
 
     fn small_service() -> MemoryService {
@@ -297,37 +282,7 @@ mod tests {
             mobile_pinned_fraction: 0.0,
             services: vec!["duolingo".into()],
         });
-        let capture = &dataset.services[0];
-        let units = capture
-            .artifacts
-            .iter()
-            .enumerate()
-            .map(|(i, artifact)| MemoryUnit {
-                label: format!("unit-{i}"),
-                platform: artifact.platform,
-                kind: artifact.kind,
-                category: artifact.category,
-                artifact: match (&artifact.har, &artifact.pcap) {
-                    (Some(har), _) => MemoryArtifact::Har(har.clone()),
-                    (None, Some(pcap)) => MemoryArtifact::Capture {
-                        bytes: pcap.clone(),
-                        keylog: artifact.keylog.clone(),
-                    },
-                    (None, None) => MemoryArtifact::Har(String::new()),
-                },
-            })
-            .collect();
-        MemoryService {
-            name: capture.spec.name.to_string(),
-            slug: capture.spec.slug.to_string(),
-            first_party_domains: capture
-                .spec
-                .first_party_domains
-                .iter()
-                .map(|d| d.to_string())
-                .collect(),
-            units,
-        }
+        MemoryService::from_capture(&dataset.services[0])
     }
 
     fn request(service: MemoryService) -> JobRequest {

@@ -30,6 +30,13 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> perf benchmark tests (own workspace: root cargo test does not build it)"
+# The benchmark compiles against the core, nettrace and classifier public
+# APIs, so an API break there surfaces here. Build output shares the root
+# target directory, as in crates/bench/src/bin/perf/run.sh.
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}" \
+    cargo test --offline -q --manifest-path crates/bench/src/bin/perf/Cargo.toml
+
 echo "==> chaos suite (fault grid + CLI exit codes, release profile)"
 # The CLI binary (and the tests that drive it) live in diffaudit-serve;
 # the fault-grid suite stays with the core crate's salvage machinery.
@@ -77,7 +84,7 @@ echo "==> perf regression vs BENCH_pipeline.json (advisory: exit 2 warns, exit 1
 ./target/release/pipeline_metrics --out "$obs_tmp/current.json"
 set +e
 # --noise-floor-us 150000: spans under 150ms are pure scheduler noise on the
-# 1-CPU CI box (a single preemption is tens of ms, so a 10ms span can jitter
+# 2-CPU CI box (a single preemption is tens of ms, so a 10ms span can jitter
 # by several hundred percent and trip --fail-over 200 spuriously). Only spans
 # long enough to average the jitter out participate in the advisory gate.
 ./target/release/diffaudit obs diff BENCH_pipeline.json "$obs_tmp/current.json" \
@@ -113,7 +120,7 @@ echo "==> classification cache warm run vs BENCH_cache.json (advisory: exit 2 wa
 # unique key, warm run is fully cache-served with zero ensemble work) and
 # exits 1 when it breaks — that part is a correctness gate. The warm-run
 # wall budget and the diff against the committed baseline are advisory,
-# like every other wall-time gate on the 1-CPU runner.
+# like every other wall-time gate on the 2-CPU runner.
 set +e
 ./target/release/pipeline_cached --scale 0.5 --cache-dir "$obs_tmp/clscache" \
     --warm-budget-ms 2000 --out "$obs_tmp/current_cache.json"
@@ -170,7 +177,7 @@ fi
 echo "==> serve bench vs BENCH_serve.json (advisory: exit 2 warns, exit 1 fails)"
 ./target/release/serve_load --scale 0.02 --out "$obs_tmp/current_serve.json"
 set +e
-# p90 gate: 1-CPU runners jitter end-to-end job latency heavily, so only
+# p90 gate: 2-CPU runners jitter end-to-end job latency heavily, so only
 # growth past both the 75% ratio and a 2s absolute floor counts; the
 # shed429 count races with queue drain now that jobs are fast, so the
 # diff only requires that the burst still sheds at least one request.

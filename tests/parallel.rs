@@ -18,14 +18,16 @@
 
 use diffaudit::audit::audit_service;
 use diffaudit::export::outcome_to_json;
-use diffaudit::loader::{load_capture_dir_salvage_threads, write_dataset};
+use diffaudit::loader::{load_capture_dir, write_dataset};
 use diffaudit::pipeline::{ClassificationMode, Pipeline};
 use diffaudit::{AuditFinding, DegradationLedger};
 use diffaudit_json::{parse, Json};
 use diffaudit_nettrace::fault::{FaultOp, FaultSpec};
+use diffaudit_obs::Scope;
 use diffaudit_services::{
     generate_dataset, generate_dataset_threads, service_by_slug, DatasetOptions, GeneratedDataset,
 };
+use diffaudit_util::cancel::Ctl;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -298,7 +300,7 @@ fn degradation_ledger_is_conserved_and_identical_under_concurrency() {
     );
 
     let load_with = |threads: usize| {
-        load_capture_dir_salvage_threads(&dir, threads)
+        load_capture_dir(&dir, threads, &Scope::global(), &Ctl::unbounded())
             .expect("salvage load succeeds on damaged dir")
     };
     let (serial_input, serial_ledger) = load_with(1);
