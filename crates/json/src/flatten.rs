@@ -13,6 +13,7 @@
 
 use crate::parse;
 use crate::value::Json;
+use std::fmt::Write;
 
 /// One extracted key-value pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,7 +63,14 @@ pub fn flatten(value: &Json) -> Vec<FlatEntry> {
 /// Flatten with explicit options.
 pub fn flatten_with(value: &Json, options: &FlattenOptions) -> Vec<FlatEntry> {
     let mut out = Vec::new();
-    walk(value, "", "", options, options.max_nested_json, &mut out);
+    walk(
+        value,
+        &mut String::new(),
+        "",
+        options,
+        options.max_nested_json,
+        &mut out,
+    );
     out
 }
 
@@ -80,9 +88,12 @@ fn looks_like_json(s: &str) -> bool {
     (t.starts_with('{') || t.starts_with('[')) && s.len() >= 2
 }
 
+/// Walk `value`, whose dotted path is in `path`. Each level appends its
+/// child's segment to the one buffer and truncates it back afterwards, so
+/// `path` holds the same text on return as on entry.
 fn walk(
     value: &Json,
-    path: &str,
+    path: &mut String,
     key: &str,
     options: &FlattenOptions,
     nested_budget: usize,
@@ -92,28 +103,30 @@ fn walk(
         Json::Obj(entries) => {
             if options.include_composite_values && !path.is_empty() {
                 out.push(FlatEntry {
-                    path: path.to_string(),
+                    path: path.clone(),
                     key: key.to_string(),
                     value: value.to_string(),
                 });
             }
+            let base = path.len();
             for (k, v) in entries {
-                let child_path = if path.is_empty() {
-                    k.clone()
-                } else {
-                    format!("{path}.{k}")
-                };
-                walk(v, &child_path, k, options, nested_budget, out);
+                if base > 0 {
+                    path.push('.');
+                }
+                path.push_str(k);
+                walk(v, path, k, options, nested_budget, out);
+                path.truncate(base);
             }
         }
         Json::Arr(items) => {
+            let base = path.len();
             for (i, item) in items.iter().enumerate() {
-                let child_path = if options.array_indices_in_paths {
-                    format!("{path}[{i}]")
-                } else {
-                    path.to_string()
-                };
-                walk(item, &child_path, key, options, nested_budget, out);
+                if options.array_indices_in_paths {
+                    // Writing to a `String` cannot fail.
+                    let _ = write!(path, "[{i}]");
+                }
+                walk(item, path, key, options, nested_budget, out);
+                path.truncate(base);
             }
         }
         Json::Str(s) if options.parse_nested_json && nested_budget > 0 && looks_like_json(s) => {
@@ -125,7 +138,7 @@ fn walk(
                 _ => {
                     if !key.is_empty() {
                         out.push(FlatEntry {
-                            path: path.to_string(),
+                            path: path.clone(),
                             key: key.to_string(),
                             value: s.clone(),
                         });
@@ -136,7 +149,7 @@ fn walk(
         scalar => {
             if !key.is_empty() {
                 out.push(FlatEntry {
-                    path: path.to_string(),
+                    path: path.clone(),
                     key: key.to_string(),
                     value: scalar_string(scalar),
                 });
@@ -238,6 +251,84 @@ mod tests {
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].key, "meta");
         assert_eq!(entries[0].value, r#"{"a":1}"#);
+    }
+
+    fn paths(entries: &[FlatEntry]) -> Vec<&str> {
+        entries.iter().map(|e| e.path.as_str()).collect()
+    }
+
+    #[test]
+    fn deep_sibling_paths_do_not_leak_into_each_other() {
+        let doc = j(r#"{"a":{"b":{"c":1,"dd":{"e":2}},"f":3},"g":{"h":{"i":4}},"j":5,"":{"k":6}}"#);
+        let entries = flatten(&doc);
+        assert_eq!(
+            paths(&entries),
+            ["a.b.c", "a.b.dd.e", "a.f", "g.h.i", "j", "k"]
+        );
+        assert_eq!(entries[1].key, "e");
+    }
+
+    #[test]
+    fn indexed_array_paths_reset_between_elements() {
+        let opts = FlattenOptions {
+            array_indices_in_paths: true,
+            ..Default::default()
+        };
+        let doc = j(r#"{"ev":[{"ts":1,"p":{"x":2}},[{"y":3},{"y":4}],{"ts":5}],"n":[6,7],"z":8}"#);
+        let entries = flatten_with(&doc, &opts);
+        assert_eq!(
+            paths(&entries),
+            [
+                "ev[0].ts",
+                "ev[0].p.x",
+                "ev[1][0].y",
+                "ev[1][1].y",
+                "ev[2].ts",
+                "n[0]",
+                "n[1]",
+                "z"
+            ]
+        );
+        assert_eq!(entries[5].key, "n");
+        let plain = flatten(&doc);
+        assert_eq!(
+            paths(&plain),
+            ["ev.ts", "ev.p.x", "ev.y", "ev.y", "ev.ts", "n", "n", "z"]
+        );
+    }
+
+    #[test]
+    fn stringified_json_inside_arrays_keeps_its_path() {
+        let doc = j(
+            r#"{"batch":["{\"uid\":\"u1\",\"geo\":{\"lat\":1}}","plain","[{\"sid\":2}]"],"after":{"k":"v"}}"#,
+        );
+        let opts = FlattenOptions {
+            array_indices_in_paths: true,
+            ..Default::default()
+        };
+        assert_eq!(
+            paths(&flatten_with(&doc, &opts)),
+            [
+                "batch[0].uid",
+                "batch[0].geo.lat",
+                "batch[1]",
+                "batch[2][0].sid",
+                "after.k"
+            ]
+        );
+        let entries = flatten(&doc);
+        assert_eq!(
+            paths(&entries),
+            [
+                "batch.uid",
+                "batch.geo.lat",
+                "batch",
+                "batch.sid",
+                "after.k"
+            ]
+        );
+        assert_eq!(entries[2].key, "batch");
+        assert_eq!(entries[2].value, "plain");
     }
 
     #[test]

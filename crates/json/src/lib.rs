@@ -27,6 +27,7 @@
 
 mod flatten;
 mod parse;
+mod scan;
 mod ser;
 mod value;
 

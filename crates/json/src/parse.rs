@@ -5,6 +5,7 @@
 //! truncated bodies, invalid escapes — so the parser never panics and always
 //! reports the byte offset and line/column of a failure.
 
+use crate::scan::string_run;
 use crate::value::{Json, Number};
 
 /// Maximum nesting depth accepted by [`parse`].
@@ -44,6 +45,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 /// [`parse`] with an explicit nesting depth limit.
 pub fn parse_with_limit(input: &str, depth_limit: usize) -> Result<Json, JsonError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
         depth_limit,
@@ -58,6 +60,7 @@ pub fn parse_with_limit(input: &str, depth_limit: usize) -> Result<Json, JsonErr
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth_limit: usize,
@@ -206,77 +209,70 @@ impl<'a> Parser<'a> {
 
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect_byte(b'"')?;
+        // A string without escapes is one run, copied by one `push_str`.
         let mut out = String::new();
         loop {
+            out.push_str(self.run()?);
             match self.bump() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000C}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let cp = self.hex4()?;
-                        if (0xD800..=0xDBFF).contains(&cp) {
-                            // High surrogate: must be followed by \uDC00-\uDFFF.
-                            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
-                                return Err(self.error("unpaired surrogate in \\u escape"));
-                            }
-                            let lo = self.hex4()?;
-                            if !(0xDC00..=0xDFFF).contains(&lo) {
-                                return Err(self.error("invalid low surrogate in \\u escape"));
-                            }
-                            let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                            out.push(
-                                char::from_u32(c)
-                                    .ok_or_else(|| self.error("invalid surrogate pair"))?,
-                            );
-                        } else if (0xDC00..=0xDFFF).contains(&cp) {
-                            return Err(self.error("unexpected low surrogate in \\u escape"));
-                        } else {
-                            out.push(
-                                char::from_u32(cp)
-                                    .ok_or_else(|| self.error("invalid \\u escape"))?,
-                            );
-                        }
-                    }
-                    Some(other) => {
-                        return Err(
-                            self.error(format!("invalid escape character '{}'", other as char))
-                        )
-                    }
-                    None => return Err(self.error("unterminated escape")),
-                },
-                Some(b) if b < 0x20 => {
-                    return Err(self.error("unescaped control character in string"))
-                }
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Multi-byte UTF-8: the input is a &str so it is valid;
-                    // recover the full char from the byte stream.
-                    let len = match b {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        0xF0..=0xF7 => 4,
-                        _ => return Err(self.error("invalid UTF-8 byte in string")),
-                    };
-                    let start = self.pos - 1;
-                    let end = start + len;
-                    let Some(seq) = self.bytes.get(start..end) else {
-                        return Err(self.error("truncated UTF-8 sequence"));
-                    };
-                    let s = std::str::from_utf8(seq)
-                        .map_err(|_| self.error("invalid UTF-8 sequence"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
+                Some(b'\\') => self.escape(&mut out)?,
+                // A run ends only at `"`, `\`, a control byte or the end.
+                Some(_) => return Err(self.error("unescaped control character in string")),
             }
         }
+    }
+
+    /// Step over the run of plain string bytes at `pos` and return it.
+    fn run(&mut self) -> Result<&'a str, JsonError> {
+        let start = self.pos;
+        let end = start + string_run(self.bytes.get(start..).unwrap_or_default());
+        self.pos = end;
+        // `start` follows an ASCII byte and `end` is an ASCII byte or the
+        // end of input, so both are char boundaries and `get` succeeds.
+        self.input
+            .get(start..end)
+            .ok_or_else(|| self.error("string run splits a UTF-8 sequence"))
+    }
+
+    /// Decode the escape after a `\` and append it to `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        match self.bump() {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'b') => out.push('\u{0008}'),
+            Some(b'f') => out.push('\u{000C}'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'u') => {
+                let cp = self.hex4()?;
+                if (0xD800..=0xDBFF).contains(&cp) {
+                    // High surrogate: must be followed by \uDC00-\uDFFF.
+                    if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
+                        return Err(self.error("unpaired surrogate in \\u escape"));
+                    }
+                    let lo = self.hex4()?;
+                    if !(0xDC00..=0xDFFF).contains(&lo) {
+                        return Err(self.error("invalid low surrogate in \\u escape"));
+                    }
+                    let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                    out.push(
+                        char::from_u32(c).ok_or_else(|| self.error("invalid surrogate pair"))?,
+                    );
+                } else if (0xDC00..=0xDFFF).contains(&cp) {
+                    return Err(self.error("unexpected low surrogate in \\u escape"));
+                } else {
+                    out.push(char::from_u32(cp).ok_or_else(|| self.error("invalid \\u escape"))?);
+                }
+            }
+            Some(other) => {
+                return Err(self.error(format!("invalid escape character '{}'", other as char)))
+            }
+            None => return Err(self.error("unterminated escape")),
+        }
+        Ok(())
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {

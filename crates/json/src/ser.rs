@@ -1,5 +1,6 @@
 //! JSON serialization (compact and pretty).
 
+use crate::scan::string_run;
 use crate::value::{Json, Number};
 
 impl Json {
@@ -90,21 +91,29 @@ fn write_number(n: Number, out: &mut String) {
 }
 
 fn write_string(s: &str, out: &mut String) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut rest = s;
+    loop {
+        // A run ends on an ASCII byte, so the split is on a char boundary.
+        let (plain, tail) = rest
+            .split_at_checked(string_run(rest.as_bytes()))
+            .unwrap_or((rest, ""));
+        out.push_str(plain);
+        let mut chars = tail.chars();
+        match chars.next() {
+            None => break,
+            Some('"') => out.push_str("\\\""),
+            Some('\\') => out.push_str("\\\\"),
+            Some('\n') => out.push_str("\\n"),
+            Some('\r') => out.push_str("\\r"),
+            Some('\t') => out.push_str("\\t"),
+            Some('\u{0008}') => out.push_str("\\b"),
+            Some('\u{000C}') => out.push_str("\\f"),
+            // The other control bytes.
+            Some(c) => out.push_str(&format!("\\u{:04x}", c as u32)),
         }
+        rest = chars.as_str();
     }
     out.push('"');
 }

@@ -93,41 +93,61 @@ pub fn iso8601_from_ms(ms: u64) -> String {
     )
 }
 
-/// `2023-10-05T14:30:00.123Z` → milliseconds since epoch.
+/// The field of `s` at `range` read as a decimal number, or `None` unless
+/// every byte in it is an ASCII digit (no sign, no space, no short field).
+fn digit_field(s: &str, range: std::ops::Range<usize>) -> Option<u32> {
+    s.as_bytes().get(range)?.iter().try_fold(0u32, |acc, &b| {
+        b.is_ascii_digit().then(|| acc * 10 + u32::from(b - b'0'))
+    })
+}
+
+/// `2023-10-05T14:30:00.123Z` → milliseconds since epoch. The fraction is
+/// optional but, after a `.`, must hold at least one digit; digits past
+/// the third are ignored.
 pub fn ms_from_iso8601(s: &str) -> Option<u64> {
     let bytes = s.as_bytes();
     if bytes.len() < 20
         || bytes.get(4) != Some(&b'-')
         || bytes.get(7) != Some(&b'-')
         || bytes.get(10) != Some(&b'T')
+        || bytes.get(13) != Some(&b':')
+        || bytes.get(16) != Some(&b':')
     {
         return None;
     }
-    let year: i64 = s.get(0..4)?.parse().ok()?;
-    let month: u32 = s.get(5..7)?.parse().ok()?;
-    let day: u32 = s.get(8..10)?.parse().ok()?;
-    let hour: i64 = s.get(11..13)?.parse().ok()?;
-    let minute: i64 = s.get(14..16)?.parse().ok()?;
-    let second: i64 = s.get(17..19)?.parse().ok()?;
-    if !(1..=12).contains(&month) || !(1..=31).contains(&day) {
+    let year = digit_field(s, 0..4)?;
+    let month = digit_field(s, 5..7)?;
+    let day = digit_field(s, 8..10)?;
+    let hour = digit_field(s, 11..13)?;
+    let minute = digit_field(s, 14..16)?;
+    let second = digit_field(s, 17..19)?;
+    if !(1..=12).contains(&month)
+        || !(1..=31).contains(&day)
+        || hour > 23
+        || minute > 59
+        || second > 59
+    {
         return None;
     }
     let mut millis: u64 = 0;
     let rest = s.get(19..)?;
     let rest = if let Some(frac) = rest.strip_prefix('.') {
-        let digits: String = frac.chars().take_while(|c| c.is_ascii_digit()).collect();
-        millis = format!("{:0<3}", digits.get(0..3.min(digits.len()))?)
-            .parse()
-            .ok()?;
-        frac.get(digits.len()..)?
+        let digits = frac.bytes().take_while(u8::is_ascii_digit).count();
+        if digits == 0 {
+            return None;
+        }
+        let kept = digits.min(3);
+        // "5" is 500 ms and "05" is 50 ms.
+        millis = u64::from(digit_field(frac, 0..kept)?) * 10u64.pow(3 - kept as u32);
+        frac.get(digits..)?
     } else {
         rest
     };
     if rest != "Z" {
         return None; // only UTC produced/consumed
     }
-    let days = days_from_civil(year, month, day);
-    let secs = days * 86_400 + hour * 3600 + minute * 60 + second;
+    let days = days_from_civil(i64::from(year), month, day);
+    let secs = days * 86_400 + i64::from(hour * 3600 + minute * 60 + second);
     if secs < 0 {
         return None;
     }
@@ -453,6 +473,52 @@ mod tests {
         assert_eq!(ms_from_iso8601("not a date"), None);
         assert_eq!(ms_from_iso8601("2023-13-05T14:30:00Z"), None);
         assert_eq!(ms_from_iso8601("2023-10-05T14:30:00+02:00"), None);
+    }
+
+    #[test]
+    fn iso8601_fractions_pad_and_truncate_to_millis() {
+        let base = 1_696_516_200_000;
+        for (frac, millis) in [
+            ("", 0),
+            (".5", 500),
+            (".05", 50),
+            (".123", 123),
+            (".1239", 123),
+        ] {
+            let s = format!("2023-10-05T14:30:00{frac}Z");
+            assert_eq!(ms_from_iso8601(&s), Some(base + millis), "{s}");
+        }
+        assert_eq!(
+            ms_from_iso8601("2023-10-05T23:59:59.999Z"),
+            Some(1_696_550_399_999)
+        );
+    }
+
+    #[test]
+    fn iso8601_rejects_malformed_fields() {
+        for bad in [
+            // A separator other than ':' between the time fields.
+            "2023-10-05T14-30:00.123Z",
+            "2023-10-05T14:30-00.123Z",
+            "2023-10-05T14 30 00.123Z",
+            // A sign or a space where a digit belongs.
+            "+023-10-05T14:30:00.123Z",
+            "2023-+1-05T14:30:00.123Z",
+            "2023-10-+5T14:30:00.123Z",
+            "2023-10-05T+4:30:00.123Z",
+            "2023-10-05T14:+0:00.123Z",
+            "2023-10-05T14:30:+0.123Z",
+            "2023-10-05T 4:30:00.123Z",
+            "2023-10-05T14:30:00.+12Z",
+            // Out-of-range time fields.
+            "2023-10-05T24:00:00.000Z",
+            "2023-10-05T14:60:00.000Z",
+            "2023-10-05T14:30:60.000Z",
+            // An empty fraction.
+            "2023-10-05T14:30:00.Z",
+        ] {
+            assert_eq!(ms_from_iso8601(bad), None, "{bad}");
+        }
     }
 
     #[test]

@@ -389,11 +389,12 @@ fn cmd_generate(args: &[String], threads: usize) -> ExitCode {
     match written {
         Ok(dirs) => {
             // Ground truth alongside, for oracle-mode audits and classifier
-            // validation.
+            // validation, sorted by key so the same seed writes the same file.
+            let mut truth: Vec<_> = dataset.key_truth.iter().collect();
+            truth.sort_unstable_by_key(|&(k, _)| k);
             let truth = Json::Obj(
-                dataset
-                    .key_truth
-                    .iter()
+                truth
+                    .into_iter()
                     .map(|(k, v)| (k.clone(), Json::str(v.label())))
                     .collect(),
             );

@@ -59,6 +59,14 @@ grep -q '"kind":"span","name":"pipeline"' "$obs_tmp/trace.jsonl"
 # Every trace line is one JSON object (cheap well-formedness check).
 ! grep -qv '^{.*}$' "$obs_tmp/trace.jsonl"
 
+echo "==> generate reproducibility (same seed twice: trees must be byte-identical)"
+for run in a b; do
+    ./target/release/diffaudit generate --out "$obs_tmp/repro_$run" --scale 0.02 \
+        --services tiktok --seed 7 --log-level warn > /dev/null
+done
+diff -r "$obs_tmp/repro_a" "$obs_tmp/repro_b" \
+    || { echo "generate wrote different trees for the same seed"; exit 1; }
+
 echo "==> obs trace report (span tree reconstructs from the smoke trace)"
 ./target/release/diffaudit obs report "$obs_tmp/trace.jsonl" > "$obs_tmp/trace_report.txt"
 grep -q '^root audit: total ' "$obs_tmp/trace_report.txt"
