@@ -34,11 +34,18 @@
 //! ([`load_memory_service`], the serve daemon), and a generated dataset
 //! ([`MemoryService::from_capture`] → [`load_memory_service`], behind
 //! [`crate::pipeline::Pipeline::run`]). Each unit is read on its worker
-//! thread (a disk read, or the upload itself), salvage-decoded, and
-//! accounted under one `loader.unit` span with one ledger entry, so the
-//! path tests and benches exercise is the path the CLI and daemon ship.
+//! thread (a disk read, or the upload itself), salvage-decoded and
+//! accounted under one `loader.unit` span with one ledger entry, then
+//! key-extracted on the same worker under a `pipeline.unit.extract` span.
+//! The worker keeps only each request's host, timestamp and keys
+//! ([`ExtractedUnit`]): the unit's artifact bytes are freed after decode
+//! and its decoded exchanges during extraction, before the worker takes
+//! its next unit, so a load holds at most one decoded unit per worker
+//! however large the corpus. The path tests and benches exercise is the
+//! path the CLI and daemon ship; [`decode_unit`] alone is the decode step,
+//! for callers that want the exchanges themselves.
 
-use crate::pipeline::{LoadedUnit, ServiceInput};
+use crate::pipeline::{ExtractedService, ExtractedUnit, KeyBatch, LoadedUnit, UnitCtx};
 use crate::salvage::{ServiceLedger, UnitLedger};
 use diffaudit_json::{parse, Json};
 use diffaudit_nettrace::capture::DecodeError;
@@ -47,6 +54,7 @@ use diffaudit_nettrace::{decode_auto_salvage_ctl, har_to_exchanges_salvage_ctl, 
 use diffaudit_obs::Scope;
 use diffaudit_services::{Platform, ServiceCapture, TraceArtifact, TraceCategory, TraceKind};
 use diffaudit_util::cancel::{Ctl, Interrupt};
+use diffaudit_util::par::KeyInterner;
 use std::path::{Path, PathBuf};
 
 /// Loader errors. Every variant names the file it is about, so a failed
@@ -245,8 +253,10 @@ fn read_unit(dir: &Path, entry: &Json, index: usize) -> Result<MemoryUnit, LoadE
 /// Salvage-decode one unit's artifact: HAR text, or capture bytes plus an
 /// optional key log. Per-record damage is accounted in `log`; the salvage
 /// readers check `ctl` between records. `path` names the artifact in
-/// errors (the file on disk, or the upload label).
-fn decode_unit(
+/// errors (the file on disk, or the upload label). The loaders follow this
+/// step with key extraction on the same worker; call it directly to keep
+/// the decoded exchanges (e.g. for [`crate::pipeline::Pipeline::run_inputs`]).
+pub fn decode_unit(
     unit: &MemoryUnit,
     path: &Path,
     log: &mut SalvageLog,
@@ -292,20 +302,23 @@ fn decode_unit(
 
 /// Load one unit on a worker thread, from disk or memory alike: `read`
 /// yields the in-memory unit, which is salvage-decoded under a
-/// `loader.unit` span. Loaded/dropped counters, bytes in and the
-/// exchange-count histogram go to the worker's private recorder; any error
-/// becomes a `unit`-stage drop (offset = unit index) in the unit's own
-/// salvage log. Returns the unit's ledger label, the load result (the
-/// error rendered to its display string), and that log.
+/// `loader.unit` span and then key-extracted into `ctx`'s batch (the
+/// artifact is dropped before extraction starts). Loaded/dropped counters,
+/// bytes in and the exchange-count histogram go to the worker's private
+/// recorder; any error becomes a `unit`-stage drop (offset = unit index) in
+/// the unit's own salvage log. Returns the unit's ledger label, the load
+/// result (the error rendered to its display string), and that log.
 fn load_unit(
     label: String,
     path: &Path,
     index: usize,
-    recorder: &mut diffaudit_obs::LocalRecorder,
+    ctx: &mut UnitCtx,
+    interner: &KeyInterner,
     ctl: &Ctl,
     read: impl FnOnce() -> Result<MemoryUnit, LoadError>,
-) -> (String, Result<LoadedUnit, String>, SalvageLog) {
+) -> (String, Result<ExtractedUnit, String>, SalvageLog) {
     let mut log = SalvageLog::new();
+    let recorder = &mut ctx.recorder;
     // A unit whose control is already tripped drops without being read;
     // units that start decoding are interrupted between records by the
     // salvage readers.
@@ -326,7 +339,7 @@ fn load_unit(
                 &diffaudit_obs::RECORD_BOUNDS,
                 unit.exchanges.len() as u64,
             );
-            Ok(unit)
+            Ok(ctx.extract(unit, interner))
         }
         Err(e) => {
             let reason = e.to_string();
@@ -338,9 +351,11 @@ fn load_unit(
     (label, result, log)
 }
 
-/// Load a capture directory (containing `manifest.json`) into a
-/// [`ServiceInput`] ready for [`crate::pipeline::Pipeline::run_inputs`],
-/// plus its degradation ledger.
+/// Load a capture directory (containing `manifest.json`) into an
+/// [`ExtractedService`] ready for
+/// [`crate::pipeline::Pipeline::run_extracted_scoped`], plus its
+/// degradation ledger. Raw keys are interned through `interner`, which one
+/// audit shares across all of its services.
 ///
 /// Manifest-level damage (unreadable or malformed `manifest.json`, broken
 /// service header) is a hard error, but each unit is isolated: a unit that
@@ -360,52 +375,57 @@ pub fn load_capture_dir(
     threads: usize,
     scope: &Scope,
     ctl: &Ctl,
-) -> Result<(ServiceInput, ServiceLedger), LoadError> {
+    interner: &KeyInterner,
+) -> Result<(ExtractedService, ServiceLedger), LoadError> {
     scope.time("loader.dir", || {
         let manifest = read_manifest(dir)?;
         // Workers record `loader.unit` timings and counters into per-thread
-        // recorders merged at join, and never emit events — the debug/warn
-        // lines go out on this thread afterwards, in manifest order, so the
-        // event stream and both returned vectors are identical for every
-        // thread count.
+        // recorders, and their units' unique keys into per-thread sets, all
+        // merged at join; they never emit events — the debug/warn lines go
+        // out on this thread afterwards, in manifest order, so the event
+        // stream and both returned values are identical for every thread
+        // count.
+        let batch = KeyBatch::new();
         let loaded = diffaudit_util::par::par_map_ctx(
             threads.max(1),
             &manifest.unit_entries,
-            diffaudit_obs::LocalRecorder::new,
-            |recorder, i, entry| {
+            UnitCtx::new,
+            |ctx, i, entry| {
                 let label = entry
                     .get("file")
                     .and_then(Json::as_str)
                     .map(str::to_string)
                     .unwrap_or_else(|| format!("units[{i}]"));
                 let path = dir.join(&label);
-                load_unit(label, &path, i, recorder, ctl, || {
+                load_unit(label, &path, i, ctx, interner, ctl, || {
                     read_unit(dir, entry, i).map_err(|e| e.with_manifest_path(&manifest.path))
                 })
             },
-            |recorder| scope.absorb(recorder),
+            |ctx| ctx.finish(&batch, scope),
         );
         Ok(collect_loaded_units(
             manifest.name,
             manifest.slug,
             manifest.first_party_domains,
             loaded,
+            batch,
             scope,
         ))
     })
 }
 
-/// Fold per-unit load results into a [`ServiceInput`] + [`ServiceLedger`]
-/// pair, emitting the post-join `unit loaded`/`unit dropped` events in
-/// manifest order on the calling thread (shared by the disk and in-memory
-/// loaders).
+/// Fold per-unit load results and the workers' key batch into an
+/// [`ExtractedService`] + [`ServiceLedger`] pair, emitting the post-join
+/// `unit loaded`/`unit dropped` events in manifest order on the calling
+/// thread (shared by the disk and in-memory loaders).
 fn collect_loaded_units(
     name: String,
     slug: String,
     first_party_domains: Vec<String>,
-    loaded: Vec<(String, Result<LoadedUnit, String>, SalvageLog)>,
+    loaded: Vec<(String, Result<ExtractedUnit, String>, SalvageLog)>,
+    batch: KeyBatch,
     scope: &Scope,
-) -> (ServiceInput, ServiceLedger) {
+) -> (ExtractedService, ServiceLedger) {
     let mut units = Vec::with_capacity(loaded.len());
     let mut ledger_units = Vec::with_capacity(loaded.len());
     for (label, result, log) in loaded {
@@ -415,7 +435,7 @@ fn collect_loaded_units(
                     "unit loaded",
                     &[
                         diffaudit_obs::field("file", label.as_str()),
-                        diffaudit_obs::field("exchanges", unit.exchanges.len()),
+                        diffaudit_obs::field("exchanges", unit.requests.len()),
                     ],
                 );
                 units.push(unit);
@@ -432,12 +452,15 @@ fn collect_loaded_units(
         }
         ledger_units.push(UnitLedger { file: label, log });
     }
+    let (keys, key_occurrences) = batch.into_parts();
     (
-        ServiceInput {
+        ExtractedService {
             name,
             slug: slug.clone(),
             first_party_domains,
             units,
+            keys,
+            key_occurrences,
         },
         ServiceLedger {
             slug,
@@ -544,7 +567,7 @@ impl MemoryService {
     }
 }
 
-/// Salvage-load an in-memory service upload into a [`ServiceInput`] +
+/// Salvage-load an in-memory service upload into an [`ExtractedService`] +
 /// [`ServiceLedger`] pair — [`load_capture_dir`] for the serve daemon's
 /// HTTP upload path and for generated datasets. There is no manifest file
 /// to fail on, so this is infallible at the service level: every unit
@@ -556,7 +579,8 @@ pub fn load_memory_service(
     threads: usize,
     scope: &Scope,
     ctl: &Ctl,
-) -> (ServiceInput, ServiceLedger) {
+    interner: &KeyInterner,
+) -> (ExtractedService, ServiceLedger) {
     scope.time("loader.memory", || {
         let MemoryService {
             name,
@@ -564,18 +588,19 @@ pub fn load_memory_service(
             first_party_domains,
             units,
         } = svc;
+        let batch = KeyBatch::new();
         let loaded = diffaudit_util::par::par_map_ctx_owned(
             threads.max(1),
             units,
-            diffaudit_obs::LocalRecorder::new,
-            |recorder, i, unit| {
+            UnitCtx::new,
+            |ctx, i, unit| {
                 let label = unit.label.clone();
                 let path = PathBuf::from(&label);
-                load_unit(label, &path, i, recorder, ctl, || Ok(unit))
+                load_unit(label, &path, i, ctx, interner, ctl, || Ok(unit))
             },
-            |recorder| scope.absorb(recorder),
+            |ctx| ctx.finish(&batch, scope),
         );
-        collect_loaded_units(name, slug, first_party_domains, loaded, scope)
+        collect_loaded_units(name, slug, first_party_domains, loaded, batch, scope)
     })
 }
 
@@ -702,8 +727,38 @@ mod tests {
         dir
     }
 
-    fn load(dir: &Path) -> Result<(ServiceInput, ServiceLedger), LoadError> {
-        load_capture_dir(dir, 2, &Scope::global(), &Ctl::unbounded())
+    fn load(dir: &Path) -> Result<(ExtractedService, ServiceLedger), LoadError> {
+        load_capture_dir(
+            dir,
+            2,
+            &Scope::global(),
+            &Ctl::unbounded(),
+            &KeyInterner::new(),
+        )
+    }
+
+    fn load_memory(
+        svc: MemoryService,
+        scope: &Scope,
+        ctl: &Ctl,
+    ) -> (ExtractedService, ServiceLedger) {
+        load_memory_service(svc, 2, scope, ctl, &KeyInterner::new())
+    }
+
+    /// Decode (without extracting) every unit of a written service
+    /// directory, in manifest order.
+    fn decode_dir(dir: &Path) -> Vec<LoadedUnit> {
+        let manifest = read_manifest(dir).unwrap();
+        manifest
+            .unit_entries
+            .iter()
+            .enumerate()
+            .map(|(i, entry)| {
+                let unit = read_unit(dir, entry, i).unwrap();
+                let path = dir.join(&unit.label);
+                decode_unit(&unit, &path, &mut SalvageLog::new(), &Ctl::unbounded()).unwrap()
+            })
+            .collect()
     }
 
     fn ledger_json(ledger: ServiceLedger) -> String {
@@ -721,7 +776,9 @@ mod tests {
         assert_eq!(input.slug, "tiktok");
         assert_eq!(input.units.len(), 14);
         let oracle = || Pipeline::new(ClassificationMode::Oracle(dataset.key_truth.clone()));
-        let outcome = oracle().run_inputs(vec![input]);
+        let outcome = oracle()
+            .run_extracted_scoped(vec![input], &Scope::global(), &Ctl::unbounded())
+            .unwrap();
 
         // The from-disk audit must agree with the in-memory audit, document
         // for document, and both loads must account identically.
@@ -730,9 +787,8 @@ mod tests {
             outcome_to_json(&outcome, &[]).to_pretty_string(),
             outcome_to_json(&reference, &[]).to_pretty_string()
         );
-        let (_, mem_ledger) = load_memory_service(
+        let (_, mem_ledger) = load_memory(
             MemoryService::from_capture(&dataset.services[0]),
-            2,
             &Scope::global(),
             &Ctl::unbounded(),
         );
@@ -758,9 +814,8 @@ mod tests {
         let dir = temp_dir("six-services");
         let service_dirs = write_dataset(&dataset, &dir).unwrap();
         for (capture, service_dir) in dataset.services.iter().zip(&service_dirs) {
-            let (input, ledger) = load_memory_service(
+            let (input, ledger) = load_memory(
                 MemoryService::from_capture(capture),
-                2,
                 &Scope::global(),
                 &Ctl::unbounded(),
             );
@@ -837,8 +892,10 @@ mod tests {
         let manifest = read_manifest(&service_dir).unwrap();
         assert_eq!(salvaged.slug, manifest.slug);
         assert_eq!(salvaged.units.len(), manifest.unit_entries.len());
-        // The strict nettrace decoders are the reference.
-        for (unit, entry) in salvaged.units.iter().zip(&manifest.unit_entries) {
+        // The strict nettrace decoders are the reference for the decode
+        // step the loader runs before extraction.
+        let decoded = decode_dir(&service_dir);
+        for (unit, entry) in decoded.iter().zip(&manifest.unit_entries) {
             let file = service_dir.join(entry.get("file").and_then(Json::as_str).unwrap());
             let (exchanges, opaque_snis) = match entry.get("keylog").and_then(Json::as_str) {
                 None => (
@@ -871,18 +928,28 @@ mod tests {
         let (dataset, dir, service_dir) = written_service_dir("memory-parity");
         let (from_disk, disk_ledger) = load(&service_dir).unwrap();
         let scope = diffaudit_obs::Scope::job("test.memory");
-        let (from_memory, mem_ledger) = load_memory_service(
-            MemoryService::from_capture(&dataset.services[0]),
-            2,
-            &scope,
-            &Ctl::unbounded(),
-        );
-        assert_eq!(from_memory.slug, from_disk.slug);
-        assert_eq!(from_memory.units.len(), from_disk.units.len());
-        for (a, b) in from_memory.units.iter().zip(&from_disk.units) {
+        let svc = MemoryService::from_capture(&dataset.services[0]);
+        // Decoded exchanges agree unit for unit...
+        let from_memory_decoded: Vec<LoadedUnit> = svc
+            .units
+            .iter()
+            .map(|unit| {
+                let path = PathBuf::from(&unit.label);
+                decode_unit(unit, &path, &mut SalvageLog::new(), &Ctl::unbounded()).unwrap()
+            })
+            .collect();
+        let from_disk_decoded = decode_dir(&service_dir);
+        assert_eq!(from_memory_decoded.len(), from_disk_decoded.len());
+        for (a, b) in from_memory_decoded.iter().zip(&from_disk_decoded) {
             assert_eq!(a.exchanges, b.exchanges);
             assert_eq!(a.opaque_snis, b.opaque_snis);
         }
+        // ...and so do the loads' extracted units and key batches.
+        let (from_memory, mem_ledger) = load_memory(svc, &scope, &Ctl::unbounded());
+        assert_eq!(from_memory.slug, from_disk.slug);
+        assert_eq!(from_memory.units, from_disk.units);
+        assert_eq!(from_memory.keys, from_disk.keys);
+        assert_eq!(from_memory.key_occurrences, from_disk.key_occurrences);
         assert!(mem_ledger.merged().is_clean());
         assert!(disk_ledger.merged().is_clean());
         // The job scope collected the loader instrumentation privately.
@@ -910,8 +977,9 @@ mod tests {
             diffaudit_util::cancel::Deadline::within(std::time::Duration::ZERO),
         );
         let scope = diffaudit_obs::Scope::job("test.timeout");
-        let (input, ledger) = load_memory_service(svc, 2, &scope, &ctl);
+        let (input, ledger) = load_memory(svc, &scope, &ctl);
         assert!(input.units.is_empty(), "every unit should have timed out");
+        assert!(input.keys.is_empty());
         let merged = ledger.merged();
         assert!(merged.conserved());
         assert_eq!(merged.stage(Stage::Unit).dropped, total as u64);
@@ -936,7 +1004,8 @@ mod tests {
             diffaudit_util::cancel::CancelToken::new(),
             diffaudit_util::cancel::Deadline::within(std::time::Duration::ZERO),
         );
-        let (input, ledger) = load_capture_dir(&service_dir, 2, &Scope::global(), &ctl).unwrap();
+        let (input, ledger) =
+            load_capture_dir(&service_dir, 2, &Scope::global(), &ctl, &KeyInterner::new()).unwrap();
         assert!(input.units.is_empty());
         assert!(ledger.units.iter().all(|u| u
             .log

@@ -1,18 +1,20 @@
 //! The end-to-end pipeline: capture artifacts → observed dataset.
 //!
 //! Mirrors the paper's post-processing: [`crate::loader`] decodes each
-//! unit's artifact (HAR or pcap + key log); the pipeline then extracts raw
-//! data types from every outgoing request, classifies the *unique* raw
-//! types once (the paper classified its 3,968 unique types in batch),
-//! analyzes destinations, and assembles per-unit observations ready for the
-//! differential audit.
+//! unit's artifact (HAR or pcap + key log) and extracts raw data types from
+//! every outgoing request on the same worker, keeping only each request's
+//! host, timestamp and keys ([`ExtractedUnit`]); the pipeline then
+//! classifies the *unique* raw types once (the paper classified its 3,968
+//! unique types in batch), analyzes destinations, and assembles per-unit
+//! observations ready for the differential audit.
 //!
-//! Extraction and per-service assembly shard per unit over the
-//! scoped-thread executor in [`diffaudit_util::par`]; only the unique-key
-//! classification pass needs a global view. Determinism is preserved by
-//! construction: workers return results in input order, the unique-key set
-//! is a [`BTreeSet`] (order-insensitive merge), and raw keys are interned
-//! [`Key`]s whose ordering delegates to the spelling. `--threads 1` (or
+//! Extraction (on the loader's per-unit workers) and per-service assembly
+//! shard per unit over the scoped-thread executor in
+//! [`diffaudit_util::par`]; only the unique-key classification pass needs a
+//! global view. Determinism is preserved by construction: workers return
+//! results in input order, the unique-key set is a [`BTreeSet`]
+//! (order-insensitive merge), and raw keys are interned [`Key`]s whose
+//! ordering delegates to the spelling. `--threads 1` (or
 //! [`Pipeline::with_threads`]`(1)`) forces the serial path; any other
 //! thread count produces byte-identical output.
 
@@ -24,6 +26,7 @@ use diffaudit_blocklist::DestinationClass;
 use diffaudit_classifier::cache::{config_fingerprint, CacheReport, ClassifyCache};
 use diffaudit_classifier::majority::TEMPERATURE_GRID;
 use diffaudit_classifier::{ConfidenceAggregation, MajorityEnsemble};
+use diffaudit_domains::DomainName;
 use diffaudit_nettrace::Exchange;
 use diffaudit_obs::Scope;
 use diffaudit_ontology::DataTypeCategory;
@@ -220,135 +223,121 @@ impl Pipeline {
 
     /// Run over a generated dataset, through the same salvage loader as
     /// capture directories and daemon uploads: each service becomes a
-    /// [`MemoryService`] and is loaded by [`load_memory_service`]. Services
-    /// convert and load one at a time, so only one service's artifact bytes
-    /// are ever copied.
+    /// [`MemoryService`] and is loaded (decoded and key-extracted) by
+    /// [`load_memory_service`]. Services convert and load one at a time, so
+    /// only one service's artifact bytes are ever copied, and each unit's
+    /// copy and decoded exchanges are freed on its worker once its keys are
+    /// extracted.
     pub fn run(&self, dataset: &GeneratedDataset) -> AuditOutcome {
         let (scope, ctl) = (Scope::global(), Ctl::unbounded());
-        let inputs = dataset
+        let interner = KeyInterner::new();
+        let services = dataset
             .services
             .iter()
             .map(|capture| {
                 let svc = MemoryService::from_capture(capture);
-                load_memory_service(svc, self.threads(), &scope, &ctl).0
+                load_memory_service(svc, self.threads(), &scope, &ctl, &interner).0
             })
             .collect();
-        self.run_inputs(inputs)
+        unbounded(self.run_extracted_scoped(services, &scope, &ctl))
     }
 
-    /// Run over decoded inputs (see [`crate::loader`]).
+    /// Run over decoded inputs: extract every unit's keys (sharded per
+    /// unit, as the loader does), then classify and assemble exactly like
+    /// [`Pipeline::run_extracted_scoped`]. For callers that decode units
+    /// themselves; the CLI, the daemon and [`Pipeline::run`] extract on the
+    /// loader's workers instead and never hold decoded exchanges.
     pub fn run_inputs(&self, inputs: Vec<ServiceInput>) -> AuditOutcome {
-        match self.run_inputs_scoped(inputs, &Scope::global(), &Ctl::unbounded()) {
-            Ok(outcome) => outcome,
-            // An unbounded control has no deadline and an untripped private
-            // token; interruption is unreachable on this path.
-            Err(_) => AuditOutcome {
-                services: Vec::new(),
-                key_labels: HashMap::new(),
-                unique_raw_keys: 0,
-                cache: None,
-            },
-        }
-    }
-
-    /// Pipeline-as-a-library entry point: run over supplied inputs with an
-    /// explicit instrumentation [`Scope`] (global for the batch CLI, a
-    /// private job scope for the serve daemon) and a cancellation [`Ctl`]
-    /// checked between phases and before each unit. On interruption the
-    /// partial results are discarded and the interrupt is returned —
-    /// metrics gathered so far stay in `scope`.
-    pub fn run_inputs_scoped(
-        &self,
-        inputs: Vec<ServiceInput>,
-        scope: &Scope,
-        ctl: &Ctl,
-    ) -> Result<AuditOutcome, Interrupt> {
-        scope.time("pipeline", || self.run_inputs_inner(inputs, scope, ctl))
-    }
-
-    fn run_inputs_inner(
-        &self,
-        inputs: Vec<ServiceInput>,
-        scope: &Scope,
-        ctl: &Ctl,
-    ) -> Result<AuditOutcome, Interrupt> {
-        let threads = self.threads();
+        let (scope, ctl) = (Scope::global(), Ctl::unbounded());
         let interner = KeyInterner::new();
+        let threads = self.threads();
+        let outcome = scope.time("pipeline", || {
+            let services = scope.time("pipeline.extract", || {
+                inputs
+                    .into_iter()
+                    .map(|input| {
+                        let batch = KeyBatch::new();
+                        let units = par::par_map_ctx_owned(
+                            threads,
+                            input.units,
+                            UnitCtx::new,
+                            |ctx, _, unit| ctx.extract(unit, &interner),
+                            |ctx| ctx.finish(&batch, &scope),
+                        );
+                        let (keys, key_occurrences) = batch.into_parts();
+                        ExtractedService {
+                            name: input.name,
+                            slug: input.slug,
+                            first_party_domains: input.first_party_domains,
+                            units,
+                            keys,
+                            key_occurrences,
+                        }
+                    })
+                    .collect()
+            });
+            self.classify_and_assemble(services, &scope, &ctl)
+        });
+        unbounded(outcome)
+    }
+
+    /// Pipeline-as-a-library entry point: classify and assemble services
+    /// the loader has already decoded and key-extracted, with an explicit
+    /// instrumentation [`Scope`] (global for the batch CLI, a private job
+    /// scope for the serve daemon) and a cancellation [`Ctl`] checked
+    /// between phases and before each service. On interruption the partial
+    /// results are discarded and the interrupt is returned — metrics
+    /// gathered so far stay in `scope`.
+    pub fn run_extracted_scoped(
+        &self,
+        services: Vec<ExtractedService>,
+        scope: &Scope,
+        ctl: &Ctl,
+    ) -> Result<AuditOutcome, Interrupt> {
+        scope.time("pipeline", || {
+            self.classify_and_assemble(services, scope, ctl)
+        })
+    }
+
+    fn classify_and_assemble(
+        &self,
+        mut services: Vec<ExtractedService>,
+        scope: &Scope,
+        ctl: &Ctl,
+    ) -> Result<AuditOutcome, Interrupt> {
         ctl.check()?;
-
-        // Flatten to per-unit work items, remembering each service's
-        // identity and unit count so the ordered results regroup exactly.
-        let (decoded, batch) = scope.time("pipeline.extract", || {
-            let mut meta: Vec<(String, String, Vec<String>, usize)> =
-                Vec::with_capacity(inputs.len());
-            let mut flat: Vec<LoadedUnit> = Vec::new();
-            for input in inputs {
-                meta.push((
-                    input.name,
-                    input.slug,
-                    input.first_party_domains,
-                    input.units.len(),
-                ));
-                flat.extend(input.units);
-            }
-            let batch = KeyBatch::new();
-            let units = par::par_map_ctx_owned_cancel(
-                threads,
-                flat,
-                ctl,
-                UnitCtx::new,
-                |ctx, _, unit| {
-                    ctx.recorder
-                        .add("pipeline.extract.bytes.in", unit_bytes(&unit));
-                    let unit = ctx
-                        .recorder
-                        .time("pipeline.unit.extract", || extract_unit(unit, &interner));
-                    ctx.gather(&unit);
-                    unit
-                },
-                |ctx| ctx.finish(&batch, scope),
-            )?;
-
-            // Per-service counters and progress events, on the calling
-            // thread in input order (worker threads never touch the scope's
-            // event stream, so it stays deterministic).
-            let mut units = units.into_iter();
-            let decoded: Vec<(String, String, Vec<String>, Vec<DecodedUnit>)> = meta
-                .into_iter()
-                .map(|(name, slug, domains, count)| {
-                    let service_units: Vec<DecodedUnit> = units.by_ref().take(count).collect();
-                    let unit_exchanges: u64 =
-                        service_units.iter().map(|u| u.requests.len() as u64).sum();
-                    scope.add("pipeline.units", service_units.len() as u64);
-                    scope.add("pipeline.exchanges", unit_exchanges);
-                    scope.debug(
-                        "service extracted",
-                        &[
-                            diffaudit_obs::field("slug", slug.as_str()),
-                            diffaudit_obs::field("units", service_units.len()),
-                            diffaudit_obs::field("exchanges", unit_exchanges),
-                        ],
-                    );
-                    (name, slug, domains, service_units)
-                })
-                .collect();
-            Ok::<_, Interrupt>((decoded, batch))
-        })?;
-        let (unique_keys, key_occurrences) = batch.into_parts();
+        // Per-service counters and progress events, on the calling thread
+        // in input order (worker threads never touch the scope's event
+        // stream, so it stays deterministic). The services' unique-key sets
+        // union into the one set classification runs over.
+        let mut unique_keys: BTreeSet<Key> = BTreeSet::new();
+        let mut key_occurrences = 0u64;
+        for service in &mut services {
+            let exchanges: u64 = service.units.iter().map(|u| u.requests.len() as u64).sum();
+            scope.add("pipeline.units", service.units.len() as u64);
+            scope.add("pipeline.exchanges", exchanges);
+            scope.debug(
+                "service extracted",
+                &[
+                    diffaudit_obs::field("slug", service.slug.as_str()),
+                    diffaudit_obs::field("units", service.units.len()),
+                    diffaudit_obs::field("exchanges", exchanges),
+                ],
+            );
+            unique_keys.append(&mut service.keys);
+            key_occurrences += service.key_occurrences;
+        }
         record_key_stats(scope, key_occurrences, unique_keys.len());
         ctl.check()?;
         let (key_labels, cache) = self.classify_keys_scoped(&unique_keys, scope);
         ctl.check()?;
         let services = scope.time("pipeline.assemble", || {
             par::par_map_ctx_owned_cancel(
-                threads,
-                decoded,
+                self.threads(),
+                services,
                 ctl,
                 || (),
-                |(), _, (name, slug, domains, units)| {
-                    let domain_refs: Vec<&str> = domains.iter().map(String::as_str).collect();
-                    assemble_service(&name, &slug, &domain_refs, units, &key_labels)
-                },
+                |(), _, service| assemble_service(service, &key_labels),
                 |()| {},
             )
         })?;
@@ -492,8 +481,21 @@ fn record_key_stats(scope: &Scope, occurrences: u64, unique: usize) {
     );
 }
 
-/// One decoded capture unit, ready for classification — the input format
-/// for auditing externally supplied traces (see [`crate::loader`]).
+/// Unwrap a run under [`Ctl::unbounded`]: an unbounded control has no
+/// deadline and an untripped private token, so interruption is
+/// unreachable; the empty outcome only keeps the signature total.
+fn unbounded(outcome: Result<AuditOutcome, Interrupt>) -> AuditOutcome {
+    outcome.unwrap_or_else(|_| AuditOutcome {
+        services: Vec::new(),
+        key_labels: HashMap::new(),
+        unique_raw_keys: 0,
+        cache: None,
+    })
+}
+
+/// One decoded capture unit — what [`crate::loader::decode_unit`] returns,
+/// and the input format of [`Pipeline::run_inputs`] for callers that decode
+/// traces themselves.
 #[derive(Debug)]
 pub struct LoadedUnit {
     /// Platform the unit was captured on.
@@ -512,7 +514,8 @@ pub struct LoadedUnit {
     pub flow_count: usize,
 }
 
-/// An audit input: one service's identity plus its decoded units.
+/// A [`Pipeline::run_inputs`] input: one service's identity plus its
+/// decoded units.
 #[derive(Debug)]
 pub struct ServiceInput {
     /// Display name.
@@ -525,28 +528,59 @@ pub struct ServiceInput {
     pub units: Vec<LoadedUnit>,
 }
 
-/// A decoded (but not yet classified) unit with pre-extracted keys.
-struct DecodedUnit {
-    platform: Platform,
-    kind: TraceKind,
-    category: TraceCategory,
-    /// (exchange, raw keys) per outgoing request.
-    requests: Vec<(Exchange, Vec<Key>)>,
-    opaque_snis: Vec<String>,
-    packet_count: usize,
-    flow_count: usize,
+/// One capture unit after decode and key extraction: what classification
+/// and assembly read of it, and nothing else. The loader's worker builds it
+/// and drops the unit's capture bytes and decoded exchanges before taking
+/// its next unit, so a run holds no request or response payloads.
+#[derive(Debug, PartialEq)]
+pub struct ExtractedUnit {
+    /// Platform the unit was captured on.
+    pub platform: Platform,
+    /// Trace kind.
+    pub kind: TraceKind,
+    /// Trace category.
+    pub category: TraceCategory,
+    /// Per outgoing request: destination host, capture timestamp, and the
+    /// sorted, deduplicated raw keys of its payload.
+    pub requests: Vec<(DomainName, u64, Vec<Key>)>,
+    /// SNIs of undecryptable flows.
+    pub opaque_snis: Vec<String>,
+    /// Packets in the unit.
+    pub packet_count: usize,
+    /// TCP flows in the unit.
+    pub flow_count: usize,
+}
+
+/// One service's loaded and key-extracted units — what
+/// [`crate::loader::load_capture_dir`] and
+/// [`crate::loader::load_memory_service`] return for
+/// [`Pipeline::run_extracted_scoped`].
+#[derive(Debug)]
+pub struct ExtractedService {
+    /// Display name.
+    pub name: String,
+    /// Stable slug.
+    pub slug: String,
+    /// The service's own registrable domains (party classification).
+    pub first_party_domains: Vec<String>,
+    /// The units that loaded, in manifest order.
+    pub units: Vec<ExtractedUnit>,
+    /// The unique raw keys of `units`, gathered on the extract workers.
+    pub keys: BTreeSet<Key>,
+    /// Raw key occurrences across `units` (repeats included).
+    pub key_occurrences: u64,
 }
 
 /// Per-worker extract context: a private metric recorder plus the
 /// thread's share of the unique-key batch. Merged once at join.
-struct UnitCtx {
-    recorder: diffaudit_obs::LocalRecorder,
+pub(crate) struct UnitCtx {
+    pub(crate) recorder: diffaudit_obs::LocalRecorder,
     keys: BTreeSet<Key>,
     occurrences: u64,
 }
 
 impl UnitCtx {
-    fn new() -> UnitCtx {
+    pub(crate) fn new() -> UnitCtx {
         UnitCtx {
             recorder: diffaudit_obs::LocalRecorder::new(),
             keys: BTreeSet::new(),
@@ -554,18 +588,26 @@ impl UnitCtx {
         }
     }
 
-    /// Fold one decoded unit's keys into this worker's batch.
-    fn gather(&mut self, unit: &DecodedUnit) {
-        for (_, keys) in &unit.requests {
+    /// Extract one decoded unit's keys under a `pipeline.unit.extract`
+    /// span and fold them into this worker's batch. The unit's exchanges
+    /// are consumed, so their payloads are freed as extraction walks them.
+    pub(crate) fn extract(&mut self, unit: LoadedUnit, interner: &KeyInterner) -> ExtractedUnit {
+        self.recorder
+            .add("pipeline.extract.bytes.in", unit_bytes(&unit));
+        let unit = self
+            .recorder
+            .time("pipeline.unit.extract", || extract_unit(unit, interner));
+        for (_, _, keys) in &unit.requests {
             self.occurrences += keys.len() as u64;
             self.keys.extend(keys.iter().cloned());
         }
+        unit
     }
 
     /// Merge this worker's batch into the shared one (called at join). The
     /// recorder lands wherever the run's scope points — the global registry
     /// for the batch path, the job's private registry under the daemon.
-    fn finish(self, batch: &KeyBatch, scope: &Scope) {
+    pub(crate) fn finish(self, batch: &KeyBatch, scope: &Scope) {
         match batch.keys.lock() {
             Ok(mut shared) => shared.extend(self.keys),
             Err(poisoned) => poisoned.into_inner().extend(self.keys),
@@ -581,20 +623,20 @@ impl UnitCtx {
 /// target (union is order-insensitive, iteration is sorted) plus the raw
 /// occurrence tally. Interned keys make the set membership test a pointer
 /// hash away and the union clone a reference-count bump.
-struct KeyBatch {
+pub(crate) struct KeyBatch {
     keys: Mutex<BTreeSet<Key>>,
     occurrences: AtomicU64,
 }
 
 impl KeyBatch {
-    fn new() -> KeyBatch {
+    pub(crate) fn new() -> KeyBatch {
         KeyBatch {
             keys: Mutex::new(BTreeSet::new()),
             occurrences: AtomicU64::new(0),
         }
     }
 
-    fn into_parts(self) -> (BTreeSet<Key>, u64) {
+    pub(crate) fn into_parts(self) -> (BTreeSet<Key>, u64) {
         let keys = match self.keys.into_inner() {
             Ok(keys) => keys,
             Err(poisoned) => poisoned.into_inner(),
@@ -610,8 +652,10 @@ fn unit_bytes(unit: &LoadedUnit) -> u64 {
 }
 
 /// Extract sorted, deduplicated raw keys from every outgoing request of a
-/// loaded unit. Pure per-unit work — safe to shard over the executor.
-fn extract_unit(unit: LoadedUnit, interner: &KeyInterner) -> DecodedUnit {
+/// loaded unit, keeping each request's host and timestamp and dropping the
+/// rest of the exchange. Pure per-unit work — safe to shard over the
+/// executor.
+fn extract_unit(unit: LoadedUnit, interner: &KeyInterner) -> ExtractedUnit {
     let requests = unit
         .exchanges
         .into_iter()
@@ -622,10 +666,10 @@ fn extract_unit(unit: LoadedUnit, interner: &KeyInterner) -> DecodedUnit {
                 .collect();
             keys.sort();
             keys.dedup();
-            (ex, keys)
+            (ex.request.url.host, ex.timestamp_ms, keys)
         })
         .collect();
-    DecodedUnit {
+    ExtractedUnit {
         platform: unit.platform,
         kind: unit.kind,
         category: unit.category,
@@ -637,21 +681,24 @@ fn extract_unit(unit: LoadedUnit, interner: &KeyInterner) -> DecodedUnit {
 }
 
 fn assemble_service(
-    name: &str,
-    slug: &str,
-    first_party_domains: &[&str],
-    units: Vec<DecodedUnit>,
+    service: ExtractedService,
     key_labels: &HashMap<Key, Option<DataTypeCategory>>,
 ) -> ObservedService {
-    let mut analyzer = DestinationAnalyzer::new(first_party_domains);
-    let observed_units = units
+    let domain_refs: Vec<&str> = service
+        .first_party_domains
+        .iter()
+        .map(String::as_str)
+        .collect();
+    let mut analyzer = DestinationAnalyzer::new(&domain_refs);
+    let observed_units = service
+        .units
         .into_iter()
         .map(|unit| {
             let exchanges = unit
                 .requests
                 .into_iter()
-                .filter_map(|(ex, keys)| {
-                    let info = analyzer.analyze(ex.request.url.host.as_str())?;
+                .filter_map(|(host, timestamp_ms, keys)| {
+                    let info = analyzer.analyze(host.as_str())?;
                     let mut categories: Vec<DataTypeCategory> = keys
                         .iter()
                         .filter_map(|k| key_labels.get(k).copied().flatten())
@@ -665,7 +712,7 @@ fn assemble_service(
                         owner: info.owner,
                         categories,
                         raw_keys: keys,
-                        timestamp_ms: ex.timestamp_ms,
+                        timestamp_ms,
                     })
                 })
                 .collect();
@@ -681,8 +728,8 @@ fn assemble_service(
         })
         .collect();
     ObservedService {
-        name: name.to_string(),
-        slug: slug.to_string(),
+        name: service.name,
+        slug: service.slug,
         units: observed_units,
     }
 }

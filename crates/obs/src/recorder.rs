@@ -1,5 +1,5 @@
 //! The recorder: one object owning the level filter, the sinks, the metric
-//! registry, and the active span stack.
+//! registry, and the active span stacks (one per thread).
 //!
 //! Library code talks to the process-global recorder through the free
 //! functions in [`crate`]; tests build private [`Recorder`]s and assert on
@@ -11,11 +11,12 @@ use crate::metrics::{Metrics, MetricsSnapshot, ResStats, LATENCY_US_BOUNDS};
 use crate::res::{self, ResUsage, ResourceTrack, SpanResources};
 use crate::sink::{event_record, span_record, with_span_resources, write_stderr, JsonlSink};
 use diffaudit_json::Json;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 /// How many warn/error events the in-memory ring retains.
@@ -81,14 +82,30 @@ struct SpanResStart {
     bytes_in: u64,
 }
 
+/// One open span on a thread's stack: its name and the parent its trace
+/// record will name, fixed when the span opens.
+struct OpenSpan {
+    name: String,
+    parent: Option<String>,
+}
+
 struct Inner {
     start: Instant,
     seq: u64,
     trace: Option<JsonlSink>,
     metrics: Metrics,
-    /// Names of the spans currently open, outermost first. The pipeline is
-    /// single-threaded, so a plain stack captures the hierarchy.
-    stack: Vec<String>,
+    /// The spans currently open on each thread, outermost first; threads
+    /// with none have no entry. Loader workers open spans concurrently
+    /// with each other and with the thread that spawned them, so each
+    /// thread nests only under its own open spans.
+    stacks: HashMap<ThreadId, Vec<OpenSpan>>,
+    /// The thread that opened a span while no span was open anywhere (the
+    /// run's root span: `audit`, `bench.pipeline`, …), while that span
+    /// stays open. A span opened on a thread with no open span of its own
+    /// is parented to the innermost span open on this thread — for a
+    /// loader worker, the `loader.dir`/`loader.memory` span that spawned
+    /// it.
+    root: Option<ThreadId>,
     /// The last [`EVENT_RING_CAP`] warn/error events, oldest first.
     ring: VecDeque<RingEvent>,
     /// Monotonic cursor for the ring (advances on every retained event).
@@ -150,7 +167,8 @@ impl Recorder {
                 seq: 0,
                 trace: None,
                 metrics: Metrics::new(),
-                stack: Vec::new(),
+                stacks: HashMap::new(),
+                root: None,
                 ring: VecDeque::new(),
                 ring_seq: 0,
                 res: None,
@@ -309,8 +327,24 @@ impl Recorder {
         } else {
             None
         };
+        let thread = std::thread::current().id();
         let mut inner = lock_inner(self);
-        inner.stack.push(name.clone());
+        let parent = match inner.stacks.get(&thread).and_then(|stack| stack.last()) {
+            Some(top) => Some(top.name.clone()),
+            None if inner.stacks.is_empty() => {
+                inner.root = Some(thread);
+                None
+            }
+            None => inner
+                .root
+                .and_then(|root| inner.stacks.get(&root))
+                .and_then(|stack| stack.last())
+                .map(|top| top.name.clone()),
+        };
+        inner.stacks.entry(thread).or_default().push(OpenSpan {
+            name: name.clone(),
+            parent,
+        });
         let res = match (sampled, inner.res.as_ref()) {
             (Some(usage), Some(handle)) => Some(SpanResStart {
                 usage,
@@ -323,28 +357,42 @@ impl Recorder {
         SpanGuard {
             recorder: self,
             name,
+            thread,
             start: Instant::now(),
             closed: false,
             res,
         }
     }
 
-    fn exit_span(&self, name: &str, start: Instant, res_start: Option<SpanResStart>) {
+    fn exit_span(
+        &self,
+        name: &str,
+        thread: ThreadId,
+        start: Instant,
+        res_start: Option<SpanResStart>,
+    ) {
         let dur_us = elapsed_us(start);
         let exit_usage = match res_start {
             Some(_) => res::sample_self(),
             None => None,
         };
         let mut inner = lock_inner(self);
-        // Pop this span off the stack (LIFO by construction; tolerate an
-        // out-of-order drop by removing the last matching entry).
-        let parent = match inner.stack.iter().rposition(|n| n == name) {
-            Some(at) => {
-                inner.stack.remove(at);
-                at.checked_sub(1).and_then(|i| inner.stack.get(i).cloned())
+        // Pop this span off its thread's stack (LIFO by construction;
+        // tolerate an out-of-order drop by removing the last matching
+        // entry). A thread whose stack empties leaves the map, and stops
+        // being the root thread.
+        let mut parent = None;
+        if let Some(stack) = inner.stacks.get_mut(&thread) {
+            if let Some(at) = stack.iter().rposition(|open| open.name == name) {
+                parent = stack.remove(at).parent;
             }
-            None => None,
-        };
+            if stack.is_empty() {
+                inner.stacks.remove(&thread);
+                if inner.root == Some(thread) {
+                    inner.root = None;
+                }
+            }
+        }
         inner.metrics.span_done(name, dur_us);
         inner
             .metrics
@@ -509,11 +557,11 @@ impl Recorder {
 
 /// A private, lock-free metric recorder for one worker thread.
 ///
-/// The global [`Recorder`] serializes every `add`/`observe` behind a mutex
-/// and threads a *single* span stack through the trace sink — fine for the
-/// serial pipeline, hostile to a parallel one. Workers instead accumulate
+/// The global [`Recorder`] serializes every `add`/`observe` (and every
+/// span's trace record) behind one mutex — fine for the serial stages,
+/// hostile to per-unit work in a parallel one. Workers instead accumulate
 /// into a `LocalRecorder` (plain owned [`Metrics`], no lock, no trace
-/// writes, no global span stack) and merge once at join via
+/// writes, no span stack) and merge once at join via
 /// [`Recorder::absorb`]. Timing spans recorded here feed the same
 /// `SpanStats` + `{name}.us` latency histogram pair the global
 /// [`Recorder::enter`] guard produces, so per-unit work is indistinguishable
@@ -563,9 +611,9 @@ impl LocalRecorder {
 
     /// Time `f` as a completed span named `name`: records the duration into
     /// the span aggregate and the `{name}.us` latency histogram, mirroring
-    /// what dropping a global span guard does (minus the trace record —
-    /// workers never write the trace, which keeps its `seq` stream and
-    /// parent attribution single-threaded).
+    /// what dropping a global span guard does, minus the trace record: a
+    /// per-unit span aggregates into the snapshot instead of adding one
+    /// trace line per unit.
     pub fn time<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
         let start = Instant::now();
         let out = f();
@@ -619,6 +667,8 @@ fn clamp_i64(v: u64) -> i64 {
 pub struct SpanGuard<'a> {
     recorder: &'a Recorder,
     name: String,
+    /// The thread whose stack the span was pushed on.
+    thread: ThreadId,
     start: Instant,
     closed: bool,
     /// Enter-time resource sample (`None` unless profiling is on).
@@ -635,7 +685,8 @@ impl SpanGuard<'_> {
         if !self.closed {
             self.closed = true;
             let res = self.res.take();
-            self.recorder.exit_span(&self.name, self.start, res);
+            self.recorder
+                .exit_span(&self.name, self.thread, self.start, res);
         }
     }
 }
@@ -699,6 +750,62 @@ mod tests {
         assert!(inner.total_us >= 1_000, "slept ≥1ms: {inner:?}");
         // The span also feeds its latency histogram.
         assert!(snap.metrics.histograms().any(|(n, _)| n == "outer.us"));
+    }
+
+    #[test]
+    fn worker_spans_nest_under_their_own_thread_and_the_root_thread() {
+        use std::sync::{Arc, Mutex};
+        struct Buf(Arc<Mutex<Vec<u8>>>);
+        impl Write for Buf {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let out = Arc::new(Mutex::new(Vec::new()));
+        let rec = Recorder::new();
+        rec.trace_to_writer(Box::new(Buf(Arc::clone(&out))));
+        {
+            let _root = rec.enter("audit");
+            let _dir = rec.enter("loader.dir");
+            // Two workers whose spans overlap in time: each opens a decode
+            // span and a nested reassembly span while the other is open.
+            let barrier = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        let _decode = rec.enter("decode");
+                        barrier.wait();
+                        let _reassemble = rec.enter("reassemble");
+                        barrier.wait();
+                    });
+                }
+            });
+        }
+        // A later run's root opens with nothing open anywhere.
+        drop(rec.enter("next"));
+        rec.flush();
+        let text = String::from_utf8(out.lock().unwrap().clone()).unwrap();
+        let log = crate::trace::TraceLog::parse(&text);
+        let parents: Vec<(&str, Option<&str>)> = log
+            .spans()
+            .map(|s| (s.name.as_str(), s.parent.as_deref()))
+            .collect();
+        let parent_of = |name: &str| -> Vec<Option<&str>> {
+            parents
+                .iter()
+                .filter(|(n, _)| *n == name)
+                .map(|(_, p)| *p)
+                .collect()
+        };
+        assert_eq!(parent_of("decode"), vec![Some("loader.dir"); 2]);
+        assert_eq!(parent_of("reassemble"), vec![Some("decode"); 2]);
+        assert_eq!(parent_of("loader.dir"), vec![Some("audit")]);
+        assert_eq!(parent_of("audit"), vec![None]);
+        assert_eq!(parent_of("next"), vec![None]);
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! ## Span-tree reconstruction rules
 //!
 //! Span records are emitted at *close* time and carry the immediate parent
-//! **name** (the recorder's stack is single-threaded, so the name is
-//! unambiguous at emission). Reconstruction therefore aggregates records
+//! **name**, fixed when the span opened: the recorder keeps one span stack
+//! per thread, and a worker thread's outermost span names the innermost
+//! span open on the run's root thread (a loader worker's decode spans name
+//! the `loader.dir` that spawned it). Reconstruction therefore aggregates records
 //! into `(parent, name)` edges — every instance of `loader.unit` under
 //! `loader.dir` folds into one node with a call count — and grows the tree
 //! from the roots:

@@ -106,6 +106,7 @@ use diffaudit_obs as obs;
 use diffaudit_serve::{ServeConfig, Server};
 use diffaudit_services::{generate_dataset_threads, service_by_slug, DatasetOptions};
 use diffaudit_util::cancel::Ctl;
+use diffaudit_util::par::KeyInterner;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -469,22 +470,26 @@ fn cmd_audit(args: &[String], threads: usize) -> ExitCode {
 
     let audit_span = obs::span("audit");
     let load_span = obs::span("audit.load");
-    let mut inputs = Vec::new();
+    let (scope, ctl) = (obs::Scope::global(), Ctl::unbounded());
+    // One interner for the whole audit: every directory's raw keys share
+    // one allocation per distinct spelling.
+    let interner = KeyInterner::new();
+    let mut services = Vec::new();
     let mut ledger = DegradationLedger::new();
     for dir in &dirs {
-        match load_capture_dir(dir, threads, &obs::Scope::global(), &Ctl::unbounded()) {
-            Ok((input, service_ledger)) => {
+        match load_capture_dir(dir, threads, &scope, &ctl, &interner) {
+            Ok((service, service_ledger)) => {
                 let dropped = service_ledger.merged().total_dropped();
                 let mut fields = vec![
-                    obs::field("service", input.name.as_str()),
-                    obs::field("units", input.units.len()),
+                    obs::field("service", service.name.as_str()),
+                    obs::field("units", service.units.len()),
                     obs::field("dir", dir.display().to_string()),
                 ];
                 if dropped > 0 {
                     fields.push(obs::field("dropped", dropped));
                 }
                 obs::info("loaded capture directory", &fields);
-                inputs.push(input);
+                services.push(service);
                 ledger.services.push(service_ledger);
             }
             Err(e) => {
@@ -518,7 +523,13 @@ fn cmd_audit(args: &[String], threads: usize) -> ExitCode {
     if let Some(dir) = &cache_dir {
         pipeline = pipeline.with_cache_dir(dir.clone());
     }
-    let outcome = pipeline.run_inputs(inputs);
+    let outcome = match pipeline.run_extracted_scoped(services, &scope, &ctl) {
+        Ok(outcome) => outcome,
+        Err(interrupt) => {
+            obs::error(&interrupt.to_string(), &[]);
+            return ExitCode::FAILURE;
+        }
+    };
 
     // Cache salvage (damaged log records skipped on open) degrades the run
     // the same way damaged input does: account it in the ledger, mirror the

@@ -30,6 +30,7 @@ use diffaudit::salvage::{
 use diffaudit_json::Json;
 use diffaudit_obs::{MetricsSnapshot, Scope};
 use diffaudit_util::cancel::{CancelToken, Ctl, Deadline, Interrupt};
+use diffaudit_util::par::KeyInterner;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -173,8 +174,9 @@ pub fn run_job(request: JobRequest, token: CancelToken, threads: usize) -> JobOu
         chaos_panic();
     }
 
-    let (input, service_ledger) = scope.time("serve.job.load", || {
-        load_memory_service(request.service, threads, &scope, &ctl)
+    let interner = KeyInterner::new();
+    let (service, service_ledger) = scope.time("serve.job.load", || {
+        load_memory_service(request.service, threads, &scope, &ctl, &interner)
     });
     let mut ledger = DegradationLedger::new();
     ledger.services.push(service_ledger);
@@ -231,7 +233,7 @@ pub fn run_job(request: JobRequest, token: CancelToken, threads: usize) -> JobOu
     if let Some(dir) = &request.cache_dir {
         pipeline = pipeline.with_cache_dir(dir.clone());
     }
-    match pipeline.run_inputs_scoped(vec![input], &scope, &ctl) {
+    match pipeline.run_extracted_scoped(vec![service], &scope, &ctl) {
         Err(interrupt) => finish(scope, interrupted_completion(interrupt, &ledger)),
         Ok(outcome) => {
             // Cache salvage (skipped or truncated log records) degrades the

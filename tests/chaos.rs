@@ -391,7 +391,8 @@ fn a_stalled_load_surfaces_as_timeout_drops_even_on_damaged_units() {
         Deadline::within(Duration::ZERO), // already expired: a stall past its budget
     );
     let scope = diffaudit_obs::Scope::job("chaos.stall");
-    let (input, ledger) = load_memory_service(svc, 2, &scope, &ctl);
+    let interner = diffaudit_util::par::KeyInterner::new();
+    let (input, ledger) = load_memory_service(svc, 2, &scope, &ctl, &interner);
     assert!(
         input.units.is_empty(),
         "an expired deadline must drop every unit"

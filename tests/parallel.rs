@@ -15,19 +15,29 @@
 //!    applied at rate > 0, the salvage loader's degradation ledger stays
 //!    conservation-consistent and identical to the serial ledger, and the
 //!    `salvage.*` counters keep mirroring the exported ledger.
+//!
+//! Two more pin down what the parallel loader does beyond its results: the
+//! fused decode→extract load audits exactly like decoding first and
+//! handing the exchanges to `Pipeline::run_inputs`, and the trace names
+//! the right parent for spans opened on loader workers.
 
 use diffaudit::audit::audit_service;
-use diffaudit::export::outcome_to_json;
-use diffaudit::loader::{load_capture_dir, write_dataset};
-use diffaudit::pipeline::{ClassificationMode, Pipeline};
-use diffaudit::{AuditFinding, DegradationLedger};
+use diffaudit::export::{outcome_to_json, outcome_to_json_with_ledger};
+use diffaudit::loader::{
+    decode_unit, load_capture_dir, load_memory_service, write_dataset, MemoryArtifact,
+    MemoryService,
+};
+use diffaudit::pipeline::{ClassificationMode, Pipeline, ServiceInput};
+use diffaudit::{AuditFinding, DegradationLedger, ServiceLedger, UnitLedger};
 use diffaudit_json::{parse, Json};
 use diffaudit_nettrace::fault::{FaultOp, FaultSpec};
-use diffaudit_obs::Scope;
+use diffaudit_nettrace::{SalvageLog, Stage};
+use diffaudit_obs::{Scope, TraceLog};
 use diffaudit_services::{
     generate_dataset, generate_dataset_threads, service_by_slug, DatasetOptions, GeneratedDataset,
 };
 use diffaudit_util::cancel::Ctl;
+use diffaudit_util::par::KeyInterner;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -300,8 +310,15 @@ fn degradation_ledger_is_conserved_and_identical_under_concurrency() {
     );
 
     let load_with = |threads: usize| {
-        load_capture_dir(&dir, threads, &Scope::global(), &Ctl::unbounded())
-            .expect("salvage load succeeds on damaged dir")
+        let interner = KeyInterner::new();
+        load_capture_dir(
+            &dir,
+            threads,
+            &Scope::global(),
+            &Ctl::unbounded(),
+            &interner,
+        )
+        .expect("salvage load succeeds on damaged dir")
     };
     let (serial_input, serial_ledger) = load_with(1);
     let (parallel_input, parallel_ledger) = load_with(PARALLEL);
@@ -327,14 +344,12 @@ fn degradation_ledger_is_conserved_and_identical_under_concurrency() {
         "degradation ledger must be identical across thread counts"
     );
 
-    // The salvaged audit input is identical too.
-    assert_eq!(serial_input.units.len(), parallel_input.units.len());
-    for (s, p) in serial_input.units.iter().zip(parallel_input.units.iter()) {
-        assert_eq!(s.exchanges, p.exchanges);
-        assert_eq!(s.opaque_snis, p.opaque_snis);
-        assert_eq!(s.packet_count, p.packet_count);
-        assert_eq!(s.flow_count, p.flow_count);
-    }
+    // The salvaged audit input is identical too: every unit's requests
+    // (host, timestamp, keys), opaque SNIs and packet/flow counts, and the
+    // workers' merged unique-key batch.
+    assert_eq!(serial_input.units, parallel_input.units);
+    assert_eq!(serial_input.keys, parallel_input.keys);
+    assert_eq!(serial_input.key_occurrences, parallel_input.key_occurrences);
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -405,5 +420,137 @@ fn salvage_counters_mirror_the_ledger_under_concurrency() {
         );
     }
     assert!(dropped_total > 0, "corruption must register in the ledger");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The decode-only reference for the fused loader: decode every unit with
+/// `decode_unit`, account each one in the ledger the way the loader does
+/// (usable, or dropped at the `unit` stage with its index), and keep the
+/// decoded exchanges for `Pipeline::run_inputs`.
+fn decoded_reference(svc: &MemoryService) -> (ServiceInput, ServiceLedger) {
+    let mut units = Vec::new();
+    let mut ledger_units = Vec::new();
+    for (i, unit) in svc.units.iter().enumerate() {
+        let mut log = SalvageLog::new();
+        let path = PathBuf::from(&unit.label);
+        match decode_unit(unit, &path, &mut log, &Ctl::unbounded()) {
+            Ok(loaded) => {
+                log.ok(Stage::Unit);
+                units.push(loaded);
+            }
+            Err(e) => log.dropped(Stage::Unit, e.to_string(), Some(i as u64)),
+        }
+        ledger_units.push(UnitLedger {
+            file: unit.label.clone(),
+            log,
+        });
+    }
+    let input = ServiceInput {
+        name: svc.name.clone(),
+        slug: svc.slug.clone(),
+        first_party_domains: svc.first_party_domains.clone(),
+        units,
+    };
+    let ledger = ServiceLedger {
+        slug: svc.slug.clone(),
+        units: ledger_units,
+    };
+    (input, ledger)
+}
+
+#[test]
+fn fused_load_audits_like_run_inputs_over_the_decoded_units() {
+    let dataset = generate_dataset(&DatasetOptions {
+        seed: 33,
+        volume_scale: 0.02,
+        mobile_pinned_fraction: 0.0,
+        services: vec!["tiktok".into()],
+    });
+    let mut svc = MemoryService::from_capture(&dataset.services[0]);
+    // One damaged unit: bit flips in the first capture's records.
+    let damaged = svc
+        .units
+        .iter_mut()
+        .find_map(|unit| match &mut unit.artifact {
+            MemoryArtifact::Capture { bytes, .. } => Some(bytes),
+            MemoryArtifact::Har(_) => None,
+        })
+        .expect("the service has a capture unit");
+    *damaged = FaultSpec {
+        op: FaultOp::BitFlip,
+        seed: 5,
+        rate: 0.25,
+    }
+    .apply_pcap(damaged);
+
+    let document = |outcome: &diffaudit::pipeline::AuditOutcome, ledger: ServiceLedger| {
+        let mut run = DegradationLedger::new();
+        run.services.push(ledger);
+        assert!(run.total_dropped() > 0, "the damaged unit registers");
+        outcome_to_json_with_ledger(outcome, &findings_for(outcome), &run).to_pretty_string()
+    };
+    let root = temp_dir("fused");
+    for threads in [1, 2] {
+        let pipeline = |cache: &str| {
+            Pipeline::paper_default(33)
+                .with_threads(threads)
+                .with_cache_dir(root.join(format!("{cache}-{threads}")))
+        };
+        // The first pass fills both caches, the second is served from them.
+        for warm in [false, true] {
+            let (scope, ctl) = (Scope::global(), Ctl::unbounded());
+            let interner = KeyInterner::new();
+            let (service, ledger) =
+                load_memory_service(svc.clone(), threads, &scope, &ctl, &interner);
+            let fused = pipeline("fused")
+                .run_extracted_scoped(vec![service], &scope, &ctl)
+                .unwrap();
+            let (input, reference_ledger) = decoded_reference(&svc);
+            let adapted = pipeline("adapter").run_inputs(vec![input]);
+
+            let hits = |outcome: &diffaudit::pipeline::AuditOutcome| {
+                outcome.cache.as_ref().map(|report| report.hits)
+            };
+            assert_eq!(hits(&fused), hits(&adapted));
+            assert_eq!(hits(&fused).unwrap() > 0, warm, "cache warmth");
+            assert_eq!(
+                document(&fused, ledger),
+                document(&adapted, reference_ledger),
+                "fused load and run_inputs diverge at --threads {threads} (warm cache: {warm})"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn loader_worker_spans_name_their_parents_in_the_trace() {
+    let root = temp_dir("trace-parents");
+    let dir = capture_dir(&root);
+    let trace = root.join("trace.jsonl");
+    let out = audit_with_threads(&dir, 2, &["--trace-out", trace.to_str().unwrap()]);
+    assert_eq!(out.code, Some(0), "stderr: {}", out.stderr);
+    let log = TraceLog::parse(&std::fs::read_to_string(&trace).unwrap());
+    let (mut decodes, mut reassemblies) = (0, 0);
+    for span in log.spans() {
+        let parent = span.parent.as_deref();
+        if span.name.starts_with("nettrace.decode.") {
+            decodes += 1;
+            assert_eq!(parent, Some("loader.dir"), "{span:?}");
+        } else if span.name == "nettrace.reassemble" {
+            reassemblies += 1;
+            assert!(
+                matches!(
+                    parent,
+                    Some("nettrace.decode.pcap") | Some("nettrace.decode.pcapng")
+                ),
+                "{span:?}"
+            );
+        }
+    }
+    assert!(
+        decodes > 0 && reassemblies > 0,
+        "{decodes} decodes, {reassemblies} reassemblies"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
