@@ -14,7 +14,7 @@
 //! (the advisory-regression code) when it is exceeded.
 
 use diffaudit::pipeline::Pipeline;
-use diffaudit_bench::{standard_dataset, BenchArgs};
+use diffaudit_bench::{standard_dataset, write_snapshot, BenchArgs};
 use diffaudit_classifier::cache::{LOCK_FILE, LOG_FILE};
 use diffaudit_obs as obs;
 use std::path::Path;
@@ -126,26 +126,7 @@ fn main() {
         ],
     );
 
-    let doc = obs::snapshot().to_json().to_pretty_string();
-    match out {
-        Some(path) => {
-            if let Err(err) = std::fs::write(&path, format!("{doc}\n")) {
-                obs::error(
-                    "[pipeline_cached] cannot write snapshot",
-                    &[
-                        obs::field("path", path.as_str()),
-                        obs::field("error", err.to_string()),
-                    ],
-                );
-                std::process::exit(1);
-            }
-            obs::info(
-                "[pipeline_cached] snapshot written",
-                &[obs::field("path", path.as_str())],
-            );
-        }
-        None => println!("{doc}"),
-    }
+    write_snapshot("pipeline_cached", out.as_deref());
 
     // The warm-run wall budget is checked last so the snapshot is written
     // either way; exit 2 is the advisory-regression code check.sh warns on.

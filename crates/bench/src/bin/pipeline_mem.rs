@@ -20,7 +20,7 @@
 
 use diffaudit::loader::{load_capture_dir, write_dataset};
 use diffaudit::pipeline::Pipeline;
-use diffaudit_bench::{standard_dataset, BenchArgs};
+use diffaudit_bench::{standard_dataset, write_snapshot, BenchArgs};
 use diffaudit_obs as obs;
 use diffaudit_util::cancel::Ctl;
 use diffaudit_util::par::KeyInterner;
@@ -88,24 +88,5 @@ fn main() {
         outcome.services.iter().map(|s| s.units.len() as u64).sum(),
     );
 
-    let doc = obs::snapshot().to_json().to_pretty_string();
-    match out {
-        Some(path) => {
-            if let Err(err) = std::fs::write(&path, format!("{doc}\n")) {
-                obs::error(
-                    "[pipeline_mem] cannot write snapshot",
-                    &[
-                        obs::field("path", path.as_str()),
-                        obs::field("error", err.to_string()),
-                    ],
-                );
-                std::process::exit(1);
-            }
-            obs::info(
-                "[pipeline_mem] snapshot written",
-                &[obs::field("path", path.as_str())],
-            );
-        }
-        None => println!("{doc}"),
-    }
+    write_snapshot("pipeline_mem", out.as_deref());
 }

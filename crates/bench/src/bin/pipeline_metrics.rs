@@ -7,7 +7,7 @@
 //! `bench.generate` / `bench.pipeline` spans so the snapshot carries
 //! per-stage wall times alongside the pipeline's own instrumentation.
 
-use diffaudit_bench::{ensemble_outcome, standard_dataset, BenchArgs};
+use diffaudit_bench::{ensemble_outcome, standard_dataset, write_snapshot, BenchArgs};
 use diffaudit_obs as obs;
 
 fn main() {
@@ -31,24 +31,5 @@ fn main() {
         outcome.services.iter().map(|s| s.units.len() as u64).sum(),
     );
 
-    let doc = obs::snapshot().to_json().to_pretty_string();
-    match out {
-        Some(path) => {
-            if let Err(err) = std::fs::write(&path, format!("{doc}\n")) {
-                obs::error(
-                    "[pipeline_metrics] cannot write snapshot",
-                    &[
-                        obs::field("path", path.as_str()),
-                        obs::field("error", err.to_string()),
-                    ],
-                );
-                std::process::exit(1);
-            }
-            obs::info(
-                "[pipeline_metrics] snapshot written",
-                &[obs::field("path", path.as_str())],
-            );
-        }
-        None => println!("{doc}"),
-    }
+    write_snapshot("pipeline_metrics", out.as_deref());
 }

@@ -1,25 +1,33 @@
 //! Load generator and smoke driver for the `diffaudit serve` daemon — the
-//! producer of the committed `BENCH_serve.json` throughput/latency baseline.
+//! producer of the committed `BENCH_serve.json` baseline.
+//!
+//! Every metrics read goes through the daemon's `diffaudit-obs/v1` JSON
+//! endpoint, `GET /api/v1/metrics`, parsed with `obs::parse_snapshot`; the
+//! baseline is itself a `diffaudit-obs/v1` snapshot, so `diffaudit obs
+//! diff` is its comparator.
 //!
 //! Modes:
 //!
 //! - `--mode load` (default): boots an in-process daemon with a bounded
 //!   queue, fires a burst of concurrent job submissions wider than the
 //!   queue (default 8 submitters vs capacity 4) so load shedding is
-//!   actually exercised, retries shed submissions until accepted, polls
-//!   every job to a terminal state, and writes a JSON summary with
-//!   observed `429` counts, throughput, and p50/p90/p99 end-to-end job
-//!   latency. A scraper thread polls `GET /metrics` throughout the burst
-//!   and records the queue-depth series plus the server-side shed counter
-//!   into the summary's `telemetry` block; a mismatch between the
-//!   server's `serve.queue.shed` counter and the client's observed 429s
-//!   is a hard failure. Fails (exit 1) if no submission was ever shed —
-//!   that means the burst did not outrun the queue and the numbers are
-//!   meaningless.
+//!   actually exercised, retries shed submissions until accepted, and
+//!   polls every job to a terminal state. A scraper thread reads
+//!   `/api/v1/metrics` throughout the burst to prove scraping under load
+//!   never wedges the accept loop. The output is the process's metrics
+//!   snapshot: the daemon's own series (the `serve.queue.depth` gauge's
+//!   `max` watermark is the burst's peak queue depth) plus a
+//!   `bench.serve.burst` span, a `bench.serve.job.latency.us` histogram
+//!   (submit-to-terminal, one value per job) and the `bench.serve.jobs`
+//!   and `bench.serve.shed429` counters. Hard failures (exit 1): no
+//!   submission was shed (the burst did not outrun the queue, so the
+//!   numbers are meaningless), the server's `serve.queue.shed` counter
+//!   disagrees with the client's observed 429s, or a job was orphaned at
+//!   shutdown.
 //!
 //! - `--mode smoke --target HOST:PORT`: drives an externally booted
 //!   daemon through the whole client lifecycle (health, upload, a small
-//!   multi-job burst, a mid-job `/metrics` scrape that must parse and
+//!   multi-job burst, a mid-job `/api/v1/metrics` read that must parse and
 //!   show a nonzero queue-depth gauge, poll, result, report, shutdown)
 //!   and exits 0 only if every step behaved. `scripts/check.sh` runs this
 //!   against a `--port 0` daemon and then asserts the daemon process
@@ -32,29 +40,16 @@
 //! - `--mode shutdown --target HOST:PORT`: POST `/api/v1/shutdown` and
 //!   expect `202` — the companion to `smoke-keep`.
 //!
-//! - `--mode diff --baseline A.json --current B.json`: obs-diff-style
-//!   gate over two `--mode load` summaries: p90 end-to-end latency may
-//!   not grow past `--fail-over PCT` (default 75) once past the
-//!   `--noise-floor-ms` floor (default 2000 — single-CPU CI runners are
-//!   noisy), and the burst must still shed at least one request — job
-//!   service time is now short enough that workers drain the queue
-//!   mid-burst, so the exact shed count races with the submit loop and
-//!   only "backpressure fired at all" is stable across runs.
-//!   Exit 0 = ok, 2 = regressed, 1 = unusable input.
-//!
 //! Usage: `serve_load [--scale F] [--seed N] [--threads N] [--out PATH]
-//!         [--mode load|smoke|smoke-keep|shutdown|diff]
-//!         [--target HOST:PORT] [--uploads N] [--queue N] [--workers N]
-//!         [--baseline PATH] [--current PATH] [--fail-over PCT]
-//!         [--noise-floor-ms N]`
+//!         [--mode load|smoke|smoke-keep|shutdown]
+//!         [--target HOST:PORT] [--uploads N] [--queue N] [--workers N]`
 
-use diffaudit_bench::{standard_dataset, BenchArgs};
+use diffaudit_bench::{standard_dataset, write_snapshot, BenchArgs};
 use diffaudit_json::Json;
 use diffaudit_obs as obs;
-use diffaudit_serve::client;
+use diffaudit_serve::{client, names};
 use diffaudit_serve::{ServeConfig, Server};
 use diffaudit_services::{Platform, TraceArtifact, TraceCategory, TraceKind};
-use diffaudit_util::stats::percentile;
 use std::time::{Duration, Instant};
 
 fn fail(msg: &str) -> ! {
@@ -178,9 +173,22 @@ fn poll_to_terminal(addr: &str, job_id: &str, timeout: Duration) -> String {
     }
 }
 
+/// Read the daemon's `GET /api/v1/metrics` snapshot; `what` names the
+/// read in failure messages. A transport error, a non-200 answer or a
+/// document that does not parse is a hard failure.
+fn scrape(addr: &str, what: &str) -> obs::Snapshot {
+    let (status, text) = client::request_text(addr, "GET", "/api/v1/metrics", &[])
+        .unwrap_or_else(|e| fail(&format!("{what} metrics read failed: {e}")));
+    if status != 200 {
+        fail(&format!("{what} metrics read returned {status}"));
+    }
+    obs::parse_snapshot(&text)
+        .unwrap_or_else(|e| fail(&format!("{what} metrics snapshot malformed: {e}")))
+}
+
 struct SubmitOutcome {
     shed: u64,
-    latency_ms: f64,
+    latency_us: u64,
     state: String,
 }
 
@@ -204,7 +212,7 @@ fn submit_and_wait(addr: &str, body: &str) -> SubmitOutcome {
                 let state = poll_to_terminal(addr, &job_id, Duration::from_secs(120));
                 return SubmitOutcome {
                     shed,
-                    latency_ms: started.elapsed().as_secs_f64() * 1000.0,
+                    latency_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
                     state,
                 };
             }
@@ -270,26 +278,21 @@ fn mode_load(args: &BenchArgs, uploads: usize, queue: usize, workers: usize, out
             obs::field("workers", workers),
         ],
     );
-    let burst_started = Instant::now();
+    let burst = obs::span("bench.serve.burst");
     let stop_scraper = std::sync::atomic::AtomicBool::new(false);
-    let (outcomes, depth_series) = std::thread::scope(|scope| {
-        // Mid-burst scraper: polls the exposition endpoint while the
-        // submitters hammer the queue, sampling the queue-depth gauge —
-        // both to record the depth series in the baseline and to prove
-        // scraping under load never wedges the accept loop.
+    let (outcomes, scrapes) = std::thread::scope(|scope| {
+        // Mid-burst scraper: reads the metrics snapshot while the
+        // submitters hammer the queue, proving scraping under load never
+        // wedges the accept loop. The peak queue depth needs no sampling:
+        // the daemon's depth gauge keeps its own max watermark.
         let scraper = scope.spawn(|| {
-            let mut series: Vec<i64> = Vec::new();
+            let mut scrapes = 0u64;
             while !stop_scraper.load(std::sync::atomic::Ordering::SeqCst) {
-                if let Ok((200, text)) = client::request_text(&addr, "GET", "/metrics", &[]) {
-                    let samples = obs::parse_exposition(&text)
-                        .unwrap_or_else(|e| fail(&format!("mid-burst exposition malformed: {e}")));
-                    if let Some(depth) = obs::gauge_value(&samples, "serve_queue_depth") {
-                        series.push(depth as i64);
-                    }
-                }
+                scrape(&addr, "mid-burst");
+                scrapes += 1;
                 std::thread::sleep(Duration::from_millis(25));
             }
-            series
+            scrapes
         });
         let handles: Vec<_> = (0..uploads)
             .map(|_| {
@@ -306,24 +309,18 @@ fn mode_load(args: &BenchArgs, uploads: usize, queue: usize, workers: usize, out
             })
             .collect();
         stop_scraper.store(true, std::sync::atomic::Ordering::SeqCst);
-        let series = match scraper.join() {
-            Ok(series) => series,
+        let scrapes = match scraper.join() {
+            Ok(scrapes) => scrapes,
             Err(_) => fail("scraper thread panicked"),
         };
-        (outcomes, series)
+        (outcomes, scrapes)
     });
-    let wall_ms = burst_started.elapsed().as_secs_f64() * 1000.0;
+    drop(burst);
 
-    // Server-side shed accounting, scraped before shutdown: the daemon's
-    // own counter must agree exactly with what the clients observed.
-    let (status, text) = client::request_text(&addr, "GET", "/metrics", &[])
-        .unwrap_or_else(|e| fail(&format!("final metrics scrape failed: {e}")));
-    if status != 200 {
-        fail(&format!("final metrics scrape returned {status}"));
-    }
-    let samples = obs::parse_exposition(&text)
-        .unwrap_or_else(|e| fail(&format!("final exposition malformed: {e}")));
-    let server_shed = obs::sum_samples(&samples, "serve_queue_shed_total").unwrap_or(0.0) as u64;
+    // Server-side shed accounting, read before shutdown: the daemon's own
+    // counter must agree exactly with what the clients observed.
+    let server = scrape(&addr, "final");
+    let server_shed = server.counter(names::QUEUE_SHED);
 
     let (status, _) = client::request_text(&addr, "POST", "/api/v1/shutdown", &[])
         .unwrap_or_else(|e| fail(&format!("shutdown failed: {e}")));
@@ -347,90 +344,34 @@ fn mode_load(args: &BenchArgs, uploads: usize, queue: usize, workers: usize, out
             "server-side serve.queue.shed ({server_shed}) disagrees with client-observed 429s ({shed})"
         ));
     }
-    let latencies: Vec<f64> = outcomes.iter().map(|o| o.latency_ms).collect();
-    let mut states: Vec<(String, i64)> = Vec::new();
     for outcome in &outcomes {
-        match states.iter_mut().find(|(s, _)| *s == outcome.state) {
-            Some((_, n)) => *n += 1,
-            None => states.push((outcome.state.clone(), 1)),
-        }
-    }
-    let q = |p: f64| percentile(&latencies, p).unwrap_or(0.0);
-    let doc = Json::obj()
-        .with("schema", Json::str("diffaudit-bench-serve/v1"))
-        .with(
-            "config",
-            Json::obj()
-                .with("uploads", Json::int(uploads as i64))
-                .with("queueCapacity", Json::int(queue as i64))
-                .with("workers", Json::int(workers as i64))
-                .with(
-                    "scale",
-                    Json::Num(diffaudit_json::Number::Float(args.scale)),
-                )
-                .with("seed", Json::int(args.seed as i64)),
-        )
-        .with("shed429", Json::int(shed as i64))
-        .with(
-            "jobs",
-            Json::obj()
-                .with("submitted", Json::int(outcomes.len() as i64))
-                .with(
-                    "states",
-                    states
-                        .into_iter()
-                        .fold(Json::obj(), |acc, (s, n)| acc.with(s, Json::int(n))),
-                ),
-        )
-        .with("wallMs", Json::Num(diffaudit_json::Number::Float(wall_ms)))
-        .with(
-            "throughputJobsPerSec",
-            Json::Num(diffaudit_json::Number::Float(
-                outcomes.len() as f64 / (wall_ms / 1000.0),
-            )),
-        )
-        .with(
-            "latencyMs",
-            Json::obj()
-                .with("p50", Json::Num(diffaudit_json::Number::Float(q(50.0))))
-                .with("p90", Json::Num(diffaudit_json::Number::Float(q(90.0))))
-                .with("p99", Json::Num(diffaudit_json::Number::Float(q(99.0)))),
-        )
-        .with(
-            "telemetry",
-            Json::obj()
-                .with("scrapes", Json::int(depth_series.len() as i64))
-                .with("serverShed", Json::int(server_shed as i64))
-                .with(
-                    "maxQueueDepth",
-                    Json::int(depth_series.iter().copied().max().unwrap_or(0)),
-                )
-                .with(
-                    "queueDepthSeries",
-                    Json::Arr(
-                        // Cap the committed series: the shape matters, not
-                        // every 25ms sample.
-                        depth_series
-                            .iter()
-                            .take(64)
-                            .map(|&d| Json::int(d))
-                            .collect(),
-                    ),
-                ),
+        obs::observe(
+            "bench.serve.job.latency.us",
+            &obs::LATENCY_US_BOUNDS,
+            outcome.latency_us,
         );
-    let rendered = doc.to_pretty_string();
-    match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, format!("{rendered}\n")) {
-                fail(&format!("cannot write {path}: {e}"));
-            }
-            obs::info(
-                "[serve_load] baseline written",
-                &[obs::field("path", path.as_str())],
-            );
-        }
-        None => println!("{rendered}"),
     }
+    obs::add("bench.serve.jobs", outcomes.len() as u64);
+    obs::add("bench.serve.shed429", shed);
+    let unclean = outcomes.iter().filter(|o| o.state != "clean").count();
+    obs::info(
+        "[serve_load] burst done",
+        &[
+            obs::field("jobs", outcomes.len()),
+            obs::field("unclean", unclean),
+            obs::field("shed429", shed),
+            obs::field("scrapes", scrapes),
+            obs::field(
+                "maxQueueDepth",
+                server
+                    .gauges
+                    .get(names::QUEUE_DEPTH)
+                    .and_then(|g| g.max)
+                    .unwrap_or(0),
+            ),
+        ],
+    );
+    write_snapshot("serve_load", out.as_deref());
 }
 
 /// Submit one job without waiting; retries shed (`429`) attempts.
@@ -490,22 +431,16 @@ fn mode_smoke(args: &BenchArgs, target: &str, keep_up: bool) {
     // mid-job scrape below can observe a nonzero queue-depth gauge.
     let job_ids: Vec<String> = (0..4).map(|_| submit_only(target, &body)).collect();
 
-    // Mid-job telemetry: the exposition endpoint must parse while jobs
-    // are live, and the queue-depth gauge must show the queued backlog.
+    // Mid-job telemetry: the metrics snapshot must parse while jobs are
+    // live, and the queue-depth gauge must show the queued backlog.
     let scrape_deadline = Instant::now() + Duration::from_secs(10);
     let mut saw_depth = false;
     while Instant::now() < scrape_deadline {
-        let (status, text) = client::request_text(target, "GET", "/metrics", &[])
-            .unwrap_or_else(|e| fail(&format!("mid-job metrics scrape failed: {e}")));
-        if status != 200 {
-            fail(&format!("mid-job metrics scrape returned {status}"));
-        }
-        let samples = obs::parse_exposition(&text)
-            .unwrap_or_else(|e| fail(&format!("mid-job exposition malformed: {e}")));
-        if obs::gauge_value(&samples, "diffaudit_uptime_seconds").is_none() {
-            fail("exposition is missing the uptime gauge");
-        }
-        if obs::gauge_value(&samples, "serve_queue_depth").unwrap_or(0.0) >= 1.0 {
+        if scrape(target, "mid-job")
+            .gauge(names::QUEUE_DEPTH)
+            .unwrap_or(0)
+            >= 1
+        {
             saw_depth = true;
             break;
         }
@@ -566,71 +501,6 @@ fn mode_shutdown(target: &str) {
     }
 }
 
-/// Obs-diff-style gate over two `--mode load` summaries. Exit 0 = ok,
-/// 2 = regressed, 1 = unusable input.
-fn mode_diff(baseline_path: &str, current_path: &str, fail_over_pct: f64, noise_floor_ms: f64) {
-    let load = |path: &str| -> Json {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-        let doc = diffaudit_json::parse(&text)
-            .unwrap_or_else(|e| fail(&format!("cannot parse {path}: {e}")));
-        if doc.get("schema").and_then(Json::as_str) != Some("diffaudit-bench-serve/v1") {
-            fail(&format!("{path} is not a diffaudit-bench-serve/v1 summary"));
-        }
-        doc
-    };
-    let baseline = load(baseline_path);
-    let current = load(current_path);
-    let p90 = |doc: &Json, path: &str| -> f64 {
-        doc.get("latencyMs")
-            .and_then(|l| l.get("p90"))
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| fail(&format!("{path} has no latencyMs.p90")))
-    };
-    let shed = |doc: &Json, path: &str| -> i64 {
-        doc.get("shed429")
-            .and_then(Json::as_i64)
-            .unwrap_or_else(|| fail(&format!("{path} has no shed429")))
-    };
-    let (base_p90, cur_p90) = (p90(&baseline, baseline_path), p90(&current, current_path));
-    let (base_shed, cur_shed) = (shed(&baseline, baseline_path), shed(&current, current_path));
-
-    let mut regressions: Vec<String> = Vec::new();
-    let growth_pct = if base_p90 > 0.0 {
-        (cur_p90 - base_p90) / base_p90 * 100.0
-    } else {
-        0.0
-    };
-    // The noise floor mirrors `obs diff`: small absolute moves on a noisy
-    // single-CPU runner are not regressions, whatever the percentage.
-    if cur_p90 - base_p90 > noise_floor_ms && growth_pct > fail_over_pct {
-        regressions.push(format!(
-            "latencyMs.p90 {base_p90:.1} -> {cur_p90:.1} (+{growth_pct:.0}%, over {fail_over_pct:.0}% and the {noise_floor_ms:.0}ms floor)"
-        ));
-    }
-    // Jobs finish fast enough that workers drain the queue mid-burst, so
-    // the exact shed count races with the submit loop; losing *all*
-    // shedding is the signal that the overload path broke (queue capacity
-    // grew, the 429 branch regressed, or the burst stopped overlapping).
-    if base_shed > 0 && cur_shed == 0 {
-        regressions.push(format!(
-            "shed429 {base_shed} -> {cur_shed} (burst no longer overloads the queue)"
-        ));
-    }
-    println!(
-        "serve bench diff: p90 {base_p90:.1}ms -> {cur_p90:.1}ms ({growth_pct:+.0}%), shed429 {base_shed} -> {cur_shed}"
-    );
-    if regressions.is_empty() {
-        println!("verdict: ok");
-    } else {
-        for regression in &regressions {
-            println!("regressed: {regression}");
-        }
-        println!("verdict: regressed");
-        std::process::exit(2);
-    }
-}
-
 fn main() {
     let (args, extra) = BenchArgs::parse_extra(&[
         "--out",
@@ -639,10 +509,6 @@ fn main() {
         "--uploads",
         "--queue",
         "--workers",
-        "--baseline",
-        "--current",
-        "--fail-over",
-        "--noise-floor-ms",
     ]);
     let mut extra = extra.into_iter();
     let out = extra.next().flatten();
@@ -660,19 +526,6 @@ fn main() {
     let uploads = parse_n(extra.next().flatten(), "--uploads", 8);
     let queue = parse_n(extra.next().flatten(), "--queue", 4);
     let workers = parse_n(extra.next().flatten(), "--workers", 2);
-    let baseline = extra.next().flatten();
-    let current = extra.next().flatten();
-    let parse_f = |v: Option<String>, name: &str, default: f64| -> f64 {
-        match v {
-            None => default,
-            Some(raw) => match raw.parse::<f64>() {
-                Ok(x) if x >= 0.0 => x,
-                _ => fail(&format!("{name} requires a non-negative number")),
-            },
-        }
-    };
-    let fail_over = parse_f(extra.next().flatten(), "--fail-over", 75.0);
-    let noise_floor_ms = parse_f(extra.next().flatten(), "--noise-floor-ms", 2000.0);
 
     let require_target = |mode: &str| -> String {
         match &target {
@@ -685,14 +538,8 @@ fn main() {
         "smoke" => mode_smoke(&args, &require_target("smoke"), false),
         "smoke-keep" => mode_smoke(&args, &require_target("smoke-keep"), true),
         "shutdown" => mode_shutdown(&require_target("shutdown")),
-        "diff" => {
-            let (Some(baseline), Some(current)) = (baseline, current) else {
-                fail("--mode diff requires --baseline PATH and --current PATH");
-            };
-            mode_diff(&baseline, &current, fail_over, noise_floor_ms);
-        }
         other => fail(&format!(
-            "unknown mode {other:?} (load|smoke|smoke-keep|shutdown|diff)"
+            "unknown mode {other:?} (load|smoke|smoke-keep|shutdown)"
         )),
     }
 }

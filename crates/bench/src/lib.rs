@@ -110,6 +110,31 @@ fn usage(message: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Write the global recorder's `diffaudit-obs/v1` snapshot to `out`, or to
+/// stdout without one. `tag` names the bench in the log events
+/// (`[tag] snapshot written`); a file that cannot be written exits 1.
+pub fn write_snapshot(tag: &str, out: Option<&str>) {
+    let doc = obs::snapshot().to_json().to_pretty_string();
+    let Some(path) = out else {
+        println!("{doc}");
+        return;
+    };
+    if let Err(err) = std::fs::write(path, format!("{doc}\n")) {
+        obs::error(
+            &format!("[{tag}] cannot write snapshot"),
+            &[
+                obs::field("path", path),
+                obs::field("error", err.to_string()),
+            ],
+        );
+        std::process::exit(1);
+    }
+    obs::info(
+        &format!("[{tag}] snapshot written"),
+        &[obs::field("path", path)],
+    );
+}
+
 /// Generate the standard dataset for these args (packaging runs on
 /// `args.threads` workers).
 pub fn standard_dataset(args: &BenchArgs) -> GeneratedDataset {

@@ -1,7 +1,15 @@
-//! Metrics diffing: compare two `diffaudit-obs/v1` [`MetricsSnapshot`]
-//! documents and render a thresholded perf-regression verdict.
+//! Reading `diffaudit-obs/v1` [`MetricsSnapshot`] documents back
+//! ([`parse_snapshot`]), and diffing two of them into a thresholded
+//! perf-regression verdict.
 //!
 //! [`MetricsSnapshot`]: crate::metrics::MetricsSnapshot
+//!
+//! [`Snapshot`] is the one client-side view of the metrics wire format:
+//! `obs diff` compares two of them, and `obs top` and the serve bench read
+//! the daemon's `GET /api/v1/metrics` answer through the same parser —
+//! counters, histograms, spans, resources, gauges (value and watermarks)
+//! and sliding windows (totals, rates and the daemon's own window
+//! quantiles).
 //!
 //! The comparison has four parts:
 //!
@@ -22,6 +30,7 @@
 //! [`estimate_quantile`]: crate::metrics::estimate_quantile
 
 use crate::metrics::estimate_quantile;
+use crate::report::format_histogram_value;
 use diffaudit_json::Json;
 use diffaudit_util::fmt::{format_bytes, format_bytes_signed, format_duration_us};
 use std::collections::BTreeMap;
@@ -116,6 +125,33 @@ pub struct ResStatsDoc {
     pub bytes_in: u64,
 }
 
+/// A gauge as stored in a snapshot document.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GaugeDoc {
+    /// The level when the snapshot was taken.
+    pub value: i64,
+    /// Lowest level seen (`None` before any sample).
+    pub min: Option<i64>,
+    /// Highest level seen (`None` before any sample).
+    pub max: Option<i64>,
+}
+
+/// A sliding-window series as stored in a snapshot document: an event
+/// counter or a value histogram.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WindowDoc {
+    /// Since-creation total: a counter window's `total`, or a histogram
+    /// window's observation `count`.
+    pub total: u64,
+    /// Events per second over the trailing minute.
+    pub rate_1m: f64,
+    /// Events per second over the trailing five minutes.
+    pub rate_5m: f64,
+    /// Window `[p50, p90, p99]` as the writer estimated them (`None` for
+    /// counter windows and empty histogram windows).
+    pub quantiles: [Option<f64>; 3],
+}
+
 /// A parsed `diffaudit-obs/v1` document.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
@@ -129,6 +165,22 @@ pub struct Snapshot {
     pub spans: BTreeMap<String, SpanStatsDoc>,
     /// Resource aggregates by name (absent in pre-profiling documents).
     pub resources: BTreeMap<String, ResStatsDoc>,
+    /// Gauges by name (absent when the writer recorded none).
+    pub gauges: BTreeMap<String, GaugeDoc>,
+    /// Sliding-window series by name (absent when the writer recorded none).
+    pub windows: BTreeMap<String, WindowDoc>,
+}
+
+impl Snapshot {
+    /// Counter `name`, zero when absent.
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
+    }
+
+    /// Gauge `name`'s current value, `None` when absent.
+    pub fn gauge(&self, name: &str) -> Option<i64> {
+        self.gauges.get(name).map(|g| g.value)
+    }
 }
 
 fn as_u64(json: &Json, what: &str) -> Result<u64, SnapshotError> {
@@ -141,6 +193,26 @@ fn opt_u64(json: Option<&Json>, what: &str) -> Result<Option<u64>, SnapshotError
     match json {
         None | Some(Json::Null) => Ok(None),
         Some(v) => as_u64(v, what).map(Some),
+    }
+}
+
+fn opt_i64(json: Option<&Json>, what: &str) -> Result<Option<i64>, SnapshotError> {
+    match json {
+        None | Some(Json::Null) => Ok(None),
+        Some(v) => v
+            .as_i64()
+            .map(Some)
+            .ok_or_else(|| SnapshotError::Shape(format!("{what} is not an integer"))),
+    }
+}
+
+fn opt_f64(json: Option<&Json>, what: &str) -> Result<Option<f64>, SnapshotError> {
+    match json {
+        None | Some(Json::Null) => Ok(None),
+        Some(v) => v
+            .as_f64()
+            .map(Some)
+            .ok_or_else(|| SnapshotError::Shape(format!("{what} is not a number"))),
     }
 }
 
@@ -232,6 +304,39 @@ pub fn parse_snapshot(text: &str) -> Result<Snapshot, SnapshotError> {
                     rss_delta_bytes: r.get("rssDeltaB").and_then(Json::as_i64).unwrap_or(0),
                     cpu_us: opt_u64(r.get("cpuUs"), "resource cpuUs")?.unwrap_or(0),
                     bytes_in: opt_u64(r.get("bytesIn"), "resource bytesIn")?.unwrap_or(0),
+                },
+            );
+        }
+    }
+    if let Some(gauges) = json.get("gauges").and_then(Json::as_obj) {
+        for (name, g) in gauges {
+            snapshot.gauges.insert(
+                name.clone(),
+                GaugeDoc {
+                    value: opt_i64(g.get("value"), "gauge value")?
+                        .ok_or_else(|| SnapshotError::Shape(format!("gauge {name} lacks value")))?,
+                    min: opt_i64(g.get("min"), "gauge min")?,
+                    max: opt_i64(g.get("max"), "gauge max")?,
+                },
+            );
+        }
+    }
+    if let Some(windows) = json.get("windows").and_then(Json::as_obj) {
+        for (name, w) in windows {
+            let lacks = |key: &str| SnapshotError::Shape(format!("window {name} lacks {key}"));
+            let rate = |key: &str| opt_f64(w.get(key), key)?.ok_or_else(|| lacks(key));
+            snapshot.windows.insert(
+                name.clone(),
+                WindowDoc {
+                    total: opt_u64(w.get("total").or(w.get("count")), "window total")?
+                        .ok_or_else(|| lacks("total or count"))?,
+                    rate_1m: rate("rate1m")?,
+                    rate_5m: rate("rate5m")?,
+                    quantiles: [
+                        opt_f64(w.get("p50"), "window p50")?,
+                        opt_f64(w.get("p90"), "window p90")?,
+                        opt_f64(w.get("p99"), "window p99")?,
+                    ],
                 },
             );
         }
@@ -570,8 +675,11 @@ fn format_rel(rel: f64, tolerance: f64) -> String {
     }
 }
 
-fn format_quantile(q: Option<f64>) -> String {
-    q.map_or_else(|| "-".to_string(), |v| format_duration_us(v.round() as u64))
+fn format_quantile(name: &str, q: Option<f64>) -> String {
+    q.map_or_else(
+        || "-".to_string(),
+        |v| format_histogram_value(name, v.round() as u64),
+    )
 }
 
 /// Render the diff as a text report.
@@ -684,12 +792,12 @@ pub fn render_diff(diff: &MetricsDiff, options: &DiffOptions) -> String {
             out.push_str(&format!(
                 "  {}: {} -> {} / {} -> {} / {} -> {}\n",
                 h.name,
-                format_quantile(h.base_p[0]),
-                format_quantile(h.current_p[0]),
-                format_quantile(h.base_p[1]),
-                format_quantile(h.current_p[1]),
-                format_quantile(h.base_p[2]),
-                format_quantile(h.current_p[2]),
+                format_quantile(&h.name, h.base_p[0]),
+                format_quantile(&h.name, h.current_p[0]),
+                format_quantile(&h.name, h.base_p[1]),
+                format_quantile(&h.name, h.current_p[1]),
+                format_quantile(&h.name, h.base_p[2]),
+                format_quantile(&h.name, h.current_p[2]),
             ));
         }
     }
@@ -942,6 +1050,103 @@ mod tests {
             &DiffOptions::default(),
         );
         assert_eq!(diff.verdict, Verdict::Ok);
+    }
+
+    #[test]
+    fn histogram_shifts_render_in_the_unit_the_name_declares() {
+        let mut m = Metrics::new();
+        for _ in 0..4 {
+            m.observe(
+                "capture.bytes",
+                &crate::metrics::BYTE_BOUNDS,
+                4 * 1024 * 1024,
+            );
+            m.observe("unit.exchanges", &crate::metrics::RECORD_BOUNDS, 150);
+        }
+        let doc = MetricsSnapshot {
+            metrics: m,
+            uptime_us: 10,
+        }
+        .to_json()
+        .to_pretty_string();
+        let snap = parse_snapshot(&doc).unwrap();
+        let text = render_diff(
+            &diff_snapshots(&snap, &snap, &DiffOptions::default()),
+            &DiffOptions::default(),
+        );
+        // Byte sizes render as sizes, counts as plain integers — neither
+        // as a duration.
+        assert!(
+            text.contains(
+                "\n  capture.bytes: 4.00MiB -> 4.00MiB / 4.00MiB -> 4.00MiB / 4.00MiB -> 4.00MiB\n"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.contains("\n  unit.exchanges: 150 -> 150 / 150 -> 150 / 150 -> 150\n"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn gauges_and_windows_round_trip_through_the_snapshot_document() {
+        let mut m = Metrics::new();
+        m.gauge_set("queue.depth", 4);
+        m.gauge_sub("queue.depth", 3);
+        m.gauge_add("queue.depth", 1);
+        m.window_add("reqs.window", 9);
+        for v in [50, 500, 5_000, 50_000] {
+            m.window_observe("lat.window.us", &LATENCY_US_BOUNDS, v);
+        }
+        let original = MetricsSnapshot {
+            metrics: m,
+            uptime_us: 1_000,
+        };
+        let snap = parse_snapshot(&original.to_json().to_pretty_string()).unwrap();
+
+        let gauge = original.metrics.gauge("queue.depth").unwrap();
+        assert_eq!(
+            snap.gauges.get("queue.depth"),
+            Some(&GaugeDoc {
+                value: gauge.value(),
+                min: gauge.min(),
+                max: gauge.max(),
+            })
+        );
+        assert_eq!(snap.gauge("queue.depth"), Some(2));
+        assert_eq!(snap.gauges["queue.depth"].max, Some(4));
+        assert_eq!(snap.gauges["queue.depth"].min, Some(1));
+
+        let Some(crate::metrics::Windowed::Counter(counter)) =
+            original.metrics.window("reqs.window")
+        else {
+            panic!("counter window missing");
+        };
+        assert_eq!(
+            snap.windows.get("reqs.window"),
+            Some(&WindowDoc {
+                total: 9,
+                rate_1m: counter.rate_1m(),
+                rate_5m: counter.rate_5m(),
+                quantiles: [None; 3],
+            })
+        );
+
+        let Some(crate::metrics::Windowed::Histogram(hist)) =
+            original.metrics.window("lat.window.us")
+        else {
+            panic!("histogram window missing");
+        };
+        assert_eq!(
+            snap.windows.get("lat.window.us"),
+            Some(&WindowDoc {
+                total: 4,
+                rate_1m: hist.rate_1m(),
+                rate_5m: hist.rate_5m(),
+                quantiles: [0.5, 0.9, 0.99].map(|q| hist.window_quantile(q)),
+            })
+        );
+        assert!(snap.windows["lat.window.us"].quantiles[0].is_some());
     }
 
     #[test]

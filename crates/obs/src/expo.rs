@@ -1,5 +1,11 @@
-//! Prometheus-style text exposition of a [`MetricsSnapshot`] — and the
-//! inverse parser the `obs top` live view feeds on.
+//! Prometheus-style text exposition of a [`MetricsSnapshot`], served on
+//! the daemon's `GET /metrics` for external scrapers.
+//!
+//! The exposition is render-only: every repo tool (`obs top`, the serve
+//! bench) reads the `diffaudit-obs/v1` JSON on `GET /api/v1/metrics`
+//! through [`crate::compare::parse_snapshot`] instead. The wire format
+//! itself is pinned by exact-line tests below and by the independent
+//! parser in the serve integration tests.
 //!
 //! The renderer is std-only and emits the classic text format (content
 //! type `text/plain; version=0.0.4`): one `# HELP`/`# TYPE` pair per
@@ -17,7 +23,7 @@
 //! Ordering is deterministic (sorted by family, then label set), so two
 //! scrapes of an idle daemon are byte-identical.
 
-use crate::metrics::{estimate_quantile, Histogram, MetricsSnapshot, Windowed};
+use crate::metrics::{Histogram, MetricsSnapshot, Windowed};
 use std::collections::BTreeMap;
 
 /// Sanitize a registry name into the exposition alphabet: keep
@@ -236,207 +242,6 @@ pub fn render_exposition(snapshot: &MetricsSnapshot) -> String {
     out
 }
 
-/// One parsed sample line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sample {
-    /// The full metric name (family plus any `_total`/`_bucket` suffix).
-    pub name: String,
-    /// Label key/value pairs in source order.
-    pub labels: Vec<(String, String)>,
-    /// The sample value.
-    pub value: f64,
-}
-
-impl Sample {
-    /// The value of label `key`, if present.
-    pub fn label(&self, key: &str) -> Option<&str> {
-        self.labels
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// Parse a text exposition back into samples. Comment (`#`) and blank
-/// lines are skipped; any other malformed line is an error naming the
-/// line number — a scrape either parses fully or not at all.
-pub fn parse_exposition(text: &str) -> Result<Vec<Sample>, String> {
-    let mut samples = Vec::new();
-    for (index, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        samples.push(parse_sample(line).map_err(|why| format!("line {}: {why}", index + 1))?);
-    }
-    Ok(samples)
-}
-
-fn parse_sample(line: &str) -> Result<Sample, String> {
-    let (series, value_text) = match line.find('{') {
-        Some(open) => {
-            let close = line.rfind('}').ok_or("unclosed label block")?;
-            if close < open {
-                return Err("mismatched braces".to_string());
-            }
-            (&line[..close + 1], line[close + 1..].trim())
-        }
-        None => {
-            let at = line
-                .find(char::is_whitespace)
-                .ok_or("sample line without a value")?;
-            (&line[..at], line[at..].trim())
-        }
-    };
-    let value = parse_value(value_text)?;
-    let (name, labels) = match series.split_once('{') {
-        Some((name, rest)) => {
-            let inner = rest.strip_suffix('}').ok_or("unclosed label block")?;
-            (name, parse_labels(inner)?)
-        }
-        None => (series, Vec::new()),
-    };
-    if name.is_empty()
-        || !name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-        || name.starts_with(|c: char| c.is_ascii_digit())
-    {
-        return Err(format!("invalid metric name {name:?}"));
-    }
-    Ok(Sample {
-        name: name.to_string(),
-        labels,
-        value,
-    })
-}
-
-fn parse_value(text: &str) -> Result<f64, String> {
-    // A timestamp may trail the value; we only keep the value.
-    let first = text.split_whitespace().next().ok_or("missing value")?;
-    match first {
-        "+Inf" | "Inf" => Ok(f64::INFINITY),
-        "-Inf" => Ok(f64::NEG_INFINITY),
-        "NaN" => Ok(f64::NAN),
-        v => v.parse().map_err(|_| format!("bad value {v:?}")),
-    }
-}
-
-fn parse_labels(inner: &str) -> Result<Vec<(String, String)>, String> {
-    let mut labels = Vec::new();
-    let bytes = inner.as_bytes();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        // key
-        let key_start = i;
-        while i < bytes.len() && bytes[i] != b'=' {
-            i += 1;
-        }
-        if i >= bytes.len() {
-            return Err("label without '='".to_string());
-        }
-        let key = inner[key_start..i].trim().to_string();
-        i += 1; // '='
-        if bytes.get(i) != Some(&b'"') {
-            return Err("label value must be quoted".to_string());
-        }
-        i += 1;
-        let mut value = String::new();
-        loop {
-            match bytes.get(i) {
-                Some(b'\\') => {
-                    match bytes.get(i + 1) {
-                        Some(b'\\') => value.push('\\'),
-                        Some(b'"') => value.push('"'),
-                        Some(b'n') => value.push('\n'),
-                        _ => return Err("bad escape in label value".to_string()),
-                    }
-                    i += 2;
-                }
-                Some(b'"') => {
-                    i += 1;
-                    break;
-                }
-                Some(&b) => {
-                    // Label values are UTF-8; walk whole chars.
-                    let ch_len = utf8_len(b);
-                    value.push_str(inner.get(i..i + ch_len).ok_or("truncated label value")?);
-                    i += ch_len;
-                }
-                None => return Err("unterminated label value".to_string()),
-            }
-        }
-        labels.push((key, value));
-        if bytes.get(i) == Some(&b',') {
-            i += 1;
-        }
-    }
-    Ok(labels)
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        b if b >= 0xF0 => 4,
-        b if b >= 0xE0 => 3,
-        b if b >= 0xC0 => 2,
-        _ => 1,
-    }
-}
-
-/// Sum every sample named `name` across its label sets (`None` when the
-/// name is absent) — the aggregation `obs top` uses for totals.
-pub fn sum_samples(samples: &[Sample], name: &str) -> Option<f64> {
-    let mut total = 0.0;
-    let mut seen = false;
-    for sample in samples.iter().filter(|s| s.name == name) {
-        total += sample.value;
-        seen = true;
-    }
-    seen.then_some(total)
-}
-
-/// Estimate the `q`-quantile of histogram family `family` from its
-/// `_bucket` samples, merging all label sets. The exposition carries no
-/// min/max, so the estimate uses `[0, largest finite bound]` as the
-/// envelope — good enough for a live view.
-pub fn histogram_quantile(samples: &[Sample], family: &str, q: f64) -> Option<f64> {
-    let bucket_name = format!("{family}_bucket");
-    let mut by_bound: BTreeMap<Option<u64>, f64> = BTreeMap::new();
-    for sample in samples.iter().filter(|s| s.name == bucket_name) {
-        let le = sample.label("le")?;
-        let bound = if le == "+Inf" {
-            None
-        } else {
-            Some(le.parse::<u64>().ok()?)
-        };
-        *by_bound.entry(bound).or_insert(0.0) += sample.value;
-    }
-    if by_bound.is_empty() {
-        return None;
-    }
-    // Cumulative → per-bucket counts, finite bounds ascending then +Inf.
-    let mut bounds: Vec<Option<u64>> = by_bound.keys().copied().filter(Option::is_some).collect();
-    bounds.sort();
-    bounds.push(None);
-    let mut buckets: Vec<(Option<u64>, u64)> = Vec::with_capacity(bounds.len());
-    let mut previous = 0.0;
-    for bound in bounds {
-        let cumulative = by_bound.get(&bound).copied().unwrap_or(previous);
-        let count = (cumulative - previous).max(0.0) as u64;
-        buckets.push((bound, count));
-        previous = cumulative;
-    }
-    let count = previous as u64;
-    let max = buckets.iter().rev().find_map(|(b, _)| *b).unwrap_or(0);
-    estimate_quantile(&buckets, count, 0, max, q)
-}
-
-/// A gauge's current value by exposition name (first label set wins —
-/// gauges the daemon publishes are unlabelled).
-pub fn gauge_value(samples: &[Sample], name: &str) -> Option<f64> {
-    samples.iter().find(|s| s.name == name).map(|s| s.value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -535,7 +340,7 @@ mod tests {
     }
 
     #[test]
-    fn exposition_round_trips_through_the_parser() {
+    fn rendering_matches_the_text_format_line_for_line() {
         let mut m = Metrics::new();
         m.add("serve.http.requests", 7);
         m.gauge_set("serve.queue.depth", 2);
@@ -544,37 +349,30 @@ mod tests {
             &LATENCY_US_BOUNDS,
             5_000,
         );
-        let text = render_exposition(&snapshot(m));
-        let samples = parse_exposition(&text).expect("parses");
-        assert_eq!(
-            sum_samples(&samples, "serve_http_requests_total"),
-            Some(7.0)
-        );
-        assert_eq!(gauge_value(&samples, "serve_queue_depth"), Some(2.0));
-        let bucket = samples
-            .iter()
-            .find(|s| s.name == "serve_http_latency_us_bucket" && s.label("le") == Some("+Inf"))
-            .expect("+Inf bucket");
-        assert_eq!(bucket.value, 1.0);
-        assert_eq!(bucket.label("endpoint"), Some("jobs"));
-        let p = histogram_quantile(&samples, "serve_http_latency_us", 0.9).expect("quantile");
-        assert!((0.0..=10_000_000.0).contains(&p), "{p}");
-    }
-
-    #[test]
-    fn parser_rejects_malformed_lines_with_a_line_number() {
-        assert!(parse_exposition("ok 1\n").is_ok());
-        let err = parse_exposition("ok 1\nbroken{le=\"x\" 2\n").expect_err("malformed");
-        assert!(err.contains("line 2"), "{err}");
-        assert!(parse_exposition("9bad 1\n").is_err());
-        assert!(parse_exposition("noval\n").is_err());
-    }
-
-    #[test]
-    fn parser_handles_escapes_and_inf() {
-        let samples = parse_exposition("m{path=\"a\\\\b\\\"c\"} +Inf\n").expect("parses");
-        assert_eq!(samples[0].label("path"), Some("a\\b\"c"));
-        assert!(samples[0].value.is_infinite());
+        let expected = "\
+# HELP serve_http_requests_total diffaudit counter
+# TYPE serve_http_requests_total counter
+serve_http_requests_total 7
+# HELP diffaudit_uptime_seconds diffaudit gauge
+# TYPE diffaudit_uptime_seconds gauge
+diffaudit_uptime_seconds 2.5
+# HELP serve_queue_depth diffaudit gauge
+# TYPE serve_queue_depth gauge
+serve_queue_depth 2
+# HELP serve_http_latency_us diffaudit histogram
+# TYPE serve_http_latency_us histogram
+serve_http_latency_us_bucket{endpoint=\"jobs\",status=\"2xx\",le=\"10\"} 0
+serve_http_latency_us_bucket{endpoint=\"jobs\",status=\"2xx\",le=\"100\"} 0
+serve_http_latency_us_bucket{endpoint=\"jobs\",status=\"2xx\",le=\"1000\"} 0
+serve_http_latency_us_bucket{endpoint=\"jobs\",status=\"2xx\",le=\"10000\"} 1
+serve_http_latency_us_bucket{endpoint=\"jobs\",status=\"2xx\",le=\"100000\"} 1
+serve_http_latency_us_bucket{endpoint=\"jobs\",status=\"2xx\",le=\"1000000\"} 1
+serve_http_latency_us_bucket{endpoint=\"jobs\",status=\"2xx\",le=\"10000000\"} 1
+serve_http_latency_us_bucket{endpoint=\"jobs\",status=\"2xx\",le=\"+Inf\"} 1
+serve_http_latency_us_sum{endpoint=\"jobs\",status=\"2xx\"} 5000
+serve_http_latency_us_count{endpoint=\"jobs\",status=\"2xx\"} 1
+";
+        assert_eq!(render_exposition(&snapshot(m)), expected);
     }
 
     #[test]
@@ -599,25 +397,8 @@ mod tests {
         assert!(text.contains("\ndiffaudit_process_resident_bytes 4096\n"));
     }
 
-    /// Reconstruct the exposition line a sample came from.
-    fn line_of(sample: &Sample) -> String {
-        let labels = sample
-            .labels
-            .iter()
-            .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-            .collect::<Vec<_>>()
-            .join(",");
-        let name = if labels.is_empty() {
-            sample.name.clone()
-        } else {
-            format!("{}{{{labels}}}", sample.name)
-        };
-        format!("{name} {}", render_value(sample.value))
-    }
-
     #[test]
-    fn render_parse_render_is_a_fixpoint() {
-        use std::collections::BTreeSet;
+    fn every_series_kind_renders_its_exact_sample_lines() {
         let mut m = Metrics::new();
         m.add("pipeline.units", 14);
         m.add("serve.http.requests{endpoint=\"jobs\"}", 3);
@@ -625,76 +406,51 @@ mod tests {
         m.observe("lat", &LATENCY_US_BOUNDS, 5_000);
         m.window_add("reqs", 9);
         m.gauge_set(crate::res::PROCESS_CPU_US_GAUGE, 1_234_567);
-        let first = render_exposition(&snapshot(m));
-        let samples = parse_exposition(&first).expect("first parse");
-        // Reconstructing each sample's line reproduces exactly the
-        // non-comment lines of the original rendering…
-        let rendered: BTreeSet<&str> = first
-            .lines()
-            .filter(|l| !l.starts_with('#') && !l.is_empty())
-            .collect();
-        let reconstructed: BTreeSet<String> = samples.iter().map(line_of).collect();
+        let text = render_exposition(&snapshot(m));
+        let samples: Vec<&str> = text.lines().filter(|l| !l.starts_with('#')).collect();
         assert_eq!(
-            rendered,
-            reconstructed.iter().map(String::as_str).collect(),
-            "render→parse→render drifted"
+            samples,
+            [
+                // Counters, by family: the CPU gauge re-exported in seconds,
+                // a plain counter, a window's monotonic total, a labelled one.
+                "diffaudit_process_cpu_seconds_total 1.234567",
+                "pipeline_units_total 14",
+                "reqs_total 9",
+                "serve_http_requests_total{endpoint=\"jobs\"} 3",
+                // Gauges: uptime, the window's rates (9 events over 60 s and
+                // 300 s), and a negative level.
+                "diffaudit_uptime_seconds 2.5",
+                "reqs_rate_1m 0.15",
+                "reqs_rate_5m 0.03",
+                "serve_queue_depth -2",
+                // The histogram: cumulative buckets, then sum and count.
+                "lat_bucket{le=\"10\"} 0",
+                "lat_bucket{le=\"100\"} 0",
+                "lat_bucket{le=\"1000\"} 0",
+                "lat_bucket{le=\"10000\"} 1",
+                "lat_bucket{le=\"100000\"} 1",
+                "lat_bucket{le=\"1000000\"} 1",
+                "lat_bucket{le=\"10000000\"} 1",
+                "lat_bucket{le=\"+Inf\"} 1",
+                "lat_sum 5000",
+                "lat_count 1",
+            ]
         );
-        // …and the reconstruction parses back to the same samples.
-        let text: String = samples.iter().map(|s| line_of(s) + "\n").collect();
-        assert_eq!(parse_exposition(&text).expect("second parse"), samples);
     }
 
     #[test]
     fn hostile_label_values_survive_the_round_trip() {
-        // Raw value: a"b\c<newline>d — every escapable char at once.
+        // Raw value: a"b\c<newline>d — every escapable char at once. It must
+        // come out as one sample line with each character escaped.
         let raw = "a\"b\\c\nd";
         let mut m = Metrics::new();
         m.add(&format!("weird{{path=\"{raw}\"}}"), 1);
         let text = render_exposition(&snapshot(m));
-        let samples = parse_exposition(&text).expect("parses");
-        let sample = samples
-            .iter()
-            .find(|s| s.name == "weird_total")
-            .expect("weird_total sample");
-        assert_eq!(sample.label("path"), Some(raw));
-        // And the reconstruction round-trips a second time.
-        let again = parse_exposition(&format!("{}\n", line_of(sample))).expect("reparses");
-        assert_eq!(again[0].label("path"), Some(raw));
-    }
-
-    #[test]
-    fn empty_histograms_with_only_sum_and_count_parse_without_quantiles() {
-        let text = "empty_sum 0\nempty_count 0\n";
-        let samples = parse_exposition(text).expect("parses");
-        assert_eq!(sum_samples(&samples, "empty_count"), Some(0.0));
-        // No _bucket series → no quantile, not a panic or a zero guess.
-        assert_eq!(histogram_quantile(&samples, "empty", 0.5), None);
-    }
-
-    #[test]
-    fn overflow_only_histogram_quantile_collapses_to_the_envelope() {
-        // Every observation above every bound: the only bucket is +Inf.
-        let text = "only_bucket{le=\"+Inf\"} 3\nonly_sum 999\nonly_count 3\n";
-        let samples = parse_exposition(text).expect("parses");
-        // With no finite bound the envelope is [0, 0]; the estimate
-        // degrades to its only defensible value instead of erroring.
-        assert_eq!(histogram_quantile(&samples, "only", 0.5), Some(0.0));
-        assert_eq!(histogram_quantile(&samples, "only", 0.99), Some(0.0));
-    }
-
-    #[test]
-    fn histogram_quantile_decumulates_buckets() {
-        let text = "\
-lat_bucket{le=\"10\"} 5
-lat_bucket{le=\"100\"} 10
-lat_bucket{le=\"+Inf\"} 10
-lat_sum 300
-lat_count 10
-";
-        let samples = parse_exposition(text).expect("parses");
-        let p50 = histogram_quantile(&samples, "lat", 0.5).expect("p50");
-        assert!((0.0..=10.0).contains(&p50), "{p50}");
-        let p99 = histogram_quantile(&samples, "lat", 0.99).expect("p99");
-        assert!((10.0..=100.0).contains(&p99), "{p99}");
+        let samples: Vec<&str> = text.lines().filter(|l| l.starts_with("weird")).collect();
+        assert_eq!(
+            samples,
+            ["weird_total{path=\"a\\\"b\\\\c\\nd\"} 1"],
+            "{text}"
+        );
     }
 }

@@ -22,7 +22,8 @@
 //!   and sliding-window series ([`metrics::WindowedCounter`] /
 //!   [`metrics::WindowedHistogram`]: 1m/5m rates, window quantiles),
 //!   merged associatively like counters, plus a Prometheus-style text
-//!   exposition renderer/parser ([`expo`]).
+//!   exposition renderer for external scrapers ([`expo`]). Repo tools
+//!   read snapshots back through one parser, [`parse_snapshot`].
 //! - **Sinks** — a human-readable stderr logger (the only sanctioned
 //!   `eprintln!` in the instrumented crates) and a machine-readable JSONL
 //!   trace writer built on `diffaudit-json`.
@@ -45,12 +46,11 @@ pub mod sink;
 pub mod trace;
 
 pub use compare::{
-    diff_snapshots, parse_snapshot, render_diff, DiffOptions, MetricsDiff, Snapshot, Verdict,
+    diff_snapshots, parse_snapshot, render_diff, DiffOptions, GaugeDoc, MetricsDiff, Snapshot,
+    Verdict, WindowDoc,
 };
 pub use event::{field, Field, FieldValue};
-pub use expo::{
-    gauge_value, histogram_quantile, parse_exposition, render_exposition, sum_samples, Sample,
-};
+pub use expo::render_exposition;
 pub use level::Level;
 pub use metrics::{
     estimate_quantile, Gauge, Histogram, Metrics, MetricsSnapshot, ResStats, SpanStats, Windowed,

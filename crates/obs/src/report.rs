@@ -8,6 +8,20 @@ use diffaudit_util::fmt::{format_bytes, format_duration_us};
 /// (`salvage.<stage>.processed` / `salvage.<stage>.dropped`).
 pub const SALVAGE_PREFIX: &str = "salvage.";
 
+/// Render one histogram value in the unit its name declares: a `.bytes`
+/// suffix formats a byte size, `.us` a duration, anything else a plain
+/// count. A label suffix (`name{k="v"}`) is ignored when matching.
+pub fn format_histogram_value(name: &str, value: u64) -> String {
+    let base = name.split_once('{').map_or(name, |(base, _)| base);
+    if base.ends_with(".bytes") {
+        format_bytes(value)
+    } else if base.ends_with(".us") {
+        format_duration_us(value)
+    } else {
+        value.to_string()
+    }
+}
+
 /// Render the pipeline run report.
 ///
 /// Sections: a span timing table (name, calls, total, max), the counter
@@ -67,13 +81,7 @@ pub fn render_run_report(snapshot: &MetricsSnapshot) -> String {
     if !histograms.is_empty() {
         out.push_str("\ndistributions:\n");
         for (name, h) in &histograms {
-            let fmt_value: fn(u64) -> String = if name.ends_with(".bytes") {
-                format_bytes
-            } else if name.ends_with(".us") {
-                format_duration_us
-            } else {
-                |v| v.to_string()
-            };
+            let fmt_value = |v: u64| format_histogram_value(name, v);
             let quantile = |q: f64| {
                 h.quantile(q)
                     .map_or_else(|| "-".to_string(), |v| fmt_value(v.round() as u64))

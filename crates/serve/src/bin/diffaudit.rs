@@ -49,23 +49,22 @@
 //!
 //! diffaudit obs diff BASELINE.json CURRENT.json [--fail-over PCT]
 //!                    [--fail-rss-over PCT] [--noise-floor-ms N]
-//!     Diff two `--metrics-out` documents: per-stage wall-time deltas,
-//!     counter deltas, bucket-derived p50/p90/p99 shifts, resource
-//!     (peak-RSS) deltas, conservation checks, and an ok/regressed
-//!     verdict. `--fail-over PCT` turns wall-time growth past PCT percent
-//!     (and past the noise floor) into exit code 2, so CI can gate on a
-//!     committed baseline; `--fail-rss-over PCT` gates peak-RSS growth the
-//!     same way (4MiB noise floor). The wall-time noise floor is
-//!     milliseconds (`--noise-floor-ms`, default 20ms, the same unit
-//!     `serve_load --mode diff` uses; `--noise-floor-us` remains as a
-//!     microsecond alias). Exit codes: 0 = ok, 2 = regressed, 1 = unusable
-//!     input or bad usage.
+//!     Diff two `diffaudit-obs/v1` documents (`--metrics-out`, the bench
+//!     baselines): per-stage wall-time deltas, counter deltas,
+//!     bucket-derived p50/p90/p99 shifts, resource (peak-RSS) deltas,
+//!     conservation checks, and an ok/regressed verdict. `--fail-over PCT`
+//!     turns wall-time growth past PCT percent (and past the noise floor)
+//!     into exit code 2, so CI can gate on a committed baseline;
+//!     `--fail-rss-over PCT` gates peak-RSS growth the same way (4MiB
+//!     noise floor). `--noise-floor-ms` sets the wall-time noise floor in
+//!     milliseconds (default 20ms). Exit codes: 0 = ok, 2 = regressed,
+//!     1 = unusable input or bad usage.
 //!
 //! diffaudit obs top URL [--once] [--interval-ms N]
-//!     Poll a running daemon's `GET /metrics` exposition endpoint and
-//!     render a refreshing queue/worker/latency table to stderr. URL is
+//!     Poll a running daemon's `GET /api/v1/metrics` snapshot and render a
+//!     refreshing queue/worker/latency table to stderr. URL is
 //!     `http://host:port` or bare `host:port`. Exit codes: 0 = clean
-//!     (including the daemon draining away mid-watch), 2 = exposition
+//!     (including the daemon draining away mid-watch), 2 = the snapshot
 //!     stopped parsing after a successful poll, 1 = never connected.
 //!
 //! diffaudit obs tail URL [--once] [--interval-ms N] [--level warn|error]
@@ -698,17 +697,6 @@ fn parse_target(url: &str) -> String {
     stripped.trim_end_matches('/').to_string()
 }
 
-/// Human-readable microsecond duration for the live views.
-fn human_us(us: f64) -> String {
-    if us < 1_000.0 {
-        format!("{us:.0}us")
-    } else if us < 1_000_000.0 {
-        format!("{:.1}ms", us / 1_000.0)
-    } else {
-        format!("{:.2}s", us / 1_000_000.0)
-    }
-}
-
 /// Shared polling state for the live views' exit contract: 0 = clean
 /// (including the daemon going away after at least one successful poll),
 /// 2 = the endpoint answered but the payload was malformed after at least
@@ -742,11 +730,11 @@ impl PollOutcome {
     }
 }
 
-/// `obs top URL [--once] [--interval-ms N]` — poll `GET /metrics` and
-/// render a refreshing queue/worker/latency table to stderr.
+/// `obs top URL [--once] [--interval-ms N]` — poll `GET /api/v1/metrics`
+/// and render a refreshing queue/worker/latency table to stderr.
 ///
 /// Exit contract: 0 = clean (a daemon that drains away mid-watch is a
-/// clean exit once at least one poll succeeded), 2 = exposition stopped
+/// clean exit once at least one poll succeeded), 2 = the snapshot stopped
 /// parsing after a successful poll, 1 = never connected or bad usage.
 fn cmd_obs_top(args: &[String]) -> ExitCode {
     let mut target: Option<String> = None;
@@ -771,19 +759,20 @@ fn cmd_obs_top(args: &[String]) -> ExitCode {
     };
     let mut outcome = PollOutcome::new();
     loop {
-        let body = match diffaudit_serve::client::request_text(&addr, "GET", "/metrics", b"") {
+        let body = match diffaudit_serve::client::request_text(&addr, "GET", "/api/v1/metrics", b"")
+        {
             Ok((200, body)) => body,
             Ok((status, _)) => {
-                return outcome.payload_malformed(&format!("/metrics answered {status}"));
+                return outcome.payload_malformed(&format!("/api/v1/metrics answered {status}"));
             }
             Err(_) => return outcome.transport_failed(&addr),
         };
-        let samples = match obs::parse_exposition(&body) {
-            Ok(samples) => samples,
-            Err(e) => return outcome.payload_malformed(&e),
+        let snapshot = match obs::parse_snapshot(&body) {
+            Ok(snapshot) => snapshot,
+            Err(e) => return outcome.payload_malformed(&e.to_string()),
         };
         outcome.successes += 1;
-        obs::write_stderr_block(&render_top(&addr, &samples));
+        obs::write_stderr_block(&render_top(&addr, &snapshot));
         if once {
             return ExitCode::from(0);
         }
@@ -791,62 +780,69 @@ fn cmd_obs_top(args: &[String]) -> ExitCode {
     }
 }
 
-/// Render one `obs top` frame from parsed exposition samples.
-fn render_top(addr: &str, samples: &[obs::Sample]) -> String {
-    let gauge = |name: &str| obs::gauge_value(samples, name).unwrap_or(0.0);
-    let counter = |name: &str| obs::sum_samples(samples, name).unwrap_or(0.0);
+/// Render one `obs top` frame from the daemon's metrics snapshot. Every
+/// figure is the daemon's own: the latency line shows the p50/p90 its
+/// sliding latency window estimated, so the client computes no quantiles.
+fn render_top(addr: &str, snapshot: &obs::Snapshot) -> String {
+    use diffaudit_serve::names;
+    use diffaudit_util::fmt::{format_bytes, format_duration_us};
+    let gauge = |name: &str| snapshot.gauge(name).unwrap_or(0);
+    let counter = |name: &str| snapshot.counter(name);
     let mut out = String::new();
     out.push_str(&format!(
         "diffaudit obs top — {addr} (uptime {:.1}s)\n",
-        gauge("diffaudit_uptime_seconds")
+        snapshot.uptime_us as f64 / 1e6
     ));
     out.push_str(&format!(
         "  queue depth {:>4}   in-flight {:>4}   busy workers {:>4}\n",
-        gauge("serve_queue_depth"),
-        gauge("serve_jobs_in_flight"),
-        gauge("serve_workers_busy"),
+        gauge(names::QUEUE_DEPTH),
+        gauge(names::JOBS_IN_FLIGHT),
+        gauge(names::WORKERS_BUSY),
     ));
     out.push_str(&format!(
         "  jobs: submitted {} finished {} panicked {} shed(429) {}\n",
-        counter("serve_jobs_submitted_total"),
-        counter("serve_jobs_finished_total"),
-        counter("serve_jobs_panicked_total"),
-        counter("serve_queue_shed_total"),
+        counter(names::JOBS_SUBMITTED),
+        counter(names::JOBS_FINISHED),
+        counter(names::JOBS_PANICKED),
+        counter(names::QUEUE_SHED),
     ));
+    let requests = snapshot.windows.get(names::HTTP_REQUESTS_WINDOW);
     out.push_str(&format!(
         "  http: requests {} ({:.2}/s over 1m, {:.2}/s over 5m)\n",
-        counter("serve_http_requests_total"),
-        gauge("serve_http_requests_window_rate_1m"),
-        gauge("serve_http_requests_window_rate_5m"),
+        counter(names::HTTP_REQUESTS),
+        requests.map_or(0.0, |w| w.rate_1m),
+        requests.map_or(0.0, |w| w.rate_5m),
     ));
-    let p50 = obs::histogram_quantile(samples, "serve_http_latency_us", 0.50);
-    let p90 = obs::histogram_quantile(samples, "serve_http_latency_us", 0.90);
-    match (p50, p90) {
-        (Some(p50), Some(p90)) => out.push_str(&format!(
+    let latency = snapshot
+        .windows
+        .get(names::HTTP_LATENCY_WINDOW)
+        .map_or([None; 3], |w| w.quantiles);
+    match latency {
+        [Some(p50), Some(p90), _] => out.push_str(&format!(
             "  http latency: p50 {} p90 {}\n",
-            human_us(p50),
-            human_us(p90)
+            format_duration_us(p50.round() as u64),
+            format_duration_us(p90.round() as u64)
         )),
         _ => out.push_str("  http latency: no samples yet\n"),
     }
     // Present once any job has consulted the persistent classification
     // cache; warm daemons show hits ≈ keys and zero ensemble work.
-    let cache_hits = counter("pipeline_classify_cache_hit_total");
-    let cache_misses = counter("pipeline_classify_cache_miss_total");
-    if cache_hits + cache_misses > 0.0 {
+    let cache_hits = counter("pipeline.classify.cache.hit");
+    let cache_misses = counter("pipeline.classify.cache.miss");
+    if cache_hits + cache_misses > 0 {
         out.push_str(&format!(
             "  classify cache: hits {} misses {} inserts {}\n",
             cache_hits,
             cache_misses,
-            counter("pipeline_classify_cache_insert_total"),
+            counter("pipeline.classify.cache.insert"),
         ));
     }
     // Present only when the daemon's /proc sampler is running (Linux).
-    match obs::gauge_value(samples, "diffaudit_process_resident_bytes") {
+    match snapshot.gauge(names::PROCESS_RSS) {
         Some(rss) => out.push_str(&format!(
             "  resources: rss {}   cpu {:.2}s\n",
-            diffaudit_util::fmt::format_bytes(rss.max(0.0) as u64),
-            obs::sum_samples(samples, "diffaudit_process_cpu_seconds_total").unwrap_or(0.0),
+            format_bytes(rss.max(0) as u64),
+            gauge(names::PROCESS_CPU_US).max(0) as f64 / 1e6,
         )),
         None => out.push_str("  resources: unavailable (no /proc sampler)\n"),
     }
@@ -1023,8 +1019,7 @@ fn cmd_obs_report(args: &[String]) -> ExitCode {
 
 /// `obs diff BASELINE.json CURRENT.json [--fail-over PCT]
 /// [--fail-rss-over PCT] [--noise-floor-ms N]` — metrics comparison with a
-/// gated verdict. `--noise-floor-us` is kept as an alias of the canonical
-/// millisecond spelling (`serve_load --mode diff` uses the same unit).
+/// gated verdict.
 ///
 /// Exit contract: 0 = ok, 2 = regressed (report still printed),
 /// 1 = unusable input or bad usage.
@@ -1044,10 +1039,6 @@ fn cmd_obs_diff(args: &[String]) -> ExitCode {
             },
             "--noise-floor-ms" => match iter.next().and_then(|v| v.parse::<u64>().ok()) {
                 Some(ms) => options.noise_floor_us = ms.saturating_mul(1000),
-                None => return usage(),
-            },
-            "--noise-floor-us" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(us) => options.noise_floor_us = us,
                 None => return usage(),
             },
             other if !other.starts_with('-') => paths.push(PathBuf::from(other)),

@@ -19,14 +19,19 @@
 //! | GET | `/jobs/<id>` | one job's status |
 //! | GET | `/jobs/<id>/result` | audit JSON; HTTP status mirrors the exit contract |
 //! | GET | `/jobs/<id>/report` | text run report |
-//! | GET | `/metrics` | global metrics snapshot (JSON) |
+//! | GET | `/metrics` | global metrics snapshot, `diffaudit-obs/v1` JSON |
 //! | GET | `/events?since` | retained warn/error ring, for live tailing |
-//! | GET | `/healthz` | liveness + queue depth |
 //! | POST | `/shutdown` | begin graceful drain |
 //!
-//! Outside the `/api/v1` prefix, `GET /metrics` serves the same registry
-//! in Prometheus text exposition format (counters, gauges, histogram
-//! buckets), and every routed request feeds per-endpoint × status-class
+//! Outside the `/api/v1` prefix:
+//!
+//! | method | path | purpose |
+//! |---|---|---|
+//! | GET | `/metrics` | the same registry as Prometheus text (counters, gauges, histogram buckets), for external scrapers |
+//! | GET | `/healthz` | liveness + queue depth |
+//!
+//! The repo's own clients (`obs top`, the serve bench) read the JSON
+//! snapshot. Every routed request feeds per-endpoint × status-class
 //! latency histograms plus queue/in-flight/busy gauges (see
 //! [`crate::names`]).
 //!

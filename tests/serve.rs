@@ -631,10 +631,10 @@ struct ExpoSample {
     value: f64,
 }
 
-/// A deliberately independent, minimal Prometheus text-format parser —
-/// NOT the `diffaudit_obs::parse_exposition` the CLI uses — so the wire
-/// format itself is under test, not just round-tripping through one
-/// implementation.
+/// A deliberately independent, minimal Prometheus text-format parser.
+/// The exposition is render-only in the workspace (repo tools read the
+/// `diffaudit-obs/v1` JSON on `/api/v1/metrics`), so this parser is what
+/// keeps the `GET /metrics` wire format itself under test.
 fn parse_expo_lines(text: &str) -> Vec<ExpoSample> {
     let mut samples = Vec::new();
     for line in text.lines() {
@@ -665,8 +665,10 @@ fn expo_value(samples: &[ExpoSample], series: &str) -> Option<f64> {
 /// other tests cannot touch): `GET /metrics` parses under concurrent
 /// scraping while clean, damaged, and stalled jobs run; `_total` counters
 /// never move backwards; the queue-depth gauge goes nonzero under load
-/// and every lifecycle gauge returns to zero once the jobs drain; and the
-/// scraped clean job's result stays byte-identical to the batch CLI.
+/// and every lifecycle gauge returns to zero once the jobs drain; the
+/// scraped clean job's result stays byte-identical to the batch CLI; and
+/// `obs top --once` renders every row from the live daemon, then exits 1
+/// once the daemon is gone.
 #[test]
 fn metrics_exposition_stays_consistent_under_concurrent_scraping() {
     use std::io::BufRead;
@@ -804,6 +806,22 @@ fn metrics_exposition_stays_consistent_under_concurrent_scraping() {
         );
     }
 
+    // The live dashboard renders one frame from the daemon's JSON
+    // snapshot: every row, with the three submissions counted.
+    let top = obs_top_once(&addr);
+    assert_eq!(top.status.code(), Some(0), "obs top --once must exit 0");
+    let frame = String::from_utf8_lossy(&top.stderr);
+    for row in [
+        "diffaudit obs top",
+        "  queue depth ",
+        "  jobs: submitted 3 ",
+        "  http: requests ",
+        "  http latency: p50 ",
+        "  resources: ",
+    ] {
+        assert!(frame.contains(row), "obs top frame lacks {row:?}:\n{frame}");
+    }
+
     // The daemon samples its own RSS/CPU from /proc at boot, so on Linux
     // the exposition must carry the process resource series; elsewhere the
     // sampler degrades and the series are absent by design.
@@ -850,6 +868,22 @@ fn metrics_exposition_stays_consistent_under_concurrent_scraping() {
     assert_eq!(status, 202);
     let exit = child.wait().expect("daemon exit");
     assert_eq!(exit.code(), Some(0), "daemon must drain cleanly");
+
+    // With the daemon gone, a first poll never connects: exit 1.
+    let top = obs_top_once(&addr);
+    assert_eq!(
+        top.status.code(),
+        Some(1),
+        "obs top --once against a stopped daemon must exit 1"
+    );
+}
+
+/// Run `diffaudit obs top --once ADDR` and capture its output.
+fn obs_top_once(addr: &str) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_diffaudit"))
+        .args(["obs", "top", "--once", addr])
+        .output()
+        .expect("run obs top")
 }
 
 /// Regression test for the `obs tail` restart stall: a client polling
