@@ -2,12 +2,16 @@
 //! the design-choice ablations called out in DESIGN.md: trie vs naive
 //! block-list matching, and single-model vs ensemble classification.
 //!
-//! With `--features bench` (requires a vendored Criterion) these run under
-//! Criterion; otherwise a std-only fallback harness times the same workloads.
+//! Timed with the std-only [`diffaudit_bench::stopwatch`] harness; run with
+//! `cargo bench -p diffaudit-bench --bench classify`.
 
+use diffaudit_bench::stopwatch::run;
 use diffaudit_blocklist::matcher::NaiveMatcher;
 use diffaudit_blocklist::{ats, DomainMatcher};
-use diffaudit_domains::DomainName;
+use diffaudit_classifier::llm::{LlmClassifier, LlmOptions};
+use diffaudit_classifier::{ConfidenceAggregation, MajorityEnsemble};
+use diffaudit_domains::{extract, DomainName};
+use std::hint::black_box;
 
 const KEYS: [&str; 12] = [
     "device_id",
@@ -60,89 +64,7 @@ fn parse_all(hosts: &[&str]) -> Vec<DomainName> {
         .collect()
 }
 
-#[cfg(feature = "bench")]
-mod with_criterion {
-    use super::{matchers, parse_all, HOSTS, KEYS, PROBES};
-    use criterion::{criterion_group, Criterion, Throughput};
-    use diffaudit_classifier::llm::{LlmClassifier, LlmOptions};
-    use diffaudit_classifier::{ConfidenceAggregation, MajorityEnsemble};
-    use diffaudit_domains::{extract, DomainName};
-    use std::hint::black_box;
-
-    fn bench_llm(c: &mut Criterion) {
-        let model = LlmClassifier::new(LlmOptions::default());
-        let ensemble = MajorityEnsemble::new(1, ConfidenceAggregation::Average);
-        let mut group = c.benchmark_group("classify");
-        group.throughput(Throughput::Elements(KEYS.len() as u64));
-        group.bench_function("llm_batch_12", |b| {
-            b.iter(|| model.classify_batch(black_box(&KEYS)))
-        });
-        group.bench_function("ensemble_batch_12", |b| {
-            b.iter(|| ensemble.classify_batch(black_box(&KEYS)))
-        });
-        group.finish();
-    }
-
-    fn bench_domains(c: &mut Criterion) {
-        let names: Vec<DomainName> = parse_all(&HOSTS);
-        let mut group = c.benchmark_group("domains");
-        group.throughput(Throughput::Elements(HOSTS.len() as u64));
-        group.bench_function("parse_5", |b| {
-            b.iter(|| {
-                for h in &HOSTS {
-                    black_box(DomainName::parse(h).unwrap());
-                }
-            })
-        });
-        group.bench_function("esld_extract_5", |b| {
-            b.iter(|| {
-                for n in &names {
-                    black_box(extract(n).esld());
-                }
-            })
-        });
-        group.finish();
-    }
-
-    fn bench_blocklist(c: &mut Criterion) {
-        // Ablation: trie matcher vs the naive linear-scan reference.
-        let (trie, naive) = matchers();
-        let probes = parse_all(&PROBES);
-        let mut group = c.benchmark_group("blocklist");
-        group.throughput(Throughput::Elements(probes.len() as u64));
-        group.bench_function("trie_6_lookups", |b| {
-            b.iter(|| {
-                for p in &probes {
-                    black_box(trie.is_blocked(p));
-                }
-            })
-        });
-        group.bench_function("naive_6_lookups", |b| {
-            b.iter(|| {
-                for p in &probes {
-                    black_box(naive.is_blocked(p));
-                }
-            })
-        });
-        group.finish();
-    }
-
-    criterion_group!(benches, bench_llm, bench_domains, bench_blocklist);
-}
-
-#[cfg(feature = "bench")]
 fn main() {
-    with_criterion::benches();
-}
-
-#[cfg(not(feature = "bench"))]
-fn main() {
-    use diffaudit_bench::stopwatch::run;
-    use diffaudit_classifier::llm::{LlmClassifier, LlmOptions};
-    use diffaudit_classifier::{ConfidenceAggregation, MajorityEnsemble};
-    use diffaudit_domains::extract;
-    use std::hint::black_box;
-
     let model = LlmClassifier::new(LlmOptions::default());
     let ensemble = MajorityEnsemble::new(1, ConfidenceAggregation::Average);
     run("classify/llm_batch_12", || {

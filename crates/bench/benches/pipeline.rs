@@ -1,10 +1,13 @@
 //! End-to-end pipeline benchmarks: dataset generation and the full
 //! decode → extract → classify → flow pipeline at reduced scale.
 //!
-//! With `--features bench` (requires a vendored Criterion) these run under
-//! Criterion; otherwise a std-only fallback harness times the same workloads.
+//! Timed with the std-only [`diffaudit_bench::stopwatch`] harness; run with
+//! `cargo bench -p diffaudit-bench --bench pipeline`.
 
-use diffaudit_services::DatasetOptions;
+use diffaudit::pipeline::{ClassificationMode, Pipeline};
+use diffaudit_bench::stopwatch::run;
+use diffaudit_services::{generate_dataset, DatasetOptions};
+use std::hint::black_box;
 
 fn tiny_options() -> DatasetOptions {
     DatasetOptions {
@@ -15,53 +18,7 @@ fn tiny_options() -> DatasetOptions {
     }
 }
 
-#[cfg(feature = "bench")]
-mod with_criterion {
-    use super::tiny_options;
-    use criterion::{criterion_group, Criterion};
-    use diffaudit::pipeline::{ClassificationMode, Pipeline};
-    use diffaudit_services::generate_dataset;
-    use std::hint::black_box;
-
-    fn bench_generation(c: &mut Criterion) {
-        let mut group = c.benchmark_group("pipeline");
-        group.sample_size(10);
-        group.bench_function("generate_tiktok_2pct", |b| {
-            b.iter(|| generate_dataset(black_box(&tiny_options())))
-        });
-        group.finish();
-    }
-
-    fn bench_pipeline(c: &mut Criterion) {
-        let dataset = generate_dataset(&tiny_options());
-        let oracle = Pipeline::new(ClassificationMode::Oracle(dataset.key_truth.clone()));
-        let ensemble = Pipeline::paper_default(11);
-        let mut group = c.benchmark_group("pipeline");
-        group.sample_size(10);
-        group.bench_function("run_oracle_tiktok_2pct", |b| {
-            b.iter(|| oracle.run(black_box(&dataset)))
-        });
-        group.bench_function("run_ensemble_tiktok_2pct", |b| {
-            b.iter(|| ensemble.run(black_box(&dataset)))
-        });
-        group.finish();
-    }
-
-    criterion_group!(benches, bench_generation, bench_pipeline);
-}
-
-#[cfg(feature = "bench")]
 fn main() {
-    with_criterion::benches();
-}
-
-#[cfg(not(feature = "bench"))]
-fn main() {
-    use diffaudit::pipeline::{ClassificationMode, Pipeline};
-    use diffaudit_bench::stopwatch::run;
-    use diffaudit_services::generate_dataset;
-    use std::hint::black_box;
-
     run("pipeline/generate_tiktok_2pct", || {
         black_box(generate_dataset(black_box(&tiny_options())));
     });

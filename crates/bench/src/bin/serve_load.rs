@@ -44,7 +44,7 @@
 //!         [--mode load|smoke|smoke-keep|shutdown]
 //!         [--target HOST:PORT] [--uploads N] [--queue N] [--workers N]`
 
-use diffaudit_bench::{standard_dataset, write_snapshot, BenchArgs};
+use diffaudit_bench::{standard_dataset, BenchArgs};
 use diffaudit_json::Json;
 use diffaudit_obs as obs;
 use diffaudit_serve::{client, names};
@@ -371,7 +371,21 @@ fn mode_load(args: &BenchArgs, uploads: usize, queue: usize, workers: usize, out
             ),
         ],
     );
-    write_snapshot("serve_load", out.as_deref());
+    // The baseline document is this process's snapshot, to `--out` or
+    // stdout.
+    let doc = obs::snapshot().to_json().to_pretty_string();
+    match out {
+        None => println!("{doc}"),
+        Some(path) => {
+            if let Err(err) = std::fs::write(&path, format!("{doc}\n")) {
+                fail(&format!("cannot write snapshot to {path}: {err}"));
+            }
+            obs::info(
+                "[serve_load] snapshot written",
+                &[obs::field("path", path.as_str())],
+            );
+        }
+    }
 }
 
 /// Submit one job without waiting; retries shed (`429`) attempts.

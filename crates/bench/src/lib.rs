@@ -4,7 +4,12 @@
 //! # diffaudit-bench
 //!
 //! The benchmark harness: one binary per paper table/figure (see
-//! `src/bin/`) plus Criterion micro-benchmarks (see `benches/`).
+//! `src/bin/`), the `serve_load` load generator for the `serve` daemon,
+//! and std-only micro-benchmarks (see `benches/`, run with `cargo bench -p
+//! diffaudit-bench`). The pipeline's speed and memory baselines
+//! (`BENCH_pipeline.json`, `BENCH_cache.json`) are not taken here: they are
+//! `diffaudit audit --metrics-out` snapshots of the shipped CLI, produced
+//! by `scripts/check.sh`.
 //!
 //! Every binary accepts `--scale <f64>` (default 1.0 = paper-scale traffic),
 //! `--seed <u64>` (default 2023), and `--threads <usize>` (worker threads
@@ -27,8 +32,8 @@ pub struct BenchArgs {
     /// Master seed.
     pub seed: u64,
     /// Worker threads for the parallel pipeline stages. Passed explicitly
-    /// to every stage ([`standard_dataset`], [`oracle_outcome`],
-    /// [`ensemble_outcome`]) — there is no process-global default.
+    /// to every stage ([`standard_dataset`], [`oracle_outcome`]) — there is
+    /// no process-global default.
     pub threads: usize,
 }
 
@@ -110,31 +115,6 @@ fn usage(message: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Write the global recorder's `diffaudit-obs/v1` snapshot to `out`, or to
-/// stdout without one. `tag` names the bench in the log events
-/// (`[tag] snapshot written`); a file that cannot be written exits 1.
-pub fn write_snapshot(tag: &str, out: Option<&str>) {
-    let doc = obs::snapshot().to_json().to_pretty_string();
-    let Some(path) = out else {
-        println!("{doc}");
-        return;
-    };
-    if let Err(err) = std::fs::write(path, format!("{doc}\n")) {
-        obs::error(
-            &format!("[{tag}] cannot write snapshot"),
-            &[
-                obs::field("path", path),
-                obs::field("error", err.to_string()),
-            ],
-        );
-        std::process::exit(1);
-    }
-    obs::info(
-        &format!("[{tag}] snapshot written"),
-        &[obs::field("path", path)],
-    );
-}
-
 /// Generate the standard dataset for these args (packaging runs on
 /// `args.threads` workers).
 pub fn standard_dataset(args: &BenchArgs) -> GeneratedDataset {
@@ -158,13 +138,6 @@ pub fn oracle_outcome(args: &BenchArgs, dataset: &GeneratedDataset) -> AuditOutc
         .run(dataset)
 }
 
-/// Run the pipeline in the paper's ensemble configuration.
-pub fn ensemble_outcome(args: &BenchArgs, dataset: &GeneratedDataset, seed: u64) -> AuditOutcome {
-    Pipeline::paper_default(seed)
-        .with_threads(args.threads)
-        .run(dataset)
-}
-
 /// Turn the dataset's key ground truth into labeled validation examples,
 /// sorted for determinism.
 pub fn labeled_examples(truth: &HashMap<String, DataTypeCategory>) -> Vec<LabeledExample> {
@@ -184,11 +157,10 @@ pub fn fmt2(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// Minimal std-only timing harness used by the `benches/` targets when the
-/// `bench` feature (Criterion) is off — the offline default, since Criterion
-/// cannot be fetched from the registry. It auto-scales iteration counts to
-/// ~50ms per workload and prints ns/iter, which is enough to spot order-of-
-/// magnitude regressions without any external dependency.
+/// Minimal std-only timing harness used by the `benches/` targets. It
+/// auto-scales iteration counts to ~50ms per workload and prints ns/iter,
+/// which is enough to spot order-of-magnitude regressions without any
+/// external dependency.
 pub mod stopwatch {
     use std::time::{Duration, Instant};
 

@@ -56,6 +56,7 @@ use diffaudit_services::{Platform, ServiceCapture, TraceArtifact, TraceCategory,
 use diffaudit_util::cancel::{Ctl, Interrupt};
 use diffaudit_util::par::KeyInterner;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Loader errors. Every variant names the file it is about, so a failed
 /// multi-directory audit pinpoints the offending artifact or manifest.
@@ -246,7 +247,7 @@ fn read_unit(dir: &Path, entry: &Json, index: usize) -> Result<MemoryUnit, LoadE
         platform,
         kind,
         category,
-        artifact,
+        artifact: Arc::new(artifact),
     })
 }
 
@@ -262,7 +263,7 @@ pub fn decode_unit(
     log: &mut SalvageLog,
     ctl: &Ctl,
 ) -> Result<LoadedUnit, LoadError> {
-    let (exchanges, opaque_snis, packet_count, flow_count) = match &unit.artifact {
+    let (exchanges, opaque_snis, packet_count, flow_count) = match &*unit.artifact {
         MemoryArtifact::Har(text) => {
             let exchanges = har_to_exchanges_salvage_ctl(text, log, ctl).map_err(|e| match e {
                 HarError::Interrupted(i) => LoadError::Interrupted(path.to_path_buf(), i),
@@ -488,7 +489,8 @@ pub enum MemoryArtifact {
 }
 
 /// One uploaded trace unit: the manifest-entry metadata plus its in-memory
-/// artifact.
+/// artifact. Cloning a unit shares the artifact rather than copying its
+/// bytes.
 #[derive(Debug, Clone)]
 pub struct MemoryUnit {
     /// Display label for reports and the ledger (the disk loader uses the
@@ -500,8 +502,10 @@ pub struct MemoryUnit {
     pub kind: TraceKind,
     /// User-group category.
     pub category: TraceCategory,
-    /// The artifact itself.
-    pub artifact: MemoryArtifact,
+    /// The artifact itself, shared: the serve daemon hands one upload to
+    /// every job that references it. Mutate it through [`Arc::make_mut`],
+    /// so holders of the old artifact keep it unchanged.
+    pub artifact: Arc<MemoryArtifact>,
 }
 
 /// A full in-memory service upload — the same shape as a capture
@@ -544,13 +548,13 @@ impl MemoryService {
                 platform: artifact.platform,
                 kind: artifact.kind,
                 category: artifact.category,
-                artifact: match (&artifact.pcap, &artifact.har) {
+                artifact: Arc::new(match (&artifact.pcap, &artifact.har) {
                     (Some(bytes), _) => MemoryArtifact::Capture {
                         bytes: bytes.clone(),
                         keylog: artifact.keylog.clone(),
                     },
                     (None, har) => MemoryArtifact::Har(har.clone().unwrap_or_default()),
-                },
+                }),
             })
             .collect();
         MemoryService {

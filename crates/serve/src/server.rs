@@ -6,7 +6,8 @@
 //! workers that do the actual audits. Uploads land in an in-memory trace
 //! store; job submission snapshots the referenced traces into a
 //! [`JobRequest`] and enqueues it, so later uploads never mutate a running
-//! job.
+//! job. The snapshot shares each trace's bytes (`Arc`) rather than copying
+//! them, and a key-log attach replaces the stored artifact copy-on-write.
 //!
 //! ## REST surface (`/api/v1`)
 //!
@@ -79,7 +80,9 @@ struct StoredTrace {
     platform: Platform,
     kind: TraceKind,
     category: TraceCategory,
-    artifact: MemoryArtifact,
+    /// Shared with every job that references the trace, so a submission
+    /// clones a pointer, not the upload.
+    artifact: Arc<MemoryArtifact>,
 }
 
 struct QueuedJob {
@@ -427,7 +430,7 @@ fn parse_category(s: &str) -> Option<TraceCategory> {
 
 /// Classify an upload body by magic bytes: pcap (either byte order),
 /// pcapng SHB, otherwise HAR text (which must be UTF-8).
-fn sniff_artifact(body: &[u8]) -> Result<(MemoryArtifact, &'static str), Response> {
+fn sniff_artifact(body: &[u8]) -> Result<(Arc<MemoryArtifact>, &'static str), Response> {
     const PCAP_LE: [u8; 4] = [0xd4, 0xc3, 0xb2, 0xa1];
     const PCAP_BE: [u8; 4] = [0xa1, 0xb2, 0xc3, 0xd4];
     const PCAPNG_SHB: [u8; 4] = [0x0a, 0x0d, 0x0d, 0x0a];
@@ -435,16 +438,16 @@ fn sniff_artifact(body: &[u8]) -> Result<(MemoryArtifact, &'static str), Respons
         let magic = &body[..4];
         if magic == PCAP_LE || magic == PCAP_BE || magic == PCAPNG_SHB {
             return Ok((
-                MemoryArtifact::Capture {
+                Arc::new(MemoryArtifact::Capture {
                     bytes: body.to_vec(),
                     keylog: None,
-                },
+                }),
                 "capture",
             ));
         }
     }
     match std::str::from_utf8(body) {
-        Ok(text) => Ok((MemoryArtifact::Har(text.to_string()), "har")),
+        Ok(text) => Ok((Arc::new(MemoryArtifact::Har(text.to_string())), "har")),
         Err(_) => Err(Response::error(
             400,
             "body is neither a capture (pcap/pcapng magic) nor UTF-8 HAR text",
@@ -516,18 +519,18 @@ fn attach_keylog(shared: &Arc<Shared>, id: &str, request: &Request) -> Response 
     let Some(trace) = traces.get_mut(id) else {
         return Response::error(404, "no such trace");
     };
-    match &mut trace.artifact {
-        MemoryArtifact::Capture { keylog, .. } => {
-            *keylog = Some(text);
-            Response::json(
-                200,
-                Json::obj().with("attached", Json::Bool(true)).to_string(),
-            )
-        }
-        MemoryArtifact::Har(_) => {
-            Response::error(400, "trace is a HAR; key logs attach to captures")
-        }
+    if let MemoryArtifact::Har(_) = *trace.artifact {
+        return Response::error(400, "trace is a HAR; key logs attach to captures");
     }
+    // Copy-on-write: jobs already queued keep the artifact they were given,
+    // and later submissions see the key log.
+    if let MemoryArtifact::Capture { keylog, .. } = Arc::make_mut(&mut trace.artifact) {
+        *keylog = Some(text);
+    }
+    Response::json(
+        200,
+        Json::obj().with("attached", Json::Bool(true)).to_string(),
+    )
 }
 
 fn submit_job(shared: &Arc<Shared>, request: &Request) -> Response {

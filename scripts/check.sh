@@ -51,6 +51,9 @@ echo "==> perf benchmark tests (own workspace: root cargo test does not build it
 CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}" \
     cargo test --offline -q --manifest-path crates/bench/src/bin/perf/Cargo.toml
 
+echo "==> micro-benchmarks (std-only stopwatch harness; cargo test does not build benches/)"
+cargo bench -q -p diffaudit-bench
+
 echo "==> chaos suite (fault grid + CLI exit codes, release profile)"
 # The CLI binary (and the tests that drive it) live in diffaudit-serve;
 # the fault-grid suite stays with the core crate's salvage machinery.
@@ -93,48 +96,79 @@ grep -q '"kind":"span","name":"analyzer.analyze"' "$an_tmp/analyzer_trace.jsonl"
 grep -q 'analyzer.analyze' "$an_tmp/analyzer_trace_report.txt" \
     || { echo "obs report missing analyzer.analyze span"; exit 1; }
 
-echo "==> parallel consistency (--threads 1 vs --threads 4: counters must match)"
-./target/release/pipeline_metrics --scale 0.05 --threads 1 --out "$obs_tmp/serial.json"
-./target/release/pipeline_metrics --scale 0.05 --threads 4 --out "$obs_tmp/parallel.json"
+echo "==> paper-scale corpus (generated once; every pipeline step below audits it)"
+# `generate` defaults to --scale 0.1, so the paper scale is spelled out.
+corpus="$obs_tmp/corpus"
+./target/release/diffaudit generate --out "$corpus" --scale 1.0 --seed 2023 \
+    --log-level warn > /dev/null
+
+# audit_corpus NAME ARGS...: audit every service directory of the corpus
+# with the shipped CLI, stdout to $obs_tmp/NAME.txt and the metrics
+# snapshot to $obs_tmp/NAME.json. The corpus is undamaged, so any exit
+# but 0 fails the check.
+audit_corpus() {
+    local name="$1"
+    shift
+    ./target/release/diffaudit audit "$corpus"/*/ --log-level warn \
+        --metrics-out "$obs_tmp/$name.json" "$@" > "$obs_tmp/$name.txt"
+}
+
+# counter NAME FILE: the value of counter NAME in a --metrics-out
+# snapshot (which holds one counter per line), or 0 when it is absent.
+counter() {
+    local value
+    value="$(sed -n "s/^ *\"${1//./\\.}\": \([0-9]*\),\{0,1\}\$/\1/p" "$2" | head -n 1)"
+    echo "${value:-0}"
+}
+
+echo "==> parallel consistency (--threads 1 vs --threads 4: stdout and counters must match)"
+audit_corpus serial --threads 1
+audit_corpus parallel --threads 4
+cmp "$obs_tmp/serial.txt" "$obs_tmp/parallel.txt" \
+    || { echo "audit stdout differs between --threads 1 and --threads 4"; exit 1; }
 ./target/release/diffaudit obs diff "$obs_tmp/serial.json" "$obs_tmp/parallel.json" \
     | tee "$obs_tmp/threads_diff.txt"
 # Wall-time deltas above are advisory; counter deltas are a correctness bug.
 grep -q 'counters: .*, 0 changed' "$obs_tmp/threads_diff.txt" \
     || { echo "counters diverge between --threads 1 and --threads 4"; exit 1; }
 
-echo "==> perf regression vs BENCH_pipeline.json (advisory: exit 2 warns, exit 1 fails)"
-./target/release/pipeline_metrics --out "$obs_tmp/current.json"
+echo "==> cold cached audit vs BENCH_pipeline.json (advisory: exit 2 warns, exit 1 fails)"
+audit_corpus cold --cache-dir "$obs_tmp/clscache" --res-sample-ms 10
 # --noise-floor-ms 150: spans under 150ms are pure scheduler noise on the
 # 2-CPU CI box (a single preemption is tens of ms, so a 10ms span can jitter
 # by several hundred percent and trip --fail-over 200 spuriously). Only spans
-# long enough to average the jitter out participate in the advisory gate.
-advisory "pipeline metrics regressed >200% vs BENCH_pipeline.json" "obs diff failed" \
-    ./target/release/diffaudit obs diff BENCH_pipeline.json "$obs_tmp/current.json" \
-    --fail-over 200 --noise-floor-ms 150
-
-echo "==> max-RSS regression vs BENCH_mem.json (advisory: exit 2 warns, exit 1 fails)"
-./target/release/pipeline_mem --out "$obs_tmp/current_mem.json"
+# long enough to average the jitter out participate in the wall-time gate.
 # Peak RSS is far more stable than wall time, but allocator and kernel
 # page-cache behaviour still move it a little between boxes; growth past
-# 50% (and past the built-in 4MiB floor) is a real regression signal. On
-# a box without /proc the current snapshot simply has no resources
-# section and the gate is informational (exit 0).
-advisory "peak RSS regressed >50% vs BENCH_mem.json" "obs diff --fail-rss-over failed" \
-    ./target/release/diffaudit obs diff BENCH_mem.json "$obs_tmp/current_mem.json" \
-    --fail-rss-over 50
+# 50% (and past the built-in 4MiB floor) is a real regression signal. On a
+# box without /proc the snapshot has no resources section and the RSS gate
+# is informational.
+advisory "cold audit regressed (>200% span wall time or >50% peak RSS) vs BENCH_pipeline.json" \
+    "obs diff failed" \
+    ./target/release/diffaudit obs diff BENCH_pipeline.json "$obs_tmp/cold.json" \
+    --fail-over 200 --noise-floor-ms 150 --fail-rss-over 50
 
-echo "==> classification cache warm run vs BENCH_cache.json (advisory: exit 2 warns, exit 1 fails)"
-# pipeline_cached hard-asserts the cache contract (cold run inserts every
-# unique key, warm run is fully cache-served with zero ensemble work) and
-# exits 1 when it breaks — that part is a correctness gate. The warm-run
-# wall budget and the diff against the committed baseline are advisory,
-# like every other wall-time gate on the 2-CPU runner.
-advisory "warm cached run exceeded its 2s wall budget" "classification cache contract violated" \
-    ./target/release/pipeline_cached --scale 0.5 --cache-dir "$obs_tmp/clscache" \
-    --warm-budget-ms 2000 --out "$obs_tmp/current_cache.json"
-advisory "cached pipeline regressed >200% vs BENCH_cache.json" "obs diff failed" \
-    ./target/release/diffaudit obs diff BENCH_cache.json "$obs_tmp/current_cache.json" \
+echo "==> warm cached audit vs BENCH_cache.json (advisory: exit 2 warns, exit 1 fails)"
+audit_corpus warm --cache-dir "$obs_tmp/clscache"
+advisory "warm audit regressed >200% vs BENCH_cache.json" "obs diff failed" \
+    ./target/release/diffaudit obs diff BENCH_cache.json "$obs_tmp/warm.json" \
     --fail-over 200 --noise-floor-ms 150
+
+echo "==> classification cache contract (cold inserts every miss, warm is fully cache-served)"
+for run in cold warm; do
+    cmp "$obs_tmp/serial.txt" "$obs_tmp/$run.txt" \
+        || { echo "$run cached audit stdout differs from the uncached audit"; exit 1; }
+done
+cold_miss="$(counter pipeline.classify.cache.miss "$obs_tmp/cold.json")"
+cold_insert="$(counter pipeline.classify.cache.insert "$obs_tmp/cold.json")"
+warm_hit="$(counter pipeline.classify.cache.hit "$obs_tmp/warm.json")"
+warm_miss="$(counter pipeline.classify.cache.miss "$obs_tmp/warm.json")"
+echo "cold: miss $cold_miss, insert $cold_insert; warm: hit $warm_hit, miss $warm_miss"
+if [ "$cold_miss" -eq 0 ] || [ "$cold_insert" -ne "$cold_miss" ] \
+    || [ "$warm_hit" -ne "$cold_insert" ] || [ "$warm_miss" -ne 0 ]; then
+    echo "classification cache contract violated"
+    exit 1
+fi
 
 echo "==> serve smoke (boot ephemeral port, upload HAR, audit, report, clean drain)"
 ./target/release/diffaudit serve --port 0 --log-level warn \

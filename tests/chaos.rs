@@ -369,7 +369,7 @@ fn a_stalled_load_surfaces_as_timeout_drops_even_on_damaged_units() {
                 platform: artifact.platform,
                 kind: artifact.kind,
                 category: artifact.category,
-                artifact: art,
+                artifact: std::sync::Arc::new(art),
             }
         })
         .collect();

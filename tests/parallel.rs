@@ -471,7 +471,7 @@ fn fused_load_audits_like_run_inputs_over_the_decoded_units() {
     let damaged = svc
         .units
         .iter_mut()
-        .find_map(|unit| match &mut unit.artifact {
+        .find_map(|unit| match std::sync::Arc::make_mut(&mut unit.artifact) {
             MemoryArtifact::Capture { bytes, .. } => Some(bytes),
             MemoryArtifact::Har(_) => None,
         })

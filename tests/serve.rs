@@ -7,7 +7,8 @@ use diffaudit_json::Json;
 use diffaudit_serve::client;
 use diffaudit_serve::{ServeConfig, Server, ServerExit};
 use diffaudit_services::{
-    generate_dataset, DatasetOptions, Platform, ServiceCapture, TraceCategory, TraceKind,
+    generate_dataset, DatasetOptions, Platform, ServiceCapture, TraceArtifact, TraceCategory,
+    TraceKind,
 };
 use std::io::{Read, Write};
 use std::path::PathBuf;
@@ -65,18 +66,42 @@ fn category_param(c: TraceCategory) -> &'static str {
     }
 }
 
+/// Upload `body` as one trace with `artifact`'s metadata under `label`;
+/// returns the trace id.
+fn upload(addr: &str, label: &str, artifact: &TraceArtifact, body: &[u8]) -> String {
+    let path = format!(
+        "/api/v1/traces?label={label}&platform={}&kind={}&category={}",
+        platform_param(artifact.platform),
+        kind_param(artifact.kind),
+        category_param(artifact.category),
+    );
+    let (status, text) = client::request_text(addr, "POST", &path, body).expect("upload");
+    assert_eq!(status, 201, "upload failed: {text}");
+    diffaudit_json::parse(&text)
+        .expect("upload response JSON")
+        .get("traceId")
+        .and_then(Json::as_str)
+        .expect("traceId")
+        .to_string()
+}
+
+fn attach_keylog(addr: &str, id: &str, keylog: &str) {
+    let (status, text) = client::request_text(
+        addr,
+        "POST",
+        &format!("/api/v1/traces/{id}/keylog"),
+        keylog.as_bytes(),
+    )
+    .expect("keylog attach");
+    assert_eq!(status, 200, "keylog attach failed: {text}");
+}
+
 /// Upload every artifact of `capture`; `corrupt_pcap` flips bytes in the
 /// first pcap so its decode drops records (the chaos-damaged input).
 fn upload_service(addr: &str, capture: &ServiceCapture, corrupt_pcap: bool) -> Vec<String> {
     let mut ids = Vec::new();
     let mut corrupted = false;
     for (i, artifact) in capture.artifacts.iter().enumerate() {
-        let path = format!(
-            "/api/v1/traces?label=unit-{i}&platform={}&kind={}&category={}",
-            platform_param(artifact.platform),
-            kind_param(artifact.kind),
-            category_param(artifact.category),
-        );
         let body: Vec<u8> = match (&artifact.har, &artifact.pcap) {
             (Some(har), _) => har.clone().into_bytes(),
             (None, Some(pcap)) => {
@@ -92,24 +117,10 @@ fn upload_service(addr: &str, capture: &ServiceCapture, corrupt_pcap: bool) -> V
             }
             (None, None) => panic!("artifact without content"),
         };
-        let (status, text) = client::request_text(addr, "POST", &path, &body).expect("upload");
-        assert_eq!(status, 201, "upload failed: {text}");
-        let doc = diffaudit_json::parse(&text).expect("upload response JSON");
-        let id = doc
-            .get("traceId")
-            .and_then(Json::as_str)
-            .expect("traceId")
-            .to_string();
+        let id = upload(addr, &format!("unit-{i}"), artifact, &body);
         if artifact.har.is_none() {
             if let Some(keylog) = &artifact.keylog {
-                let (status, _) = client::request_text(
-                    addr,
-                    "POST",
-                    &format!("/api/v1/traces/{id}/keylog"),
-                    keylog.as_bytes(),
-                )
-                .expect("keylog attach");
-                assert_eq!(status, 200);
+                attach_keylog(addr, &id, keylog);
             }
         }
         ids.push(id);
@@ -970,6 +981,103 @@ fn result_of_an_unfinished_job_is_409() {
     let (status, _) = fetch_result(&addr, &job);
     assert_eq!(status, 206);
 
+    let exit = shutdown_and_join(&addr, handle);
+    assert_eq!(exit.orphaned, 0);
+}
+
+/// Run `job` to completion; returns its result document and the job's
+/// private metrics (the `Job metrics:` document its report ends with).
+fn finished_job(addr: &str, job: &str) -> (String, Json) {
+    poll_to_terminal(addr, job);
+    let (status, body) = fetch_result(addr, job);
+    assert_eq!(status, 200, "{body}");
+    let (status, report) =
+        client::request_text(addr, "GET", &format!("/api/v1/jobs/{job}/report"), &[])
+            .expect("report fetch");
+    assert_eq!(status, 200, "{report}");
+    let (_, metrics) = report
+        .split_once("\nJob metrics:\n")
+        .expect("the report carries the job's metrics");
+    let metrics = diffaudit_json::parse(metrics.trim()).expect("job metrics JSON");
+    (body, metrics)
+}
+
+fn counter(metrics: &Json, name: &str) -> i64 {
+    metrics
+        .get("counters")
+        .and_then(|c| c.get(name))
+        .and_then(Json::as_i64)
+        .unwrap_or(0)
+}
+
+/// Attaching a key log to an uploaded capture is copy-on-write: a job
+/// submitted before the attach keeps the keyless capture it was given
+/// (every flow opaque, nothing decrypted), and a job submitted after it
+/// audits exactly like one whose trace carried the key log from the start.
+#[test]
+fn keylog_attach_leaves_submitted_jobs_their_capture() {
+    let (addr, handle) = boot(ServeConfig {
+        workers: 1,
+        enable_chaos: true,
+        ..ServeConfig::default()
+    });
+    let capture = dataset_service("duolingo");
+    let artifact = capture
+        .artifacts
+        .iter()
+        .find(|a| a.pcap.is_some() && a.keylog.is_some())
+        .expect("the service has a pcap+keylog unit");
+    let pcap = artifact.pcap.as_deref().expect("capture bytes");
+    let keylog = artifact.keylog.as_deref().expect("key log");
+
+    let late = upload(&addr, "unit", artifact, pcap);
+    // Occupy the only worker, so `before` is still queued when the key
+    // log arrives and runs only after the attach.
+    let stall = submit(
+        &addr,
+        &job_body(
+            &capture,
+            std::slice::from_ref(&late),
+            &[
+                ("chaos", Json::str("stall-decode")),
+                ("deadlineMs", Json::int(300)),
+            ],
+        ),
+    );
+    let before = submit(&addr, &job_body(&capture, std::slice::from_ref(&late), &[]));
+    attach_keylog(&addr, &late, keylog);
+    let after = submit(&addr, &job_body(&capture, &[late], &[]));
+
+    let early = upload(&addr, "unit", artifact, pcap);
+    attach_keylog(&addr, &early, keylog);
+    let reference = submit(&addr, &job_body(&capture, &[early], &[]));
+
+    poll_to_terminal(&addr, &stall);
+    let (before_doc, before_metrics) = finished_job(&addr, &before);
+    let (after_doc, after_metrics) = finished_job(&addr, &after);
+    let (reference_doc, _) = finished_job(&addr, &reference);
+
+    // `before` decoded the capture's TCP flows but, with no key log,
+    // could open none of them.
+    assert!(counter(&before_metrics, "salvage.tcp-flow.processed") > 0);
+    assert_eq!(counter(&before_metrics, "salvage.keylog-line.processed"), 0);
+    assert_eq!(
+        counter(&before_metrics, "salvage.http-exchange.processed"),
+        0
+    );
+    assert_eq!(counter(&before_metrics, "pipeline.exchanges"), 0);
+    let before_keys = diffaudit_json::parse(&before_doc)
+        .expect("result JSON")
+        .get("uniqueRawKeys")
+        .and_then(Json::as_i64);
+    assert_eq!(before_keys, Some(0), "the keyless job must extract no keys");
+    // `after` decrypted, and audits exactly like the key log being there
+    // from the start.
+    assert!(counter(&after_metrics, "pipeline.exchanges") > 0);
+    assert_eq!(
+        after_doc, reference_doc,
+        "a job submitted after the attach must see the key log"
+    );
     let exit = shutdown_and_join(&addr, handle);
     assert_eq!(exit.orphaned, 0);
 }
