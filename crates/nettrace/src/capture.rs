@@ -64,6 +64,39 @@ fn server_ip(host: &str) -> [u8; 4] {
     [93, (h >> 16) as u8, (h >> 8) as u8, h as u8]
 }
 
+/// The fixed addressing of one captured flow: the client's source port and
+/// the server's IPv4 address (the other ends are constants).
+#[derive(Debug, Clone, Copy)]
+struct FlowAddr {
+    dst_ip: [u8; 4],
+    src_port: u16,
+}
+
+impl FlowAddr {
+    /// One segment of the flow, in either direction, carrying `payload`.
+    fn seg<'p>(
+        self,
+        from_client: bool,
+        seq: u32,
+        ack: u32,
+        flags: u8,
+        payload: &'p [u8],
+    ) -> TcpSegment<'p> {
+        TcpSegment {
+            src_mac: if from_client { CLIENT_MAC } else { SERVER_MAC },
+            dst_mac: if from_client { SERVER_MAC } else { CLIENT_MAC },
+            src_ip: if from_client { CLIENT_IP } else { self.dst_ip },
+            dst_ip: if from_client { self.dst_ip } else { CLIENT_IP },
+            src_port: if from_client { self.src_port } else { 443 },
+            dst_port: if from_client { 443 } else { self.src_port },
+            seq,
+            ack,
+            flags: TcpFlags(flags),
+            payload,
+        }
+    }
+}
+
 /// A PCAPdroid-style capture session.
 pub struct CaptureSession {
     writer: PcapWriter,
@@ -125,41 +158,24 @@ impl CaptureSession {
         let client_isn = self.rng.next_u32();
         let server_isn = self.rng.next_u32();
 
-        let seg = |from_client: bool, seq: u32, ack: u32, flags: u8, payload: Vec<u8>| TcpSegment {
-            src_mac: if from_client { CLIENT_MAC } else { SERVER_MAC },
-            dst_mac: if from_client { SERVER_MAC } else { CLIENT_MAC },
-            src_ip: if from_client { CLIENT_IP } else { dst_ip },
-            dst_ip: if from_client { dst_ip } else { CLIENT_IP },
-            src_port: if from_client { src_port } else { 443 },
-            dst_port: if from_client { 443 } else { src_port },
-            seq,
-            ack,
-            flags: TcpFlags(flags),
-            payload,
-        };
+        let addr = FlowAddr { dst_ip, src_port };
 
         // Handshake (never dropped — a lost SYN would just be retried).
-        self.emit(seg(true, client_isn, 0, TcpFlags::SYN, Vec::new()), t);
+        self.emit(addr.seg(true, client_isn, 0, TcpFlags::SYN, &[]), t);
         t += 1;
         self.emit(
-            seg(
+            addr.seg(
                 false,
                 server_isn,
                 client_isn + 1,
                 TcpFlags::SYN | TcpFlags::ACK,
-                Vec::new(),
+                &[],
             ),
             t,
         );
         t += 1;
         self.emit(
-            seg(
-                true,
-                client_isn + 1,
-                server_isn + 1,
-                TcpFlags::ACK,
-                Vec::new(),
-            ),
+            addr.seg(true, client_isn + 1, server_isn + 1, TcpFlags::ACK, &[]),
             t,
         );
         t += 1;
@@ -173,28 +189,28 @@ impl CaptureSession {
 
         let mut client_seq = client_isn + 1;
         let mut server_seq = server_isn + 1;
-        t = self.emit_data(true, &client_bytes, &mut client_seq, server_seq, t, &seg);
-        t = self.emit_data(false, &server_bytes, &mut server_seq, client_seq, t, &seg);
+        t = self.emit_data(addr, true, &client_bytes, &mut client_seq, server_seq, t);
+        t = self.emit_data(addr, false, &server_bytes, &mut server_seq, client_seq, t);
 
         // Close.
         self.emit(
-            seg(
+            addr.seg(
                 true,
                 client_seq,
                 server_seq,
                 TcpFlags::FIN | TcpFlags::ACK,
-                Vec::new(),
+                &[],
             ),
             t,
         );
         t += 1;
         self.emit(
-            seg(
+            addr.seg(
                 false,
                 server_seq,
                 client_seq + 1,
                 TcpFlags::FIN | TcpFlags::ACK,
-                Vec::new(),
+                &[],
             ),
             t,
         );
@@ -205,22 +221,16 @@ impl CaptureSession {
     /// advanced timestamp.
     fn emit_data(
         &mut self,
+        addr: FlowAddr,
         from_client: bool,
         data: &[u8],
         seq: &mut u32,
         ack: u32,
         mut t: u64,
-        seg: &impl Fn(bool, u32, u32, u8, Vec<u8>) -> TcpSegment,
     ) -> u64 {
-        let mut segments: Vec<TcpSegment> = Vec::new();
+        let mut segments: Vec<TcpSegment<'_>> = Vec::new();
         for chunk in data.chunks(self.options.mtu.max(1)) {
-            segments.push(seg(
-                from_client,
-                *seq,
-                ack,
-                TcpFlags::PSH | TcpFlags::ACK,
-                chunk.to_vec(),
-            ));
+            segments.push(addr.seg(from_client, *seq, ack, TcpFlags::PSH | TcpFlags::ACK, chunk));
             *seq = seq.wrapping_add(chunk.len() as u32);
         }
         // Reorder adjacent pairs.
@@ -243,7 +253,7 @@ impl CaptureSession {
         t
     }
 
-    fn emit(&mut self, segment: TcpSegment, t: u64) {
+    fn emit(&mut self, segment: TcpSegment<'_>, t: u64) {
         self.writer.write_packet(t, &segment.encode());
     }
 
@@ -292,6 +302,10 @@ pub struct DecodedTrace {
     pub packet_count: usize,
     /// Total TCP flows (the paper's Table 1 metric).
     pub flow_count: usize,
+    /// Bytes decoding copied out of the capture buffer: assembled TCP
+    /// streams, TLS plaintext and the HTTP bodies the exchanges keep. Frames,
+    /// segments and records are views, so they add nothing.
+    pub bytes_copied: u64,
 }
 
 /// Decode-pipeline errors.
@@ -345,12 +359,9 @@ pub fn decode_pcap(pcap_bytes: &[u8], keylog: &KeyLog) -> Result<DecodedTrace, D
 pub fn decode_auto(bytes: &[u8], external_keylog: &KeyLog) -> Result<DecodedTrace, DecodeError> {
     if crate::pcapng::PcapngReader::sniff(bytes) {
         let reader = crate::pcapng::PcapngReader::parse(bytes).map_err(DecodeError::Pcapng)?;
-        // Merge embedded + external secrets through the canonical format.
-        let merged = KeyLog::parse(&format!(
-            "{}{}",
-            reader.keylog.to_file_string(),
-            external_keylog.to_file_string()
-        ));
+        // External secrets win over embedded ones for a shared session.
+        let mut merged = reader.keylog;
+        merged.extend(external_keylog.clone());
         decode_packets(&reader.packets, &merged)
     } else {
         decode_pcap(bytes, external_keylog)
@@ -358,20 +369,22 @@ pub fn decode_auto(bytes: &[u8], external_keylog: &KeyLog) -> Result<DecodedTrac
 }
 
 fn decode_packets(
-    packets: &[crate::pcap::PcapPacket],
+    packets: &[crate::pcap::PcapPacket<'_>],
     keylog: &KeyLog,
 ) -> Result<DecodedTrace, DecodeError> {
     let packet_count = packets.len();
     let mut table = FlowTable::new();
     for packet in packets {
-        if let Ok(segment) = TcpSegment::decode(&packet.data) {
+        if let Ok(segment) = TcpSegment::decode(packet.data) {
             table.push(&segment, packet.timestamp_ms());
         }
     }
     let mut exchanges = Vec::new();
     let mut opaque = Vec::new();
+    let mut copied = 0u64;
     for flow in table.flows() {
         let client_stream = flow.client_stream();
+        copied += client_stream.len() as u64;
         if client_stream.is_empty() {
             opaque.push(OpaqueFlow {
                 sni: None,
@@ -398,10 +411,13 @@ fn decode_packets(
         match decoded.plaintext {
             Some(plaintext) => {
                 // Parse the (possibly pipelined) requests.
+                let server_stream = flow.server_stream();
                 let server_plain =
-                    decode_server_stream(&flow.server_stream(), decoded.client_random, keylog)
+                    decode_server_stream(&server_stream, decoded.client_random, keylog)
                         .ok()
                         .and_then(|d| d.plaintext);
+                copied += (server_stream.len() + plaintext.len()) as u64;
+                copied += server_plain.as_ref().map_or(0, |sp| sp.len() as u64);
                 let mut responses = Vec::new();
                 if let Some(sp) = server_plain {
                     let mut pos = 0;
@@ -410,23 +426,19 @@ fn decode_packets(
                         pos += n;
                     }
                 }
+                let mut responses = responses.into_iter();
                 let mut pos = 0;
-                let mut req_index = 0;
                 while let Some((request, n)) = plaintext
                     .get(pos..)
                     .and_then(|rest| HttpRequest::parse_wire(rest, "https"))
                 {
-                    let response = responses
-                        .get(req_index)
-                        .cloned()
-                        .unwrap_or_else(HttpResponse::ok);
+                    let response = responses.next().unwrap_or_else(HttpResponse::ok);
                     exchanges.push(Exchange {
                         timestamp_ms: flow.first_ts_ms,
                         request,
                         response,
                     });
                     pos += n;
-                    req_index += 1;
                 }
             }
             None => opaque.push(OpaqueFlow {
@@ -437,11 +449,20 @@ fn decode_packets(
         }
     }
     Ok(DecodedTrace {
+        bytes_copied: copied + body_bytes(&exchanges),
         exchanges,
         opaque,
         packet_count,
         flow_count: table.flow_count(),
     })
+}
+
+/// HTTP body bytes the exchanges keep.
+fn body_bytes(exchanges: &[Exchange]) -> u64 {
+    exchanges
+        .iter()
+        .map(|e| (e.request.body.len() + e.response.body.len()) as u64)
+        .sum()
 }
 
 /// Salvage counterpart of [`decode_pcap`]: the container is parsed with
@@ -505,11 +526,8 @@ pub fn decode_auto_salvage_ctl(
         );
         let reader =
             crate::pcapng::PcapngReader::parse_salvage(bytes, log).map_err(DecodeError::Pcapng)?;
-        let merged = KeyLog::parse(&format!(
-            "{}{}",
-            reader.keylog.to_file_string(),
-            external_keylog.to_file_string()
-        ));
+        let mut merged = reader.keylog;
+        merged.extend(external_keylog.clone());
         decode_packets_salvage_ctl(&reader.packets, &merged, log, ctl)
     } else {
         decode_pcap_salvage_ctl(bytes, external_keylog, log, ctl)
@@ -526,7 +544,7 @@ pub fn decode_auto_salvage_ctl(
 /// a tripped `ctl` — checked once per frame and once per flow so a stalled
 /// record stream is cut off at its deadline instead of wedging the worker.
 fn decode_packets_salvage_ctl(
-    packets: &[crate::pcap::PcapPacket],
+    packets: &[crate::pcap::PcapPacket<'_>],
     keylog: &KeyLog,
     log: &mut SalvageLog,
     ctl: &Ctl,
@@ -540,7 +558,7 @@ fn decode_packets_salvage_ctl(
     let mut table = FlowTable::new();
     for (i, packet) in packets.iter().enumerate() {
         ctl.check().map_err(DecodeError::Interrupted)?;
-        match TcpSegment::decode(&packet.data) {
+        match TcpSegment::decode(packet.data) {
             Ok(segment) => {
                 table.push(&segment, packet.timestamp_ms());
                 log.ok(Stage::Frame);
@@ -550,9 +568,13 @@ fn decode_packets_salvage_ctl(
     }
     let mut exchanges = Vec::new();
     let mut opaque = Vec::new();
+    // Bytes decode copies out of the capture buffer: assembled streams and
+    // TLS plaintext here, kept HTTP bodies once the flows are done.
+    let mut copied = 0u64;
     for flow in table.flows() {
         ctl.check().map_err(DecodeError::Interrupted)?;
         let (client_stream, client_gap) = flow.client_stream_report();
+        copied += client_stream.len() as u64;
         let gap_reason = client_gap.map(|g| {
             format!(
                 "reassembly gap at offset {} ({} bytes stranded)",
@@ -594,10 +616,13 @@ fn decode_packets_salvage_ctl(
         };
         match decoded.plaintext {
             Some(plaintext) => {
+                let server_stream = flow.server_stream();
                 let server_plain =
-                    decode_server_stream(&flow.server_stream(), decoded.client_random, keylog)
+                    decode_server_stream(&server_stream, decoded.client_random, keylog)
                         .ok()
                         .and_then(|d| d.plaintext);
+                copied += (server_stream.len() + plaintext.len()) as u64;
+                copied += server_plain.as_ref().map_or(0, |sp| sp.len() as u64);
                 let mut responses = Vec::new();
                 if let Some(sp) = server_plain {
                     let mut pos = 0;
@@ -606,16 +631,13 @@ fn decode_packets_salvage_ctl(
                         pos += n;
                     }
                 }
+                let mut responses = responses.into_iter();
                 let mut pos = 0;
-                let mut req_index = 0;
                 while let Some((request, n)) = plaintext
                     .get(pos..)
                     .and_then(|rest| HttpRequest::parse_wire(rest, "https"))
                 {
-                    let response = responses
-                        .get(req_index)
-                        .cloned()
-                        .unwrap_or_else(HttpResponse::ok);
+                    let response = responses.next().unwrap_or_else(HttpResponse::ok);
                     exchanges.push(Exchange {
                         timestamp_ms: flow.first_ts_ms,
                         request,
@@ -623,7 +645,6 @@ fn decode_packets_salvage_ctl(
                     });
                     log.ok(Stage::HttpExchange);
                     pos += n;
-                    req_index += 1;
                 }
                 if pos < plaintext.len() {
                     log.dropped(
@@ -664,6 +685,8 @@ fn decode_packets_salvage_ctl(
         exchanges.iter().map(Exchange::logical_bytes).sum(),
     );
     diffaudit_obs::add("nettrace.flows.opaque", opaque.len() as u64);
+    let bytes_copied = copied + body_bytes(&exchanges);
+    diffaudit_obs::add("nettrace.bytes.copied", bytes_copied);
     diffaudit_obs::observe(
         "nettrace.exchanges.per-capture",
         &diffaudit_obs::RECORD_BOUNDS,
@@ -683,6 +706,7 @@ fn decode_packets_salvage_ctl(
         opaque,
         packet_count,
         flow_count: table.flow_count(),
+        bytes_copied,
     })
 }
 
@@ -843,6 +867,7 @@ mod tests {
         assert_eq!(strict.exchanges, salvaged.exchanges);
         assert_eq!(strict.opaque, salvaged.opaque);
         assert_eq!(strict.flow_count, salvaged.flow_count);
+        assert_eq!(strict.bytes_copied, salvaged.bytes_copied);
         // Pinned (opaque) flows are expected, not damage: the log is clean.
         assert!(
             log.is_clean(),
@@ -927,6 +952,31 @@ mod tests {
         let ctl = decode_pcap_salvage_ctl(&pcap, &keylog, &mut log_b, &Ctl::unbounded()).unwrap();
         assert_eq!(plain.exchanges, ctl.exchanges);
         assert_eq!(log_a.total_dropped(), log_b.total_dropped());
+    }
+
+    #[test]
+    fn bytes_copied_is_pinned_on_a_fixed_capture() {
+        let mut session = CaptureSession::new(CaptureOptions {
+            seed: 11,
+            pinned_fraction: 0.4,
+            mtu: 100,
+            ..Default::default()
+        });
+        for i in 0..4 {
+            session.capture(&exchange(
+                &format!("https://c{i}.example.com/x"),
+                &format!(r#"{{"k":"{}"}}"#, "v".repeat(50 * i)),
+            ));
+        }
+        let (pcap, keylog_text) = session.finish();
+        let keylog = KeyLog::parse(&keylog_text);
+        let mut log = SalvageLog::new();
+        let salvaged = decode_pcap_salvage(&pcap, &keylog, &mut log).unwrap();
+        assert_eq!(salvaged.opaque.len(), 2, "two pinned flows");
+        // Four client streams, plus the server stream and both plaintexts
+        // of each of the two decrypted flows, plus their two request bodies.
+        assert_eq!(salvaged.bytes_copied, 1843);
+        assert_eq!(decode_pcap(&pcap, &keylog).unwrap().bytes_copied, 1843);
     }
 
     #[test]

@@ -383,11 +383,15 @@ fn overlap_record(span: &RecordSpan, data: &[u8]) -> Option<Vec<u8>> {
     let split = segment.payload.len() * 2 / 3;
     let resend_from = split / 2;
 
-    let mut first = segment.clone();
-    first.payload = segment.payload.get(..split)?.to_vec();
-    let mut second = segment.clone();
-    second.seq = segment.seq.wrapping_add(resend_from as u32);
-    second.payload = segment.payload.get(resend_from..)?.to_vec();
+    let first = TcpSegment {
+        payload: segment.payload.get(..split)?,
+        ..segment
+    };
+    let second = TcpSegment {
+        seq: segment.seq.wrapping_add(resend_from as u32),
+        payload: segment.payload.get(resend_from..)?,
+        ..segment
+    };
 
     let mut out = Vec::new();
     for part in [first, second] {
@@ -495,11 +499,10 @@ mod tests {
                 seed: 9,
                 rate: 0.6,
             };
-            let out = PcapReader::parse(&spec.apply_pcap(&data)).unwrap();
-            let mut orig_payloads: Vec<Vec<u8>> =
-                orig.packets.iter().map(|p| p.data.clone()).collect();
-            let mut new_payloads: Vec<Vec<u8>> =
-                out.packets.iter().map(|p| p.data.clone()).collect();
+            let damaged = spec.apply_pcap(&data);
+            let out = PcapReader::parse(&damaged).unwrap();
+            let mut orig_payloads: Vec<&[u8]> = orig.packets.iter().map(|p| p.data).collect();
+            let mut new_payloads: Vec<&[u8]> = out.packets.iter().map(|p| p.data).collect();
             orig_payloads.sort();
             new_payloads.sort();
             new_payloads.dedup();

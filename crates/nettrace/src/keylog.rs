@@ -30,6 +30,12 @@ impl KeyLog {
         self.entries.insert(client_random, secret);
     }
 
+    /// Merge `other` into this log; where both hold a client random,
+    /// `other`'s secret wins (as when parsing the two files concatenated).
+    pub fn extend(&mut self, other: KeyLog) {
+        self.entries.extend(other.entries);
+    }
+
     /// Look up the secret for a session.
     pub fn secret_for(&self, client_random: &[u8; 32]) -> Option<&[u8; 32]> {
         self.entries.get(client_random)
@@ -196,6 +202,22 @@ garbage line
         let parsed = KeyLog::parse_salvage(&source.to_file_string(), &mut log);
         assert_eq!(parsed.len(), 1);
         assert!(log.is_clean());
+    }
+
+    #[test]
+    fn extend_matches_parsing_the_concatenation() {
+        let mut a = KeyLog::new();
+        a.insert([1u8; 32], [2u8; 32]);
+        a.insert([3u8; 32], [4u8; 32]);
+        let mut b = KeyLog::new();
+        b.insert([3u8; 32], [9u8; 32]); // shared client random: b wins
+        b.insert([5u8; 32], [6u8; 32]);
+        let reparsed = KeyLog::parse(&format!("{}{}", a.to_file_string(), b.to_file_string()));
+        let mut merged = a;
+        merged.extend(b);
+        assert_eq!(merged.to_file_string(), reparsed.to_file_string());
+        assert_eq!(merged.secret_for(&[3u8; 32]), Some(&[9u8; 32]));
+        assert_eq!(merged.len(), 3);
     }
 
     #[test]

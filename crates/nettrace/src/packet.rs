@@ -40,8 +40,10 @@ impl TcpFlags {
 }
 
 /// A decoded TCP/IPv4/Ethernet frame (the only shape our captures contain).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TcpSegment {
+/// The payload is a view into the frame it was decoded from (or, on the
+/// encode side, into the stream being segmented).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TcpSegment<'a> {
     /// Source MAC address.
     pub src_mac: [u8; 6],
     /// Destination MAC address.
@@ -61,7 +63,7 @@ pub struct TcpSegment {
     /// Flags.
     pub flags: TcpFlags,
     /// TCP payload bytes.
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
 /// Frame decode failures.
@@ -120,7 +122,7 @@ fn ones_complement_sum(chunks: &[&[u8]]) -> u16 {
     !(sum as u16)
 }
 
-impl TcpSegment {
+impl<'a> TcpSegment<'a> {
     /// Encode to a complete Ethernet frame with valid checksums.
     // lint:allow(no-panic): encode writes constant offsets into fixed-size
     // stack arrays ([u8; 20]); every range is a compile-time-visible bound.
@@ -161,10 +163,10 @@ impl TcpSegment {
         tcp[14..16].copy_from_slice(&0xFFFFu16.to_be_bytes()); // window
                                                                // checksum [16..18] zero for computation; urgent pointer [18..20] zero
         let pseudo = pseudo_header(&self.src_ip, &self.dst_ip, tcp_len as u16);
-        let tcp_csum = ones_complement_sum(&[&pseudo, &tcp, &self.payload]);
+        let tcp_csum = ones_complement_sum(&[&pseudo, &tcp, self.payload]);
         tcp[16..18].copy_from_slice(&tcp_csum.to_be_bytes());
         frame.extend_from_slice(&tcp);
-        frame.extend_from_slice(&self.payload);
+        frame.extend_from_slice(self.payload);
         frame
     }
 
@@ -173,7 +175,7 @@ impl TcpSegment {
     /// Every offset is bounds-checked through `diffaudit_util::bytes`, so a
     /// truncated frame or a lying IPv4 total-length field yields
     /// [`FrameError::Truncated`] rather than a panic.
-    pub fn decode(frame: &[u8]) -> Result<TcpSegment, FrameError> {
+    pub fn decode(frame: &'a [u8]) -> Result<TcpSegment<'a>, FrameError> {
         use diffaudit_util::bytes::{array_at, read_u16_be, read_u32_be, slice_at, u8_at};
 
         let eth = FrameError::Truncated("ethernet header");
@@ -233,7 +235,7 @@ impl TcpSegment {
             seq: read_u32_be(tcp, 4).ok_or(tcp_err.clone())?,
             ack: read_u32_be(tcp, 8).ok_or(tcp_err.clone())?,
             flags: TcpFlags(u8_at(tcp, 13).ok_or(tcp_err)?),
-            payload: payload.to_vec(),
+            payload,
         })
     }
 }
@@ -252,7 +254,7 @@ fn pseudo_header(src: &[u8; 4], dst: &[u8; 4], tcp_len: u16) -> [u8; 12] {
 mod tests {
     use super::*;
 
-    fn sample(payload: &[u8]) -> TcpSegment {
+    fn sample(payload: &[u8]) -> TcpSegment<'_> {
         TcpSegment {
             src_mac: [2, 0, 0, 0, 0, 1],
             dst_mac: [2, 0, 0, 0, 0, 2],
@@ -263,7 +265,7 @@ mod tests {
             seq: 1000,
             ack: 2000,
             flags: TcpFlags(TcpFlags::PSH | TcpFlags::ACK),
-            payload: payload.to_vec(),
+            payload,
         }
     }
 
@@ -279,7 +281,8 @@ mod tests {
     fn empty_payload_round_trip() {
         let mut seg = sample(b"");
         seg.flags = TcpFlags(TcpFlags::SYN);
-        let decoded = TcpSegment::decode(&seg.encode()).unwrap();
+        let frame = seg.encode();
+        let decoded = TcpSegment::decode(&frame).unwrap();
         assert_eq!(decoded, seg);
         assert!(decoded.flags.syn());
         assert!(!decoded.flags.ack());

@@ -57,20 +57,20 @@ impl std::fmt::Display for PcapError {
 
 impl std::error::Error for PcapError {}
 
-/// One captured packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PcapPacket {
+/// One captured packet: a view into the capture buffer it was parsed from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PcapPacket<'a> {
     /// Seconds since the Unix epoch.
     pub ts_sec: u32,
     /// Microseconds within the second.
     pub ts_usec: u32,
     /// Original length on the wire (equals `data.len()` in simulation).
     pub orig_len: u32,
-    /// Captured bytes.
-    pub data: Vec<u8>,
+    /// Captured bytes, borrowed from the capture buffer.
+    pub data: &'a [u8],
 }
 
-impl PcapPacket {
+impl PcapPacket<'_> {
     /// Capture timestamp in milliseconds since the epoch.
     pub fn timestamp_ms(&self) -> u64 {
         self.ts_sec as u64 * 1000 + (self.ts_usec / 1000) as u64
@@ -136,23 +136,23 @@ impl Default for PcapWriter {
     }
 }
 
-/// Parses pcap bytes into packets.
+/// Parses pcap bytes into packets that borrow the input buffer.
 #[derive(Debug)]
-pub struct PcapReader {
+pub struct PcapReader<'a> {
     /// Link type from the global header.
     pub link_type: u32,
     /// Snaplen from the global header.
     pub snaplen: u32,
     /// All parsed packets.
-    pub packets: Vec<PcapPacket>,
+    pub packets: Vec<PcapPacket<'a>>,
 }
 
-impl PcapReader {
+impl<'a> PcapReader<'a> {
     /// Parse an entire capture file.
     ///
     /// All reads go through checked helpers, so truncation at any byte and
     /// lying length fields surface as [`PcapError`] values, never panics.
-    pub fn parse(data: &[u8]) -> Result<PcapReader, PcapError> {
+    pub fn parse(data: &'a [u8]) -> Result<PcapReader<'a>, PcapError> {
         use diffaudit_util::bytes::{read_u16_be, read_u16_le, read_u32_be, read_u32_le, slice_at};
 
         if data.len() < 24 {
@@ -203,7 +203,7 @@ impl PcapReader {
                 ts_sec,
                 ts_usec,
                 orig_len,
-                data: payload.to_vec(),
+                data: payload,
             });
             pos = start + incl_len as usize;
             index += 1;
@@ -222,9 +222,9 @@ impl PcapReader {
     /// global header is still an error. On undamaged input this accepts
     /// exactly what [`PcapReader::parse`] accepts, with a clean log.
     pub fn parse_salvage(
-        data: &[u8],
+        data: &'a [u8],
         log: &mut crate::salvage::SalvageLog,
-    ) -> Result<PcapReader, PcapError> {
+    ) -> Result<PcapReader<'a>, PcapError> {
         use crate::salvage::Stage;
         use diffaudit_util::bytes::{read_u16_be, read_u16_le, read_u32_be, read_u32_le};
 
@@ -260,7 +260,7 @@ impl PcapReader {
         let link_type = read_u32(20).ok_or(PcapError::TruncatedHeader)?;
 
         // Strict per-record read, identical to `parse`'s loop body.
-        let read_record = |pos: usize| -> Result<(PcapPacket, usize), PcapError> {
+        let read_record = |pos: usize| -> Result<(PcapPacket<'a>, usize), PcapError> {
             use diffaudit_util::bytes::slice_at;
             let truncated = PcapError::TruncatedPacket { index: 0 };
             let ts_sec = read_u32(pos).ok_or(truncated.clone())?;
@@ -277,7 +277,7 @@ impl PcapReader {
                     ts_sec,
                     ts_usec,
                     orig_len,
-                    data: payload.to_vec(),
+                    data: payload,
                 },
                 start + incl_len as usize,
             ))
@@ -475,6 +475,24 @@ mod tests {
         assert_eq!(r.packets.len(), 1);
         assert_eq!(log.stage(crate::salvage::Stage::PcapRecord).dropped, 1);
         assert!(log.drops()[0].reason.contains("unrecoverable"));
+    }
+
+    #[test]
+    fn packets_borrow_the_capture() {
+        let mut w = PcapWriter::new();
+        for i in 0..4u64 {
+            w.write_packet(1_700_000_000_000 + i, format!("frame-{i}").as_bytes());
+        }
+        let bytes = w.finish();
+        let range = bytes.as_ptr_range();
+        let strict = PcapReader::parse(&bytes).unwrap();
+        let mut log = crate::salvage::SalvageLog::new();
+        let salvaged = PcapReader::parse_salvage(&bytes, &mut log).unwrap();
+        assert_eq!(strict.packets.len() + salvaged.packets.len(), 8);
+        for packet in strict.packets.iter().chain(&salvaged.packets) {
+            let view = packet.data.as_ptr_range();
+            assert!(range.start <= view.start && view.end <= range.end);
+        }
     }
 
     #[test]

@@ -155,16 +155,16 @@ impl Default for PcapngWriter {
     }
 }
 
-/// A parsed pcapng section.
+/// A parsed pcapng section; its packets borrow the input buffer.
 #[derive(Debug)]
-pub struct PcapngReader {
+pub struct PcapngReader<'a> {
     /// Packets, in file order.
-    pub packets: Vec<PcapPacket>,
+    pub packets: Vec<PcapPacket<'a>>,
     /// TLS key log assembled from every DSB in the section.
     pub keylog: KeyLog,
 }
 
-impl PcapngReader {
+impl<'a> PcapngReader<'a> {
     /// `true` when the bytes start with a pcapng SHB.
     pub fn sniff(data: &[u8]) -> bool {
         diffaudit_util::bytes::read_u32_le(data, 0) == Some(BT_SHB)
@@ -174,7 +174,7 @@ impl PcapngReader {
     ///
     /// Every read goes through checked helpers: truncation at any byte and
     /// lying length fields surface as [`PcapngError`] values, never panics.
-    pub fn parse(data: &[u8]) -> Result<PcapngReader, PcapngError> {
+    pub fn parse(data: &'a [u8]) -> Result<PcapngReader<'a>, PcapngError> {
         use diffaudit_util::bytes::{read_u32_le, slice_at};
 
         if !Self::sniff(data) {
@@ -218,7 +218,7 @@ impl PcapngReader {
                         ts_sec: (ts_us / 1_000_000) as u32,
                         ts_usec: (ts_us % 1_000_000) as u32,
                         orig_len,
-                        data: captured.to_vec(),
+                        data: captured,
                     });
                 }
                 BT_DSB => {
@@ -228,8 +228,7 @@ impl PcapngReader {
                     if secrets_type == SECRETS_TLS_KEYLOG {
                         if let Ok(text) = std::str::from_utf8(secrets) {
                             // Merge: a section may carry several DSBs.
-                            let parsed = KeyLog::parse(text);
-                            keylog = merge_keylogs(keylog, parsed);
+                            keylog.extend(KeyLog::parse(text));
                         }
                     }
                 }
@@ -248,9 +247,9 @@ impl PcapngReader {
     /// SHB is still an error. On undamaged input this accepts exactly what
     /// [`PcapngReader::parse`] accepts, with a clean log.
     pub fn parse_salvage(
-        data: &[u8],
+        data: &'a [u8],
         log: &mut crate::salvage::SalvageLog,
-    ) -> Result<PcapngReader, PcapngError> {
+    ) -> Result<PcapngReader<'a>, PcapngError> {
         use crate::salvage::Stage;
         use diffaudit_util::bytes::{read_u32_le, slice_at};
 
@@ -373,7 +372,7 @@ impl PcapngReader {
                     );
                     match parsed {
                         Some(extra) => {
-                            keylog = merge_keylogs(keylog, extra);
+                            keylog.extend(extra);
                             log.ok(Stage::PcapngBlock);
                         }
                         None => {
@@ -395,7 +394,7 @@ impl PcapngReader {
 }
 
 /// Decode an Enhanced Packet Block body (checked; `None` on any lie).
-fn parse_epb_body(body: &[u8]) -> Option<PcapPacket> {
+fn parse_epb_body(body: &[u8]) -> Option<PcapPacket<'_>> {
     use diffaudit_util::bytes::{read_u32_le, slice_at};
     let ts_high = read_u32_le(body, 4)? as u64;
     let ts_low = read_u32_le(body, 8)? as u64;
@@ -407,15 +406,8 @@ fn parse_epb_body(body: &[u8]) -> Option<PcapPacket> {
         ts_sec: (ts_us / 1_000_000) as u32,
         ts_usec: (ts_us % 1_000_000) as u32,
         orig_len,
-        data: captured.to_vec(),
+        data: captured,
     })
-}
-
-fn merge_keylogs(a: KeyLog, b: KeyLog) -> KeyLog {
-    // KeyLog has no iteration API by design (secrets stay opaque); merge via
-    // the file format, which is the canonical interchange anyway.
-    let combined = format!("{}{}", a.to_file_string(), b.to_file_string());
-    KeyLog::parse(&combined)
 }
 
 /// The editcap simulation: `editcap --inject-secrets tls,<keylog>` — takes
@@ -426,7 +418,7 @@ pub fn inject_secrets(pcap_bytes: &[u8], keylog: &KeyLog) -> Result<Vec<u8>, Pca
     let mut writer = PcapngWriter::new();
     writer.write_secrets(keylog);
     for packet in &legacy.packets {
-        writer.write_packet(packet.timestamp_ms(), &packet.data);
+        writer.write_packet(packet.timestamp_ms(), packet.data);
     }
     Ok(writer.finish())
 }
@@ -573,6 +565,25 @@ mod tests {
     }
 
     #[test]
+    fn packets_borrow_the_capture() {
+        let mut w = PcapngWriter::new();
+        w.write_secrets(&sample_keylog());
+        for i in 0..4u64 {
+            w.write_packet(1_700_000_000_000 + i, format!("frame-{i}").as_bytes());
+        }
+        let bytes = w.finish();
+        let range = bytes.as_ptr_range();
+        let strict = PcapngReader::parse(&bytes).unwrap();
+        let mut log = crate::salvage::SalvageLog::new();
+        let salvaged = PcapngReader::parse_salvage(&bytes, &mut log).unwrap();
+        assert_eq!(strict.packets.len() + salvaged.packets.len(), 8);
+        for packet in strict.packets.iter().chain(&salvaged.packets) {
+            let view = packet.data.as_ptr_range();
+            assert!(range.start <= view.start && view.end <= range.end);
+        }
+    }
+
+    #[test]
     fn multiple_dsbs_merge() {
         let mut a = KeyLog::new();
         a.insert([5u8; 32], [6u8; 32]);
@@ -581,7 +592,8 @@ mod tests {
         let mut w = PcapngWriter::new();
         w.write_secrets(&a);
         w.write_secrets(&b);
-        let r = PcapngReader::parse(&w.finish()).unwrap();
+        let bytes = w.finish();
+        let r = PcapngReader::parse(&bytes).unwrap();
         assert_eq!(r.keylog.len(), 2);
     }
 }

@@ -52,10 +52,10 @@ pub struct StreamGap {
 
 /// One direction of a flow's data, reassembled lazily.
 #[derive(Debug, Default)]
-struct DirectionBuf {
-    /// Relative-seq → payload. BTreeMap gives in-order walk regardless of
-    /// arrival order.
-    segments: BTreeMap<u32, Vec<u8>>,
+struct DirectionBuf<'a> {
+    /// Relative-seq → payload, borrowed from the segment's frame. BTreeMap
+    /// gives in-order walk regardless of arrival order.
+    segments: BTreeMap<u32, &'a [u8]>,
     /// Initial sequence number (seq of SYN, or first data seq when the
     /// handshake was not captured).
     isn: Option<u32>,
@@ -64,8 +64,8 @@ struct DirectionBuf {
     isn_from_syn: bool,
 }
 
-impl DirectionBuf {
-    fn record(&mut self, seq: u32, payload: &[u8], syn: bool) {
+impl<'a> DirectionBuf<'a> {
+    fn record(&mut self, seq: u32, payload: &'a [u8], syn: bool) {
         let base = if syn {
             self.isn = Some(seq);
             self.isn_from_syn = true;
@@ -78,9 +78,7 @@ impl DirectionBuf {
                 .wrapping_sub(base)
                 .wrapping_sub(if self.isn_from_syn { 1 } else { 0 });
             // First copy wins: a retransmission never overwrites data.
-            self.segments
-                .entry(offset)
-                .or_insert_with(|| payload.to_vec());
+            self.segments.entry(offset).or_insert(payload);
         }
     }
 
@@ -119,9 +117,10 @@ impl DirectionBuf {
     }
 }
 
-/// A tracked bidirectional flow.
+/// A tracked bidirectional flow. Its buffered segments borrow the frames
+/// they were decoded from.
 #[derive(Debug)]
-pub struct TcpFlow {
+pub struct TcpFlow<'a> {
     /// Canonical key.
     pub key: FlowKey,
     /// The initiating endpoint (sender of the bare SYN, or of the first
@@ -133,13 +132,13 @@ pub struct TcpFlow {
     pub first_ts_ms: u64,
     /// Whether a FIN or RST was seen in either direction.
     pub closed: bool,
-    c2s: DirectionBuf,
-    s2c: DirectionBuf,
+    c2s: DirectionBuf<'a>,
+    s2c: DirectionBuf<'a>,
     /// Total segments attributed to this flow.
     pub segment_count: usize,
 }
 
-impl TcpFlow {
+impl TcpFlow<'_> {
     /// Reassembled client→server byte stream (the outgoing data DiffAudit
     /// analyzes).
     pub fn client_stream(&self) -> Vec<u8> {
@@ -174,19 +173,19 @@ impl TcpFlow {
 
 /// Groups segments into flows.
 #[derive(Debug, Default)]
-pub struct FlowTable {
-    flows: Vec<TcpFlow>,
+pub struct FlowTable<'a> {
+    flows: Vec<TcpFlow<'a>>,
     index: HashMap<FlowKey, usize>,
 }
 
-impl FlowTable {
+impl<'a> FlowTable<'a> {
     /// Empty table.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Ingest one segment.
-    pub fn push(&mut self, seg: &TcpSegment, timestamp_ms: u64) {
+    pub fn push(&mut self, seg: &TcpSegment<'a>, timestamp_ms: u64) {
         let src = Endpoint {
             ip: seg.src_ip,
             port: seg.src_port,
@@ -235,11 +234,11 @@ impl FlowTable {
             &mut flow.s2c
         };
         // A SYN-ACK still carries the ISN for its direction.
-        dir.record(seg.seq, &seg.payload, seg.flags.syn());
+        dir.record(seg.seq, seg.payload, seg.flags.syn());
     }
 
     /// All tracked flows in first-seen order.
-    pub fn flows(&self) -> &[TcpFlow] {
+    pub fn flows(&self) -> &[TcpFlow<'a>] {
         &self.flows
     }
 
@@ -257,7 +256,7 @@ mod tests {
     const CLIENT_IP: [u8; 4] = [10, 0, 0, 2];
     const SERVER_IP: [u8; 4] = [93, 184, 216, 34];
 
-    fn seg(from_client: bool, seq: u32, ack: u32, flags: u8, payload: &[u8]) -> TcpSegment {
+    fn seg(from_client: bool, seq: u32, ack: u32, flags: u8, payload: &[u8]) -> TcpSegment<'_> {
         let (src_ip, dst_ip, src_port, dst_port) = if from_client {
             (CLIENT_IP, SERVER_IP, 50000, 443)
         } else {
@@ -273,7 +272,7 @@ mod tests {
             seq,
             ack,
             flags: TcpFlags(flags),
-            payload: payload.to_vec(),
+            payload,
         }
     }
 
@@ -392,6 +391,40 @@ mod tests {
         let flow = &table.flows()[0];
         assert_eq!(flow.client.ip, CLIENT_IP);
         assert_eq!(flow.client_stream(), b"req");
+    }
+
+    #[test]
+    fn buffered_segments_borrow_their_frames() {
+        let frames: Vec<Vec<u8>> = [
+            seg(true, 100, 0, TcpFlags::SYN, b""),
+            seg(true, 101, 0, TcpFlags::ACK, b"abcdef"),
+            seg(true, 104, 0, TcpFlags::ACK, b"defGHI"),
+            seg(false, 500, 107, TcpFlags::ACK, b"reply"),
+        ]
+        .iter()
+        .map(TcpSegment::encode)
+        .collect();
+        let mut table = FlowTable::new();
+        for (i, frame) in frames.iter().enumerate() {
+            table.push(&TcpSegment::decode(frame).unwrap(), i as u64);
+        }
+        let flow = &table.flows[0];
+        let buffered: Vec<&[u8]> = flow
+            .c2s
+            .segments
+            .values()
+            .chain(flow.s2c.segments.values())
+            .copied()
+            .collect();
+        assert_eq!(buffered.len(), 3);
+        for data in buffered {
+            let view = data.as_ptr_range();
+            assert!(frames.iter().any(|frame| {
+                let range = frame.as_ptr_range();
+                range.start <= view.start && view.end <= range.end
+            }));
+        }
+        assert_eq!(flow.client_stream(), b"abcdefGHI");
     }
 
     #[test]

@@ -58,13 +58,13 @@ pub enum Direction {
     ServerToClient,
 }
 
-/// A parsed TLS record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Record {
+/// A parsed TLS record, borrowed from the stream it was parsed from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Record<'a> {
     /// Content type.
     pub content_type: ContentType,
     /// Raw payload (handshake body or ciphertext).
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
 /// Record-layer parse errors.
@@ -113,7 +113,7 @@ fn frame(content_type: ContentType, payload: &[u8], out: &mut Vec<u8>) {
 
 /// Parse a byte stream into records. A trailing partial record yields
 /// `TlsError::Truncated` (callers on live captures may choose to ignore it).
-pub fn parse_records(stream: &[u8]) -> Result<Vec<Record>, TlsError> {
+pub fn parse_records(stream: &[u8]) -> Result<Vec<Record<'_>>, TlsError> {
     use diffaudit_util::bytes::{array_at, slice_at};
 
     let mut records = Vec::new();
@@ -132,7 +132,7 @@ pub fn parse_records(stream: &[u8]) -> Result<Vec<Record>, TlsError> {
         let payload = slice_at(stream, pos + 5, len).ok_or(TlsError::Truncated)?;
         records.push(Record {
             content_type: ct,
-            payload: payload.to_vec(),
+            payload,
         });
         pos += 5 + len;
     }
@@ -182,14 +182,17 @@ impl ClientHello {
     }
 }
 
-/// Derive the per-record cipher stream.
-fn keystream(
+/// XOR the per-record cipher stream over `data` in place (the same call
+/// enciphers and deciphers). The stream is the byte sequence
+/// `Rng::fill_bytes` would produce for the record's seed, generated eight
+/// bytes at a time so no keystream buffer is allocated.
+fn apply_keystream(
+    data: &mut [u8],
     client_random: &[u8; 32],
     secret: &[u8; 32],
     direction: Direction,
     record_index: u32,
-    len: usize,
-) -> Vec<u8> {
+) {
     let dir_tag: u64 = match direction {
         Direction::ClientToServer => 0x1111_1111,
         Direction::ServerToClient => 0x2222_2222,
@@ -199,14 +202,10 @@ fn keystream(
         ^ dir_tag.wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ (record_index as u64).rotate_left(43);
     let mut rng = Rng::new(seed);
-    let mut stream = vec![0u8; len];
-    rng.fill_bytes(&mut stream);
-    stream
-}
-
-fn xor_in_place(data: &mut [u8], stream: &[u8]) {
-    for (b, k) in data.iter_mut().zip(stream) {
-        *b ^= k;
+    for chunk in data.chunks_mut(8) {
+        for (b, k) in chunk.iter_mut().zip(rng.next_u64().to_le_bytes()) {
+            *b ^= k;
+        }
     }
 }
 
@@ -290,14 +289,13 @@ impl TlsSession {
         };
         for chunk in chunks {
             let mut ct = chunk.to_vec();
-            let ks = keystream(
+            apply_keystream(
+                &mut ct,
                 &self.client_random,
                 &self.master_secret,
                 direction,
                 *counter,
-                ct.len(),
             );
-            xor_in_place(&mut ct, &ks);
             frame(ContentType::ApplicationData, &ct, &mut out);
             *counter += 1;
         }
@@ -323,50 +321,7 @@ pub struct DecodedTls {
 /// records, extract the ClientHello, and decrypt application data when the
 /// secret is available.
 pub fn decode_client_stream(stream: &[u8], keylog: &KeyLog) -> Result<DecodedTls, TlsError> {
-    let records = parse_records(stream)?;
-    let mut sni = None;
-    let mut client_random = None;
-    let mut plaintext: Option<Vec<u8>> = None;
-    let mut opaque = 0usize;
-    let mut record_index: u32 = 0;
-    for record in records {
-        match record.content_type {
-            ContentType::Handshake => {
-                if record.payload.first() == Some(&HS_CLIENT_HELLO) {
-                    let hello = ClientHello::decode(&record.payload)?;
-                    sni = Some(hello.sni);
-                    client_random = Some(hello.client_random);
-                }
-            }
-            ContentType::ApplicationData => {
-                let secret = client_random.as_ref().and_then(|cr| keylog.secret_for(cr));
-                match (secret, client_random.as_ref()) {
-                    (Some(secret), Some(cr)) => {
-                        let mut pt = record.payload.clone();
-                        let ks = keystream(
-                            cr,
-                            secret,
-                            Direction::ClientToServer,
-                            record_index,
-                            pt.len(),
-                        );
-                        xor_in_place(&mut pt, &ks);
-                        plaintext
-                            .get_or_insert_with(Vec::new)
-                            .extend_from_slice(&pt);
-                    }
-                    _ => opaque += 1,
-                }
-                record_index += 1;
-            }
-        }
-    }
-    Ok(DecodedTls {
-        sni,
-        client_random,
-        plaintext,
-        opaque_records: opaque,
-    })
+    decode_stream(stream, None, keylog, Direction::ClientToServer)
 }
 
 /// Decode the server→client half of a TLS stream. The client random must be
@@ -376,38 +331,58 @@ pub fn decode_server_stream(
     client_random: Option<[u8; 32]>,
     keylog: &KeyLog,
 ) -> Result<DecodedTls, TlsError> {
+    decode_stream(stream, client_random, keylog, Direction::ServerToClient)
+}
+
+/// Walk one direction's records in order. On the client side a ClientHello
+/// sets the session for the application-data records after it. Each
+/// decipherable record is appended to the plaintext buffer once and
+/// deciphered in place there; the rest count as opaque.
+fn decode_stream(
+    stream: &[u8],
+    mut client_random: Option<[u8; 32]>,
+    keylog: &KeyLog,
+    direction: Direction,
+) -> Result<DecodedTls, TlsError> {
     let records = parse_records(stream)?;
+    let mut sni = None;
     let mut plaintext: Option<Vec<u8>> = None;
     let mut opaque = 0usize;
     let mut record_index: u32 = 0;
-    for record in records {
+    for record in &records {
         match record.content_type {
-            ContentType::Handshake => {}
+            ContentType::Handshake => {
+                if direction == Direction::ClientToServer
+                    && record.payload.first() == Some(&HS_CLIENT_HELLO)
+                {
+                    let hello = ClientHello::decode(record.payload)?;
+                    sni = Some(hello.sni);
+                    client_random = Some(hello.client_random);
+                }
+            }
             ContentType::ApplicationData => {
-                let secret = client_random.as_ref().and_then(|cr| keylog.secret_for(cr));
-                match (secret, client_random.as_ref()) {
-                    (Some(secret), Some(cr)) => {
-                        let mut pt = record.payload.clone();
-                        let ks = keystream(
-                            cr,
-                            secret,
-                            Direction::ServerToClient,
-                            record_index,
-                            pt.len(),
-                        );
-                        xor_in_place(&mut pt, &ks);
-                        plaintext
-                            .get_or_insert_with(Vec::new)
-                            .extend_from_slice(&pt);
+                let session = client_random
+                    .as_ref()
+                    .and_then(|cr| Some((cr, keylog.secret_for(cr)?)));
+                match session {
+                    Some((cr, secret)) => {
+                        let buf = plaintext.get_or_insert_with(|| {
+                            Vec::with_capacity(records.iter().map(|r| r.payload.len()).sum())
+                        });
+                        let start = buf.len();
+                        buf.extend_from_slice(record.payload);
+                        if let Some(tail) = buf.get_mut(start..) {
+                            apply_keystream(tail, cr, secret, direction, record_index);
+                        }
                     }
-                    _ => opaque += 1,
+                    None => opaque += 1,
                 }
                 record_index += 1;
             }
         }
     }
     Ok(DecodedTls {
-        sni: None,
+        sni,
         client_random,
         plaintext,
         opaque_records: opaque,
@@ -550,5 +525,20 @@ mod tests {
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].content_type, ContentType::Handshake);
         assert_eq!(records[0].payload[0], HS_SERVER_HELLO);
+    }
+
+    #[test]
+    fn records_borrow_the_stream() {
+        let mut rng = Rng::new(7);
+        let mut session = TlsSession::open(&mut rng, "b.example", None);
+        let mut stream = session.client_hello();
+        stream.extend(session.seal_client(&vec![0x5Au8; MAX_RECORD + 10]));
+        let range = stream.as_ptr_range();
+        let records = parse_records(&stream).unwrap();
+        assert_eq!(records.len(), 3);
+        for record in &records {
+            let view = record.payload.as_ptr_range();
+            assert!(range.start <= view.start && view.end <= range.end);
+        }
     }
 }

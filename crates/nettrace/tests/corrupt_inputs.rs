@@ -44,7 +44,7 @@ fn sample_frame() -> Vec<u8> {
         seq: 1000,
         ack: 2000,
         flags: TcpFlags(TcpFlags::ACK | TcpFlags::PSH),
-        payload: b"GET / HTTP/1.1\r\n\r\n".to_vec(),
+        payload: b"GET / HTTP/1.1\r\n\r\n",
     };
     segment.encode()
 }
@@ -70,14 +70,14 @@ fn bitflip_sweep<T, E>(data: &[u8], parse: impl Fn(&[u8]) -> Result<T, E>) {
 #[test]
 fn pcap_truncation_never_panics() {
     let data = sample_pcap();
-    truncation_sweep(&data, PcapReader::parse);
+    truncation_sweep(&data, |d| PcapReader::parse(d).map(drop));
     // Every strict prefix shorter than a full file must be an error.
     assert!(PcapReader::parse(&data[..data.len() - 1]).is_err());
 }
 
 #[test]
 fn pcap_bitflips_never_panic() {
-    bitflip_sweep(&sample_pcap(), PcapReader::parse);
+    bitflip_sweep(&sample_pcap(), |d| PcapReader::parse(d).map(drop));
 }
 
 #[test]
@@ -96,12 +96,12 @@ fn pcap_lying_length_fields_are_errors() {
 #[test]
 fn pcapng_truncation_never_panics() {
     let data = sample_pcapng();
-    truncation_sweep(&data, PcapngReader::parse);
+    truncation_sweep(&data, |d| PcapngReader::parse(d).map(drop));
 }
 
 #[test]
 fn pcapng_bitflips_never_panic() {
-    bitflip_sweep(&sample_pcapng(), PcapngReader::parse);
+    bitflip_sweep(&sample_pcapng(), |d| PcapngReader::parse(d).map(drop));
 }
 
 #[test]
@@ -121,14 +121,14 @@ fn pcapng_lying_block_lengths_are_errors() {
 #[test]
 fn ethernet_ip_tcp_truncation_never_panics() {
     let data = sample_frame();
-    truncation_sweep(&data, TcpSegment::decode);
+    truncation_sweep(&data, |d| TcpSegment::decode(d).map(drop));
     assert!(TcpSegment::decode(&data[..data.len() - 1]).is_err());
 }
 
 #[test]
 fn ethernet_ip_tcp_bitflips_never_panic() {
     // decode verifies checksums, so most flips are errors; all must return.
-    bitflip_sweep(&sample_frame(), TcpSegment::decode);
+    bitflip_sweep(&sample_frame(), |d| TcpSegment::decode(d).map(drop));
 }
 
 #[test]
@@ -154,8 +154,8 @@ fn tls_records_survive_corruption() {
     stream.extend_from_slice(&(body.len() as u16).to_be_bytes());
     stream.extend_from_slice(&body);
 
-    truncation_sweep(&stream, parse_records);
-    bitflip_sweep(&stream, parse_records);
+    truncation_sweep(&stream, |s| parse_records(s).map(drop));
+    bitflip_sweep(&stream, |s| parse_records(s).map(drop));
     truncation_sweep(&body, |b| ClientHello::decode(b));
 
     // Record length claiming more than the stream carries → Truncated.
@@ -251,8 +251,8 @@ fn salvage_bitflip_sweep<T, E>(
 #[test]
 fn pcap_salvage_sweeps_never_panic_and_conserve() {
     let data = sample_pcap();
-    salvage_truncation_sweep(&data, PcapReader::parse_salvage);
-    salvage_bitflip_sweep(&data, PcapReader::parse_salvage);
+    salvage_truncation_sweep(&data, |d, log| PcapReader::parse_salvage(d, log).map(drop));
+    salvage_bitflip_sweep(&data, |d, log| PcapReader::parse_salvage(d, log).map(drop));
 }
 
 #[test]
@@ -260,8 +260,12 @@ fn pcapng_salvage_sweeps_never_panic_and_conserve() {
     // sample_pcapng carries a Decryption Secrets Block, so the sweeps also
     // exercise the DSB body parser under damage.
     let data = sample_pcapng();
-    salvage_truncation_sweep(&data, PcapngReader::parse_salvage);
-    salvage_bitflip_sweep(&data, PcapngReader::parse_salvage);
+    salvage_truncation_sweep(&data, |d, log| {
+        PcapngReader::parse_salvage(d, log).map(drop)
+    });
+    salvage_bitflip_sweep(&data, |d, log| {
+        PcapngReader::parse_salvage(d, log).map(drop)
+    });
 }
 
 #[test]

@@ -30,7 +30,7 @@ proptest! {
         let reader = PcapReader::parse(&bytes).unwrap();
         prop_assert_eq!(reader.packets.len(), packets.len());
         for (parsed, (_, _, data)) in reader.packets.iter().zip(&packets) {
-            prop_assert_eq!(&parsed.data, data);
+            prop_assert_eq!(parsed.data, data.as_slice());
         }
     }
 
@@ -52,9 +52,10 @@ proptest! {
             dst_ip: [93, 1, 2, 3],
             src_port, dst_port, seq, ack,
             flags: TcpFlags(flags),
-            payload,
+            payload: &payload,
         };
-        prop_assert_eq!(TcpSegment::decode(&seg.encode()).unwrap(), seg);
+        let frame = seg.encode();
+        prop_assert_eq!(TcpSegment::decode(&frame).unwrap(), seg);
     }
 
     #[test]
@@ -75,7 +76,7 @@ proptest! {
             dst_ip: [93, 1, 2, 3],
             src_port: 1000, dst_port: 443, seq: 1, ack: 2,
             flags: TcpFlags(TcpFlags::ACK),
-            payload,
+            payload: &payload,
         };
         let mut frame = seg.encode();
         // Flip one bit somewhere after the MACs (MAC flips are undetectable
@@ -129,14 +130,14 @@ proptest! {
                 src_port: 5000, dst_port: 443,
                 seq, ack: 1,
                 flags: TcpFlags(TcpFlags::ACK | TcpFlags::PSH),
-                payload: chunk.clone(),
+                payload: chunk,
             });
             seq = seq.wrapping_add(chunk.len() as u32);
             expected.extend_from_slice(chunk);
         }
         let syn = TcpSegment {
-            seq: 100, flags: TcpFlags(TcpFlags::SYN), payload: vec![],
-            ..segments[0].clone()
+            seq: 100, flags: TcpFlags(TcpFlags::SYN), payload: &[],
+            ..segments[0]
         };
         let mut rng = Rng::new(seed);
         rng.shuffle(&mut segments);

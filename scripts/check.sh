@@ -170,6 +170,18 @@ if [ "$cold_miss" -eq 0 ] || [ "$cold_insert" -ne "$cold_miss" ] \
     exit 1
 fi
 
+echo "==> decode copy gate (cold nettrace.bytes.copied <= BENCH_pipeline.json)"
+# The counter is exact (assembled streams + TLS plaintext + kept HTTP
+# bodies), so unlike wall time or RSS it can gate hard: decode may copy
+# fewer bytes out of the capture buffers than the baseline, never more.
+copied="$(counter nettrace.bytes.copied "$obs_tmp/cold.json")"
+copied_base="$(counter nettrace.bytes.copied BENCH_pipeline.json)"
+echo "nettrace.bytes.copied: $copied (baseline $copied_base)"
+if [ "$copied" -eq 0 ] || [ "$copied" -gt "$copied_base" ]; then
+    echo "decode copied more bytes than BENCH_pipeline.json records"
+    exit 1
+fi
+
 echo "==> serve smoke (boot ephemeral port, upload HAR, audit, report, clean drain)"
 ./target/release/diffaudit serve --port 0 --log-level warn \
     > "$obs_tmp/serve.log" 2> "$obs_tmp/serve.err" &
