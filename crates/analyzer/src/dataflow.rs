@@ -20,14 +20,13 @@ use std::collections::{HashMap, HashSet};
 /// Functions whose return value IS raw payload or extracted data-type
 /// values, regardless of where they are defined. Matched by last path
 /// segment at call sites.
-pub const SOURCE_FNS: [&str; 8] = [
+pub const SOURCE_FNS: [&str; 7] = [
     "har_to_exchanges",
     "har_to_exchanges_salvage",
+    "har_to_exchanges_salvage_ctl",
     "har_json_to_exchanges",
-    "decode_pcap",
-    "decode_pcap_salvage",
-    "decode_auto",
     "decode_auto_salvage",
+    "decode_auto_salvage_ctl",
     "extract_request",
 ];
 
@@ -171,7 +170,7 @@ mod tests {
     fn seed_sources_are_carriers() {
         let m = CrateModel::build(Vec::new());
         assert!(m.is_carrier("har_to_exchanges"));
-        assert!(m.is_carrier("decode_pcap"));
+        assert!(m.is_carrier("decode_auto_salvage_ctl"));
         assert!(!m.is_carrier("format_table"));
     }
 

@@ -31,7 +31,7 @@ fn every_pass_fires_on_its_fixture_file() {
         ("unsafe-audit", "json/src/unsafe_use.rs", 2),
         ("no-bare-eprintln", "core/src/printing.rs", 2),
         ("global-state", "core/src/globals.rs", 4),
-        ("redaction", "core/src/leaks.rs", 3),
+        ("redaction", "core/src/leaks.rs", 4),
         ("par-discipline", "util/src/workers.rs", 3),
         ("par-discipline", "serve/src/daemon.rs", 2),
         ("metric-discipline", "serve/src/telemetry.rs", 3),

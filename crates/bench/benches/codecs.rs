@@ -8,8 +8,8 @@ use diffaudit_bench::stopwatch::run;
 use diffaudit_domains::Url;
 use diffaudit_json::{flatten, parse};
 use diffaudit_nettrace::{
-    decode_pcap, har_from_exchanges, har_to_exchanges, CaptureOptions, CaptureSession, Exchange,
-    HttpRequest, HttpResponse, KeyLog, PcapReader,
+    decode_auto_salvage, har_from_exchanges, har_to_exchanges, CaptureOptions, CaptureSession,
+    Exchange, HttpRequest, HttpResponse, KeyLog, PcapReader, SalvageLog,
 };
 use std::hint::black_box;
 
@@ -69,10 +69,13 @@ fn main() {
         }
         black_box(s.finish());
     });
-    run("capture/pcap_parse", || {
-        black_box(PcapReader::parse(black_box(&pcap)).unwrap());
+    // The salvage reader and decoder are the ones the CLI and daemon run.
+    run("capture/pcap_parse_salvage", || {
+        let mut log = SalvageLog::new();
+        black_box(PcapReader::parse_salvage(black_box(&pcap), &mut log).unwrap());
     });
-    run("capture/decode_pcap_full", || {
-        black_box(decode_pcap(black_box(&pcap), black_box(&keylog)).unwrap());
+    run("capture/decode_auto_salvage", || {
+        let mut log = SalvageLog::new();
+        black_box(decode_auto_salvage(black_box(&pcap), black_box(&keylog), &mut log).unwrap());
     });
 }

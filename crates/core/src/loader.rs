@@ -890,14 +890,14 @@ mod tests {
 
     #[test]
     fn salvage_load_matches_strict_on_clean_directory() {
-        use diffaudit_nettrace::{decode_auto, har_to_exchanges};
+        use diffaudit_nettrace::{decode_auto_salvage, har_to_exchanges};
         let (_, dir, service_dir) = written_service_dir("salvage-clean");
         let (salvaged, ledger) = load(&service_dir).unwrap();
         let manifest = read_manifest(&service_dir).unwrap();
         assert_eq!(salvaged.slug, manifest.slug);
         assert_eq!(salvaged.units.len(), manifest.unit_entries.len());
-        // The strict nettrace decoders are the reference for the decode
-        // step the loader runs before extraction.
+        // The strict HAR driver and a direct capture decode are the
+        // reference for the decode step the loader runs before extraction.
         let decoded = decode_dir(&service_dir);
         for (unit, entry) in decoded.iter().zip(&manifest.unit_entries) {
             let file = service_dir.join(entry.get("file").and_then(Json::as_str).unwrap());
@@ -909,7 +909,11 @@ mod tests {
                 Some(keys) => {
                     let keylog =
                         KeyLog::parse(&std::fs::read_to_string(service_dir.join(keys)).unwrap());
-                    let decoded = decode_auto(&std::fs::read(&file).unwrap(), &keylog).unwrap();
+                    let mut log = SalvageLog::new();
+                    let decoded =
+                        decode_auto_salvage(&std::fs::read(&file).unwrap(), &keylog, &mut log)
+                            .unwrap();
+                    assert!(log.is_clean(), "{:?}", log.drops());
                     let opaque = decoded.opaque.into_iter().filter_map(|o| o.sni).collect();
                     (decoded.exchanges, opaque)
                 }

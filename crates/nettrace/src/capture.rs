@@ -10,15 +10,18 @@
 //! reordering (radio loss), in the fault-injection spirit of smoltcp's
 //! examples.
 //!
-//! [`decode_pcap`] is the Wireshark/editcap side: pcap bytes + key log →
+//! [`decode_auto_salvage`] is the Wireshark/editcap side, and the one
+//! decode path the loader runs: pcap or pcapng bytes + key log →
 //! reassembled flows → decrypted TLS → parsed HTTP exchanges, with opaque
 //! (undecryptable) flows reported alongside — the paper includes those in
-//! its analysis via their SNI.
+//! its analysis via their SNI — and per-record damage recorded in a
+//! [`SalvageLog`] instead of aborting the decode.
 
 use crate::http::{Exchange, HttpRequest, HttpResponse};
 use crate::keylog::KeyLog;
 use crate::packet::{TcpFlags, TcpSegment};
 use crate::pcap::{PcapError, PcapReader, PcapWriter};
+use crate::pcapng::{PcapngError, PcapngReader};
 use crate::salvage::{SalvageLog, Stage};
 use crate::tcp::FlowTable;
 use crate::tls::{decode_client_stream, decode_server_stream, TlsError, TlsSession};
@@ -314,9 +317,7 @@ pub enum DecodeError {
     /// The pcap container was malformed.
     Pcap(PcapError),
     /// The pcapng container was malformed.
-    Pcapng(crate::pcapng::PcapngError),
-    /// A TLS stream was malformed (not merely undecryptable).
-    Tls(TlsError),
+    Pcapng(PcapngError),
     /// The decode was cut short by a deadline or cancellation; the message
     /// keeps the interrupt's reason code (`timeout`/`cancelled`) as its
     /// prefix so ledger drop reasons stay machine-matchable.
@@ -328,7 +329,6 @@ impl std::fmt::Display for DecodeError {
         match self {
             DecodeError::Pcap(e) => write!(f, "pcap error: {e}"),
             DecodeError::Pcapng(e) => write!(f, "pcapng error: {e}"),
-            DecodeError::Tls(e) => write!(f, "tls error: {e}"),
             DecodeError::Interrupted(i) => write!(f, "{i}"),
         }
     }
@@ -342,121 +342,6 @@ impl From<PcapError> for DecodeError {
     }
 }
 
-/// The Wireshark/editcap step: pcap bytes + key log → exchanges.
-///
-/// Damaged frames (bad checksums) and flows with reassembly gaps are
-/// skipped, not fatal — a real capture always has some, and the paper's
-/// pipeline likewise analyzes what it can decode.
-pub fn decode_pcap(pcap_bytes: &[u8], keylog: &KeyLog) -> Result<DecodedTrace, DecodeError> {
-    let reader = PcapReader::parse(pcap_bytes)?;
-    decode_packets(&reader.packets, keylog)
-}
-
-/// Decode either capture container: legacy pcap (with an external key log)
-/// or pcapng (whose embedded Decryption Secrets Blocks are merged with the
-/// external key log — pass an empty one for a self-contained editcap
-/// output).
-pub fn decode_auto(bytes: &[u8], external_keylog: &KeyLog) -> Result<DecodedTrace, DecodeError> {
-    if crate::pcapng::PcapngReader::sniff(bytes) {
-        let reader = crate::pcapng::PcapngReader::parse(bytes).map_err(DecodeError::Pcapng)?;
-        // External secrets win over embedded ones for a shared session.
-        let mut merged = reader.keylog;
-        merged.extend(external_keylog.clone());
-        decode_packets(&reader.packets, &merged)
-    } else {
-        decode_pcap(bytes, external_keylog)
-    }
-}
-
-fn decode_packets(
-    packets: &[crate::pcap::PcapPacket<'_>],
-    keylog: &KeyLog,
-) -> Result<DecodedTrace, DecodeError> {
-    let packet_count = packets.len();
-    let mut table = FlowTable::new();
-    for packet in packets {
-        if let Ok(segment) = TcpSegment::decode(packet.data) {
-            table.push(&segment, packet.timestamp_ms());
-        }
-    }
-    let mut exchanges = Vec::new();
-    let mut opaque = Vec::new();
-    let mut copied = 0u64;
-    for flow in table.flows() {
-        let client_stream = flow.client_stream();
-        copied += client_stream.len() as u64;
-        if client_stream.is_empty() {
-            opaque.push(OpaqueFlow {
-                sni: None,
-                server_port: flow.server_port(),
-                segment_count: flow.segment_count,
-            });
-            continue;
-        }
-        // Tolerate truncated trailing records (dropped final segments).
-        let decoded = match decode_client_stream(&client_stream, keylog) {
-            Ok(d) => d,
-            Err(TlsError::Truncated) => {
-                // Retry on the longest prefix that parses by trimming until
-                // success is not practical; treat as opaque instead.
-                opaque.push(OpaqueFlow {
-                    sni: None,
-                    server_port: flow.server_port(),
-                    segment_count: flow.segment_count,
-                });
-                continue;
-            }
-            Err(e) => return Err(DecodeError::Tls(e)),
-        };
-        match decoded.plaintext {
-            Some(plaintext) => {
-                // Parse the (possibly pipelined) requests.
-                let server_stream = flow.server_stream();
-                let server_plain =
-                    decode_server_stream(&server_stream, decoded.client_random, keylog)
-                        .ok()
-                        .and_then(|d| d.plaintext);
-                copied += (server_stream.len() + plaintext.len()) as u64;
-                copied += server_plain.as_ref().map_or(0, |sp| sp.len() as u64);
-                let mut responses = Vec::new();
-                if let Some(sp) = server_plain {
-                    let mut pos = 0;
-                    while let Some((resp, n)) = sp.get(pos..).and_then(HttpResponse::parse_wire) {
-                        responses.push(resp);
-                        pos += n;
-                    }
-                }
-                let mut responses = responses.into_iter();
-                let mut pos = 0;
-                while let Some((request, n)) = plaintext
-                    .get(pos..)
-                    .and_then(|rest| HttpRequest::parse_wire(rest, "https"))
-                {
-                    let response = responses.next().unwrap_or_else(HttpResponse::ok);
-                    exchanges.push(Exchange {
-                        timestamp_ms: flow.first_ts_ms,
-                        request,
-                        response,
-                    });
-                    pos += n;
-                }
-            }
-            None => opaque.push(OpaqueFlow {
-                sni: decoded.sni,
-                server_port: flow.server_port(),
-                segment_count: flow.segment_count,
-            }),
-        }
-    }
-    Ok(DecodedTrace {
-        bytes_copied: copied + body_bytes(&exchanges),
-        exchanges,
-        opaque,
-        packet_count,
-        flow_count: table.flow_count(),
-    })
-}
-
 /// HTTP body bytes the exchanges keep.
 fn body_bytes(exchanges: &[Exchange]) -> u64 {
     exchanges
@@ -465,41 +350,15 @@ fn body_bytes(exchanges: &[Exchange]) -> u64 {
         .sum()
 }
 
-/// Salvage counterpart of [`decode_pcap`]: the container is parsed with
-/// per-record resync, and every downstream stage skips-and-records instead
-/// of aborting. Only an unusable global header remains an error.
-pub fn decode_pcap_salvage(
-    pcap_bytes: &[u8],
-    keylog: &KeyLog,
-    log: &mut SalvageLog,
-) -> Result<DecodedTrace, DecodeError> {
-    decode_pcap_salvage_ctl(pcap_bytes, keylog, log, &Ctl::unbounded())
-}
-
-/// [`decode_pcap_salvage`] with a cancellation checkpoint per frame and per
-/// flow: a tripped `ctl` returns [`DecodeError::Interrupted`] (the partial
-/// salvage log is kept, so the caller's ledger still accounts the records
-/// processed before the cut-off).
-pub fn decode_pcap_salvage_ctl(
-    pcap_bytes: &[u8],
-    keylog: &KeyLog,
-    log: &mut SalvageLog,
-    ctl: &Ctl,
-) -> Result<DecodedTrace, DecodeError> {
-    let _span = diffaudit_obs::span("nettrace.decode.pcap");
-    diffaudit_obs::add("nettrace.decode.pcap.bytes.in", pcap_bytes.len() as u64);
-    diffaudit_obs::observe(
-        "nettrace.capture.bytes",
-        &diffaudit_obs::BYTE_BOUNDS,
-        pcap_bytes.len() as u64,
-    );
-    let reader = PcapReader::parse_salvage(pcap_bytes, log)?;
-    decode_packets_salvage_ctl(&reader.packets, keylog, log, ctl)
-}
-
-/// Salvage counterpart of [`decode_auto`]: dispatches on the container
-/// magic like [`decode_auto`], then decodes with per-record isolation.
-/// Only an unusable container header remains an error.
+/// The Wireshark/editcap step: capture bytes + key log → exchanges.
+///
+/// Dispatches on the container magic: legacy pcap (decrypted with the
+/// external key log) or pcapng (whose embedded Decryption Secrets Blocks
+/// are merged with the external key log — pass an empty one for a
+/// self-contained editcap output). The container is parsed with per-record
+/// resync and every downstream stage skips-and-records into `log` instead
+/// of aborting; on undamaged input the log stays clean. Only an unusable
+/// container header remains an error.
 pub fn decode_auto_salvage(
     bytes: &[u8],
     external_keylog: &KeyLog,
@@ -508,42 +367,47 @@ pub fn decode_auto_salvage(
     decode_auto_salvage_ctl(bytes, external_keylog, log, &Ctl::unbounded())
 }
 
-/// [`decode_auto_salvage`] with per-record cancellation checkpoints; see
-/// [`decode_pcap_salvage_ctl`].
+/// [`decode_auto_salvage`] with a cancellation checkpoint per frame and per
+/// flow: a tripped `ctl` returns [`DecodeError::Interrupted`] (the partial
+/// salvage log is kept, so the caller's ledger still accounts the records
+/// processed before the cut-off).
 pub fn decode_auto_salvage_ctl(
     bytes: &[u8],
     external_keylog: &KeyLog,
     log: &mut SalvageLog,
     ctl: &Ctl,
 ) -> Result<DecodedTrace, DecodeError> {
-    if crate::pcapng::PcapngReader::sniff(bytes) {
+    diffaudit_obs::observe(
+        "nettrace.capture.bytes",
+        &diffaudit_obs::BYTE_BOUNDS,
+        bytes.len() as u64,
+    );
+    if PcapngReader::sniff(bytes) {
         let _span = diffaudit_obs::span("nettrace.decode.pcapng");
         diffaudit_obs::add("nettrace.decode.pcapng.bytes.in", bytes.len() as u64);
-        diffaudit_obs::observe(
-            "nettrace.capture.bytes",
-            &diffaudit_obs::BYTE_BOUNDS,
-            bytes.len() as u64,
-        );
-        let reader =
-            crate::pcapng::PcapngReader::parse_salvage(bytes, log).map_err(DecodeError::Pcapng)?;
+        let reader = PcapngReader::parse_salvage(bytes, log).map_err(DecodeError::Pcapng)?;
+        // External secrets win over embedded ones for a shared session.
         let mut merged = reader.keylog;
         merged.extend(external_keylog.clone());
-        decode_packets_salvage_ctl(&reader.packets, &merged, log, ctl)
+        decode_packets(&reader.packets, &merged, log, ctl)
     } else {
-        decode_pcap_salvage_ctl(bytes, external_keylog, log, ctl)
+        let _span = diffaudit_obs::span("nettrace.decode.pcap");
+        diffaudit_obs::add("nettrace.decode.pcap.bytes.in", bytes.len() as u64);
+        let reader = PcapReader::parse_salvage(bytes, log)?;
+        decode_packets(&reader.packets, external_keylog, log, ctl)
     }
 }
 
-/// Like `decode_packets`, but infallible past the container: damaged frames
-/// and malformed TLS streams become drop records, reassembly gaps are
-/// accounted per flow, and whatever decodes cleanly is kept. On undamaged
-/// input the returned trace is identical to `decode_packets`' and the log
-/// stays clean (opaque pinned flows are expected, not damage).
+/// Frames → flows → TLS → HTTP, infallible past the container: damaged
+/// frames and malformed TLS streams become drop records, reassembly gaps
+/// are accounted per flow, and whatever decodes cleanly is kept. On
+/// undamaged input the log stays clean (opaque pinned flows are expected,
+/// not damage).
 ///
 /// The only non-salvageable outcomes are a broken container (upstream) and
 /// a tripped `ctl` — checked once per frame and once per flow so a stalled
 /// record stream is cut off at its deadline instead of wedging the worker.
-fn decode_packets_salvage_ctl(
+fn decode_packets(
     packets: &[crate::pcap::PcapPacket<'_>],
     keylog: &KeyLog,
     log: &mut SalvageLog,
@@ -590,8 +454,8 @@ fn decode_packets_salvage_ctl(
             match gap_reason {
                 Some(reason) => log.dropped(Stage::TcpFlow, reason, None),
                 // An empty client stream without buffered data beyond it
-                // means the capture simply has no client bytes — strict
-                // mode treats that as opaque too.
+                // means the capture simply has no client bytes: opaque,
+                // not damage.
                 None => log.ok(Stage::TcpFlow),
             }
             continue;
@@ -599,8 +463,8 @@ fn decode_packets_salvage_ctl(
         let decoded = match decode_client_stream(&client_stream, keylog) {
             Ok(d) => d,
             Err(e) => {
-                // Unlike strict mode, *no* TLS error aborts the run: the
-                // flow is dropped with its reason and the audit continues.
+                // No TLS error aborts the run: the flow is dropped with
+                // its reason and the audit continues.
                 opaque.push(OpaqueFlow {
                     sni: None,
                     server_port: flow.server_port(),
@@ -727,6 +591,19 @@ mod tests {
         }
     }
 
+    /// Decode an undamaged capture: the salvage log must stay clean.
+    fn decode_clean(bytes: &[u8], keylog: &KeyLog) -> DecodedTrace {
+        let mut log = SalvageLog::new();
+        let decoded = decode_auto_salvage(bytes, keylog, &mut log).unwrap();
+        assert!(
+            log.is_clean(),
+            "undamaged capture produced drops: {:?}",
+            log.drops()
+        );
+        assert!(log.conserved());
+        decoded
+    }
+
     #[test]
     fn capture_decode_round_trip() {
         let mut session = CaptureSession::new(CaptureOptions::default());
@@ -742,7 +619,7 @@ mod tests {
         let keylog = KeyLog::parse(&keylog_text);
         assert_eq!(keylog.len(), 2);
 
-        let decoded = decode_pcap(&pcap, &keylog).unwrap();
+        let decoded = decode_clean(&pcap, &keylog);
         assert_eq!(decoded.flow_count, 2);
         assert_eq!(decoded.exchanges.len(), 2);
         assert!(decoded.opaque.is_empty());
@@ -764,7 +641,8 @@ mod tests {
         session.capture(&exchange("https://pinned.tiktok.com/api/x", r#"{"k":1}"#));
         assert_eq!(session.pinned_flow_count(), 1);
         let (pcap, keylog_text) = session.finish();
-        let decoded = decode_pcap(&pcap, &KeyLog::parse(&keylog_text)).unwrap();
+        // Pinned (opaque) flows are expected, not damage: the log is clean.
+        let decoded = decode_clean(&pcap, &KeyLog::parse(&keylog_text));
         assert!(decoded.exchanges.is_empty());
         assert_eq!(decoded.opaque.len(), 1);
         assert_eq!(decoded.opaque[0].sni.as_deref(), Some("pinned.tiktok.com"));
@@ -784,7 +662,7 @@ mod tests {
         let ex = exchange("https://t.example.com/batch", body);
         session.capture(&ex);
         let (pcap, keylog_text) = session.finish();
-        let decoded = decode_pcap(&pcap, &KeyLog::parse(&keylog_text)).unwrap();
+        let decoded = decode_clean(&pcap, &KeyLog::parse(&keylog_text));
         assert_eq!(decoded.exchanges.len(), 1);
         assert_eq!(decoded.exchanges[0].request.body, ex.request.body);
     }
@@ -804,10 +682,12 @@ mod tests {
             ));
         }
         let (pcap, keylog_text) = session.finish();
-        let decoded = decode_pcap(&pcap, &KeyLog::parse(&keylog_text)).unwrap();
+        let mut log = SalvageLog::new();
+        let decoded = decode_auto_salvage(&pcap, &KeyLog::parse(&keylog_text), &mut log).unwrap();
         // Every flow is accounted for as either decoded or opaque.
         assert_eq!(decoded.flow_count, 5);
         assert_eq!(decoded.exchanges.len() + decoded.opaque.len(), 5);
+        assert!(log.conserved());
     }
 
     #[test]
@@ -838,43 +718,12 @@ mod tests {
         let keylog = KeyLog::parse(&keylog_text);
         // editcap path: secrets embedded, no external key log needed.
         let pcapng = inject_secrets(&pcap, &keylog).unwrap();
-        let decoded = decode_auto(&pcapng, &KeyLog::new()).unwrap();
+        let decoded = decode_clean(&pcapng, &KeyLog::new());
         assert_eq!(decoded.exchanges.len(), 1);
         assert_eq!(decoded.exchanges[0].request.body, ex.request.body);
         // Legacy path through the same entry point.
-        let decoded_legacy = decode_auto(&pcap, &keylog).unwrap();
+        let decoded_legacy = decode_clean(&pcap, &keylog);
         assert_eq!(decoded_legacy.exchanges.len(), 1);
-    }
-
-    #[test]
-    fn salvage_decode_matches_strict_on_clean_capture() {
-        let mut session = CaptureSession::new(CaptureOptions {
-            pinned_fraction: 0.3,
-            seed: 42,
-            ..Default::default()
-        });
-        for i in 0..4 {
-            session.capture(&exchange(
-                &format!("https://s{i}.example.com/x"),
-                r#"{"k":"v"}"#,
-            ));
-        }
-        let (pcap, keylog_text) = session.finish();
-        let keylog = KeyLog::parse(&keylog_text);
-        let strict = decode_pcap(&pcap, &keylog).unwrap();
-        let mut log = SalvageLog::new();
-        let salvaged = decode_pcap_salvage(&pcap, &keylog, &mut log).unwrap();
-        assert_eq!(strict.exchanges, salvaged.exchanges);
-        assert_eq!(strict.opaque, salvaged.opaque);
-        assert_eq!(strict.flow_count, salvaged.flow_count);
-        assert_eq!(strict.bytes_copied, salvaged.bytes_copied);
-        // Pinned (opaque) flows are expected, not damage: the log is clean.
-        assert!(
-            log.is_clean(),
-            "clean capture produced drops: {:?}",
-            log.drops()
-        );
-        assert!(log.conserved());
     }
 
     #[test]
@@ -892,7 +741,7 @@ mod tests {
         let mid = pcap.len() / 2;
         pcap[mid] ^= 0xFF;
         let mut log = SalvageLog::new();
-        let salvaged = decode_pcap_salvage(&pcap, &keylog, &mut log).unwrap();
+        let salvaged = decode_auto_salvage(&pcap, &keylog, &mut log).unwrap();
         // Conservation: every flow accounted, most exchanges recovered.
         assert_eq!(salvaged.flow_count, 6);
         assert!(
@@ -902,8 +751,7 @@ mod tests {
         );
         assert!(!log.is_clean());
         assert!(log.conserved());
-        // Strict mode may or may not abort on this input, but salvage must
-        // account for the damage either at frame or flow level.
+        // The damage is accounted either at frame or at flow level.
         assert!(log.total_dropped() >= 1);
     }
 
@@ -935,7 +783,7 @@ mod tests {
         );
         std::thread::sleep(std::time::Duration::from_millis(1));
         let mut log = SalvageLog::new();
-        let err = decode_pcap_salvage_ctl(&pcap, &keylog, &mut log, &ctl).unwrap_err();
+        let err = decode_auto_salvage_ctl(&pcap, &keylog, &mut log, &ctl).unwrap_err();
         assert_eq!(err, DecodeError::Interrupted(Interrupt::TimedOut));
         assert!(err.to_string().starts_with("timeout"), "{err}");
     }
@@ -948,8 +796,8 @@ mod tests {
         let keylog = KeyLog::parse(&keylog_text);
         let mut log_a = SalvageLog::new();
         let mut log_b = SalvageLog::new();
-        let plain = decode_pcap_salvage(&pcap, &keylog, &mut log_a).unwrap();
-        let ctl = decode_pcap_salvage_ctl(&pcap, &keylog, &mut log_b, &Ctl::unbounded()).unwrap();
+        let plain = decode_auto_salvage(&pcap, &keylog, &mut log_a).unwrap();
+        let ctl = decode_auto_salvage_ctl(&pcap, &keylog, &mut log_b, &Ctl::unbounded()).unwrap();
         assert_eq!(plain.exchanges, ctl.exchanges);
         assert_eq!(log_a.total_dropped(), log_b.total_dropped());
     }
@@ -969,14 +817,11 @@ mod tests {
             ));
         }
         let (pcap, keylog_text) = session.finish();
-        let keylog = KeyLog::parse(&keylog_text);
-        let mut log = SalvageLog::new();
-        let salvaged = decode_pcap_salvage(&pcap, &keylog, &mut log).unwrap();
-        assert_eq!(salvaged.opaque.len(), 2, "two pinned flows");
+        let decoded = decode_clean(&pcap, &KeyLog::parse(&keylog_text));
+        assert_eq!(decoded.opaque.len(), 2, "two pinned flows");
         // Four client streams, plus the server stream and both plaintexts
         // of each of the two decrypted flows, plus their two request bodies.
-        assert_eq!(salvaged.bytes_copied, 1843);
-        assert_eq!(decode_pcap(&pcap, &keylog).unwrap().bytes_copied, 1843);
+        assert_eq!(decoded.bytes_copied, 1843);
     }
 
     #[test]

@@ -409,6 +409,16 @@ fn overlap_record(span: &RecordSpan, data: &[u8]) -> Option<Vec<u8>> {
 mod tests {
     use super::*;
     use crate::pcap::{PcapReader, PcapWriter};
+    use crate::salvage::{SalvageLog, Stage};
+
+    /// Parse pcap bytes whose records are intact (maybe rearranged): the
+    /// salvage log must stay clean.
+    fn parse_clean(data: &[u8]) -> PcapReader<'_> {
+        let mut log = SalvageLog::new();
+        let r = PcapReader::parse_salvage(data, &mut log).unwrap();
+        assert!(log.is_clean(), "{:?}", log.drops());
+        r
+    }
 
     fn sample_pcap() -> Vec<u8> {
         let mut w = PcapWriter::new();
@@ -484,15 +494,15 @@ mod tests {
             rate: 0.5,
         };
         let out = spec.apply_pcap(&data);
-        let orig = PcapReader::parse(&data).unwrap().packets.len();
-        let kept = PcapReader::parse(&out).unwrap().packets.len();
+        let orig = parse_clean(&data).packets.len();
+        let kept = parse_clean(&out).packets.len();
         assert!(kept < orig, "{kept} vs {orig}");
     }
 
     #[test]
     fn reorder_and_duplicate_preserve_payload_multiset() {
         let data = sample_pcap();
-        let orig = PcapReader::parse(&data).unwrap();
+        let orig = parse_clean(&data);
         for op in [FaultOp::SegmentReorder, FaultOp::SegmentDuplicate] {
             let spec = FaultSpec {
                 op,
@@ -500,7 +510,7 @@ mod tests {
                 rate: 0.6,
             };
             let damaged = spec.apply_pcap(&data);
-            let out = PcapReader::parse(&damaged).unwrap();
+            let out = parse_clean(&damaged);
             let mut orig_payloads: Vec<&[u8]> = orig.packets.iter().map(|p| p.data).collect();
             let mut new_payloads: Vec<&[u8]> = out.packets.iter().map(|p| p.data).collect();
             orig_payloads.sort();
@@ -512,14 +522,21 @@ mod tests {
     }
 
     #[test]
-    fn lying_length_breaks_strict_parse() {
+    fn lying_length_drops_records() {
         let data = sample_pcap();
         let spec = FaultSpec {
             op: FaultOp::LyingLength,
             seed: 2,
             rate: 0.9,
         };
-        assert!(PcapReader::parse(&spec.apply_pcap(&data)).is_err());
+        let mut log = SalvageLog::new();
+        PcapReader::parse_salvage(&spec.apply_pcap(&data), &mut log).unwrap();
+        assert!(
+            log.stage(Stage::PcapRecord).dropped >= 1,
+            "{:?}",
+            log.stage(Stage::PcapRecord)
+        );
+        assert!(log.conserved());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!
 //! - [`http`] — the HTTP request/response model shared by all formats;
 //! - [`har`] — HAR 1.2 serialization and parsing (DevTools/Proxyman path);
-//! - [`pcap`] — the libpcap file format, reader and writer;
+//! - [`pcap`] — the libpcap file format, writer and salvage reader;
 //! - [`packet`] — Ethernet II / IPv4 / TCP codecs with real checksums;
 //! - [`tcp`] — TCP flow tracking and stream reassembly (out-of-order
 //!   tolerant), plus the flow counts reported in the paper's Table 1;
@@ -28,11 +28,15 @@
 //!   certificate-pinned app in the paper's setup;
 //! - [`keylog`] — key-log file parsing/serialization;
 //! - [`pcapng`] — the pcapng subset Wireshark's editcap produces when
-//!   embedding TLS secrets (SHB/IDB/EPB + Decryption Secrets Block), plus
-//!   the `inject_secrets` editcap simulation;
+//!   embedding TLS secrets (SHB/IDB/EPB + Decryption Secrets Block), its
+//!   salvage reader, and the `inject_secrets` editcap simulation;
 //! - [`capture`] — end-to-end capture sessions: HTTP exchanges → pcap
 //!   bytes with a key log (the PCAPdroid side) or → HAR (the DevTools
-//!   side), and the decode pipeline back from bytes to exchanges.
+//!   side), and the one decode pipeline back from pcap/pcapng bytes to
+//!   exchanges, [`decode_auto_salvage`];
+//! - [`salvage`] — the per-stage ledger every decoder records damage into:
+//!   the capture readers and flow loop skip and record a damaged record
+//!   instead of aborting, so an undamaged capture is one with a clean log.
 
 pub mod capture;
 pub mod fault;
@@ -47,8 +51,7 @@ pub mod tcp;
 pub mod tls;
 
 pub use capture::{
-    decode_auto, decode_auto_salvage, decode_auto_salvage_ctl, decode_pcap, decode_pcap_salvage,
-    decode_pcap_salvage_ctl, CaptureOptions, CaptureSession, DecodedTrace,
+    decode_auto_salvage, decode_auto_salvage_ctl, CaptureOptions, CaptureSession, DecodedTrace,
 };
 pub use fault::{FaultOp, FaultSpec};
 pub use har::{

@@ -4,7 +4,9 @@
 //! a 24-byte global header (magic `0xa1b2c3d4`, version 2.4, snaplen,
 //! link type) followed by per-packet records (`ts_sec`, `ts_usec`,
 //! `incl_len`, `orig_len`, data). The reader accepts both byte orders by
-//! dispatching on the magic, exactly like tcpdump.
+//! dispatching on the magic, exactly like tcpdump, and salvages around
+//! damaged records (skip, record in the [`crate::salvage::SalvageLog`],
+//! resync) instead of rejecting the file.
 
 /// Link type: Ethernet.
 pub const LINKTYPE_ETHERNET: u32 = 1;
@@ -148,79 +150,15 @@ pub struct PcapReader<'a> {
 }
 
 impl<'a> PcapReader<'a> {
-    /// Parse an entire capture file.
+    /// Parse an entire capture file, salvaging around damage: a damaged
+    /// record is skipped and recorded in `log` instead of aborting. The
+    /// reader resyncs by scanning forward for the next plausible record
+    /// boundary (sane microsecond field, capture length within the snaplen,
+    /// record fits in the file). Only an unusable global header is an
+    /// error; an undamaged file leaves the log clean.
     ///
     /// All reads go through checked helpers, so truncation at any byte and
-    /// lying length fields surface as [`PcapError`] values, never panics.
-    pub fn parse(data: &'a [u8]) -> Result<PcapReader<'a>, PcapError> {
-        use diffaudit_util::bytes::{read_u16_be, read_u16_le, read_u32_be, read_u32_le, slice_at};
-
-        if data.len() < 24 {
-            return Err(PcapError::TruncatedHeader);
-        }
-        let magic = read_u32_le(data, 0).ok_or(PcapError::TruncatedHeader)?;
-        let swapped = match magic {
-            MAGIC_LE => false,
-            MAGIC_SWAPPED => true,
-            other => return Err(PcapError::BadMagic(other)),
-        };
-        let read_u16 = |offset: usize| -> Option<u16> {
-            if swapped {
-                read_u16_be(data, offset)
-            } else {
-                read_u16_le(data, offset)
-            }
-        };
-        let read_u32 = |offset: usize| -> Option<u32> {
-            if swapped {
-                read_u32_be(data, offset)
-            } else {
-                read_u32_le(data, offset)
-            }
-        };
-        let major = read_u16(4).ok_or(PcapError::TruncatedHeader)?;
-        let minor = read_u16(6).ok_or(PcapError::TruncatedHeader)?;
-        if major != 2 {
-            return Err(PcapError::BadVersion(major, minor));
-        }
-        let snaplen = read_u32(16).ok_or(PcapError::TruncatedHeader)?;
-        let link_type = read_u32(20).ok_or(PcapError::TruncatedHeader)?;
-        let mut packets = Vec::new();
-        let mut pos = 24usize;
-        let mut index = 0usize;
-        while pos < data.len() {
-            let truncated = PcapError::TruncatedPacket { index };
-            let ts_sec = read_u32(pos).ok_or(truncated.clone())?;
-            let ts_usec = read_u32(pos + 4).ok_or(truncated.clone())?;
-            let incl_len = read_u32(pos + 8).ok_or(truncated.clone())?;
-            let orig_len = read_u32(pos + 12).ok_or(truncated.clone())?;
-            if incl_len > snaplen {
-                return Err(PcapError::OversizedPacket { index, incl_len });
-            }
-            let start = pos + 16;
-            let payload = slice_at(data, start, incl_len as usize).ok_or(truncated)?;
-            packets.push(PcapPacket {
-                ts_sec,
-                ts_usec,
-                orig_len,
-                data: payload,
-            });
-            pos = start + incl_len as usize;
-            index += 1;
-        }
-        Ok(PcapReader {
-            link_type,
-            snaplen,
-            packets,
-        })
-    }
-
-    /// Salvage parse: per-record damage is skipped-and-recorded instead of
-    /// aborting. The reader resyncs by scanning forward for the next
-    /// plausible record boundary (sane microsecond field, capture length
-    /// within the snaplen, record fits in the file). Only an unusable
-    /// global header is still an error. On undamaged input this accepts
-    /// exactly what [`PcapReader::parse`] accepts, with a clean log.
+    /// lying length fields surface as drop records, never panics.
     pub fn parse_salvage(
         data: &'a [u8],
         log: &mut crate::salvage::SalvageLog,
@@ -259,7 +197,7 @@ impl<'a> PcapReader<'a> {
         let snaplen = read_u32(16).ok_or(PcapError::TruncatedHeader)?;
         let link_type = read_u32(20).ok_or(PcapError::TruncatedHeader)?;
 
-        // Strict per-record read, identical to `parse`'s loop body.
+        // One record at `pos`, read as its header declares it.
         let read_record = |pos: usize| -> Result<(PcapPacket<'a>, usize), PcapError> {
             use diffaudit_util::bytes::slice_at;
             let truncated = PcapError::TruncatedPacket { index: 0 };
@@ -352,6 +290,29 @@ impl<'a> PcapReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::salvage::{SalvageLog, Stage};
+
+    /// Parse undamaged capture bytes: the salvage log must stay clean.
+    fn parse_clean(bytes: &[u8]) -> PcapReader<'_> {
+        let mut log = SalvageLog::new();
+        let r = PcapReader::parse_salvage(bytes, &mut log).unwrap();
+        assert!(log.is_clean(), "undamaged capture: {:?}", log.drops());
+        assert_eq!(
+            log.stage(Stage::PcapRecord).processed,
+            r.packets.len() as u64
+        );
+        r
+    }
+
+    /// Parse damaged record bytes: exactly one record drop, at `offset`.
+    fn parse_one_drop(bytes: &[u8], offset: u64) -> PcapReader<'_> {
+        let mut log = SalvageLog::new();
+        let r = PcapReader::parse_salvage(bytes, &mut log).unwrap();
+        assert!(log.conserved());
+        assert_eq!(log.stage(Stage::PcapRecord).dropped, 1, "{:?}", log.drops());
+        assert_eq!(log.drops()[0].offset, Some(offset));
+        r
+    }
 
     #[test]
     fn write_read_round_trip() {
@@ -360,7 +321,7 @@ mod tests {
         w.write_packet(1_700_000_000_456, b"frame-two-longer");
         assert_eq!(w.packet_count(), 2);
         let bytes = w.finish();
-        let r = PcapReader::parse(&bytes).unwrap();
+        let r = parse_clean(&bytes);
         assert_eq!(r.link_type, LINKTYPE_ETHERNET);
         assert_eq!(r.packets.len(), 2);
         assert_eq!(r.packets[0].data, b"frame-one");
@@ -385,7 +346,7 @@ mod tests {
         buf.extend_from_slice(&3u32.to_be_bytes()); // incl
         buf.extend_from_slice(&3u32.to_be_bytes()); // orig
         buf.extend_from_slice(b"abc");
-        let r = PcapReader::parse(&buf).unwrap();
+        let r = parse_clean(&buf);
         assert_eq!(r.packets.len(), 1);
         assert_eq!(r.packets[0].ts_sec, 100);
         assert_eq!(r.packets[0].data, b"abc");
@@ -396,7 +357,7 @@ mod tests {
         let mut bytes = PcapWriter::new().finish();
         bytes[0] = 0xFF;
         assert!(matches!(
-            PcapReader::parse(&bytes),
+            PcapReader::parse_salvage(&bytes, &mut SalvageLog::new()),
             Err(PcapError::BadMagic(_))
         ));
     }
@@ -404,43 +365,24 @@ mod tests {
     #[test]
     fn rejects_truncations() {
         assert!(matches!(
-            PcapReader::parse(&[0u8; 10]),
+            PcapReader::parse_salvage(&[0u8; 10], &mut SalvageLog::new()),
             Err(PcapError::TruncatedHeader)
         ));
         let mut w = PcapWriter::new();
         w.write_packet(0, b"abcdef");
         let bytes = w.finish();
-        assert!(matches!(
-            PcapReader::parse(&bytes[..bytes.len() - 2]),
-            Err(PcapError::TruncatedPacket { index: 0 })
-        ));
-        // Record header cut mid-way.
-        assert!(matches!(
-            PcapReader::parse(&bytes[..30]),
-            Err(PcapError::TruncatedPacket { index: 0 })
-        ));
+        // Record 0 (at byte 24) cut short in its data, then mid-header.
+        assert!(parse_one_drop(&bytes[..bytes.len() - 2], 24)
+            .packets
+            .is_empty());
+        assert!(parse_one_drop(&bytes[..30], 24).packets.is_empty());
     }
 
     #[test]
     fn empty_capture_is_valid() {
         let bytes = PcapWriter::new().finish();
-        let r = PcapReader::parse(&bytes).unwrap();
+        let r = parse_clean(&bytes);
         assert!(r.packets.is_empty());
-    }
-
-    #[test]
-    fn salvage_matches_strict_on_clean_input() {
-        let mut w = PcapWriter::new();
-        for i in 0..5u64 {
-            w.write_packet(1_700_000_000_000 + i, format!("frame-{i}").as_bytes());
-        }
-        let bytes = w.finish();
-        let strict = PcapReader::parse(&bytes).unwrap();
-        let mut log = crate::salvage::SalvageLog::new();
-        let salvaged = PcapReader::parse_salvage(&bytes, &mut log).unwrap();
-        assert_eq!(strict.packets, salvaged.packets);
-        assert!(log.is_clean());
-        assert_eq!(log.stage(crate::salvage::Stage::PcapRecord).processed, 5);
     }
 
     #[test]
@@ -452,16 +394,10 @@ mod tests {
         let mut bytes = w.finish();
         // Overwrite record 0's incl_len with an oversized lie.
         bytes[24 + 8..24 + 12].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(PcapReader::parse(&bytes).is_err());
-        let mut log = crate::salvage::SalvageLog::new();
-        let r = PcapReader::parse_salvage(&bytes, &mut log).unwrap();
         // Records 1 and 2 recovered; record 0 dropped with its offset.
+        let r = parse_one_drop(&bytes, 24);
         assert_eq!(r.packets.len(), 2);
         assert_eq!(r.packets[0].data, b"second-frame");
-        assert!(log.conserved());
-        let counts = log.stage(crate::salvage::Stage::PcapRecord);
-        assert_eq!((counts.processed, counts.dropped), (2, 1));
-        assert_eq!(log.drops()[0].offset, Some(24));
     }
 
     #[test]
@@ -470,10 +406,10 @@ mod tests {
         w.write_packet(1_700_000_000_000, b"kept-frame");
         w.write_packet(1_700_000_000_001, b"lost-frame");
         let bytes = w.finish();
-        let mut log = crate::salvage::SalvageLog::new();
+        let mut log = SalvageLog::new();
         let r = PcapReader::parse_salvage(&bytes[..bytes.len() - 4], &mut log).unwrap();
         assert_eq!(r.packets.len(), 1);
-        assert_eq!(log.stage(crate::salvage::Stage::PcapRecord).dropped, 1);
+        assert_eq!(log.stage(Stage::PcapRecord).dropped, 1);
         assert!(log.drops()[0].reason.contains("unrecoverable"));
     }
 
@@ -485,11 +421,9 @@ mod tests {
         }
         let bytes = w.finish();
         let range = bytes.as_ptr_range();
-        let strict = PcapReader::parse(&bytes).unwrap();
-        let mut log = crate::salvage::SalvageLog::new();
-        let salvaged = PcapReader::parse_salvage(&bytes, &mut log).unwrap();
-        assert_eq!(strict.packets.len() + salvaged.packets.len(), 8);
-        for packet in strict.packets.iter().chain(&salvaged.packets) {
+        let r = parse_clean(&bytes);
+        assert_eq!(r.packets.len(), 4);
+        for packet in &r.packets {
             let view = packet.data.as_ptr_range();
             assert!(range.start <= view.start && view.end <= range.end);
         }
@@ -497,15 +431,16 @@ mod tests {
 
     #[test]
     fn salvage_still_rejects_unusable_header() {
+        let bytes = PcapWriter::new().finish();
         assert!(matches!(
-            PcapReader::parse_salvage(&[0u8; 10], &mut crate::salvage::SalvageLog::new()),
+            PcapReader::parse_salvage(&bytes[..23], &mut SalvageLog::new()),
             Err(PcapError::TruncatedHeader)
         ));
-        let mut bytes = PcapWriter::new().finish();
-        bytes[0] = 0xFF;
+        let mut bytes = bytes;
+        bytes[4] = 3; // version 3.4
         assert!(matches!(
-            PcapReader::parse_salvage(&bytes, &mut crate::salvage::SalvageLog::new()),
-            Err(PcapError::BadMagic(_))
+            PcapReader::parse_salvage(&bytes, &mut SalvageLog::new()),
+            Err(PcapError::BadVersion(3, 4))
         ));
     }
 }

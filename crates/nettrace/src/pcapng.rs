@@ -13,10 +13,12 @@
 //! - [`inject_secrets`] — the editcap simulation: legacy pcap + key log →
 //!   pcapng with an embedded DSB;
 //! - [`PcapngReader`] — parses packets *and* recovers the embedded key log,
-//!   so a DSB-carrying capture decrypts with no side files.
+//!   so a DSB-carrying capture decrypts with no side files; a damaged block
+//!   is skipped and recorded in a [`SalvageLog`], not fatal.
 
 use crate::keylog::KeyLog;
 use crate::pcap::{PcapError, PcapPacket, PcapReader};
+use crate::salvage::{SalvageLog, Stage};
 
 const BT_SHB: u32 = 0x0A0D_0D0A;
 const BT_IDB: u32 = 0x0000_0001;
@@ -33,19 +35,9 @@ pub enum PcapngError {
     NotPcapng,
     /// Big-endian sections are not produced by our tooling.
     BigEndianUnsupported,
-    /// A block's declared length is impossible.
-    BadBlockLength {
-        /// Offset of the bad block.
-        offset: usize,
-    },
     /// The file ended mid-block.
     Truncated {
         /// Offset where data ran out.
-        offset: usize,
-    },
-    /// Leading/trailing block length fields disagree.
-    LengthMismatch {
-        /// Offset of the bad block.
         offset: usize,
     },
 }
@@ -55,13 +47,7 @@ impl std::fmt::Display for PcapngError {
         match self {
             PcapngError::NotPcapng => write!(f, "not a pcapng file"),
             PcapngError::BigEndianUnsupported => write!(f, "big-endian pcapng unsupported"),
-            PcapngError::BadBlockLength { offset } => {
-                write!(f, "impossible block length at offset {offset}")
-            }
             PcapngError::Truncated { offset } => write!(f, "truncated block at offset {offset}"),
-            PcapngError::LengthMismatch { offset } => {
-                write!(f, "block length fields disagree at offset {offset}")
-            }
         }
     }
 }
@@ -170,87 +156,17 @@ impl<'a> PcapngReader<'a> {
         diffaudit_util::bytes::read_u32_le(data, 0) == Some(BT_SHB)
     }
 
-    /// Parse an entire section. Unknown block types are skipped (per spec).
-    ///
-    /// Every read goes through checked helpers: truncation at any byte and
-    /// lying length fields surface as [`PcapngError`] values, never panics.
-    pub fn parse(data: &'a [u8]) -> Result<PcapngReader<'a>, PcapngError> {
-        use diffaudit_util::bytes::{read_u32_le, slice_at};
-
-        if !Self::sniff(data) {
-            return Err(PcapngError::NotPcapng);
-        }
-        // Check the byte-order magic inside the SHB body.
-        let magic = read_u32_le(data, 8).ok_or(PcapngError::Truncated { offset: 0 })?;
-        if magic == BYTE_ORDER_MAGIC.swap_bytes() {
-            return Err(PcapngError::BigEndianUnsupported);
-        }
-        if magic != BYTE_ORDER_MAGIC {
-            return Err(PcapngError::NotPcapng);
-        }
-
-        let mut packets = Vec::new();
-        let mut keylog = KeyLog::new();
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let truncated = PcapngError::Truncated { offset: pos };
-            let block_type = read_u32_le(data, pos).ok_or(truncated.clone())?;
-            let total = read_u32_le(data, pos + 4).ok_or(truncated.clone())? as usize;
-            if total < 12 || !total.is_multiple_of(4) {
-                return Err(PcapngError::BadBlockLength { offset: pos });
-            }
-            let block = slice_at(data, pos, total).ok_or(truncated.clone())?;
-            let trailing = read_u32_le(block, total - 4).ok_or(truncated.clone())? as usize;
-            if trailing != total {
-                return Err(PcapngError::LengthMismatch { offset: pos });
-            }
-            // `total >= 12` was checked above, so the body range is valid.
-            let body = slice_at(block, 8, total - 12).ok_or(truncated.clone())?;
-            match block_type {
-                BT_EPB => {
-                    let ts_high = read_u32_le(body, 4).ok_or(truncated.clone())? as u64;
-                    let ts_low = read_u32_le(body, 8).ok_or(truncated.clone())? as u64;
-                    let cap_len = read_u32_le(body, 12).ok_or(truncated.clone())? as usize;
-                    let orig_len = read_u32_le(body, 16).ok_or(truncated.clone())?;
-                    let captured = slice_at(body, 20, cap_len).ok_or(truncated)?;
-                    let ts_us = (ts_high << 32) | ts_low;
-                    packets.push(PcapPacket {
-                        ts_sec: (ts_us / 1_000_000) as u32,
-                        ts_usec: (ts_us % 1_000_000) as u32,
-                        orig_len,
-                        data: captured,
-                    });
-                }
-                BT_DSB => {
-                    let secrets_type = read_u32_le(body, 0).ok_or(truncated.clone())?;
-                    let len = read_u32_le(body, 4).ok_or(truncated.clone())? as usize;
-                    let secrets = slice_at(body, 8, len).ok_or(truncated)?;
-                    if secrets_type == SECRETS_TLS_KEYLOG {
-                        if let Ok(text) = std::str::from_utf8(secrets) {
-                            // Merge: a section may carry several DSBs.
-                            keylog.extend(KeyLog::parse(text));
-                        }
-                    }
-                }
-                // SHB, IDB, and anything else: skipped.
-                _ => {}
-            }
-            pos += total;
-        }
-        Ok(PcapngReader { packets, keylog })
-    }
-
-    /// Salvage parse: per-block damage is skipped-and-recorded instead of
-    /// aborting. Resync scans forward (4-byte stride — blocks we write are
-    /// always aligned) for a block whose leading and trailing length fields
-    /// agree, a redundancy garbage almost never reproduces. Only an unusable
-    /// SHB is still an error. On undamaged input this accepts exactly what
-    /// [`PcapngReader::parse`] accepts, with a clean log.
+    /// Parse an entire section, salvaging around damage: a damaged block is
+    /// skipped and recorded in `log` instead of aborting. Unknown block
+    /// types are skipped (per spec). Resync scans forward (4-byte stride —
+    /// blocks we write are always aligned) for a block whose leading and
+    /// trailing length fields agree, a redundancy garbage almost never
+    /// reproduces. Only an unusable SHB is an error; an undamaged section
+    /// leaves the log clean.
     pub fn parse_salvage(
         data: &'a [u8],
-        log: &mut crate::salvage::SalvageLog,
+        log: &mut SalvageLog,
     ) -> Result<PcapngReader<'a>, PcapngError> {
-        use crate::salvage::Stage;
         use diffaudit_util::bytes::{read_u32_le, slice_at};
 
         if !Self::sniff(data) {
@@ -280,7 +196,7 @@ impl<'a> PcapngReader<'a> {
         let mut keylog = KeyLog::new();
         let mut pos = 0usize;
         while pos < data.len() {
-            let bad = |reason: &str, log: &mut crate::salvage::SalvageLog| -> Option<usize> {
+            let bad = |reason: &str, log: &mut SalvageLog| -> Option<usize> {
                 let resync = (pos + 4..data.len().saturating_sub(12))
                     .step_by(4)
                     .find(|&p| plausible(p));
@@ -413,8 +329,26 @@ fn parse_epb_body(body: &[u8]) -> Option<PcapPacket<'_>> {
 /// The editcap simulation: `editcap --inject-secrets tls,<keylog>` — takes
 /// legacy pcap bytes plus a key log and produces a self-contained pcapng
 /// capture with the secrets embedded ahead of the packets.
+///
+/// A damaged input is refused, never rewritten into a shorter capture:
+/// any record the reader drops is an error naming the index of the first
+/// one (the records before it are contiguous from the global header).
 pub fn inject_secrets(pcap_bytes: &[u8], keylog: &KeyLog) -> Result<Vec<u8>, PcapError> {
-    let legacy = PcapReader::parse(pcap_bytes)?;
+    let mut log = SalvageLog::new();
+    let legacy = PcapReader::parse_salvage(pcap_bytes, &mut log)?;
+    if let Some(first) = log.drops().first() {
+        let at = first.offset.unwrap_or(0);
+        let mut pos = 24u64;
+        let index = legacy
+            .packets
+            .iter()
+            .take_while(|p| {
+                pos += 16 + p.data.len() as u64;
+                pos <= at
+            })
+            .count();
+        return Err(PcapError::TruncatedPacket { index });
+    }
     let mut writer = PcapngWriter::new();
     writer.write_secrets(keylog);
     for packet in &legacy.packets {
@@ -435,6 +369,14 @@ mod tests {
         log
     }
 
+    /// Parse an undamaged section: the salvage log must stay clean.
+    fn parse_clean(bytes: &[u8]) -> PcapngReader<'_> {
+        let mut log = SalvageLog::new();
+        let r = PcapngReader::parse_salvage(bytes, &mut log).unwrap();
+        assert!(log.is_clean(), "undamaged section: {:?}", log.drops());
+        r
+    }
+
     #[test]
     fn write_read_round_trip_with_secrets() {
         let mut w = PcapngWriter::new();
@@ -443,7 +385,11 @@ mod tests {
         w.write_packet(1_700_000_000_456, b"frame-two!!");
         let bytes = w.finish();
         assert!(PcapngReader::sniff(&bytes));
-        let r = PcapngReader::parse(&bytes).unwrap();
+        let mut log = SalvageLog::new();
+        let r = PcapngReader::parse_salvage(&bytes, &mut log).unwrap();
+        assert!(log.is_clean());
+        // SHB + IDB + DSB + 2 EPBs.
+        assert_eq!(log.stage(Stage::PcapngBlock).processed, 5);
         assert_eq!(r.packets.len(), 2);
         assert_eq!(r.packets[0].data, b"frame-one");
         assert_eq!(r.packets[0].timestamp_ms(), 1_700_000_000_123);
@@ -459,10 +405,15 @@ mod tests {
         legacy.write_packet(43, b"defg");
         let pcap = legacy.finish();
         let pcapng = inject_secrets(&pcap, &sample_keylog()).unwrap();
-        let r = PcapngReader::parse(&pcapng).unwrap();
+        let r = parse_clean(&pcapng);
         assert_eq!(r.packets.len(), 2);
         assert_eq!(r.packets[1].data, b"defg");
         assert_eq!(r.keylog.len(), 2);
+        // A damaged record is refused, naming the first damaged index.
+        assert_eq!(
+            inject_secrets(&pcap[..pcap.len() - 1], &sample_keylog()),
+            Err(PcapError::TruncatedPacket { index: 1 })
+        );
     }
 
     #[test]
@@ -470,31 +421,36 @@ mod tests {
         let legacy = PcapWriter::new().finish();
         assert!(!PcapngReader::sniff(&legacy));
         assert!(matches!(
-            PcapngReader::parse(&legacy),
+            PcapngReader::parse_salvage(&legacy, &mut SalvageLog::new()),
             Err(PcapngError::NotPcapng)
         ));
+    }
+
+    /// Salvage-parse a one-EPB section whose EPB is damaged: the EPB (after
+    /// the 28-byte SHB and the 20-byte IDB) is the one drop, for `reason`.
+    fn assert_epb_dropped(bytes: &[u8], reason: &str) {
+        let mut log = SalvageLog::new();
+        let r = PcapngReader::parse_salvage(bytes, &mut log).unwrap();
+        assert!(r.packets.is_empty());
+        assert!(log.conserved());
+        assert_eq!(log.stage(Stage::PcapngBlock).dropped, 1);
+        let drop = &log.drops()[0];
+        assert_eq!(drop.offset, Some(48), "{}", drop.reason);
+        assert!(drop.reason.starts_with(reason), "{}", drop.reason);
     }
 
     #[test]
     fn rejects_corruption() {
         let mut w = PcapngWriter::new();
         w.write_packet(1, b"xyz");
-        let mut bytes = w.finish();
-        // Corrupt a trailing length field.
-        let n = bytes.len();
-        bytes[n - 1] ^= 0xFF;
-        assert!(matches!(
-            PcapngReader::parse(&bytes),
-            Err(PcapngError::LengthMismatch { .. })
-        ));
-        // Truncate mid-block.
-        let mut w = PcapngWriter::new();
-        w.write_packet(1, b"xyz");
         let bytes = w.finish();
-        assert!(matches!(
-            PcapngReader::parse(&bytes[..bytes.len() - 6]),
-            Err(PcapngError::Truncated { .. })
-        ));
+        // Corrupt a trailing length field.
+        let mut flipped = bytes.clone();
+        let n = flipped.len();
+        flipped[n - 1] ^= 0xFF;
+        assert_epb_dropped(&flipped, "block length fields disagree");
+        // Truncate mid-block.
+        assert_epb_dropped(&bytes[..bytes.len() - 6], "block extends past end of file");
     }
 
     #[test]
@@ -509,25 +465,8 @@ mod tests {
         bytes.extend_from_slice(&total.to_le_bytes());
         bytes.extend_from_slice(&body);
         bytes.extend_from_slice(&total.to_le_bytes());
-        let r = PcapngReader::parse(&bytes).unwrap();
+        let r = parse_clean(&bytes);
         assert_eq!(r.packets.len(), 1);
-    }
-
-    #[test]
-    fn salvage_matches_strict_on_clean_input() {
-        let mut w = PcapngWriter::new();
-        w.write_secrets(&sample_keylog());
-        w.write_packet(1_700_000_000_123, b"frame-one");
-        w.write_packet(1_700_000_000_456, b"frame-two!!");
-        let bytes = w.finish();
-        let strict = PcapngReader::parse(&bytes).unwrap();
-        let mut log = crate::salvage::SalvageLog::new();
-        let salvaged = PcapngReader::parse_salvage(&bytes, &mut log).unwrap();
-        assert_eq!(strict.packets, salvaged.packets);
-        assert_eq!(strict.keylog.len(), salvaged.keylog.len());
-        assert!(log.is_clean());
-        // SHB + IDB + DSB + 2 EPBs.
-        assert_eq!(log.stage(crate::salvage::Stage::PcapngBlock).processed, 5);
     }
 
     #[test]
@@ -543,13 +482,13 @@ mod tests {
             .find(|&p| diffaudit_util::bytes::read_u32_le(&bytes, p) == Some(6))
             .unwrap();
         bytes[epb_at + 4..epb_at + 8].copy_from_slice(&13u32.to_le_bytes()); // not mult of 4
-        assert!(PcapngReader::parse(&bytes).is_err());
-        let mut log = crate::salvage::SalvageLog::new();
+        let mut log = SalvageLog::new();
         let r = PcapngReader::parse_salvage(&bytes, &mut log).unwrap();
         assert_eq!(r.packets.len(), 2);
         assert_eq!(r.packets[0].data, b"second");
         assert!(log.conserved());
-        assert_eq!(log.stage(crate::salvage::Stage::PcapngBlock).dropped, 1);
+        assert_eq!(log.stage(Stage::PcapngBlock).dropped, 1);
+        assert_eq!(log.drops()[0].offset, Some(epb_at as u64));
     }
 
     #[test]
@@ -558,10 +497,10 @@ mod tests {
         w.write_packet(1, b"kept");
         w.write_packet(2, b"lost");
         let bytes = w.finish();
-        let mut log = crate::salvage::SalvageLog::new();
+        let mut log = SalvageLog::new();
         let r = PcapngReader::parse_salvage(&bytes[..bytes.len() - 6], &mut log).unwrap();
         assert_eq!(r.packets.len(), 1);
-        assert_eq!(log.stage(crate::salvage::Stage::PcapngBlock).dropped, 1);
+        assert_eq!(log.stage(Stage::PcapngBlock).dropped, 1);
     }
 
     #[test]
@@ -573,11 +512,9 @@ mod tests {
         }
         let bytes = w.finish();
         let range = bytes.as_ptr_range();
-        let strict = PcapngReader::parse(&bytes).unwrap();
-        let mut log = crate::salvage::SalvageLog::new();
-        let salvaged = PcapngReader::parse_salvage(&bytes, &mut log).unwrap();
-        assert_eq!(strict.packets.len() + salvaged.packets.len(), 8);
-        for packet in strict.packets.iter().chain(&salvaged.packets) {
+        let r = parse_clean(&bytes);
+        assert_eq!(r.packets.len(), 4);
+        for packet in &r.packets {
             let view = packet.data.as_ptr_range();
             assert!(range.start <= view.start && view.end <= range.end);
         }
@@ -593,7 +530,7 @@ mod tests {
         w.write_secrets(&a);
         w.write_secrets(&b);
         let bytes = w.finish();
-        let r = PcapngReader::parse(&bytes).unwrap();
+        let r = parse_clean(&bytes);
         assert_eq!(r.keylog.len(), 2);
     }
 }

@@ -82,14 +82,9 @@ impl<'a> DirectionBuf<'a> {
         }
     }
 
-    /// Contiguous reassembly from offset zero; stops at the first gap.
-    fn assemble(&self) -> Vec<u8> {
-        self.assemble_report().0
-    }
-
-    /// Contiguous reassembly plus gap accounting: when a sequence hole
-    /// stops assembly, report where and how many buffered bytes were
-    /// stranded beyond it instead of discarding them silently.
+    /// Contiguous reassembly from offset zero plus gap accounting: when a
+    /// sequence hole stops assembly, report where and how many buffered
+    /// bytes were stranded beyond it instead of discarding them silently.
     fn assemble_report(&self) -> (Vec<u8>, Option<StreamGap>) {
         let mut out = Vec::new();
         let mut expected: u32 = 0;
@@ -140,29 +135,14 @@ pub struct TcpFlow<'a> {
 
 impl TcpFlow<'_> {
     /// Reassembled client→server byte stream (the outgoing data DiffAudit
-    /// analyzes).
-    pub fn client_stream(&self) -> Vec<u8> {
-        self.c2s.assemble()
-    }
-
-    /// Reassembled server→client byte stream.
-    pub fn server_stream(&self) -> Vec<u8> {
-        self.s2c.assemble()
-    }
-
-    /// Client→server stream with gap accounting (salvage mode).
+    /// analyzes), up to the first gap, with that gap's report.
     pub fn client_stream_report(&self) -> (Vec<u8>, Option<StreamGap>) {
         self.c2s.assemble_report()
     }
 
-    /// Server→client stream with gap accounting (salvage mode).
-    pub fn server_stream_report(&self) -> (Vec<u8>, Option<StreamGap>) {
-        self.s2c.assemble_report()
-    }
-
-    /// `true` when either direction has a reassembly gap.
-    pub fn has_gap(&self) -> bool {
-        self.c2s.assemble_report().1.is_some() || self.s2c.assemble_report().1.is_some()
+    /// Reassembled server→client byte stream, up to the first gap.
+    pub fn server_stream(&self) -> Vec<u8> {
+        self.s2c.assemble_report().0
     }
 
     /// The server's TCP port — used to pick the scheme (443 ⇒ TLS).
@@ -276,6 +256,11 @@ mod tests {
         }
     }
 
+    /// The client stream up to its first gap.
+    fn client_stream(flow: &TcpFlow<'_>) -> Vec<u8> {
+        flow.client_stream_report().0
+    }
+
     /// A full handshake + two data segments + FIN.
     fn run_flow(table: &mut FlowTable, order: &[usize]) {
         let packets = [
@@ -298,7 +283,7 @@ mod tests {
         run_flow(&mut table, &[0, 1, 2, 3, 4, 5, 6]);
         assert_eq!(table.flow_count(), 1);
         let flow = &table.flows()[0];
-        assert_eq!(flow.client_stream(), b"hello world");
+        assert_eq!(client_stream(flow), b"hello world");
         assert_eq!(flow.server_stream(), b"response");
         assert_eq!(flow.server_port(), 443);
         assert!(flow.closed);
@@ -310,14 +295,14 @@ mod tests {
         let mut table = FlowTable::new();
         // Data segment 4 arrives before 3.
         run_flow(&mut table, &[0, 1, 2, 4, 3, 5, 6]);
-        assert_eq!(table.flows()[0].client_stream(), b"hello world");
+        assert_eq!(client_stream(&table.flows()[0]), b"hello world");
     }
 
     #[test]
     fn duplicate_segments_ignored() {
         let mut table = FlowTable::new();
         run_flow(&mut table, &[0, 1, 2, 3, 3, 4, 4, 5, 6]);
-        assert_eq!(table.flows()[0].client_stream(), b"hello world");
+        assert_eq!(client_stream(&table.flows()[0]), b"hello world");
     }
 
     #[test]
@@ -325,7 +310,7 @@ mod tests {
         let mut table = FlowTable::new();
         // Omit the first data segment: assembly stops before "world".
         run_flow(&mut table, &[0, 1, 2, 4, 5, 6]);
-        assert_eq!(table.flows()[0].client_stream(), b"");
+        assert_eq!(client_stream(&table.flows()[0]), b"");
     }
 
     #[test]
@@ -333,23 +318,22 @@ mod tests {
         let mut table = FlowTable::new();
         run_flow(&mut table, &[0, 1, 2, 4, 5, 6]);
         let flow = &table.flows()[0];
-        assert!(flow.has_gap());
         let (data, gap) = flow.client_stream_report();
         assert_eq!(data, b"");
         let gap = gap.unwrap();
         assert_eq!(gap.at_offset, 0);
         assert_eq!(gap.stranded_bytes, 5); // "world"
-                                           // The complete server direction reports no gap.
-        let (server, server_gap) = flow.server_stream_report();
-        assert_eq!(server, b"response");
-        assert!(server_gap.is_none());
+        assert_eq!(flow.server_stream(), b"response");
     }
 
     #[test]
     fn complete_flow_reports_no_gap() {
         let mut table = FlowTable::new();
         run_flow(&mut table, &[0, 1, 2, 3, 4, 5, 6]);
-        assert!(!table.flows()[0].has_gap());
+        assert_eq!(
+            table.flows()[0].client_stream_report(),
+            (b"hello world".to_vec(), None)
+        );
     }
 
     #[test]
@@ -360,7 +344,7 @@ mod tests {
             1,
         );
         let flow = &table.flows()[0];
-        assert_eq!(flow.client_stream(), b"late data");
+        assert_eq!(client_stream(flow), b"late data");
         assert_eq!(flow.client.port, 50000, "first sender assumed client");
     }
 
@@ -376,7 +360,7 @@ mod tests {
         d.src_port = 50001;
         table.push(&d, 2001);
         assert_eq!(table.flow_count(), 2);
-        assert_eq!(table.flows()[1].client_stream(), b"flow2");
+        assert_eq!(client_stream(&table.flows()[1]), b"flow2");
     }
 
     #[test]
@@ -390,7 +374,7 @@ mod tests {
         );
         let flow = &table.flows()[0];
         assert_eq!(flow.client.ip, CLIENT_IP);
-        assert_eq!(flow.client_stream(), b"req");
+        assert_eq!(client_stream(flow), b"req");
     }
 
     #[test]
@@ -424,7 +408,7 @@ mod tests {
                 range.start <= view.start && view.end <= range.end
             }));
         }
-        assert_eq!(flow.client_stream(), b"abcdefGHI");
+        assert_eq!(client_stream(flow), b"abcdefGHI");
     }
 
     #[test]
@@ -434,6 +418,6 @@ mod tests {
         table.push(&seg(true, 101, 0, TcpFlags::ACK, b"abcdef"), 1);
         // Retransmission covering old+new range.
         table.push(&seg(true, 104, 0, TcpFlags::ACK, b"defGHI"), 2);
-        assert_eq!(table.flows()[0].client_stream(), b"abcdefGHI");
+        assert_eq!(client_stream(&table.flows()[0]), b"abcdefGHI");
     }
 }

@@ -3,9 +3,12 @@
 //! Companion to `diffaudit-analyzer`'s `no-panic` pass: the static gate
 //! proves the parsers *textually* avoid panicking constructs; this suite
 //! drives them with truncated, bit-flipped, and length-lying buffers and
-//! asserts every outcome is a typed `Err` (or a clean parse), never a panic.
-//! Any panic aborts the test process, so merely running to completion is the
-//! property under test.
+//! asserts every outcome is a value or a typed `Err`, never a panic. Any
+//! panic aborts the test process, so merely running to completion is the
+//! property under test. The pcap/pcapng readers and the capture decoder are
+//! the salvage ones the loader runs: besides not panicking, every sweep
+//! position must leave the salvage ledger conserved, and a known lie must
+//! surface as a drop record at its stage and byte offset.
 
 use diffaudit_domains::Url;
 use diffaudit_nettrace::packet::{TcpFlags, TcpSegment};
@@ -13,8 +16,8 @@ use diffaudit_nettrace::pcap::{PcapReader, PcapWriter};
 use diffaudit_nettrace::pcapng::{inject_secrets, PcapngReader, PcapngWriter};
 use diffaudit_nettrace::tls::{parse_records, ClientHello};
 use diffaudit_nettrace::{
-    har_from_exchanges, har_to_exchanges, har_to_exchanges_salvage, Exchange, HttpRequest,
-    HttpResponse, KeyLog, SalvageLog,
+    decode_auto_salvage, har_from_exchanges, har_to_exchanges, har_to_exchanges_salvage, Exchange,
+    HttpRequest, HttpResponse, KeyLog, SalvageLog, Stage,
 };
 
 fn sample_pcap() -> Vec<u8> {
@@ -67,17 +70,53 @@ fn bitflip_sweep<T, E>(data: &[u8], parse: impl Fn(&[u8]) -> Result<T, E>) {
     }
 }
 
+/// Offset of `sample_pcap`'s second record: 24-byte global header, then
+/// record 0's 16-byte header and 17 data bytes.
+const SECOND_RECORD: u64 = 24 + 16 + 17;
+
+/// The salvage log of reading `data` as pcap (its header must be usable).
+fn pcap_log(data: &[u8]) -> SalvageLog {
+    let mut log = SalvageLog::new();
+    PcapReader::parse_salvage(data, &mut log).unwrap();
+    log
+}
+
+/// The salvage log of reading `data` as pcapng (its SHB must be usable).
+fn pcapng_log(data: &[u8]) -> SalvageLog {
+    let mut log = SalvageLog::new();
+    PcapngReader::parse_salvage(data, &mut log).unwrap();
+    log
+}
+
+/// Assert `log` conserves and its first drop is at `stage` and `offset`.
+fn assert_first_drop(log: &SalvageLog, stage: Stage, offset: u64) {
+    assert!(log.conserved());
+    let first = log.drops().first().expect("a drop record");
+    assert_eq!(
+        (first.stage, first.offset),
+        (stage, Some(offset)),
+        "{:?}",
+        log.drops()
+    );
+}
+
 #[test]
 fn pcap_truncation_never_panics() {
     let data = sample_pcap();
-    truncation_sweep(&data, |d| PcapReader::parse(d).map(drop));
-    // Every strict prefix shorter than a full file must be an error.
-    assert!(PcapReader::parse(&data[..data.len() - 1]).is_err());
+    salvage_truncation_sweep(&data, |d, log| PcapReader::parse_salvage(d, log).map(drop));
+    // A file one byte short loses its last record, at that record's offset.
+    assert_first_drop(
+        &pcap_log(&data[..data.len() - 1]),
+        Stage::PcapRecord,
+        SECOND_RECORD,
+    );
 }
 
 #[test]
 fn pcap_bitflips_never_panic() {
-    bitflip_sweep(&sample_pcap(), |d| PcapReader::parse(d).map(drop));
+    salvage_bitflip_sweep(&sample_pcap(), |d, log| {
+        PcapReader::parse_salvage(d, log).map(drop)
+    });
 }
 
 #[test]
@@ -85,36 +124,40 @@ fn pcap_lying_length_fields_are_errors() {
     let mut data = sample_pcap();
     // First record's incl_len lives at offset 24 + 8. Claim u32::MAX bytes.
     data[32..36].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert!(PcapReader::parse(&data).is_err());
+    assert_first_drop(&pcap_log(&data), Stage::PcapRecord, 24);
     // Claim slightly more than is present.
     let mut data = sample_pcap();
     let lie = (data.len() as u32) + 1;
     data[32..36].copy_from_slice(&lie.to_le_bytes());
-    assert!(PcapReader::parse(&data).is_err());
+    assert_first_drop(&pcap_log(&data), Stage::PcapRecord, 24);
 }
 
 #[test]
 fn pcapng_truncation_never_panics() {
     let data = sample_pcapng();
-    truncation_sweep(&data, |d| PcapngReader::parse(d).map(drop));
+    salvage_truncation_sweep(&data, |d, log| {
+        PcapngReader::parse_salvage(d, log).map(drop)
+    });
 }
 
 #[test]
 fn pcapng_bitflips_never_panic() {
-    bitflip_sweep(&sample_pcapng(), |d| PcapngReader::parse(d).map(drop));
+    salvage_bitflip_sweep(&sample_pcapng(), |d, log| {
+        PcapngReader::parse_salvage(d, log).map(drop)
+    });
 }
 
 #[test]
 fn pcapng_lying_block_lengths_are_errors() {
-    // Block total length at offset 4 (SHB). Oversized claim → error.
+    // Block total length at offset 4 (SHB). Oversized claim → drop at 0.
     let mut data = sample_pcapng();
     data[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert!(PcapngReader::parse(&data).is_err());
-    // Impossible (sub-minimum, unaligned) claims → error.
+    assert_first_drop(&pcapng_log(&data), Stage::PcapngBlock, 0);
+    // Impossible (sub-minimum, unaligned) claims → drop at 0.
     for bad in [0u32, 4, 11, 13] {
         let mut data = sample_pcapng();
         data[4..8].copy_from_slice(&bad.to_le_bytes());
-        assert!(PcapngReader::parse(&data).is_err(), "total={bad}");
+        assert_first_drop(&pcapng_log(&data), Stage::PcapngBlock, 0);
     }
 }
 
@@ -248,24 +291,27 @@ fn salvage_bitflip_sweep<T, E>(
     }
 }
 
+/// The whole capture decoder (container, frames, flows) over `d`.
+fn decode(d: &[u8], log: &mut SalvageLog) -> Result<(), diffaudit_nettrace::capture::DecodeError> {
+    decode_auto_salvage(d, &KeyLog::new(), log).map(drop)
+}
+
 #[test]
 fn pcap_salvage_sweeps_never_panic_and_conserve() {
+    // The container sweeps above, run through the full decoder the loader
+    // calls: the frame and flow stages must conserve too.
     let data = sample_pcap();
-    salvage_truncation_sweep(&data, |d, log| PcapReader::parse_salvage(d, log).map(drop));
-    salvage_bitflip_sweep(&data, |d, log| PcapReader::parse_salvage(d, log).map(drop));
+    salvage_truncation_sweep(&data, decode);
+    salvage_bitflip_sweep(&data, decode);
 }
 
 #[test]
 fn pcapng_salvage_sweeps_never_panic_and_conserve() {
     // sample_pcapng carries a Decryption Secrets Block, so the sweeps also
-    // exercise the DSB body parser under damage.
+    // exercise the DSB body parser and key-log merge under damage.
     let data = sample_pcapng();
-    salvage_truncation_sweep(&data, |d, log| {
-        PcapngReader::parse_salvage(d, log).map(drop)
-    });
-    salvage_bitflip_sweep(&data, |d, log| {
-        PcapngReader::parse_salvage(d, log).map(drop)
-    });
+    salvage_truncation_sweep(&data, decode);
+    salvage_bitflip_sweep(&data, decode);
 }
 
 #[test]
@@ -276,4 +322,23 @@ fn editcap_injection_rejects_corrupt_pcap() {
         let _ = inject_secrets(&data[..cut], &log);
     }
     assert!(inject_secrets(b"not a pcap at all", &log).is_err());
+}
+
+#[test]
+fn editcap_injection_refuses_damaged_records() {
+    // editcap never turns a damaged capture into a shorter clean one.
+    let log = KeyLog::new();
+    let mut w = PcapWriter::new();
+    for i in 0..3u64 {
+        w.write_packet(1_700_000_000_000 + i, format!("frame {i} bytes").as_bytes());
+    }
+    let data = w.finish();
+    // Mid-file lying length: record 1's incl_len claims u32::MAX bytes.
+    let record_1 = 24 + 16 + "frame 0 bytes".len();
+    let mut lying = data.clone();
+    lying[record_1 + 8..record_1 + 12].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert!(inject_secrets(&lying, &log).is_err());
+    // Truncated tail: the last record loses its final bytes.
+    assert!(inject_secrets(&data[..data.len() - 4], &log).is_err());
+    assert!(inject_secrets(&data, &log).is_ok());
 }

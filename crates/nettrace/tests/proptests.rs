@@ -12,7 +12,7 @@ use diffaudit_nettrace::packet::{TcpFlags, TcpSegment};
 use diffaudit_nettrace::pcap::{PcapPacket, PcapReader, PcapWriter};
 use diffaudit_nettrace::tcp::FlowTable;
 use diffaudit_nettrace::tls::{decode_client_stream, parse_records, TlsSession};
-use diffaudit_nettrace::{har_from_exchanges, har_to_exchanges, Exchange, KeyLog};
+use diffaudit_nettrace::{har_from_exchanges, har_to_exchanges, Exchange, KeyLog, SalvageLog};
 use diffaudit_util::Rng;
 use proptest::prelude::*;
 
@@ -27,7 +27,9 @@ proptest! {
             writer.write_packet(*sec as u64 * 1000 + (*usec_ms % 1000) as u64, data);
         }
         let bytes = writer.finish();
-        let reader = PcapReader::parse(&bytes).unwrap();
+        let mut log = SalvageLog::new();
+        let reader = PcapReader::parse_salvage(&bytes, &mut log).unwrap();
+        prop_assert!(log.is_clean());
         prop_assert_eq!(reader.packets.len(), packets.len());
         for (parsed, (_, _, data)) in reader.packets.iter().zip(&packets) {
             prop_assert_eq!(parsed.data, data.as_slice());
@@ -36,7 +38,9 @@ proptest! {
 
     #[test]
     fn pcap_parser_never_panics(data in prop::collection::vec(any::<u8>(), 0..512)) {
-        let _ = PcapReader::parse(&data);
+        let mut log = SalvageLog::new();
+        let _ = PcapReader::parse_salvage(&data, &mut log);
+        prop_assert!(log.conserved());
     }
 
     #[test]
@@ -146,7 +150,7 @@ proptest! {
         for (i, seg) in segments.iter().enumerate() {
             table.push(seg, i as u64 + 1);
         }
-        prop_assert_eq!(table.flows()[0].client_stream(), expected);
+        prop_assert_eq!(table.flows()[0].client_stream_report(), (expected, None));
     }
 
     #[test]
@@ -212,7 +216,10 @@ fn pcap_timestamp_precision() {
     for ms in [0u64, 1, 999, 1000, 1_696_516_200_123] {
         writer.write_packet(ms, b"x");
     }
-    let reader = PcapReader::parse(&writer.finish()).unwrap();
+    let bytes = writer.finish();
+    let mut log = SalvageLog::new();
+    let reader = PcapReader::parse_salvage(&bytes, &mut log).unwrap();
+    assert!(log.is_clean());
     let round: Vec<u64> = reader
         .packets
         .iter()

@@ -379,7 +379,7 @@ mod tests {
 
     #[test]
     fn mobile_artifacts_decode() {
-        use diffaudit_nettrace::{decode_pcap, KeyLog};
+        use diffaudit_nettrace::{decode_auto_salvage, KeyLog, SalvageLog};
         let ds = generate_dataset(&tiny_options());
         let mobile = ds.services[0]
             .artifacts
@@ -387,7 +387,10 @@ mod tests {
             .find(|a| a.platform == Platform::Mobile)
             .unwrap();
         let keylog = KeyLog::parse(mobile.keylog.as_ref().unwrap());
-        let decoded = decode_pcap(mobile.pcap.as_ref().unwrap(), &keylog).unwrap();
+        let mut log = SalvageLog::new();
+        let decoded =
+            decode_auto_salvage(mobile.pcap.as_ref().unwrap(), &keylog, &mut log).unwrap();
+        assert!(log.is_clean(), "{:?}", log.drops());
         assert_eq!(decoded.flow_count, mobile.exchange_count);
         assert!(
             !decoded.exchanges.is_empty(),

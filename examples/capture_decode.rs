@@ -13,7 +13,8 @@
 
 use diffaudit_domains::Url;
 use diffaudit_nettrace::{
-    decode_pcap, CaptureOptions, CaptureSession, Exchange, HttpRequest, HttpResponse, KeyLog,
+    decode_auto_salvage, CaptureOptions, CaptureSession, Exchange, HttpRequest, HttpResponse,
+    KeyLog, SalvageLog,
 };
 
 fn exchange(url: &str, body: &str) -> Exchange {
@@ -81,7 +82,14 @@ fn main() -> std::io::Result<()> {
 
     let pcap_back = std::fs::read(&pcap_path)?;
     let keylog_back = KeyLog::parse(&std::fs::read_to_string(&keylog_path)?);
-    let decoded = decode_pcap(&pcap_back, &keylog_back).expect("valid capture");
+    let mut log = SalvageLog::new();
+    let decoded = decode_auto_salvage(&pcap_back, &keylog_back, &mut log).expect("valid capture");
+    // Pinned flows are expected, not damage: an intact capture has no drops.
+    assert!(
+        log.is_clean(),
+        "intact capture produced drops: {:?}",
+        log.drops()
+    );
 
     println!("\ndecoded {} flows:", decoded.flow_count);
     for ex in &decoded.exchanges {

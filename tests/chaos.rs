@@ -11,16 +11,15 @@
 //!    rate (fault selection is nested by construction, so the survivors at a
 //!    higher rate are a subset of the survivors at a lower rate).
 //!
-//! At rate 0 every operator must be the identity: the salvage decode output
-//! equals the strict decode and the ledger is clean.
+//! At rate 0 every operator must be the identity: the decode output equals
+//! the pristine decode and the ledger is clean.
 
 use diffaudit::diff::ObservedGrid;
 use diffaudit::pipeline::{ClassificationMode, LoadedUnit, Pipeline, ServiceInput};
 use diffaudit_nettrace::fault::{FaultOp, FaultSpec};
 use diffaudit_nettrace::pcapng::inject_secrets;
 use diffaudit_nettrace::{
-    decode_auto, decode_auto_salvage, decode_auto_salvage_ctl, har_to_exchanges_salvage, KeyLog,
-    SalvageLog,
+    decode_auto_salvage, decode_auto_salvage_ctl, har_to_exchanges_salvage, KeyLog, SalvageLog,
 };
 use diffaudit_services::{generate_dataset, DatasetOptions, GeneratedDataset};
 
@@ -432,9 +431,11 @@ fn pcapng_with_secrets_survives_the_fault_grid() {
     // Pristine pcapng decodes cleanly and matches the pcap+keylog decode.
     let mut clean_log = SalvageLog::new();
     let clean = decode_auto_salvage(&pcapng, &KeyLog::new(), &mut clean_log).unwrap();
-    let strict = decode_auto(pcap, &keylog).unwrap();
-    assert_eq!(clean.exchanges, strict.exchanges);
-    assert!(clean_log.is_clean());
+    let mut pcap_log = SalvageLog::new();
+    let from_pcap = decode_auto_salvage(pcap, &keylog, &mut pcap_log).unwrap();
+    assert_eq!(clean.exchanges, from_pcap.exchanges);
+    assert!(clean_log.is_clean(), "{:?}", clean_log.drops());
+    assert!(pcap_log.is_clean(), "{:?}", pcap_log.drops());
 
     for op in FaultOp::ALL {
         for seed in SEEDS {

@@ -3,7 +3,9 @@
 //! use, and the two capture paths (HAR vs pcap) must agree on content.
 
 use diffaudit::extract::extract_request;
-use diffaudit_nettrace::{decode_pcap, har_to_exchanges, KeyLog, PcapReader};
+use diffaudit_nettrace::{
+    decode_auto_salvage, har_to_exchanges, DecodedTrace, KeyLog, PcapReader, SalvageLog,
+};
 use diffaudit_services::{generate_dataset, DatasetOptions, Platform, TraceKind};
 
 fn dataset() -> diffaudit_services::GeneratedDataset {
@@ -13,6 +15,18 @@ fn dataset() -> diffaudit_services::GeneratedDataset {
         mobile_pinned_fraction: 0.0, // full decryption for content comparison
         services: vec!["roblox".into()],
     })
+}
+
+/// Decode a generated (undamaged) capture: the salvage log must stay clean.
+fn decode_clean(pcap: &[u8], keylog: &KeyLog) -> DecodedTrace {
+    let mut log = SalvageLog::new();
+    let decoded = decode_auto_salvage(pcap, keylog, &mut log).unwrap();
+    assert!(
+        log.is_clean(),
+        "generated capture has drops: {:?}",
+        log.drops()
+    );
+    decoded
 }
 
 /// Every HAR artifact parses, and entry counts match the generator's.
@@ -37,7 +51,9 @@ fn pcap_artifacts_are_valid_captures() {
     let ds = dataset();
     for artifact in &ds.services[0].artifacts {
         if let Some(pcap) = &artifact.pcap {
-            let reader = PcapReader::parse(pcap).expect("valid pcap container");
+            let mut log = SalvageLog::new();
+            let reader = PcapReader::parse_salvage(pcap, &mut log).expect("valid pcap container");
+            assert!(log.is_clean(), "{:?}", log.drops());
             assert!(!reader.packets.is_empty());
             for packet in &reader.packets {
                 diffaudit_nettrace::packet::TcpSegment::decode(&packet.data)
@@ -69,7 +85,7 @@ fn pcap_and_har_paths_agree_on_extracted_keys() {
 
     let web_exchanges = har_to_exchanges(web.har.as_ref().unwrap()).unwrap();
     let keylog = KeyLog::parse(mobile.keylog.as_ref().unwrap());
-    let decoded = decode_pcap(mobile.pcap.as_ref().unwrap(), &keylog).unwrap();
+    let decoded = decode_clean(mobile.pcap.as_ref().unwrap(), &keylog);
     assert!(decoded.opaque.is_empty(), "pinning disabled");
     assert_eq!(decoded.exchanges.len(), mobile.exchange_count);
 
@@ -96,7 +112,7 @@ fn ground_truth_covers_extracted_keys() {
             (Some(har), _) => har_to_exchanges(har).unwrap(),
             (_, Some(pcap)) => {
                 let keylog = KeyLog::parse(artifact.keylog.as_deref().unwrap());
-                decode_pcap(pcap, &keylog).unwrap().exchanges
+                decode_clean(pcap, &keylog).exchanges
             }
             _ => unreachable!("artifact must carry HAR or pcap"),
         };
