@@ -34,6 +34,54 @@ fn analyzer_covers_the_designated_crates() {
     }
 }
 
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn no_test_bench_or_example_file_is_compiled_out() {
+    // A crate-level `#![cfg(..)]` on a test, bench or example file turns the
+    // whole file off unless some flag is set, so its checks stop running
+    // without anything failing.
+    let root = workspace_root();
+    let mut files = Vec::new();
+    for dir in ["tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates dir readable");
+    for krate in crates.flatten() {
+        for dir in ["tests", "benches", "examples"] {
+            rust_files(&krate.path().join(dir), &mut files);
+        }
+    }
+    assert!(files.len() > 20, "walked only {} files", files.len());
+    let gated: Vec<String> = files
+        .iter()
+        .filter(|path| {
+            let text = std::fs::read_to_string(path).expect("source readable");
+            text.lines().any(|l| l.trim_start().starts_with("#![cfg("))
+        })
+        .map(|path| {
+            path.strip_prefix(&root)
+                .unwrap_or(path)
+                .display()
+                .to_string()
+        })
+        .collect();
+    assert!(gated.is_empty(), "compiled-out files: {gated:?}");
+}
+
 #[test]
 fn sentinel_unwrap_in_a_fake_workspace_is_flagged_with_file_and_line() {
     // Guard against the walker silently skipping the crates the gate is

@@ -86,9 +86,10 @@ impl TokenArena {
                     start = self.text.len();
                 }
             }
-            for lc in c.to_lowercase() {
-                self.text.push(lc);
-            }
+            // Keep only the alphanumeric chars of the lowercase form: 'İ'
+            // lowercases to "i\u{307}", and the combining dot is no letter.
+            self.text
+                .extend(c.to_lowercase().filter(|lc| lc.is_alphanumeric()));
         }
         if self.text.len() > start {
             self.bounds.push((start as u32, self.text.len() as u32));
@@ -319,6 +320,12 @@ mod tests {
     fn splits_digits() {
         assert_eq!(toks("ip4addr"), ["ip", "4", "addr"]);
         assert_eq!(toks("utm_source2"), ["utm", "source", "2"]);
+    }
+
+    #[test]
+    fn lowercase_expansions_keep_only_alphanumerics() {
+        assert_eq!(toks("userİD"), ["user", "id"]);
+        assert_eq!(toks("İ"), ["i"]);
     }
 
     #[test]

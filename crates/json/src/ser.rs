@@ -80,11 +80,14 @@ fn write_number(n: Number, out: &mut String) {
     match n {
         Number::Int(i) => out.push_str(&i.to_string()),
         Number::Float(f) => {
-            if f.fract() == 0.0 && f.abs() < 1e15 {
+            if f.fract() != 0.0 {
+                out.push_str(&format!("{f}"));
+            } else if f.abs() < 1e15 {
                 // Keep "2.0" distinguishable from the integer 2.
                 out.push_str(&format!("{f:.1}"));
             } else {
-                out.push_str(&format!("{f}"));
+                // "1e15": plain digits would reparse as an integer.
+                out.push_str(&format!("{f:e}"));
             }
         }
     }

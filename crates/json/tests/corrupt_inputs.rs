@@ -5,6 +5,7 @@
 //! outcome is `Ok` or a positioned `JsonError`, never a panic.
 
 use diffaudit_json::{parse, parse_with_limit};
+use diffaudit_util::prop;
 
 const DOC: &str = r#"{
   "log": {
@@ -101,20 +102,11 @@ fn numeric_edge_cases_never_panic() {
 
 #[test]
 fn random_garbage_never_panics() {
-    // A deterministic xorshift stream of garbage bytes, parsed as &str when
-    // valid UTF-8 — exercises the full error surface without a fuzzer dep.
-    let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    for _ in 0..2_000 {
-        let len = (next() % 64) as usize;
-        let bytes: Vec<u8> = (0..len).map(|_| (next() >> 32) as u8).collect();
-        if let Ok(s) = std::str::from_utf8(&bytes) {
+    // Seeded garbage bytes, parsed as &str when valid UTF-8: exercises the
+    // full error surface without a fuzzer.
+    prop::check("random_garbage_never_panics", 2_000, |rng| {
+        if let Ok(s) = std::str::from_utf8(&prop::bytes(rng, 0..=63)) {
             let _ = parse(s);
         }
-    }
+    });
 }

@@ -9,6 +9,7 @@
 //! naive char-by-char escaper.
 
 use diffaudit_json::{parse, Json, JsonError};
+use diffaudit_util::{prop, Rng};
 
 /// Plain ASCII filler: `prefix(n)` puts the piece after it at byte offset
 /// `n` of the string.
@@ -48,34 +49,17 @@ fn naive_escape(s: &str) -> String {
     out
 }
 
-/// SplitMix64: a fixed seed gives the same strings on every run.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    /// A string of `len` chars drawn from plain ASCII and every piece.
-    fn text(&mut self, len: usize, pieces: &[String]) -> String {
-        let mut s = String::new();
-        for _ in 0..len {
-            if self.below(3) == 0 {
-                s.push_str(&pieces[self.below(pieces.len())]);
-            } else {
-                s.push(char::from(b' ' + self.below(95) as u8));
-            }
+/// A string of `len` chars drawn from plain ASCII and every piece.
+fn text(rng: &mut Rng, len: usize, pieces: &[String]) -> String {
+    let mut s = String::new();
+    for _ in 0..len {
+        if rng.range(0, 3) == 0 {
+            s.push_str(rng.choose(pieces).as_str());
+        } else {
+            s.push(char::from(b' ' + rng.range(0, 95) as u8));
         }
-        s
     }
+    s
 }
 
 fn check_codec(s: &str) {
@@ -91,7 +75,7 @@ fn check_codec(s: &str) {
 #[test]
 fn every_piece_at_every_offset_round_trips() {
     let pieces = pieces();
-    let mut rng = Rng(7);
+    let mut rng = Rng::new(7);
     for piece in &pieces {
         for offset in 0..=17 {
             let prefix = &FILLER[..offset];
@@ -99,8 +83,8 @@ fn every_piece_at_every_offset_round_trips() {
             // that may hold further pieces.
             check_codec(&format!("{prefix}{piece}"));
             check_codec(&format!("{prefix}{piece}{FILLER}"));
-            let tail_len = rng.below(12);
-            let tail = rng.text(tail_len, &pieces);
+            let tail_len = rng.range(0, 12);
+            let tail = text(&mut rng, tail_len, &pieces);
             check_codec(&format!("{prefix}{piece}{tail}"));
             // The same piece twice, a word apart.
             check_codec(&format!("{prefix}{piece}{}{piece}", &FILLER[..8]));
@@ -111,11 +95,10 @@ fn every_piece_at_every_offset_round_trips() {
 #[test]
 fn seeded_random_strings_round_trip() {
     let pieces = pieces();
-    let mut rng = Rng(2023);
-    for _ in 0..2000 {
-        let len = rng.below(40);
-        check_codec(&rng.text(len, &pieces));
-    }
+    prop::check("seeded_random_strings_round_trip", 2000, |rng| {
+        let len = rng.range(0, 40);
+        check_codec(&text(rng, len, &pieces));
+    });
     check_codec("");
 }
 

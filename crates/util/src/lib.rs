@@ -29,6 +29,9 @@
 //! - [`cancel`] — cooperative cancellation ([`cancel::CancelToken`]),
 //!   wall-clock [`cancel::Deadline`]s, and the combined [`cancel::Ctl`]
 //!   handle the serve daemon threads through pipeline and loader loops.
+//! - [`prop`] — the seeded, shrink-free property runner ([`prop::check`])
+//!   every crate's `tests/properties.rs` runs on, plus its shared input
+//!   generators (byte vectors, arbitrary text, strings over an alphabet).
 
 pub mod base64;
 pub mod bytes;
@@ -37,6 +40,7 @@ pub mod fmt;
 pub mod hash;
 pub mod hex;
 pub mod par;
+pub mod prop;
 pub mod rng;
 pub mod stats;
 
