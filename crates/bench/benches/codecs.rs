@@ -6,11 +6,13 @@
 
 use diffaudit_bench::stopwatch::run;
 use diffaudit_domains::Url;
-use diffaudit_json::{flatten, parse};
+use diffaudit_json::{flatten, parse, visit_keys};
 use diffaudit_nettrace::{
-    decode_auto_salvage, har_from_exchanges, har_to_exchanges, CaptureOptions, CaptureSession,
-    Exchange, HttpRequest, HttpResponse, KeyLog, PcapReader, SalvageLog,
+    decode_auto_salvage, har_from_exchanges, har_to_exchanges, har_to_exchanges_salvage,
+    CaptureOptions, CaptureSession, Exchange, HttpRequest, HttpResponse, KeyLog, PcapReader,
+    SalvageLog,
 };
+use diffaudit_services::{generate_dataset_threads, DatasetOptions};
 use std::hint::black_box;
 
 fn sample_exchange(i: usize) -> Exchange {
@@ -44,6 +46,46 @@ fn main() {
     });
     run("json/serialize", || {
         black_box(black_box(&parsed).to_string());
+    });
+
+    // One generated web unit (minecraft, seed 2023) and the largest JSON
+    // request body in it: the shape the audit extracts keys from.
+    let dataset = generate_dataset_threads(
+        &DatasetOptions {
+            seed: 2023,
+            volume_scale: 0.05,
+            mobile_pinned_fraction: 0.0,
+            services: vec!["minecraft".into()],
+        },
+        1,
+    );
+    let unit_har = dataset.services[0]
+        .artifacts
+        .iter()
+        .find_map(|a| a.har.clone())
+        .unwrap();
+    let body = har_to_exchanges(&unit_har)
+        .unwrap()
+        .into_iter()
+        .filter(|ex| ex.request.content_type() == Some("application/json"))
+        .map(|ex| String::from_utf8(ex.request.body).unwrap())
+        .max_by_key(String::len)
+        .unwrap();
+    run("json/visit_keys", || {
+        let mut n = 0usize;
+        visit_keys(black_box(&body), |key| n += key.len()).unwrap();
+        black_box(n);
+    });
+    run("json/parse_flatten", || {
+        let keys: usize = flatten(&parse(black_box(&body)).unwrap())
+            .iter()
+            .map(|e| e.key.len())
+            .sum();
+        black_box(keys);
+    });
+    run("har/decode_salvage", || {
+        let mut log = SalvageLog::new();
+        black_box(har_to_exchanges_salvage(black_box(&unit_har), &mut log).unwrap());
     });
 
     let exchanges: Vec<Exchange> = (0..50).map(sample_exchange).collect();

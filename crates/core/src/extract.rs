@@ -7,7 +7,8 @@
 //! surfaces — so the extractor covers all four carriers and records which
 //! one each pair came from.
 
-use diffaudit_json::{flatten, parse};
+use diffaudit_domains::url::{parse_query, query_keys};
+use diffaudit_json::{flatten, parse, visit_keys_bytes};
 use diffaudit_nettrace::HttpRequest;
 
 /// Where a key/value pair was found.
@@ -46,6 +47,19 @@ pub struct RawEntry {
     pub source: RawSource,
 }
 
+/// The carrier the request body holds, by `Content-Type`: JSON or form
+/// encoding, or `None` for anything else.
+fn body_source(request: &HttpRequest) -> Option<RawSource> {
+    let content_type = request.content_type().unwrap_or("").to_ascii_lowercase();
+    if content_type.contains("json") {
+        Some(RawSource::JsonBody)
+    } else if content_type.contains("x-www-form-urlencoded") {
+        Some(RawSource::FormBody)
+    } else {
+        None
+    }
+}
+
 /// Extract every key/value pair from one outgoing request.
 ///
 /// Unparseable bodies are skipped silently: a binary or truncated body
@@ -75,33 +89,60 @@ pub fn extract_request(request: &HttpRequest) -> Vec<RawEntry> {
     }
 
     // Body.
-    let content_type = request.content_type().unwrap_or("").to_ascii_lowercase();
-    if content_type.contains("json") {
-        if let Ok(body) = std::str::from_utf8(&request.body) {
-            if let Ok(doc) = parse(body) {
-                for entry in flatten(&doc) {
-                    entries.push(RawEntry {
-                        key: entry.key,
-                        value: entry.value,
-                        source: RawSource::JsonBody,
-                    });
-                }
+    let Some(source) = body_source(request) else {
+        return entries;
+    };
+    let Ok(body) = std::str::from_utf8(&request.body) else {
+        return entries;
+    };
+    if source == RawSource::JsonBody {
+        if let Ok(doc) = parse(body) {
+            for entry in flatten(&doc) {
+                entries.push(RawEntry {
+                    key: entry.key,
+                    value: entry.value,
+                    source,
+                });
             }
         }
-    } else if content_type.contains("x-www-form-urlencoded") {
-        if let Ok(body) = std::str::from_utf8(&request.body) {
-            for (key, value) in diffaudit_domains::url::parse_query(body) {
-                if !key.is_empty() {
-                    entries.push(RawEntry {
-                        key,
-                        value,
-                        source: RawSource::FormBody,
-                    });
-                }
+    } else {
+        for (key, value) in parse_query(body) {
+            if !key.is_empty() {
+                entries.push(RawEntry { key, value, source });
             }
         }
     }
     entries
+}
+
+/// Visit the key of each entry [`extract_request`] returns, in the same
+/// order, without copying a value: the audit keeps only keys (§3.2.2).
+/// Only keys are percent-decoded, and a JSON body is walked by
+/// [`visit_keys_bytes`] instead of being parsed into a tree.
+pub fn visit_request_keys(request: &HttpRequest, mut visit: impl FnMut(&str)) {
+    if let Some(query) = &request.url.query {
+        visit_form_keys(query, &mut visit);
+    }
+    request.cookie_names().for_each(&mut visit);
+    match body_source(request) {
+        // A body that is not UTF-8 JSON has no JSON keys, and reports none.
+        Some(RawSource::JsonBody) => visit_keys_bytes(&request.body, &mut visit).unwrap_or(()),
+        Some(_) => {
+            if let Ok(body) = std::str::from_utf8(&request.body) {
+                visit_form_keys(body, &mut visit);
+            }
+        }
+        None => {}
+    }
+}
+
+/// The non-empty decoded keys of a form-encoded string.
+fn visit_form_keys(text: &str, visit: &mut impl FnMut(&str)) {
+    for key in query_keys(text) {
+        if !key.is_empty() {
+            visit(&key);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -187,6 +228,87 @@ mod tests {
             b"{truncated".to_vec(),
         );
         assert!(extract_request(&req2).is_empty());
+    }
+
+    fn keys_of(request: &HttpRequest) -> Vec<String> {
+        let mut keys = Vec::new();
+        visit_request_keys(request, |key| keys.push(key.to_string()));
+        keys
+    }
+
+    #[test]
+    fn keys_only_extraction_matches_entries() {
+        let mut req = HttpRequest::post(
+            url("https://t.example.com/c?uid=7&a%2Bb=1&=x&lang"),
+            "Application/JSON; charset=utf-8",
+            br#"{"device_id":"abc","p":"{\"idfa\":1}","n":{"lat":1.5},"":2}"#.to_vec(),
+        );
+        req.headers
+            .push("Cookie", "sid=xyz; =empty; bare; ads_opt=1");
+        let form = HttpRequest::post(
+            url("https://t.example.com/f"),
+            "application/x-www-form-urlencoded",
+            b"e%6Dail=a%40b.com&&age=12&=3&flag".to_vec(),
+        );
+        for request in [req, form] {
+            let entries: Vec<String> = extract_request(&request)
+                .into_iter()
+                .map(|e| e.key)
+                .collect();
+            assert_eq!(keys_of(&request), entries);
+        }
+    }
+
+    /// Over every request of a small generated dataset (two services, HAR
+    /// and pcap units), keys-only extraction yields `extract_request`'s
+    /// keys.
+    #[test]
+    fn keys_only_extraction_matches_on_a_generated_dataset() {
+        use diffaudit_nettrace::{
+            decode_auto_salvage, har_to_exchanges_salvage, KeyLog, SalvageLog,
+        };
+        use diffaudit_services::{generate_dataset, DatasetOptions};
+        let dataset = generate_dataset(&DatasetOptions {
+            seed: 5,
+            volume_scale: 0.01,
+            mobile_pinned_fraction: 0.1,
+            services: vec!["quizlet".into(), "roblox".into()],
+        });
+        let mut requests = 0;
+        let mut json_keys = 0;
+        for artifact in dataset.services.iter().flat_map(|s| &s.artifacts) {
+            let mut log = SalvageLog::new();
+            let exchanges = match (&artifact.har, &artifact.pcap) {
+                (Some(har), _) => har_to_exchanges_salvage(har, &mut log).unwrap(),
+                (None, Some(pcap)) => {
+                    let keys =
+                        KeyLog::parse_salvage(artifact.keylog.as_deref().unwrap_or(""), &mut log);
+                    decode_auto_salvage(pcap, &keys, &mut log)
+                        .unwrap()
+                        .exchanges
+                }
+                (None, None) => continue,
+            };
+            for exchange in &exchanges {
+                let entries = extract_request(&exchange.request);
+                json_keys += entries
+                    .iter()
+                    .filter(|e| e.source == RawSource::JsonBody)
+                    .count();
+                let mut want: Vec<String> = entries.into_iter().map(|e| e.key).collect();
+                let mut got = keys_of(&exchange.request);
+                want.sort();
+                want.dedup();
+                got.sort();
+                got.dedup();
+                assert_eq!(got, want, "{}", exchange.request.url);
+                requests += 1;
+            }
+        }
+        assert!(
+            requests > 1000 && json_keys > 4000,
+            "{requests} requests, {json_keys} JSON keys"
+        );
     }
 
     #[test]

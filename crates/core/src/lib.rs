@@ -50,7 +50,7 @@ pub mod stats;
 pub use audit::{AuditFinding, AuditRule, Severity};
 pub use dest::DestinationInfo;
 pub use diff::{ObservedGrid, PlatformDiff};
-pub use extract::{extract_request, RawEntry, RawSource};
+pub use extract::{extract_request, visit_request_keys, RawEntry, RawSource};
 pub use flow::{DataFlow, FlowTable4};
 pub use pipeline::{
     AuditOutcome, ClassificationMode, ObservedExchange, ObservedService, ObservedUnit, Pipeline,

@@ -19,7 +19,7 @@
 //! thread count produces byte-identical output.
 
 use crate::dest::DestinationAnalyzer;
-use crate::extract::extract_request;
+use crate::extract::visit_request_keys;
 use crate::flow::{DataFlow, FlowTable4};
 use crate::loader::{load_memory_service, MemoryService};
 use diffaudit_blocklist::DestinationClass;
@@ -660,10 +660,8 @@ fn extract_unit(unit: LoadedUnit, interner: &KeyInterner) -> ExtractedUnit {
         .exchanges
         .into_iter()
         .map(|ex| {
-            let mut keys: Vec<Key> = extract_request(&ex.request)
-                .into_iter()
-                .map(|e| interner.intern(&e.key))
-                .collect();
+            let mut keys: Vec<Key> = Vec::new();
+            visit_request_keys(&ex.request, |key| keys.push(interner.intern(key)));
             keys.sort();
             keys.dedup();
             (ex.request.url.host, ex.timestamp_ms, keys)

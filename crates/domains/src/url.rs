@@ -7,6 +7,7 @@
 //! error beats silent misparsing.
 
 use crate::name::{DomainError, DomainName};
+use std::borrow::Cow;
 
 /// URL parse errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,15 +150,32 @@ impl std::fmt::Display for Url {
     }
 }
 
-/// Parse an `application/x-www-form-urlencoded` string into decoded pairs.
-pub fn parse_query(q: &str) -> Vec<(String, String)> {
+/// The `(key, value)` halves of each non-empty `&`-separated part of a
+/// form-encoded string, still encoded; a part without `=` has an empty
+/// value.
+fn query_parts(q: &str) -> impl Iterator<Item = (&str, &str)> {
     q.split('&')
         .filter(|part| !part.is_empty())
-        .map(|part| match part.split_once('=') {
-            Some((k, v)) => (percent_decode(k), percent_decode(v)),
-            None => (percent_decode(part), String::new()),
-        })
+        .map(|part| part.split_once('=').unwrap_or((part, "")))
+}
+
+/// Parse an `application/x-www-form-urlencoded` string into decoded pairs.
+pub fn parse_query(q: &str) -> Vec<(String, String)> {
+    query_parts(q)
+        .map(|(k, v)| (percent_decode(k), percent_decode(v)))
         .collect()
+}
+
+/// The decoded keys of [`parse_query`]'s pairs, in the same order, without
+/// touching the values. A key with nothing to decode is borrowed.
+pub fn query_keys(q: &str) -> impl Iterator<Item = Cow<'_, str>> {
+    query_parts(q).map(|(k, _)| {
+        if k.contains(['+', '%']) {
+            Cow::Owned(percent_decode(k))
+        } else {
+            Cow::Borrowed(k)
+        }
+    })
 }
 
 /// Percent-decode a form-encoded component (`+` → space, `%XX` → byte;
@@ -241,6 +259,23 @@ mod tests {
             Url::parse("https://example.com").unwrap().effective_port(),
             443
         );
+    }
+
+    #[test]
+    fn query_keys_match_parse_query_keys() {
+        for q in [
+            "q=hello+world&e=a%40b.com&flag&x=1%2B2",
+            "&&a+b=1&%41=2&=3&%zz=4",
+            "",
+        ] {
+            let keys: Vec<String> = query_keys(q).map(Cow::into_owned).collect();
+            let pairs: Vec<String> = parse_query(q).into_iter().map(|(k, _)| k).collect();
+            assert_eq!(keys, pairs, "{q}");
+        }
+        assert!(matches!(
+            query_keys("plain=1").next(),
+            Some(Cow::Borrowed("plain"))
+        ));
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! recurses into those as well, which is where a large fraction of the
 //! interesting keys in real traces hide.
 
-use crate::parse;
+use crate::parse::{Cursor, Kind};
 use crate::value::Json;
+use crate::{parse, JsonError};
 use std::fmt::Write;
 
 /// One extracted key-value pair.
@@ -156,6 +157,126 @@ fn walk(
             }
         }
     }
+}
+
+/// Report each key [`flatten`] reports for `parse(input)`, in the same
+/// order, under the default [`FlattenOptions`], without building the tree
+/// or copying a value.
+///
+/// Scalars are stepped over. A string value is unescaped only when it could
+/// be a stringified document, that is, when its first char that is not
+/// whitespace is `{` or `[`; then it is walked like `flatten` walks it,
+/// falling back to the enclosing key when it does not parse. Fails with
+/// [`parse`]'s error, and reports nothing, when `input` is not one JSON
+/// document.
+pub fn visit_keys(input: &str, visit: impl FnMut(&str)) -> Result<(), JsonError> {
+    visit_document(Cursor::new(input), visit)
+}
+
+/// [`visit_keys`] over bytes not yet known to be UTF-8, such as a request
+/// body: the same keys when `input` is UTF-8, an error otherwise. The
+/// UTF-8 check rides along with the walk instead of costing a pass of its
+/// own.
+pub fn visit_keys_bytes(input: &[u8], visit: impl FnMut(&str)) -> Result<(), JsonError> {
+    visit_document(Cursor::from_bytes(input), visit)
+}
+
+fn visit_document(cursor: Cursor<'_>, visit: impl FnMut(&str)) -> Result<(), JsonError> {
+    let mut keys = Keys::default();
+    walk_document(
+        cursor,
+        "",
+        FlattenOptions::default().max_nested_json,
+        &mut keys,
+    )?;
+    keys.iter().for_each(visit);
+    Ok(())
+}
+
+/// The keys a walk has reported so far, packed into one buffer so that a
+/// stringified layer that fails to parse can take its keys back.
+#[derive(Default)]
+struct Keys {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl Keys {
+    fn push(&mut self, key: &str) {
+        if !key.is_empty() {
+            self.text.push_str(key);
+            self.ends.push(self.text.len());
+        }
+    }
+
+    fn mark(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn truncate(&mut self, mark: usize) {
+        self.ends.truncate(mark);
+        self.text.truncate(self.ends.last().copied().unwrap_or(0));
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &str> {
+        self.ends.iter().scan(0, |start, &end| {
+            let key = self.text.get(*start..end);
+            *start = end;
+            key
+        })
+    }
+}
+
+/// Walk one whole document (the input, or a peeled layer) under `key`.
+fn walk_document(
+    mut cursor: Cursor<'_>,
+    key: &str,
+    nested_budget: usize,
+    keys: &mut Keys,
+) -> Result<(), JsonError> {
+    walk_keys(&mut cursor, key, nested_budget, keys)?;
+    cursor.end()
+}
+
+/// [`walk`] for keys only, over the value at the cursor.
+fn walk_keys(
+    cursor: &mut Cursor<'_>,
+    key: &str,
+    nested_budget: usize,
+    keys: &mut Keys,
+) -> Result<(), JsonError> {
+    match cursor.peek()? {
+        Kind::Object => {
+            cursor.begin_object()?;
+            while let Some(k) = cursor.next_key()? {
+                walk_keys(cursor, &k, nested_budget, keys)?;
+            }
+        }
+        Kind::Array => {
+            cursor.begin_array()?;
+            while cursor.next_item()? {
+                walk_keys(cursor, key, nested_budget, keys)?;
+            }
+        }
+        Kind::String if nested_budget > 0 => match cursor.string_if(|c| c == '{' || c == '[')? {
+            Some(layer) => {
+                // Peel one stringified layer; one that does not parse is a
+                // plain value of `key`.
+                let mark = keys.mark();
+                let layer = Cursor::new(&layer);
+                if walk_document(layer, key, nested_budget - 1, keys).is_err() {
+                    keys.truncate(mark);
+                    keys.push(key);
+                }
+            }
+            None => keys.push(key),
+        },
+        _ => {
+            cursor.skip()?;
+            keys.push(key);
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -22,7 +22,11 @@
 //! - [`parse`] — a recursive-descent parser with precise error positions and
 //!   a configurable depth limit;
 //! - [`Json::to_string`] / [`Json::to_pretty_string`] — serializers;
-//! - [`flatten`] — the key-value pair extractor used by the pipeline;
+//! - [`Cursor`] — the pull reader that holds the grammar, for callers that
+//!   pick a few members out of a large document;
+//! - [`flatten`] — the key-value pair extractor;
+//! - [`visit_keys`] — the keys `flatten` would report, without building the
+//!   tree or copying values, which is what the pipeline extracts;
 //! - [`Json::pointer`] — RFC 6901 JSON-pointer lookup for tests and tools.
 
 mod flatten;
@@ -31,6 +35,6 @@ mod scan;
 mod ser;
 mod value;
 
-pub use flatten::{flatten, flatten_with, FlatEntry, FlattenOptions};
-pub use parse::{parse, parse_with_limit, JsonError, DEFAULT_DEPTH_LIMIT};
+pub use flatten::{flatten, flatten_with, visit_keys, visit_keys_bytes, FlatEntry, FlattenOptions};
+pub use parse::{parse, parse_with_limit, Cursor, JsonError, Kind, DEFAULT_DEPTH_LIMIT};
 pub use value::{Json, Number};

@@ -80,7 +80,11 @@ fn write_number(n: Number, out: &mut String) {
     match n {
         Number::Int(i) => out.push_str(&i.to_string()),
         Number::Float(f) => {
-            if f.fract() != 0.0 {
+            if !f.is_finite() {
+                // JSON has no NaN or infinity; `null` keeps the output
+                // parseable.
+                out.push_str("null");
+            } else if f.fract() != 0.0 {
                 out.push_str(&format!("{f}"));
             } else if f.abs() < 1e15 {
                 // Keep "2.0" distinguishable from the integer 2.
@@ -100,7 +104,7 @@ fn write_string(s: &str, out: &mut String) {
     loop {
         // A run ends on an ASCII byte, so the split is on a char boundary.
         let (plain, tail) = rest
-            .split_at_checked(string_run(rest.as_bytes()))
+            .split_at_checked(string_run(rest.as_bytes()).0)
             .unwrap_or((rest, ""));
         out.push_str(plain);
         let mut chars = tail.chars();
@@ -151,6 +155,19 @@ mod tests {
         assert_eq!(Json::float(2.0).to_string(), "2.0");
         assert_eq!(Json::float(2.5).to_string(), "2.5");
         assert_eq!(Json::int(2).to_string(), "2");
+    }
+
+    #[test]
+    fn non_finite_floats_serialize_as_null() {
+        for f in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let text = Json::obj().with("x", Json::float(f)).to_string();
+            assert_eq!(text, r#"{"x":null}"#);
+            assert_eq!(parse(&text).unwrap().get("x"), Some(&Json::Null));
+            assert_eq!(
+                parse(&Json::float(f).to_pretty_string()).unwrap(),
+                Json::Null
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 pub enum Number {
     /// An integer that fits in `i64`.
     Int(i64),
-    /// Any other finite number.
+    /// Any other number. The parser only produces finite ones; a NaN or
+    /// an infinity built in code serializes as `null`, since JSON has no
+    /// text for it.
     Float(f64),
 }
 
@@ -56,7 +58,8 @@ impl Json {
         Json::Num(Number::Int(i))
     }
 
-    /// Convenience float constructor.
+    /// Convenience float constructor. A NaN or an infinity serializes as
+    /// `null`, so the output still parses.
     pub fn float(f: f64) -> Json {
         Json::Num(Number::Float(f))
     }

@@ -9,8 +9,9 @@
 
 use crate::http::{Exchange, HeaderMap, HttpRequest, HttpResponse, Method};
 use diffaudit_domains::Url;
-use diffaudit_json::{parse, Json};
+use diffaudit_json::{Cursor, Json, JsonError, Kind};
 use diffaudit_util::base64;
+use std::borrow::Cow;
 
 /// HAR parsing errors.
 #[derive(Debug, Clone, PartialEq)]
@@ -283,93 +284,396 @@ fn shape_err(path: &str, expected: &'static str) -> HarError {
     }
 }
 
-fn json_headers(value: Option<&Json>, path: &str) -> Result<HeaderMap, HarError> {
-    let Some(arr) = value.and_then(Json::as_arr) else {
-        return Err(shape_err(path, "array of {name, value}"));
-    };
+/// A `headers` member that is not an array of `{name, value}` strings: not
+/// an array at all, or the first element (by index) whose `name` or `value`
+/// is missing or not a string.
+enum HeaderFault {
+    NotArray,
+    Element(usize, &'static str),
+}
+
+impl HeaderFault {
+    fn at(self, path: &str) -> HarError {
+        match self {
+            HeaderFault::NotArray => shape_err(path, "array of {name, value}"),
+            HeaderFault::Element(i, field) => shape_err(&format!("{path}/{i}/{field}"), "string"),
+        }
+    }
+}
+
+/// A `postData` or `content` member: its `text` when that is a string, and
+/// whether its `encoding` is `"base64"`.
+#[derive(Default)]
+struct Body<'a> {
+    text: Option<Cow<'a, str>>,
+    base64: bool,
+}
+
+impl Body<'_> {
+    /// The body bytes. Text the reader had to unescape is moved in, and
+    /// text borrowed from the document is copied once; text that fails to
+    /// decode as base64 gives an empty body.
+    fn into_bytes(self) -> Vec<u8> {
+        let text = self.text.unwrap_or_default();
+        if self.base64 {
+            base64::decode(&text).unwrap_or_default()
+        } else {
+            text.into_owned().into_bytes()
+        }
+    }
+}
+
+/// The members of a `request` or `response` an [`Exchange`] is built from.
+/// A member that is missing or of the wrong type reads as `None`; a
+/// non-object message has every member missing.
+struct Message<'a> {
+    method: Option<Cow<'a, str>>,
+    url: Option<Cow<'a, str>>,
+    status: Option<i64>,
+    headers: Result<HeaderMap, HeaderFault>,
+    /// `postData` of a request, `content` of a response.
+    body: Body<'a>,
+}
+
+impl Default for Message<'_> {
+    fn default() -> Self {
+        Message {
+            method: None,
+            url: None,
+            status: None,
+            headers: Err(HeaderFault::NotArray),
+            body: Body::default(),
+        }
+    }
+}
+
+/// One `log.entries[]` element reduced to what an [`Exchange`] needs. A
+/// duplicated member reads as its last occurrence, as [`Json::get`] does.
+#[derive(Default)]
+struct EntryFields<'a> {
+    started: Option<Cow<'a, str>>,
+    request: Option<Message<'a>>,
+    response: Option<Message<'a>>,
+}
+
+/// Which message a member belongs to, and so which member holds its body.
+#[derive(Clone, Copy, PartialEq)]
+enum Side {
+    Request,
+    Response,
+}
+
+impl Side {
+    fn body_key(self) -> &'static str {
+        match self {
+            Side::Request => "postData",
+            Side::Response => "content",
+        }
+    }
+}
+
+impl<'a> EntryFields<'a> {
+    fn from_json(entry: &'a Json) -> EntryFields<'a> {
+        EntryFields {
+            started: entry
+                .get("startedDateTime")
+                .and_then(Json::as_str)
+                .map(Cow::Borrowed),
+            request: entry
+                .get("request")
+                .map(|m| Message::from_json(m, Side::Request)),
+            response: entry
+                .get("response")
+                .map(|m| Message::from_json(m, Side::Response)),
+        }
+    }
+
+    /// Read the entry at the cursor, stepping over every member it does
+    /// not need.
+    fn read(c: &mut Cursor<'a>) -> Result<EntryFields<'a>, JsonError> {
+        let mut fields = EntryFields::default();
+        if c.peek()? != Kind::Object {
+            c.skip()?;
+            return Ok(fields);
+        }
+        c.begin_object()?;
+        while let Some(key) = c.next_key()? {
+            match &*key {
+                "startedDateTime" => fields.started = read_str(c)?,
+                "request" => fields.request = Some(Message::read(c, Side::Request)?),
+                "response" => fields.response = Some(Message::read(c, Side::Response)?),
+                _ => c.skip()?,
+            }
+        }
+        Ok(fields)
+    }
+
+    /// Check the fields in a fixed order and build the exchange; the first
+    /// failed check names the problem. `index` is the entry's position in
+    /// `log.entries`, for error paths.
+    fn into_exchange(self, index: usize) -> Result<Exchange, HarError> {
+        let base = || format!("/log/entries/{index}");
+        let started = self
+            .started
+            .ok_or_else(|| shape_err(&format!("{}/startedDateTime", base()), "string"))?;
+        let timestamp_ms = ms_from_iso8601(&started)
+            .ok_or_else(|| HarError::BadTimestamp(started.into_owned()))?;
+        let request = self
+            .request
+            .ok_or_else(|| shape_err(&format!("{}/request", base()), "object"))?;
+        let method_str = request
+            .method
+            .ok_or_else(|| shape_err(&format!("{}/request/method", base()), "string"))?;
+        let method =
+            Method::parse(&method_str).ok_or_else(|| HarError::BadMethod(method_str.into()))?;
+        let url_str = request
+            .url
+            .ok_or_else(|| shape_err(&format!("{}/request/url", base()), "string"))?;
+        let url = Url::parse(&url_str).map_err(|_| HarError::BadUrl(url_str.into()))?;
+        let headers = request
+            .headers
+            .map_err(|f| f.at(&format!("{}/request/headers", base())))?;
+        let body = request.body.into_bytes();
+
+        let response = self
+            .response
+            .ok_or_else(|| shape_err(&format!("{}/response", base()), "object"))?;
+        let status = response
+            .status
+            .ok_or_else(|| shape_err(&format!("{}/response/status", base()), "integer"))?
+            as u16;
+        let resp_headers = response
+            .headers
+            .map_err(|f| f.at(&format!("{}/response/headers", base())))?;
+        let resp_body = response.body.into_bytes();
+
+        Ok(Exchange {
+            timestamp_ms,
+            request: HttpRequest {
+                method,
+                url,
+                headers,
+                body,
+            },
+            response: HttpResponse {
+                status,
+                headers: resp_headers,
+                body: resp_body,
+            },
+        })
+    }
+}
+
+impl<'a> Message<'a> {
+    fn from_json(message: &'a Json, side: Side) -> Message<'a> {
+        let string = |key| message.get(key).and_then(Json::as_str).map(Cow::Borrowed);
+        let body = message
+            .get(side.body_key())
+            .map_or_else(Body::default, |b| Body {
+                text: b.get("text").and_then(Json::as_str).map(Cow::Borrowed),
+                base64: b.get("encoding").and_then(Json::as_str) == Some("base64"),
+            });
+        Message {
+            method: string("method"),
+            url: string("url"),
+            status: message.get("status").and_then(Json::as_i64),
+            headers: headers_from_json(message.get("headers")),
+            body,
+        }
+    }
+
+    fn read(c: &mut Cursor<'a>, side: Side) -> Result<Message<'a>, JsonError> {
+        let mut message = Message::default();
+        if c.peek()? != Kind::Object {
+            c.skip()?;
+            return Ok(message);
+        }
+        c.begin_object()?;
+        while let Some(key) = c.next_key()? {
+            match (&*key, side) {
+                ("headers", _) => message.headers = read_headers(c)?,
+                ("method", Side::Request) => message.method = read_str(c)?,
+                ("url", Side::Request) => message.url = read_str(c)?,
+                ("status", Side::Response) => message.status = read_int(c)?,
+                (key, _) if key == side.body_key() => message.body = read_body(c)?,
+                _ => c.skip()?,
+            }
+        }
+        Ok(message)
+    }
+}
+
+fn headers_from_json(value: Option<&Json>) -> Result<HeaderMap, HeaderFault> {
+    let arr = value.and_then(Json::as_arr).ok_or(HeaderFault::NotArray)?;
     let mut headers = HeaderMap::new();
     for (i, entry) in arr.iter().enumerate() {
-        let name = entry
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| shape_err(&format!("{path}/{i}/name"), "string"))?;
-        let value = entry
-            .get("value")
-            .and_then(Json::as_str)
-            .ok_or_else(|| shape_err(&format!("{path}/{i}/value"), "string"))?;
+        let field = |key| entry.get(key).and_then(Json::as_str);
+        let name = field("name").ok_or(HeaderFault::Element(i, "name"))?;
+        let value = field("value").ok_or(HeaderFault::Element(i, "value"))?;
         headers.push(name, value);
     }
     Ok(headers)
 }
 
-fn json_body(obj: Option<&Json>) -> Vec<u8> {
-    let Some(obj) = obj else {
-        return Vec::new();
-    };
-    let text = obj.get("text").and_then(Json::as_str).unwrap_or("");
-    if obj.get("encoding").and_then(Json::as_str) == Some("base64") {
-        base64::decode(text).unwrap_or_default()
+/// The string at the cursor, or `None` after stepping over a non-string.
+fn read_str<'a>(c: &mut Cursor<'a>) -> Result<Option<Cow<'a, str>>, JsonError> {
+    if c.peek()? == Kind::String {
+        c.string().map(Some)
     } else {
-        text.as_bytes().to_vec()
+        c.skip().map(|()| None)
     }
+}
+
+/// The integer at the cursor (as [`Json::as_i64`] reads it), or `None`.
+fn read_int(c: &mut Cursor<'_>) -> Result<Option<i64>, JsonError> {
+    if c.peek()? == Kind::Number {
+        Ok(c.number()?.as_i64())
+    } else {
+        c.skip().map(|()| None)
+    }
+}
+
+fn read_body<'a>(c: &mut Cursor<'a>) -> Result<Body<'a>, JsonError> {
+    let mut body = Body::default();
+    if c.peek()? != Kind::Object {
+        c.skip()?;
+        return Ok(body);
+    }
+    c.begin_object()?;
+    while let Some(key) = c.next_key()? {
+        match &*key {
+            "text" => body.text = read_str(c)?,
+            "encoding" => body.base64 = read_str(c)?.as_deref() == Some("base64"),
+            _ => c.skip()?,
+        }
+    }
+    Ok(body)
+}
+
+/// A `headers` member; elements after the first bad one are only checked
+/// for syntax.
+fn read_headers(c: &mut Cursor<'_>) -> Result<Result<HeaderMap, HeaderFault>, JsonError> {
+    if c.peek()? != Kind::Array {
+        c.skip()?;
+        return Ok(Err(HeaderFault::NotArray));
+    }
+    c.begin_array()?;
+    let mut headers = Ok(HeaderMap::new());
+    let mut index = 0;
+    while c.next_item()? {
+        let (mut name, mut value) = (None, None);
+        if c.peek()? == Kind::Object {
+            c.begin_object()?;
+            while let Some(key) = c.next_key()? {
+                match &*key {
+                    "name" => name = read_str(c)?,
+                    "value" => value = read_str(c)?,
+                    _ => c.skip()?,
+                }
+            }
+        } else {
+            c.skip()?;
+        }
+        if let Ok(map) = &mut headers {
+            match (name, value) {
+                (Some(name), Some(value)) => map.push(name, value),
+                (None, _) => headers = Err(HeaderFault::Element(index, "name")),
+                (_, None) => headers = Err(HeaderFault::Element(index, "value")),
+            }
+        }
+        index += 1;
+    }
+    Ok(headers)
+}
+
+/// What the reader made of `log.entries`: each entry's exchange or the
+/// reason it was dropped, in order, up to the entry at which `ctl` tripped,
+/// if it did.
+#[derive(Default)]
+struct Entries {
+    outcomes: Vec<Result<Exchange, HarError>>,
+    interrupted: Option<diffaudit_util::cancel::Interrupt>,
+}
+
+/// Read a HAR document one entry at a time. The whole document is checked
+/// before anything is returned, so a syntax error anywhere (or a missing
+/// `log.entries` array) fails the document however many entries read well.
+/// Duplicated `log` and `entries` members read as their last occurrence.
+fn read_har(text: &str, ctl: &diffaudit_util::cancel::Ctl) -> Result<Entries, HarError> {
+    let json = |e: JsonError| HarError::Json(e.to_string());
+    let mut c = Cursor::new(text);
+    let mut entries = None;
+    if c.peek().map_err(json)? == Kind::Object {
+        c.begin_object().map_err(json)?;
+        while let Some(key) = c.next_key().map_err(json)? {
+            if key == "log" {
+                entries = read_log(&mut c, ctl).map_err(json)?;
+            } else {
+                c.skip().map_err(json)?;
+            }
+        }
+    } else {
+        c.skip().map_err(json)?;
+    }
+    c.end().map_err(json)?;
+    entries.ok_or_else(|| shape_err("/log/entries", "array"))
+}
+
+/// The `log` object's `entries`, or `None` when `log` is not an object or
+/// its last `entries` member is not an array.
+fn read_log(
+    c: &mut Cursor<'_>,
+    ctl: &diffaudit_util::cancel::Ctl,
+) -> Result<Option<Entries>, JsonError> {
+    if c.peek()? != Kind::Object {
+        c.skip()?;
+        return Ok(None);
+    }
+    c.begin_object()?;
+    let mut entries = None;
+    while let Some(key) = c.next_key()? {
+        if key != "entries" {
+            c.skip()?;
+        } else if c.peek()? == Kind::Array {
+            entries = Some(read_entries(c, ctl)?);
+        } else {
+            c.skip()?;
+            entries = None;
+        }
+    }
+    Ok(entries)
+}
+
+/// Read the `entries` array, checking `ctl` before each entry. Once it
+/// trips, the rest of the array is only checked for syntax.
+fn read_entries(
+    c: &mut Cursor<'_>,
+    ctl: &diffaudit_util::cancel::Ctl,
+) -> Result<Entries, JsonError> {
+    let mut entries = Entries::default();
+    c.begin_array()?;
+    let mut index = 0;
+    while c.next_item()? {
+        if entries.interrupted.is_none() {
+            entries.interrupted = ctl.check().err();
+        }
+        if entries.interrupted.is_some() {
+            c.skip()?;
+        } else {
+            let fields = EntryFields::read(c)?;
+            entries.outcomes.push(fields.into_exchange(index));
+        }
+        index += 1;
+    }
+    Ok(entries)
 }
 
 /// Parse a HAR document (as text) back into exchanges.
 pub fn har_to_exchanges(text: &str) -> Result<Vec<Exchange>, HarError> {
-    let doc = parse(text).map_err(|e| HarError::Json(e.to_string()))?;
-    har_json_to_exchanges(&doc)
-}
-
-/// Parse one `log.entries[]` element. `base` is the entry's JSON-pointer
-/// prefix for error paths.
-fn entry_to_exchange(entry: &Json, base: &str) -> Result<Exchange, HarError> {
-    let started = entry
-        .get("startedDateTime")
-        .and_then(Json::as_str)
-        .ok_or_else(|| shape_err(&format!("{base}/startedDateTime"), "string"))?;
-    let timestamp_ms =
-        ms_from_iso8601(started).ok_or_else(|| HarError::BadTimestamp(started.to_string()))?;
-    let request = entry
-        .get("request")
-        .ok_or_else(|| shape_err(&format!("{base}/request"), "object"))?;
-    let method_str = request
-        .get("method")
-        .and_then(Json::as_str)
-        .ok_or_else(|| shape_err(&format!("{base}/request/method"), "string"))?;
-    let method = Method::parse(method_str).ok_or_else(|| HarError::BadMethod(method_str.into()))?;
-    let url_str = request
-        .get("url")
-        .and_then(Json::as_str)
-        .ok_or_else(|| shape_err(&format!("{base}/request/url"), "string"))?;
-    let url = Url::parse(url_str).map_err(|_| HarError::BadUrl(url_str.into()))?;
-    let headers = json_headers(request.get("headers"), &format!("{base}/request/headers"))?;
-    let body = json_body(request.get("postData"));
-
-    let response = entry
-        .get("response")
-        .ok_or_else(|| shape_err(&format!("{base}/response"), "object"))?;
-    let status = response
-        .get("status")
-        .and_then(Json::as_i64)
-        .ok_or_else(|| shape_err(&format!("{base}/response/status"), "integer"))?
-        as u16;
-    let resp_headers = json_headers(response.get("headers"), &format!("{base}/response/headers"))?;
-    let resp_body = json_body(response.get("content"));
-
-    Ok(Exchange {
-        timestamp_ms,
-        request: HttpRequest {
-            method,
-            url,
-            headers,
-            body,
-        },
-        response: HttpResponse {
-            status,
-            headers: resp_headers,
-            body: resp_body,
-        },
-    })
+    read_har(text, &diffaudit_util::cancel::Ctl::unbounded())?
+        .outcomes
+        .into_iter()
+        .collect()
 }
 
 /// Parse an already-parsed HAR JSON value into exchanges.
@@ -378,11 +682,11 @@ pub fn har_json_to_exchanges(doc: &Json) -> Result<Vec<Exchange>, HarError> {
         .pointer("/log/entries")
         .and_then(Json::as_arr)
         .ok_or_else(|| shape_err("/log/entries", "array"))?;
-    let mut exchanges = Vec::with_capacity(entries.len());
-    for (i, entry) in entries.iter().enumerate() {
-        exchanges.push(entry_to_exchange(entry, &format!("/log/entries/{i}"))?);
-    }
-    Ok(exchanges)
+    entries
+        .iter()
+        .enumerate()
+        .map(|(i, entry)| EntryFields::from_json(entry).into_exchange(i))
+        .collect()
 }
 
 /// Salvage parse: document-level failures (invalid JSON, no `log.entries`
@@ -399,6 +703,11 @@ pub fn har_to_exchanges_salvage(
 /// [`har_to_exchanges_salvage`] with a cancellation checkpoint per entry: a
 /// tripped `ctl` returns [`HarError::Interrupted`] (partial salvage log
 /// kept) so a pathological document is cut off at its deadline.
+///
+/// The document is read one entry at a time and only the members an
+/// [`Exchange`] needs are decoded; `log` is written only once the whole
+/// document has been checked, so a document-level error leaves it as it
+/// was.
 pub fn har_to_exchanges_salvage_ctl(
     text: &str,
     log: &mut crate::salvage::SalvageLog,
@@ -412,21 +721,19 @@ pub fn har_to_exchanges_salvage_ctl(
         &diffaudit_obs::BYTE_BOUNDS,
         text.len() as u64,
     );
-    let doc = parse(text).map_err(|e| HarError::Json(e.to_string()))?;
-    let entries = doc
-        .pointer("/log/entries")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| shape_err("/log/entries", "array"))?;
-    let mut exchanges = Vec::with_capacity(entries.len());
-    for (i, entry) in entries.iter().enumerate() {
-        ctl.check().map_err(HarError::Interrupted)?;
-        match entry_to_exchange(entry, &format!("/log/entries/{i}")) {
+    let entries = read_har(text, ctl)?;
+    let mut exchanges = Vec::with_capacity(entries.outcomes.len());
+    for (i, outcome) in entries.outcomes.into_iter().enumerate() {
+        match outcome {
             Ok(exchange) => {
                 exchanges.push(exchange);
                 log.ok(Stage::HarEntry);
             }
             Err(e) => log.dropped(Stage::HarEntry, e.to_string(), Some(i as u64)),
         }
+    }
+    if let Some(interrupt) = entries.interrupted {
+        return Err(HarError::Interrupted(interrupt));
     }
     diffaudit_obs::add("nettrace.har.entries", exchanges.len() as u64);
     diffaudit_obs::add(

@@ -157,17 +157,27 @@ impl HttpRequest {
 
     /// Cookies from the `Cookie` header, parsed into pairs.
     pub fn cookies(&self) -> Vec<(String, String)> {
-        match self.headers.get("cookie") {
-            None => Vec::new(),
-            Some(raw) => raw
-                .split(';')
-                .filter_map(|kv| {
-                    let kv = kv.trim();
-                    let (k, v) = kv.split_once('=')?;
-                    Some((k.trim().to_string(), v.trim().to_string()))
-                })
-                .collect(),
-        }
+        self.cookie_pairs()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
+
+    /// The names of [`HttpRequest::cookies`], in order, borrowed from the
+    /// header.
+    pub fn cookie_names(&self) -> impl Iterator<Item = &str> {
+        self.cookie_pairs().map(|(k, _)| k)
+    }
+
+    /// The `Cookie` header's `name=value` pairs, trimmed.
+    fn cookie_pairs(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.headers
+            .get("cookie")
+            .into_iter()
+            .flat_map(|raw| raw.split(';'))
+            .filter_map(|kv| {
+                let (k, v) = kv.trim().split_once('=')?;
+                Some((k.trim(), v.trim()))
+            })
     }
 
     /// Serialize to HTTP/1.1 wire format (origin-form request target).

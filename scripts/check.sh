@@ -182,6 +182,21 @@ if [ "$copied" -eq 0 ] || [ "$copied" -gt "$copied_base" ]; then
     exit 1
 fi
 
+echo "==> key extraction gate (cold key, exchange and HAR entry counts == BENCH_pipeline.json)"
+# The stdout checks above compare runs of this one build with each other,
+# so a key that extraction or HAR decode drops or invents would pass them.
+# These counters are exact: they must equal the committed baseline.
+for name in pipeline.keys.occurrences pipeline.keys.unique pipeline.exchanges \
+    nettrace.har.entries; do
+    got="$(counter "$name" "$obs_tmp/cold.json")"
+    want="$(counter "$name" BENCH_pipeline.json)"
+    echo "$name: $got (baseline $want)"
+    if [ "$want" -eq 0 ] || [ "$got" -ne "$want" ]; then
+        echo "$name differs from BENCH_pipeline.json"
+        exit 1
+    fi
+done
+
 echo "==> serve smoke (boot ephemeral port, upload HAR, audit, report, clean drain)"
 ./target/release/diffaudit serve --port 0 --log-level warn \
     > "$obs_tmp/serve.log" 2> "$obs_tmp/serve.err" &
