@@ -49,7 +49,7 @@ use diffaudit_json::Json;
 use diffaudit_obs as obs;
 use diffaudit_serve::{client, names};
 use diffaudit_serve::{ServeConfig, Server};
-use diffaudit_services::{Platform, TraceArtifact, TraceCategory, TraceKind};
+use diffaudit_services::TraceArtifact;
 use std::time::{Duration, Instant};
 
 fn fail(msg: &str) -> ! {
@@ -57,39 +57,14 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-fn platform_param(p: Platform) -> &'static str {
-    match p {
-        Platform::Web => "web",
-        Platform::Mobile => "mobile",
-        Platform::Desktop => "desktop",
-    }
-}
-
-fn kind_param(k: TraceKind) -> &'static str {
-    match k {
-        TraceKind::AccountCreation => "account-creation",
-        TraceKind::LoggedIn => "logged-in",
-        TraceKind::LoggedOut => "logged-out",
-    }
-}
-
-fn category_param(c: TraceCategory) -> &'static str {
-    match c {
-        TraceCategory::Child => "child",
-        TraceCategory::Adolescent => "adolescent",
-        TraceCategory::Adult => "adult",
-        TraceCategory::LoggedOut => "logged-out",
-    }
-}
-
 /// POST one artifact to `/api/v1/traces` (plus its key log, for captures);
 /// returns the trace id.
 fn upload_artifact(addr: &str, index: usize, artifact: &TraceArtifact) -> String {
     let path = format!(
         "/api/v1/traces?label=unit-{index}&platform={}&kind={}&category={}",
-        platform_param(artifact.platform),
-        kind_param(artifact.kind),
-        category_param(artifact.category),
+        artifact.platform.spelling(),
+        artifact.kind.spelling(),
+        artifact.category.spelling(),
     );
     let body: &[u8] = match (&artifact.har, &artifact.pcap) {
         (Some(har), _) => har.as_bytes(),

@@ -31,8 +31,9 @@
 //! 7. **Linkability** ([`linkability`]) — third parties receiving both
 //!    identifiers and personal information (Figures 3–5).
 //!
-//! [`report`] renders the paper's tables; [`stats`] computes the dataset
-//! summary (Table 1).
+//! [`run`] takes loaded services to a verdict for both front ends (the
+//! batch CLI and the serve daemon); [`report`] renders the paper's tables;
+//! [`stats`] computes the dataset summary (Table 1).
 
 pub mod audit;
 pub mod dest;
@@ -44,6 +45,7 @@ pub mod linkability;
 pub mod loader;
 pub mod pipeline;
 pub mod report;
+pub mod run;
 pub mod salvage;
 pub mod stats;
 
@@ -55,5 +57,6 @@ pub use flow::{DataFlow, FlowTable4};
 pub use pipeline::{
     AuditOutcome, ClassificationMode, ObservedExchange, ObservedService, ObservedUnit, Pipeline,
 };
+pub use run::{run_audit, AuditRun, AuditSettings};
 pub use salvage::{DegradationLedger, RunStatus, SalvagePolicy, ServiceLedger, UnitLedger};
 pub use stats::{DatasetSummary, ServiceSummary};

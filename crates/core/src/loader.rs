@@ -120,38 +120,10 @@ fn shape_error(msg: String) -> LoadError {
     LoadError::ManifestShape(PathBuf::new(), msg)
 }
 
-fn parse_platform(s: &str) -> Result<Platform, LoadError> {
-    match s.to_ascii_lowercase().as_str() {
-        "web" => Ok(Platform::Web),
-        "mobile" => Ok(Platform::Mobile),
-        "desktop" => Ok(Platform::Desktop),
-        other => Err(shape_error(format!(
-            "unknown platform {other:?} (expected web|mobile|desktop)"
-        ))),
-    }
-}
-
-fn parse_kind(s: &str) -> Result<TraceKind, LoadError> {
-    match s.to_ascii_lowercase().as_str() {
-        "account-creation" | "account_creation" => Ok(TraceKind::AccountCreation),
-        "logged-in" | "logged_in" => Ok(TraceKind::LoggedIn),
-        "logged-out" | "logged_out" => Ok(TraceKind::LoggedOut),
-        other => Err(shape_error(format!(
-            "unknown kind {other:?} (expected account-creation|logged-in|logged-out)"
-        ))),
-    }
-}
-
-fn parse_category(s: &str) -> Result<TraceCategory, LoadError> {
-    match s.to_ascii_lowercase().as_str() {
-        "child" => Ok(TraceCategory::Child),
-        "adolescent" => Ok(TraceCategory::Adolescent),
-        "adult" => Ok(TraceCategory::Adult),
-        "logged-out" | "logged_out" => Ok(TraceCategory::LoggedOut),
-        other => Err(shape_error(format!(
-            "unknown category {other:?} (expected child|adolescent|adult|logged-out)"
-        ))),
-    }
+/// The manifest's shape error for a metadata value outside its spellings.
+fn unknown_spelling(field: &str, value: &str, expected: String) -> LoadError {
+    let value = value.to_ascii_lowercase();
+    shape_error(format!("unknown {field} {value:?} (expected {expected})"))
 }
 
 fn str_field<'a>(obj: &'a Json, key: &str, ctx: &str) -> Result<&'a str, LoadError> {
@@ -216,9 +188,15 @@ fn read_manifest(dir: &Path) -> Result<Manifest, LoadError> {
 fn read_unit(dir: &Path, entry: &Json, index: usize) -> Result<MemoryUnit, LoadError> {
     let ctx = format!("units[{index}]");
     let file = str_field(entry, "file", &ctx)?;
-    let platform = parse_platform(str_field(entry, "platform", &ctx)?)?;
-    let kind = parse_kind(str_field(entry, "kind", &ctx)?)?;
-    let category = parse_category(str_field(entry, "category", &ctx)?)?;
+    let platform = str_field(entry, "platform", &ctx)?;
+    let platform = Platform::parse(platform)
+        .ok_or_else(|| unknown_spelling("platform", platform, Platform::spellings()))?;
+    let kind = str_field(entry, "kind", &ctx)?;
+    let kind = TraceKind::parse(kind)
+        .ok_or_else(|| unknown_spelling("kind", kind, TraceKind::spellings()))?;
+    let category = str_field(entry, "category", &ctx)?;
+    let category = TraceCategory::parse(category)
+        .ok_or_else(|| unknown_spelling("category", category, TraceCategory::spellings()))?;
     let path = dir.join(file);
     let artifact = if file.ends_with(".har") {
         MemoryArtifact::Har(
@@ -608,29 +586,24 @@ pub fn load_memory_service(
     })
 }
 
-/// How a generated unit is spelled on disk: its manifest `platform`,
-/// `kind` and `category` values, its artifact `file` (`<stem>.pcap` for a
-/// capture, `<stem>.har` otherwise) and its `keylog` (`<stem>.keys`).
+/// How a generated unit is named on disk: its artifact `file`
+/// (`<stem>.pcap` for a capture, `<stem>.har` otherwise) and its `keylog`
+/// (`<stem>.keys`), the stem joining the unit's manifest spellings.
 /// [`MemoryService::from_capture`] labels the unit with `file`, so it
 /// carries the same ledger label on the disk and in-memory paths.
 struct UnitNames {
-    platform: String,
-    kind: &'static str,
-    category: String,
     file: String,
     keylog: String,
 }
 
 impl UnitNames {
     fn of(artifact: &TraceArtifact) -> UnitNames {
-        let platform = artifact.platform.label().to_lowercase();
-        let kind = match artifact.kind {
-            TraceKind::AccountCreation => "account-creation",
-            TraceKind::LoggedIn => "logged-in",
-            TraceKind::LoggedOut => "logged-out",
-        };
-        let category = artifact.category.label().to_lowercase().replace(' ', "-");
-        let stem = format!("{platform}-{category}-{kind}");
+        let stem = format!(
+            "{}-{}-{}",
+            artifact.platform.spelling(),
+            artifact.category.spelling(),
+            artifact.kind.spelling()
+        );
         let ext = if artifact.pcap.is_some() {
             "pcap"
         } else {
@@ -639,9 +612,6 @@ impl UnitNames {
         UnitNames {
             file: format!("{stem}.{ext}"),
             keylog: format!("{stem}.keys"),
-            platform,
-            kind,
-            category,
         }
     }
 }
@@ -664,9 +634,9 @@ pub fn write_dataset(
         for artifact in &capture.artifacts {
             let names = UnitNames::of(artifact);
             let mut unit = Json::obj()
-                .with("platform", Json::str(names.platform))
-                .with("kind", Json::str(names.kind))
-                .with("category", Json::str(names.category));
+                .with("platform", Json::str(artifact.platform.spelling()))
+                .with("kind", Json::str(artifact.kind.spelling()))
+                .with("category", Json::str(artifact.category.spelling()));
             match (&artifact.pcap, &artifact.har) {
                 (Some(pcap), _) => {
                     write(dir.join(&names.file), pcap)?;

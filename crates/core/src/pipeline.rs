@@ -155,6 +155,7 @@ impl ObservedService {
 }
 
 /// The full pipeline output.
+#[derive(Default)]
 pub struct AuditOutcome {
     /// Per-service observations (paper order).
     pub services: Vec<ObservedService>,

@@ -4,6 +4,7 @@ use crate::audit::AuditFinding;
 use crate::diff::ObservedGrid;
 use crate::linkability;
 use crate::pipeline::{AuditOutcome, ObservedService};
+use crate::salvage::{DegradationLedger, RunStatus};
 use crate::stats::DatasetSummary;
 use diffaudit_ontology::Level2;
 use diffaudit_services::{FlowAction, TraceCategory};
@@ -142,7 +143,7 @@ pub fn render_fig5(outcome: &AuditOutcome, top_n: usize) -> String {
 /// Render the salvage degradation ledger: per-stage processed/dropped
 /// tallies plus every drop with its stage and location. A clean ledger
 /// renders as a one-line notice.
-pub fn render_degradation(ledger: &crate::salvage::DegradationLedger) -> String {
+pub fn render_degradation(ledger: &DegradationLedger) -> String {
     let merged = ledger.merged();
     let mut out = String::new();
     out.push_str("Degradation ledger\n");
@@ -206,6 +207,32 @@ pub fn render_findings(findings: &[AuditFinding]) -> String {
         out.push('\n');
     }
     out
+}
+
+/// The text report of an audit run, printed by the batch CLI and served as
+/// a daemon job's run report: every service's Table 4 grid, Figure 3 and
+/// the findings, plus the degradation ledger unless the run was clean.
+pub fn render_text_report(
+    outcome: &AuditOutcome,
+    findings: &[AuditFinding],
+    ledger: &DegradationLedger,
+    status: RunStatus,
+) -> String {
+    let mut text = String::new();
+    for service in &outcome.services {
+        let grid = ObservedGrid::build(service);
+        text.push_str(&render_table4(service, &grid));
+        text.push('\n');
+    }
+    text.push_str(&render_fig3(outcome));
+    text.push('\n');
+    text.push_str("Findings:\n");
+    text.push_str(&render_findings(findings));
+    if status != RunStatus::Clean {
+        text.push('\n');
+        text.push_str(&render_degradation(ledger));
+    }
+    text
 }
 
 #[cfg(test)]

@@ -6,8 +6,8 @@
 //!     artifacts plus per-service manifest.json).
 //!
 //! diffaudit audit DIR... [--ensemble SEED] [--threshold F]
-//!                        [--format text|markdown|json] [--out FILE]
-//!                        [--strict] [--max-drop PCT]
+//!                        [--cache-dir DIR] [--format text|markdown|json]
+//!                        [--out FILE] [--strict] [--max-drop PCT]
 //!     Audit capture directories (each containing manifest.json). Works on
 //!     generated captures AND on externally collected traces: drop your own
 //!     .har / .pcap+.keys files next to a manifest and point the tool at it.
@@ -20,7 +20,7 @@
 //!     dropped).
 //!
 //! diffaudit serve [--port N] [--queue N] [--workers N] [--deadline-ms N]
-//!                 [--drain-ms N] [--chaos]
+//!                 [--drain-ms N] [--cache-dir DIR] [--chaos]
 //!     Run the audit daemon: upload traces and enqueue audit jobs over a
 //!     local REST API (see DESIGN.md §9). Prints `listening on http://...`
 //!     once bound (`--port 0` picks an ephemeral port). Bounded queueing
@@ -91,19 +91,16 @@
 //! output. The exit-code contract above is likewise unchanged.
 //! ```
 
-use diffaudit::audit::{audit_service, AuditFinding};
-use diffaudit::diff::ObservedGrid;
+use diffaudit::audit::AuditFinding;
 use diffaudit::export;
 use diffaudit::loader::{load_capture_dir, write_dataset};
-use diffaudit::pipeline::{ClassificationMode, Pipeline};
 use diffaudit::report;
-use diffaudit::salvage::{
-    cache_ledger, mirror_counters, DegradationLedger, RunStatus, SalvagePolicy,
-};
+use diffaudit::run::{run_audit, AuditRun, AuditSettings};
+use diffaudit::salvage::{DegradationLedger, RunStatus, SalvagePolicy};
 use diffaudit_json::Json;
 use diffaudit_obs as obs;
 use diffaudit_serve::{ServeConfig, Server};
-use diffaudit_services::{generate_dataset_threads, service_by_slug, DatasetOptions};
+use diffaudit_services::{generate_dataset_threads, DatasetOptions};
 use diffaudit_util::cancel::Ctl;
 use diffaudit_util::par::KeyInterner;
 use std::path::PathBuf;
@@ -447,7 +444,10 @@ fn cmd_audit(args: &[String], threads: usize) -> ExitCode {
                 }
                 _ => return usage(),
             },
-            "--out" => out_file = iter.next().map(PathBuf::from),
+            "--out" => match iter.next() {
+                Some(v) => out_file = Some(PathBuf::from(v)),
+                None => return usage(),
+            },
             "--cache-dir" => match iter.next() {
                 Some(v) => cache_dir = Some(PathBuf::from(v)),
                 None => return usage(),
@@ -466,6 +466,13 @@ fn cmd_audit(args: &[String], threads: usize) -> ExitCode {
     if dirs.is_empty() {
         return usage();
     }
+    let settings = match AuditSettings::new(seed, threshold, policy, cache_dir, threads) {
+        Ok(settings) => settings,
+        Err(msg) => {
+            obs::error(&msg, &[]);
+            return usage();
+        }
+    };
 
     let audit_span = obs::span("audit");
     let load_span = obs::span("audit.load");
@@ -499,79 +506,32 @@ fn cmd_audit(args: &[String], threads: usize) -> ExitCode {
     }
     load_span.finish();
 
-    // Mirror the degradation ledger into the metrics registry so the
-    // `--metrics-out` document is conservation-checkable against it.
-    mirror_counters(&ledger.merged(), &obs::Scope::global());
-
-    let status = policy.evaluate(&ledger);
-    if status == RunStatus::Failed {
-        obs::error(
-            "degradation exceeds policy",
-            &[
-                obs::field("dropped", ledger.total_dropped()),
-                obs::field("dropPct", ledger.drop_fraction() * 100.0),
-                obs::field("strict", policy.strict),
-            ],
-        );
-        obs::write_stderr_block(&report::render_degradation(&ledger));
-        return ExitCode::FAILURE;
-    }
-
-    let mut pipeline =
-        Pipeline::new(ClassificationMode::Ensemble { seed, threshold }).with_threads(threads);
-    if let Some(dir) = &cache_dir {
-        pipeline = pipeline.with_cache_dir(dir.clone());
-    }
-    let outcome = match pipeline.run_extracted_scoped(services, &scope, &ctl) {
-        Ok(outcome) => outcome,
-        Err(interrupt) => {
-            obs::error(&interrupt.to_string(), &[]);
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // Cache salvage (damaged log records skipped on open) degrades the run
-    // the same way damaged input does: account it in the ledger, mirror the
-    // counters, and let the policy re-judge the status.
-    let status = match outcome.cache.as_ref() {
-        Some(cache_report) if !cache_report.damage.is_empty() => {
-            let cache_service = cache_ledger(cache_report);
-            mirror_counters(&cache_service.merged(), &obs::Scope::global());
-            ledger.services.push(cache_service);
-            let status = policy.evaluate(&ledger);
-            if status == RunStatus::Failed {
+    let (outcome, findings, ledger, status) =
+        match run_audit(services, ledger, &settings, &scope, &ctl) {
+            AuditRun::Finished {
+                outcome,
+                findings,
+                ledger,
+                status,
+            } if status != RunStatus::Failed => (outcome, findings, ledger, status),
+            // A finished run fails here when cache damage pushed it past the policy.
+            AuditRun::Rejected { ledger } | AuditRun::Finished { ledger, .. } => {
                 obs::error(
                     "degradation exceeds policy",
                     &[
                         obs::field("dropped", ledger.total_dropped()),
                         obs::field("dropPct", ledger.drop_fraction() * 100.0),
-                        obs::field("strict", policy.strict),
+                        obs::field("strict", settings.policy.strict),
                     ],
                 );
                 obs::write_stderr_block(&report::render_degradation(&ledger));
                 return ExitCode::FAILURE;
             }
-            status
-        }
-        _ => status,
-    };
-
-    // Findings need a policy; catalog services get their real one, unknown
-    // services get the flow/linkability analyses without policy rules.
-    let findings_span = obs::span("audit.findings");
-    let mut findings: Vec<AuditFinding> = Vec::new();
-    for service in &outcome.services {
-        if let Some(spec) = service_by_slug(&service.slug) {
-            findings.extend(audit_service(service, &spec));
-        } else {
-            obs::warn(
-                "service not in catalog; policy-consistency rules skipped",
-                &[obs::field("service", service.name.as_str())],
-            );
-        }
-    }
-    findings_span.finish();
-    obs::add("audit.findings", findings.len() as u64);
+            AuditRun::Interrupted { interrupt, .. } => {
+                obs::error(&interrupt.to_string(), &[]);
+                return ExitCode::FAILURE;
+            }
+        };
 
     // The degradation section appears only on salvaged runs, so a clean
     // run's output is byte-identical to the pre-salvage tool's.
@@ -601,23 +561,7 @@ fn cmd_audit(args: &[String], threads: usize) -> ExitCode {
             }
             doc
         }
-        _ => {
-            let mut text = String::new();
-            for service in &outcome.services {
-                let grid = ObservedGrid::build(service);
-                text.push_str(&report::render_table4(service, &grid));
-                text.push('\n');
-            }
-            text.push_str(&report::render_fig3(&outcome));
-            text.push('\n');
-            text.push_str("Findings:\n");
-            text.push_str(&report::render_findings(&findings));
-            if status != RunStatus::Clean {
-                text.push('\n');
-                text.push_str(&report::render_degradation(&ledger));
-            }
-            text
-        }
+        _ => report::render_text_report(&outcome, &findings, &ledger, status),
     };
     render_span.finish();
     audit_span.finish();

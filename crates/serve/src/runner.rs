@@ -1,37 +1,25 @@
 //! Per-job execution: one audit under a deadline, a cancel token, and a
 //! private observability scope.
 //!
-//! Timeout policy (DESIGN.md §9): the loader and the pipeline treat
-//! interruption differently, on purpose.
-//!
-//! - **During load**, an expired deadline turns each remaining unit into a
-//!   ledger drop with a `timeout:` reason — the job still completes, and
-//!   the salvage policy judges the degradation exactly as it judges
-//!   damaged input. A stalled decoder therefore yields `salvaged` (or
-//!   `failed` under `--strict`-style policy), not a wedged worker.
-//! - **During the pipeline phases** (extract/classify/assemble), partial
-//!   results are not meaningful, so interruption aborts the phase and the
-//!   job reports `timed-out` (or `cancelled`) with an error document.
-//!
-//! All instrumentation lands in a job-private [`Scope`]; the caller merges
-//! the snapshot into the global registry only after the job returns — a
-//! panicking job cannot leave half-written global state.
+//! A job loads its upload and hands it to [`run_audit`], the post-load run
+//! the batch CLI shares, which also decides the timeout and cancel policy
+//! of the load and pipeline phases; this module maps the [`AuditRun`] onto
+//! a [`JobCompletion`]. All instrumentation lands in a job-private
+//! [`Scope`]; the caller merges the snapshot into the global registry only
+//! after the job returns — a panicking job cannot leave half-written global
+//! state.
 
 use crate::job::{JobCompletion, JobPhase};
-use diffaudit::audit::{audit_service, AuditFinding};
-use diffaudit::diff::ObservedGrid;
 use diffaudit::export;
 use diffaudit::loader::{load_memory_service, MemoryService};
-use diffaudit::pipeline::{AuditOutcome, ClassificationMode, Pipeline};
+use diffaudit::pipeline::AuditOutcome;
 use diffaudit::report;
-use diffaudit::salvage::{
-    cache_ledger, mirror_counters, DegradationLedger, RunStatus, SalvagePolicy,
-};
+use diffaudit::run::{run_audit, AuditRun, AuditSettings};
+use diffaudit::salvage::{DegradationLedger, RunStatus};
 use diffaudit_json::Json;
 use diffaudit_obs::{MetricsSnapshot, Scope};
 use diffaudit_util::cancel::{CancelToken, Ctl, Deadline, Interrupt};
 use diffaudit_util::par::KeyInterner;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -51,19 +39,12 @@ pub enum ChaosMode {
 pub struct JobRequest {
     /// The uploaded service (traces already resolved to memory units).
     pub service: MemoryService,
-    /// Degradation tolerance.
-    pub policy: SalvagePolicy,
-    /// Ensemble seed (the CLI's `--ensemble`).
-    pub seed: u64,
-    /// Ensemble vote threshold (the CLI's `--threshold`).
-    pub threshold: f64,
+    /// The run's checked settings (`threads` sizes load and pipeline).
+    pub settings: AuditSettings,
     /// Wall-clock budget for the whole job.
     pub deadline: Duration,
     /// Optional fault injection.
     pub chaos: Option<ChaosMode>,
-    /// Persistent classification cache directory (shared across jobs;
-    /// `None` = uncached).
-    pub cache_dir: Option<std::path::PathBuf>,
 }
 
 /// A finished job: the table entry plus the private metrics snapshot the
@@ -95,68 +76,20 @@ fn chaos_panic() -> ! {
     panic!("chaos: injected job panic")
 }
 
-fn empty_outcome() -> AuditOutcome {
-    AuditOutcome {
-        services: Vec::new(),
-        key_labels: HashMap::new(),
-        unique_raw_keys: 0,
-        cache: None,
-    }
-}
-
-/// The batch CLI's default text report, rebuilt from the same renderers so
-/// daemon reports and CLI stdout stay in lockstep.
-fn render_text_report(
-    outcome: &AuditOutcome,
-    findings: &[AuditFinding],
-    ledger: &DegradationLedger,
+/// A verdict without an audit: the degradation document and the ledger
+/// report, for a run the policy rejected or a load the deadline cut short.
+fn ledger_completion(
     status: RunStatus,
-) -> String {
-    let mut text = String::new();
-    for service in &outcome.services {
-        let grid = ObservedGrid::build(service);
-        text.push_str(&report::render_table4(service, &grid));
-        text.push('\n');
-    }
-    text.push_str(&report::render_fig3(outcome));
-    text.push('\n');
-    text.push_str("Findings:\n");
-    text.push_str(&report::render_findings(findings));
-    if status != RunStatus::Clean {
-        text.push('\n');
-        text.push_str(&report::render_degradation(ledger));
-    }
-    text
-}
-
-fn interrupted_completion(interrupt: Interrupt, ledger: &DegradationLedger) -> JobCompletion {
-    let phase = match interrupt {
-        Interrupt::TimedOut => JobPhase::TimedOut,
-        Interrupt::Cancelled => JobPhase::Cancelled,
-    };
-    let doc = Json::obj()
-        .with("error", Json::str(interrupt.to_string()))
-        .with("degradation", ledger.to_json())
-        .to_pretty_string();
+    ledger: &DegradationLedger,
+    error: String,
+) -> JobCompletion {
     JobCompletion {
-        phase,
-        result_json: doc,
-        report: None,
+        phase: JobPhase::Done(status),
+        result_json: export::outcome_to_json_with_ledger(&AuditOutcome::default(), &[], ledger)
+            .to_pretty_string(),
+        report: Some(report::render_degradation(ledger)),
         metrics_json: None,
-        error: Some(interrupt.to_string()),
-    }
-}
-
-/// Close the job scope, attach the rendered snapshot, and package the
-/// output.
-fn finish(scope: Scope, mut completion: JobCompletion) -> JobOutput {
-    let metrics = scope.finish();
-    if let Some(snapshot) = &metrics {
-        completion.metrics_json = Some(snapshot.to_json().to_pretty_string());
-    }
-    JobOutput {
-        completion,
-        metrics,
+        error: Some(error),
     }
 }
 
@@ -167,108 +100,74 @@ fn finish(scope: Scope, mut completion: JobCompletion) -> JobOutput {
 /// The caller is expected to wrap this in `catch_unwind` — a panic
 /// anywhere in here (including re-raised pipeline worker panics) is the
 /// job's failure, not the daemon's.
-pub fn run_job(request: JobRequest, token: CancelToken, threads: usize) -> JobOutput {
+pub fn run_job(request: JobRequest, token: CancelToken) -> JobOutput {
     let ctl = build_ctl(&token, request.deadline, request.chaos);
     let scope = Scope::job("serve.job");
     if request.chaos == Some(ChaosMode::Panic) {
         chaos_panic();
     }
 
+    let settings = request.settings;
     let interner = KeyInterner::new();
     let (service, service_ledger) = scope.time("serve.job.load", || {
-        load_memory_service(request.service, threads, &scope, &ctl, &interner)
+        load_memory_service(request.service, settings.threads, &scope, &ctl, &interner)
     });
-    let mut ledger = DegradationLedger::new();
-    ledger.services.push(service_ledger);
-    // Mirror the ledger into the job's metrics, same counters as the CLI.
-    mirror_counters(&ledger.merged(), &scope);
-
-    let status = request.policy.evaluate(&ledger);
-    if status == RunStatus::Failed {
-        let doc =
-            export::outcome_to_json_with_ledger(&empty_outcome(), &[], &ledger).to_pretty_string();
-        return finish(
-            scope,
-            JobCompletion {
-                phase: JobPhase::Done(RunStatus::Failed),
-                result_json: doc,
-                report: Some(report::render_degradation(&ledger)),
-                metrics_json: None,
-                error: Some(format!(
-                    "degradation exceeds policy: {} records dropped",
-                    ledger.total_dropped()
-                )),
-            },
-        );
-    }
-
-    if let Some(interrupt) = ctl.interrupted() {
-        // The deadline (or a cancel) tripped during load. Interrupted
-        // units are already accounted as ledger drops, so if anything was
-        // dropped the job reports the salvage verdict with the degradation
-        // document; a clean ledger means the trip landed after a complete
-        // load, where no partial audit exists to report.
-        if ledger.total_dropped() > 0 {
-            let doc = export::outcome_to_json_with_ledger(&empty_outcome(), &[], &ledger)
-                .to_pretty_string();
-            return finish(
-                scope,
-                JobCompletion {
-                    phase: JobPhase::Done(status),
-                    result_json: doc,
-                    report: Some(report::render_degradation(&ledger)),
-                    metrics_json: None,
-                    error: Some(interrupt.to_string()),
-                },
+    let ledger = DegradationLedger {
+        services: vec![service_ledger],
+    };
+    let mut completion = match run_audit(vec![service], ledger, &settings, &scope, &ctl) {
+        AuditRun::Rejected { ledger } => {
+            let error = format!(
+                "degradation exceeds policy: {} records dropped",
+                ledger.total_dropped()
             );
+            ledger_completion(RunStatus::Failed, &ledger, error)
         }
-        return finish(scope, interrupted_completion(interrupt, &ledger));
+        AuditRun::Interrupted {
+            interrupt,
+            ledger,
+            verdict: Some(status),
+        } => ledger_completion(status, &ledger, interrupt.to_string()),
+        AuditRun::Interrupted {
+            interrupt,
+            ledger,
+            verdict: None,
+        } => JobCompletion {
+            phase: match interrupt {
+                Interrupt::TimedOut => JobPhase::TimedOut,
+                Interrupt::Cancelled => JobPhase::Cancelled,
+            },
+            result_json: Json::obj()
+                .with("error", Json::str(interrupt.to_string()))
+                .with("degradation", ledger.to_json())
+                .to_pretty_string(),
+            report: None,
+            metrics_json: None,
+            error: Some(interrupt.to_string()),
+        },
+        AuditRun::Finished {
+            outcome,
+            findings,
+            ledger,
+            status,
+        } => JobCompletion {
+            phase: JobPhase::Done(status),
+            result_json: export::outcome_to_json_with_ledger(&outcome, &findings, &ledger)
+                .to_pretty_string(),
+            report: Some(report::render_text_report(
+                &outcome, &findings, &ledger, status,
+            )),
+            metrics_json: None,
+            error: None,
+        },
+    };
+    let metrics = scope.finish();
+    if let Some(snapshot) = &metrics {
+        completion.metrics_json = Some(snapshot.to_json().to_pretty_string());
     }
-
-    let mut pipeline = Pipeline::new(ClassificationMode::Ensemble {
-        seed: request.seed,
-        threshold: request.threshold,
-    })
-    .with_threads(threads);
-    if let Some(dir) = &request.cache_dir {
-        pipeline = pipeline.with_cache_dir(dir.clone());
-    }
-    match pipeline.run_extracted_scoped(vec![service], &scope, &ctl) {
-        Err(interrupt) => finish(scope, interrupted_completion(interrupt, &ledger)),
-        Ok(outcome) => {
-            // Cache salvage (skipped or truncated log records) degrades the
-            // run the same way damaged input does: account it in the ledger
-            // and let the policy re-judge the status.
-            let status = match outcome.cache.as_ref() {
-                Some(report) if !report.damage.is_empty() => {
-                    let cache_service = cache_ledger(report);
-                    mirror_counters(&cache_service.merged(), &scope);
-                    ledger.services.push(cache_service);
-                    request.policy.evaluate(&ledger)
-                }
-                _ => status,
-            };
-            let mut findings: Vec<AuditFinding> = Vec::new();
-            for service in &outcome.services {
-                if let Some(spec) = diffaudit_services::service_by_slug(&service.slug) {
-                    findings.extend(audit_service(service, &spec));
-                }
-            }
-            scope.add("audit.findings", findings.len() as u64);
-            let doc = export::outcome_to_json_with_ledger(&outcome, &findings, &ledger)
-                .to_pretty_string();
-            let report_text = render_text_report(&outcome, &findings, &ledger, status);
-            finish(
-                scope,
-                JobCompletion {
-                    phase: JobPhase::Done(status),
-                    result_json: doc,
-                    report: Some(report_text),
-                    metrics_json: None,
-                    error: None,
-                },
-            )
-        }
+    JobOutput {
+        completion,
+        metrics,
     }
 }
 
@@ -287,21 +186,19 @@ mod tests {
         MemoryService::from_capture(&dataset.services[0])
     }
 
-    fn request(service: MemoryService) -> JobRequest {
+    fn request(service: MemoryService, threads: usize) -> JobRequest {
         JobRequest {
             service,
-            policy: SalvagePolicy::default(),
-            seed: 2023,
-            threshold: 0.8,
+            settings: AuditSettings::new(2023u64, 0.8, Default::default(), None, threads)
+                .expect("valid settings"),
             deadline: Duration::from_secs(60),
             chaos: None,
-            cache_dir: None,
         }
     }
 
     #[test]
     fn clean_job_reports_clean_with_private_metrics() {
-        let output = run_job(request(small_service()), CancelToken::new(), 2);
+        let output = run_job(request(small_service(), 2), CancelToken::new());
         assert_eq!(output.completion.phase, JobPhase::Done(RunStatus::Clean));
         assert_eq!(output.completion.phase.exit_style(), Some(0));
         assert!(output.completion.result_json.contains("services"));
@@ -313,9 +210,9 @@ mod tests {
 
     #[test]
     fn expired_deadline_salvages_or_times_out_but_returns() {
-        let mut req = request(small_service());
+        let mut req = request(small_service(), 2);
         req.deadline = Duration::ZERO;
-        let output = run_job(req, CancelToken::new(), 2);
+        let output = run_job(req, CancelToken::new());
         // Every unit dropped at load → policy says salvaged.
         assert_eq!(
             output.completion.phase,
@@ -335,7 +232,7 @@ mod tests {
     fn pre_cancelled_token_cancels_the_job() {
         let token = CancelToken::new();
         token.cancel();
-        let output = run_job(request(small_service()), token, 1);
+        let output = run_job(request(small_service(), 1), token);
         // Dropped-at-load units carry cancelled reasons → salvage verdict.
         assert_eq!(output.completion.phase, JobPhase::Done(RunStatus::Salvaged));
         assert!(output
@@ -347,10 +244,10 @@ mod tests {
 
     #[test]
     fn strict_policy_turns_timeout_drops_into_hard_failure() {
-        let mut req = request(small_service());
+        let mut req = request(small_service(), 1);
         req.deadline = Duration::ZERO;
-        req.policy.strict = true;
-        let output = run_job(req, CancelToken::new(), 1);
+        req.settings.policy.strict = true;
+        let output = run_job(req, CancelToken::new());
         assert_eq!(output.completion.phase, JobPhase::Done(RunStatus::Failed));
         assert_eq!(output.completion.phase.http_status(), 422);
     }

@@ -58,6 +58,7 @@ use crate::names;
 use crate::queue::{BoundedQueue, PushError};
 use crate::runner::{self, ChaosMode, JobRequest};
 use diffaudit::loader::{MemoryArtifact, MemoryService, MemoryUnit};
+use diffaudit::run::AuditSettings;
 use diffaudit::salvage::SalvagePolicy;
 use diffaudit_json::{parse, Json};
 use diffaudit_obs as obs;
@@ -73,18 +74,6 @@ use std::time::{Duration, Instant};
 /// wedge the accept loop.
 const CONN_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// An uploaded artifact waiting to be referenced by jobs.
-#[derive(Clone)]
-struct StoredTrace {
-    label: String,
-    platform: Platform,
-    kind: TraceKind,
-    category: TraceCategory,
-    /// Shared with every job that references the trace, so a submission
-    /// clones a pointer, not the upload.
-    artifact: Arc<MemoryArtifact>,
-}
-
 struct QueuedJob {
     id: String,
     request: JobRequest,
@@ -93,7 +82,10 @@ struct QueuedJob {
 /// State shared between the accept loop and the workers.
 struct Shared {
     config: ServeConfig,
-    traces: Mutex<HashMap<String, StoredTrace>>,
+    /// Uploaded units waiting to be referenced by jobs. A unit's artifact is
+    /// shared with every job that references it, so a submission clones a
+    /// pointer, not the upload.
+    traces: Mutex<HashMap<String, MemoryUnit>>,
     jobs: JobTable,
     queue: BoundedQueue<QueuedJob>,
     draining: AtomicBool,
@@ -102,7 +94,7 @@ struct Shared {
 }
 
 impl Shared {
-    fn traces(&self) -> MutexGuard<'_, HashMap<String, StoredTrace>> {
+    fn traces(&self) -> MutexGuard<'_, HashMap<String, MemoryUnit>> {
         match self.traces.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
@@ -232,7 +224,6 @@ fn worker_loop(shared: &Arc<Shared>) {
         let Some(token) = shared.jobs.begin(&id) else {
             continue;
         };
-        let threads = shared.config.threads_per_job.max(1);
         // The busy gauge brackets the catch_unwind region from outside:
         // instrumentation must stay out of the unwind-contained job body
         // (the par-discipline pass enforces this), and decrementing before
@@ -240,7 +231,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         // worker is already accounted free.
         obs::gauge_add(names::WORKERS_BUSY, 1);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            runner::run_job(request, token, threads)
+            runner::run_job(request, token)
         }));
         obs::gauge_sub(names::WORKERS_BUSY, 1);
         match outcome {
@@ -400,34 +391,6 @@ fn health(shared: &Arc<Shared>) -> Response {
     Response::json(200, doc.to_pretty_string())
 }
 
-fn parse_platform(s: &str) -> Option<Platform> {
-    match s.to_ascii_lowercase().as_str() {
-        "web" => Some(Platform::Web),
-        "mobile" => Some(Platform::Mobile),
-        "desktop" => Some(Platform::Desktop),
-        _ => None,
-    }
-}
-
-fn parse_kind(s: &str) -> Option<TraceKind> {
-    match s.to_ascii_lowercase().as_str() {
-        "account-creation" | "account_creation" => Some(TraceKind::AccountCreation),
-        "logged-in" | "logged_in" => Some(TraceKind::LoggedIn),
-        "logged-out" | "logged_out" => Some(TraceKind::LoggedOut),
-        _ => None,
-    }
-}
-
-fn parse_category(s: &str) -> Option<TraceCategory> {
-    match s.to_ascii_lowercase().as_str() {
-        "child" => Some(TraceCategory::Child),
-        "adolescent" => Some(TraceCategory::Adolescent),
-        "adult" => Some(TraceCategory::Adult),
-        "logged-out" | "logged_out" => Some(TraceCategory::LoggedOut),
-        _ => None,
-    }
-}
-
 /// Classify an upload body by magic bytes: pcap (either byte order),
 /// pcapng SHB, otherwise HAR text (which must be UTF-8).
 fn sniff_artifact(body: &[u8]) -> Result<(Arc<MemoryArtifact>, &'static str), Response> {
@@ -462,28 +425,18 @@ fn upload_trace(shared: &Arc<Shared>, request: &Request) -> Response {
     if request.body.is_empty() {
         return Response::error(400, "empty trace body");
     }
-    let Some(platform) = request
-        .query_param("platform")
-        .as_deref()
-        .and_then(parse_platform)
-    else {
-        return Response::error(400, "platform query param must be web|mobile|desktop");
+    let param = |name: &str| request.query_param(name).unwrap_or_default();
+    let Some(platform) = Platform::parse(&param("platform")) else {
+        let expected = Platform::spellings();
+        return Response::error(400, &format!("platform query param must be {expected}"));
     };
-    let Some(kind) = request.query_param("kind").as_deref().and_then(parse_kind) else {
-        return Response::error(
-            400,
-            "kind query param must be account-creation|logged-in|logged-out",
-        );
+    let Some(kind) = TraceKind::parse(&param("kind")) else {
+        let expected = TraceKind::spellings();
+        return Response::error(400, &format!("kind query param must be {expected}"));
     };
-    let Some(category) = request
-        .query_param("category")
-        .as_deref()
-        .and_then(parse_category)
-    else {
-        return Response::error(
-            400,
-            "category query param must be child|adolescent|adult|logged-out",
-        );
+    let Some(category) = TraceCategory::parse(&param("category")) else {
+        let expected = TraceCategory::spellings();
+        return Response::error(400, &format!("category query param must be {expected}"));
     };
     let (artifact, format) = match sniff_artifact(&request.body) {
         Ok(found) => found,
@@ -494,7 +447,7 @@ fn upload_trace(shared: &Arc<Shared>, request: &Request) -> Response {
     let bytes = request.body.len();
     shared.traces().insert(
         id.clone(),
-        StoredTrace {
+        MemoryUnit {
             label,
             platform,
             kind,
@@ -581,13 +534,7 @@ fn submit_job(shared: &Arc<Shared>, request: &Request) -> Response {
             let Some(stored) = traces.get(id) else {
                 return Response::error(400, &format!("unknown trace id {id:?}"));
             };
-            units.push(MemoryUnit {
-                label: stored.label.clone(),
-                platform: stored.platform,
-                kind: stored.kind,
-                category: stored.category,
-                artifact: stored.artifact.clone(),
-            });
+            units.push(stored.clone());
         }
     }
     if units.is_empty() {
@@ -604,12 +551,20 @@ fn submit_job(shared: &Arc<Shared>, request: &Request) -> Response {
         }
         policy.max_drop_fraction = Some(pct / 100.0);
     }
-    let seed = doc
-        .get("ensemble")
-        .and_then(Json::as_i64)
-        .map(|v| v as u64)
-        .unwrap_or(2023);
-    let threshold = doc.get("threshold").and_then(Json::as_f64).unwrap_or(0.8);
+    // A field of the wrong JSON type reads as out of range, so the one
+    // check the CLI's flags also go through answers for both.
+    let seed = doc.get("ensemble").map_or(Some(2023), Json::as_i64);
+    let threshold = doc.get("threshold").map_or(Some(0.8), Json::as_f64);
+    let settings = match AuditSettings::new(
+        seed.unwrap_or(-1),
+        threshold.unwrap_or(f64::NAN),
+        policy,
+        shared.config.cache_dir.clone(),
+        shared.config.threads_per_job.max(1),
+    ) {
+        Ok(settings) => settings,
+        Err(msg) => return Response::error(400, &msg),
+    };
     let deadline_ms = doc
         .get("deadlineMs")
         .and_then(Json::as_i64)
@@ -635,12 +590,9 @@ fn submit_job(shared: &Arc<Shared>, request: &Request) -> Response {
             first_party_domains,
             units,
         },
-        policy,
-        seed,
-        threshold,
+        settings,
         deadline: Duration::from_millis(deadline_ms),
         chaos,
-        cache_dir: shared.config.cache_dir.clone(),
     };
     let id = format!("j-{}", shared.next_job.fetch_add(1, Ordering::SeqCst) + 1);
     shared.jobs.insert(JobRecord {

@@ -70,6 +70,21 @@ impl Platform {
             Platform::Desktop => "Desktop",
         }
     }
+
+    /// Manifest and upload spelling: the lower-case label, `-` for spaces.
+    pub fn spelling(&self) -> String {
+        spelling(self.label())
+    }
+
+    /// Parse a [`spelling`](Platform::spelling) in any ASCII case, `_` for `-`.
+    pub fn parse(s: &str) -> Option<Platform> {
+        parse_spelling(s, &Self::ALL, Self::label)
+    }
+
+    /// Every spelling, `|`-separated, for error messages.
+    pub fn spellings() -> String {
+        Self::ALL.map(|v| v.spelling()).join("|")
+    }
 }
 
 impl std::fmt::Display for Platform {
@@ -106,6 +121,21 @@ impl TraceKind {
             TraceKind::LoggedOut => "Logged Out",
         }
     }
+
+    /// Manifest and upload spelling: the lower-case label, `-` for spaces.
+    pub fn spelling(&self) -> String {
+        spelling(self.label())
+    }
+
+    /// Parse a [`spelling`](TraceKind::spelling) in any ASCII case, `_` for `-`.
+    pub fn parse(s: &str) -> Option<TraceKind> {
+        parse_spelling(s, &Self::ALL, Self::label)
+    }
+
+    /// Every spelling, `|`-separated, for error messages.
+    pub fn spellings() -> String {
+        Self::ALL.map(|v| v.spelling()).join("|")
+    }
 }
 
 /// The four columns of Table 4: the age-specific traces (account creation
@@ -141,6 +171,21 @@ impl TraceCategory {
         }
     }
 
+    /// Manifest and upload spelling: the lower-case label, `-` for spaces.
+    pub fn spelling(&self) -> String {
+        spelling(self.label())
+    }
+
+    /// Parse a [`spelling`](TraceCategory::spelling) in any ASCII case, `_` for `-`.
+    pub fn parse(s: &str) -> Option<TraceCategory> {
+        parse_spelling(s, &Self::ALL, Self::label)
+    }
+
+    /// Every spelling, `|`-separated, for error messages.
+    pub fn spellings() -> String {
+        Self::ALL.map(|v| v.spelling()).join("|")
+    }
+
     /// The age group, when this is an age-specific trace.
     pub fn age_group(&self) -> Option<AgeGroup> {
         match self {
@@ -172,6 +217,15 @@ impl std::fmt::Display for TraceCategory {
     }
 }
 
+fn spelling(label: &str) -> String {
+    label.to_ascii_lowercase().replace(' ', "-")
+}
+
+fn parse_spelling<T: Copy>(s: &str, all: &[T], label: fn(&T) -> &'static str) -> Option<T> {
+    let wanted = s.to_ascii_lowercase().replace('_', "-");
+    all.iter().copied().find(|v| spelling(label(v)) == wanted)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,5 +248,38 @@ mod tests {
         assert_eq!(TraceCategory::LoggedOut.age_group(), None);
         assert!(!TraceCategory::LoggedOut.has_consent());
         assert!(TraceCategory::Child.has_consent());
+    }
+
+    #[test]
+    fn spellings_round_trip_and_accept_case_and_underscores() {
+        for p in Platform::ALL {
+            assert_eq!(Platform::parse(&p.spelling()), Some(p));
+        }
+        for k in TraceKind::ALL {
+            assert_eq!(TraceKind::parse(&k.spelling()), Some(k));
+        }
+        for c in TraceCategory::ALL {
+            assert_eq!(TraceCategory::parse(&c.spelling()), Some(c));
+        }
+        assert_eq!(Platform::parse("WEB"), Some(Platform::Web));
+        assert_eq!(
+            TraceKind::parse("Account_Creation"),
+            Some(TraceKind::AccountCreation)
+        );
+        assert_eq!(
+            TraceCategory::parse("logged_out"),
+            Some(TraceCategory::LoggedOut)
+        );
+        assert_eq!(Platform::parse("gameboy"), None);
+        assert_eq!(TraceCategory::parse("logged-in"), None);
+        assert_eq!(Platform::spellings(), "web|mobile|desktop");
+        assert_eq!(
+            TraceKind::spellings(),
+            "account-creation|logged-in|logged-out"
+        );
+        assert_eq!(
+            TraceCategory::spellings(),
+            "child|adolescent|adult|logged-out"
+        );
     }
 }

@@ -129,6 +129,23 @@ fn unusable_input_and_bad_usage_exit_one() {
     // And an out-of-range --max-drop.
     let (code, _) = run_audit(&["somedir", "--max-drop", "150"]);
     assert_eq!(code, Some(1));
+    // Flags that would otherwise audit a usable directory: a missing
+    // --out value, and classifier settings out of range.
+    let dir = capture_dir(&root);
+    let dir = dir.to_str().unwrap();
+    for bad in [
+        &["--out"][..],
+        &["--threshold", "NaN"],
+        &["--threshold", "1.5"],
+        &["--threshold", "-0.1"],
+        &["--ensemble", "-1"],
+    ] {
+        let mut args = vec![dir];
+        args.extend_from_slice(bad);
+        let (code, stdout) = run_audit(&args);
+        assert_eq!(code, Some(1), "{bad:?} must be bad usage");
+        assert!(stdout.is_empty(), "{bad:?} must not print a report");
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 

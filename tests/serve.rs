@@ -6,12 +6,9 @@
 use diffaudit_json::Json;
 use diffaudit_serve::client;
 use diffaudit_serve::{ServeConfig, Server, ServerExit};
-use diffaudit_services::{
-    generate_dataset, DatasetOptions, Platform, ServiceCapture, TraceArtifact, TraceCategory,
-    TraceKind,
-};
+use diffaudit_services::{generate_dataset, DatasetOptions, ServiceCapture, TraceArtifact};
 use std::io::{Read, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -41,41 +38,21 @@ fn dataset_service(slug: &str) -> ServiceCapture {
     dataset.services.into_iter().next().expect("one service")
 }
 
-fn platform_param(p: Platform) -> &'static str {
-    match p {
-        Platform::Web => "web",
-        Platform::Mobile => "mobile",
-        Platform::Desktop => "desktop",
-    }
-}
-
-fn kind_param(k: TraceKind) -> &'static str {
-    match k {
-        TraceKind::AccountCreation => "account-creation",
-        TraceKind::LoggedIn => "logged-in",
-        TraceKind::LoggedOut => "logged-out",
-    }
-}
-
-fn category_param(c: TraceCategory) -> &'static str {
-    match c {
-        TraceCategory::Child => "child",
-        TraceCategory::Adolescent => "adolescent",
-        TraceCategory::Adult => "adult",
-        TraceCategory::LoggedOut => "logged-out",
-    }
-}
-
 /// Upload `body` as one trace with `artifact`'s metadata under `label`;
 /// returns the trace id.
 fn upload(addr: &str, label: &str, artifact: &TraceArtifact, body: &[u8]) -> String {
     let path = format!(
         "/api/v1/traces?label={label}&platform={}&kind={}&category={}",
-        platform_param(artifact.platform),
-        kind_param(artifact.kind),
-        category_param(artifact.category),
+        artifact.platform.spelling(),
+        artifact.kind.spelling(),
+        artifact.category.spelling(),
     );
-    let (status, text) = client::request_text(addr, "POST", &path, body).expect("upload");
+    upload_at(addr, &path, body)
+}
+
+/// `POST` one trace upload to `path`; returns the trace id.
+fn upload_at(addr: &str, path: &str, body: &[u8]) -> String {
+    let (status, text) = client::request_text(addr, "POST", path, body).expect("upload");
     assert_eq!(status, 201, "upload failed: {text}");
     diffaudit_json::parse(&text)
         .expect("upload response JSON")
@@ -264,14 +241,96 @@ fn concurrent_clean_and_damaged_jobs_follow_the_exit_contract() {
     assert_eq!(exit.jobs_finished, 3);
 }
 
-/// A daemon job over uploaded traces renders the same audit document,
-/// byte for byte, as `diffaudit audit --format json` over the same
-/// artifacts written to disk.
+/// Upload every unit of a capture directory written by `write_dataset`,
+/// with the manifest's metadata and each unit labelled with its file name
+/// (the label the disk loader gives it); returns the trace ids.
+fn upload_dir(addr: &str, dir: &Path) -> Vec<String> {
+    let manifest = std::fs::read_to_string(dir.join("manifest.json")).expect("manifest");
+    let manifest = diffaudit_json::parse(&manifest).expect("manifest JSON");
+    let units = manifest.get("units").and_then(Json::as_arr).expect("units");
+    let field = |unit: &Json, key: &str| unit.get(key).and_then(Json::as_str).map(str::to_string);
+    let mut ids = Vec::new();
+    for unit in units {
+        let file = field(unit, "file").expect("unit file");
+        let path = format!(
+            "/api/v1/traces?label={file}&platform={}&kind={}&category={}",
+            field(unit, "platform").expect("platform"),
+            field(unit, "kind").expect("kind"),
+            field(unit, "category").expect("category"),
+        );
+        let id = upload_at(
+            addr,
+            &path,
+            &std::fs::read(dir.join(&file)).expect("artifact"),
+        );
+        if let Some(keylog) = field(unit, "keylog") {
+            attach_keylog(
+                addr,
+                &id,
+                &std::fs::read_to_string(dir.join(keylog)).expect("keylog"),
+            );
+        }
+        ids.push(id);
+    }
+    ids
+}
+
+/// Flip a few spread-out bytes in the directory's first pcap (manifest
+/// order), so decode drops records but the file header stays intact.
+fn corrupt_first_pcap(dir: &Path) {
+    let manifest = std::fs::read_to_string(dir.join("manifest.json")).expect("manifest");
+    let manifest = diffaudit_json::parse(&manifest).expect("manifest JSON");
+    let victim = manifest
+        .get("units")
+        .and_then(Json::as_arr)
+        .expect("units")
+        .iter()
+        .filter_map(|unit| unit.get("file").and_then(Json::as_str))
+        .find(|file| file.ends_with(".pcap"))
+        .map(|file| dir.join(file))
+        .expect("a pcap artifact to corrupt");
+    let mut bytes = std::fs::read(&victim).expect("pcap");
+    let len = bytes.len();
+    assert!(len > 100, "pcap too small to corrupt meaningfully");
+    for pos in [len / 3, len / 2, 2 * len / 3] {
+        bytes[pos] ^= 0xFF;
+    }
+    std::fs::write(&victim, bytes).expect("write corrupted pcap");
+}
+
+/// Run `diffaudit audit DIR` with `args`; returns the exit code and stdout.
+fn cli_audit(dir: &Path, args: &[&str]) -> (Option<i32>, String) {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_diffaudit"))
+        .arg("audit")
+        .arg(dir)
+        .args(args)
+        .args(["--log-level", "error"])
+        .output()
+        .expect("run batch CLI");
+    let stdout = String::from_utf8(output.stdout).expect("CLI output UTF-8");
+    (output.status.code(), stdout)
+}
+
+/// The run report a finished job serves, without the `Job metrics:`
+/// document the daemon appends.
+fn fetch_report_text(addr: &str, job_id: &str) -> String {
+    let (status, report) =
+        client::request_text(addr, "GET", &format!("/api/v1/jobs/{job_id}/report"), &[])
+            .expect("report fetch");
+    assert_eq!(status, 200, "{report}");
+    match report.split_once("\nJob metrics:\n") {
+        Some((text, _)) => text.to_string(),
+        None => report,
+    }
+}
+
+/// A daemon job over uploaded traces renders the same audit document and
+/// the same text report, byte for byte, as `diffaudit audit --format json`
+/// and `diffaudit audit` over the same artifacts written to disk — on a
+/// clean service and on a salvaged one, where the daemon's state and the
+/// CLI's exit code agree too.
 #[test]
 fn result_document_is_byte_identical_to_the_batch_cli() {
-    let capture = dataset_service("quizlet");
-
-    // Batch CLI side: write the dataset to disk and audit it.
     let root = std::env::temp_dir().join(format!("diffaudit-serve-ident-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     std::fs::create_dir_all(&root).expect("temp dir");
@@ -279,34 +338,49 @@ fn result_document_is_byte_identical_to_the_batch_cli() {
         seed: 21,
         volume_scale: 0.02,
         mobile_pinned_fraction: 0.0,
-        services: vec!["quizlet".into()],
+        services: vec!["quizlet".into(), "tiktok".into()],
     });
     let dirs: Vec<PathBuf> =
         diffaudit::loader::write_dataset(&dataset, &root).expect("write dataset");
-    let output = std::process::Command::new(env!("CARGO_BIN_EXE_diffaudit"))
-        .arg("audit")
-        .arg(&dirs[0])
-        .args(["--format", "json", "--log-level", "error"])
-        .output()
-        .expect("run batch CLI");
-    assert_eq!(output.status.code(), Some(0));
-    let cli_doc = String::from_utf8(output.stdout).expect("CLI output UTF-8");
+    let damaged = dirs
+        .iter()
+        .position(|dir| dir.ends_with("tiktok"))
+        .expect("tiktok directory");
+    corrupt_first_pcap(&dirs[damaged]);
 
-    // Daemon side: upload the same artifacts and run a default job.
     let (addr, handle) = boot(ServeConfig::default());
-    let ids = upload_service(&addr, &capture, false);
-    let job = submit(&addr, &job_body(&capture, &ids, &[]));
-    let view = poll_to_terminal(&addr, &job);
-    assert_eq!(view.get("state").and_then(Json::as_str), Some("clean"));
-    let (status, body) = fetch_result(&addr, &job);
-    assert_eq!(status, 200);
+    for (i, (dir, capture)) in dirs.iter().zip(&dataset.services).enumerate() {
+        let (state, exit_code) = if i == damaged {
+            ("salvaged", 2)
+        } else {
+            ("clean", 0)
+        };
+        let (code, cli_doc) = cli_audit(dir, &["--format", "json"]);
+        assert_eq!(code, Some(exit_code), "{}", dir.display());
+        let (code, cli_text) = cli_audit(dir, &[]);
+        assert_eq!(code, Some(exit_code), "{}", dir.display());
+
+        let ids = upload_dir(&addr, dir);
+        let job = submit(&addr, &job_body(capture, &ids, &[]));
+        let view = poll_to_terminal(&addr, &job);
+        assert_eq!(view.get("state").and_then(Json::as_str), Some(state));
+        assert_eq!(
+            view.get("exitStyle").and_then(Json::as_i64),
+            Some(i64::from(exit_code))
+        );
+        let (_, body) = fetch_result(&addr, &job);
+        assert_eq!(
+            body, cli_doc,
+            "daemon result and batch CLI JSON must be byte-identical ({state})"
+        );
+        assert_eq!(
+            fetch_report_text(&addr, &job),
+            cli_text,
+            "daemon report and batch CLI text must be byte-identical ({state})"
+        );
+    }
     let exit = shutdown_and_join(&addr, handle);
     assert_eq!(exit.orphaned, 0);
-
-    assert_eq!(
-        body, cli_doc,
-        "daemon result and batch CLI JSON must be byte-identical"
-    );
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -620,6 +694,23 @@ fn malformed_requests_get_4xx_and_never_kill_the_daemon() {
     )
     .expect("req");
     assert_eq!(status, 400, "{text}");
+    // Classifier settings out of range, or of the wrong JSON type.
+    for (key, value) in [
+        ("threshold", Json::float(2.0)),
+        ("threshold", Json::float(-0.5)),
+        ("threshold", Json::str("high")),
+        ("ensemble", Json::int(-1)),
+        ("ensemble", Json::float(1.5)),
+    ] {
+        let (status, text) = client::request_text(
+            &addr,
+            "POST",
+            "/api/v1/jobs",
+            job_body(&capture, &ids, &[(key, value.clone())]).as_bytes(),
+        )
+        .expect("req");
+        assert_eq!(status, 400, "{key}: {value:?}: {text}");
+    }
 
     // After all of that, the daemon still works end to end.
     let (status, text) = client::request_text(&addr, "GET", "/healthz", &[]).expect("health");
