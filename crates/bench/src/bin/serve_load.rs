@@ -25,23 +25,19 @@
 //!   disagrees with the client's observed 429s, or a job was orphaned at
 //!   shutdown.
 //!
-//! - `--mode smoke --target HOST:PORT`: drives an externally booted
+//! - `--mode smoke-keep --target HOST:PORT`: drives an externally booted
 //!   daemon through the whole client lifecycle (health, upload, a small
 //!   multi-job burst, a mid-job `/api/v1/metrics` read that must parse and
-//!   show a nonzero queue-depth gauge, poll, result, report, shutdown)
-//!   and exits 0 only if every step behaved. `scripts/check.sh` runs this
-//!   against a `--port 0` daemon and then asserts the daemon process
-//!   itself drained cleanly.
-//!
-//! - `--mode smoke-keep`: the same smoke, but leaves the daemon running
-//!   so the caller can poke it further (check.sh runs `obs top --once`
+//!   show a nonzero queue-depth gauge, poll, result, report) and exits 0
+//!   only if every step behaved. It leaves the daemon running so the
+//!   caller can poke it further (`scripts/check.sh` runs `obs top --once`
 //!   against it) before shutting it down with `--mode shutdown`.
 //!
 //! - `--mode shutdown --target HOST:PORT`: POST `/api/v1/shutdown` and
 //!   expect `202` — the companion to `smoke-keep`.
 //!
 //! Usage: `serve_load [--scale F] [--seed N] [--threads N] [--out PATH]
-//!         [--mode load|smoke|smoke-keep|shutdown]
+//!         [--mode load|smoke-keep|shutdown]
 //!         [--target HOST:PORT] [--uploads N] [--queue N] [--workers N]`
 
 use diffaudit_bench::{standard_dataset, BenchArgs};
@@ -151,7 +147,7 @@ fn poll_to_terminal(addr: &str, job_id: &str, timeout: Duration) -> String {
 /// Read the daemon's `GET /api/v1/metrics` snapshot; `what` names the
 /// read in failure messages. A transport error, a non-200 answer or a
 /// document that does not parse is a hard failure.
-fn scrape(addr: &str, what: &str) -> obs::Snapshot {
+fn scrape(addr: &str, what: &str) -> obs::MetricsSnapshot {
     let (status, text) = client::request_text(addr, "GET", "/api/v1/metrics", &[])
         .unwrap_or_else(|e| fail(&format!("{what} metrics read failed: {e}")));
     if status != 200 {
@@ -295,7 +291,7 @@ fn mode_load(args: &BenchArgs, uploads: usize, queue: usize, workers: usize, out
     // Server-side shed accounting, read before shutdown: the daemon's own
     // counter must agree exactly with what the clients observed.
     let server = scrape(&addr, "final");
-    let server_shed = server.counter(names::QUEUE_SHED);
+    let server_shed = server.metrics.counter(names::QUEUE_SHED);
 
     let (status, _) = client::request_text(&addr, "POST", "/api/v1/shutdown", &[])
         .unwrap_or_else(|e| fail(&format!("shutdown failed: {e}")));
@@ -341,7 +337,7 @@ fn mode_load(args: &BenchArgs, uploads: usize, queue: usize, workers: usize, out
                 server
                     .gauges
                     .get(names::QUEUE_DEPTH)
-                    .and_then(|g| g.max)
+                    .and_then(obs::Gauge::max)
                     .unwrap_or(0),
             ),
         ],
@@ -383,7 +379,7 @@ fn submit_only(addr: &str, body: &str) -> String {
     }
 }
 
-fn mode_smoke(args: &BenchArgs, target: &str, keep_up: bool) {
+fn mode_smoke_keep(args: &BenchArgs, target: &str) {
     args.announce("[serve_load] smoke: generating one service");
     let dataset = standard_dataset(args);
     let capture = dataset
@@ -426,8 +422,9 @@ fn mode_smoke(args: &BenchArgs, target: &str, keep_up: bool) {
     let mut saw_depth = false;
     while Instant::now() < scrape_deadline {
         if scrape(target, "mid-job")
-            .gauge(names::QUEUE_DEPTH)
-            .unwrap_or(0)
+            .gauges
+            .get(names::QUEUE_DEPTH)
+            .map_or(0, obs::Gauge::value)
             >= 1
         {
             saw_depth = true;
@@ -468,15 +465,9 @@ fn mode_smoke(args: &BenchArgs, target: &str, keep_up: bool) {
         fail(&format!("report fetch returned {status}"));
     }
 
-    if !keep_up {
-        mode_shutdown(target);
-    }
     obs::info(
         "[serve_load] smoke passed",
-        &[
-            obs::field("jobs", job_ids.len() as u64),
-            obs::field("keptUp", keep_up),
-        ],
+        &[obs::field("jobs", job_ids.len() as u64)],
     );
 }
 
@@ -524,11 +515,10 @@ fn main() {
     };
     match mode.as_str() {
         "load" => mode_load(&args, uploads, queue, workers, out),
-        "smoke" => mode_smoke(&args, &require_target("smoke"), false),
-        "smoke-keep" => mode_smoke(&args, &require_target("smoke-keep"), true),
+        "smoke-keep" => mode_smoke_keep(&args, &require_target("smoke-keep")),
         "shutdown" => mode_shutdown(&require_target("shutdown")),
         other => fail(&format!(
-            "unknown mode {other:?} (load|smoke|smoke-keep|shutdown)"
+            "unknown mode {other:?} (load|smoke-keep|shutdown)"
         )),
     }
 }

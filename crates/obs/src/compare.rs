@@ -1,15 +1,11 @@
-//! Reading `diffaudit-obs/v1` [`MetricsSnapshot`] documents back
-//! ([`parse_snapshot`]), and diffing two of them into a thresholded
+//! Diffing two `diffaudit-obs/v1` [`MetricsSnapshot`]s into a thresholded
 //! perf-regression verdict.
 //!
-//! [`MetricsSnapshot`]: crate::metrics::MetricsSnapshot
+//! Both sides are read with [`parse_snapshot`], the reader of the one
+//! document model in [`crate::metrics`]; `obs top` and the serve bench
+//! read the daemon's `GET /api/v1/metrics` answer through it as well.
 //!
-//! [`Snapshot`] is the one client-side view of the metrics wire format:
-//! `obs diff` compares two of them, and `obs top` and the serve bench read
-//! the daemon's `GET /api/v1/metrics` answer through the same parser —
-//! counters, histograms, spans, resources, gauges (value and watermarks)
-//! and sliding windows (totals, rates and the daemon's own window
-//! quantiles).
+//! [`parse_snapshot`]: crate::metrics::parse_snapshot
 //!
 //! The comparison has four parts:
 //!
@@ -18,7 +14,7 @@
 //!   counts must sum to its `count`; documents failing that are corrupt
 //!   and flip the verdict);
 //! - **histogram shifts** — bucket-derived p50/p90/p99 estimates
-//!   ([`estimate_quantile`]) side by side, skipped when the two documents
+//!   ([`Histogram::quantile`]) side by side, skipped when the two documents
 //!   disagree on bucket bounds (incomparable);
 //! - **wall-time deltas per stage** — span totals plus overall uptime;
 //! - **verdict** — `ok` / `regressed`. A stage regresses when its wall
@@ -26,323 +22,10 @@
 //!   absolute noise floor (so a 40 µs stage doubling on a noisy machine
 //!   does not fail CI). Without a threshold the timing comparison is
 //!   informational only; conservation violations always regress.
-//!
-//! [`estimate_quantile`]: crate::metrics::estimate_quantile
 
-use crate::metrics::estimate_quantile;
+use crate::metrics::{Histogram, Metrics, MetricsSnapshot};
 use crate::report::format_histogram_value;
-use diffaudit_json::Json;
 use diffaudit_util::fmt::{format_bytes, format_bytes_signed, format_duration_us};
-use std::collections::BTreeMap;
-
-/// The schema string a comparable document must carry.
-pub const SNAPSHOT_SCHEMA: &str = "diffaudit-obs/v1";
-
-/// Why a document could not be interpreted as a metrics snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// The text is not valid JSON.
-    Json(String),
-    /// The `schema` field is missing or not [`SNAPSHOT_SCHEMA`].
-    Schema(Option<String>),
-    /// A required field is missing or has the wrong type.
-    Shape(String),
-}
-
-impl std::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotError::Json(e) => write!(f, "invalid JSON: {e}"),
-            SnapshotError::Schema(found) => {
-                write!(f, "not a {SNAPSHOT_SCHEMA} document (schema = {found:?})")
-            }
-            SnapshotError::Shape(what) => write!(f, "malformed snapshot: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-/// A histogram as stored in a snapshot document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramDoc {
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: u64,
-    /// Smallest observation (`None` when empty).
-    pub min: Option<u64>,
-    /// Largest observation (`None` when empty).
-    pub max: Option<u64>,
-    /// `(upper_bound, count)` pairs, `None` bound = overflow bucket.
-    pub buckets: Vec<(Option<u64>, u64)>,
-}
-
-impl HistogramDoc {
-    /// Bucket-derived quantile estimate (see [`estimate_quantile`]).
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        estimate_quantile(&self.buckets, self.count, self.min?, self.max?, q)
-    }
-
-    /// `true` when bucket counts sum to `count`.
-    pub fn conserved(&self) -> bool {
-        self.buckets.iter().map(|(_, n)| n).sum::<u64>() == self.count
-    }
-
-    /// The bucket bounds alone (comparability key).
-    fn bounds(&self) -> Vec<Option<u64>> {
-        self.buckets.iter().map(|(b, _)| *b).collect()
-    }
-}
-
-/// Span aggregate as stored in a snapshot document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanStatsDoc {
-    /// Completed spans.
-    pub count: u64,
-    /// Total wall time, microseconds.
-    pub total_us: u64,
-    /// Shortest span, microseconds.
-    pub min_us: u64,
-    /// Longest span, microseconds.
-    pub max_us: u64,
-}
-
-/// Resource aggregate as stored in a snapshot document. Every field
-/// defaults to zero so documents written before resource profiling
-/// existed (and hand-trimmed baselines) keep parsing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResStatsDoc {
-    /// Completed spans folded in.
-    pub count: u64,
-    /// Highest RSS observed, bytes.
-    pub peak_rss_bytes: u64,
-    /// Net RSS movement, bytes (signed).
-    pub rss_delta_bytes: i64,
-    /// CPU time consumed, microseconds.
-    pub cpu_us: u64,
-    /// Logical bytes processed.
-    pub bytes_in: u64,
-}
-
-/// A gauge as stored in a snapshot document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeDoc {
-    /// The level when the snapshot was taken.
-    pub value: i64,
-    /// Lowest level seen (`None` before any sample).
-    pub min: Option<i64>,
-    /// Highest level seen (`None` before any sample).
-    pub max: Option<i64>,
-}
-
-/// A sliding-window series as stored in a snapshot document: an event
-/// counter or a value histogram.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowDoc {
-    /// Since-creation total: a counter window's `total`, or a histogram
-    /// window's observation `count`.
-    pub total: u64,
-    /// Events per second over the trailing minute.
-    pub rate_1m: f64,
-    /// Events per second over the trailing five minutes.
-    pub rate_5m: f64,
-    /// Window `[p50, p90, p99]` as the writer estimated them (`None` for
-    /// counter windows and empty histogram windows).
-    pub quantiles: [Option<f64>; 3],
-}
-
-/// A parsed `diffaudit-obs/v1` document.
-#[derive(Debug, Clone, Default)]
-pub struct Snapshot {
-    /// Run wall time, microseconds.
-    pub uptime_us: u64,
-    /// Counter values by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Histograms by name.
-    pub histograms: BTreeMap<String, HistogramDoc>,
-    /// Span aggregates by name.
-    pub spans: BTreeMap<String, SpanStatsDoc>,
-    /// Resource aggregates by name (absent in pre-profiling documents).
-    pub resources: BTreeMap<String, ResStatsDoc>,
-    /// Gauges by name (absent when the writer recorded none).
-    pub gauges: BTreeMap<String, GaugeDoc>,
-    /// Sliding-window series by name (absent when the writer recorded none).
-    pub windows: BTreeMap<String, WindowDoc>,
-}
-
-impl Snapshot {
-    /// Counter `name`, zero when absent.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Gauge `name`'s current value, `None` when absent.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).map(|g| g.value)
-    }
-}
-
-fn as_u64(json: &Json, what: &str) -> Result<u64, SnapshotError> {
-    json.as_i64()
-        .and_then(|v| u64::try_from(v).ok())
-        .ok_or_else(|| SnapshotError::Shape(format!("{what} is not a non-negative integer")))
-}
-
-fn opt_u64(json: Option<&Json>, what: &str) -> Result<Option<u64>, SnapshotError> {
-    match json {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => as_u64(v, what).map(Some),
-    }
-}
-
-fn opt_i64(json: Option<&Json>, what: &str) -> Result<Option<i64>, SnapshotError> {
-    match json {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_i64()
-            .map(Some)
-            .ok_or_else(|| SnapshotError::Shape(format!("{what} is not an integer"))),
-    }
-}
-
-fn opt_f64(json: Option<&Json>, what: &str) -> Result<Option<f64>, SnapshotError> {
-    match json {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| SnapshotError::Shape(format!("{what} is not a number"))),
-    }
-}
-
-/// Parse a snapshot document from JSON text.
-pub fn parse_snapshot(text: &str) -> Result<Snapshot, SnapshotError> {
-    let json = diffaudit_json::parse(text).map_err(|e| SnapshotError::Json(e.to_string()))?;
-    let schema = json.get("schema").and_then(Json::as_str);
-    if schema != Some(SNAPSHOT_SCHEMA) {
-        return Err(SnapshotError::Schema(schema.map(str::to_string)));
-    }
-    let mut snapshot = Snapshot {
-        uptime_us: as_u64(
-            json.get("uptimeUs")
-                .ok_or_else(|| SnapshotError::Shape("missing uptimeUs".into()))?,
-            "uptimeUs",
-        )?,
-        ..Snapshot::default()
-    };
-    if let Some(counters) = json.get("counters").and_then(Json::as_obj) {
-        for (name, value) in counters {
-            snapshot
-                .counters
-                .insert(name.clone(), as_u64(value, &format!("counter {name}"))?);
-        }
-    }
-    if let Some(histograms) = json.get("histograms").and_then(Json::as_obj) {
-        for (name, h) in histograms {
-            let buckets = h
-                .get("buckets")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| SnapshotError::Shape(format!("histogram {name} lacks buckets")))?
-                .iter()
-                .map(|b| {
-                    Ok((
-                        opt_u64(b.get("le"), "bucket le")?,
-                        as_u64(
-                            b.get("count").ok_or_else(|| {
-                                SnapshotError::Shape("bucket missing count".into())
-                            })?,
-                            "bucket count",
-                        )?,
-                    ))
-                })
-                .collect::<Result<Vec<_>, SnapshotError>>()?;
-            snapshot.histograms.insert(
-                name.clone(),
-                HistogramDoc {
-                    count: as_u64(
-                        h.get("count").ok_or_else(|| {
-                            SnapshotError::Shape(format!("histogram {name} lacks count"))
-                        })?,
-                        "histogram count",
-                    )?,
-                    sum: opt_u64(h.get("sum"), "histogram sum")?.unwrap_or(0),
-                    min: opt_u64(h.get("min"), "histogram min")?,
-                    max: opt_u64(h.get("max"), "histogram max")?,
-                    buckets,
-                },
-            );
-        }
-    }
-    if let Some(spans) = json.get("spans").and_then(Json::as_obj) {
-        for (name, s) in spans {
-            let field = |key: &str| -> Result<u64, SnapshotError> {
-                as_u64(
-                    s.get(key)
-                        .ok_or_else(|| SnapshotError::Shape(format!("span {name} lacks {key}")))?,
-                    key,
-                )
-            };
-            snapshot.spans.insert(
-                name.clone(),
-                SpanStatsDoc {
-                    count: field("count")?,
-                    total_us: field("totalUs")?,
-                    min_us: field("minUs")?,
-                    max_us: field("maxUs")?,
-                },
-            );
-        }
-    }
-    if let Some(resources) = json.get("resources").and_then(Json::as_obj) {
-        for (name, r) in resources {
-            snapshot.resources.insert(
-                name.clone(),
-                ResStatsDoc {
-                    count: opt_u64(r.get("count"), "resource count")?.unwrap_or(0),
-                    peak_rss_bytes: opt_u64(r.get("peakRssB"), "resource peakRssB")?.unwrap_or(0),
-                    rss_delta_bytes: r.get("rssDeltaB").and_then(Json::as_i64).unwrap_or(0),
-                    cpu_us: opt_u64(r.get("cpuUs"), "resource cpuUs")?.unwrap_or(0),
-                    bytes_in: opt_u64(r.get("bytesIn"), "resource bytesIn")?.unwrap_or(0),
-                },
-            );
-        }
-    }
-    if let Some(gauges) = json.get("gauges").and_then(Json::as_obj) {
-        for (name, g) in gauges {
-            snapshot.gauges.insert(
-                name.clone(),
-                GaugeDoc {
-                    value: opt_i64(g.get("value"), "gauge value")?
-                        .ok_or_else(|| SnapshotError::Shape(format!("gauge {name} lacks value")))?,
-                    min: opt_i64(g.get("min"), "gauge min")?,
-                    max: opt_i64(g.get("max"), "gauge max")?,
-                },
-            );
-        }
-    }
-    if let Some(windows) = json.get("windows").and_then(Json::as_obj) {
-        for (name, w) in windows {
-            let lacks = |key: &str| SnapshotError::Shape(format!("window {name} lacks {key}"));
-            let rate = |key: &str| opt_f64(w.get(key), key)?.ok_or_else(|| lacks(key));
-            snapshot.windows.insert(
-                name.clone(),
-                WindowDoc {
-                    total: opt_u64(w.get("total").or(w.get("count")), "window total")?
-                        .ok_or_else(|| lacks("total or count"))?,
-                    rate_1m: rate("rate1m")?,
-                    rate_5m: rate("rate5m")?,
-                    quantiles: [
-                        opt_f64(w.get("p50"), "window p50")?,
-                        opt_f64(w.get("p90"), "window p90")?,
-                        opt_f64(w.get("p99"), "window p99")?,
-                    ],
-                },
-            );
-        }
-    }
-    Ok(snapshot)
-}
 
 /// Comparison thresholds.
 #[derive(Debug, Clone)]
@@ -502,16 +185,29 @@ fn stage_delta(name: &str, base_us: u64, current_us: u64, options: &DiffOptions)
     }
 }
 
-/// Compare two parsed snapshots under the given thresholds.
-pub fn diff_snapshots(base: &Snapshot, current: &Snapshot, options: &DiffOptions) -> MetricsDiff {
+/// The sorted, deduplicated union of two name lists.
+fn union<'a>(a: impl Iterator<Item = &'a str>, b: impl Iterator<Item = &'a str>) -> Vec<&'a str> {
+    let mut names: Vec<&str> = a.chain(b).collect();
+    names.sort_unstable();
+    names.dedup();
+    names
+}
+
+/// Compare two snapshots under the given thresholds.
+pub fn diff_snapshots(
+    base: &MetricsSnapshot,
+    current: &MetricsSnapshot,
+    options: &DiffOptions,
+) -> MetricsDiff {
+    let (base_m, current_m) = (&base.metrics, &current.metrics);
     let mut violations = Vec::new();
-    for (tag, doc) in [("baseline", base), ("current", current)] {
-        for (name, h) in &doc.histograms {
-            if !h.conserved() {
+    for (tag, doc) in [("baseline", base_m), ("current", current_m)] {
+        for (name, h) in doc.histograms() {
+            let bucket_total: u64 = h.buckets().map(|(_, n)| n).sum();
+            if bucket_total != h.count() {
                 violations.push(format!(
-                    "{tag} histogram {name}: bucket counts sum to {} but count is {}",
-                    h.buckets.iter().map(|(_, n)| n).sum::<u64>(),
-                    h.count
+                    "{tag} histogram {name}: bucket counts sum to {bucket_total} but count is {}",
+                    h.count()
                 ));
             }
         }
@@ -519,120 +215,91 @@ pub fn diff_snapshots(base: &Snapshot, current: &Snapshot, options: &DiffOptions
 
     let uptime = stage_delta("uptime", base.uptime_us, current.uptime_us, options);
 
-    let stage_names: Vec<&String> = {
-        let mut names: Vec<&String> = base.spans.keys().chain(current.spans.keys()).collect();
-        names.sort();
-        names.dedup();
-        names
-    };
-    let stages: Vec<StageDelta> = stage_names
-        .iter()
-        .map(|name| {
-            stage_delta(
-                name,
-                base.spans.get(*name).map_or(0, |s| s.total_us),
-                current.spans.get(*name).map_or(0, |s| s.total_us),
-                options,
-            )
-        })
-        .collect();
+    let stages: Vec<StageDelta> = union(
+        base_m.spans().map(|(n, _)| n),
+        current_m.spans().map(|(n, _)| n),
+    )
+    .into_iter()
+    .map(|name| {
+        let total = |m: &Metrics| m.span(name).map_or(0, |s| s.total_us);
+        stage_delta(name, total(base_m), total(current_m), options)
+    })
+    .collect();
 
-    let resource_names: Vec<&String> = {
-        let mut names: Vec<&String> = base
-            .resources
-            .keys()
-            .chain(current.resources.keys())
-            .collect();
-        names.sort();
-        names.dedup();
-        names
-    };
-    let resources: Vec<ResourceDelta> = resource_names
-        .iter()
-        .map(|name| {
-            let base_peak = base.resources.get(*name).map_or(0, |r| r.peak_rss_bytes);
-            let current_peak = current.resources.get(*name).map_or(0, |r| r.peak_rss_bytes);
-            let delta = current_peak as i64 - base_peak as i64;
-            let rel = if base_peak > 0 {
-                delta as f64 / base_peak as f64
-            } else if current_peak > 0 {
-                f64::INFINITY
-            } else {
-                0.0
-            };
-            // Gate only rows present in BOTH documents: a baseline captured
-            // without profiling (or a brand-new stage) carries no meaningful
-            // peak to compare against.
-            let both = base.resources.contains_key(*name) && current.resources.contains_key(*name);
-            let regressed = match options.fail_rss_over {
-                Some(threshold) => both && rel > threshold && delta > RSS_NOISE_FLOOR_BYTES as i64,
-                None => false,
-            };
-            ResourceDelta {
-                name: (*name).clone(),
-                base_peak,
-                current_peak,
-                delta,
-                rel,
-                regressed,
-            }
-        })
-        .collect();
+    let resources: Vec<ResourceDelta> = union(
+        base_m.resources().map(|(n, _)| n),
+        current_m.resources().map(|(n, _)| n),
+    )
+    .into_iter()
+    .map(|name| {
+        let (b, c) = (base_m.resource(name), current_m.resource(name));
+        let base_peak = b.map_or(0, |r| r.peak_rss_bytes);
+        let current_peak = c.map_or(0, |r| r.peak_rss_bytes);
+        let delta = current_peak as i64 - base_peak as i64;
+        let rel = if base_peak > 0 {
+            delta as f64 / base_peak as f64
+        } else if current_peak > 0 {
+            f64::INFINITY
+        } else {
+            0.0
+        };
+        // Gate only rows present in BOTH documents: a baseline captured
+        // without profiling (or a brand-new stage) carries no meaningful
+        // peak to compare against.
+        let both = b.is_some() && c.is_some();
+        let regressed = match options.fail_rss_over {
+            Some(threshold) => both && rel > threshold && delta > RSS_NOISE_FLOOR_BYTES as i64,
+            None => false,
+        };
+        ResourceDelta {
+            name: name.to_string(),
+            base_peak,
+            current_peak,
+            delta,
+            rel,
+            regressed,
+        }
+    })
+    .collect();
 
-    let counter_names: Vec<&String> = {
-        let mut names: Vec<&String> = base
-            .counters
-            .keys()
-            .chain(current.counters.keys())
-            .collect();
-        names.sort();
-        names.dedup();
-        names
-    };
-    let counters: Vec<CounterDelta> = counter_names
-        .iter()
-        .map(|name| {
-            let b = base.counters.get(*name).copied().unwrap_or(0);
-            let c = current.counters.get(*name).copied().unwrap_or(0);
-            CounterDelta {
-                name: (*name).clone(),
-                base: b,
-                current: c,
-                delta: c as i64 - b as i64,
-            }
-        })
-        .collect();
+    let counters: Vec<CounterDelta> = union(
+        base_m.counters().map(|(n, _)| n),
+        current_m.counters().map(|(n, _)| n),
+    )
+    .into_iter()
+    .map(|name| {
+        let (b, c) = (base_m.counter(name), current_m.counter(name));
+        CounterDelta {
+            name: name.to_string(),
+            base: b,
+            current: c,
+            delta: c as i64 - b as i64,
+        }
+    })
+    .collect();
 
-    let histogram_names: Vec<&String> = {
-        let mut names: Vec<&String> = base
-            .histograms
-            .keys()
-            .chain(current.histograms.keys())
-            .collect();
-        names.sort();
-        names.dedup();
-        names
-    };
-    let histograms: Vec<HistogramShift> = histogram_names
-        .iter()
-        .map(|name| {
-            let b = base.histograms.get(*name);
-            let c = current.histograms.get(*name);
-            let comparable = match (b, c) {
-                (Some(b), Some(c)) => b.bounds() == c.bounds(),
-                _ => true, // one-sided: nothing to mismatch
-            };
-            let ps = |h: Option<&HistogramDoc>| -> [Option<f64>; 3] {
-                [0.5, 0.9, 0.99].map(|q| h.and_then(|h| h.quantile(q)))
-            };
-            HistogramShift {
-                name: (*name).clone(),
-                base_p: ps(b),
-                current_p: ps(c),
-                comparable,
-            }
-        })
-        .collect();
+    let histograms: Vec<HistogramShift> = union(
+        base_m.histograms().map(|(n, _)| n),
+        current_m.histograms().map(|(n, _)| n),
+    )
+    .into_iter()
+    .map(|name| {
+        let (b, c) = (base_m.histogram(name), current_m.histogram(name));
+        let comparable = match (b, c) {
+            (Some(b), Some(c)) => b.bounds() == c.bounds(),
+            _ => true, // one-sided: nothing to mismatch
+        };
+        let ps = |h: Option<&Histogram>| -> [Option<f64>; 3] {
+            [0.5, 0.9, 0.99].map(|q| h.and_then(|h| h.quantile(q)))
+        };
+        HistogramShift {
+            name: name.to_string(),
+            base_p: ps(b),
+            current_p: ps(c),
+            comparable,
+        }
+    })
+    .collect();
 
     let mut regressions: Vec<String> = std::iter::once(&uptime)
         .chain(stages.iter())
@@ -819,7 +486,9 @@ pub fn render_diff(diff: &MetricsDiff, options: &DiffOptions) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{Metrics, MetricsSnapshot, LATENCY_US_BOUNDS};
+    use crate::metrics::{
+        parse_snapshot, Gauge, SnapshotError, WindowKind, WindowStats, LATENCY_US_BOUNDS,
+    };
 
     fn sample_snapshot(scale: u64) -> String {
         let mut m = Metrics::new();
@@ -829,12 +498,9 @@ mod tests {
         for i in 0..50 {
             m.observe("span.us", &LATENCY_US_BOUNDS, (i + 1) * 1_000 * scale);
         }
-        MetricsSnapshot {
-            metrics: m,
-            uptime_us: 1_100_000 * scale,
-        }
-        .to_json()
-        .to_pretty_string()
+        MetricsSnapshot::new(m, 1_100_000 * scale)
+            .to_json()
+            .to_pretty_string()
     }
 
     #[test]
@@ -909,16 +575,10 @@ mod tests {
     fn noise_floor_suppresses_tiny_regressions() {
         let mut m = Metrics::new();
         m.span_done("tiny", 10);
-        let base = MetricsSnapshot {
-            metrics: m.clone(),
-            uptime_us: 100,
-        };
+        let base = MetricsSnapshot::new(m.clone(), 100);
         let mut m2 = Metrics::new();
         m2.span_done("tiny", 40); // 4x but far below the noise floor
-        let current = MetricsSnapshot {
-            metrics: m2,
-            uptime_us: 130,
-        };
+        let current = MetricsSnapshot::new(m2, 130);
         let base = parse_snapshot(&base.to_json().to_pretty_string()).unwrap();
         let current = parse_snapshot(&current.to_json().to_pretty_string()).unwrap();
         let options = DiffOptions {
@@ -947,16 +607,10 @@ mod tests {
     fn incomparable_buckets_are_flagged_not_compared() {
         let mut m = Metrics::new();
         m.observe("h", &[10, 100], 5);
-        let a = MetricsSnapshot {
-            metrics: m,
-            uptime_us: 10,
-        };
+        let a = MetricsSnapshot::new(m, 10);
         let mut m2 = Metrics::new();
         m2.observe("h", &[20, 200], 5);
-        let b = MetricsSnapshot {
-            metrics: m2,
-            uptime_us: 10,
-        };
+        let b = MetricsSnapshot::new(m2, 10);
         let a = parse_snapshot(&a.to_json().to_pretty_string()).unwrap();
         let b = parse_snapshot(&b.to_json().to_pretty_string()).unwrap();
         let diff = diff_snapshots(&a, &b, &DiffOptions::default());
@@ -965,7 +619,7 @@ mod tests {
         assert!(text.contains("not comparable"));
     }
 
-    fn resource_snapshot(peak: u64) -> Snapshot {
+    fn resource_snapshot(peak: u64) -> MetricsSnapshot {
         let mut m = Metrics::new();
         m.span_done("pipeline.extract", 100_000);
         m.res_done(
@@ -977,19 +631,16 @@ mod tests {
                 bytes_in: 10_000,
             },
         );
-        let doc = MetricsSnapshot {
-            metrics: m,
-            uptime_us: 120_000,
-        }
-        .to_json()
-        .to_pretty_string();
+        let doc = MetricsSnapshot::new(m, 120_000)
+            .to_json()
+            .to_pretty_string();
         parse_snapshot(&doc).unwrap()
     }
 
     #[test]
     fn resources_round_trip_through_the_snapshot_document() {
         let snap = resource_snapshot(64 * 1024 * 1024);
-        let doc = snap.resources.get("pipeline.extract").unwrap();
+        let doc = snap.metrics.resource("pipeline.extract").unwrap();
         assert_eq!(doc.count, 1);
         assert_eq!(doc.peak_rss_bytes, 64 * 1024 * 1024);
         assert_eq!(doc.rss_delta_bytes, 1_000);
@@ -997,7 +648,7 @@ mod tests {
         assert_eq!(doc.bytes_in, 10_000);
         // Pre-profiling documents (no `resources` key) still parse.
         let old = parse_snapshot(&sample_snapshot(1)).unwrap();
-        assert!(old.resources.is_empty());
+        assert!(old.metrics.resources().next().is_none());
     }
 
     #[test]
@@ -1063,12 +714,7 @@ mod tests {
             );
             m.observe("unit.exchanges", &crate::metrics::RECORD_BOUNDS, 150);
         }
-        let doc = MetricsSnapshot {
-            metrics: m,
-            uptime_us: 10,
-        }
-        .to_json()
-        .to_pretty_string();
+        let doc = MetricsSnapshot::new(m, 10).to_json().to_pretty_string();
         let snap = parse_snapshot(&doc).unwrap();
         let text = render_diff(
             &diff_snapshots(&snap, &snap, &DiffOptions::default()),
@@ -1090,63 +736,52 @@ mod tests {
 
     #[test]
     fn gauges_and_windows_round_trip_through_the_snapshot_document() {
-        let mut m = Metrics::new();
-        m.gauge_set("queue.depth", 4);
-        m.gauge_sub("queue.depth", 3);
-        m.gauge_add("queue.depth", 1);
-        m.window_add("reqs.window", 9);
-        for v in [50, 500, 5_000, 50_000] {
-            m.window_observe("lat.window.us", &LATENCY_US_BOUNDS, v);
-        }
+        let mut depth = Gauge::new();
+        depth.set(4);
+        depth.sub(3);
+        depth.add(1);
+        let counter = WindowStats {
+            kind: WindowKind::Counter,
+            total: 9,
+            rate_1m: 9.0 / 60.0,
+            rate_5m: 9.0 / 300.0,
+            quantiles: [None; 3],
+        };
+        let latency = WindowStats {
+            kind: WindowKind::Histogram,
+            total: 4,
+            rate_1m: 4.0 / 60.0,
+            rate_5m: 4.0 / 300.0,
+            quantiles: [Some(500.0), Some(42_750.5), Some(49_725.05)],
+        };
         let original = MetricsSnapshot {
-            metrics: m,
+            gauges: [("queue.depth".to_string(), depth)].into(),
+            windows: [
+                ("reqs.window".to_string(), counter),
+                ("lat.window.us".to_string(), latency),
+            ]
+            .into(),
             uptime_us: 1_000,
+            ..MetricsSnapshot::default()
         };
         let snap = parse_snapshot(&original.to_json().to_pretty_string()).unwrap();
-
-        let gauge = original.metrics.gauge("queue.depth").unwrap();
-        assert_eq!(
-            snap.gauges.get("queue.depth"),
-            Some(&GaugeDoc {
-                value: gauge.value(),
-                min: gauge.min(),
-                max: gauge.max(),
-            })
-        );
-        assert_eq!(snap.gauge("queue.depth"), Some(2));
-        assert_eq!(snap.gauges["queue.depth"].max, Some(4));
-        assert_eq!(snap.gauges["queue.depth"].min, Some(1));
-
-        let Some(crate::metrics::Windowed::Counter(counter)) =
-            original.metrics.window("reqs.window")
-        else {
-            panic!("counter window missing");
-        };
-        assert_eq!(
-            snap.windows.get("reqs.window"),
-            Some(&WindowDoc {
-                total: 9,
-                rate_1m: counter.rate_1m(),
-                rate_5m: counter.rate_5m(),
-                quantiles: [None; 3],
-            })
-        );
-
-        let Some(crate::metrics::Windowed::Histogram(hist)) =
-            original.metrics.window("lat.window.us")
-        else {
-            panic!("histogram window missing");
-        };
-        assert_eq!(
-            snap.windows.get("lat.window.us"),
-            Some(&WindowDoc {
-                total: 4,
-                rate_1m: hist.rate_1m(),
-                rate_5m: hist.rate_5m(),
-                quantiles: [0.5, 0.9, 0.99].map(|q| hist.window_quantile(q)),
-            })
-        );
-        assert!(snap.windows["lat.window.us"].quantiles[0].is_some());
+        assert_eq!(snap, original);
+        // Samples survive, so do the watermarks.
+        let gauge = snap.gauges["queue.depth"];
+        assert_eq!((gauge.value(), gauge.samples()), (2, 3));
+        assert_eq!((gauge.min(), gauge.max()), (Some(1), Some(4)));
+        // A window of unknown kind or without its total is refused.
+        let doc = original.to_json().to_pretty_string();
+        for broken in [
+            doc.replacen("\"counter\"", "\"meter\"", 1),
+            doc.replacen("\"total\"", "\"sum\"", 1),
+        ] {
+            assert_ne!(broken, doc);
+            assert!(matches!(
+                parse_snapshot(&broken),
+                Err(SnapshotError::Shape(_))
+            ));
+        }
     }
 
     #[test]
@@ -1154,16 +789,10 @@ mod tests {
         let mut m = Metrics::new();
         m.span_done("only.base", 100_000);
         m.add("only.base.counter", 5);
-        let a = MetricsSnapshot {
-            metrics: m,
-            uptime_us: 100_000,
-        };
+        let a = MetricsSnapshot::new(m, 100_000);
         let mut m2 = Metrics::new();
         m2.span_done("only.current", 200_000);
-        let b = MetricsSnapshot {
-            metrics: m2,
-            uptime_us: 100_000,
-        };
+        let b = MetricsSnapshot::new(m2, 100_000);
         let a = parse_snapshot(&a.to_json().to_pretty_string()).unwrap();
         let b = parse_snapshot(&b.to_json().to_pretty_string()).unwrap();
         let options = DiffOptions {

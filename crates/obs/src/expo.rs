@@ -3,9 +3,9 @@
 //!
 //! The exposition is render-only: every repo tool (`obs top`, the serve
 //! bench) reads the `diffaudit-obs/v1` JSON on `GET /api/v1/metrics`
-//! through [`crate::compare::parse_snapshot`] instead. The wire format
-//! itself is pinned by exact-line tests below and by the independent
-//! parser in the serve integration tests.
+//! into a [`MetricsSnapshot`] through [`crate::metrics::parse_snapshot`]
+//! instead. The wire format itself is pinned by exact-line tests below
+//! and by the independent parser in the serve integration tests.
 //!
 //! The renderer is std-only and emits the classic text format (content
 //! type `text/plain; version=0.0.4`): one `# HELP`/`# TYPE` pair per
@@ -16,14 +16,16 @@
 //! registry name of the form `base{k="v",…}` is split into a family name
 //! plus labels so one family can carry per-endpoint/per-status series.
 //!
-//! Sliding-window series render as their monotonic cumulative part
-//! (counter `_total`, histogram buckets) plus derived `_rate_1m`/
-//! `_rate_5m` gauges; span aggregates are *not* rendered — every span
-//! already feeds a `{name}.us` histogram, which is the useful shape here.
+//! A sliding window's monotonic part is the plain counter or histogram
+//! the recorder keeps under the window's name, so it renders with the
+//! other counters (`_total`) and histograms (buckets); the window itself
+//! adds its frozen rates as `_rate_1m`/`_rate_5m` gauges. Span aggregates
+//! are *not* rendered — every span already feeds a `{name}.us`
+//! histogram, which is the useful shape here.
 //! Ordering is deterministic (sorted by family, then label set), so two
 //! scrapes of an idle daemon are byte-identical.
 
-use crate::metrics::{Histogram, MetricsSnapshot, Windowed};
+use crate::metrics::{Histogram, MetricsSnapshot};
 use std::collections::BTreeMap;
 
 /// Sanitize a registry name into the exposition alphabet: keep
@@ -153,7 +155,7 @@ pub fn render_exposition(snapshot: &MetricsSnapshot) -> String {
     for (name, value) in snapshot.metrics.counters() {
         fam.counter(name, value as f64);
     }
-    for (name, gauge) in snapshot.metrics.gauges() {
+    for (name, gauge) in &snapshot.gauges {
         // The sampler keeps process CPU as a µs gauge (registry values are
         // integers); the exposition re-exports it in the conventional shape
         // — a monotone counter in seconds, `diffaudit_process_cpu_seconds_total`.
@@ -169,19 +171,9 @@ pub fn render_exposition(snapshot: &MetricsSnapshot) -> String {
     for (name, h) in snapshot.metrics.histograms() {
         fam.histogram(name, h);
     }
-    for (name, window) in snapshot.metrics.windows() {
-        match window {
-            Windowed::Counter(w) => {
-                fam.counter(name, w.total() as f64);
-                fam.gauge(&format!("{name}.rate.1m"), w.rate_1m());
-                fam.gauge(&format!("{name}.rate.5m"), w.rate_5m());
-            }
-            Windowed::Histogram(w) => {
-                fam.histogram(name, w.cumulative());
-                fam.gauge(&format!("{name}.rate.1m"), w.rate_1m());
-                fam.gauge(&format!("{name}.rate.5m"), w.rate_5m());
-            }
-        }
+    for (name, window) in &snapshot.windows {
+        fam.gauge(&format!("{name}.rate.1m"), window.rate_1m);
+        fam.gauge(&format!("{name}.rate.5m"), window.rate_5m);
     }
     fam.gauge("diffaudit_uptime_seconds", snapshot.uptime_us as f64 / 1e6);
 
@@ -245,12 +237,14 @@ pub fn render_exposition(snapshot: &MetricsSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{Metrics, LATENCY_US_BOUNDS};
+    use crate::metrics::LATENCY_US_BOUNDS;
+    use crate::Recorder;
 
-    fn snapshot(metrics: Metrics) -> MetricsSnapshot {
+    /// The recorder's snapshot, with its uptime pinned for exact lines.
+    fn snapshot(rec: Recorder) -> MetricsSnapshot {
         MetricsSnapshot {
-            metrics,
             uptime_us: 2_500_000,
+            ..rec.snapshot()
         }
     }
 
@@ -265,7 +259,7 @@ mod tests {
 
     #[test]
     fn counters_render_with_total_suffix_and_help_type() {
-        let mut m = Metrics::new();
+        let m = Recorder::new();
         m.add("serve.http.requests", 7);
         let text = render_exposition(&snapshot(m));
         assert!(text.contains("# HELP serve_http_requests_total diffaudit counter\n"));
@@ -275,7 +269,7 @@ mod tests {
 
     #[test]
     fn labelled_registry_names_become_label_sets() {
-        let mut m = Metrics::new();
+        let m = Recorder::new();
         m.observe(
             "serve.http.latency.us{endpoint=\"jobs\",status=\"2xx\"}",
             &[10, 100],
@@ -300,7 +294,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_cumulative_and_end_in_inf() {
-        let mut m = Metrics::new();
+        let m = Recorder::new();
         for v in [5u64, 50, 5_000_000_000] {
             m.observe("lat", &[10, 100], v);
         }
@@ -313,7 +307,7 @@ mod tests {
 
     #[test]
     fn gauges_and_windows_render() {
-        let mut m = Metrics::new();
+        let m = Recorder::new();
         m.gauge_set("serve.queue.depth", 3);
         m.window_add("serve.http.reqs", 30);
         let text = render_exposition(&snapshot(m));
@@ -329,7 +323,7 @@ mod tests {
     #[test]
     fn rendering_is_deterministic() {
         let build = || {
-            let mut m = Metrics::new();
+            let m = Recorder::new();
             m.add("b.counter", 2);
             m.add("a.counter", 1);
             m.gauge_set("depth", 4);
@@ -341,7 +335,7 @@ mod tests {
 
     #[test]
     fn rendering_matches_the_text_format_line_for_line() {
-        let mut m = Metrics::new();
+        let m = Recorder::new();
         m.add("serve.http.requests", 7);
         m.gauge_set("serve.queue.depth", 2);
         m.observe(
@@ -377,7 +371,7 @@ serve_http_latency_us_count{endpoint=\"jobs\",status=\"2xx\"} 1
 
     #[test]
     fn process_cpu_gauge_re_exports_as_seconds_counter() {
-        let mut m = Metrics::new();
+        let m = Recorder::new();
         m.gauge_set(crate::res::PROCESS_CPU_US_GAUGE, 2_500_000);
         m.gauge_set(crate::res::PROCESS_RSS_GAUGE, 4096);
         let text = render_exposition(&snapshot(m));
@@ -399,7 +393,7 @@ serve_http_latency_us_count{endpoint=\"jobs\",status=\"2xx\"} 1
 
     #[test]
     fn every_series_kind_renders_its_exact_sample_lines() {
-        let mut m = Metrics::new();
+        let m = Recorder::new();
         m.add("pipeline.units", 14);
         m.add("serve.http.requests{endpoint=\"jobs\"}", 3);
         m.gauge_set("serve.queue.depth", -2);
@@ -443,7 +437,7 @@ serve_http_latency_us_count{endpoint=\"jobs\",status=\"2xx\"} 1
         // Raw value: a"b\c<newline>d — every escapable char at once. It must
         // come out as one sample line with each character escaped.
         let raw = "a\"b\\c\nd";
-        let mut m = Metrics::new();
+        let m = Recorder::new();
         m.add(&format!("weird{{path=\"{raw}\"}}"), 1);
         let text = render_exposition(&snapshot(m));
         let samples: Vec<&str> = text.lines().filter(|l| l.starts_with("weird")).collect();

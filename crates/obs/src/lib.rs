@@ -8,7 +8,10 @@
 //!   per-name [`SpanStats`] aggregate and a latency histogram.
 //! - **Metrics** — typed counters and fixed-bucket [`Histogram`]s
 //!   (byte volumes, record counts, latencies) collected into a
-//!   [`MetricsSnapshot`] for `--metrics-out` export.
+//!   [`MetricsSnapshot`] for `--metrics-out` export. The snapshot is the
+//!   one model of the `diffaudit-obs/v1` document: it writes it
+//!   ([`MetricsSnapshot::to_json`]) and every repo tool reads it back
+//!   into one ([`parse_snapshot`]).
 //! - **Per-thread recorders** — worker threads accumulate counters,
 //!   histograms, and span timings into private [`LocalRecorder`]s and
 //!   merge them associatively into the global registry at join
@@ -19,11 +22,10 @@
 //!   fields; warn/error events are additionally retained in a bounded
 //!   in-memory ring ([`events_since`]) for live tailing.
 //! - **Live telemetry** — [`Gauge`]s (levels with min/max watermarks)
-//!   and sliding-window series ([`metrics::WindowedCounter`] /
-//!   [`metrics::WindowedHistogram`]: 1m/5m rates, window quantiles),
-//!   merged associatively like counters, plus a Prometheus-style text
-//!   exposition renderer for external scrapers ([`expo`]). Repo tools
-//!   read snapshots back through one parser, [`parse_snapshot`].
+//!   and sliding-window series (1m/5m rates, window quantiles). Only the
+//!   global [`Recorder`] holds them; they do not merge, and a snapshot
+//!   freezes them ([`metrics::WindowStats`]). A Prometheus-style text exposition
+//!   renderer serves them to external scrapers ([`expo`]).
 //! - **Sinks** — a human-readable stderr logger (the only sanctioned
 //!   `eprintln!` in the instrumented crates) and a machine-readable JSONL
 //!   trace writer built on `diffaudit-json`.
@@ -45,16 +47,13 @@ pub mod scope;
 pub mod sink;
 pub mod trace;
 
-pub use compare::{
-    diff_snapshots, parse_snapshot, render_diff, DiffOptions, GaugeDoc, MetricsDiff, Snapshot,
-    Verdict, WindowDoc,
-};
+pub use compare::{diff_snapshots, render_diff, DiffOptions, MetricsDiff, Verdict};
 pub use event::{field, Field, FieldValue};
 pub use expo::render_exposition;
 pub use level::Level;
 pub use metrics::{
-    estimate_quantile, Gauge, Histogram, Metrics, MetricsSnapshot, ResStats, SpanStats, Windowed,
-    BYTE_BOUNDS, LATENCY_US_BOUNDS, RECORD_BOUNDS,
+    parse_snapshot, Gauge, Histogram, Metrics, MetricsSnapshot, ResStats, SpanStats, BYTE_BOUNDS,
+    LATENCY_US_BOUNDS, RECORD_BOUNDS,
 };
 pub use recorder::{LocalRecorder, ObsConfig, Recorder, RingEvent, SpanGuard, EVENT_RING_CAP};
 pub use report::{render_run_report, SALVAGE_PREFIX};

@@ -1,4 +1,7 @@
-//! Typed counters, fixed-bucket histograms, and span timing aggregates.
+//! Typed counters, fixed-bucket histograms, span timing aggregates, and
+//! the live gauges and sliding windows of the global recorder — plus the
+//! one model of the `diffaudit-obs/v1` document: every type here writes
+//! itself with `to_json` and reads itself back with `from_json`.
 //!
 //! Everything here is plain data guarded by the recorder's lock; the
 //! exported [`MetricsSnapshot`] is an owned copy so report rendering and
@@ -19,6 +22,77 @@ pub const RECORD_BOUNDS: [u64; 8] = [1, 4, 16, 64, 256, 1_024, 4_096, 16_384];
 
 /// Fixed upper-bound buckets for latencies in microseconds (10 µs … 10 s).
 pub const LATENCY_US_BOUNDS: [u64; 7] = [10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
+
+/// The schema string a metrics document must carry.
+pub const SNAPSHOT_SCHEMA: &str = "diffaudit-obs/v1";
+
+/// Why a document could not be read as a metrics snapshot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SnapshotError {
+    /// The text is not valid JSON.
+    Json(String),
+    /// The `schema` field is missing or not [`SNAPSHOT_SCHEMA`].
+    Schema(Option<String>),
+    /// A required field is missing or has the wrong type.
+    Shape(String),
+}
+
+impl std::fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SnapshotError::Json(e) => write!(f, "invalid JSON: {e}"),
+            SnapshotError::Schema(found) => {
+                write!(f, "not a {SNAPSHOT_SCHEMA} document (schema = {found:?})")
+            }
+            SnapshotError::Shape(what) => write!(f, "malformed snapshot: {what}"),
+        }
+    }
+}
+
+impl std::error::Error for SnapshotError {}
+
+/// A `u64` as a JSON integer, saturating at `i64::MAX`.
+fn uint(v: u64) -> Json {
+    Json::int(v.min(i64::MAX as u64) as i64)
+}
+
+fn as_u64(json: &Json) -> Result<u64, SnapshotError> {
+    json.as_i64()
+        .and_then(|v| u64::try_from(v).ok())
+        .ok_or_else(|| SnapshotError::Shape("is not a non-negative integer".into()))
+}
+
+/// Field `key` of `obj` read by `read`; `None` when absent or `null`.
+fn opt<T>(
+    obj: &Json,
+    key: &str,
+    read: impl Fn(&Json) -> Option<T>,
+    what: &str,
+) -> Result<Option<T>, SnapshotError> {
+    match obj.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(v) => read(v)
+            .map(Some)
+            .ok_or_else(|| SnapshotError::Shape(format!("{key} is not {what}"))),
+    }
+}
+
+fn opt_u64(obj: &Json, key: &str) -> Result<Option<u64>, SnapshotError> {
+    opt(obj, key, |v| as_u64(v).ok(), "a non-negative integer")
+}
+
+fn opt_i64(obj: &Json, key: &str) -> Result<Option<i64>, SnapshotError> {
+    opt(obj, key, Json::as_i64, "an integer")
+}
+
+fn opt_f64(obj: &Json, key: &str) -> Result<Option<f64>, SnapshotError> {
+    opt(obj, key, Json::as_f64, "a number")
+}
+
+/// A field that must be present.
+fn required<T>(value: Option<T>, key: &str) -> Result<T, SnapshotError> {
+    value.ok_or_else(|| SnapshotError::Shape(format!("lacks {key}")))
+}
 
 /// A histogram over fixed upper-bound buckets plus an overflow bucket.
 ///
@@ -86,6 +160,11 @@ impl Histogram {
         (self.count > 0).then_some(self.max)
     }
 
+    /// The bucket upper bounds, overflow bucket excluded.
+    pub(crate) fn bounds(&self) -> &[u64] {
+        &self.bounds
+    }
+
     /// `(upper_bound, count)` per bucket; the final entry has `None` as its
     /// bound — the overflow bucket.
     pub fn buckets(&self) -> impl Iterator<Item = (Option<u64>, u64)> + '_ {
@@ -143,27 +222,55 @@ impl Histogram {
             .buckets()
             .map(|(bound, count)| {
                 Json::obj()
-                    .with(
-                        "le",
-                        bound.map_or(Json::Null, |b| Json::int(b.min(i64::MAX as u64) as i64)),
-                    )
-                    .with("count", Json::int(count.min(i64::MAX as u64) as i64))
+                    .with("le", bound.map_or(Json::Null, uint))
+                    .with("count", uint(count))
             })
             .collect();
         Json::obj()
-            .with("count", Json::int(self.count.min(i64::MAX as u64) as i64))
-            .with("sum", Json::int(self.sum.min(i64::MAX as u64) as i64))
-            .with(
-                "min",
-                self.min()
-                    .map_or(Json::Null, |v| Json::int(v.min(i64::MAX as u64) as i64)),
-            )
-            .with(
-                "max",
-                self.max()
-                    .map_or(Json::Null, |v| Json::int(v.min(i64::MAX as u64) as i64)),
-            )
+            .with("count", uint(self.count))
+            .with("sum", uint(self.sum))
+            .with("min", self.min().map_or(Json::Null, uint))
+            .with("max", self.max().map_or(Json::Null, uint))
             .with("buckets", Json::Arr(buckets))
+    }
+
+    /// Read [`Histogram::to_json`]'s output back. The buckets must end in
+    /// exactly one overflow bucket (`"le": null`). The bucket counts need
+    /// not sum to `count`: `obs diff` reports such a document as a
+    /// conservation violation rather than refusing it.
+    pub fn from_json(json: &Json) -> Result<Histogram, SnapshotError> {
+        let buckets = required(json.get("buckets").and_then(Json::as_arr), "buckets")?;
+        let Some((overflow, rest)) = buckets.split_last() else {
+            return Err(SnapshotError::Shape("has no buckets".into()));
+        };
+        let mut bounds = Vec::with_capacity(rest.len());
+        for bucket in rest {
+            bounds.push(required(opt_u64(bucket, "le")?, "a bucket bound")?);
+        }
+        if opt_u64(overflow, "le")?.is_some() {
+            return Err(SnapshotError::Shape(
+                "does not end in an overflow bucket".into(),
+            ));
+        }
+        let counts = buckets
+            .iter()
+            .map(|bucket| required(opt_u64(bucket, "count")?, "a bucket count"))
+            .collect::<Result<Vec<u64>, SnapshotError>>()?;
+        let count = required(opt_u64(json, "count")?, "count")?;
+        let (min, max) = (opt_u64(json, "min")?, opt_u64(json, "max")?);
+        if count > 0 && (min.is_none() || max.is_none()) {
+            return Err(SnapshotError::Shape(
+                "has observations but lacks min or max".into(),
+            ));
+        }
+        Ok(Histogram {
+            bounds,
+            counts,
+            count,
+            sum: opt_u64(json, "sum")?.unwrap_or(0),
+            min: min.unwrap_or(u64::MAX),
+            max: max.unwrap_or(0),
+        })
     }
 }
 
@@ -171,19 +278,18 @@ impl Histogram {
 /// interpolation inside the bucket containing the target rank.
 ///
 /// `buckets` are ascending `(upper_bound, count)` pairs ending with the
-/// `None` overflow bucket — exactly what [`Histogram::buckets`] yields and
-/// what a parsed `diffaudit-obs/v1` document carries. Edges: the first
-/// bucket's lower edge is `min`, the overflow bucket's upper edge is `max`,
-/// and every interior edge is the neighbouring bound; the estimate is
-/// clamped to `[min, max]`, which makes single-observation and
-/// single-bucket distributions exact. The target rank is `q * count`, so
-/// `q = 1.0` lands on the last observation.
+/// `None` overflow bucket — exactly what [`Histogram::buckets`] yields.
+/// Edges: the first bucket's lower edge is `min`, the overflow bucket's
+/// upper edge is `max`, and every interior edge is the neighbouring bound;
+/// the estimate is clamped to `[min, max]`, which makes single-observation
+/// and single-bucket distributions exact. The target rank is `q * count`,
+/// so `q = 1.0` lands on the last observation.
 ///
 /// Returns `None` when the distribution is empty or `q` is outside
 /// `(0, 1]`. When the bucket counts undershoot `count` (a conservation
 /// violation in a hand-edited document) the estimate degrades to `max`
 /// rather than failing.
-pub fn estimate_quantile(
+fn estimate_quantile(
     buckets: &[(Option<u64>, u64)],
     count: u64,
     min: u64,
@@ -260,27 +366,32 @@ impl SpanStats {
     /// JSON representation.
     pub fn to_json(&self) -> Json {
         Json::obj()
-            .with("count", Json::int(self.count.min(i64::MAX as u64) as i64))
-            .with(
-                "totalUs",
-                Json::int(self.total_us.min(i64::MAX as u64) as i64),
-            )
-            .with("minUs", Json::int(self.min_us.min(i64::MAX as u64) as i64))
-            .with("maxUs", Json::int(self.max_us.min(i64::MAX as u64) as i64))
+            .with("count", uint(self.count))
+            .with("totalUs", uint(self.total_us))
+            .with("minUs", uint(self.min_us))
+            .with("maxUs", uint(self.max_us))
+    }
+
+    /// Read [`SpanStats::to_json`]'s output back; every field is required.
+    pub fn from_json(json: &Json) -> Result<SpanStats, SnapshotError> {
+        let field = |key: &str| required(opt_u64(json, key)?, key);
+        Ok(SpanStats {
+            count: field("count")?,
+            total_us: field("totalUs")?,
+            min_us: field("minUs")?,
+            max_us: field("maxUs")?,
+        })
     }
 }
 
 /// A point-in-time level with min/max watermarks.
 ///
 /// Counters only go up; a gauge tracks a level that moves both ways —
-/// queue depth, jobs in flight, busy workers. `set` is for a single
+/// queue depth, jobs in flight, busy workers. Gauges are live instruments
+/// of the global [`Recorder`](crate::Recorder) only: they do not merge,
+/// and a snapshot copies them as they stand. `set` is for a single
 /// authoritative writer (the daemon updating depth under the queue lock);
-/// mergeable per-thread/job recorders should use balanced `add`/`sub`
-/// pairs, because merging *sums* each side's net movement. A gauge with
-/// zero samples is the merge identity, so — like counters, histograms,
-/// and span stats — gauges fold associatively and commutatively at join.
-/// Watermarks fold by min/max of each side's own watermarks, which is the
-/// tightest envelope derivable without replaying the interleaving.
+/// `add`/`sub` pairs suit a level several threads move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Gauge {
     value: i64,
@@ -296,7 +407,7 @@ impl Default for Gauge {
 }
 
 impl Gauge {
-    /// A gauge at zero with no samples (the merge identity).
+    /// A gauge at zero with no samples.
     pub fn new() -> Gauge {
         Gauge {
             value: 0,
@@ -323,7 +434,7 @@ impl Gauge {
         self.touch();
     }
 
-    /// Move the level by `delta` (mergeable form; pair with [`Gauge::sub`]).
+    /// Move the level by `delta`.
     pub fn add(&mut self, delta: i64) {
         self.value = self.value.saturating_add(delta);
         self.touch();
@@ -355,33 +466,31 @@ impl Gauge {
         self.samples
     }
 
-    /// Merge another gauge into this one: values (net movements) add,
-    /// watermarks fold, an empty side is the identity — associative and
-    /// commutative, matching the other registry types.
-    pub fn merge_from(&mut self, other: &Gauge) {
-        if other.samples == 0 {
-            return;
-        }
-        if self.samples == 0 {
-            *self = *other;
-            return;
-        }
-        self.value = self.value.saturating_add(other.value);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.samples = self.samples.saturating_add(other.samples);
-    }
-
     /// JSON representation.
     pub fn to_json(&self) -> Json {
         Json::obj()
             .with("value", Json::int(self.value))
             .with("min", self.min().map_or(Json::Null, Json::int))
             .with("max", self.max().map_or(Json::Null, Json::int))
-            .with(
-                "samples",
-                Json::int(self.samples.min(i64::MAX as u64) as i64),
-            )
+            .with("samples", uint(self.samples))
+    }
+
+    /// Read [`Gauge::to_json`]'s output back. A gauge that has moved must
+    /// carry both watermarks.
+    pub fn from_json(json: &Json) -> Result<Gauge, SnapshotError> {
+        let samples = required(opt_u64(json, "samples")?, "samples")?;
+        let (min, max) = (opt_i64(json, "min")?, opt_i64(json, "max")?);
+        if samples > 0 && (min.is_none() || max.is_none()) {
+            return Err(SnapshotError::Shape(
+                "has samples but lacks min or max".into(),
+            ));
+        }
+        Ok(Gauge {
+            value: required(opt_i64(json, "value")?, "value")?,
+            min: min.unwrap_or(0),
+            max: max.unwrap_or(0),
+            samples,
+        })
     }
 }
 
@@ -394,43 +503,32 @@ pub const WINDOW_SLOTS: usize = 60;
 /// Slots that make up the trailing 1-minute sub-window.
 const RATE_1M_SLOTS: u64 = 60 / WINDOW_SLOT_SECS;
 
-/// A counter with a sliding 5-minute window behind the running total.
-///
-/// The window is a ring of [`WINDOW_SLOTS`] fixed-duration slots indexed
-/// by absolute slot number since the counter was created. Rotation is
-/// logical: writes zero any slots that elapsed since the last write, and
-/// reads simply ignore slots whose absolute index has fallen off the
-/// horizon — so `&self` reads never mutate and a cloned snapshot keeps
-/// answering correctly. `total` is monotonic (exposition-safe); the
-/// 1m/5m rates divide the live slot sums by the sub-window's wall span.
-///
-/// Merging aligns the other side's slots by age relative to each side's
-/// own clock: totals merge exactly, slot phase is approximate to ±1 slot
-/// — the same "exact in aggregate, approximate in placement" contract as
-/// [`Histogram::merge_from`] with mismatched bounds.
+/// The window quantiles a [`WindowStats`] carries, with their document keys.
+const WINDOW_QUANTILES: [(&str, f64); 3] = [("p50", 0.5), ("p90", 0.9), ("p99", 0.99)];
+
+/// A sliding window: a ring of [`WINDOW_SLOTS`] slots of
+/// [`WINDOW_SLOT_SECS`] each, indexed by absolute slot number since the
+/// window was created. A write first resets every slot that elapsed since
+/// the last write; a read skips slots that fell off the horizon, so reads
+/// never mutate. The since-creation total is not kept here: the recorder
+/// records it in the plain counter or histogram of the window's name.
 #[derive(Debug, Clone)]
-pub struct WindowedCounter {
+pub(crate) struct Window<T> {
     start: Instant,
-    slots: Vec<u64>,
     /// Absolute slot index the ring has been rotated up to.
     head: u64,
-    total: u64,
+    /// A fresh slot.
+    empty: T,
+    slots: Vec<T>,
 }
 
-impl Default for WindowedCounter {
-    fn default() -> Self {
-        WindowedCounter::new()
-    }
-}
-
-impl WindowedCounter {
-    /// An empty windowed counter; the window clock starts now.
-    pub fn new() -> WindowedCounter {
-        WindowedCounter {
+impl<T: Clone> Window<T> {
+    pub(crate) fn new(empty: T) -> Window<T> {
+        Window {
             start: Instant::now(),
-            slots: vec![0; WINDOW_SLOTS],
             head: 0,
-            total: 0,
+            slots: vec![empty.clone(); WINDOW_SLOTS],
+            empty,
         }
     }
 
@@ -438,265 +536,139 @@ impl WindowedCounter {
         self.start.elapsed().as_secs() / WINDOW_SLOT_SECS
     }
 
-    fn rotate_to(&mut self, now: u64) {
-        if now <= self.head {
-            return;
-        }
-        let step = (now - self.head).min(WINDOW_SLOTS as u64);
-        for k in 1..=step {
-            let idx = ((self.head + k) % WINDOW_SLOTS as u64) as usize;
-            if let Some(slot) = self.slots.get_mut(idx) {
-                *slot = 0;
-            }
-        }
-        self.head = now;
-    }
-
-    /// The count recorded in absolute slot `j`, zero if `j` has fallen off
-    /// the horizon (or lies in the future of the last rotation).
-    fn slot_value(&self, j: u64) -> u64 {
-        if j <= self.head && j + WINDOW_SLOTS as u64 > self.head {
-            self.slots
-                .get((j % WINDOW_SLOTS as u64) as usize)
-                .copied()
-                .unwrap_or(0)
-        } else {
-            0
-        }
-    }
-
-    fn sum_last(&self, k: u64, now: u64) -> u64 {
-        let first = now.saturating_sub(k.saturating_sub(1));
-        (first..=now).map(|j| self.slot_value(j)).sum()
-    }
-
-    /// Add `n` to the current slot and the running total.
-    pub fn add(&mut self, n: u64) {
+    /// The slot writes go to now, after resetting the elapsed ones.
+    pub(crate) fn current(&mut self) -> &mut T {
         let now = self.slot_now();
-        self.rotate_to(now);
-        if let Some(slot) = self.slots.get_mut((now % WINDOW_SLOTS as u64) as usize) {
-            *slot = slot.saturating_add(n);
+        for j in self.head + 1..=now.min(self.head + WINDOW_SLOTS as u64) {
+            self.slots[(j % WINDOW_SLOTS as u64) as usize] = self.empty.clone();
         }
-        self.total = self.total.saturating_add(n);
+        self.head = self.head.max(now);
+        &mut self.slots[(now % WINDOW_SLOTS as u64) as usize]
     }
 
-    /// Monotonic since-creation total.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Events per second over the trailing minute.
-    pub fn rate_1m(&self) -> f64 {
-        self.sum_last(RATE_1M_SLOTS, self.slot_now()) as f64
-            / (RATE_1M_SLOTS * WINDOW_SLOT_SECS) as f64
-    }
-
-    /// Events per second over the full window (5 minutes).
-    pub fn rate_5m(&self) -> f64 {
-        self.sum_last(WINDOW_SLOTS as u64, self.slot_now()) as f64
-            / (WINDOW_SLOTS as u64 * WINDOW_SLOT_SECS) as f64
-    }
-
-    /// Merge another windowed counter: totals add exactly; the other
-    /// side's live slots land at the same *age* on this side's clock.
-    pub fn merge_from(&mut self, other: &WindowedCounter) {
+    /// The live slots among the trailing `k` (the current one included).
+    fn trailing(&self, k: u64) -> impl Iterator<Item = &T> + '_ {
         let now = self.slot_now();
-        self.rotate_to(now);
-        let other_now = other.slot_now();
-        for age in 0..WINDOW_SLOTS as u64 {
-            let Some(j) = other_now.checked_sub(age) else {
-                break;
-            };
-            let value = other.slot_value(j);
-            if value == 0 {
-                continue;
-            }
-            let Some(target) = now.checked_sub(age) else {
-                continue;
-            };
-            if let Some(slot) = self.slots.get_mut((target % WINDOW_SLOTS as u64) as usize) {
-                *slot = slot.saturating_add(value);
-            }
-        }
-        self.total = self.total.saturating_add(other.total);
-    }
-
-    /// JSON representation (rates computed at render time).
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("kind", Json::str("counter"))
-            .with("total", Json::int(self.total.min(i64::MAX as u64) as i64))
-            .with("rate1m", Json::float(self.rate_1m()))
-            .with("rate5m", Json::float(self.rate_5m()))
+        let first = now.saturating_sub(k.clamp(1, WINDOW_SLOTS as u64) - 1);
+        (first..=now)
+            .filter(|&j| j <= self.head && j + WINDOW_SLOTS as u64 > self.head)
+            .map(|j| &self.slots[(j % WINDOW_SLOTS as u64) as usize])
     }
 }
 
-/// A histogram with a sliding 5-minute window behind the cumulative one.
-///
-/// Same ring discipline as [`WindowedCounter`], with a [`Histogram`] per
-/// slot; the `cumulative` histogram keeps the monotonic since-creation
-/// distribution the exposition endpoint serves, while window reads merge
-/// the live slots into a throwaway histogram to answer 1m/5m quantiles.
+/// A live sliding-window series: an event count or a value distribution.
+/// Only the global recorder holds these; [`Windowed::freeze`] turns one
+/// into the [`WindowStats`] a snapshot carries.
 #[derive(Debug, Clone)]
-pub struct WindowedHistogram {
-    start: Instant,
-    slots: Vec<Histogram>,
-    head: u64,
-    cumulative: Histogram,
-}
-
-impl WindowedHistogram {
-    /// An empty windowed histogram over `bounds`.
-    pub fn new(bounds: &[u64]) -> WindowedHistogram {
-        WindowedHistogram {
-            start: Instant::now(),
-            slots: (0..WINDOW_SLOTS).map(|_| Histogram::new(bounds)).collect(),
-            head: 0,
-            cumulative: Histogram::new(bounds),
-        }
-    }
-
-    fn slot_now(&self) -> u64 {
-        self.start.elapsed().as_secs() / WINDOW_SLOT_SECS
-    }
-
-    fn rotate_to(&mut self, now: u64) {
-        if now <= self.head {
-            return;
-        }
-        let step = (now - self.head).min(WINDOW_SLOTS as u64);
-        let bounds = self.cumulative.bounds.clone();
-        for k in 1..=step {
-            let idx = ((self.head + k) % WINDOW_SLOTS as u64) as usize;
-            if let Some(slot) = self.slots.get_mut(idx) {
-                *slot = Histogram::new(&bounds);
-            }
-        }
-        self.head = now;
-    }
-
-    fn slot_live(&self, j: u64) -> Option<&Histogram> {
-        if j <= self.head && j + WINDOW_SLOTS as u64 > self.head {
-            self.slots.get((j % WINDOW_SLOTS as u64) as usize)
-        } else {
-            None
-        }
-    }
-
-    /// Record one observation into the current slot and the cumulative
-    /// distribution.
-    pub fn record(&mut self, value: u64) {
-        let now = self.slot_now();
-        self.rotate_to(now);
-        if let Some(slot) = self.slots.get_mut((now % WINDOW_SLOTS as u64) as usize) {
-            slot.record(value);
-        }
-        self.cumulative.record(value);
-    }
-
-    /// The monotonic since-creation distribution.
-    pub fn cumulative(&self) -> &Histogram {
-        &self.cumulative
-    }
-
-    /// The merged distribution of the trailing `k` slots (capped at the
-    /// window size).
-    fn window_hist(&self, k: u64) -> Histogram {
-        let now = self.slot_now();
-        let mut merged = Histogram::new(&self.cumulative.bounds);
-        let first = now.saturating_sub(k.min(WINDOW_SLOTS as u64).saturating_sub(1));
-        for j in first..=now {
-            if let Some(slot) = self.slot_live(j) {
-                merged.merge_from(slot);
-            }
-        }
-        merged
-    }
-
-    /// Observations per second over the trailing minute.
-    pub fn rate_1m(&self) -> f64 {
-        self.window_hist(RATE_1M_SLOTS).count() as f64 / (RATE_1M_SLOTS * WINDOW_SLOT_SECS) as f64
-    }
-
-    /// Observations per second over the full window.
-    pub fn rate_5m(&self) -> f64 {
-        self.window_hist(WINDOW_SLOTS as u64).count() as f64
-            / (WINDOW_SLOTS as u64 * WINDOW_SLOT_SECS) as f64
-    }
-
-    /// The `q`-quantile over the full 5-minute window (`None` when the
-    /// window is empty).
-    pub fn window_quantile(&self, q: f64) -> Option<f64> {
-        self.window_hist(WINDOW_SLOTS as u64).quantile(q)
-    }
-
-    /// Merge another windowed histogram (age-aligned slots, exact
-    /// cumulative merge — see [`WindowedCounter::merge_from`]).
-    pub fn merge_from(&mut self, other: &WindowedHistogram) {
-        let now = self.slot_now();
-        self.rotate_to(now);
-        let other_now = other.slot_now();
-        for age in 0..WINDOW_SLOTS as u64 {
-            let Some(j) = other_now.checked_sub(age) else {
-                break;
-            };
-            let Some(source) = other.slot_live(j) else {
-                continue;
-            };
-            if source.count() == 0 {
-                continue;
-            }
-            let Some(target) = now.checked_sub(age) else {
-                continue;
-            };
-            if let Some(slot) = self.slots.get_mut((target % WINDOW_SLOTS as u64) as usize) {
-                slot.merge_from(source);
-            }
-        }
-        self.cumulative.merge_from(&other.cumulative);
-    }
-
-    /// JSON representation (window stats computed at render time).
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("kind", Json::str("histogram"))
-            .with(
-                "count",
-                Json::int(self.cumulative.count().min(i64::MAX as u64) as i64),
-            )
-            .with("rate1m", Json::float(self.rate_1m()))
-            .with("rate5m", Json::float(self.rate_5m()))
-            .with(
-                "p50",
-                self.window_quantile(0.5).map_or(Json::Null, Json::float),
-            )
-            .with(
-                "p90",
-                self.window_quantile(0.9).map_or(Json::Null, Json::float),
-            )
-            .with(
-                "p99",
-                self.window_quantile(0.99).map_or(Json::Null, Json::float),
-            )
-    }
-}
-
-/// A named sliding-window series: event rate or value distribution.
-#[derive(Debug, Clone)]
-pub enum Windowed {
-    /// An event-rate series ([`WindowedCounter`]).
-    Counter(WindowedCounter),
-    /// A value-distribution series ([`WindowedHistogram`]).
-    Histogram(WindowedHistogram),
+pub(crate) enum Windowed {
+    /// Events per slot.
+    Counter(Window<u64>),
+    /// A histogram per slot.
+    Histogram(Window<Histogram>),
 }
 
 impl Windowed {
-    /// JSON representation, tagged by `kind`.
-    pub fn to_json(&self) -> Json {
+    /// The window's stats as of now. `plain` holds the since-creation
+    /// total: the counter or histogram recorded under the same `name`.
+    pub(crate) fn freeze(&self, plain: &Metrics, name: &str) -> WindowStats {
+        let per_sec = |n: u64, slots: u64| n as f64 / (slots * WINDOW_SLOT_SECS) as f64;
+        let horizon = WINDOW_SLOTS as u64;
         match self {
-            Windowed::Counter(w) => w.to_json(),
-            Windowed::Histogram(w) => w.to_json(),
+            Windowed::Counter(w) => WindowStats {
+                kind: WindowKind::Counter,
+                total: plain.counter(name),
+                rate_1m: per_sec(w.trailing(RATE_1M_SLOTS).sum(), RATE_1M_SLOTS),
+                rate_5m: per_sec(w.trailing(horizon).sum(), horizon),
+                quantiles: [None; 3],
+            },
+            Windowed::Histogram(w) => {
+                let merged = |k: u64| {
+                    w.trailing(k).fold(w.empty.clone(), |mut h, slot| {
+                        h.merge_from(slot);
+                        h
+                    })
+                };
+                let last_5m = merged(horizon);
+                WindowStats {
+                    kind: WindowKind::Histogram,
+                    total: plain.histogram(name).map_or(0, Histogram::count),
+                    rate_1m: per_sec(merged(RATE_1M_SLOTS).count(), RATE_1M_SLOTS),
+                    rate_5m: per_sec(last_5m.count(), horizon),
+                    quantiles: WINDOW_QUANTILES.map(|(_, q)| last_5m.quantile(q)),
+                }
+            }
         }
+    }
+}
+
+/// What a sliding window counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WindowKind {
+    /// Events (`window_add`).
+    Counter,
+    /// Observed values (`window_observe`).
+    Histogram,
+}
+
+/// A sliding window frozen when its snapshot was taken: the figures a
+/// reader needs, fixed, so the same snapshot always renders the same
+/// rates.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WindowStats {
+    /// Counter or histogram window.
+    pub kind: WindowKind,
+    /// Since-creation total: events, or observations.
+    pub total: u64,
+    /// Per second over the trailing minute.
+    pub rate_1m: f64,
+    /// Per second over the trailing five minutes.
+    pub rate_5m: f64,
+    /// `[p50, p90, p99]` over the five minutes (`None` for counter windows
+    /// and empty histogram windows).
+    pub quantiles: [Option<f64>; 3],
+}
+
+impl WindowStats {
+    /// JSON representation, tagged by `kind`. A counter window names its
+    /// total `total`; a histogram window names it `count` and adds the
+    /// quantiles.
+    pub fn to_json(&self) -> Json {
+        let (kind, total_key) = match self.kind {
+            WindowKind::Counter => ("counter", "total"),
+            WindowKind::Histogram => ("histogram", "count"),
+        };
+        let mut json = Json::obj()
+            .with("kind", Json::str(kind))
+            .with(total_key, uint(self.total))
+            .with("rate1m", Json::float(self.rate_1m))
+            .with("rate5m", Json::float(self.rate_5m));
+        if self.kind == WindowKind::Histogram {
+            for ((key, _), q) in WINDOW_QUANTILES.iter().zip(self.quantiles) {
+                json.set(*key, q.map_or(Json::Null, Json::float));
+            }
+        }
+        json
+    }
+
+    /// Read [`WindowStats::to_json`]'s output back.
+    pub fn from_json(json: &Json) -> Result<WindowStats, SnapshotError> {
+        let (kind, total_key) = match json.get("kind").and_then(Json::as_str) {
+            Some("counter") => (WindowKind::Counter, "total"),
+            Some("histogram") => (WindowKind::Histogram, "count"),
+            other => return Err(SnapshotError::Shape(format!("has unknown kind {other:?}"))),
+        };
+        let rate = |key: &str| required(opt_f64(json, key)?, key);
+        let mut quantiles = [None; 3];
+        for (slot, (key, _)) in quantiles.iter_mut().zip(WINDOW_QUANTILES) {
+            *slot = opt_f64(json, key)?;
+        }
+        Ok(WindowStats {
+            kind,
+            total: required(opt_u64(json, total_key)?, total_key)?,
+            rate_1m: rate("rate1m")?,
+            rate_5m: rate("rate5m")?,
+            quantiles,
+        })
     }
 }
 
@@ -743,29 +715,34 @@ impl ResStats {
     /// JSON representation (the snapshot's `resources` entry).
     pub fn to_json(&self) -> Json {
         Json::obj()
-            .with("count", Json::int(self.count.min(i64::MAX as u64) as i64))
-            .with(
-                "peakRssB",
-                Json::int(self.peak_rss_bytes.min(i64::MAX as u64) as i64),
-            )
+            .with("count", uint(self.count))
+            .with("peakRssB", uint(self.peak_rss_bytes))
             .with("rssDeltaB", Json::int(self.rss_delta_bytes))
-            .with("cpuUs", Json::int(self.cpu_us.min(i64::MAX as u64) as i64))
-            .with(
-                "bytesIn",
-                Json::int(self.bytes_in.min(i64::MAX as u64) as i64),
-            )
+            .with("cpuUs", uint(self.cpu_us))
+            .with("bytesIn", uint(self.bytes_in))
+    }
+
+    /// Read [`ResStats::to_json`]'s output back. Every field defaults to
+    /// zero, so hand-trimmed baselines keep reading.
+    pub fn from_json(json: &Json) -> Result<ResStats, SnapshotError> {
+        let field = |key: &str| opt_u64(json, key).map(|v| v.unwrap_or(0));
+        Ok(ResStats {
+            count: field("count")?,
+            peak_rss_bytes: field("peakRssB")?,
+            rss_delta_bytes: opt_i64(json, "rssDeltaB")?.unwrap_or(0),
+            cpu_us: field("cpuUs")?,
+            bytes_in: field("bytesIn")?,
+        })
     }
 }
 
-/// The live metric registry: named counters, histograms, span stats,
-/// gauges, sliding-window series, and resource attributions.
-#[derive(Debug, Clone, Default)]
+/// The mergeable metric registry: named counters, histograms, span stats,
+/// and resource attributions.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
     spans: BTreeMap<String, SpanStats>,
-    gauges: BTreeMap<String, Gauge>,
-    windows: BTreeMap<String, Windowed>,
     resources: BTreeMap<String, ResStats>,
 }
 
@@ -811,55 +788,12 @@ impl Metrics {
         self.resources.insert(name.to_string(), stats);
     }
 
-    /// Set gauge `name` to `value` (created on first use).
-    pub fn gauge_set(&mut self, name: &str, value: i64) {
-        self.gauges.entry(name.to_string()).or_default().set(value);
-    }
-
-    /// Move gauge `name` by `delta`.
-    pub fn gauge_add(&mut self, name: &str, delta: i64) {
-        self.gauges.entry(name.to_string()).or_default().add(delta);
-    }
-
-    /// Move gauge `name` down by `delta`.
-    pub fn gauge_sub(&mut self, name: &str, delta: i64) {
-        self.gauges.entry(name.to_string()).or_default().sub(delta);
-    }
-
-    /// Add `n` to the sliding-window counter `name` (created on first
-    /// use). A no-op when `name` already exists as a window *histogram* —
-    /// a name may carry one window kind only.
-    pub fn window_add(&mut self, name: &str, n: u64) {
-        match self
-            .windows
-            .entry(name.to_string())
-            .or_insert_with(|| Windowed::Counter(WindowedCounter::new()))
-        {
-            Windowed::Counter(w) => w.add(n),
-            Windowed::Histogram(_) => {}
-        }
-    }
-
-    /// Record `value` into the sliding-window histogram `name`, creating
-    /// it over `bounds` on first use. A no-op when `name` already exists
-    /// as a window *counter*.
-    pub fn window_observe(&mut self, name: &str, bounds: &[u64], value: u64) {
-        match self
-            .windows
-            .entry(name.to_string())
-            .or_insert_with(|| Windowed::Histogram(WindowedHistogram::new(bounds)))
-        {
-            Windowed::Histogram(w) => w.record(value),
-            Windowed::Counter(_) => {}
-        }
-    }
-
     /// Merge another registry into this one: counters add, histograms
-    /// merge bucket-wise ([`Histogram::merge_from`]), span stats fold
-    /// ([`SpanStats::merge_from`]). This is the join step of the
-    /// per-thread recorder design — each worker accumulates into a private
-    /// [`Metrics`] and the batches merge associatively here, so the final
-    /// snapshot is independent of thread count and join order.
+    /// merge bucket-wise ([`Histogram::merge_from`]), span and resource
+    /// stats fold. This is the join step of the per-thread recorder design
+    /// — each worker accumulates into a private [`Metrics`] and the
+    /// batches merge associatively here, so the final snapshot is
+    /// independent of thread count and join order.
     pub fn merge_from(&mut self, other: Metrics) {
         for (name, value) in other.counters {
             *self.counters.entry(name).or_insert(0) += value;
@@ -877,27 +811,8 @@ impl Metrics {
         for (name, stats) in other.spans {
             self.spans.entry(name).or_default().merge_from(&stats);
         }
-        for (name, gauge) in other.gauges {
-            self.gauges.entry(name).or_default().merge_from(&gauge);
-        }
         for (name, stats) in other.resources {
             self.resources.entry(name).or_default().merge_from(&stats);
-        }
-        for (name, window) in other.windows {
-            match self.windows.entry(name) {
-                std::collections::btree_map::Entry::Occupied(mut entry) => {
-                    // Kinds must match to merge; a mismatched name keeps
-                    // the existing series (disciplined names never collide).
-                    match (entry.get_mut(), &window) {
-                        (Windowed::Counter(a), Windowed::Counter(b)) => a.merge_from(b),
-                        (Windowed::Histogram(a), Windowed::Histogram(b)) => a.merge_from(b),
-                        _ => {}
-                    }
-                }
-                std::collections::btree_map::Entry::Vacant(entry) => {
-                    entry.insert(window);
-                }
-            }
         }
     }
 
@@ -911,34 +826,24 @@ impl Metrics {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
+    /// Histogram `name`, if any value was recorded.
+    pub(crate) fn histogram(&self, name: &str) -> Option<&Histogram> {
+        self.histograms.get(name)
+    }
+
     /// Named histograms in sorted order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> + '_ {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 
+    /// Span stats for `name`, if such a span completed.
+    pub(crate) fn span(&self, name: &str) -> Option<&SpanStats> {
+        self.spans.get(name)
+    }
+
     /// Named span stats in sorted order.
     pub fn spans(&self) -> impl Iterator<Item = (&str, &SpanStats)> + '_ {
         self.spans.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Gauge `name`, if it has been touched.
-    pub fn gauge(&self, name: &str) -> Option<&Gauge> {
-        self.gauges.get(name)
-    }
-
-    /// Named gauges in sorted order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, &Gauge)> + '_ {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Sliding-window series `name`, if present.
-    pub fn window(&self, name: &str) -> Option<&Windowed> {
-        self.windows.get(name)
-    }
-
-    /// Named sliding-window series in sorted order.
-    pub fn windows(&self) -> impl Iterator<Item = (&str, &Windowed)> + '_ {
-        self.windows.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Resource stats for span `name`, if any were recorded.
@@ -952,68 +857,122 @@ impl Metrics {
     }
 }
 
-/// An owned copy of the registry at one instant, plus run uptime.
-#[derive(Debug, Clone)]
+/// An owned copy of a recorder at one instant: the mergeable registry, the
+/// live gauges and windows as they stood, and the run uptime. It is also
+/// what [`parse_snapshot`] reads a `diffaudit-obs/v1` document back into.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// The copied registry.
     pub metrics: Metrics,
+    /// Gauges by name (only the global recorder has any).
+    pub gauges: BTreeMap<String, Gauge>,
+    /// Sliding windows by name, frozen (only the global recorder has any).
+    pub windows: BTreeMap<String, WindowStats>,
     /// Microseconds since the recorder started.
     pub uptime_us: u64,
 }
 
+/// One object-valued section of a document: `name → render(item)`.
+fn section<K: Into<String>, T>(
+    items: impl Iterator<Item = (K, T)>,
+    render: impl Fn(T) -> Json,
+) -> Json {
+    let mut obj = Json::obj();
+    for (name, item) in items {
+        obj.set(name, render(item));
+    }
+    obj
+}
+
+/// Read section `key` of `doc` with `read`; an absent section is empty.
+/// Errors name the entry: `"{what} {name}: …"`.
+fn read_section<T>(
+    doc: &Json,
+    key: &str,
+    what: &str,
+    read: impl Fn(&Json) -> Result<T, SnapshotError>,
+) -> Result<BTreeMap<String, T>, SnapshotError> {
+    let mut out = BTreeMap::new();
+    for (name, value) in doc.get(key).and_then(Json::as_obj).unwrap_or_default() {
+        let item = read(value).map_err(|e| match e {
+            SnapshotError::Shape(m) => SnapshotError::Shape(format!("{what} {name}: {m}")),
+            other => other,
+        })?;
+        out.insert(name.clone(), item);
+    }
+    Ok(out)
+}
+
 impl MetricsSnapshot {
-    /// The `--metrics-out` document.
+    /// A snapshot of a registry alone (no gauges or windows).
+    pub(crate) fn new(metrics: Metrics, uptime_us: u64) -> MetricsSnapshot {
+        MetricsSnapshot {
+            metrics,
+            uptime_us,
+            ..MetricsSnapshot::default()
+        }
+    }
+
+    /// The `diffaudit-obs/v1` document (`--metrics-out`,
+    /// `GET /api/v1/metrics`, the committed `BENCH_*.json` baselines).
     pub fn to_json(&self) -> Json {
-        let mut counters = Json::obj();
-        for (name, value) in self.metrics.counters() {
-            counters.set(name, Json::int(value.min(i64::MAX as u64) as i64));
-        }
-        let mut histograms = Json::obj();
-        for (name, h) in self.metrics.histograms() {
-            histograms.set(name, h.to_json());
-        }
-        let mut spans = Json::obj();
-        for (name, s) in self.metrics.spans() {
-            spans.set(name, s.to_json());
-        }
         let mut doc = Json::obj()
-            .with("schema", Json::str("diffaudit-obs/v1"))
+            .with("schema", Json::str(SNAPSHOT_SCHEMA))
+            .with("uptimeUs", uint(self.uptime_us))
+            .with("counters", section(self.metrics.counters(), uint))
             .with(
-                "uptimeUs",
-                Json::int(self.uptime_us.min(i64::MAX as u64) as i64),
+                "histograms",
+                section(self.metrics.histograms(), Histogram::to_json),
             )
-            .with("counters", counters)
-            .with("histograms", histograms)
-            .with("spans", spans);
-        // The batch pipeline records no gauges or windows; emitting these
-        // keys only when populated keeps `--metrics-out` documents
-        // byte-identical to the pre-telemetry tool's.
-        if self.metrics.gauges().next().is_some() {
-            let mut gauges = Json::obj();
-            for (name, g) in self.metrics.gauges() {
-                gauges.set(name, g.to_json());
-            }
-            doc.set("gauges", gauges);
+            .with("spans", section(self.metrics.spans(), SpanStats::to_json));
+        // The batch pipeline records no windows, and gauges and resources
+        // only under profiling; emitting these keys only when populated
+        // keeps an unprofiled `--metrics-out` document byte-identical to
+        // the pre-telemetry tool's.
+        if !self.gauges.is_empty() {
+            doc.set("gauges", section(self.gauges.iter(), Gauge::to_json));
         }
-        if self.metrics.windows().next().is_some() {
-            let mut windows = Json::obj();
-            for (name, w) in self.metrics.windows() {
-                windows.set(name, w.to_json());
-            }
-            doc.set("windows", windows);
+        if !self.windows.is_empty() {
+            doc.set(
+                "windows",
+                section(self.windows.iter(), WindowStats::to_json),
+            );
         }
-        // Same contract as gauges/windows: `resources` appears only when
-        // profiling actually recorded something, so an unprofiled run's
-        // document stays byte-identical.
         if self.metrics.resources().next().is_some() {
-            let mut resources = Json::obj();
-            for (name, r) in self.metrics.resources() {
-                resources.set(name, r.to_json());
-            }
-            doc.set("resources", resources);
+            doc.set(
+                "resources",
+                section(self.metrics.resources(), ResStats::to_json),
+            );
         }
         doc
     }
+
+    /// Read [`MetricsSnapshot::to_json`]'s output back. The `schema` and
+    /// `uptimeUs` fields are required; an absent section is empty.
+    pub fn from_json(doc: &Json) -> Result<MetricsSnapshot, SnapshotError> {
+        let schema = doc.get("schema").and_then(Json::as_str);
+        if schema != Some(SNAPSHOT_SCHEMA) {
+            return Err(SnapshotError::Schema(schema.map(str::to_string)));
+        }
+        let uptime_us = required(opt_u64(doc, "uptimeUs")?, "uptimeUs")?;
+        Ok(MetricsSnapshot {
+            metrics: Metrics {
+                counters: read_section(doc, "counters", "counter", as_u64)?,
+                histograms: read_section(doc, "histograms", "histogram", Histogram::from_json)?,
+                spans: read_section(doc, "spans", "span", SpanStats::from_json)?,
+                resources: read_section(doc, "resources", "resource", ResStats::from_json)?,
+            },
+            gauges: read_section(doc, "gauges", "gauge", Gauge::from_json)?,
+            windows: read_section(doc, "windows", "window", WindowStats::from_json)?,
+            uptime_us,
+        })
+    }
+}
+
+/// Parse a `diffaudit-obs/v1` document from JSON text.
+pub fn parse_snapshot(text: &str) -> Result<MetricsSnapshot, SnapshotError> {
+    let doc = diffaudit_json::parse(text).map_err(|e| SnapshotError::Json(e.to_string()))?;
+    MetricsSnapshot::from_json(&doc)
 }
 
 #[cfg(test)]
@@ -1211,12 +1170,9 @@ mod tests {
         assert_eq!(forward.counter("units"), 6);
         assert_eq!(backward.counter("units"), 6);
         let snap = |m: &Metrics| {
-            MetricsSnapshot {
-                metrics: m.clone(),
-                uptime_us: 0,
-            }
-            .to_json()
-            .to_pretty_string()
+            MetricsSnapshot::new(m.clone(), 0)
+                .to_json()
+                .to_pretty_string()
         };
         assert_eq!(snap(&forward), snap(&backward));
     }
@@ -1241,160 +1197,97 @@ mod tests {
     }
 
     #[test]
-    fn gauge_merge_is_associative_and_commutative() {
-        let mut a = Gauge::new();
-        a.add(4);
-        a.sub(1); // net +3, watermarks [0, 4]
-        let mut b = Gauge::new();
-        b.add(2); // net +2, watermarks [0, 2]
-        let mut c = Gauge::new();
-        c.sub(5); // net -5, watermarks [-5, 0]
-
-        let fold = |order: &[&Gauge]| {
-            let mut m = Gauge::new();
-            for g in order {
-                m.merge_from(g);
-            }
-            m
-        };
-        let abc = fold(&[&a, &b, &c]);
-        let cba = fold(&[&c, &b, &a]);
-        assert_eq!(abc, cba);
-        assert_eq!(abc.value(), 0);
-        assert_eq!(abc.min(), Some(-5));
-        assert_eq!(abc.max(), Some(4));
-        assert_eq!(abc.samples(), 4);
-        // ((a ⊔ b) ⊔ c) == (a ⊔ (b ⊔ c)), and empty is the identity.
-        let mut left = a;
-        left.merge_from(&b);
-        left.merge_from(&c);
-        let mut bc = b;
-        bc.merge_from(&c);
-        let mut right = a;
-        right.merge_from(&bc);
-        right.merge_from(&Gauge::new());
-        assert_eq!(left, right);
-    }
-
-    #[test]
     fn windowed_counter_rates_and_total() {
-        let mut w = WindowedCounter::new();
-        assert_eq!(w.total(), 0);
-        assert_eq!(w.rate_1m(), 0.0);
-        w.add(30);
-        w.add(30);
+        let rec = crate::Recorder::new();
+        rec.window_add("reqs", 30);
+        rec.window_add("reqs", 30);
+        let snap = rec.snapshot();
+        let w = snap.windows["reqs"];
         // All 60 events are within the last minute of wall time.
-        assert_eq!(w.total(), 60);
-        assert!((w.rate_1m() - 1.0).abs() < 1e-9, "{}", w.rate_1m());
-        assert!((w.rate_5m() - 0.2).abs() < 1e-9, "{}", w.rate_5m());
-    }
-
-    #[test]
-    fn windowed_counter_merge_preserves_totals_and_rates() {
-        let mut a = WindowedCounter::new();
-        a.add(10);
-        let mut b = WindowedCounter::new();
-        b.add(20);
-        a.merge_from(&b);
-        assert_eq!(a.total(), 30);
-        assert!((a.rate_5m() - 0.1).abs() < 1e-9, "{}", a.rate_5m());
-        // Identity: merging an empty counter changes nothing.
-        let before = a.total();
-        a.merge_from(&WindowedCounter::new());
-        assert_eq!(a.total(), before);
+        assert_eq!(w.kind, WindowKind::Counter);
+        assert_eq!(w.total, 60);
+        assert!((w.rate_1m - 1.0).abs() < 1e-9, "{}", w.rate_1m);
+        assert!((w.rate_5m - 0.2).abs() < 1e-9, "{}", w.rate_5m);
+        assert_eq!(w.quantiles, [None; 3]);
+        // The plain counter of the same name holds the total.
+        assert_eq!(snap.metrics.counter("reqs"), 60);
+        let idle = Windowed::Counter(Window::new(0)).freeze(&Metrics::new(), "idle");
+        assert_eq!((idle.total, idle.rate_1m, idle.rate_5m), (0, 0.0, 0.0));
     }
 
     #[test]
     fn windowed_histogram_window_quantiles_and_cumulative() {
-        let mut w = WindowedHistogram::new(&LATENCY_US_BOUNDS);
-        assert_eq!(w.window_quantile(0.5), None);
+        let empty = Windowed::Histogram(Window::new(Histogram::new(&LATENCY_US_BOUNDS)));
+        assert_eq!(empty.freeze(&Metrics::new(), "lat").quantiles, [None; 3]);
+        let rec = crate::Recorder::new();
         for v in [100u64, 200, 300, 400] {
-            w.record(v);
+            rec.window_observe("lat", &LATENCY_US_BOUNDS, v);
         }
-        assert_eq!(w.cumulative().count(), 4);
-        let p50 = w.window_quantile(0.5).expect("live window");
+        let snap = rec.snapshot();
+        // The plain histogram of the same name is the cumulative part.
+        let cumulative = snap.metrics.histogram("lat").expect("plain histogram");
+        assert_eq!(cumulative.count(), 4);
+        let w = snap.windows["lat"];
+        assert_eq!((w.kind, w.total), (WindowKind::Histogram, 4));
+        let [p50, _, p99] = w.quantiles.map(|q| q.expect("live window"));
         assert!((100.0..=400.0).contains(&p50), "{p50}");
-        assert_eq!(w.window_quantile(1.0), Some(400.0));
+        assert!((300.0..=400.0).contains(&p99), "{p99}");
         // Within the first slot the 1m rate counts everything just seen.
-        assert!((w.rate_1m() - 4.0 / 60.0).abs() < 1e-9, "{}", w.rate_1m());
-    }
-
-    #[test]
-    fn windowed_histogram_merge_matches_serial_cumulative() {
-        let mut serial = WindowedHistogram::new(&LATENCY_US_BOUNDS);
-        let mut a = WindowedHistogram::new(&LATENCY_US_BOUNDS);
-        let mut b = WindowedHistogram::new(&LATENCY_US_BOUNDS);
-        for v in [5u64, 50, 500] {
-            serial.record(v);
-            a.record(v);
-        }
-        for v in [7u64, 70_000] {
-            serial.record(v);
-            b.record(v);
-        }
-        a.merge_from(&b);
-        assert_eq!(a.cumulative(), serial.cumulative());
-        assert_eq!(a.window_quantile(1.0), serial.window_quantile(1.0));
+        assert!((w.rate_1m - 4.0 / 60.0).abs() < 1e-9, "{}", w.rate_1m);
     }
 
     #[test]
     fn metrics_gauge_and_window_registry_round_trip() {
-        let mut m = Metrics::new();
-        m.gauge_add("queue.depth", 2);
-        m.gauge_sub("queue.depth", 1);
-        m.gauge_set("workers.busy", 3);
-        m.window_add("http.requests", 7);
-        m.window_observe("http.latency.us", &LATENCY_US_BOUNDS, 1_234);
-        assert_eq!(m.gauge("queue.depth").map(Gauge::value), Some(1));
-        assert_eq!(m.gauge("workers.busy").map(Gauge::value), Some(3));
-        assert_eq!(m.gauge("missing"), None);
-        match m.window("http.requests") {
-            Some(Windowed::Counter(w)) => assert_eq!(w.total(), 7),
-            other => panic!("expected window counter, got {other:?}"),
-        }
-        // Kind mismatch is a no-op, never a reinterpretation.
-        m.window_observe("http.requests", &LATENCY_US_BOUNDS, 9);
-        m.window_add("http.latency.us", 9);
-        match m.window("http.requests") {
-            Some(Windowed::Counter(w)) => assert_eq!(w.total(), 7),
-            other => panic!("expected window counter, got {other:?}"),
-        }
-
-        // Merge folds both registries.
-        let mut other = Metrics::new();
-        other.gauge_add("queue.depth", 4);
-        other.window_add("http.requests", 3);
-        m.merge_from(other);
-        assert_eq!(m.gauge("queue.depth").map(Gauge::value), Some(5));
-        match m.window("http.requests") {
-            Some(Windowed::Counter(w)) => assert_eq!(w.total(), 10),
-            other => panic!("expected window counter, got {other:?}"),
-        }
+        let rec = crate::Recorder::new();
+        rec.gauge_add("queue.depth", 2);
+        rec.gauge_sub("queue.depth", 1);
+        rec.gauge_set("workers.busy", 3);
+        rec.window_add("http.requests", 7);
+        rec.window_observe("http.latency.us", &LATENCY_US_BOUNDS, 1_234);
+        // Kind mismatch is a no-op, never a reinterpretation, and records
+        // no plain series either.
+        rec.window_observe("http.requests", &LATENCY_US_BOUNDS, 9);
+        rec.window_add("http.latency.us", 9);
+        let snap = rec.snapshot();
+        assert_eq!(snap.gauges.get("queue.depth").map(Gauge::value), Some(1));
+        assert_eq!(snap.gauges.get("workers.busy").map(Gauge::value), Some(3));
+        assert_eq!(snap.gauges.get("missing"), None);
+        assert_eq!(snap.windows["http.requests"].total, 7);
+        assert_eq!(snap.windows["http.latency.us"].total, 1);
+        assert_eq!(snap.metrics.counter("http.latency.us"), 0);
+        assert!(snap.metrics.histogram("http.requests").is_none());
+        // The frozen snapshot reads back from its document unchanged.
+        assert_eq!(parse_snapshot(&snap.to_json().to_pretty_string()), Ok(snap));
     }
 
     #[test]
     fn snapshot_omits_gauge_and_window_keys_when_empty() {
         let mut m = Metrics::new();
         m.add("pipeline.units", 1);
-        let json = MetricsSnapshot {
-            metrics: m,
-            uptime_us: 1,
-        }
-        .to_json();
+        let json = MetricsSnapshot::new(m, 1).to_json();
         // Batch documents must stay byte-identical: no new keys unless
         // the new registries are populated.
         assert!(json.pointer("/gauges").is_none());
         assert!(json.pointer("/windows").is_none());
         assert!(json.pointer("/resources").is_none());
 
-        let mut m = Metrics::new();
-        m.gauge_set("depth", 2);
-        m.window_add("reqs", 1);
-        let json = MetricsSnapshot {
-            metrics: m,
-            uptime_us: 1,
-        }
-        .to_json();
+        let mut depth = Gauge::new();
+        depth.set(2);
+        let snap = MetricsSnapshot {
+            gauges: BTreeMap::from([("depth".to_string(), depth)]),
+            windows: BTreeMap::from([(
+                "reqs".to_string(),
+                WindowStats {
+                    kind: WindowKind::Counter,
+                    total: 1,
+                    rate_1m: 1.0 / 60.0,
+                    rate_5m: 1.0 / 300.0,
+                    quantiles: [None; 3],
+                },
+            )]),
+            ..MetricsSnapshot::default()
+        };
+        let json = snap.to_json();
         assert_eq!(
             json.pointer("/gauges/depth/value").and_then(Json::as_i64),
             Some(2)
@@ -1437,11 +1330,7 @@ mod tests {
         assert_eq!(stats.cpu_us, 800);
         assert_eq!(stats.bytes_in, 3_000);
 
-        let json = MetricsSnapshot {
-            metrics: m,
-            uptime_us: 1,
-        }
-        .to_json();
+        let json = MetricsSnapshot::new(m, 1).to_json();
         let doc = json.pointer("/resources/pipeline.extract").unwrap();
         assert_eq!(doc.pointer("/count").and_then(Json::as_i64), Some(2));
         assert_eq!(
@@ -1494,11 +1383,7 @@ mod tests {
         assert_eq!(m.counter("pipeline.units"), 15);
         assert_eq!(m.counter("missing"), 0);
 
-        let snap = MetricsSnapshot {
-            metrics: m,
-            uptime_us: 42,
-        };
-        let json = snap.to_json();
+        let json = MetricsSnapshot::new(m, 42).to_json();
         assert_eq!(
             json.pointer("/schema").and_then(Json::as_str),
             Some("diffaudit-obs/v1")
@@ -1522,5 +1407,109 @@ mod tests {
         let text = json.to_pretty_string();
         let back = diffaudit_json::parse(&text).expect("metrics JSON parses");
         assert_eq!(back.pointer("/uptimeUs").and_then(Json::as_i64), Some(42));
+    }
+
+    #[test]
+    fn committed_baselines_read_back_byte_for_byte() {
+        // The writer and the reader are one schema: every committed
+        // baseline parses into a snapshot whose document is the file.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for file in [
+            "BENCH_pipeline.json",
+            "BENCH_cache.json",
+            "BENCH_serve.json",
+        ] {
+            let text = std::fs::read_to_string(root.join(file)).expect("baseline readable");
+            let snap = parse_snapshot(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+            assert_eq!(
+                snap.to_json().to_pretty_string(),
+                text.trim_end_matches('\n'),
+                "{file}"
+            );
+        }
+    }
+
+    /// A snapshot covering every section: counters, empty and non-empty
+    /// histograms, spans, resources with signed deltas, gauges that moved
+    /// and ones that did not, and both kinds of window stats.
+    fn arbitrary_snapshot(rng: &mut diffaudit_util::rng::Rng) -> MetricsSnapshot {
+        use diffaudit_util::prop;
+        let name = |rng: &mut diffaudit_util::rng::Rng| prop::text(rng, 1..=6);
+        let below = |rng: &mut diffaudit_util::rng::Rng, bits: u32| rng.next_u64() >> (64 - bits);
+        let mut m = Metrics::new();
+        for _ in 0..rng.range(0, 4) {
+            m.add(&name(rng), below(rng, 60));
+        }
+        let bound_tables: [&[u64]; 4] = [&BYTE_BOUNDS, &RECORD_BOUNDS, &LATENCY_US_BOUNDS, &[]];
+        for _ in 0..rng.range(0, 4) {
+            let (name, bounds) = (name(rng), *rng.choose(&bound_tables));
+            m.histograms.insert(name.clone(), Histogram::new(bounds));
+            for _ in 0..rng.range(0, 20) {
+                m.observe(&name, bounds, below(rng, 24));
+            }
+        }
+        for _ in 0..rng.range(0, 4) {
+            let name = name(rng);
+            for _ in 0..rng.range(1, 4) {
+                m.span_done(&name, below(rng, 40));
+            }
+        }
+        for _ in 0..rng.range(0, 3) {
+            let res = SpanResources {
+                peak_rss_bytes: below(rng, 40),
+                rss_delta_bytes: below(rng, 40) as i64 - (1 << 39),
+                cpu_us: below(rng, 40),
+                bytes_in: below(rng, 40),
+            };
+            m.res_done(&name(rng), &res);
+        }
+        let mut gauges = BTreeMap::new();
+        for _ in 0..rng.range(0, 4) {
+            let mut gauge = Gauge::new();
+            for _ in 0..rng.range(0, 4) {
+                let level = below(rng, 40) as i64 - (1 << 39);
+                match rng.range(0, 3) {
+                    0 => gauge.set(level),
+                    1 => gauge.add(level),
+                    _ => gauge.sub(level),
+                }
+            }
+            gauges.insert(name(rng), gauge);
+        }
+        let mut windows = BTreeMap::new();
+        for _ in 0..rng.range(0, 4) {
+            let histogram = rng.chance(0.5);
+            let mut quantiles = [None; 3];
+            if histogram && rng.chance(0.8) {
+                quantiles = [0.0; 3].map(|_| Some(rng.f64() * 1e6));
+            }
+            let stats = WindowStats {
+                kind: if histogram {
+                    WindowKind::Histogram
+                } else {
+                    WindowKind::Counter
+                },
+                total: below(rng, 40),
+                rate_1m: rng.f64() * 100.0,
+                rate_5m: rng.f64() * 20.0,
+                quantiles,
+            };
+            windows.insert(name(rng), stats);
+        }
+        MetricsSnapshot {
+            metrics: m,
+            gauges,
+            windows,
+            uptime_us: below(rng, 50),
+        }
+    }
+
+    #[test]
+    fn snapshot_documents_read_back_to_the_same_snapshot() {
+        diffaudit_util::prop::check("snapshot_document_round_trip", 200, |rng| {
+            let snap = arbitrary_snapshot(rng);
+            let text = snap.to_json().to_pretty_string();
+            assert_eq!(parse_snapshot(&text), Ok(snap), "{text}");
+        });
     }
 }

@@ -7,11 +7,13 @@
 
 use crate::event::Field;
 use crate::level::Level;
-use crate::metrics::{Metrics, MetricsSnapshot, ResStats, LATENCY_US_BOUNDS};
+use crate::metrics::{
+    Gauge, Histogram, Metrics, MetricsSnapshot, ResStats, Window, Windowed, LATENCY_US_BOUNDS,
+};
 use crate::res::{self, ResUsage, ResourceTrack, SpanResources};
 use crate::sink::{event_record, span_record, with_span_resources, write_stderr, JsonlSink};
 use diffaudit_json::Json;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
@@ -94,6 +96,10 @@ struct Inner {
     seq: u64,
     trace: Option<JsonlSink>,
     metrics: Metrics,
+    /// Live instruments. Unlike `metrics` they never merge: only this
+    /// recorder writes them, and [`Recorder::snapshot`] freezes them.
+    gauges: BTreeMap<String, Gauge>,
+    windows: BTreeMap<String, Windowed>,
     /// The spans currently open on each thread, outermost first; threads
     /// with none have no entry. Loader workers open spans concurrently
     /// with each other and with the thread that spawned them, so each
@@ -167,6 +173,8 @@ impl Recorder {
                 seq: 0,
                 trace: None,
                 metrics: Metrics::new(),
+                gauges: BTreeMap::new(),
+                windows: BTreeMap::new(),
                 stacks: HashMap::new(),
                 root: None,
                 ring: VecDeque::new(),
@@ -206,11 +214,11 @@ impl Recorder {
                 stop: Arc::clone(&stop),
             });
             inner
-                .metrics
-                .gauge_set(res::PROCESS_RSS_GAUGE, clamp_i64(first.rss_bytes));
+                .gauge(res::PROCESS_RSS_GAUGE)
+                .set(clamp_i64(first.rss_bytes));
             inner
-                .metrics
-                .gauge_set(res::PROCESS_CPU_US_GAUGE, clamp_i64(first.cpu_us));
+                .gauge(res::PROCESS_CPU_US_GAUGE)
+                .set(clamp_i64(first.cpu_us));
         }
         self.res_on.store(true, Ordering::Relaxed);
         let interval = interval.max(Duration::from_millis(1));
@@ -452,27 +460,52 @@ impl Recorder {
 
     /// Set gauge `name` to `value` (authoritative-writer form).
     pub fn gauge_set(&self, name: &str, value: i64) {
-        lock_inner(self).metrics.gauge_set(name, value);
+        lock_inner(self).gauge(name).set(value);
     }
 
     /// Move gauge `name` by `delta`.
     pub fn gauge_add(&self, name: &str, delta: i64) {
-        lock_inner(self).metrics.gauge_add(name, delta);
+        lock_inner(self).gauge(name).add(delta);
     }
 
     /// Move gauge `name` down by `delta`.
     pub fn gauge_sub(&self, name: &str, delta: i64) {
-        lock_inner(self).metrics.gauge_sub(name, delta);
+        lock_inner(self).gauge(name).sub(delta);
     }
 
-    /// Add `n` to the sliding-window counter `name`.
+    /// Add `n` to the sliding-window counter `name` (created on first
+    /// use) and to the plain counter `name`, which holds the window's
+    /// since-creation total. A no-op when `name` is a window *histogram*:
+    /// a name carries one window kind only.
     pub fn window_add(&self, name: &str, n: u64) {
-        lock_inner(self).metrics.window_add(name, n);
+        let mut inner = lock_inner(self);
+        let inner = &mut *inner;
+        let window = inner
+            .windows
+            .entry(name.to_string())
+            .or_insert_with(|| Windowed::Counter(Window::new(0)));
+        if let Windowed::Counter(window) = window {
+            let slot = window.current();
+            *slot = slot.saturating_add(n);
+            inner.metrics.add(name, n);
+        }
     }
 
-    /// Record `value` into the sliding-window histogram `name`.
+    /// Record `value` into the sliding-window histogram `name` (created
+    /// over `bounds` on first use) and into the plain histogram `name`,
+    /// which holds the window's since-creation distribution. A no-op when
+    /// `name` is a window *counter*.
     pub fn window_observe(&self, name: &str, bounds: &[u64], value: u64) {
-        lock_inner(self).metrics.window_observe(name, bounds, value);
+        let mut inner = lock_inner(self);
+        let inner = &mut *inner;
+        let window = inner
+            .windows
+            .entry(name.to_string())
+            .or_insert_with(|| Windowed::Histogram(Window::new(Histogram::new(bounds))));
+        if let Windowed::Histogram(window) = window {
+            window.current().record(value);
+            inner.metrics.observe(name, bounds, value);
+        }
     }
 
     /// Retained warn/error events with ring sequence strictly greater
@@ -494,11 +527,15 @@ impl Recorder {
         lock_inner(self).ring_seq
     }
 
-    /// An owned copy of the metric registry plus uptime. When resource
-    /// profiling is active, a synthetic `"process"` entry summarizing the
-    /// whole run (lifetime peak RSS, net RSS delta, total CPU) is injected
-    /// into the snapshot's resource registry — computed here, never stored
-    /// live, so merges and absorbs cannot double-count it.
+    /// An owned copy of the metric registry plus uptime, with the gauges
+    /// copied and each sliding window frozen into its [`WindowStats`]
+    /// as of now. When resource profiling is active, a synthetic
+    /// `"process"` entry summarizing the whole run (lifetime peak RSS, net
+    /// RSS delta, total CPU) is injected into the snapshot's resource
+    /// registry — computed here, never stored live, so merges and absorbs
+    /// cannot double-count it.
+    ///
+    /// [`WindowStats`]: crate::metrics::WindowStats
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = lock_inner(self);
         let mut metrics = inner.metrics.clone();
@@ -525,8 +562,15 @@ impl Recorder {
                 );
             }
         }
+        let windows = inner
+            .windows
+            .iter()
+            .map(|(name, window)| (name.clone(), window.freeze(&inner.metrics, name)))
+            .collect();
         MetricsSnapshot {
             metrics,
+            gauges: inner.gauges.clone(),
+            windows,
             uptime_us: elapsed_us(inner.start),
         }
     }
@@ -587,28 +631,6 @@ impl LocalRecorder {
         self.metrics.observe(name, bounds, value);
     }
 
-    /// Move gauge `name` by `delta`. Local gauges must use balanced
-    /// `gauge_add`/`gauge_sub` pairs (never `set`): the absorb at join
-    /// *sums* net movements, so only deltas merge meaningfully.
-    pub fn gauge_add(&mut self, name: &str, delta: i64) {
-        self.metrics.gauge_add(name, delta);
-    }
-
-    /// Move gauge `name` down by `delta`.
-    pub fn gauge_sub(&mut self, name: &str, delta: i64) {
-        self.metrics.gauge_sub(name, delta);
-    }
-
-    /// Add `n` to the sliding-window counter `name`.
-    pub fn window_add(&mut self, name: &str, n: u64) {
-        self.metrics.window_add(name, n);
-    }
-
-    /// Record `value` into the sliding-window histogram `name`.
-    pub fn window_observe(&mut self, name: &str, bounds: &[u64], value: u64) {
-        self.metrics.window_observe(name, bounds, value);
-    }
-
     /// Time `f` as a completed span named `name`: records the duration into
     /// the span aggregate and the `{name}.us` latency histogram, mirroring
     /// what dropping a global span guard does, minus the trace record: a
@@ -650,6 +672,13 @@ impl LocalRecorder {
     /// Consume the recorder, yielding its registry for merging.
     pub fn into_metrics(self) -> Metrics {
         self.metrics
+    }
+}
+
+impl Inner {
+    /// Gauge `name`, created at zero on first use.
+    fn gauge(&mut self, name: &str) -> &mut Gauge {
+        self.gauges.entry(name.to_string()).or_default()
     }
 }
 
@@ -932,26 +961,14 @@ mod tests {
         rec.gauge_set("workers", 2);
         rec.window_add("reqs", 5);
         let snap = rec.snapshot();
-        assert_eq!(snap.metrics.gauge("depth").map(|g| g.value()), Some(2));
-        assert_eq!(snap.metrics.gauge("workers").map(|g| g.value()), Some(2));
-        assert!(snap.metrics.window("reqs").is_some());
-    }
-
-    #[test]
-    fn local_gauge_deltas_absorb_to_net_movement() {
-        let rec = Recorder::new();
-        rec.gauge_add("inflight", 1);
-        let mut local = LocalRecorder::new();
-        local.gauge_add("inflight", 1);
-        local.gauge_sub("inflight", 1);
-        local.window_add("jobs", 2);
-        rec.absorb(local);
-        let snap = rec.snapshot();
-        assert_eq!(snap.metrics.gauge("inflight").map(|g| g.value()), Some(1));
-        assert_eq!(
-            snap.metrics.gauge("inflight").and_then(|g| g.max()),
-            Some(1)
-        );
+        assert_eq!(snap.gauges.get("depth").map(Gauge::value), Some(2));
+        assert_eq!(snap.gauges.get("workers").map(Gauge::value), Some(2));
+        assert_eq!(snap.windows.get("reqs").map(|w| w.total), Some(5));
+        // A job's registry merging in leaves the live instruments alone.
+        let mut job = Metrics::new();
+        job.add("units", 1);
+        rec.merge(job);
+        assert_eq!(rec.snapshot().gauges, snap.gauges);
     }
 
     #[test]
@@ -988,8 +1005,8 @@ mod tests {
         assert!(process.peak_rss_bytes >= stage.peak_rss_bytes);
         assert!(process.count >= 1);
         // The sampler keeps the process gauges current.
-        assert!(snap.metrics.gauge(res::PROCESS_RSS_GAUGE).is_some());
-        assert!(snap.metrics.gauge(res::PROCESS_CPU_US_GAUGE).is_some());
+        assert!(snap.gauges.contains_key(res::PROCESS_RSS_GAUGE));
+        assert!(snap.gauges.contains_key(res::PROCESS_CPU_US_GAUGE));
         rec.disable_resources();
         assert!(!rec.resources_enabled());
     }

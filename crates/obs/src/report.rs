@@ -161,10 +161,7 @@ mod tests {
         m.add("salvage.pcap-record.processed", 120);
         m.add("salvage.pcap-record.dropped", 3);
         m.observe("artifact.bytes", &BYTE_BOUNDS, 2_048);
-        MetricsSnapshot {
-            metrics: m,
-            uptime_us: 5_100_000,
-        }
+        MetricsSnapshot::new(m, 5_100_000)
     }
 
     #[test]
@@ -188,10 +185,7 @@ mod tests {
 
     #[test]
     fn empty_snapshot_renders_header_only() {
-        let snap = MetricsSnapshot {
-            metrics: Metrics::new(),
-            uptime_us: 10,
-        };
+        let snap = MetricsSnapshot::new(Metrics::new(), 10);
         let text = render_run_report(&snap);
         assert!(text.contains("pipeline run report"));
         assert!(!text.contains("stage timing:"));

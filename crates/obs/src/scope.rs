@@ -22,6 +22,10 @@
 //! The job mutex is held only for the duration of a metric write, never
 //! across user closures, so pipeline workers absorbing their
 //! `LocalRecorder`s mid-`time` cannot deadlock.
+//!
+//! Gauges and sliding windows have no scoped form: they are live
+//! instruments of the process-global recorder only (see
+//! [`crate::metrics::Gauge`]).
 
 use crate::event::Field;
 use crate::level::Level;
@@ -128,40 +132,6 @@ impl Scope {
         }
     }
 
-    /// Move gauge `name` by `delta`. Job scopes must keep `add`/`sub`
-    /// pairs balanced: the job registry merges into the global one at job
-    /// end by *summing* net movements (see [`crate::metrics::Gauge`]).
-    pub fn gauge_add(&self, name: &str, delta: i64) {
-        match &self.inner {
-            ScopeInner::Global => crate::gauge_add(name, delta),
-            ScopeInner::Job(job) => lock_job(job).recorder.gauge_add(name, delta),
-        }
-    }
-
-    /// Move gauge `name` down by `delta`.
-    pub fn gauge_sub(&self, name: &str, delta: i64) {
-        match &self.inner {
-            ScopeInner::Global => crate::gauge_sub(name, delta),
-            ScopeInner::Job(job) => lock_job(job).recorder.gauge_sub(name, delta),
-        }
-    }
-
-    /// Add `n` to the sliding-window counter `name`.
-    pub fn window_add(&self, name: &str, n: u64) {
-        match &self.inner {
-            ScopeInner::Global => crate::window_add(name, n),
-            ScopeInner::Job(job) => lock_job(job).recorder.window_add(name, n),
-        }
-    }
-
-    /// Record `value` into the sliding-window histogram `name`.
-    pub fn window_observe(&self, name: &str, bounds: &[u64], value: u64) {
-        match &self.inner {
-            ScopeInner::Global => crate::window_observe(name, bounds, value),
-            ScopeInner::Job(job) => lock_job(job).recorder.window_observe(name, bounds, value),
-        }
-    }
-
     /// Emit a structured event. Global: stderr/trace via the global
     /// recorder. Job: jobs stay off the shared streams — the event is
     /// tallied as a `job.events.<level>` counter in the job registry.
@@ -209,10 +179,10 @@ impl Scope {
                 let uptime_us = elapsed_us(state.started);
                 let root = state.root.clone();
                 state.recorder.span(&root, uptime_us);
-                Some(MetricsSnapshot {
-                    metrics: state.recorder.into_metrics(),
+                Some(MetricsSnapshot::new(
+                    state.recorder.into_metrics(),
                     uptime_us,
-                })
+                ))
             }
         }
     }
@@ -264,26 +234,6 @@ mod tests {
             .map(|(_, s)| *s)
             .expect("stage span recorded");
         assert!(root.total_us >= stage.total_us, "{root:?} vs {stage:?}");
-    }
-
-    #[test]
-    fn job_scope_gauges_and_windows_stay_private() {
-        let scope = Scope::job("serve.job");
-        scope.gauge_add("obs.scope.test.gauge", 2);
-        scope.gauge_sub("obs.scope.test.gauge", 2);
-        scope.window_add("obs.scope.test.window", 4);
-        assert!(crate::snapshot()
-            .metrics
-            .gauge("obs.scope.test.gauge")
-            .is_none());
-        let snap = scope.finish().expect("snapshot");
-        let gauge = snap
-            .metrics
-            .gauge("obs.scope.test.gauge")
-            .expect("job-private gauge");
-        assert_eq!(gauge.value(), 0);
-        assert_eq!(gauge.max(), Some(2));
-        assert!(snap.metrics.window("obs.scope.test.window").is_some());
     }
 
     #[test]

@@ -727,11 +727,11 @@ fn cmd_obs_top(args: &[String]) -> ExitCode {
 /// Render one `obs top` frame from the daemon's metrics snapshot. Every
 /// figure is the daemon's own: the latency line shows the p50/p90 its
 /// sliding latency window estimated, so the client computes no quantiles.
-fn render_top(addr: &str, snapshot: &obs::Snapshot) -> String {
+fn render_top(addr: &str, snapshot: &obs::MetricsSnapshot) -> String {
     use diffaudit_serve::names;
     use diffaudit_util::fmt::{format_bytes, format_duration_us};
-    let gauge = |name: &str| snapshot.gauge(name).unwrap_or(0);
-    let counter = |name: &str| snapshot.counter(name);
+    let gauge = |name: &str| snapshot.gauges.get(name).map_or(0, obs::Gauge::value);
+    let counter = |name: &str| snapshot.metrics.counter(name);
     let mut out = String::new();
     out.push_str(&format!(
         "diffaudit obs top — {addr} (uptime {:.1}s)\n",
@@ -782,10 +782,10 @@ fn render_top(addr: &str, snapshot: &obs::Snapshot) -> String {
         ));
     }
     // Present only when the daemon's /proc sampler is running (Linux).
-    match snapshot.gauge(names::PROCESS_RSS) {
+    match snapshot.gauges.get(names::PROCESS_RSS) {
         Some(rss) => out.push_str(&format!(
             "  resources: rss {}   cpu {:.2}s\n",
-            format_bytes(rss.max(0) as u64),
+            format_bytes(rss.value().max(0) as u64),
             gauge(names::PROCESS_CPU_US).max(0) as f64 / 1e6,
         )),
         None => out.push_str("  resources: unavailable (no /proc sampler)\n"),
@@ -992,7 +992,7 @@ fn cmd_obs_diff(args: &[String]) -> ExitCode {
     let [baseline_path, current_path] = paths.as_slice() else {
         return usage();
     };
-    let load = |path: &PathBuf| -> Option<obs::Snapshot> {
+    let load = |path: &PathBuf| -> Option<obs::MetricsSnapshot> {
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
             Err(e) => {

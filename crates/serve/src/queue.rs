@@ -171,10 +171,9 @@ mod tests {
         let q = BoundedQueue::new(2).with_depth_gauge("serve.queue.test.depth");
         let gauge = |name| {
             obs::snapshot()
-                .metrics
-                .gauge(name)
-                .map(|g| g.value())
-                .unwrap_or(-1)
+                .gauges
+                .get(name)
+                .map_or(-1, obs::Gauge::value)
         };
         q.try_push('a').expect("room");
         assert_eq!(gauge("serve.queue.test.depth"), 1);
@@ -185,7 +184,7 @@ mod tests {
         assert_eq!(q.pop(), Some('b'));
         assert_eq!(gauge("serve.queue.test.depth"), 0);
         let snap = obs::snapshot();
-        let watermark = snap.metrics.gauge("serve.queue.test.depth").expect("gauge");
+        let watermark = snap.gauges["serve.queue.test.depth"];
         assert_eq!(watermark.max(), Some(2));
     }
 

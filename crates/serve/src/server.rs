@@ -486,6 +486,72 @@ fn attach_keylog(shared: &Arc<Shared>, id: &str, request: &Request) -> Response 
     )
 }
 
+/// Optional job field `key`: `None` when absent, a 400 when present with
+/// a JSON type `read` does not accept — never the default.
+fn job_field<'a, T>(
+    doc: &'a Json,
+    key: &str,
+    read: impl Fn(&'a Json) -> Option<T>,
+    kind: &str,
+) -> Result<Option<T>, Response> {
+    match doc.get(key) {
+        None => Ok(None),
+        Some(value) => read(value)
+            .map(Some)
+            .ok_or_else(|| Response::error(400, &format!("{key} must be {kind}"))),
+    }
+}
+
+/// A job body's optional settings: salvage policy and classifier
+/// settings, deadline, and chaos mode.
+fn job_options(
+    doc: &Json,
+    config: &ServeConfig,
+) -> Result<(AuditSettings, u64, Option<ChaosMode>), Response> {
+    let mut policy = SalvagePolicy::default();
+    if let Some(strict) = job_field(doc, "strict", Json::as_bool, "a boolean")? {
+        policy.strict = strict;
+    }
+    if let Some(pct) = job_field(doc, "maxDropPct", Json::as_f64, "a number")? {
+        if !(0.0..=100.0).contains(&pct) {
+            return Err(Response::error(400, "maxDropPct must be in [0, 100]"));
+        }
+        policy.max_drop_fraction = Some(pct / 100.0);
+    }
+    // The range checks are the ones the CLI's flags also go through.
+    let seed = job_field(doc, "ensemble", Json::as_i64, "an integer")?;
+    let threshold = job_field(doc, "threshold", Json::as_f64, "a number")?;
+    let settings = AuditSettings::new(
+        seed.unwrap_or(2023),
+        threshold.unwrap_or(0.8),
+        policy,
+        config.cache_dir.clone(),
+        config.threads_per_job.max(1),
+    )
+    .map_err(|msg| Response::error(400, &msg))?;
+    let deadline_ms = job_field(doc, "deadlineMs", Json::as_i64, "an integer")?
+        .map_or(config.default_deadline_ms, |v| v.max(1) as u64)
+        .min(config.max_deadline_ms);
+    let chaos = match job_field(doc, "chaos", Json::as_str, "a string")? {
+        None => None,
+        Some(_) if !config.enable_chaos => {
+            return Err(Response::error(
+                400,
+                "chaos injection is disabled on this daemon",
+            ));
+        }
+        Some("panic") => Some(ChaosMode::Panic),
+        Some("stall-decode") => Some(ChaosMode::StallDecode),
+        Some(other) => {
+            return Err(Response::error(
+                400,
+                &format!("unknown chaos mode {other:?}"),
+            ));
+        }
+    };
+    Ok((settings, deadline_ms, chaos))
+}
+
 fn submit_job(shared: &Arc<Shared>, request: &Request) -> Response {
     if shared.draining.load(Ordering::SeqCst) {
         return Response::error(503, "draining");
@@ -541,46 +607,9 @@ fn submit_job(shared: &Arc<Shared>, request: &Request) -> Response {
         return Response::error(400, "a job needs at least one trace");
     }
 
-    let mut policy = SalvagePolicy::default();
-    if doc.get("strict").and_then(Json::as_bool) == Some(true) {
-        policy.strict = true;
-    }
-    if let Some(pct) = doc.get("maxDropPct").and_then(Json::as_f64) {
-        if !(0.0..=100.0).contains(&pct) {
-            return Response::error(400, "maxDropPct must be in [0, 100]");
-        }
-        policy.max_drop_fraction = Some(pct / 100.0);
-    }
-    // A field of the wrong JSON type reads as out of range, so the one
-    // check the CLI's flags also go through answers for both.
-    let seed = doc.get("ensemble").map_or(Some(2023), Json::as_i64);
-    let threshold = doc.get("threshold").map_or(Some(0.8), Json::as_f64);
-    let settings = match AuditSettings::new(
-        seed.unwrap_or(-1),
-        threshold.unwrap_or(f64::NAN),
-        policy,
-        shared.config.cache_dir.clone(),
-        shared.config.threads_per_job.max(1),
-    ) {
-        Ok(settings) => settings,
-        Err(msg) => return Response::error(400, &msg),
-    };
-    let deadline_ms = doc
-        .get("deadlineMs")
-        .and_then(Json::as_i64)
-        .map(|v| v.max(1) as u64)
-        .unwrap_or(shared.config.default_deadline_ms)
-        .min(shared.config.max_deadline_ms);
-    let chaos = match doc.get("chaos").and_then(Json::as_str) {
-        None => None,
-        Some(_) if !shared.config.enable_chaos => {
-            return Response::error(400, "chaos injection is disabled on this daemon");
-        }
-        Some("panic") => Some(ChaosMode::Panic),
-        Some("stall-decode") => Some(ChaosMode::StallDecode),
-        Some(other) => {
-            return Response::error(400, &format!("unknown chaos mode {other:?}"));
-        }
+    let (settings, deadline_ms, chaos) = match job_options(&doc, &shared.config) {
+        Ok(options) => options,
+        Err(response) => return response,
     };
 
     let job_request = JobRequest {

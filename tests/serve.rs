@@ -694,13 +694,17 @@ fn malformed_requests_get_4xx_and_never_kill_the_daemon() {
     )
     .expect("req");
     assert_eq!(status, 400, "{text}");
-    // Classifier settings out of range, or of the wrong JSON type.
+    // Job settings out of range, or of the wrong JSON type.
     for (key, value) in [
         ("threshold", Json::float(2.0)),
         ("threshold", Json::float(-0.5)),
         ("threshold", Json::str("high")),
         ("ensemble", Json::int(-1)),
         ("ensemble", Json::float(1.5)),
+        ("maxDropPct", Json::str("5")),
+        ("strict", Json::str("yes")),
+        ("deadlineMs", Json::str("soon")),
+        ("chaos", Json::int(1)),
     ] {
         let (status, text) = client::request_text(
             &addr,
