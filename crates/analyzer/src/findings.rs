@@ -46,7 +46,7 @@ pub enum Lint {
     /// Raw payload bytes reaching a log/trace/export sink without passing
     /// through a redaction or summary function.
     Redaction,
-    /// Forbidden operation inside a `par_map_*` worker closure (blocking
+    /// Forbidden operation inside a `par_map*` worker closure (blocking
     /// I/O, global-registry metric writes, trace-stream emission).
     ParDiscipline,
     /// Metric/span name built dynamically (`format!`, `.to_string()`,

@@ -36,7 +36,7 @@
 //!   through a named redaction/summary function. Built on an item-level
 //!   parser ([`parser::FileModel`]) and an intra-crate payload-carrier
 //!   fixpoint ([`dataflow::CrateModel`]).
-//! - **`par-discipline`** — closures handed to `util::par::par_map_*` must
+//! - **`par-discipline`** — closures handed to `util::par::par_map*` must
 //!   not block on I/O, write global-registry metrics (use
 //!   `LocalRecorder`), or emit to shared streams.
 //! - **`metric-discipline`** — names handed to metric/span recording APIs

@@ -5,10 +5,10 @@
 //! registry (per-item lock contention, and trace lines interleave
 //! non-deterministically), must not emit to the trace/stderr streams, and
 //! must not block on I/O or sockets (a stalled worker starves the
-//! work-stealing cursor). Metrics belong in a per-worker `LocalRecorder`
+//! work-stealing queue). Metrics belong in a per-worker `LocalRecorder`
 //! absorbed at join. This pass machine-checks those rules.
 //!
-//! Mechanics: every call to a `par_map_*` entry point is located, its full
+//! Mechanics: every call to a `par_map*` entry point is located, its full
 //! argument region (including the closures) is scanned for forbidden
 //! patterns, and — one hop deep — so are the bodies of same-file functions
 //! called from inside that region. `diffaudit_obs::absorb`,
@@ -28,14 +28,9 @@ use crate::lexer;
 use crate::parser::{matching_close, FileModel};
 use crate::passes::SourceFile;
 
-/// The executor's entry points (callable as `par::par_map_*` or fully
+/// The executor's entry points (callable as `par::par_map*` or fully
 /// qualified).
-pub const PAR_ENTRY_POINTS: [&str; 4] = [
-    "par_map_indexed",
-    "par_map_owned",
-    "par_map_ctx",
-    "par_map_ctx_owned",
-];
+pub const PAR_ENTRY_POINTS: [&str; 3] = ["par_map", "par_map_ctx", "par_map_ctx_cancel"];
 
 /// Panic-containment guards whose closure is a job boundary — the serve
 /// daemon's worker wraps each job in `catch_unwind` so a poisoned job
@@ -72,7 +67,7 @@ const PRINT_MACROS: [&str; 4] = ["eprintln!", "eprint!", "println!", "print!"];
 /// rules and the message wording.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Region {
-    /// A `par_map_*` worker-closure argument region: all three rules
+    /// A `par_map*` worker-closure argument region: all three rules
     /// (no global registry, no blocking I/O, no prints).
     Worker,
     /// A `catch_unwind` panic-contained job region: no global registry
@@ -166,7 +161,7 @@ fn call_sites(stripped: &str, entries: &[&str], kind: Region) -> Vec<(usize, Reg
             if !after.starts_with('(') {
                 continue;
             }
-            // `fn par_map_…(` is the definition site in util::par itself.
+            // `fn par_map…(` is the definition site in util::par itself.
             let before = stripped[..at].trim_end();
             if before.ends_with("fn") {
                 continue;
@@ -241,7 +236,7 @@ fn scan_region(
                 }
                 hits.push((
                     lo + at,
-                    format!("blocking {what} (`{pattern}…`) inside a worker closure stalls the work-stealing cursor"),
+                    format!("blocking {what} (`{pattern}…`) inside a worker closure stalls the work-stealing queue"),
                 ));
             }
         }
@@ -320,7 +315,7 @@ mod tests {
     fn global_metric_write_in_closure_flagged() {
         let src = "\
 fn run(items: Vec<u8>) -> Vec<u8> {
-    par_map_owned(4, items, |_, x| {
+    par_map(4, items, |_, x| {
         diffaudit_obs::add(\"items\", 1);
         x
     })
@@ -337,7 +332,7 @@ fn run(items: Vec<u8>) -> Vec<u8> {
     fn local_recorder_and_absorb_allowed() {
         let src = "\
 fn run(items: Vec<u8>) -> Vec<u8> {
-    par_map_ctx_owned(
+    par_map_ctx(
         4,
         items,
         || diffaudit_obs::LocalRecorder::new(),
@@ -357,7 +352,7 @@ fn run(items: Vec<u8>) -> Vec<u8> {
     fn blocking_io_and_prints_flagged() {
         let src = "\
 fn run(paths: Vec<String>) -> Vec<String> {
-    diffaudit_util::par::par_map_owned(4, paths, |_, p| {
+    diffaudit_util::par::par_map(4, paths, |_, p| {
         eprintln!(\"loading {p}\");
         std::fs::read_to_string(&p).unwrap_or_default()
     })
@@ -373,7 +368,7 @@ fn run(paths: Vec<String>) -> Vec<String> {
     fn one_hop_into_same_file_callee() {
         let src = "\
 fn run(items: Vec<u8>) -> Vec<u8> {
-    par_map_owned(4, items, |_, x| helper(x))
+    par_map(4, items, |_, x| helper(x))
 }
 fn helper(x: u8) -> u8 {
     diffaudit_obs::observe(\"x\", &BOUNDS, u64::from(x));
@@ -402,7 +397,7 @@ fn serial() {
         let src = "\
 fn run(items: Vec<u8>) -> Vec<u8> {
     // lint:allow(par-discipline): workers read capture files by design
-    par_map_owned(4, items, |_, x| { std::fs::read(\"f\").ok(); x })
+    par_map(4, items, |_, x| { std::fs::read(\"f\").ok(); x })
 }
 ";
         assert!(run(src).is_empty(), "{:#?}", run(src));
@@ -481,7 +476,7 @@ fn contained(job: Job) -> Outcome {
     #[test]
     fn definition_site_in_util_par_is_not_a_call() {
         let src = "\
-pub fn par_map_owned<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R> {
+pub fn par_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R> {
     std::fs::read(\"not actually here\").ok();
     Vec::new()
 }

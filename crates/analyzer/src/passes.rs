@@ -37,7 +37,7 @@ pub struct Policy {
     pub global_state: bool,
     /// Taint-check payload-to-sink flows (all production sources).
     pub redaction: bool,
-    /// Enforce worker-closure hygiene around `par_map_*` (all production
+    /// Enforce worker-closure hygiene around `par_map*` (all production
     /// sources).
     pub par_discipline: bool,
     /// Require static metric/span names at recording call sites (all

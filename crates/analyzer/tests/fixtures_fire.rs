@@ -32,7 +32,7 @@ fn every_pass_fires_on_its_fixture_file() {
         ("no-bare-eprintln", "core/src/printing.rs", 2),
         ("global-state", "core/src/globals.rs", 4),
         ("redaction", "core/src/leaks.rs", 4),
-        ("par-discipline", "util/src/workers.rs", 3),
+        ("par-discipline", "util/src/workers.rs", 4),
         ("par-discipline", "serve/src/daemon.rs", 2),
         ("metric-discipline", "serve/src/telemetry.rs", 3),
     ] {

@@ -244,7 +244,7 @@ fn sentinel_item_pass_violations_in_a_fake_workspace_are_flagged() {
     std::fs::write(
         services_src.join("workers.rs"),
         "fn run(items: Vec<u8>) -> Vec<u8> {\n    \
-         par_map_owned(4, items, |_, x| {\n        \
+         par_map(4, items, |_, x| {\n        \
          diffaudit_obs::add(\"n\", 1);\n        x\n    })\n}\n",
     )
     .unwrap();

@@ -571,7 +571,7 @@ pub fn load_memory_service(
             units,
         } = svc;
         let batch = KeyBatch::new();
-        let loaded = diffaudit_util::par::par_map_ctx_owned(
+        let loaded = diffaudit_util::par::par_map_ctx(
             threads.max(1),
             units,
             UnitCtx::new,

@@ -258,7 +258,7 @@ impl Pipeline {
                     .into_iter()
                     .map(|input| {
                         let batch = KeyBatch::new();
-                        let units = par::par_map_ctx_owned(
+                        let units = par::par_map_ctx(
                             threads,
                             input.units,
                             UnitCtx::new,
@@ -333,7 +333,7 @@ impl Pipeline {
         let (key_labels, cache) = self.classify_keys_scoped(&unique_keys, scope);
         ctl.check()?;
         let services = scope.time("pipeline.assemble", || {
-            par::par_map_ctx_owned_cancel(
+            par::par_map_ctx_cancel(
                 self.threads(),
                 services,
                 ctl,

@@ -10,6 +10,7 @@
 //! of personal data): this module never logs or prints body bytes, only
 //! lengths.
 
+use diffaudit_domains::url::percent_decode;
 use std::io::{Read, Write};
 
 /// Cap on the request-line + header section.
@@ -87,42 +88,6 @@ impl Request {
             .find(|(k, _)| k.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
-}
-
-/// Decode `%XX` escapes and `+` (space) in a query value.
-fn percent_decode(s: &str) -> String {
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while let Some(&b) = bytes.get(i) {
-        match b {
-            b'%' => {
-                let parsed = bytes
-                    .get(i + 1..i + 3)
-                    .and_then(|hex| std::str::from_utf8(hex).ok())
-                    .and_then(|h| u8::from_str_radix(h, 16).ok());
-                match parsed {
-                    Some(v) => {
-                        out.push(v);
-                        i += 3;
-                    }
-                    None => {
-                        out.push(b'%');
-                        i += 1;
-                    }
-                }
-            }
-            b'+' => {
-                out.push(b' ');
-                i += 1;
-            }
-            b => {
-                out.push(b);
-                i += 1;
-            }
-        }
-    }
-    String::from_utf8_lossy(&out).into_owned()
 }
 
 /// Read one request off `stream`. The header section is capped at
@@ -370,6 +335,16 @@ mod tests {
         assert_eq!(percent_decode("a%20b+c"), "a b c");
         assert_eq!(percent_decode("plain"), "plain");
         assert_eq!(percent_decode("bad%zz"), "bad%zz");
+    }
+
+    #[test]
+    fn query_params_decode_through_the_shared_url_decoder() {
+        let raw = b"POST /api/v1/traces?label=%+5&kind=a%2Bb+c HTTP/1.1\r\n\r\n";
+        let request = parse(raw).expect("parses");
+        // `%+5` is no escape: its `%` stays, and `+` is a space as
+        // everywhere else in a form-encoded value.
+        assert_eq!(request.query_param("label").as_deref(), Some("% 5"));
+        assert_eq!(request.query_param("kind").as_deref(), Some("a+b c"));
     }
 
     #[test]

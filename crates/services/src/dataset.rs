@@ -132,7 +132,7 @@ pub fn generate_dataset_threads(options: &DatasetOptions, threads: usize) -> Gen
         specs.push(spec);
     }
     let packaged =
-        diffaudit_util::par::par_map_owned(threads.max(1), pending, |_, (service_index, unit)| {
+        diffaudit_util::par::par_map(threads.max(1), pending, |_, (service_index, unit)| {
             let artifact = match specs.get(service_index) {
                 Some(spec) => package_unit(spec, options, unit),
                 // Unreachable: every pending unit was minted with its
@@ -171,7 +171,7 @@ pub fn generate_service(
     factory: &mut KeyFactory,
 ) -> ServiceCapture {
     let units = generate_service_units(spec, options, root, factory);
-    let artifacts = diffaudit_util::par::par_map_owned(
+    let artifacts = diffaudit_util::par::par_map(
         diffaudit_util::par::available_threads(),
         units,
         |_, unit| package_unit(spec, options, unit),

@@ -24,8 +24,9 @@
 //!   harness (means, percentiles, histograms).
 //! - [`fmt`] — human-readable duration/byte formatting for reports and logs.
 //! - [`par`] — std-only scoped-thread fork-join executor with ordered
-//!   result merge, the process-wide thread-count default behind the
-//!   `--threads` flag, and the hash-consed [`par::KeyInterner`].
+//!   result merge (three entry points on one worker loop), the
+//!   [`par::available_threads`] default behind the `--threads` flag, and
+//!   the hash-consed [`par::KeyInterner`].
 //! - [`cancel`] — cooperative cancellation ([`cancel::CancelToken`]),
 //!   wall-clock [`cancel::Deadline`]s, and the combined [`cancel::Ctl`]
 //!   handle the serve daemon threads through pipeline and loader loops.

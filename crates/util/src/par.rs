@@ -4,9 +4,13 @@
 //! workspace is dependency-free by design, so this module builds the whole
 //! parallel substrate from `std` alone:
 //!
-//! - a fork-join executor over `std::thread::scope` with an atomic
-//!   work-stealing cursor ([`par_map_indexed`], [`par_map_owned`],
-//!   [`par_map_ctx`], [`par_map_ctx_owned`]) — results always come back in
+//! - a scoped-thread fork-join executor with three entry points
+//!   on one private worker loop: [`par_map`] (a plain map),
+//!   [`par_map_ctx`] (adds a per-worker context built by `make` and drained
+//!   by `finish`) and [`par_map_ctx_cancel`] (adds a [`Ctl`] checked before
+//!   every claim, all-or-interrupt). Items are any `IntoIterator`: `&slice`
+//!   maps borrowed items, a `Vec` hands each item over by value. Workers
+//!   claim items from one shared queue, and results always come back in
 //!   input order, so downstream output is byte-identical regardless of the
 //!   thread count;
 //! - no process-global thread-count default: callers thread their chosen
@@ -30,7 +34,6 @@
 use crate::cancel::{Ctl, Interrupt};
 use std::collections::HashSet;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The machine's available parallelism (1 when it cannot be determined).
@@ -41,13 +44,14 @@ pub fn available_threads() -> usize {
 }
 
 /// Map `f` over `items` on up to `threads` scoped threads, returning the
-/// results in input order. `threads <= 1` (or fewer than two items) runs
-/// inline on the caller thread — the serial path, bit-for-bit identical.
-pub fn par_map_indexed<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
+/// results in input order. Pass `&slice` to map borrowed items or a `Vec`
+/// to hand each item to `f` by value. `threads <= 1` (or fewer than two
+/// items) runs inline on the caller thread — the serial path.
+pub fn par_map<T, R, F>(threads: usize, items: impl IntoIterator<Item = T>, f: F) -> Vec<R>
 where
-    T: Sync,
+    T: Send,
     R: Send,
-    F: Fn(usize, &T) -> R + Sync,
+    F: Fn(usize, T) -> R + Sync,
 {
     par_map_ctx(
         threads,
@@ -58,61 +62,14 @@ where
     )
 }
 
-/// Like [`par_map_indexed`], but consuming `items`: each element is handed
-/// to `f` by value exactly once. Ownership transfer is mediated by a
-/// per-item `Mutex<Option<T>>` slot, which keeps the executor `unsafe`-free.
-pub fn par_map_owned<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    par_map_ctx_owned(
-        threads,
-        items,
-        || (),
-        |(), index, item| f(index, item),
-        |()| {},
-    )
-}
-
-/// Context-carrying variant of [`par_map_indexed`]: every worker thread
-/// builds one context with `make`, threads it through each `f` call, and
-/// hands it to `finish` after its last item. The pipeline uses the context
-/// for per-thread metric recorders and key batches that merge once at join
+/// Context-carrying variant of [`par_map`]: every worker thread builds one
+/// context with `make`, threads it through each `f` call, and hands it to
+/// `finish` after its last item. The pipeline uses the context for
+/// per-thread metric recorders and key batches that merge once at join
 /// instead of contending on a lock per item.
 pub fn par_map_ctx<T, C, R, M, F, D>(
     threads: usize,
-    items: &[T],
-    make: M,
-    f: F,
-    finish: D,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    M: Fn() -> C + Sync,
-    F: Fn(&mut C, usize, &T) -> R + Sync,
-    D: Fn(C) + Sync,
-{
-    let refs: Vec<&T> = items.iter().collect();
-    par_map_ctx_owned(
-        threads,
-        refs,
-        make,
-        |ctx, index, item| f(ctx, index, item),
-        finish,
-    )
-}
-
-/// Context-carrying, ownership-consuming core of the executor. Workers race
-/// an atomic cursor over the item slots (work stealing: a slow item never
-/// blocks the others), each claimed item is mapped with the worker's
-/// context, and the per-worker result batches are reassembled in input
-/// order before returning.
-pub fn par_map_ctx_owned<T, C, R, M, F, D>(
-    threads: usize,
-    items: Vec<T>,
+    items: impl IntoIterator<Item = T>,
     make: M,
     f: F,
     finish: D,
@@ -124,103 +81,21 @@ where
     F: Fn(&mut C, usize, T) -> R + Sync,
     D: Fn(C) + Sync,
 {
-    let workers = threads.min(items.len());
-    if workers <= 1 {
-        let mut ctx = make();
-        let out: Vec<R> = items
-            .into_iter()
-            .enumerate()
-            .map(|(index, item)| f(&mut ctx, index, item))
-            .collect();
-        finish(ctx);
-        return out;
-    }
-
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let cursor = AtomicUsize::new(0);
-    let total = slots.len();
-
-    let mut batches: Vec<std::thread::Result<Vec<(usize, R)>>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut ctx = make();
-                    let mut out: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(slot) = slots.get(index) else {
-                            break;
-                        };
-                        let item = match slot.lock() {
-                            Ok(mut guard) => guard.take(),
-                            Err(poisoned) => poisoned.into_inner().take(),
-                        };
-                        if let Some(item) = item {
-                            out.push((index, f(&mut ctx, index, item)));
-                        }
-                    }
-                    finish(ctx);
-                    out
-                })
-            })
-            .collect();
-        for handle in handles {
-            batches.push(handle.join());
-        }
-    });
-
-    let mut pairs: Vec<(usize, R)> = Vec::with_capacity(total);
-    for batch in batches {
-        match batch {
-            Ok(part) => pairs.extend(part),
-            // Re-raise a worker panic on the caller thread, exactly as the
-            // serial path would have.
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
-    pairs.sort_unstable_by_key(|(index, _)| *index);
-    pairs.into_iter().map(|(_, result)| result).collect()
+    // A predicate that never fires cannot cut the run short, so the
+    // default (empty) vector is unreachable.
+    fork_join(threads, items, || false, make, f, finish).unwrap_or_default()
 }
 
 /// Cancellation-aware variant of [`par_map_ctx`]: workers consult `ctl`
 /// before claiming each item and stop claiming once it trips. Either every
 /// item was mapped (`Ok`, results in input order — bit-identical to the
 /// uncancelled run) or the interrupt is returned and partial results are
-/// discarded; a half-mapped result vector never escapes.
+/// discarded; a half-mapped result vector never escapes. `finish` still
+/// runs for every started worker context, so metrics gathered before the
+/// interrupt are preserved for the degradation report.
 pub fn par_map_ctx_cancel<T, C, R, M, F, D>(
     threads: usize,
-    items: &[T],
-    ctl: &Ctl,
-    make: M,
-    f: F,
-    finish: D,
-) -> Result<Vec<R>, Interrupt>
-where
-    T: Sync,
-    R: Send,
-    M: Fn() -> C + Sync,
-    F: Fn(&mut C, usize, &T) -> R + Sync,
-    D: Fn(C) + Sync,
-{
-    let refs: Vec<&T> = items.iter().collect();
-    par_map_ctx_owned_cancel(
-        threads,
-        refs,
-        ctl,
-        make,
-        |ctx, index, item| f(ctx, index, item),
-        finish,
-    )
-}
-
-/// Cancellation-aware variant of [`par_map_ctx_owned`]. See
-/// [`par_map_ctx_cancel`] for the all-or-interrupt contract; `finish` still
-/// runs for every started worker context (metrics gathered before the
-/// interrupt are preserved for the degradation report).
-pub fn par_map_ctx_owned_cancel<T, C, R, M, F, D>(
-    threads: usize,
-    items: Vec<T>,
+    items: impl IntoIterator<Item = T>,
     ctl: &Ctl,
     make: M,
     f: F,
@@ -233,73 +108,79 @@ where
     F: Fn(&mut C, usize, T) -> R + Sync,
     D: Fn(C) + Sync,
 {
+    let stop = || ctl.interrupted().is_some();
+    // Workers only stop early when the control tripped; cancellation is
+    // sticky and deadlines are monotone, so re-reading it here is safe.
+    fork_join(threads, items, stop, make, f, finish)
+        .ok_or_else(|| ctl.interrupted().unwrap_or(Interrupt::Cancelled))
+}
+
+/// The one worker loop behind every entry point. Each worker builds its
+/// context, then — until `stop` fires or the items run out — claims the
+/// next `(index, item)` from a shared queue (work stealing: a slow item
+/// never blocks the others) and maps it. The serial path runs that same
+/// worker inline; otherwise `min(threads, len)` copies run on scoped
+/// threads and their `(index, result)` batches are put back in input
+/// order after the join. `None` when `stop` left an item unmapped.
+fn fork_join<T, C, R, S, M, F, D>(
+    threads: usize,
+    items: impl IntoIterator<Item = T>,
+    stop: S,
+    make: M,
+    f: F,
+    finish: D,
+) -> Option<Vec<R>>
+where
+    T: Send,
+    R: Send,
+    S: Fn() -> bool + Sync,
+    M: Fn() -> C + Sync,
+    F: Fn(&mut C, usize, T) -> R + Sync,
+    D: Fn(C) + Sync,
+{
+    let items: Vec<T> = items.into_iter().collect();
     let total = items.len();
     let workers = threads.min(total);
-    if workers <= 1 {
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let worker = || {
         let mut ctx = make();
-        let mut out: Vec<R> = Vec::with_capacity(total);
-        let mut stopped = None;
-        for (index, item) in items.into_iter().enumerate() {
-            if let Some(interrupt) = ctl.interrupted() {
-                stopped = Some(interrupt);
+        let mut out: Vec<(usize, R)> = Vec::new();
+        while !stop() {
+            let claimed = match queue.lock() {
+                Ok(mut guard) => guard.next(),
+                Err(poisoned) => poisoned.into_inner().next(),
+            };
+            let Some((index, item)) = claimed else {
                 break;
-            }
-            out.push(f(&mut ctx, index, item));
+            };
+            out.push((index, f(&mut ctx, index, item)));
         }
         finish(ctx);
-        return match stopped {
-            Some(interrupt) => Err(interrupt),
-            None => Ok(out),
-        };
-    }
+        out
+    };
 
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let cursor = AtomicUsize::new(0);
-
-    let mut batches: Vec<std::thread::Result<Vec<(usize, R)>>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut ctx = make();
-                    let mut out: Vec<(usize, R)> = Vec::new();
-                    while ctl.interrupted().is_none() {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(slot) = slots.get(index) else {
-                            break;
-                        };
-                        let item = match slot.lock() {
-                            Ok(mut guard) => guard.take(),
-                            Err(poisoned) => poisoned.into_inner().take(),
-                        };
-                        if let Some(item) = item {
-                            out.push((index, f(&mut ctx, index, item)));
-                        }
-                    }
-                    finish(ctx);
-                    out
-                })
-            })
-            .collect();
-        for handle in handles {
-            batches.push(handle.join());
-        }
-    });
-
-    let mut pairs: Vec<(usize, R)> = Vec::with_capacity(total);
-    for batch in batches {
-        match batch {
-            Ok(part) => pairs.extend(part),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
+    let mut pairs: Vec<(usize, R)> = if workers <= 1 {
+        worker()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(&worker)).collect();
+            let mut pairs = Vec::with_capacity(total);
+            for handle in handles {
+                match handle.join() {
+                    Ok(part) => pairs.extend(part),
+                    // Re-raise a worker panic on the caller thread (after
+                    // the scope joins the rest), as the serial path would.
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+            pairs
+        })
+    };
     if pairs.len() < total {
-        // Workers only stop early when the control tripped; cancellation is
-        // sticky and deadlines are monotone, so re-reading it here is safe.
-        return Err(ctl.interrupted().unwrap_or(Interrupt::Cancelled));
+        return None;
     }
     pairs.sort_unstable_by_key(|(index, _)| *index);
-    Ok(pairs.into_iter().map(|(_, result)| result).collect())
+    Some(pairs.into_iter().map(|(_, result)| result).collect())
 }
 
 /// A hash-consed raw payload key: one shared allocation per distinct
@@ -356,12 +237,13 @@ impl KeyInterner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn results_come_back_in_input_order() {
         let items: Vec<u64> = (0..257).collect();
         for threads in [1, 2, 4, 9] {
-            let out = par_map_indexed(threads, &items, |i, &v| {
+            let out = par_map(threads, &items, |i, &v| {
                 assert_eq!(i as u64, v);
                 v * 2
             });
@@ -373,13 +255,12 @@ mod tests {
     #[test]
     fn owned_variant_consumes_each_item_exactly_once() {
         let items: Vec<String> = (0..64).map(|i| format!("item-{i}")).collect();
-        let out = par_map_owned(4, items.clone(), |_, s| s);
+        let out = par_map(4, items.clone(), |_, s| s);
         assert_eq!(out, items);
     }
 
     #[test]
     fn contexts_are_made_and_finished_per_worker() {
-        use std::sync::atomic::AtomicU64;
         let made = AtomicU64::new(0);
         let finished = AtomicU64::new(0);
         let summed = AtomicU64::new(0);
@@ -411,8 +292,25 @@ mod tests {
     #[test]
     fn empty_and_single_item_inputs_run_inline() {
         let none: Vec<u8> = Vec::new();
-        assert!(par_map_indexed(8, &none, |_, &v| v).is_empty());
-        assert_eq!(par_map_indexed(8, &[7u8], |_, &v| v + 1), vec![8]);
+        assert!(par_map(8, &none, |_, &v| v).is_empty());
+        assert_eq!(par_map(8, &[7u8], |_, &v| v + 1), vec![8]);
+    }
+
+    #[test]
+    fn worker_panics_are_re_raised_on_the_caller() {
+        let items: Vec<u64> = (0..64).collect();
+        for threads in [1, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                par_map(threads, &items, |i, &v| {
+                    if i == 17 {
+                        std::panic::panic_any("worker 17");
+                    }
+                    v
+                })
+            });
+            let payload = caught.expect_err("the panic reaches the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker 17"));
+        }
     }
 
     #[test]
@@ -449,7 +347,7 @@ mod tests {
     fn cancel_variant_completes_when_untripped() {
         let items: Vec<u64> = (0..129).collect();
         for threads in [1, 4] {
-            let out = par_map_ctx_owned_cancel(
+            let out = par_map_ctx_cancel(
                 threads,
                 items.clone(),
                 &Ctl::unbounded(),
@@ -464,13 +362,12 @@ mod tests {
 
     #[test]
     fn pre_tripped_ctl_interrupts_before_any_work() {
-        use std::sync::atomic::AtomicU64;
         let ctl = Ctl::unbounded();
         ctl.token().cancel();
         let mapped = AtomicU64::new(0);
         for threads in [1, 4] {
             let items: Vec<u64> = (0..64).collect();
-            let out = par_map_ctx_owned_cancel(
+            let out = par_map_ctx_cancel(
                 threads,
                 items,
                 &ctl,
@@ -509,13 +406,12 @@ mod tests {
 
     #[test]
     fn cancel_variant_runs_finish_per_started_worker() {
-        use std::sync::atomic::AtomicU64;
         let made = AtomicU64::new(0);
         let finished = AtomicU64::new(0);
         let ctl = Ctl::unbounded();
         ctl.token().cancel();
         let items: Vec<u64> = (0..64).collect();
-        let _ = par_map_ctx_owned_cancel(
+        let _ = par_map_ctx_cancel(
             4,
             items,
             &ctl,
@@ -537,7 +433,7 @@ mod tests {
     fn interner_is_shareable_across_threads() {
         let interner = KeyInterner::new();
         let items: Vec<usize> = (0..200).collect();
-        let keys = par_map_indexed(4, &items, |_, &i| {
+        let keys = par_map(4, &items, |_, &i| {
             interner.intern(&format!("key-{}", i % 10))
         });
         assert_eq!(interner.len(), 10);

@@ -1,8 +1,10 @@
 //! Property-based tests for encodings, RNG, and statistics, on the
 //! workspace's seeded runner (`diffaudit_util::prop`).
 
+use diffaudit_util::par::{par_map_ctx, par_map_ctx_cancel};
 use diffaudit_util::prop::{self, check};
-use diffaudit_util::{base64, hex, rng::Rng, stats};
+use diffaudit_util::{base64, hex, rng::Rng, stats, Ctl, Interrupt};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const CASES: u32 = 512;
 
@@ -115,4 +117,75 @@ fn fork_is_deterministic() {
         let mut b = root.fork(&label);
         assert_eq!(a.next_u64(), b.next_u64());
     });
+}
+
+/// Fork-join cases: few, because each joins up to eight scoped threads
+/// three times before the next case starts.
+const PAR_CASES: u32 = 64;
+
+#[test]
+fn fork_join_maps_like_serial_and_cancels_all_or_nothing() {
+    check(
+        "fork_join_maps_like_serial_and_cancels_all_or_nothing",
+        PAR_CASES,
+        |rng| {
+            let len = rng.range(0, 301);
+            let threads = rng.range(1, 9);
+            let items: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
+            let mix = |index: usize, item: u64| item.rotate_left(7) ^ index as u64;
+            let expected: Vec<u64> = items.iter().enumerate().map(|(i, &v)| mix(i, v)).collect();
+
+            // Plain run: serial `map` order, one context per started worker.
+            let (made, finished) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let out = par_map_ctx(
+                threads,
+                &items,
+                || made.fetch_add(1, Ordering::Relaxed),
+                |_, index, &item| mix(index, item),
+                |_| {
+                    finished.fetch_add(1, Ordering::Relaxed);
+                },
+            );
+            assert_eq!(out, expected, "len={len} threads={threads}");
+            let made = made.load(Ordering::Relaxed);
+            assert_eq!(made, finished.load(Ordering::Relaxed));
+            assert!(made <= threads, "{made} contexts for {threads} threads");
+
+            // An untripped control changes nothing.
+            let out = par_map_ctx_cancel(
+                threads,
+                items.clone(),
+                &Ctl::unbounded(),
+                || (),
+                |(), index, item| mix(index, item),
+                |()| {},
+            );
+            assert_eq!(out.as_ref(), Ok(&expected));
+
+            // Tripped inside `f`: the whole vector or the interrupt, never a
+            // prefix; inline, only a trip on the last item lets the run finish.
+            let ctl = Ctl::unbounded();
+            let trip_at = rng.range(0, len.max(1));
+            let out = par_map_ctx_cancel(
+                threads,
+                &items,
+                &ctl,
+                || (),
+                |(), index, &item| {
+                    if index == trip_at {
+                        ctl.token().cancel();
+                    }
+                    mix(index, item)
+                },
+                |()| {},
+            );
+            match &out {
+                Ok(all) => assert_eq!(all, &expected),
+                Err(interrupt) => assert_eq!(*interrupt, Interrupt::Cancelled),
+            }
+            if threads == 1 && trip_at + 1 < len {
+                assert_eq!(out, Err(Interrupt::Cancelled));
+            }
+        },
+    );
 }
