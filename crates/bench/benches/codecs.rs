@@ -12,7 +12,7 @@ use diffaudit_nettrace::{
     CaptureOptions, CaptureSession, Exchange, HttpRequest, HttpResponse, KeyLog, PcapReader,
     SalvageLog,
 };
-use diffaudit_services::{generate_dataset_threads, DatasetOptions};
+use diffaudit_services::{generate_dataset_threads, DatasetOptions, MemoryArtifact};
 use std::hint::black_box;
 
 fn sample_exchange(i: usize) -> Exchange {
@@ -62,7 +62,10 @@ fn main() {
     let unit_har = dataset.services[0]
         .artifacts
         .iter()
-        .find_map(|a| a.har.clone())
+        .find_map(|a| match &*a.unit.artifact {
+            MemoryArtifact::Har(har) => Some(har.clone()),
+            MemoryArtifact::Capture { .. } => None,
+        })
         .unwrap();
     let body = har_to_exchanges(&unit_har)
         .unwrap()

@@ -45,7 +45,7 @@ use diffaudit_json::Json;
 use diffaudit_obs as obs;
 use diffaudit_serve::{client, names};
 use diffaudit_serve::{ServeConfig, Server};
-use diffaudit_services::TraceArtifact;
+use diffaudit_services::{MemoryArtifact, MemoryUnit};
 use std::time::{Duration, Instant};
 
 fn fail(msg: &str) -> ! {
@@ -53,19 +53,18 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-/// POST one artifact to `/api/v1/traces` (plus its key log, for captures);
-/// returns the trace id.
-fn upload_artifact(addr: &str, index: usize, artifact: &TraceArtifact) -> String {
+/// POST one unit's artifact to `/api/v1/traces` (plus its key log, for
+/// captures); returns the trace id.
+fn upload_unit(addr: &str, index: usize, unit: &MemoryUnit) -> String {
     let path = format!(
         "/api/v1/traces?label=unit-{index}&platform={}&kind={}&category={}",
-        artifact.platform.spelling(),
-        artifact.kind.spelling(),
-        artifact.category.spelling(),
+        unit.platform.spelling(),
+        unit.kind.spelling(),
+        unit.category.spelling(),
     );
-    let body: &[u8] = match (&artifact.har, &artifact.pcap) {
-        (Some(har), _) => har.as_bytes(),
-        (None, Some(pcap)) => pcap.as_slice(),
-        (None, None) => fail("generated artifact has neither HAR nor pcap"),
+    let (body, keylog): (&[u8], _) = match &*unit.artifact {
+        MemoryArtifact::Har(har) => (har.as_bytes(), None),
+        MemoryArtifact::Capture { bytes, keylog } => (bytes, keylog.as_ref()),
     };
     let (status, text) = client::request_text(addr, "POST", &path, body)
         .unwrap_or_else(|e| fail(&format!("upload failed: {e}")));
@@ -79,18 +78,16 @@ fn upload_artifact(addr: &str, index: usize, artifact: &TraceArtifact) -> String
         .and_then(Json::as_str)
         .unwrap_or_else(|| fail("upload response missing traceId"))
         .to_string();
-    if artifact.har.is_none() {
-        if let Some(keylog) = &artifact.keylog {
-            let (status, _) = client::request_text(
-                addr,
-                "POST",
-                &format!("/api/v1/traces/{id}/keylog"),
-                keylog.as_bytes(),
-            )
-            .unwrap_or_else(|e| fail(&format!("keylog attach failed: {e}")));
-            if status != 200 {
-                fail(&format!("keylog attach returned {status}"));
-            }
+    if let Some(keylog) = keylog {
+        let (status, _) = client::request_text(
+            addr,
+            "POST",
+            &format!("/api/v1/traces/{id}/keylog"),
+            keylog.as_bytes(),
+        )
+        .unwrap_or_else(|e| fail(&format!("keylog attach failed: {e}")));
+        if status != 200 {
+            fail(&format!("keylog attach returned {status}"));
         }
     }
     id
@@ -227,7 +224,7 @@ fn mode_load(args: &BenchArgs, uploads: usize, queue: usize, workers: usize, out
         .artifacts
         .iter()
         .enumerate()
-        .map(|(i, artifact)| upload_artifact(&addr, i, artifact))
+        .map(|(i, artifact)| upload_unit(&addr, i, &artifact.unit))
         .collect();
     let body = job_body(
         capture.spec.name,
@@ -382,16 +379,12 @@ fn submit_only(addr: &str, body: &str) -> String {
 fn mode_smoke_keep(args: &BenchArgs, target: &str) {
     args.announce("[serve_load] smoke: generating one service");
     let dataset = standard_dataset(args);
-    let capture = dataset
+    let (capture, unit) = dataset
         .services
         .iter()
-        .find(|s| s.artifacts.iter().any(|a| a.har.is_some()))
+        .flat_map(|s| s.artifacts.iter().map(move |a| (s, &a.unit)))
+        .find(|(_, unit)| matches!(*unit.artifact, MemoryArtifact::Har(_)))
         .unwrap_or_else(|| fail("dataset has no HAR artifact"));
-    let artifact = capture
-        .artifacts
-        .iter()
-        .find(|a| a.har.is_some())
-        .unwrap_or_else(|| fail("no HAR artifact"));
 
     let (status, text) = client::request_text(target, "GET", "/healthz", &[])
         .unwrap_or_else(|e| fail(&format!("healthz failed: {e}")));
@@ -399,7 +392,7 @@ fn mode_smoke_keep(args: &BenchArgs, target: &str) {
         fail(&format!("healthz returned {status}: {text}"));
     }
 
-    let trace_id = upload_artifact(target, 0, artifact);
+    let trace_id = upload_unit(target, 0, unit);
     let body = job_body(
         capture.spec.name,
         capture.spec.slug,

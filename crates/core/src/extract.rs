@@ -267,7 +267,7 @@ mod tests {
         use diffaudit_nettrace::{
             decode_auto_salvage, har_to_exchanges_salvage, KeyLog, SalvageLog,
         };
-        use diffaudit_services::{generate_dataset, DatasetOptions};
+        use diffaudit_services::{generate_dataset, DatasetOptions, MemoryArtifact};
         let dataset = generate_dataset(&DatasetOptions {
             seed: 5,
             volume_scale: 0.01,
@@ -278,16 +278,14 @@ mod tests {
         let mut json_keys = 0;
         for artifact in dataset.services.iter().flat_map(|s| &s.artifacts) {
             let mut log = SalvageLog::new();
-            let exchanges = match (&artifact.har, &artifact.pcap) {
-                (Some(har), _) => har_to_exchanges_salvage(har, &mut log).unwrap(),
-                (None, Some(pcap)) => {
-                    let keys =
-                        KeyLog::parse_salvage(artifact.keylog.as_deref().unwrap_or(""), &mut log);
-                    decode_auto_salvage(pcap, &keys, &mut log)
+            let exchanges = match &*artifact.unit.artifact {
+                MemoryArtifact::Har(har) => har_to_exchanges_salvage(har, &mut log).unwrap(),
+                MemoryArtifact::Capture { bytes, keylog } => {
+                    let keys = KeyLog::parse_salvage(keylog.as_deref().unwrap_or(""), &mut log);
+                    decode_auto_salvage(bytes, &keys, &mut log)
                         .unwrap()
                         .exchanges
                 }
-                (None, None) => continue,
             };
             for exchange in &exchanges {
                 let entries = extract_request(&exchange.request);

@@ -29,21 +29,26 @@
 //! the TCP/TLS pipeline using the sibling key-log file (flows without a
 //! logged key are reported as opaque, exactly like pinned apps).
 //!
-//! Three sources feed the same per-unit loader: a capture directory
-//! ([`load_capture_dir`], the CLI), an in-memory upload
-//! ([`load_memory_service`], the serve daemon), and a generated dataset
-//! ([`MemoryService::from_capture`] → [`load_memory_service`], behind
-//! [`crate::pipeline::Pipeline::run`]). Each unit is read on its worker
-//! thread (a disk read, or the upload itself), salvage-decoded and
+//! Three sources feed the same per-unit loader, all holding units as
+//! [`MemoryUnit`]s (defined in `diffaudit_services` next to the trace
+//! taxonomy): a capture directory ([`load_capture_dir`], the CLI), an
+//! in-memory upload ([`load_memory_service`], the serve daemon), and a
+//! generated dataset ([`MemoryService::from_capture`] →
+//! [`load_memory_service`], behind [`crate::pipeline::Pipeline::run`]).
+//! Uploads and generated units share their artifact with their owner (the
+//! daemon's trace store, the dataset), so handing them to the loader copies
+//! a pointer and a label, never the bytes. Each unit is read on its worker
+//! thread (a disk read, or the shared unit itself), salvage-decoded and
 //! accounted under one `loader.unit` span with one ledger entry, then
 //! key-extracted on the same worker under a `pipeline.unit.extract` span.
 //! The worker keeps only each request's host, timestamp and keys
-//! ([`ExtractedUnit`]): the unit's artifact bytes are freed after decode
-//! and its decoded exchanges during extraction, before the worker takes
-//! its next unit, so a load holds at most one decoded unit per worker
-//! however large the corpus. The path tests and benches exercise is the
-//! path the CLI and daemon ship; [`decode_unit`] alone is the decode step,
-//! for callers that want the exchanges themselves.
+//! ([`ExtractedUnit`]): it drops its handle on the artifact after decode
+//! (freeing a disk read's bytes) and the decoded exchanges during
+//! extraction, before it takes its next unit, so a load holds at most one
+//! decoded unit per worker however large the corpus. The path tests and
+//! benches exercise is the path the CLI and daemon ship; [`decode_unit`]
+//! alone is the decode step, for callers that want the exchanges
+//! themselves.
 
 use crate::pipeline::{ExtractedService, ExtractedUnit, KeyBatch, LoadedUnit, UnitCtx};
 use crate::salvage::{ServiceLedger, UnitLedger};
@@ -52,7 +57,9 @@ use diffaudit_nettrace::capture::DecodeError;
 use diffaudit_nettrace::salvage::{SalvageLog, Stage};
 use diffaudit_nettrace::{decode_auto_salvage_ctl, har_to_exchanges_salvage_ctl, HarError, KeyLog};
 use diffaudit_obs::Scope;
-use diffaudit_services::{Platform, ServiceCapture, TraceArtifact, TraceCategory, TraceKind};
+use diffaudit_services::{
+    MemoryArtifact, MemoryUnit, Platform, ServiceCapture, TraceCategory, TraceKind,
+};
 use diffaudit_util::cancel::{Ctl, Interrupt};
 use diffaudit_util::par::KeyInterner;
 use std::path::{Path, PathBuf};
@@ -448,44 +455,6 @@ fn collect_loaded_units(
     )
 }
 
-/// A trace artifact held in memory: a serve daemon upload (captures
-/// arrive over HTTP and never touch the filesystem), a generated unit, or
-/// a file the disk loader has just read.
-#[derive(Debug, Clone)]
-pub enum MemoryArtifact {
-    /// HAR 1.2 text (DevTools/Proxyman exports).
-    Har(String),
-    /// pcap or pcapng bytes plus an optional `SSLKEYLOGFILE` text
-    /// (the PCAPdroid path); the container format is sniffed from magic
-    /// bytes by the auto decoder.
-    Capture {
-        /// Raw capture-file bytes.
-        bytes: Vec<u8>,
-        /// Sibling key-log text, if the client supplied one.
-        keylog: Option<String>,
-    },
-}
-
-/// One uploaded trace unit: the manifest-entry metadata plus its in-memory
-/// artifact. Cloning a unit shares the artifact rather than copying its
-/// bytes.
-#[derive(Debug, Clone)]
-pub struct MemoryUnit {
-    /// Display label for reports and the ledger (the disk loader uses the
-    /// artifact's file name here).
-    pub label: String,
-    /// Capture platform.
-    pub platform: Platform,
-    /// Trace kind.
-    pub kind: TraceKind,
-    /// User-group category.
-    pub category: TraceCategory,
-    /// The artifact itself, shared: the serve daemon hands one upload to
-    /// every job that references it. Mutate it through [`Arc::make_mut`],
-    /// so holders of the old artifact keep it unchanged.
-    pub artifact: Arc<MemoryArtifact>,
-}
-
 /// A full in-memory service upload — the same shape as a capture
 /// directory's `manifest.json`, with artifacts inline.
 #[derive(Debug, Clone)]
@@ -500,41 +469,12 @@ pub struct MemoryService {
     pub units: Vec<MemoryUnit>,
 }
 
-impl MemoryArtifact {
-    /// Artifact bytes the decoder reads (HAR text, or capture plus key
-    /// log) — the `loader.unit.bytes.in` the resource profiler divides by.
-    fn byte_len(&self) -> u64 {
-        match self {
-            MemoryArtifact::Har(text) => text.len() as u64,
-            MemoryArtifact::Capture { bytes, keylog } => {
-                bytes.len() as u64 + keylog.as_ref().map_or(0, |k| k.len() as u64)
-            }
-        }
-    }
-}
-
 impl MemoryService {
-    /// The in-memory upload equivalent of one generated service: each
-    /// artifact is copied into a [`MemoryUnit`] labelled with the file
-    /// name [`write_dataset`] gives it on disk.
+    /// The in-memory upload equivalent of one generated service: its units,
+    /// each sharing the dataset's artifact and labelled with the file name
+    /// [`write_dataset`] gives it on disk.
     pub fn from_capture(capture: &ServiceCapture) -> MemoryService {
-        let units = capture
-            .artifacts
-            .iter()
-            .map(|artifact| MemoryUnit {
-                label: UnitNames::of(artifact).file,
-                platform: artifact.platform,
-                kind: artifact.kind,
-                category: artifact.category,
-                artifact: Arc::new(match (&artifact.pcap, &artifact.har) {
-                    (Some(bytes), _) => MemoryArtifact::Capture {
-                        bytes: bytes.clone(),
-                        keylog: artifact.keylog.clone(),
-                    },
-                    (None, har) => MemoryArtifact::Har(har.clone().unwrap_or_default()),
-                }),
-            })
-            .collect();
+        let units = capture.artifacts.iter().map(|a| a.unit.clone()).collect();
         MemoryService {
             name: capture.spec.name.to_string(),
             slug: capture.spec.slug.to_string(),
@@ -586,39 +526,11 @@ pub fn load_memory_service(
     })
 }
 
-/// How a generated unit is named on disk: its artifact `file`
-/// (`<stem>.pcap` for a capture, `<stem>.har` otherwise) and its `keylog`
-/// (`<stem>.keys`), the stem joining the unit's manifest spellings.
-/// [`MemoryService::from_capture`] labels the unit with `file`, so it
-/// carries the same ledger label on the disk and in-memory paths.
-struct UnitNames {
-    file: String,
-    keylog: String,
-}
-
-impl UnitNames {
-    fn of(artifact: &TraceArtifact) -> UnitNames {
-        let stem = format!(
-            "{}-{}-{}",
-            artifact.platform.spelling(),
-            artifact.category.spelling(),
-            artifact.kind.spelling()
-        );
-        let ext = if artifact.pcap.is_some() {
-            "pcap"
-        } else {
-            "har"
-        };
-        UnitNames {
-            file: format!("{stem}.{ext}"),
-            keylog: format!("{stem}.keys"),
-        }
-    }
-}
-
 /// Write a generated dataset to disk in the loader's directory layout —
 /// one directory per service with `manifest.json` plus artifact files.
-/// Returns the per-service directories created.
+/// Each unit's artifact is written under its label, and a capture's key log
+/// under the label's stem plus `.keys`. Returns the per-service directories
+/// created.
 pub fn write_dataset(
     dataset: &diffaudit_services::GeneratedDataset,
     out: &Path,
@@ -631,28 +543,25 @@ pub fn write_dataset(
         let dir = out.join(capture.spec.slug);
         std::fs::create_dir_all(&dir).map_err(|e| LoadError::Io(dir.clone(), e))?;
         let mut units_json = Vec::new();
-        for artifact in &capture.artifacts {
-            let names = UnitNames::of(artifact);
-            let mut unit = Json::obj()
-                .with("platform", Json::str(artifact.platform.spelling()))
-                .with("kind", Json::str(artifact.kind.spelling()))
-                .with("category", Json::str(artifact.category.spelling()));
-            match (&artifact.pcap, &artifact.har) {
-                (Some(pcap), _) => {
-                    write(dir.join(&names.file), pcap)?;
-                    unit.set("file", Json::str(names.file));
-                    if let Some(keylog) = &artifact.keylog {
-                        write(dir.join(&names.keylog), keylog.as_bytes())?;
-                        unit.set("keylog", Json::str(names.keylog));
+        for unit in capture.artifacts.iter().map(|a| &a.unit) {
+            let mut entry = Json::obj()
+                .with("platform", Json::str(unit.platform.spelling()))
+                .with("kind", Json::str(unit.kind.spelling()))
+                .with("category", Json::str(unit.category.spelling()))
+                .with("file", Json::str(&unit.label));
+            match &*unit.artifact {
+                MemoryArtifact::Har(text) => write(dir.join(&unit.label), text.as_bytes())?,
+                MemoryArtifact::Capture { bytes, keylog } => {
+                    write(dir.join(&unit.label), bytes)?;
+                    if let Some(keylog) = keylog {
+                        let stem = unit.label.rsplit_once('.').map_or(&*unit.label, |(s, _)| s);
+                        let name = format!("{stem}.keys");
+                        write(dir.join(&name), keylog.as_bytes())?;
+                        entry.set("keylog", Json::str(name));
                     }
                 }
-                (None, Some(har)) => {
-                    write(dir.join(&names.file), har.as_bytes())?;
-                    unit.set("file", Json::str(names.file));
-                }
-                (None, None) => {}
             }
-            units_json.push(unit);
+            units_json.push(entry);
         }
         let manifest = Json::obj()
             .with(
@@ -856,6 +765,27 @@ mod tests {
         let service_dirs = write_dataset(&dataset, &dir).unwrap();
         let service_dir = service_dirs.into_iter().next().unwrap();
         (dataset, dir, service_dir)
+    }
+
+    #[test]
+    fn from_capture_shares_each_artifact_under_its_disk_name() {
+        let (dataset, dir, service_dir) = written_service_dir("shared");
+        let capture = &dataset.services[0];
+        let svc = MemoryService::from_capture(capture);
+        let manifest = read_manifest(&service_dir).unwrap();
+        assert_eq!(svc.units.len(), capture.artifacts.len());
+        assert_eq!(manifest.unit_entries.len(), capture.artifacts.len());
+        let entries = capture.artifacts.iter().zip(&manifest.unit_entries);
+        for (unit, (generated, entry)) in svc.units.iter().zip(entries) {
+            assert!(
+                Arc::ptr_eq(&unit.artifact, &generated.unit.artifact),
+                "{} was copied",
+                unit.label
+            );
+            let file = entry.get("file").and_then(Json::as_str);
+            assert_eq!(Some(unit.label.as_str()), file);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

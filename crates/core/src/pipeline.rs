@@ -225,10 +225,9 @@ impl Pipeline {
     /// Run over a generated dataset, through the same salvage loader as
     /// capture directories and daemon uploads: each service becomes a
     /// [`MemoryService`] and is loaded (decoded and key-extracted) by
-    /// [`load_memory_service`]. Services convert and load one at a time, so
-    /// only one service's artifact bytes are ever copied, and each unit's
-    /// copy and decoded exchanges are freed on its worker once its keys are
-    /// extracted.
+    /// [`load_memory_service`]. The service's units share the dataset's
+    /// artifacts, so no capture byte is copied, and each unit's decoded
+    /// exchanges are freed on its worker once its keys are extracted.
     pub fn run(&self, dataset: &GeneratedDataset) -> AuditOutcome {
         let (scope, ctl) = (Scope::global(), Ctl::unbounded());
         let interner = KeyInterner::new();

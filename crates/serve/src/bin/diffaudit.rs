@@ -100,7 +100,7 @@ use diffaudit::salvage::{DegradationLedger, RunStatus, SalvagePolicy};
 use diffaudit_json::Json;
 use diffaudit_obs as obs;
 use diffaudit_serve::{ServeConfig, Server};
-use diffaudit_services::{generate_dataset_threads, DatasetOptions};
+use diffaudit_services::{all_services, generate_dataset_threads, service_by_slug, DatasetOptions};
 use diffaudit_util::cancel::Ctl;
 use diffaudit_util::par::KeyInterner;
 use std::path::PathBuf;
@@ -350,8 +350,14 @@ fn cmd_generate(args: &[String], threads: usize) -> ExitCode {
     while let Some(flag) = iter.next() {
         match flag.as_str() {
             "--out" => out = iter.next().map(PathBuf::from),
-            "--scale" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(v) => options.volume_scale = v,
+            "--scale" => match iter.next() {
+                Some(v) => match v.parse::<f64>() {
+                    Ok(scale) if scale.is_finite() && scale > 0.0 => options.volume_scale = scale,
+                    _ => {
+                        obs::error(&format!("--scale {v:?} must be a finite number > 0"), &[]);
+                        return usage();
+                    }
+                },
                 None => return usage(),
             },
             "--seed" => match iter.next().and_then(|v| v.parse().ok()) {
@@ -370,6 +376,16 @@ fn cmd_generate(args: &[String], threads: usize) -> ExitCode {
     let Some(out) = out else {
         return usage();
     };
+    if let Some(slug) = options
+        .services
+        .iter()
+        .find(|s| service_by_slug(s).is_none())
+    {
+        let known: Vec<&str> = all_services().iter().map(|s| s.slug).collect();
+        let known = known.join(",");
+        obs::error(&format!("unknown service {slug:?} (expected {known})"), &[]);
+        return usage();
+    }
     obs::info(
         "generating dataset",
         &[

@@ -57,12 +57,12 @@ use crate::job::{JobCompletion, JobPhase, JobRecord, JobTable, JobView};
 use crate::names;
 use crate::queue::{BoundedQueue, PushError};
 use crate::runner::{self, ChaosMode, JobRequest};
-use diffaudit::loader::{MemoryArtifact, MemoryService, MemoryUnit};
+use diffaudit::loader::MemoryService;
 use diffaudit::run::AuditSettings;
 use diffaudit::salvage::SalvagePolicy;
 use diffaudit_json::{parse, Json};
 use diffaudit_obs as obs;
-use diffaudit_services::{Platform, TraceCategory, TraceKind};
+use diffaudit_services::{MemoryArtifact, MemoryUnit, Platform, TraceCategory, TraceKind};
 use diffaudit_util::cancel::CancelToken;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};

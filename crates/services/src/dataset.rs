@@ -1,20 +1,24 @@
 //! Full-dataset generation: the paper's collection campaign in one call.
 //!
 //! For every service × platform × trace unit, [`generate_dataset`] produces
-//! the artifact the corresponding real capture would yield — a HAR document
-//! for web and desktop units (Chrome DevTools / Proxyman), or pcap bytes
-//! plus an `SSLKEYLOGFILE` key log for mobile units (PCAPdroid) — along with
-//! the dataset-wide key ground truth used to validate classifiers.
+//! the capture unit the corresponding real capture would yield — a HAR
+//! document for web and desktop units (Chrome DevTools / Proxyman), or pcap
+//! bytes plus an `SSLKEYLOGFILE` key log for mobile units (PCAPdroid) —
+//! along with the dataset-wide key ground truth used to validate
+//! classifiers. Each unit is the [`MemoryUnit`] the loader audits, labelled
+//! with the file name it is written under on disk, so an in-process audit
+//! shares the generated bytes instead of copying them.
 
 use crate::catalog::all_services;
 use crate::keys::KeyFactory;
-use crate::profile::{AgeGroup, Platform, TraceCategory, TraceKind};
+use crate::profile::{MemoryArtifact, MemoryUnit, Platform, TraceCategory, TraceKind};
 use crate::session::{generate_unit_scaled, TraceState};
 use crate::spec::ServiceSpec;
 use diffaudit_nettrace::{har_from_exchanges, CaptureOptions, CaptureSession, Exchange};
 use diffaudit_ontology::DataTypeCategory;
 use diffaudit_util::Rng;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Options controlling dataset generation.
 #[derive(Debug, Clone)]
@@ -55,23 +59,13 @@ impl DatasetOptions {
     }
 }
 
-/// One captured unit.
+/// One generated unit: the capture unit the loader reads, plus ground
+/// truth it never reads.
 #[derive(Debug)]
 pub struct TraceArtifact {
-    /// Platform of the unit.
-    pub platform: Platform,
-    /// Trace kind.
-    pub kind: TraceKind,
-    /// Trace category (age or logged-out).
-    pub category: TraceCategory,
-    /// Age group, for age-specific traces.
-    pub age: Option<AgeGroup>,
-    /// HAR document text (web/desktop units).
-    pub har: Option<String>,
-    /// pcap bytes (mobile units).
-    pub pcap: Option<Vec<u8>>,
-    /// Key log text (mobile units).
-    pub keylog: Option<String>,
+    /// The unit, labelled `<platform>-<category>-<kind>.<har|pcap>` (its
+    /// file name on disk).
+    pub unit: MemoryUnit,
     /// Number of exchanges generated into this unit.
     pub exchange_count: usize,
 }
@@ -160,28 +154,6 @@ pub fn generate_dataset_threads(options: &DatasetOptions, threads: usize) -> Gen
     }
 }
 
-/// Generate one service's capture (callable separately so the full-scale
-/// benchmark can process services one at a time). Exchange generation is
-/// serial (see [`generate_dataset`]); this service's units still package
-/// in parallel on [`diffaudit_util::par::available_threads`] workers.
-pub fn generate_service(
-    spec: &ServiceSpec,
-    options: &DatasetOptions,
-    root: &Rng,
-    factory: &mut KeyFactory,
-) -> ServiceCapture {
-    let units = generate_service_units(spec, options, root, factory);
-    let artifacts = diffaudit_util::par::par_map(
-        diffaudit_util::par::available_threads(),
-        units,
-        |_, unit| package_unit(spec, options, unit),
-    );
-    ServiceCapture {
-        spec: spec.clone(),
-        artifacts,
-    }
-}
-
 /// One unit's generated exchanges, awaiting packaging into an artifact.
 struct PendingUnit {
     platform: Platform,
@@ -255,18 +227,11 @@ fn package_unit(spec: &ServiceSpec, options: &DatasetOptions, unit: PendingUnit)
         unit_index,
     } = unit;
     let exchange_count = exchanges.len();
-    let age = category.age_group();
-    match platform {
-        Platform::Web | Platform::Desktop => TraceArtifact {
-            platform,
-            kind,
-            category,
-            age,
-            har: Some(har_from_exchanges(&exchanges).to_string()),
-            pcap: None,
-            keylog: None,
-            exchange_count,
-        },
+    let (ext, artifact) = match platform {
+        Platform::Web | Platform::Desktop => (
+            "har",
+            MemoryArtifact::Har(har_from_exchanges(&exchanges).to_string()),
+        ),
         Platform::Mobile => {
             let mut session = CaptureSession::new(CaptureOptions {
                 seed: options.seed ^ diffaudit_util::fnv1a64(spec.slug.as_bytes()) ^ unit_index,
@@ -276,18 +241,26 @@ fn package_unit(spec: &ServiceSpec, options: &DatasetOptions, unit: PendingUnit)
             for exchange in &exchanges {
                 session.capture(exchange);
             }
-            let (pcap, keylog) = session.finish();
-            TraceArtifact {
-                platform,
-                kind,
-                category,
-                age,
-                har: None,
-                pcap: Some(pcap),
-                keylog: Some(keylog),
-                exchange_count,
-            }
+            let (bytes, keylog) = session.finish();
+            let keylog = Some(keylog);
+            ("pcap", MemoryArtifact::Capture { bytes, keylog })
         }
+    };
+    let label = format!(
+        "{}-{}-{}.{ext}",
+        platform.spelling(),
+        category.spelling(),
+        kind.spelling()
+    );
+    TraceArtifact {
+        unit: MemoryUnit {
+            label,
+            platform,
+            kind,
+            category,
+            artifact: Arc::new(artifact),
+        },
+        exchange_count,
     }
 }
 
@@ -320,18 +293,20 @@ mod tests {
         let web_units = tiktok
             .artifacts
             .iter()
-            .filter(|a| a.platform == Platform::Web)
+            .filter(|a| a.unit.platform == Platform::Web)
             .count();
         assert_eq!(web_units, 7);
         for artifact in &tiktok.artifacts {
-            match artifact.platform {
-                Platform::Web | Platform::Desktop => {
-                    assert!(artifact.har.is_some() && artifact.pcap.is_none());
+            let unit = &artifact.unit;
+            match (unit.platform, &*unit.artifact) {
+                (Platform::Web | Platform::Desktop, MemoryArtifact::Har(_)) => {
+                    assert!(unit.label.ends_with(".har"), "{}", unit.label);
                 }
-                Platform::Mobile => {
-                    assert!(artifact.pcap.is_some() && artifact.keylog.is_some());
-                    assert!(artifact.har.is_none());
+                (Platform::Mobile, MemoryArtifact::Capture { keylog, .. }) => {
+                    assert!(keylog.is_some());
+                    assert!(unit.label.ends_with(".pcap"), "{}", unit.label);
                 }
+                (platform, _) => panic!("{platform} unit with the wrong payload"),
             }
             assert!(artifact.exchange_count > 0);
         }
@@ -350,7 +325,7 @@ mod tests {
         assert!(roblox
             .artifacts
             .iter()
-            .any(|a| a.platform == Platform::Desktop));
+            .any(|a| a.unit.platform == Platform::Desktop));
     }
 
     #[test]
@@ -370,9 +345,8 @@ mod tests {
         assert_eq!(a.key_truth, b.key_truth);
         for (sa, sb) in a.services.iter().zip(&b.services) {
             for (ua, ub) in sa.artifacts.iter().zip(&sb.artifacts) {
-                assert_eq!(ua.har, ub.har);
-                assert_eq!(ua.pcap, ub.pcap);
-                assert_eq!(ua.keylog, ub.keylog);
+                assert_eq!(ua.unit.label, ub.unit.label);
+                assert_eq!(ua.unit.artifact, ub.unit.artifact);
             }
         }
     }
@@ -384,12 +358,17 @@ mod tests {
         let mobile = ds.services[0]
             .artifacts
             .iter()
-            .find(|a| a.platform == Platform::Mobile)
+            .find(|a| a.unit.platform == Platform::Mobile)
             .unwrap();
-        let keylog = KeyLog::parse(mobile.keylog.as_ref().unwrap());
+        let MemoryArtifact::Capture {
+            bytes,
+            keylog: Some(keylog),
+        } = &*mobile.unit.artifact
+        else {
+            panic!("mobile unit without a capture and key log");
+        };
         let mut log = SalvageLog::new();
-        let decoded =
-            decode_auto_salvage(mobile.pcap.as_ref().unwrap(), &keylog, &mut log).unwrap();
+        let decoded = decode_auto_salvage(bytes, &KeyLog::parse(keylog), &mut log).unwrap();
         assert!(log.is_clean(), "{:?}", log.drops());
         assert_eq!(decoded.flow_count, mobile.exchange_count);
         assert!(
@@ -405,9 +384,12 @@ mod tests {
         let web = ds.services[0]
             .artifacts
             .iter()
-            .find(|a| a.platform == Platform::Web)
+            .find(|a| a.unit.platform == Platform::Web)
             .unwrap();
-        let exchanges = har_to_exchanges(web.har.as_ref().unwrap()).unwrap();
+        let MemoryArtifact::Har(har) = &*web.unit.artifact else {
+            panic!("web unit without a HAR");
+        };
+        let exchanges = har_to_exchanges(har).unwrap();
         assert_eq!(exchanges.len(), web.exchange_count);
     }
 }

@@ -38,5 +38,5 @@ pub use dataset::{
 };
 pub use keys::KeyFactory;
 pub use policy::{PolicyDisclosure, PrivacyPolicy};
-pub use profile::{AgeGroup, Platform, TraceCategory, TraceKind};
+pub use profile::{AgeGroup, MemoryArtifact, MemoryUnit, Platform, TraceCategory, TraceKind};
 pub use spec::{CellPresence, FlowAction, ServiceSpec, TraceProfile};

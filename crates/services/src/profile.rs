@@ -1,4 +1,5 @@
-//! User profiles, platforms, and trace taxonomy (paper §3.1).
+//! User profiles, platforms, trace taxonomy (paper §3.1), and the capture
+//! unit that carries one trace from the generator or an upload to the loader.
 
 /// The three age groups COPPA/CCPA distinguish (paper: child < 13,
 /// 13 ≤ adolescent < 16, adult ≥ 16).
@@ -215,6 +216,58 @@ impl std::fmt::Display for TraceCategory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
     }
+}
+
+/// A capture unit's payload, held in memory: a generated unit, a serve
+/// daemon upload (captures arrive over HTTP and never touch the
+/// filesystem), or a file the disk loader has just read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MemoryArtifact {
+    /// HAR 1.2 text (DevTools/Proxyman exports).
+    Har(String),
+    /// pcap or pcapng bytes plus an optional `SSLKEYLOGFILE` text
+    /// (the PCAPdroid path); the container format is sniffed from magic
+    /// bytes by the auto decoder.
+    Capture {
+        /// Raw capture-file bytes.
+        bytes: Vec<u8>,
+        /// Sibling key-log text, if the client supplied one.
+        keylog: Option<String>,
+    },
+}
+
+impl MemoryArtifact {
+    /// Artifact bytes the decoder reads (HAR text, or capture plus key
+    /// log) — the `loader.unit.bytes.in` the resource profiler divides by.
+    pub fn byte_len(&self) -> u64 {
+        match self {
+            MemoryArtifact::Har(text) => text.len() as u64,
+            MemoryArtifact::Capture { bytes, keylog } => {
+                bytes.len() as u64 + keylog.as_ref().map_or(0, |k| k.len() as u64)
+            }
+        }
+    }
+}
+
+/// One capture unit: the manifest-entry metadata plus its in-memory
+/// artifact. Cloning a unit shares the artifact rather than copying its
+/// bytes.
+#[derive(Debug, Clone)]
+pub struct MemoryUnit {
+    /// Display label for reports and the ledger: the artifact's file name
+    /// on disk (a generated unit's is `<platform>-<category>-<kind>.<har|pcap>`).
+    pub label: String,
+    /// Capture platform.
+    pub platform: Platform,
+    /// Trace kind.
+    pub kind: TraceKind,
+    /// User-group category.
+    pub category: TraceCategory,
+    /// The artifact itself, shared: a generated dataset and its audit, or
+    /// every serve job that references one upload. Mutate it through
+    /// [`std::sync::Arc::make_mut`], so holders of the old artifact keep it
+    /// unchanged.
+    pub artifact: std::sync::Arc<MemoryArtifact>,
 }
 
 fn spelling(label: &str) -> String {

@@ -21,7 +21,7 @@ use diffaudit_nettrace::pcapng::inject_secrets;
 use diffaudit_nettrace::{
     decode_auto_salvage, decode_auto_salvage_ctl, har_to_exchanges_salvage, KeyLog, SalvageLog,
 };
-use diffaudit_services::{generate_dataset, DatasetOptions, GeneratedDataset};
+use diffaudit_services::{generate_dataset, DatasetOptions, GeneratedDataset, MemoryArtifact};
 
 const SEEDS: [u64; 2] = [3, 11];
 const RATES: [f64; 4] = [0.0, 0.05, 0.25, 0.6];
@@ -44,51 +44,57 @@ fn salvaged_input(
     let capture = &dataset.services[0];
     let mut log = SalvageLog::new();
     let mut units = Vec::new();
-    for artifact in &capture.artifacts {
-        if let Some(har) = &artifact.har {
-            let text = match &fault {
-                Some(spec) => spec.apply_har(har),
-                None => har.clone(),
-            };
-            // Document-level damage loses the whole unit; that is still
-            // "degradation", just coarser.
-            if let Ok(exchanges) = har_to_exchanges_salvage(&text, &mut log) {
-                let n = exchanges.len();
-                units.push(LoadedUnit {
-                    platform: artifact.platform,
-                    kind: artifact.kind,
-                    category: artifact.category,
-                    exchanges,
-                    opaque_snis: Vec::new(),
-                    packet_count: n,
-                    flow_count: n,
-                });
-            }
-        } else if let Some(pcap) = &artifact.pcap {
-            let bytes = match &fault {
-                Some(spec) => spec.apply_pcap(pcap),
-                None => pcap.clone(),
-            };
-            let keylog = match &artifact.keylog {
-                Some(text) => {
-                    let text = match &fault {
-                        Some(spec) => spec.apply_keylog(text),
-                        None => text.clone(),
-                    };
-                    KeyLog::parse_salvage(&text, &mut log)
+    for unit in capture.artifacts.iter().map(|a| &a.unit) {
+        match &*unit.artifact {
+            MemoryArtifact::Har(har) => {
+                let text = match &fault {
+                    Some(spec) => spec.apply_har(har),
+                    None => har.clone(),
+                };
+                // Document-level damage loses the whole unit; that is still
+                // "degradation", just coarser.
+                if let Ok(exchanges) = har_to_exchanges_salvage(&text, &mut log) {
+                    let n = exchanges.len();
+                    units.push(LoadedUnit {
+                        platform: unit.platform,
+                        kind: unit.kind,
+                        category: unit.category,
+                        exchanges,
+                        opaque_snis: Vec::new(),
+                        packet_count: n,
+                        flow_count: n,
+                    });
                 }
-                None => KeyLog::new(),
-            };
-            if let Ok(decoded) = decode_auto_salvage(&bytes, &keylog, &mut log) {
-                units.push(LoadedUnit {
-                    platform: artifact.platform,
-                    kind: artifact.kind,
-                    category: artifact.category,
-                    exchanges: decoded.exchanges,
-                    opaque_snis: decoded.opaque.into_iter().filter_map(|o| o.sni).collect(),
-                    packet_count: decoded.packet_count,
-                    flow_count: decoded.flow_count,
-                });
+            }
+            MemoryArtifact::Capture {
+                bytes: pcap,
+                keylog,
+            } => {
+                let bytes = match &fault {
+                    Some(spec) => spec.apply_pcap(pcap),
+                    None => pcap.clone(),
+                };
+                let keylog = match keylog {
+                    Some(text) => {
+                        let text = match &fault {
+                            Some(spec) => spec.apply_keylog(text),
+                            None => text.clone(),
+                        };
+                        KeyLog::parse_salvage(&text, &mut log)
+                    }
+                    None => KeyLog::new(),
+                };
+                if let Ok(decoded) = decode_auto_salvage(&bytes, &keylog, &mut log) {
+                    units.push(LoadedUnit {
+                        platform: unit.platform,
+                        kind: unit.kind,
+                        category: unit.category,
+                        exchanges: decoded.exchanges,
+                        opaque_snis: decoded.opaque.into_iter().filter_map(|o| o.sni).collect(),
+                        packet_count: decoded.packet_count,
+                        flow_count: decoded.flow_count,
+                    });
+                }
             }
         }
     }
@@ -272,16 +278,15 @@ fn a_stalled_decoder_is_cut_off_at_the_deadline_across_the_fault_grid() {
 
     let dataset = dataset();
     let capture = &dataset.services[0];
-    let artifact = capture
+    let (pcap, keylog) = capture
         .artifacts
         .iter()
-        .find(|a| a.pcap.is_some())
+        .find_map(|a| match &*a.unit.artifact {
+            MemoryArtifact::Capture { bytes, keylog } => Some((bytes, keylog)),
+            MemoryArtifact::Har(_) => None,
+        })
         .expect("dataset has a pcap artifact");
-    let pcap = artifact.pcap.as_ref().expect("pcap bytes");
-    let keylog = match &artifact.keylog {
-        Some(text) => KeyLog::parse(text),
-        None => KeyLog::new(),
-    };
+    let keylog = keylog.as_deref().map_or_else(KeyLog::new, KeyLog::parse);
     // Deadline shorter than one stalled checkpoint: the decoder gets the
     // container open, then the first per-record check already trips.
     let stalled_ctl = || {
@@ -339,7 +344,7 @@ fn a_stalled_load_surfaces_as_timeout_drops_even_on_damaged_units() {
     // not — must land in the degradation ledger with a `timeout:` reason
     // code (the interrupt wins over whatever decode damage the bytes
     // also carry), and the ledger must conserve the full unit count.
-    use diffaudit::loader::{load_memory_service, MemoryArtifact, MemoryService, MemoryUnit};
+    use diffaudit::loader::{load_memory_service, MemoryService};
     use diffaudit_util::cancel::{CancelToken, Ctl, Deadline};
     use std::time::Duration;
 
@@ -350,26 +355,18 @@ fn a_stalled_load_surfaces_as_timeout_drops_even_on_damaged_units() {
         seed: 3,
         rate: 0.25,
     };
-    let units: Vec<MemoryUnit> = capture
+    let units: Vec<_> = capture
         .artifacts
         .iter()
         .enumerate()
         .map(|(i, artifact)| {
-            let art = match (&artifact.har, &artifact.pcap) {
-                (Some(har), _) => MemoryArtifact::Har(spec.apply_har(har)),
-                (None, Some(pcap)) => MemoryArtifact::Capture {
-                    bytes: spec.apply_pcap(pcap),
-                    keylog: artifact.keylog.clone(),
-                },
-                (None, None) => unreachable!("artifact has neither HAR nor pcap"),
-            };
-            MemoryUnit {
-                label: format!("unit-{i}"),
-                platform: artifact.platform,
-                kind: artifact.kind,
-                category: artifact.category,
-                artifact: std::sync::Arc::new(art),
+            let mut unit = artifact.unit.clone();
+            unit.label = format!("unit-{i}");
+            match std::sync::Arc::make_mut(&mut unit.artifact) {
+                MemoryArtifact::Har(har) => *har = spec.apply_har(har),
+                MemoryArtifact::Capture { bytes, .. } => *bytes = spec.apply_pcap(bytes),
             }
+            unit
         })
         .collect();
     let total = units.len();
@@ -419,13 +416,17 @@ fn pcapng_with_secrets_survives_the_fault_grid() {
     // the bytes; record-structure operators are identity on pcapng.
     let dataset = dataset();
     let capture = &dataset.services[0];
-    let artifact = capture
+    let (pcap, keylog) = capture
         .artifacts
         .iter()
-        .find(|a| a.pcap.is_some() && a.keylog.is_some())
+        .find_map(|a| match &*a.unit.artifact {
+            MemoryArtifact::Capture {
+                bytes,
+                keylog: Some(keylog),
+            } => Some((bytes, KeyLog::parse(keylog))),
+            _ => None,
+        })
         .expect("dataset has a pcap+keylog artifact");
-    let pcap = artifact.pcap.as_ref().unwrap();
-    let keylog = KeyLog::parse(artifact.keylog.as_ref().unwrap());
     let pcapng = inject_secrets(pcap, &keylog).expect("secrets injection");
 
     // Pristine pcapng decodes cleanly and matches the pcap+keylog decode.

@@ -146,6 +146,29 @@ fn unusable_input_and_bad_usage_exit_one() {
         assert_eq!(code, Some(1), "{bad:?} must be bad usage");
         assert!(stdout.is_empty(), "{bad:?} must not print a report");
     }
+    // `generate` flags out of range: the error names the value, and
+    // nothing is generated or created.
+    let out = root.join("generated");
+    for bad in [
+        &["--scale", "nan"][..],
+        &["--scale", "-5"],
+        &["--scale", "inf"],
+        &["--services", "tiktk"],
+        &["--services", "tiktok,tiktk"],
+    ] {
+        let output = bin()
+            .arg("generate")
+            .arg("--out")
+            .arg(&out)
+            .args(bad)
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(1), "{bad:?} must be bad usage");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let value = bad[1].rsplit(',').next().unwrap();
+        assert!(stderr.contains(value), "{bad:?} not named: {stderr}");
+        assert!(!out.exists(), "{bad:?} must not create --out");
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 

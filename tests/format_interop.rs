@@ -6,7 +6,7 @@ use diffaudit::extract::extract_request;
 use diffaudit_nettrace::{
     decode_auto_salvage, har_to_exchanges, DecodedTrace, KeyLog, PcapReader, SalvageLog,
 };
-use diffaudit_services::{generate_dataset, DatasetOptions, Platform, TraceKind};
+use diffaudit_services::{generate_dataset, DatasetOptions, MemoryArtifact, Platform, TraceKind};
 
 fn dataset() -> diffaudit_services::GeneratedDataset {
     generate_dataset(&DatasetOptions {
@@ -34,7 +34,7 @@ fn decode_clean(pcap: &[u8], keylog: &KeyLog) -> DecodedTrace {
 fn har_artifacts_parse_and_count() {
     let ds = dataset();
     for artifact in &ds.services[0].artifacts {
-        if let Some(har) = &artifact.har {
+        if let MemoryArtifact::Har(har) = &*artifact.unit.artifact {
             let exchanges = har_to_exchanges(har).expect("valid HAR");
             assert_eq!(exchanges.len(), artifact.exchange_count);
             for ex in &exchanges {
@@ -50,7 +50,7 @@ fn har_artifacts_parse_and_count() {
 fn pcap_artifacts_are_valid_captures() {
     let ds = dataset();
     for artifact in &ds.services[0].artifacts {
-        if let Some(pcap) = &artifact.pcap {
+        if let MemoryArtifact::Capture { bytes: pcap, .. } = &*artifact.unit.artifact {
             let mut log = SalvageLog::new();
             let reader = PcapReader::parse_salvage(pcap, &mut log).expect("valid pcap container");
             assert!(log.is_clean(), "{:?}", log.drops());
@@ -75,17 +75,26 @@ fn pcap_and_har_paths_agree_on_extracted_keys() {
     let web = capture
         .artifacts
         .iter()
-        .find(|a| a.platform == Platform::Web && a.kind == TraceKind::LoggedOut)
+        .find(|a| a.unit.platform == Platform::Web && a.unit.kind == TraceKind::LoggedOut)
         .expect("web logged-out unit");
     let mobile = capture
         .artifacts
         .iter()
-        .find(|a| a.platform == Platform::Mobile && a.kind == TraceKind::LoggedOut)
+        .find(|a| a.unit.platform == Platform::Mobile && a.unit.kind == TraceKind::LoggedOut)
         .expect("mobile logged-out unit");
 
-    let web_exchanges = har_to_exchanges(web.har.as_ref().unwrap()).unwrap();
-    let keylog = KeyLog::parse(mobile.keylog.as_ref().unwrap());
-    let decoded = decode_clean(mobile.pcap.as_ref().unwrap(), &keylog);
+    let MemoryArtifact::Har(web_har) = &*web.unit.artifact else {
+        panic!("web unit without a HAR");
+    };
+    let MemoryArtifact::Capture {
+        bytes,
+        keylog: Some(keylog),
+    } = &*mobile.unit.artifact
+    else {
+        panic!("mobile unit without a capture and key log");
+    };
+    let web_exchanges = har_to_exchanges(web_har).unwrap();
+    let decoded = decode_clean(bytes, &KeyLog::parse(keylog));
     assert!(decoded.opaque.is_empty(), "pinning disabled");
     assert_eq!(decoded.exchanges.len(), mobile.exchange_count);
 
@@ -108,13 +117,12 @@ fn ground_truth_covers_extracted_keys() {
     let capture = &ds.services[0];
     let mut checked = 0usize;
     for artifact in &capture.artifacts {
-        let exchanges = match (&artifact.har, &artifact.pcap) {
-            (Some(har), _) => har_to_exchanges(har).unwrap(),
-            (_, Some(pcap)) => {
-                let keylog = KeyLog::parse(artifact.keylog.as_deref().unwrap());
-                decode_clean(pcap, &keylog).exchanges
+        let exchanges = match &*artifact.unit.artifact {
+            MemoryArtifact::Har(har) => har_to_exchanges(har).unwrap(),
+            MemoryArtifact::Capture { bytes, keylog } => {
+                let keylog = KeyLog::parse(keylog.as_deref().unwrap());
+                decode_clean(bytes, &keylog).exchanges
             }
-            _ => unreachable!("artifact must carry HAR or pcap"),
         };
         for ex in exchanges {
             for entry in extract_request(&ex.request) {

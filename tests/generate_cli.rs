@@ -1,7 +1,9 @@
 //! `diffaudit generate` is byte-reproducible: the same seed writes the same
-//! tree, every capture file and `key_truth.json` included.
+//! tree, every capture file and `key_truth.json` included, and that tree's
+//! digest is pinned so it cannot move between versions either.
 
 use diffaudit_json::parse;
+use diffaudit_util::Fnv64;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -51,6 +53,11 @@ fn files(root: &Path) -> Vec<PathBuf> {
     found
 }
 
+/// FNV-1a 64 (`diffaudit_util::fnv1a64`) over the `--scale 0.02 --seed 7`
+/// tree: each file's relative path followed by its contents, in sorted path
+/// order. A change to the generator's output moves it.
+const SCALE_002_SEED_7_DIGEST: u64 = 0xb42e_389a_8783_2365;
+
 #[test]
 fn same_seed_writes_a_byte_identical_tree() {
     let (a, b) = (temp_dir("a"), temp_dir("b"));
@@ -59,13 +66,22 @@ fn same_seed_writes_a_byte_identical_tree() {
     let listed = files(&a);
     assert_eq!(listed, files(&b), "the two trees hold different files");
     assert!(listed.iter().any(|p| p.ends_with("manifest.json")));
+    let mut digest = Fnv64::new();
     for rel in &listed {
         let (left, right) = (
             std::fs::read(a.join(rel)).unwrap(),
             std::fs::read(b.join(rel)).unwrap(),
         );
         assert!(left == right, "{} differs between runs", rel.display());
+        digest.write(rel.to_str().unwrap().as_bytes());
+        digest.write(&left);
     }
+    assert_eq!(
+        digest.finish(),
+        SCALE_002_SEED_7_DIGEST,
+        "the generated tree changed: digest {:#018x}",
+        digest.finish()
+    );
 
     // The ground truth is written in key order.
     let truth = std::fs::read_to_string(a.join("key_truth.json")).unwrap();

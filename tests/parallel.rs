@@ -24,8 +24,7 @@
 use diffaudit::audit::audit_service;
 use diffaudit::export::{outcome_to_json, outcome_to_json_with_ledger};
 use diffaudit::loader::{
-    decode_unit, load_capture_dir, load_memory_service, write_dataset, MemoryArtifact,
-    MemoryService,
+    decode_unit, load_capture_dir, load_memory_service, write_dataset, MemoryService,
 };
 use diffaudit::pipeline::{ClassificationMode, Pipeline, ServiceInput};
 use diffaudit::{AuditFinding, DegradationLedger, ServiceLedger, UnitLedger};
@@ -35,6 +34,7 @@ use diffaudit_nettrace::{SalvageLog, Stage};
 use diffaudit_obs::{Scope, TraceLog};
 use diffaudit_services::{
     generate_dataset, generate_dataset_threads, service_by_slug, DatasetOptions, GeneratedDataset,
+    MemoryArtifact,
 };
 use diffaudit_util::cancel::Ctl;
 use diffaudit_util::par::KeyInterner;
@@ -272,20 +272,11 @@ fn dataset_generation_is_thread_count_invariant() {
         assert_eq!(s.spec.slug, p.spec.slug);
         assert_eq!(s.artifacts.len(), p.artifacts.len());
         for (a, b) in s.artifacts.iter().zip(p.artifacts.iter()) {
+            assert_eq!(a.unit.label, b.unit.label);
             assert_eq!(
-                a.har, b.har,
-                "{}: HAR text must be byte-identical",
-                s.spec.slug
-            );
-            assert_eq!(
-                a.pcap, b.pcap,
-                "{}: pcap must be byte-identical",
-                s.spec.slug
-            );
-            assert_eq!(
-                a.keylog, b.keylog,
-                "{}: keylog must be byte-identical",
-                s.spec.slug
+                a.unit.artifact, b.unit.artifact,
+                "{}: {} must be byte-identical",
+                s.spec.slug, a.unit.label
             );
             assert_eq!(a.exchange_count, b.exchange_count);
         }

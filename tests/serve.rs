@@ -6,7 +6,9 @@
 use diffaudit_json::Json;
 use diffaudit_serve::client;
 use diffaudit_serve::{ServeConfig, Server, ServerExit};
-use diffaudit_services::{generate_dataset, DatasetOptions, ServiceCapture, TraceArtifact};
+use diffaudit_services::{
+    generate_dataset, DatasetOptions, MemoryArtifact, MemoryUnit, ServiceCapture,
+};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::thread::JoinHandle;
@@ -38,14 +40,14 @@ fn dataset_service(slug: &str) -> ServiceCapture {
     dataset.services.into_iter().next().expect("one service")
 }
 
-/// Upload `body` as one trace with `artifact`'s metadata under `label`;
+/// Upload `body` as one trace with `unit`'s metadata under `label`;
 /// returns the trace id.
-fn upload(addr: &str, label: &str, artifact: &TraceArtifact, body: &[u8]) -> String {
+fn upload(addr: &str, label: &str, unit: &MemoryUnit, body: &[u8]) -> String {
     let path = format!(
         "/api/v1/traces?label={label}&platform={}&kind={}&category={}",
-        artifact.platform.spelling(),
-        artifact.kind.spelling(),
-        artifact.category.spelling(),
+        unit.platform.spelling(),
+        unit.kind.spelling(),
+        unit.category.spelling(),
     );
     upload_at(addr, &path, body)
 }
@@ -79,9 +81,13 @@ fn upload_service(addr: &str, capture: &ServiceCapture, corrupt_pcap: bool) -> V
     let mut ids = Vec::new();
     let mut corrupted = false;
     for (i, artifact) in capture.artifacts.iter().enumerate() {
-        let body: Vec<u8> = match (&artifact.har, &artifact.pcap) {
-            (Some(har), _) => har.clone().into_bytes(),
-            (None, Some(pcap)) => {
+        let unit = &artifact.unit;
+        let (body, keylog): (Vec<u8>, _) = match &*unit.artifact {
+            MemoryArtifact::Har(har) => (har.clone().into_bytes(), None),
+            MemoryArtifact::Capture {
+                bytes: pcap,
+                keylog,
+            } => {
                 let mut bytes = pcap.clone();
                 if corrupt_pcap && !corrupted && bytes.len() > 100 {
                     let len = bytes.len();
@@ -90,15 +96,12 @@ fn upload_service(addr: &str, capture: &ServiceCapture, corrupt_pcap: bool) -> V
                     }
                     corrupted = true;
                 }
-                bytes
+                (bytes, keylog.as_ref())
             }
-            (None, None) => panic!("artifact without content"),
         };
-        let id = upload(addr, &format!("unit-{i}"), artifact, &body);
-        if artifact.har.is_none() {
-            if let Some(keylog) = &artifact.keylog {
-                attach_keylog(addr, &id, keylog);
-            }
+        let id = upload(addr, &format!("unit-{i}"), unit, &body);
+        if let Some(keylog) = keylog {
+            attach_keylog(addr, &id, keylog);
         }
         ids.push(id);
     }
@@ -1117,15 +1120,19 @@ fn keylog_attach_leaves_submitted_jobs_their_capture() {
         ..ServeConfig::default()
     });
     let capture = dataset_service("duolingo");
-    let artifact = capture
+    let (unit, pcap, keylog) = capture
         .artifacts
         .iter()
-        .find(|a| a.pcap.is_some() && a.keylog.is_some())
+        .find_map(|a| match &*a.unit.artifact {
+            MemoryArtifact::Capture {
+                bytes,
+                keylog: Some(keylog),
+            } => Some((&a.unit, bytes, keylog)),
+            _ => None,
+        })
         .expect("the service has a pcap+keylog unit");
-    let pcap = artifact.pcap.as_deref().expect("capture bytes");
-    let keylog = artifact.keylog.as_deref().expect("key log");
 
-    let late = upload(&addr, "unit", artifact, pcap);
+    let late = upload(&addr, "unit", unit, pcap);
     // Occupy the only worker, so `before` is still queued when the key
     // log arrives and runs only after the attach.
     let stall = submit(
@@ -1143,7 +1150,7 @@ fn keylog_attach_leaves_submitted_jobs_their_capture() {
     attach_keylog(&addr, &late, keylog);
     let after = submit(&addr, &job_body(&capture, &[late], &[]));
 
-    let early = upload(&addr, "unit", artifact, pcap);
+    let early = upload(&addr, "unit", unit, pcap);
     attach_keylog(&addr, &early, keylog);
     let reference = submit(&addr, &job_body(&capture, &[early], &[]));
 
