@@ -14,6 +14,7 @@
 //! seed list naming the public source API of `nettrace` and
 //! `core::pipeline`.
 
+use crate::lexer::is_ident;
 use crate::parser::FileModel;
 use std::collections::{HashMap, HashSet};
 
@@ -140,21 +141,17 @@ pub fn contains_ident(region: &str, ident: &str) -> bool {
     let mut from = 0usize;
     while let Some(rel) = region[from..].find(ident) {
         let at = from + rel;
-        let before_ok = at == 0 || !is_ident_byte(bytes[at - 1]);
+        let before_ok = at == 0 || !is_ident(bytes[at - 1]);
         let after_ok = bytes
             .get(at + ident.len())
             .copied()
-            .is_none_or(|b| !is_ident_byte(b));
+            .is_none_or(|b| !is_ident(b));
         if before_ok && after_ok {
             return true;
         }
         from = at + 1;
     }
     false
-}
-
-fn is_ident_byte(b: u8) -> bool {
-    b == b'_' || b.is_ascii_alphanumeric()
 }
 
 #[cfg(test)]

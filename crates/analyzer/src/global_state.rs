@@ -23,6 +23,7 @@
 
 use crate::annotations::Allows;
 use crate::findings::{Finding, Lint, Severity};
+use crate::lexer::occurrences;
 use crate::parser::{matching_close, FileModel};
 use crate::passes::SourceFile;
 
@@ -164,16 +165,6 @@ pub fn global_state(
             ),
         ));
     }
-}
-
-fn occurrences<'a>(haystack: &'a str, needle: &'a str) -> impl Iterator<Item = usize> + 'a {
-    let mut from = 0usize;
-    std::iter::from_fn(move || {
-        let rel = haystack[from..].find(needle)?;
-        let at = from + rel;
-        from = at + 1;
-        Some(at)
-    })
 }
 
 #[cfg(test)]

@@ -30,6 +30,27 @@ pub fn strip_strings_only(source: &str) -> String {
     strip_impl(source, false)
 }
 
+/// Can `byte` appear in an identifier? The passes use it for word-boundary
+/// checks around a textual match.
+pub(crate) fn is_ident(byte: u8) -> bool {
+    byte == b'_' || byte.is_ascii_alphanumeric()
+}
+
+/// Byte offsets of every occurrence of `needle` in `haystack`, overlapping
+/// matches included.
+pub(crate) fn occurrences<'a>(
+    haystack: &'a str,
+    needle: &'a str,
+) -> impl Iterator<Item = usize> + 'a {
+    let mut from = 0usize;
+    std::iter::from_fn(move || {
+        let rel = haystack[from..].find(needle)?;
+        let at = from + rel;
+        from = at + 1;
+        Some(at)
+    })
+}
+
 fn strip_impl(source: &str, blank_comments: bool) -> String {
     let bytes = source.as_bytes();
     let mut out = bytes.to_vec();
@@ -43,10 +64,6 @@ fn strip_impl(source: &str, blank_comments: bool) -> String {
                 *byte = b' ';
             }
         }
-    }
-
-    fn is_ident(byte: u8) -> bool {
-        byte == b'_' || byte.is_ascii_alphanumeric()
     }
 
     while i < bytes.len() {

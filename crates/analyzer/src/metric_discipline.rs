@@ -28,7 +28,7 @@
 
 use crate::annotations::Allows;
 use crate::findings::{Finding, Lint};
-use crate::lexer;
+use crate::lexer::{self, is_ident};
 use crate::parser::matching_close;
 use crate::passes::SourceFile;
 
@@ -151,10 +151,6 @@ fn first_argument(stripped: &str, open: usize, close: usize) -> Option<&str> {
     }
     let arg = stripped[open + 1..end].trim();
     (!arg.is_empty()).then_some(arg)
-}
-
-fn is_ident(byte: u8) -> bool {
-    byte == b'_' || byte.is_ascii_alphanumeric()
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@
 
 use crate::annotations::Allows;
 use crate::findings::{Finding, Lint};
-use crate::lexer;
+use crate::lexer::{self, is_ident};
 use crate::parser::{matching_close, FileModel};
 use crate::passes::SourceFile;
 
@@ -290,10 +290,6 @@ fn scan_region(
             message,
         ));
     }
-}
-
-fn is_ident(byte: u8) -> bool {
-    byte == b'_' || byte.is_ascii_alphanumeric()
 }
 
 #[cfg(test)]

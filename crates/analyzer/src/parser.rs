@@ -12,7 +12,7 @@
 //! trade-off for audit lints: the passes that consume it treat "unknown" as
 //! "not flagged" and rely on the fixture corpus to keep true positives true.
 
-use crate::lexer;
+use crate::lexer::{self, is_ident, occurrences};
 
 /// One recovered `fn` item.
 #[derive(Debug, Clone)]
@@ -126,10 +126,6 @@ impl FileModel {
     }
 }
 
-fn is_ident(byte: u8) -> bool {
-    byte == b'_' || byte.is_ascii_alphanumeric()
-}
-
 /// Is the keyword `kw` at `at` a standalone token (word boundaries both
 /// sides, not a lifetime like `'static`)?
 fn is_keyword_at(bytes: &[u8], at: usize, kw: &str) -> bool {
@@ -140,17 +136,6 @@ fn is_keyword_at(bytes: &[u8], at: usize, kw: &str) -> bool {
         .get(at + kw.len())
         .copied()
         .is_none_or(|b| !is_ident(b))
-}
-
-/// Byte offsets of every occurrence of `needle`.
-fn occurrences<'a>(haystack: &'a str, needle: &'a str) -> impl Iterator<Item = usize> + 'a {
-    let mut from = 0usize;
-    std::iter::from_fn(move || {
-        let rel = haystack[from..].find(needle)?;
-        let at = from + rel;
-        from = at + 1;
-        Some(at)
-    })
 }
 
 /// Index of the byte matching the opener at `open` (`(`↔`)`, `{`↔`}`),

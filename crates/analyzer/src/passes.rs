@@ -14,7 +14,7 @@ use crate::annotations::{self, Allows};
 use crate::dataflow::CrateModel;
 use crate::findings::{Finding, Lint};
 use crate::global_state::global_state;
-use crate::lexer;
+use crate::lexer::{self, is_ident, occurrences};
 use crate::metric_discipline::metric_discipline;
 use crate::par_discipline::par_discipline;
 use crate::parser::FileModel;
@@ -250,21 +250,6 @@ pub fn analyze_units(units: &[FileUnit<'_>]) -> Vec<Finding> {
             .then_with(|| a.message.cmp(&b.message))
     });
     findings
-}
-
-fn is_ident(byte: u8) -> bool {
-    byte == b'_' || byte.is_ascii_alphanumeric()
-}
-
-/// Byte offsets of every occurrence of `needle` in `haystack`.
-fn occurrences<'a>(haystack: &'a str, needle: &'a str) -> impl Iterator<Item = usize> + 'a {
-    let mut from = 0usize;
-    std::iter::from_fn(move || {
-        let rel = haystack[from..].find(needle)?;
-        let at = from + rel;
-        from = at + 1;
-        Some(at)
-    })
 }
 
 // ---------------------------------------------------------------- no-panic

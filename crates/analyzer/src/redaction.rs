@@ -24,7 +24,7 @@
 use crate::annotations::Allows;
 use crate::dataflow::{contains_ident, is_sanitized, CrateModel, SOURCE_FIELDS};
 use crate::findings::{Finding, Lint};
-use crate::lexer;
+use crate::lexer::{self, is_ident};
 use crate::parser::{matching_close, FileModel, FnItem};
 use crate::passes::SourceFile;
 
@@ -267,10 +267,6 @@ fn sink_regions(
         }
     }
     sinks
-}
-
-fn is_ident(byte: u8) -> bool {
-    byte == b'_' || byte.is_ascii_alphanumeric()
 }
 
 #[cfg(test)]

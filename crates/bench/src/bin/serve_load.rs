@@ -1,52 +1,66 @@
 //! Load generator and smoke driver for the `diffaudit serve` daemon — the
 //! producer of the committed `BENCH_serve.json` baseline.
 //!
-//! Every metrics read goes through the daemon's `diffaudit-obs/v1` JSON
-//! endpoint, `GET /api/v1/metrics`, parsed with `obs::parse_snapshot`; the
-//! baseline is itself a `diffaudit-obs/v1` snapshot, so `diffaudit obs
+//! Every metrics read over HTTP goes through the daemon's `diffaudit-obs/v1`
+//! JSON endpoint, `GET /api/v1/metrics`, parsed with `obs::parse_snapshot`;
+//! the baseline is itself a `diffaudit-obs/v1` snapshot, so `diffaudit obs
 //! diff` is its comparator.
 //!
 //! Modes:
 //!
-//! - `--mode load` (default): boots an in-process daemon with a bounded
-//!   queue, fires a burst of concurrent job submissions wider than the
-//!   queue (default 8 submitters vs capacity 4) so load shedding is
-//!   actually exercised, retries shed submissions until accepted, and
-//!   polls every job to a terminal state. A scraper thread reads
-//!   `/api/v1/metrics` throughout the burst to prove scraping under load
-//!   never wedges the accept loop. The output is the process's metrics
-//!   snapshot: the daemon's own series (the `serve.queue.depth` gauge's
-//!   `max` watermark is the burst's peak queue depth) plus a
-//!   `bench.serve.burst` span, a `bench.serve.job.latency.us` histogram
-//!   (submit-to-terminal, one value per job) and the `bench.serve.jobs`
-//!   and `bench.serve.shed429` counters. Hard failures (exit 1): no
-//!   submission was shed (the burst did not outrun the queue, so the
-//!   numbers are meaningless), the server's `serve.queue.shed` counter
-//!   disagrees with the client's observed 429s, or a job was orphaned at
-//!   shutdown.
+//! - `--mode load` (default): boots an in-process daemon with the default
+//!   queue and workers and chaos enabled, and runs it so that every counter
+//!   in the output is fixed by how the run is built, not by timing:
+//!   1. *Hold the workers.* One `stall-decode` job per worker, with a 1 ms
+//!      deadline, over the uploaded traces listed until they name
+//!      [`HOLD_UNITS`] units. Each unit's first checkpoint sleeps 25 ms and
+//!      then drops the unit as `timeout:`, so every worker is held for over
+//!      a second by the same work every run. The harness waits for both
+//!      jobs to start by reading the daemon's in-flight gauge in-process.
+//!   2. *Burst.* Twice the queue capacity in submissions, one after another
+//!      from one thread, with no retries: exactly the capacity is accepted
+//!      (`202`) and as many are shed (`429`).
+//!   3. *Scrape once.* One `GET /api/v1/metrics` while the queue is full:
+//!      its `serve.queue.depth` gauge must equal the capacity and its
+//!      `serve.queue.shed` counter the observed 429s.
+//!   4. *Drain.* Wait in-process until every accepted job has finished, read
+//!      `GET /api/v1/jobs` once (the stall jobs `salvaged`, the burst jobs
+//!      `clean`), and shut down with no job orphaned.
+//!
+//!   No step polls over HTTP, so `serve.http.requests` is one per upload
+//!   and key log, one per submission, plus the scrape, the list and the
+//!   shutdown. The output is the process's metrics snapshot: the daemon's
+//!   own series plus a `bench.serve.burst` span (burst to drain) and the
+//!   `bench.serve.jobs` and `bench.serve.shed429` counters. Any deviation
+//!   from the steps above is a hard failure (exit 1).
 //!
 //! - `--mode smoke-keep --target HOST:PORT`: drives an externally booted
-//!   daemon through the whole client lifecycle (health, upload, a small
-//!   multi-job burst, a mid-job `/api/v1/metrics` read that must parse and
-//!   show a nonzero queue-depth gauge, poll, result, report) and exits 0
-//!   only if every step behaved. It leaves the daemon running so the
-//!   caller can poke it further (`scripts/check.sh` runs `obs top --once`
-//!   against it) before shutting it down with `--mode shutdown`.
+//!   daemon through the whole client lifecycle (health, upload, a 4-job
+//!   burst that a default daemon's queue holds without shedding, a mid-job
+//!   `/api/v1/metrics` read that must parse and show a nonzero queue-depth
+//!   gauge, poll, result, report) and exits 0 only if every step behaved.
+//!   It leaves the daemon running so the caller can poke it further
+//!   (`scripts/check.sh` runs `obs top --once` against it) before shutting
+//!   it down with `--mode shutdown`.
 //!
 //! - `--mode shutdown --target HOST:PORT`: POST `/api/v1/shutdown` and
 //!   expect `202` — the companion to `smoke-keep`.
 //!
 //! Usage: `serve_load [--scale F] [--seed N] [--threads N] [--out PATH]
-//!         [--mode load|smoke-keep|shutdown]
-//!         [--target HOST:PORT] [--uploads N] [--queue N] [--workers N]`
+//!         [--mode load|smoke-keep|shutdown] [--target HOST:PORT]`
 
 use diffaudit_bench::{standard_dataset, BenchArgs};
 use diffaudit_json::Json;
 use diffaudit_obs as obs;
 use diffaudit_serve::{client, names};
 use diffaudit_serve::{ServeConfig, Server};
-use diffaudit_services::{MemoryArtifact, MemoryUnit};
+use diffaudit_services::{MemoryArtifact, MemoryUnit, ServiceCapture};
 use std::time::{Duration, Instant};
+
+/// Units each stall job lists. Every unit costs one stalled 25 ms
+/// checkpoint, so the workers are held for at least a second: far longer
+/// than the burst and the scrape take.
+const HOLD_UNITS: usize = 40;
 
 fn fail(msg: &str) -> ! {
     obs::error(msg, &[]);
@@ -93,16 +107,23 @@ fn upload_unit(addr: &str, index: usize, unit: &MemoryUnit) -> String {
     id
 }
 
-fn job_body(service_name: &str, slug: &str, domains: &[String], trace_ids: &[String]) -> String {
+/// An audit job over `trace_ids` for `capture`'s service.
+fn job_body(capture: &ServiceCapture, trace_ids: &[String]) -> Json {
+    let spec = &capture.spec;
     Json::obj()
         .with(
             "service",
             Json::obj()
-                .with("name", Json::str(service_name))
-                .with("slug", Json::str(slug))
+                .with("name", Json::str(spec.name))
+                .with("slug", Json::str(spec.slug))
                 .with(
                     "firstPartyDomains",
-                    Json::Arr(domains.iter().map(Json::str).collect()),
+                    Json::Arr(
+                        spec.first_party_domains
+                            .iter()
+                            .map(|d| Json::str(*d))
+                            .collect(),
+                    ),
                 ),
         )
         .with(
@@ -110,7 +131,25 @@ fn job_body(service_name: &str, slug: &str, domains: &[String], trace_ids: &[Str
             Json::Arr(trace_ids.iter().map(Json::str).collect()),
         )
         .with("deadlineMs", Json::int(60_000))
-        .to_string()
+}
+
+/// POST one job. A `202` returns the job id and a `429` returns `None`;
+/// anything else is a hard failure. Nothing here retries.
+fn submit(addr: &str, body: &str) -> Option<String> {
+    let (status, text) = client::request_text(addr, "POST", "/api/v1/jobs", body.as_bytes())
+        .unwrap_or_else(|e| fail(&format!("job submit failed: {e}")));
+    match status {
+        202 => Some(
+            diffaudit_json::parse(&text)
+                .unwrap_or_else(|e| fail(&format!("submit response not JSON: {e}")))
+                .get("jobId")
+                .and_then(Json::as_str)
+                .unwrap_or_else(|| fail("submit response missing jobId"))
+                .to_string(),
+        ),
+        429 => None,
+        other => fail(&format!("job submit returned {other}: {text}")),
+    }
 }
 
 /// Poll a job's status endpoint until it reaches a terminal state; returns
@@ -154,46 +193,24 @@ fn scrape(addr: &str, what: &str) -> obs::MetricsSnapshot {
         .unwrap_or_else(|e| fail(&format!("{what} metrics snapshot malformed: {e}")))
 }
 
-struct SubmitOutcome {
-    shed: u64,
-    latency_us: u64,
-    state: String,
+fn gauge(snapshot: &obs::MetricsSnapshot, name: &str) -> i64 {
+    snapshot.gauges.get(name).map_or(0, obs::Gauge::value)
 }
 
-/// Submit one job, retrying shed (`429`) attempts, then poll it to a
-/// terminal state. Latency is measured from the accepted submission.
-fn submit_and_wait(addr: &str, body: &str) -> SubmitOutcome {
-    let mut shed = 0u64;
-    loop {
-        let started = Instant::now();
-        let (status, text) = client::request_text(addr, "POST", "/api/v1/jobs", body.as_bytes())
-            .unwrap_or_else(|e| fail(&format!("job submit failed: {e}")));
-        match status {
-            202 => {
-                let doc = diffaudit_json::parse(&text)
-                    .unwrap_or_else(|e| fail(&format!("submit response not JSON: {e}")));
-                let job_id = doc
-                    .get("jobId")
-                    .and_then(Json::as_str)
-                    .unwrap_or_else(|| fail("submit response missing jobId"))
-                    .to_string();
-                let state = poll_to_terminal(addr, &job_id, Duration::from_secs(120));
-                return SubmitOutcome {
-                    shed,
-                    latency_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-                    state,
-                };
-            }
-            429 => {
-                shed += 1;
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            other => fail(&format!("job submit returned {other}: {text}")),
+/// Block until `ready` holds for this process's metrics. The load mode's
+/// daemon runs in this process and writes the global registry, so the wait
+/// sends no HTTP request and moves no counter.
+fn wait_until(what: &str, ready: impl Fn(&obs::MetricsSnapshot) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while !ready(&obs::snapshot()) {
+        if Instant::now() > deadline {
+            fail(&format!("timed out waiting for {what}"));
         }
+        std::thread::sleep(Duration::from_millis(5));
     }
 }
 
-fn mode_load(args: &BenchArgs, uploads: usize, queue: usize, workers: usize, out: Option<String>) {
+fn mode_load(args: &BenchArgs, out: Option<String>) {
     args.announce("[serve_load] generating dataset");
     let dataset = standard_dataset(args);
     let capture = dataset
@@ -202,14 +219,12 @@ fn mode_load(args: &BenchArgs, uploads: usize, queue: usize, workers: usize, out
         .find(|s| s.spec.slug == "duolingo")
         .unwrap_or_else(|| fail("dataset has no duolingo service"));
 
-    let server = Server::bind(ServeConfig {
-        port: 0,
-        queue_capacity: queue,
-        workers,
-        threads_per_job: 1,
+    let config = ServeConfig {
+        enable_chaos: true,
         ..ServeConfig::default()
-    })
-    .unwrap_or_else(|e| fail(&format!("bind failed: {e}")));
+    };
+    let (capacity, workers) = (config.queue_capacity, config.workers);
+    let server = Server::bind(config).unwrap_or_else(|e| fail(&format!("bind failed: {e}")));
     let addr = server
         .addr()
         .unwrap_or_else(|e| fail(&format!("no local addr: {e}")))
@@ -226,118 +241,103 @@ fn mode_load(args: &BenchArgs, uploads: usize, queue: usize, workers: usize, out
         .enumerate()
         .map(|(i, artifact)| upload_unit(&addr, i, &artifact.unit))
         .collect();
-    let body = job_body(
-        capture.spec.name,
-        capture.spec.slug,
-        &capture
-            .spec
-            .first_party_domains
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>(),
-        &trace_ids,
-    );
 
+    // 1. Hold every worker on a stall job, and wait until each has started.
+    let held: Vec<String> = trace_ids.iter().cycle().take(HOLD_UNITS).cloned().collect();
+    let stall = job_body(capture, &held)
+        .with("chaos", Json::str("stall-decode"))
+        .with("deadlineMs", Json::int(1))
+        .to_string();
+    for _ in 0..workers {
+        submit(&addr, &stall).unwrap_or_else(|| fail("a stall job was shed (429)"));
+    }
+    wait_until("the stall jobs to start", |s| {
+        gauge(s, names::JOBS_IN_FLIGHT) == workers as i64
+    });
+
+    // 2. Burst: the held queue admits exactly its capacity.
     obs::info(
         "[serve_load] firing submission burst",
         &[
-            obs::field("uploads", uploads),
-            obs::field("queueCapacity", queue),
+            obs::field("queueCapacity", capacity),
             obs::field("workers", workers),
         ],
     );
     let burst = obs::span("bench.serve.burst");
-    let stop_scraper = std::sync::atomic::AtomicBool::new(false);
-    let (outcomes, scrapes) = std::thread::scope(|scope| {
-        // Mid-burst scraper: reads the metrics snapshot while the
-        // submitters hammer the queue, proving scraping under load never
-        // wedges the accept loop. The peak queue depth needs no sampling:
-        // the daemon's depth gauge keeps its own max watermark.
-        let scraper = scope.spawn(|| {
-            let mut scrapes = 0u64;
-            while !stop_scraper.load(std::sync::atomic::Ordering::SeqCst) {
-                scrape(&addr, "mid-burst");
-                scrapes += 1;
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            scrapes
-        });
-        let handles: Vec<_> = (0..uploads)
-            .map(|_| {
-                let addr = addr.as_str();
-                let body = body.as_str();
-                scope.spawn(move || submit_and_wait(addr, body))
-            })
-            .collect();
-        let outcomes: Vec<SubmitOutcome> = handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(outcome) => outcome,
-                Err(_) => fail("submitter thread panicked"),
-            })
-            .collect();
-        stop_scraper.store(true, std::sync::atomic::Ordering::SeqCst);
-        let scrapes = match scraper.join() {
-            Ok(scrapes) => scrapes,
-            Err(_) => fail("scraper thread panicked"),
-        };
-        (outcomes, scrapes)
-    });
-    drop(burst);
-
-    // Server-side shed accounting, read before shutdown: the daemon's own
-    // counter must agree exactly with what the clients observed.
-    let server = scrape(&addr, "final");
-    let server_shed = server.metrics.counter(names::QUEUE_SHED);
-
-    let (status, _) = client::request_text(&addr, "POST", "/api/v1/shutdown", &[])
-        .unwrap_or_else(|e| fail(&format!("shutdown failed: {e}")));
-    if status != 202 {
-        fail(&format!("shutdown returned {status}"));
-    }
-    let exit = match daemon.join() {
-        Ok(exit) => exit,
-        Err(_) => fail("daemon thread panicked"),
-    };
-    if exit.orphaned != 0 {
-        fail(&format!("{} jobs orphaned at shutdown", exit.orphaned));
+    let body = job_body(capture, &trace_ids).to_string();
+    let submissions = 2 * capacity;
+    let accepted = (0..submissions)
+        .filter(|_| submit(&addr, &body).is_some())
+        .count();
+    let shed = submissions - accepted;
+    if accepted != capacity {
+        fail(&format!(
+            "{accepted} of {submissions} submissions accepted; a held queue admits exactly {capacity}"
+        ));
     }
 
-    let shed: u64 = outcomes.iter().map(|o| o.shed).sum();
-    if shed == 0 {
-        fail("no submission was shed (429): burst did not exceed the queue, numbers invalid");
+    // 3. One scrape while the queue is full: the daemon's depth gauge and
+    // shed counter must agree exactly with what the client saw.
+    let scraped = scrape(&addr, "mid-burst");
+    let depth = gauge(&scraped, names::QUEUE_DEPTH);
+    if depth != capacity as i64 {
+        fail(&format!(
+            "serve.queue.depth read {depth} with the queue full at {capacity}"
+        ));
     }
-    if server_shed != shed {
+    let server_shed = scraped.metrics.counter(names::QUEUE_SHED);
+    if server_shed != shed as u64 {
         fail(&format!(
             "server-side serve.queue.shed ({server_shed}) disagrees with client-observed 429s ({shed})"
         ));
     }
-    for outcome in &outcomes {
-        obs::observe(
-            "bench.serve.job.latency.us",
-            &obs::LATENCY_US_BOUNDS,
-            outcome.latency_us,
-        );
+
+    // 4. Drain. Every job counted finished has begun, so an in-flight gauge
+    // of 0 after that means every job's terminal state is written.
+    let jobs = workers + capacity;
+    wait_until("the queue to drain", |s| {
+        s.metrics.counter(names::JOBS_FINISHED) + s.metrics.counter(names::JOBS_PANICKED)
+            == jobs as u64
+            && gauge(s, names::JOBS_IN_FLIGHT) == 0
+    });
+    drop(burst);
+    let (status, text) = client::request_text(&addr, "GET", "/api/v1/jobs", &[])
+        .unwrap_or_else(|e| fail(&format!("job list failed: {e}")));
+    if status != 200 {
+        fail(&format!("job list returned {status}: {text}"));
     }
-    obs::add("bench.serve.jobs", outcomes.len() as u64);
-    obs::add("bench.serve.shed429", shed);
-    let unclean = outcomes.iter().filter(|o| o.state != "clean").count();
+    let listed = diffaudit_json::parse(&text)
+        .unwrap_or_else(|e| fail(&format!("job list response not JSON: {e}")));
+    let states: Vec<&str> = listed
+        .get("jobs")
+        .and_then(Json::as_arr)
+        .unwrap_or_else(|| fail("job list missing jobs"))
+        .iter()
+        .map(|job| job.get("state").and_then(Json::as_str).unwrap_or("?"))
+        .collect();
+    let expected: Vec<&str> = std::iter::repeat_n("salvaged", workers)
+        .chain(std::iter::repeat_n("clean", capacity))
+        .collect();
+    if states != expected {
+        fail(&format!("job states {states:?}, expected {expected:?}"));
+    }
+
+    mode_shutdown(&addr);
+    let exit = daemon
+        .join()
+        .unwrap_or_else(|_| fail("daemon thread panicked"));
+    if exit.orphaned != 0 || exit.jobs_finished != jobs {
+        fail(&format!(
+            "shutdown: {} jobs finished, {} orphaned; expected {jobs} and 0",
+            exit.jobs_finished, exit.orphaned
+        ));
+    }
+
+    obs::add("bench.serve.jobs", jobs as u64);
+    obs::add("bench.serve.shed429", shed as u64);
     obs::info(
         "[serve_load] burst done",
-        &[
-            obs::field("jobs", outcomes.len()),
-            obs::field("unclean", unclean),
-            obs::field("shed429", shed),
-            obs::field("scrapes", scrapes),
-            obs::field(
-                "maxQueueDepth",
-                server
-                    .gauges
-                    .get(names::QUEUE_DEPTH)
-                    .and_then(obs::Gauge::max)
-                    .unwrap_or(0),
-            ),
-        ],
+        &[obs::field("jobs", jobs), obs::field("shed429", shed)],
     );
     // The baseline document is this process's snapshot, to `--out` or
     // stdout.
@@ -352,26 +352,6 @@ fn mode_load(args: &BenchArgs, uploads: usize, queue: usize, workers: usize, out
                 "[serve_load] snapshot written",
                 &[obs::field("path", path.as_str())],
             );
-        }
-    }
-}
-
-/// Submit one job without waiting; retries shed (`429`) attempts.
-fn submit_only(addr: &str, body: &str) -> String {
-    loop {
-        let (status, text) = client::request_text(addr, "POST", "/api/v1/jobs", body.as_bytes())
-            .unwrap_or_else(|e| fail(&format!("job submit failed: {e}")));
-        match status {
-            202 => {
-                return diffaudit_json::parse(&text)
-                    .unwrap_or_else(|e| fail(&format!("submit response not JSON: {e}")))
-                    .get("jobId")
-                    .and_then(Json::as_str)
-                    .unwrap_or_else(|| fail("submit response missing jobId"))
-                    .to_string();
-            }
-            429 => std::thread::sleep(Duration::from_millis(25)),
-            other => fail(&format!("job submit returned {other}: {text}")),
         }
     }
 }
@@ -393,33 +373,24 @@ fn mode_smoke_keep(args: &BenchArgs, target: &str) {
     }
 
     let trace_id = upload_unit(target, 0, unit);
-    let body = job_body(
-        capture.spec.name,
-        capture.spec.slug,
-        &capture
-            .spec
-            .first_party_domains
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>(),
-        &[trace_id],
-    );
+    let body = job_body(capture, &[trace_id]).to_string();
 
     // Submit a small burst (wider than the default 2 workers) so the
-    // mid-job scrape below can observe a nonzero queue-depth gauge.
-    let job_ids: Vec<String> = (0..4).map(|_| submit_only(target, &body)).collect();
+    // mid-job scrape below can observe a nonzero queue-depth gauge. The
+    // default queue holds all four, so a 429 is a failure.
+    let job_ids: Vec<String> = (0..4)
+        .map(|_| {
+            submit(target, &body)
+                .unwrap_or_else(|| fail("smoke job shed (429) by a queue that holds it"))
+        })
+        .collect();
 
     // Mid-job telemetry: the metrics snapshot must parse while jobs are
     // live, and the queue-depth gauge must show the queued backlog.
     let scrape_deadline = Instant::now() + Duration::from_secs(10);
     let mut saw_depth = false;
     while Instant::now() < scrape_deadline {
-        if scrape(target, "mid-job")
-            .gauges
-            .get(names::QUEUE_DEPTH)
-            .map_or(0, obs::Gauge::value)
-            >= 1
-        {
+        if gauge(&scrape(target, "mid-job"), names::QUEUE_DEPTH) >= 1 {
             saw_depth = true;
             break;
         }
@@ -464,8 +435,8 @@ fn mode_smoke_keep(args: &BenchArgs, target: &str) {
     );
 }
 
-/// POST `/api/v1/shutdown` to an externally booted daemon — the
-/// companion to `--mode smoke-keep`.
+/// POST `/api/v1/shutdown` and expect `202` — the companion to
+/// `--mode smoke-keep`, and the load mode's last request.
 fn mode_shutdown(target: &str) {
     let (status, _) = client::request_text(target, "POST", "/api/v1/shutdown", &[])
         .unwrap_or_else(|e| fail(&format!("shutdown failed: {e}")));
@@ -475,30 +446,11 @@ fn mode_shutdown(target: &str) {
 }
 
 fn main() {
-    let (args, extra) = BenchArgs::parse_extra(&[
-        "--out",
-        "--mode",
-        "--target",
-        "--uploads",
-        "--queue",
-        "--workers",
-    ]);
+    let (args, extra) = BenchArgs::parse_extra(&["--out", "--mode", "--target"]);
     let mut extra = extra.into_iter();
     let out = extra.next().flatten();
     let mode = extra.next().flatten().unwrap_or_else(|| "load".to_string());
     let target = extra.next().flatten();
-    let parse_n = |v: Option<String>, name: &str, default: usize| -> usize {
-        match v {
-            None => default,
-            Some(raw) => match raw.parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => fail(&format!("{name} requires a positive integer")),
-            },
-        }
-    };
-    let uploads = parse_n(extra.next().flatten(), "--uploads", 8);
-    let queue = parse_n(extra.next().flatten(), "--queue", 4);
-    let workers = parse_n(extra.next().flatten(), "--workers", 2);
 
     let require_target = |mode: &str| -> String {
         match &target {
@@ -507,7 +459,7 @@ fn main() {
         }
     };
     match mode.as_str() {
-        "load" => mode_load(&args, uploads, queue, workers, out),
+        "load" => mode_load(&args, out),
         "smoke-keep" => mode_smoke_keep(&args, &require_target("smoke-keep")),
         "shutdown" => mode_shutdown(&require_target("shutdown")),
         other => fail(&format!(

@@ -488,7 +488,7 @@ fn format_throughput(bytes_in: u64, dur_us: u64) -> String {
 /// per stage, plus CPU and RSS conservation lines mirroring the wall-time
 /// report's. A trace recorded without profiling (or on a platform without
 /// `/proc`) renders a placeholder instead of a table of zeros.
-pub fn render_resource_report(tree: &SpanTree, _options: &TraceReportOptions) -> String {
+pub fn render_resource_report(tree: &SpanTree) -> String {
     let mut out = String::new();
     out.push_str("== resource report ==\n");
     out.push_str(&format!(
@@ -841,7 +841,7 @@ mod tests {
     #[test]
     fn resource_report_shows_stages_and_conservation() {
         let tree = SpanTree::build(&TraceLog::parse(&resource_trace()));
-        let text = render_resource_report(&tree, &TraceReportOptions::default());
+        let text = render_resource_report(&tree);
         assert!(text.contains("== resource report =="));
         assert!(text.contains("stage resources"));
         // load: 3000 bytes over 300us = 10 MB/s ≈ 9.54MiB/s.
@@ -861,7 +861,7 @@ mod tests {
     #[test]
     fn unprofiled_trace_degrades_to_resources_unavailable() {
         let tree = SpanTree::build(&TraceLog::parse(&sample_trace()));
-        let text = render_resource_report(&tree, &TraceReportOptions::default());
+        let text = render_resource_report(&tree);
         assert!(
             text.contains("resources unavailable (trace carries no resource samples)"),
             "{text}"
@@ -869,7 +869,7 @@ mod tests {
         assert!(!text.contains("stage resources"));
         // Empty traces still render the header path.
         let empty = SpanTree::build(&TraceLog::parse(""));
-        let text = render_resource_report(&empty, &TraceReportOptions::default());
+        let text = render_resource_report(&empty);
         assert!(text.contains("no completed spans"));
     }
 }

@@ -960,7 +960,7 @@ fn cmd_obs_report(args: &[String]) -> ExitCode {
     }
     let tree = obs::SpanTree::build(&log);
     if resources {
-        print!("{}", obs::render_resource_report(&tree, &options));
+        print!("{}", obs::render_resource_report(&tree));
     } else {
         print!("{}", obs::render_trace_report(&tree, &options));
     }

@@ -401,7 +401,9 @@ fn submission_burst_beyond_queue_capacity_sheds_with_429() {
     let capture = dataset_service("duolingo");
     let ids = upload_service(&addr, &capture, false);
     // Stalled decodes with a short deadline keep the worker pinned for the
-    // whole burst, so admission is decided purely by queue capacity.
+    // whole burst. The burst starts only once the first stall job is
+    // running, so the queue is empty and admission is decided purely by
+    // queue capacity.
     let body = job_body(
         &capture,
         &ids,
@@ -410,6 +412,23 @@ fn submission_burst_beyond_queue_capacity_sheds_with_429() {
             ("deadlineMs", Json::int(400)),
         ],
     );
+    let pinned = submit(&addr, &body);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let (status, text) =
+            client::request_text(&addr, "GET", &format!("/api/v1/jobs/{pinned}"), &[])
+                .expect("status poll");
+        assert_eq!(status, 200, "poll failed: {text}");
+        let doc = diffaudit_json::parse(&text).expect("status JSON");
+        if doc.get("state").and_then(Json::as_str) == Some("running") {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "stall job {pinned} never started"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
 
     let results: Vec<u16> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
@@ -432,13 +451,10 @@ fn submission_burst_beyond_queue_capacity_sheds_with_429() {
     let accepted = results.iter().filter(|&&s| s == 202).count();
     let shed = results.iter().filter(|&&s| s == 429).count();
     assert_eq!(accepted + shed, 8, "unexpected statuses: {results:?}");
-    assert!(
-        shed >= 3,
-        "8 submissions vs capacity 4 + 1 worker must shed >=3, got {shed}"
-    );
-    assert!(
-        accepted >= 4,
-        "the queue must still admit jobs, got {accepted}"
+    assert_eq!(
+        (accepted, shed),
+        (4, 4),
+        "8 submissions against a pinned worker and capacity 4: {results:?}"
     );
 
     // Server-side shed accounting must equal the client's observed 429s.
@@ -467,13 +483,14 @@ fn submission_burst_beyond_queue_capacity_sheds_with_429() {
         .and_then(|j| j.as_arr().map(<[Json]>::len))
         .expect("jobs array");
     assert_eq!(
-        listed, accepted,
+        listed,
+        accepted + 1,
         "shed submissions must not leave job records"
     );
 
     let exit = shutdown_and_join(&addr, handle);
     assert_eq!(exit.orphaned, 0);
-    assert_eq!(exit.jobs_finished, accepted);
+    assert_eq!(exit.jobs_finished, 5);
 }
 
 /// A stalled decoder is cut off at its deadline and lands as `salvaged`
