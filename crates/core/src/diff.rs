@@ -21,7 +21,6 @@ impl ObservedGrid {
     /// which platforms exhibited at least one matching flow (desktop counts
     /// toward web, as in the paper's merged columns).
     pub fn build(service: &ObservedService) -> ObservedGrid {
-        let _span = diffaudit_obs::span("diff.grid");
         let mut cells = Vec::new();
         for category in TraceCategory::ALL {
             let web = merged_web_cells(service, category);
@@ -41,7 +40,6 @@ impl ObservedGrid {
                 }
             }
         }
-        diffaudit_obs::add("diff.grid.cells", cells.len() as u64);
         ObservedGrid { cells }
     }
 

@@ -56,7 +56,7 @@ use diffaudit_json::{parse, Json};
 use diffaudit_nettrace::capture::DecodeError;
 use diffaudit_nettrace::salvage::{SalvageLog, Stage};
 use diffaudit_nettrace::{decode_auto_salvage_ctl, har_to_exchanges_salvage_ctl, HarError, KeyLog};
-use diffaudit_obs::Scope;
+use diffaudit_obs::{LocalRecorder, Scope};
 use diffaudit_services::{
     MemoryArtifact, MemoryUnit, Platform, ServiceCapture, TraceCategory, TraceKind,
 };
@@ -238,22 +238,25 @@ fn read_unit(dir: &Path, entry: &Json, index: usize) -> Result<MemoryUnit, LoadE
 
 /// Salvage-decode one unit's artifact: HAR text, or capture bytes plus an
 /// optional key log. Per-record damage is accounted in `log`; the salvage
-/// readers check `ctl` between records. `path` names the artifact in
-/// errors (the file on disk, or the upload label). The loaders follow this
-/// step with key extraction on the same worker; call it directly to keep
-/// the decoded exchanges (e.g. for [`crate::pipeline::Pipeline::run_inputs`]).
+/// readers check `ctl` between records, and the decoders record their
+/// spans and counters into `rec`. `path` names the artifact in errors (the
+/// file on disk, or the upload label). The loaders follow this step with
+/// key extraction on the same worker; call it directly to keep the decoded
+/// exchanges (e.g. for [`crate::pipeline::Pipeline::run_inputs`]).
 pub fn decode_unit(
     unit: &MemoryUnit,
     path: &Path,
     log: &mut SalvageLog,
+    rec: &mut LocalRecorder,
     ctl: &Ctl,
 ) -> Result<LoadedUnit, LoadError> {
     let (exchanges, opaque_snis, packet_count, flow_count) = match &*unit.artifact {
         MemoryArtifact::Har(text) => {
-            let exchanges = har_to_exchanges_salvage_ctl(text, log, ctl).map_err(|e| match e {
-                HarError::Interrupted(i) => LoadError::Interrupted(path.to_path_buf(), i),
-                other => LoadError::Artifact(path.to_path_buf(), other.to_string()),
-            })?;
+            let exchanges =
+                har_to_exchanges_salvage_ctl(text, log, rec, ctl).map_err(|e| match e {
+                    HarError::Interrupted(i) => LoadError::Interrupted(path.to_path_buf(), i),
+                    other => LoadError::Artifact(path.to_path_buf(), other.to_string()),
+                })?;
             let n = exchanges.len();
             (exchanges, Vec::new(), n, n)
         }
@@ -262,10 +265,11 @@ pub fn decode_unit(
                 Some(text) => KeyLog::parse_salvage(text, log),
                 None => KeyLog::new(),
             };
-            let decoded = decode_auto_salvage_ctl(bytes, &keys, log, ctl).map_err(|e| match e {
-                DecodeError::Interrupted(i) => LoadError::Interrupted(path.to_path_buf(), i),
-                other => LoadError::Artifact(path.to_path_buf(), other.to_string()),
-            })?;
+            let decoded =
+                decode_auto_salvage_ctl(bytes, &keys, log, rec, ctl).map_err(|e| match e {
+                    DecodeError::Interrupted(i) => LoadError::Interrupted(path.to_path_buf(), i),
+                    other => LoadError::Artifact(path.to_path_buf(), other.to_string()),
+                })?;
             let opaque = decoded.opaque.into_iter().filter_map(|o| o.sni).collect();
             (
                 decoded.exchanges,
@@ -308,12 +312,12 @@ fn load_unit(
     // A unit whose control is already tripped drops without being read;
     // units that start decoding are interrupted between records by the
     // salvage readers.
-    let outcome = recorder.time("loader.unit", || {
+    let outcome = recorder.time("loader.unit", |rec| {
         ctl.check()
             .map_err(|i| LoadError::Interrupted(path.to_path_buf(), i))?;
         let unit = read()?;
         let in_bytes = unit.artifact.byte_len();
-        decode_unit(&unit, path, &mut log, ctl).map(|loaded| (loaded, in_bytes))
+        decode_unit(&unit, path, &mut log, rec, ctl).map(|loaded| (loaded, in_bytes))
     });
     let result = match outcome {
         Ok((unit, in_bytes)) => {
@@ -639,7 +643,14 @@ mod tests {
             .map(|(i, entry)| {
                 let unit = read_unit(dir, entry, i).unwrap();
                 let path = dir.join(&unit.label);
-                decode_unit(&unit, &path, &mut SalvageLog::new(), &Ctl::unbounded()).unwrap()
+                decode_unit(
+                    &unit,
+                    &path,
+                    &mut SalvageLog::new(),
+                    &mut LocalRecorder::new(),
+                    &Ctl::unbounded(),
+                )
+                .unwrap()
             })
             .collect()
     }
@@ -843,7 +854,14 @@ mod tests {
             .iter()
             .map(|unit| {
                 let path = PathBuf::from(&unit.label);
-                decode_unit(unit, &path, &mut SalvageLog::new(), &Ctl::unbounded()).unwrap()
+                decode_unit(
+                    unit,
+                    &path,
+                    &mut SalvageLog::new(),
+                    &mut LocalRecorder::new(),
+                    &Ctl::unbounded(),
+                )
+                .unwrap()
             })
             .collect();
         let from_disk_decoded = decode_dir(&service_dir);

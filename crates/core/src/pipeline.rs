@@ -596,7 +596,7 @@ impl UnitCtx {
             .add("pipeline.extract.bytes.in", unit_bytes(&unit));
         let unit = self
             .recorder
-            .time("pipeline.unit.extract", || extract_unit(unit, interner));
+            .time("pipeline.unit.extract", |_| extract_unit(unit, interner));
         for (_, _, keys) in &unit.requests {
             self.occurrences += keys.len() as u64;
             self.keys.extend(keys.iter().cloned());

@@ -25,6 +25,7 @@ use crate::pcapng::{PcapngError, PcapngReader};
 use crate::salvage::{SalvageLog, Stage};
 use crate::tcp::FlowTable;
 use crate::tls::{decode_client_stream, decode_server_stream, TlsError, TlsSession};
+use diffaudit_obs::LocalRecorder;
 use diffaudit_util::cancel::{Ctl, Interrupt};
 use diffaudit_util::Rng;
 
@@ -358,44 +359,80 @@ fn body_bytes(exchanges: &[Exchange]) -> u64 {
 /// self-contained editcap output). The container is parsed with per-record
 /// resync and every downstream stage skips-and-records into `log` instead
 /// of aborting; on undamaged input the log stays clean. Only an unusable
-/// container header remains an error.
+/// container header remains an error. The decode's spans and counters go
+/// to a throwaway recorder; [`decode_auto_salvage_ctl`] keeps them.
 pub fn decode_auto_salvage(
     bytes: &[u8],
     external_keylog: &KeyLog,
     log: &mut SalvageLog,
 ) -> Result<DecodedTrace, DecodeError> {
-    decode_auto_salvage_ctl(bytes, external_keylog, log, &Ctl::unbounded())
+    let mut rec = LocalRecorder::new();
+    decode_auto_salvage_ctl(bytes, external_keylog, log, &mut rec, &Ctl::unbounded())
 }
 
 /// [`decode_auto_salvage`] with a cancellation checkpoint per frame and per
 /// flow: a tripped `ctl` returns [`DecodeError::Interrupted`] (the partial
 /// salvage log is kept, so the caller's ledger still accounts the records
-/// processed before the cut-off).
+/// processed before the cut-off). Spans, counters and histograms go to
+/// `rec`, the caller's per-worker recorder.
 pub fn decode_auto_salvage_ctl(
     bytes: &[u8],
     external_keylog: &KeyLog,
     log: &mut SalvageLog,
+    rec: &mut LocalRecorder,
     ctl: &Ctl,
 ) -> Result<DecodedTrace, DecodeError> {
-    diffaudit_obs::observe(
+    rec.observe(
         "nettrace.capture.bytes",
         &diffaudit_obs::BYTE_BOUNDS,
         bytes.len() as u64,
     );
-    if PcapngReader::sniff(bytes) {
-        let _span = diffaudit_obs::span("nettrace.decode.pcapng");
-        diffaudit_obs::add("nettrace.decode.pcapng.bytes.in", bytes.len() as u64);
-        let reader = PcapngReader::parse_salvage(bytes, log).map_err(DecodeError::Pcapng)?;
-        // External secrets win over embedded ones for a shared session.
-        let mut merged = reader.keylog;
-        merged.extend(external_keylog.clone());
-        decode_packets(&reader.packets, &merged, log, ctl)
+    let decoded = if PcapngReader::sniff(bytes) {
+        rec.add("nettrace.decode.pcapng.bytes.in", bytes.len() as u64);
+        rec.time("nettrace.decode.pcapng", |rec| {
+            let reader = PcapngReader::parse_salvage(bytes, log).map_err(DecodeError::Pcapng)?;
+            // External secrets win over embedded ones for a shared session.
+            let mut merged = reader.keylog;
+            merged.extend(external_keylog.clone());
+            reassemble(&reader.packets, &merged, log, rec, ctl)
+        })
     } else {
-        let _span = diffaudit_obs::span("nettrace.decode.pcap");
-        diffaudit_obs::add("nettrace.decode.pcap.bytes.in", bytes.len() as u64);
-        let reader = PcapReader::parse_salvage(bytes, log)?;
-        decode_packets(&reader.packets, external_keylog, log, ctl)
-    }
+        rec.add("nettrace.decode.pcap.bytes.in", bytes.len() as u64);
+        rec.time("nettrace.decode.pcap", |rec| {
+            let reader = PcapReader::parse_salvage(bytes, log)?;
+            reassemble(&reader.packets, external_keylog, log, rec, ctl)
+        })
+    }?;
+    rec.add("nettrace.packets", decoded.packet_count as u64);
+    rec.add("nettrace.flows", decoded.flow_count as u64);
+    rec.add("nettrace.exchanges", decoded.exchanges.len() as u64);
+    rec.add(
+        "nettrace.bytes.retained",
+        decoded.exchanges.iter().map(Exchange::logical_bytes).sum(),
+    );
+    rec.add("nettrace.flows.opaque", decoded.opaque.len() as u64);
+    rec.add("nettrace.bytes.copied", decoded.bytes_copied);
+    rec.observe(
+        "nettrace.exchanges.per-capture",
+        &diffaudit_obs::RECORD_BOUNDS,
+        decoded.exchanges.len() as u64,
+    );
+    Ok(decoded)
+}
+
+/// [`decode_packets`] timed as the `nettrace.reassemble` span on `rec`.
+fn reassemble(
+    packets: &[crate::pcap::PcapPacket<'_>],
+    keylog: &KeyLog,
+    log: &mut SalvageLog,
+    rec: &mut LocalRecorder,
+    ctl: &Ctl,
+) -> Result<DecodedTrace, DecodeError> {
+    let bytes_in = packets.iter().map(|p| p.data.len() as u64).sum();
+    rec.add("nettrace.reassemble.bytes.in", bytes_in);
+    rec.time("nettrace.reassemble", |_| {
+        decode_packets(packets, keylog, log, ctl)
+    })
 }
 
 /// Frames → flows → TLS → HTTP, infallible past the container: damaged
@@ -413,11 +450,6 @@ fn decode_packets(
     log: &mut SalvageLog,
     ctl: &Ctl,
 ) -> Result<DecodedTrace, DecodeError> {
-    let _span = diffaudit_obs::span("nettrace.reassemble");
-    diffaudit_obs::add(
-        "nettrace.reassemble.bytes.in",
-        packets.iter().map(|p| p.data.len() as u64).sum(),
-    );
     let packet_count = packets.len();
     let mut table = FlowTable::new();
     for (i, packet) in packets.iter().enumerate() {
@@ -541,30 +573,7 @@ fn decode_packets(
             }
         }
     }
-    diffaudit_obs::add("nettrace.packets", packet_count as u64);
-    diffaudit_obs::add("nettrace.flows", table.flow_count() as u64);
-    diffaudit_obs::add("nettrace.exchanges", exchanges.len() as u64);
-    diffaudit_obs::add(
-        "nettrace.bytes.retained",
-        exchanges.iter().map(Exchange::logical_bytes).sum(),
-    );
-    diffaudit_obs::add("nettrace.flows.opaque", opaque.len() as u64);
     let bytes_copied = copied + body_bytes(&exchanges);
-    diffaudit_obs::add("nettrace.bytes.copied", bytes_copied);
-    diffaudit_obs::observe(
-        "nettrace.exchanges.per-capture",
-        &diffaudit_obs::RECORD_BOUNDS,
-        exchanges.len() as u64,
-    );
-    if !log.is_clean() {
-        diffaudit_obs::debug(
-            "capture decoded with drops",
-            &[
-                diffaudit_obs::field("dropped", log.total_dropped()),
-                diffaudit_obs::field("flows", table.flow_count()),
-            ],
-        );
-    }
     Ok(DecodedTrace {
         exchanges,
         opaque,
@@ -783,7 +792,8 @@ mod tests {
         );
         std::thread::sleep(std::time::Duration::from_millis(1));
         let mut log = SalvageLog::new();
-        let err = decode_auto_salvage_ctl(&pcap, &keylog, &mut log, &ctl).unwrap_err();
+        let mut rec = LocalRecorder::new();
+        let err = decode_auto_salvage_ctl(&pcap, &keylog, &mut log, &mut rec, &ctl).unwrap_err();
         assert_eq!(err, DecodeError::Interrupted(Interrupt::TimedOut));
         assert!(err.to_string().starts_with("timeout"), "{err}");
     }
@@ -797,9 +807,24 @@ mod tests {
         let mut log_a = SalvageLog::new();
         let mut log_b = SalvageLog::new();
         let plain = decode_auto_salvage(&pcap, &keylog, &mut log_a).unwrap();
-        let ctl = decode_auto_salvage_ctl(&pcap, &keylog, &mut log_b, &Ctl::unbounded()).unwrap();
+        let mut rec = LocalRecorder::new();
+        let ctl = decode_auto_salvage_ctl(&pcap, &keylog, &mut log_b, &mut rec, &Ctl::unbounded())
+            .unwrap();
         assert_eq!(plain.exchanges, ctl.exchanges);
         assert_eq!(log_a.total_dropped(), log_b.total_dropped());
+        // The decode records into the recorder it is handed.
+        let metrics = rec.metrics();
+        assert_eq!(metrics.counter("nettrace.exchanges"), 1);
+        assert_eq!(
+            metrics.counter("nettrace.decode.pcap.bytes.in"),
+            pcap.len() as u64
+        );
+        for span in ["nettrace.decode.pcap", "nettrace.reassemble"] {
+            assert!(
+                metrics.spans().any(|(n, s)| n == span && s.count == 1),
+                "{span}"
+            );
+        }
     }
 
     #[test]

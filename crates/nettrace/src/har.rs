@@ -10,6 +10,7 @@
 use crate::http::{Exchange, HeaderMap, HttpRequest, HttpResponse, Method};
 use diffaudit_domains::Url;
 use diffaudit_json::{Cursor, Json, JsonError, Kind};
+use diffaudit_obs::LocalRecorder;
 use diffaudit_util::base64;
 use std::borrow::Cow;
 
@@ -692,12 +693,15 @@ pub fn har_json_to_exchanges(doc: &Json) -> Result<Vec<Exchange>, HarError> {
 /// Salvage parse: document-level failures (invalid JSON, no `log.entries`
 /// array) are still errors, but each malformed entry is skipped and
 /// accounted for in `log` (stage `HarEntry`, offset = entry index) instead
-/// of aborting the whole document.
+/// of aborting the whole document. The decode's span and counters go to a
+/// throwaway recorder; [`har_to_exchanges_salvage_ctl`] keeps them.
 pub fn har_to_exchanges_salvage(
     text: &str,
     log: &mut crate::salvage::SalvageLog,
 ) -> Result<Vec<Exchange>, HarError> {
-    har_to_exchanges_salvage_ctl(text, log, &diffaudit_util::cancel::Ctl::unbounded())
+    let mut rec = LocalRecorder::new();
+    let ctl = diffaudit_util::cancel::Ctl::unbounded();
+    har_to_exchanges_salvage_ctl(text, log, &mut rec, &ctl)
 }
 
 /// [`har_to_exchanges_salvage`] with a cancellation checkpoint per entry: a
@@ -707,21 +711,22 @@ pub fn har_to_exchanges_salvage(
 /// The document is read one entry at a time and only the members an
 /// [`Exchange`] needs are decoded; `log` is written only once the whole
 /// document has been checked, so a document-level error leaves it as it
-/// was.
+/// was. The span and counters go to `rec`, the caller's per-worker
+/// recorder.
 pub fn har_to_exchanges_salvage_ctl(
     text: &str,
     log: &mut crate::salvage::SalvageLog,
+    rec: &mut LocalRecorder,
     ctl: &diffaudit_util::cancel::Ctl,
 ) -> Result<Vec<Exchange>, HarError> {
     use crate::salvage::Stage;
-    let _span = diffaudit_obs::span("nettrace.decode.har");
-    diffaudit_obs::add("nettrace.decode.har.bytes.in", text.len() as u64);
-    diffaudit_obs::observe(
+    rec.add("nettrace.decode.har.bytes.in", text.len() as u64);
+    rec.observe(
         "nettrace.capture.bytes",
         &diffaudit_obs::BYTE_BOUNDS,
         text.len() as u64,
     );
-    let entries = read_har(text, ctl)?;
+    let entries = rec.time("nettrace.decode.har", |_| read_har(text, ctl))?;
     let mut exchanges = Vec::with_capacity(entries.outcomes.len());
     for (i, outcome) in entries.outcomes.into_iter().enumerate() {
         match outcome {
@@ -735,8 +740,8 @@ pub fn har_to_exchanges_salvage_ctl(
     if let Some(interrupt) = entries.interrupted {
         return Err(HarError::Interrupted(interrupt));
     }
-    diffaudit_obs::add("nettrace.har.entries", exchanges.len() as u64);
-    diffaudit_obs::add(
+    rec.add("nettrace.har.entries", exchanges.len() as u64);
+    rec.add(
         "nettrace.bytes.retained",
         exchanges.iter().map(Exchange::logical_bytes).sum(),
     );

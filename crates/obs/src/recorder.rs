@@ -101,17 +101,10 @@ struct Inner {
     gauges: BTreeMap<String, Gauge>,
     windows: BTreeMap<String, Windowed>,
     /// The spans currently open on each thread, outermost first; threads
-    /// with none have no entry. Loader workers open spans concurrently
-    /// with each other and with the thread that spawned them, so each
-    /// thread nests only under its own open spans.
+    /// with none have no entry. Threads open spans concurrently (the
+    /// daemon's accept thread and a load generator's main thread, say),
+    /// so each thread nests only under its own open spans.
     stacks: HashMap<ThreadId, Vec<OpenSpan>>,
-    /// The thread that opened a span while no span was open anywhere (the
-    /// run's root span: `audit`, `bench.pipeline`, …), while that span
-    /// stays open. A span opened on a thread with no open span of its own
-    /// is parented to the innermost span open on this thread — for a
-    /// loader worker, the `loader.dir`/`loader.memory` span that spawned
-    /// it.
-    root: Option<ThreadId>,
     /// The last [`EVENT_RING_CAP`] warn/error events, oldest first.
     ring: VecDeque<RingEvent>,
     /// Monotonic cursor for the ring (advances on every retained event).
@@ -176,7 +169,6 @@ impl Recorder {
                 gauges: BTreeMap::new(),
                 windows: BTreeMap::new(),
                 stacks: HashMap::new(),
-                root: None,
                 ring: VecDeque::new(),
                 ring_seq: 0,
                 res: None,
@@ -337,18 +329,11 @@ impl Recorder {
         };
         let thread = std::thread::current().id();
         let mut inner = lock_inner(self);
-        let parent = match inner.stacks.get(&thread).and_then(|stack| stack.last()) {
-            Some(top) => Some(top.name.clone()),
-            None if inner.stacks.is_empty() => {
-                inner.root = Some(thread);
-                None
-            }
-            None => inner
-                .root
-                .and_then(|root| inner.stacks.get(&root))
-                .and_then(|stack| stack.last())
-                .map(|top| top.name.clone()),
-        };
+        let parent = inner
+            .stacks
+            .get(&thread)
+            .and_then(|stack| stack.last())
+            .map(|top| top.name.clone());
         inner.stacks.entry(thread).or_default().push(OpenSpan {
             name: name.clone(),
             parent,
@@ -387,8 +372,7 @@ impl Recorder {
         let mut inner = lock_inner(self);
         // Pop this span off its thread's stack (LIFO by construction;
         // tolerate an out-of-order drop by removing the last matching
-        // entry). A thread whose stack empties leaves the map, and stops
-        // being the root thread.
+        // entry). A thread whose stack empties leaves the map.
         let mut parent = None;
         if let Some(stack) = inner.stacks.get_mut(&thread) {
             if let Some(at) = stack.iter().rposition(|open| open.name == name) {
@@ -396,9 +380,6 @@ impl Recorder {
             }
             if stack.is_empty() {
                 inner.stacks.remove(&thread);
-                if inner.root == Some(thread) {
-                    inner.root = None;
-                }
             }
         }
         inner.metrics.span_done(name, dur_us);
@@ -635,10 +616,11 @@ impl LocalRecorder {
     /// the span aggregate and the `{name}.us` latency histogram, mirroring
     /// what dropping a global span guard does, minus the trace record: a
     /// per-unit span aggregates into the snapshot instead of adding one
-    /// trace line per unit.
-    pub fn time<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
+    /// trace line per unit. `f` is handed this recorder, so the work it
+    /// times records its own counters and nested spans here too.
+    pub fn time<R>(&mut self, name: &str, f: impl FnOnce(&mut LocalRecorder) -> R) -> R {
         let start = Instant::now();
-        let out = f();
+        let out = f(self);
         let dur_us = elapsed_us(start);
         self.metrics.span_done(name, dur_us);
         self.metrics
@@ -782,7 +764,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_spans_nest_under_their_own_thread_and_the_root_thread() {
+    fn spans_nest_only_under_their_own_threads_open_spans() {
         use std::sync::{Arc, Mutex};
         struct Buf(Arc<Mutex<Vec<u8>>>);
         impl Write for Buf {
@@ -799,23 +781,22 @@ mod tests {
         rec.trace_to_writer(Box::new(Buf(Arc::clone(&out))));
         {
             let _root = rec.enter("audit");
-            let _dir = rec.enter("loader.dir");
-            // Two workers whose spans overlap in time: each opens a decode
-            // span and a nested reassembly span while the other is open.
+            let _load = rec.enter("audit.load");
+            // Two threads whose spans overlap in time with each other and
+            // with the spans open above: each opens an outer span and a
+            // nested one while the other thread's are open.
             let barrier = std::sync::Barrier::new(2);
             std::thread::scope(|scope| {
                 for _ in 0..2 {
                     scope.spawn(|| {
-                        let _decode = rec.enter("decode");
+                        let _request = rec.enter("request");
                         barrier.wait();
-                        let _reassemble = rec.enter("reassemble");
+                        let _handler = rec.enter("handler");
                         barrier.wait();
                     });
                 }
             });
         }
-        // A later run's root opens with nothing open anywhere.
-        drop(rec.enter("next"));
         rec.flush();
         let text = String::from_utf8(out.lock().unwrap().clone()).unwrap();
         let log = crate::trace::TraceLog::parse(&text);
@@ -830,11 +811,12 @@ mod tests {
                 .map(|(_, p)| *p)
                 .collect()
         };
-        assert_eq!(parent_of("decode"), vec![Some("loader.dir"); 2]);
-        assert_eq!(parent_of("reassemble"), vec![Some("decode"); 2]);
-        assert_eq!(parent_of("loader.dir"), vec![Some("audit")]);
+        // A span opened on a thread with no open span of its own has no
+        // parent, whatever other threads have open.
+        assert_eq!(parent_of("request"), vec![None; 2]);
+        assert_eq!(parent_of("handler"), vec![Some("request"); 2]);
+        assert_eq!(parent_of("audit.load"), vec![Some("audit")]);
         assert_eq!(parent_of("audit"), vec![None]);
-        assert_eq!(parent_of("next"), vec![None]);
     }
 
     #[test]
@@ -885,7 +867,7 @@ mod tests {
     #[test]
     fn local_time_feeds_span_stats_and_latency_histogram() {
         let mut local = LocalRecorder::new();
-        let out = local.time("unit.decode", || {
+        let out = local.time("unit.decode", |_| {
             std::thread::sleep(std::time::Duration::from_millis(1));
             42
         });

@@ -13,12 +13,10 @@
 //!
 //! Span records are emitted at *close* time and carry the immediate parent
 //! **name**, fixed when the span opened: the recorder keeps one span stack
-//! per thread, and a worker thread's outermost span names the innermost
-//! span open on the run's root thread (a loader worker's decode spans name
-//! the `loader.dir` that spawned it). Reconstruction therefore aggregates records
-//! into `(parent, name)` edges — every instance of `loader.unit` under
-//! `loader.dir` folds into one node with a call count — and grows the tree
-//! from the roots:
+//! per thread, and a thread's outermost span has no parent. Reconstruction
+//! therefore aggregates records into `(parent, name)` edges — every
+//! instance of one name under one parent folds into one node with a call
+//! count — and grows the tree from the roots:
 //!
 //! - an edge with a `null` parent is a root;
 //! - an edge whose parent never appears as a span record itself (a span

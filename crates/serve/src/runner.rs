@@ -209,6 +209,38 @@ mod tests {
     }
 
     #[test]
+    fn job_snapshot_holds_its_own_decode_layers() {
+        use diffaudit_services::MemoryArtifact;
+        let service = small_service();
+        let har_units = service
+            .units
+            .iter()
+            .filter(|u| matches!(*u.artifact, MemoryArtifact::Har(_)))
+            .count() as u64;
+        let pcap_units = service.units.len() as u64 - har_units;
+        assert!(
+            har_units > 0 && pcap_units > 0,
+            "{har_units} / {pcap_units}"
+        );
+        let output = run_job(request(service, 2), CancelToken::new());
+        assert_eq!(output.completion.phase, JobPhase::Done(RunStatus::Clean));
+        let metrics = output.metrics.expect("job snapshot").metrics;
+        let span_count = |name: &str| {
+            metrics
+                .spans()
+                .find(|(n, _)| *n == name)
+                .map_or(0, |(_, s)| s.count)
+        };
+        // Every exchange the pipeline saw was decoded under this job.
+        assert_eq!(
+            metrics.counter("nettrace.har.entries") + metrics.counter("nettrace.exchanges"),
+            metrics.counter("pipeline.exchanges")
+        );
+        assert_eq!(span_count("nettrace.decode.har"), har_units);
+        assert_eq!(span_count("nettrace.decode.pcap"), pcap_units);
+    }
+
+    #[test]
     fn expired_deadline_salvages_or_times_out_but_returns() {
         let mut req = request(small_service(), 2);
         req.deadline = Duration::ZERO;

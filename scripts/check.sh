@@ -68,7 +68,8 @@ obs_tmp="$(mktemp -d)"
     --trace-out "$obs_tmp/trace.jsonl" --metrics-out "$obs_tmp/metrics.json" \
     > "$obs_tmp/report.txt"
 grep -q '"schema": "diffaudit-obs/v1"' "$obs_tmp/metrics.json"
-for stage in audit audit.load pipeline pipeline.classify loader.unit; do
+for stage in audit audit.load pipeline pipeline.classify loader.unit \
+    nettrace.decode.har nettrace.decode.pcap nettrace.reassemble; do
     grep -q "\"$stage\"" "$obs_tmp/metrics.json" \
         || { echo "metrics.json missing span $stage"; exit 1; }
 done

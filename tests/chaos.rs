@@ -21,6 +21,7 @@ use diffaudit_nettrace::pcapng::inject_secrets;
 use diffaudit_nettrace::{
     decode_auto_salvage, decode_auto_salvage_ctl, har_to_exchanges_salvage, KeyLog, SalvageLog,
 };
+use diffaudit_obs::LocalRecorder;
 use diffaudit_services::{generate_dataset, DatasetOptions, GeneratedDataset, MemoryArtifact};
 
 const SEEDS: [u64; 2] = [3, 11];
@@ -302,8 +303,14 @@ fn a_stalled_decoder_is_cut_off_at_the_deadline_across_the_fault_grid() {
     // The stall must actually bite on the pristine capture — otherwise
     // the grid below proves nothing.
     let mut pristine_log = SalvageLog::new();
-    let err = decode_auto_salvage_ctl(pcap, &keylog, &mut pristine_log, &stalled_ctl())
-        .expect_err("a stalled decode must be interrupted, not complete");
+    let err = decode_auto_salvage_ctl(
+        pcap,
+        &keylog,
+        &mut pristine_log,
+        &mut LocalRecorder::new(),
+        &stalled_ctl(),
+    )
+    .expect_err("a stalled decode must be interrupted, not complete");
     assert!(
         matches!(err, DecodeError::Interrupted(Interrupt::TimedOut)),
         "pristine stall must read as a timeout, got: {err:?}"
@@ -319,7 +326,13 @@ fn a_stalled_decoder_is_cut_off_at_the_deadline_across_the_fault_grid() {
             };
             let damaged = spec.apply_pcap(pcap);
             let mut log = SalvageLog::new();
-            match decode_auto_salvage_ctl(&damaged, &keylog, &mut log, &stalled_ctl()) {
+            match decode_auto_salvage_ctl(
+                &damaged,
+                &keylog,
+                &mut log,
+                &mut LocalRecorder::new(),
+                &stalled_ctl(),
+            ) {
                 Err(DecodeError::Interrupted(i)) => assert!(
                     matches!(i, Interrupt::TimedOut),
                     "{op} seed {seed}: a deadline stall must surface as a timeout, got {i:?}"

@@ -373,7 +373,18 @@ fn obs_report_and_self_diff_round_trip() {
 fn resource_profiling_reports_and_gates_end_to_end() {
     let root = temp_dir("resources");
     let dir = capture_dir(&root);
-    let plain = run(&["audit", dir.to_str().unwrap(), "--format", "json"]);
+    // The plain run fills a classification cache that the profiled run
+    // then loads under its `pipeline.classify.cache` span.
+    let cache = root.join("cache");
+    let cache = cache.to_str().unwrap();
+    let plain = run(&[
+        "audit",
+        dir.to_str().unwrap(),
+        "--format",
+        "json",
+        "--cache-dir",
+        cache,
+    ]);
     assert_eq!(plain.code, Some(0), "stderr: {}", plain.stderr);
 
     let trace_path = root.join("trace.jsonl");
@@ -383,6 +394,8 @@ fn resource_profiling_reports_and_gates_end_to_end() {
         dir.to_str().unwrap(),
         "--format",
         "json",
+        "--cache-dir",
+        cache,
         "--res-sample-ms",
         "5",
         "--trace-out",
@@ -416,8 +429,9 @@ fn resource_profiling_reports_and_gates_end_to_end() {
                 report.stdout
             );
         }
-        // The decode stages carry byte accounting, so at least one stage
-        // row derives a bytes/sec throughput.
+        // The cache load carries byte accounting
+        // (`pipeline.classify.cache.bytes.in`), so its stage row derives a
+        // bytes/sec throughput.
         assert!(
             report.stdout.contains("B/s"),
             "no stage throughput in:\n{}",

@@ -31,7 +31,7 @@ use diffaudit::{AuditFinding, DegradationLedger, ServiceLedger, UnitLedger};
 use diffaudit_json::{parse, Json};
 use diffaudit_nettrace::fault::{FaultOp, FaultSpec};
 use diffaudit_nettrace::{SalvageLog, Stage};
-use diffaudit_obs::{Scope, TraceLog};
+use diffaudit_obs::{LocalRecorder, Scope, TraceLog};
 use diffaudit_services::{
     generate_dataset, generate_dataset_threads, service_by_slug, DatasetOptions, GeneratedDataset,
     MemoryArtifact,
@@ -424,7 +424,13 @@ fn decoded_reference(svc: &MemoryService) -> (ServiceInput, ServiceLedger) {
     for (i, unit) in svc.units.iter().enumerate() {
         let mut log = SalvageLog::new();
         let path = PathBuf::from(&unit.label);
-        match decode_unit(unit, &path, &mut log, &Ctl::unbounded()) {
+        match decode_unit(
+            unit,
+            &path,
+            &mut log,
+            &mut LocalRecorder::new(),
+            &Ctl::unbounded(),
+        ) {
             Ok(loaded) => {
                 log.ok(Stage::Unit);
                 units.push(loaded);
@@ -515,33 +521,59 @@ fn fused_load_audits_like_run_inputs_over_the_decoded_units() {
 }
 
 #[test]
-fn loader_worker_spans_name_their_parents_in_the_trace() {
-    let root = temp_dir("trace-parents");
+fn decode_layers_reach_the_snapshot_and_stay_off_the_trace() {
+    let root = temp_dir("decode-layers");
     let dir = capture_dir(&root);
-    let trace = root.join("trace.jsonl");
-    let out = audit_with_threads(&dir, 2, &["--trace-out", trace.to_str().unwrap()]);
-    assert_eq!(out.code, Some(0), "stderr: {}", out.stderr);
-    let log = TraceLog::parse(&std::fs::read_to_string(&trace).unwrap());
-    let (mut decodes, mut reassemblies) = (0, 0);
-    for span in log.spans() {
-        let parent = span.parent.as_deref();
-        if span.name.starts_with("nettrace.decode.") {
-            decodes += 1;
-            assert_eq!(parent, Some("loader.dir"), "{span:?}");
-        } else if span.name == "nettrace.reassemble" {
-            reassemblies += 1;
+    let units = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .filter(|e| {
+            let name = e.file_name();
+            let name = name.to_string_lossy();
+            name.ends_with(".har") || name.ends_with(".pcap")
+        })
+        .count() as i64;
+    assert!(units > 0);
+    for threads in [1, 2] {
+        let trace = root.join(format!("trace{threads}.jsonl"));
+        let metrics = root.join(format!("metrics{threads}.json"));
+        let out = audit_with_threads(
+            &dir,
+            threads,
+            &[
+                "--trace-out",
+                trace.to_str().unwrap(),
+                "--metrics-out",
+                metrics.to_str().unwrap(),
+            ],
+        );
+        assert_eq!(out.code, Some(0), "stderr: {}", out.stderr);
+        // Workers record only into their own recorders, so the trace holds
+        // the calling threads' spans alone, and every parent they name is a
+        // span of the same trace.
+        let log = TraceLog::parse(&std::fs::read_to_string(&trace).unwrap());
+        let names: Vec<&str> = log.spans().map(|s| s.name.as_str()).collect();
+        for span in log.spans() {
             assert!(
-                matches!(
-                    parent,
-                    Some("nettrace.decode.pcap") | Some("nettrace.decode.pcapng")
-                ),
+                !span.name.starts_with("nettrace.") && span.name != "diff.grid",
                 "{span:?}"
             );
+            if let Some(parent) = &span.parent {
+                assert!(names.contains(&parent.as_str()), "{span:?}");
+            }
         }
+        // The decode layers reach the snapshot through the join-time absorb.
+        let doc = parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        let decodes: i64 = ["har", "pcap", "pcapng"]
+            .iter()
+            .filter_map(|kind| {
+                doc.get("spans")
+                    .and_then(|s| s.get(&format!("nettrace.decode.{kind}")))
+                    .and_then(|s| s.get("count"))
+                    .and_then(Json::as_i64)
+            })
+            .sum();
+        assert_eq!(decodes, units, "--threads {threads}");
     }
-    assert!(
-        decodes > 0 && reassemblies > 0,
-        "{decodes} decodes, {reassemblies} reassemblies"
-    );
     let _ = std::fs::remove_dir_all(&root);
 }
