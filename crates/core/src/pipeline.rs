@@ -593,7 +593,7 @@ impl UnitCtx {
     /// are consumed, so their payloads are freed as extraction walks them.
     pub(crate) fn extract(&mut self, unit: LoadedUnit, interner: &KeyInterner) -> ExtractedUnit {
         self.recorder
-            .add("pipeline.extract.bytes.in", unit_bytes(&unit));
+            .add("pipeline.unit.extract.bytes.in", unit_bytes(&unit));
         let unit = self
             .recorder
             .time("pipeline.unit.extract", |_| extract_unit(unit, interner));
@@ -646,7 +646,7 @@ impl KeyBatch {
 }
 
 /// Logical size of one decoded unit: the exchange payloads the extract
-/// stage walks (`pipeline.extract.bytes.in`).
+/// stage walks (`pipeline.unit.extract.bytes.in`).
 fn unit_bytes(unit: &LoadedUnit) -> u64 {
     unit.exchanges.iter().map(Exchange::logical_bytes).sum()
 }

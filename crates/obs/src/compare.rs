@@ -227,12 +227,12 @@ pub fn diff_snapshots(
     .collect();
 
     let resources: Vec<ResourceDelta> = union(
-        base_m.resources().map(|(n, _)| n),
-        current_m.resources().map(|(n, _)| n),
+        base.resources.keys().map(String::as_str),
+        current.resources.keys().map(String::as_str),
     )
     .into_iter()
     .map(|name| {
-        let (b, c) = (base_m.resource(name), current_m.resource(name));
+        let (b, c) = (base.resources.get(name), current.resources.get(name));
         let base_peak = b.map_or(0, |r| r.peak_rss_bytes);
         let current_peak = c.map_or(0, |r| r.peak_rss_bytes);
         let delta = current_peak as i64 - base_peak as i64;
@@ -622,33 +622,30 @@ mod tests {
     fn resource_snapshot(peak: u64) -> MetricsSnapshot {
         let mut m = Metrics::new();
         m.span_done("pipeline.extract", 100_000);
-        m.res_done(
-            "pipeline.extract",
-            &crate::res::SpanResources {
-                peak_rss_bytes: peak,
-                rss_delta_bytes: 1_000,
-                cpu_us: 50_000,
-                bytes_in: 10_000,
-            },
-        );
-        let doc = MetricsSnapshot::new(m, 120_000)
-            .to_json()
-            .to_pretty_string();
-        parse_snapshot(&doc).unwrap()
+        let stats = crate::ResStats {
+            count: 1,
+            peak_rss_bytes: peak,
+            rss_delta_bytes: 1_000,
+            cpu_us: 50_000,
+        };
+        let snap = MetricsSnapshot {
+            resources: [("pipeline.extract".to_string(), stats)].into(),
+            ..MetricsSnapshot::new(m, 120_000)
+        };
+        parse_snapshot(&snap.to_json().to_pretty_string()).unwrap()
     }
 
     #[test]
     fn resources_round_trip_through_the_snapshot_document() {
         let snap = resource_snapshot(64 * 1024 * 1024);
-        let doc = snap.metrics.resource("pipeline.extract").unwrap();
+        let doc = snap.resources["pipeline.extract"];
         assert_eq!(doc.count, 1);
         assert_eq!(doc.peak_rss_bytes, 64 * 1024 * 1024);
         assert_eq!(doc.rss_delta_bytes, 1_000);
         assert_eq!(doc.cpu_us, 50_000);
-        assert_eq!(doc.bytes_in, 10_000);
         // Pre-profiling documents (no `resources` key) still parse.
         let old = parse_snapshot(&sample_snapshot(1)).unwrap();
-        assert!(old.metrics.resources().next().is_none());
+        assert!(old.resources.is_empty());
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use metrics::{
 };
 pub use recorder::{LocalRecorder, ObsConfig, Recorder, RingEvent, SpanGuard, EVENT_RING_CAP};
 pub use report::{render_run_report, SALVAGE_PREFIX};
-pub use res::{ResUsage, ResourceTrack, SpanResources};
+pub use res::ResUsage;
 pub use scope::Scope;
 pub use sink::{write_stderr_block, JsonlSink};
 pub use trace::{
@@ -162,11 +162,6 @@ pub fn flush() {
 /// nothing) when `/proc` is unavailable — see [`Recorder::enable_resources`].
 pub fn enable_resources(interval: std::time::Duration) -> bool {
     global().enable_resources(interval)
-}
-
-/// Whether resource profiling is active on the global recorder.
-pub fn resources_enabled() -> bool {
-    global().resources_enabled()
 }
 
 #[cfg(test)]

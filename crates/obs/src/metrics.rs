@@ -7,7 +7,6 @@
 //! exported [`MetricsSnapshot`] is an owned copy so report rendering and
 //! JSON export never hold the lock.
 
-use crate::res::SpanResources;
 use diffaudit_json::Json;
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -672,13 +671,13 @@ impl WindowStats {
     }
 }
 
-/// Aggregated resource attribution for one span name: the fold of every
-/// completed span's [`SpanResources`] under that name.
+/// What spans spent: one closed span is a `ResStats` with `count: 1`, and
+/// a span name's row, a trace edge and the whole-process row are folds of
+/// them. The one resource record — the snapshot's `resources` entries and
+/// a trace span's `res` object are both [`ResStats::to_json`].
 ///
-/// Like every registry aggregate the merge is associative and commutative
-/// with the empty stats as identity: counts, CPU, deltas, and bytes add;
-/// peaks take the max — so absorbing per-thread registries at join yields
-/// the serial run's totals.
+/// The merge is associative and commutative with the empty stats as
+/// identity: counts, CPU and deltas add; peaks take the max.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResStats {
     /// Completed spans folded in.
@@ -689,41 +688,29 @@ pub struct ResStats {
     pub rss_delta_bytes: i64,
     /// Total CPU time (utime + stime) consumed under the spans.
     pub cpu_us: u64,
-    /// Total logical bytes processed (`{span}.bytes.in` counter growth).
-    pub bytes_in: u64,
 }
 
 impl ResStats {
-    /// Fold one completed span's resources in.
-    pub fn record(&mut self, res: &SpanResources) {
-        self.count += 1;
-        self.peak_rss_bytes = self.peak_rss_bytes.max(res.peak_rss_bytes);
-        self.rss_delta_bytes = self.rss_delta_bytes.saturating_add(res.rss_delta_bytes);
-        self.cpu_us = self.cpu_us.saturating_add(res.cpu_us);
-        self.bytes_in = self.bytes_in.saturating_add(res.bytes_in);
-    }
-
     /// Merge another aggregate into this one.
     pub fn merge_from(&mut self, other: &ResStats) {
         self.count += other.count;
         self.peak_rss_bytes = self.peak_rss_bytes.max(other.peak_rss_bytes);
         self.rss_delta_bytes = self.rss_delta_bytes.saturating_add(other.rss_delta_bytes);
         self.cpu_us = self.cpu_us.saturating_add(other.cpu_us);
-        self.bytes_in = self.bytes_in.saturating_add(other.bytes_in);
     }
 
-    /// JSON representation (the snapshot's `resources` entry).
+    /// JSON representation.
     pub fn to_json(&self) -> Json {
         Json::obj()
             .with("count", uint(self.count))
             .with("peakRssB", uint(self.peak_rss_bytes))
             .with("rssDeltaB", Json::int(self.rss_delta_bytes))
             .with("cpuUs", uint(self.cpu_us))
-            .with("bytesIn", uint(self.bytes_in))
     }
 
     /// Read [`ResStats::to_json`]'s output back. Every field defaults to
-    /// zero, so hand-trimmed baselines keep reading.
+    /// zero, so hand-trimmed baselines keep reading; unknown keys (the
+    /// retired `bytesIn`) are ignored.
     pub fn from_json(json: &Json) -> Result<ResStats, SnapshotError> {
         let field = |key: &str| opt_u64(json, key).map(|v| v.unwrap_or(0));
         Ok(ResStats {
@@ -731,19 +718,17 @@ impl ResStats {
             peak_rss_bytes: field("peakRssB")?,
             rss_delta_bytes: opt_i64(json, "rssDeltaB")?.unwrap_or(0),
             cpu_us: field("cpuUs")?,
-            bytes_in: field("bytesIn")?,
         })
     }
 }
 
-/// The mergeable metric registry: named counters, histograms, span stats,
-/// and resource attributions.
+/// The mergeable metric registry: named counters, histograms and span
+/// stats.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
     spans: BTreeMap<String, SpanStats>,
-    resources: BTreeMap<String, ResStats>,
 }
 
 impl Metrics {
@@ -774,23 +759,8 @@ impl Metrics {
             .record(dur_us);
     }
 
-    /// Fold a completed span's resource attribution into `name`'s stats.
-    pub fn res_done(&mut self, name: &str, res: &SpanResources) {
-        self.resources
-            .entry(name.to_string())
-            .or_default()
-            .record(res);
-    }
-
-    /// Replace `name`'s resource stats wholesale (the recorder uses this to
-    /// inject the synthetic whole-process entry at snapshot time).
-    pub fn res_set(&mut self, name: &str, stats: ResStats) {
-        self.resources.insert(name.to_string(), stats);
-    }
-
     /// Merge another registry into this one: counters add, histograms
-    /// merge bucket-wise ([`Histogram::merge_from`]), span and resource
-    /// stats fold. This is the join step of the per-thread recorder design
+    /// merge bucket-wise ([`Histogram::merge_from`]), span stats fold. This is the join step of the per-thread recorder design
     /// — each worker accumulates into a private [`Metrics`] and the
     /// batches merge associatively here, so the final snapshot is
     /// independent of thread count and join order.
@@ -810,9 +780,6 @@ impl Metrics {
         }
         for (name, stats) in other.spans {
             self.spans.entry(name).or_default().merge_from(&stats);
-        }
-        for (name, stats) in other.resources {
-            self.resources.entry(name).or_default().merge_from(&stats);
         }
     }
 
@@ -845,20 +812,11 @@ impl Metrics {
     pub fn spans(&self) -> impl Iterator<Item = (&str, &SpanStats)> + '_ {
         self.spans.iter().map(|(k, v)| (k.as_str(), v))
     }
-
-    /// Resource stats for span `name`, if any were recorded.
-    pub fn resource(&self, name: &str) -> Option<&ResStats> {
-        self.resources.get(name)
-    }
-
-    /// Named resource stats in sorted order.
-    pub fn resources(&self) -> impl Iterator<Item = (&str, &ResStats)> + '_ {
-        self.resources.iter().map(|(k, v)| (k.as_str(), v))
-    }
 }
 
 /// An owned copy of a recorder at one instant: the mergeable registry, the
-/// live gauges and windows as they stood, and the run uptime. It is also
+/// live gauges, windows and span resources as they stood, and the run
+/// uptime. It is also
 /// what [`parse_snapshot`] reads a `diffaudit-obs/v1` document back into.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
@@ -868,6 +826,9 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, Gauge>,
     /// Sliding windows by name, frozen (only the global recorder has any).
     pub windows: BTreeMap<String, WindowStats>,
+    /// Span resources by name, plus the whole-run `process` row (only a
+    /// profiling global recorder has any).
+    pub resources: BTreeMap<String, ResStats>,
     /// Microseconds since the recorder started.
     pub uptime_us: u64,
 }
@@ -938,10 +899,10 @@ impl MetricsSnapshot {
                 section(self.windows.iter(), WindowStats::to_json),
             );
         }
-        if self.metrics.resources().next().is_some() {
+        if !self.resources.is_empty() {
             doc.set(
                 "resources",
-                section(self.metrics.resources(), ResStats::to_json),
+                section(self.resources.iter(), ResStats::to_json),
             );
         }
         doc
@@ -960,10 +921,10 @@ impl MetricsSnapshot {
                 counters: read_section(doc, "counters", "counter", as_u64)?,
                 histograms: read_section(doc, "histograms", "histogram", Histogram::from_json)?,
                 spans: read_section(doc, "spans", "span", SpanStats::from_json)?,
-                resources: read_section(doc, "resources", "resource", ResStats::from_json)?,
             },
             gauges: read_section(doc, "gauges", "gauge", Gauge::from_json)?,
             windows: read_section(doc, "windows", "window", WindowStats::from_json)?,
+            resources: read_section(doc, "resources", "resource", ResStats::from_json)?,
             uptime_us,
         })
     }
@@ -1302,35 +1263,29 @@ mod tests {
         );
     }
 
+    fn span_res(peak_rss_bytes: u64, rss_delta_bytes: i64, cpu_us: u64) -> ResStats {
+        ResStats {
+            count: 1,
+            peak_rss_bytes,
+            rss_delta_bytes,
+            cpu_us,
+        }
+    }
+
     #[test]
     fn res_stats_fold_and_export() {
-        let mut m = Metrics::new();
-        m.res_done(
-            "pipeline.extract",
-            &SpanResources {
-                peak_rss_bytes: 10_000,
-                rss_delta_bytes: 4_000,
-                cpu_us: 500,
-                bytes_in: 1_000,
-            },
-        );
-        m.res_done(
-            "pipeline.extract",
-            &SpanResources {
-                peak_rss_bytes: 8_000,
-                rss_delta_bytes: -1_000,
-                cpu_us: 300,
-                bytes_in: 2_000,
-            },
-        );
-        let stats = *m.resource("pipeline.extract").unwrap();
+        let mut stats = span_res(10_000, 4_000, 500);
+        stats.merge_from(&span_res(8_000, -1_000, 300));
         assert_eq!(stats.count, 2);
         assert_eq!(stats.peak_rss_bytes, 10_000); // max, not sum
         assert_eq!(stats.rss_delta_bytes, 3_000); // signed net
         assert_eq!(stats.cpu_us, 800);
-        assert_eq!(stats.bytes_in, 3_000);
 
-        let json = MetricsSnapshot::new(m, 1).to_json();
+        let snap = MetricsSnapshot {
+            resources: BTreeMap::from([("pipeline.extract".to_string(), stats)]),
+            ..MetricsSnapshot::default()
+        };
+        let json = snap.to_json();
         let doc = json.pointer("/resources/pipeline.extract").unwrap();
         assert_eq!(doc.pointer("/count").and_then(Json::as_i64), Some(2));
         assert_eq!(
@@ -1342,35 +1297,24 @@ mod tests {
             Some(3_000)
         );
         assert_eq!(doc.pointer("/cpuUs").and_then(Json::as_i64), Some(800));
-        assert_eq!(doc.pointer("/bytesIn").and_then(Json::as_i64), Some(3_000));
+        assert!(doc.pointer("/bytesIn").is_none());
+        // A document written with the retired `bytesIn` key still reads.
+        let old = doc.clone().with("bytesIn", Json::int(7));
+        assert_eq!(ResStats::from_json(&old), Ok(stats));
     }
 
     #[test]
     fn res_stats_merge_matches_serial_fold() {
-        let a_span = SpanResources {
-            peak_rss_bytes: 5,
-            rss_delta_bytes: 2,
-            cpu_us: 10,
-            bytes_in: 100,
-        };
-        let b_span = SpanResources {
-            peak_rss_bytes: 9,
-            rss_delta_bytes: -1,
-            cpu_us: 20,
-            bytes_in: 50,
-        };
-        let mut serial = Metrics::new();
-        serial.res_done("s", &a_span);
-        serial.res_done("s", &b_span);
-        let mut left = Metrics::new();
-        left.res_done("s", &a_span);
-        let mut right = Metrics::new();
-        right.res_done("s", &b_span);
-        left.merge_from(right);
-        assert_eq!(left.resource("s"), serial.resource("s"));
-        // Identity: merging an empty registry changes nothing.
-        left.merge_from(Metrics::new());
-        assert_eq!(left.resource("s"), serial.resource("s"));
+        let (a, b) = (span_res(5, 2, 10), span_res(9, -1, 20));
+        let mut serial = ResStats::default();
+        serial.merge_from(&a);
+        serial.merge_from(&b);
+        let mut reversed = b;
+        reversed.merge_from(&a);
+        assert_eq!(reversed, serial);
+        // Identity: merging the empty stats changes nothing.
+        reversed.merge_from(&ResStats::default());
+        assert_eq!(reversed, serial);
     }
 
     #[test]
@@ -1454,15 +1398,6 @@ mod tests {
                 m.span_done(&name, below(rng, 40));
             }
         }
-        for _ in 0..rng.range(0, 3) {
-            let res = SpanResources {
-                peak_rss_bytes: below(rng, 40),
-                rss_delta_bytes: below(rng, 40) as i64 - (1 << 39),
-                cpu_us: below(rng, 40),
-                bytes_in: below(rng, 40),
-            };
-            m.res_done(&name(rng), &res);
-        }
         let mut gauges = BTreeMap::new();
         for _ in 0..rng.range(0, 4) {
             let mut gauge = Gauge::new();
@@ -1496,10 +1431,21 @@ mod tests {
             };
             windows.insert(name(rng), stats);
         }
+        let mut resources = BTreeMap::new();
+        for _ in 0..rng.range(0, 3) {
+            let stats = ResStats {
+                count: below(rng, 20),
+                peak_rss_bytes: below(rng, 40),
+                rss_delta_bytes: below(rng, 40) as i64 - (1 << 39),
+                cpu_us: below(rng, 40),
+            };
+            resources.insert(name(rng), stats);
+        }
         MetricsSnapshot {
             metrics: m,
             gauges,
             windows,
+            resources,
             uptime_us: below(rng, 50),
         }
     }

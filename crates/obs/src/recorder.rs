@@ -10,14 +10,14 @@ use crate::level::Level;
 use crate::metrics::{
     Gauge, Histogram, Metrics, MetricsSnapshot, ResStats, Window, Windowed, LATENCY_US_BOUNDS,
 };
-use crate::res::{self, ResUsage, ResourceTrack, SpanResources};
-use crate::sink::{event_record, span_record, with_span_resources, write_stderr, JsonlSink};
+use crate::res::{self, ResUsage};
+use crate::sink::{event_record, span_record, write_stderr, JsonlSink};
 use diffaudit_json::Json;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
@@ -65,30 +65,15 @@ pub struct ObsConfig {
     pub trace: Option<JsonlSink>,
 }
 
-/// The live resource-profiling state: the shared track the background
-/// sampler fills, plus the epoch its timestamps count from and the stop
-/// flag that halts the sampler thread.
-struct ResHandle {
-    epoch: Instant,
-    track: Arc<Mutex<ResourceTrack>>,
-    stop: Arc<AtomicBool>,
-}
-
-/// The resource snapshot a span takes when it opens (paired with a second
-/// sample at close to produce the span's [`SpanResources`]).
-struct SpanResStart {
-    usage: ResUsage,
-    /// Enter time on the resource track's axis (for `peak_between`).
-    t_us: u64,
-    /// Value of the `{span}.bytes.in` counter at enter.
-    bytes_in: u64,
-}
-
 /// One open span on a thread's stack: its name and the parent its trace
-/// record will name, fixed when the span opens.
+/// record will name, fixed when the span opens, and under profiling its
+/// enter sample and the highest RSS seen since.
 struct OpenSpan {
     name: String,
     parent: Option<String>,
+    enter: Option<ResUsage>,
+    /// Raised by every sampler tick while the span is open.
+    peak_rss_bytes: u64,
 }
 
 struct Inner {
@@ -109,16 +94,20 @@ struct Inner {
     ring: VecDeque<RingEvent>,
     /// Monotonic cursor for the ring (advances on every retained event).
     ring_seq: u64,
-    /// Resource-profiling state (`None` until [`Recorder::enable_resources`]
-    /// succeeds — i.e. never on a platform without `/proc`).
-    res: Option<ResHandle>,
+    /// The first resource sample, the whole run's baseline (`None` until
+    /// [`Recorder::enable_resources`] succeeds — i.e. never on a platform
+    /// without `/proc`).
+    first: Option<ResUsage>,
+    /// Span resources by name, folded at span exit. Like the gauges they
+    /// never merge: only this recorder's span guards sample `/proc`.
+    resources: BTreeMap<String, ResStats>,
 }
 
 /// The observability recorder.
 pub struct Recorder {
     level: AtomicU8,
     stderr: AtomicBool,
-    /// Lock-free mirror of `inner.res.is_some()` so span enter/exit can
+    /// Lock-free mirror of `inner.first.is_some()` so span enter/exit can
     /// skip the `/proc` reads entirely when profiling is off.
     res_on: AtomicBool,
     inner: Mutex<Inner>,
@@ -145,13 +134,6 @@ fn lock_inner(recorder: &Recorder) -> std::sync::MutexGuard<'_, Inner> {
     }
 }
 
-fn lock_track(track: &Mutex<ResourceTrack>) -> std::sync::MutexGuard<'_, ResourceTrack> {
-    match track.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 impl Recorder {
     /// A fresh recorder: level `Warn`, stderr on, no trace sink. The quiet
     /// default keeps library consumers (tests, benches) silent while still
@@ -171,15 +153,16 @@ impl Recorder {
                 stacks: HashMap::new(),
                 ring: VecDeque::new(),
                 ring_seq: 0,
-                res: None,
+                first: None,
+                resources: BTreeMap::new(),
             }),
         }
     }
 
-    /// Start resource profiling: take a first `/proc` sample, seed the
-    /// shared [`ResourceTrack`], and spawn a background sampler thread that
-    /// pushes a sample every `interval` and keeps the process gauges
-    /// ([`res::PROCESS_RSS_GAUGE`], [`res::PROCESS_CPU_US_GAUGE`]) current.
+    /// Start resource profiling: take a first `/proc` sample and spawn a
+    /// background sampler thread that, every `interval`, sets the process
+    /// gauges ([`res::PROCESS_RSS_GAUGE`], [`res::PROCESS_CPU_US_GAUGE`])
+    /// and raises the peak RSS of every open span.
     ///
     /// Returns `false` when `/proc` is unavailable (non-Linux) — the
     /// recorder then behaves exactly as before: no resource fields anywhere.
@@ -190,60 +173,42 @@ impl Recorder {
         let Some(first) = res::sample_self() else {
             return false;
         };
-        let mut track = ResourceTrack::new();
-        let epoch = track.epoch();
-        track.push(first);
-        let track = Arc::new(Mutex::new(track));
-        let stop = Arc::new(AtomicBool::new(false));
         {
             let mut inner = lock_inner(self);
-            if inner.res.is_some() {
+            if inner.first.is_some() {
                 return true;
             }
-            inner.res = Some(ResHandle {
-                epoch,
-                track: Arc::clone(&track),
-                stop: Arc::clone(&stop),
-            });
-            inner
-                .gauge(res::PROCESS_RSS_GAUGE)
-                .set(clamp_i64(first.rss_bytes));
-            inner
-                .gauge(res::PROCESS_CPU_US_GAUGE)
-                .set(clamp_i64(first.cpu_us));
+            inner.first = Some(first);
         }
+        self.fold_sample(first);
         self.res_on.store(true, Ordering::Relaxed);
         let interval = interval.max(Duration::from_millis(1));
         std::thread::Builder::new()
             .name("obs-res-sampler".into())
             .spawn(move || loop {
                 std::thread::sleep(interval);
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
                 // A vanished /proc mid-run (should not happen) ends the
-                // sampler; the last pushed sample stays authoritative.
+                // sampler; the last folded sample stays authoritative.
                 let Some(usage) = res::sample_self() else {
                     break;
                 };
-                lock_track(&track).push(usage);
-                self.gauge_set(res::PROCESS_RSS_GAUGE, clamp_i64(usage.rss_bytes));
-                self.gauge_set(res::PROCESS_CPU_US_GAUGE, clamp_i64(usage.cpu_us));
+                self.fold_sample(usage);
             })
             .is_ok()
     }
 
-    /// Whether resource profiling is active.
-    pub fn resources_enabled(&self) -> bool {
-        self.res_on.load(Ordering::Relaxed)
-    }
-
-    /// Stop the sampler thread and detach the resource state (tests).
-    /// Already-recorded resource metrics stay in the registry.
-    pub fn disable_resources(&self) {
-        self.res_on.store(false, Ordering::Relaxed);
-        if let Some(handle) = lock_inner(self).res.take() {
-            handle.stop.store(true, Ordering::Relaxed);
+    /// Fold one sample in under a single lock: set the two process gauges
+    /// and raise the peak RSS of every span open at this moment.
+    fn fold_sample(&self, usage: ResUsage) {
+        let mut inner = lock_inner(self);
+        inner
+            .gauge(res::PROCESS_RSS_GAUGE)
+            .set(clamp_i64(usage.rss_bytes));
+        inner
+            .gauge(res::PROCESS_CPU_US_GAUGE)
+            .set(clamp_i64(usage.cpu_us));
+        for open in inner.stacks.values_mut().flatten() {
+            open.peak_rss_bytes = open.peak_rss_bytes.max(usage.rss_bytes);
         }
     }
 
@@ -322,30 +287,17 @@ impl Recorder {
         let name = name.into();
         // Sample /proc before taking the lock so profiling cost never
         // extends the critical section.
-        let sampled = if self.res_on.load(Ordering::Relaxed) {
-            res::sample_self()
-        } else {
-            None
-        };
+        let enter = self.sample();
         let thread = std::thread::current().id();
         let mut inner = lock_inner(self);
-        let parent = inner
-            .stacks
-            .get(&thread)
-            .and_then(|stack| stack.last())
-            .map(|top| top.name.clone());
-        inner.stacks.entry(thread).or_default().push(OpenSpan {
+        let stack = inner.stacks.entry(thread).or_default();
+        let parent = stack.last().map(|top| top.name.clone());
+        stack.push(OpenSpan {
             name: name.clone(),
             parent,
+            enter,
+            peak_rss_bytes: enter.map_or(0, |usage| usage.rss_bytes),
         });
-        let res = match (sampled, inner.res.as_ref()) {
-            (Some(usage), Some(handle)) => Some(SpanResStart {
-                usage,
-                t_us: elapsed_us(handle.epoch),
-                bytes_in: inner.metrics.counter(&format!("{name}.bytes.in")),
-            }),
-            _ => None,
-        };
         drop(inner);
         SpanGuard {
             recorder: self,
@@ -353,35 +305,34 @@ impl Recorder {
             thread,
             start: Instant::now(),
             closed: false,
-            res,
         }
     }
 
-    fn exit_span(
-        &self,
-        name: &str,
-        thread: ThreadId,
-        start: Instant,
-        res_start: Option<SpanResStart>,
-    ) {
+    /// A `/proc` sample when profiling is on.
+    fn sample(&self) -> Option<ResUsage> {
+        self.res_on
+            .load(Ordering::Relaxed)
+            .then(res::sample_self)
+            .flatten()
+    }
+
+    fn exit_span(&self, name: &str, thread: ThreadId, start: Instant) {
         let dur_us = elapsed_us(start);
-        let exit_usage = match res_start {
-            Some(_) => res::sample_self(),
-            None => None,
-        };
+        let exit = self.sample();
         let mut inner = lock_inner(self);
         // Pop this span off its thread's stack (LIFO by construction;
         // tolerate an out-of-order drop by removing the last matching
         // entry). A thread whose stack empties leaves the map.
-        let mut parent = None;
+        let mut open = None;
         if let Some(stack) = inner.stacks.get_mut(&thread) {
             if let Some(at) = stack.iter().rposition(|open| open.name == name) {
-                parent = stack.remove(at).parent;
+                open = Some(stack.remove(at));
             }
             if stack.is_empty() {
                 inner.stacks.remove(&thread);
             }
         }
+        let parent = open.as_ref().and_then(|open| open.parent.as_deref());
         inner.metrics.span_done(name, dur_us);
         inner
             .metrics
@@ -389,39 +340,31 @@ impl Recorder {
             // derived from the span name, which is itself a static literal
             // at every `span()`/`enter()` call site — no new cardinality.
             .observe(&format!("{name}.us"), &LATENCY_US_BOUNDS, dur_us);
-        let span_res = match (res_start, exit_usage) {
-            (Some(begin), Some(end)) => {
-                // Peak under the span: the enter/exit samples plus any
-                // background-sampler points in the open window.
-                let peak = inner.res.as_ref().map(|handle| {
-                    let exit_t_us = elapsed_us(handle.epoch);
-                    lock_track(&handle.track)
-                        .peak_between(begin.t_us, exit_t_us)
-                        .unwrap_or(0)
-                        .max(begin.usage.rss_bytes)
-                        .max(end.rss_bytes)
-                });
-                peak.map(|peak_rss_bytes| {
-                    let bytes_now = inner.metrics.counter(&format!("{name}.bytes.in"));
-                    let resources = SpanResources {
-                        peak_rss_bytes,
-                        rss_delta_bytes: end.rss_bytes as i64 - begin.usage.rss_bytes as i64,
-                        cpu_us: end.cpu_us.saturating_sub(begin.usage.cpu_us),
-                        bytes_in: bytes_now.saturating_sub(begin.bytes_in),
-                    };
-                    inner.metrics.res_done(name, &resources);
-                    resources
-                })
-            }
-            _ => None,
-        };
+        // What the span spent: its enter and exit samples, and the peak
+        // the sampler raised while it was open.
+        let spent = open.as_ref().zip(exit).and_then(|(open, exit)| {
+            let enter = open.enter?;
+            Some(ResStats {
+                count: 1,
+                peak_rss_bytes: open.peak_rss_bytes.max(exit.rss_bytes),
+                rss_delta_bytes: exit.rss_bytes as i64 - enter.rss_bytes as i64,
+                cpu_us: exit.cpu_us.saturating_sub(enter.cpu_us),
+            })
+        });
+        if let Some(spent) = &spent {
+            inner
+                .resources
+                .entry(name.to_string())
+                .or_default()
+                .merge_from(spent);
+        }
         if inner.trace.is_some() {
             inner.seq += 1;
             let seq = inner.seq;
             let t_us = elapsed_us(inner.start);
-            let mut record = span_record(seq, t_us, name, parent.as_deref(), dur_us);
-            if let Some(resources) = &span_res {
-                record = with_span_resources(record, resources);
+            let mut record = span_record(seq, t_us, name, parent, dur_us);
+            if let Some(spent) = &spent {
+                record.set("res", spent.to_json());
             }
             if let Some(trace) = inner.trace.as_mut() {
                 trace.write(&record);
@@ -509,39 +452,27 @@ impl Recorder {
     }
 
     /// An owned copy of the metric registry plus uptime, with the gauges
-    /// copied and each sliding window frozen into its [`WindowStats`]
-    /// as of now. When resource profiling is active, a synthetic
-    /// `"process"` entry summarizing the whole run (lifetime peak RSS, net
-    /// RSS delta, total CPU) is injected into the snapshot's resource
-    /// registry — computed here, never stored live, so merges and absorbs
-    /// cannot double-count it.
+    /// and span resources copied and each sliding window frozen into its
+    /// [`WindowStats`] as of now. When resource profiling is active, a
+    /// synthetic `"process"` row summarizing the whole run is added to the
+    /// resources: the RSS gauge's sample count and high-water mark, and
+    /// the RSS and CPU moved since the first sample.
     ///
     /// [`WindowStats`]: crate::metrics::WindowStats
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let now = self.sample();
         let inner = lock_inner(self);
-        let mut metrics = inner.metrics.clone();
-        if let Some(handle) = inner.res.as_ref() {
-            let track = lock_track(&handle.track);
-            let current = res::sample_self().or_else(|| {
-                track.latest().map(|p| ResUsage {
-                    rss_bytes: p.rss_bytes,
-                    cpu_us: p.cpu_us,
-                })
-            });
-            if let (Some(first), Some(now), Some(peak)) =
-                (track.first(), current, track.peak_rss_bytes())
-            {
-                metrics.res_set(
-                    "process",
-                    ResStats {
-                        count: track.samples(),
-                        peak_rss_bytes: peak.max(now.rss_bytes),
-                        rss_delta_bytes: now.rss_bytes as i64 - first.rss_bytes as i64,
-                        cpu_us: now.cpu_us.saturating_sub(first.cpu_us),
-                        bytes_in: 0,
-                    },
-                );
-            }
+        let mut resources = inner.resources.clone();
+        let rss = inner.gauges.get(res::PROCESS_RSS_GAUGE);
+        if let (Some(first), Some(now), Some(rss)) = (inner.first, now, rss) {
+            let peak = u64::try_from(rss.max().unwrap_or(0)).unwrap_or(0);
+            let process = ResStats {
+                count: rss.samples(),
+                peak_rss_bytes: peak.max(now.rss_bytes),
+                rss_delta_bytes: now.rss_bytes as i64 - first.rss_bytes as i64,
+                cpu_us: now.cpu_us.saturating_sub(first.cpu_us),
+            };
+            resources.insert("process".to_string(), process);
         }
         let windows = inner
             .windows
@@ -549,9 +480,10 @@ impl Recorder {
             .map(|(name, window)| (name.clone(), window.freeze(&inner.metrics, name)))
             .collect();
         MetricsSnapshot {
-            metrics,
+            metrics: inner.metrics.clone(),
             gauges: inner.gauges.clone(),
             windows,
+            resources,
             uptime_us: elapsed_us(inner.start),
         }
     }
@@ -682,8 +614,6 @@ pub struct SpanGuard<'a> {
     thread: ThreadId,
     start: Instant,
     closed: bool,
-    /// Enter-time resource sample (`None` unless profiling is on).
-    res: Option<SpanResStart>,
 }
 
 impl SpanGuard<'_> {
@@ -695,9 +625,7 @@ impl SpanGuard<'_> {
     fn close(&mut self) {
         if !self.closed {
             self.closed = true;
-            let res = self.res.take();
-            self.recorder
-                .exit_span(&self.name, self.thread, self.start, res);
+            self.recorder.exit_span(&self.name, self.thread, self.start);
         }
     }
 }
@@ -958,39 +886,71 @@ mod tests {
         // Leak a recorder to satisfy `enable_resources`'s `&'static self`
         // without touching the process-global one (test isolation).
         let rec: &'static Recorder = Box::leak(Box::new(Recorder::new()));
-        let enabled = rec.enable_resources(std::time::Duration::from_millis(5));
-        if !crate::res::available() {
+        let enabled = rec.enable_resources(Duration::from_millis(5));
+        if res::sample_self().is_none() {
             // Non-Linux degradation: profiling refuses, spans stay plain.
             assert!(!enabled);
-            assert!(!rec.resources_enabled());
-            let _span = rec.enter("stage");
-            drop(_span);
-            assert!(rec.snapshot().metrics.resources().next().is_none());
+            rec.enter("stage").finish();
+            assert!(rec.snapshot().resources.is_empty());
             return;
         }
         assert!(enabled);
-        assert!(rec.resources_enabled());
         // Idempotent second enable.
-        assert!(rec.enable_resources(std::time::Duration::from_millis(5)));
+        assert!(rec.enable_resources(Duration::from_millis(5)));
         {
             let _span = rec.enter("stage");
-            rec.add("stage.bytes.in", 1_234);
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            std::thread::sleep(Duration::from_millis(1));
         }
         let snap = rec.snapshot();
-        let stage = snap.metrics.resource("stage").expect("stage resources");
+        let stage = snap.resources["stage"];
         assert_eq!(stage.count, 1);
         assert!(stage.peak_rss_bytes > 0, "{stage:?}");
-        assert_eq!(stage.bytes_in, 1_234);
-        // The synthetic whole-process entry is injected at snapshot time.
-        let process = snap.metrics.resource("process").expect("process entry");
+        // The synthetic whole-process entry is computed at snapshot time.
+        let process = snap.resources["process"];
         assert!(process.peak_rss_bytes >= stage.peak_rss_bytes);
         assert!(process.count >= 1);
         // The sampler keeps the process gauges current.
         assert!(snap.gauges.contains_key(res::PROCESS_RSS_GAUGE));
         assert!(snap.gauges.contains_key(res::PROCESS_CPU_US_GAUGE));
-        rec.disable_resources();
-        assert!(!rec.resources_enabled());
+    }
+
+    #[test]
+    fn sampler_ticks_raise_only_the_spans_open_at_that_moment() {
+        let rec: &'static Recorder = Box::leak(Box::new(Recorder::new()));
+        // An hour-long interval: the one tick below is the only fold.
+        if !rec.enable_resources(Duration::from_secs(3_600)) {
+            assert!(res::sample_self().is_none());
+            return;
+        }
+        rec.enter("closed").finish();
+        let closed = rec.snapshot().resources["closed"];
+        let real = res::sample_self().expect("profiling implies /proc");
+        let synthetic = ResUsage {
+            rss_bytes: 1 << 50,
+            ..real
+        };
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let _open = rec.enter("open");
+                barrier.wait(); // the span is open
+                barrier.wait(); // the tick has folded
+            });
+            barrier.wait();
+            rec.fold_sample(synthetic);
+            barrier.wait();
+        });
+        let snap = rec.snapshot();
+        let doc = snap.to_json();
+        assert_eq!(
+            doc.pointer("/resources/open/peakRssB")
+                .and_then(Json::as_i64),
+            Some(1 << 50)
+        );
+        assert_eq!(snap.resources["closed"], closed);
+        let rss = &snap.gauges[res::PROCESS_RSS_GAUGE];
+        assert_eq!(snap.resources["process"].count, rss.samples());
+        assert_eq!(snap.resources["process"].peak_rss_bytes, 1 << 50);
     }
 
     #[test]
@@ -999,9 +959,7 @@ mod tests {
         {
             let _span = rec.enter("plain");
         }
-        let snap = rec.snapshot();
-        assert!(snap.metrics.resources().next().is_none());
-        assert!(snap.metrics.resource("plain").is_none());
+        assert!(rec.snapshot().resources.is_empty());
     }
 
     #[test]

@@ -22,10 +22,20 @@ pub fn format_histogram_value(name: &str, value: u64) -> String {
     }
 }
 
+/// Bytes per second over `dur_us`, or `-` when there is nothing to divide.
+fn format_throughput(bytes: u64, dur_us: u64) -> String {
+    if bytes == 0 || dur_us == 0 {
+        return "-".to_string();
+    }
+    let rate = bytes as f64 / (dur_us as f64 / 1_000_000.0);
+    format!("{}/s", format_bytes(rate as u64))
+}
+
 /// Render the pipeline run report.
 ///
-/// Sections: a span timing table (name, calls, total, max), the counter
-/// list (salvage counters folded into their own processed/dropped table),
+/// Sections: a span timing table (name, calls, total, max, and for a span
+/// `S` with a `S.bytes.in` counter the bytes and bytes ÷ total time), the
+/// counter list (salvage counters folded into their own processed/dropped table),
 /// and histogram one-liners. Byte-valued histograms (`*.bytes`) render
 /// with binary-unit formatting.
 pub fn render_run_report(snapshot: &MetricsSnapshot) -> String {
@@ -46,16 +56,23 @@ pub fn render_run_report(snapshot: &MetricsSnapshot) -> String {
             .unwrap_or(0)
             .max("stage".len());
         out.push_str(&format!(
-            "  {:<name_w$}  {:>6}  {:>10}  {:>10}\n",
-            "stage", "calls", "total", "max"
+            "  {:<name_w$}  {:>6}  {:>10}  {:>10}  {:>10}  {:>12}\n",
+            "stage", "calls", "total", "max", "bytes in", "throughput"
         ));
         for (name, stats) in &spans {
+            let bytes = snapshot.metrics.counter(&format!("{name}.bytes.in"));
+            let bytes_in = match bytes {
+                0 => "-".to_string(),
+                n => format_bytes(n),
+            };
             out.push_str(&format!(
-                "  {:<name_w$}  {:>6}  {:>10}  {:>10}\n",
+                "  {:<name_w$}  {:>6}  {:>10}  {:>10}  {:>10}  {:>12}\n",
                 name,
                 stats.count,
                 format_duration_us(stats.total_us),
-                format_duration_us(stats.max_us)
+                format_duration_us(stats.max_us),
+                bytes_in,
+                format_throughput(bytes, stats.total_us),
             ));
         }
     }
@@ -157,6 +174,7 @@ mod tests {
         let mut m = Metrics::new();
         m.span_done("pipeline", 5_000_000);
         m.span_done("pipeline.classify", 1_200_000);
+        m.add("pipeline.classify.bytes.in", 3 * 1024 * 1024);
         m.add("pipeline.units", 14);
         m.add("salvage.pcap-record.processed", 120);
         m.add("salvage.pcap-record.dropped", 3);
@@ -170,6 +188,13 @@ mod tests {
         assert!(text.contains("pipeline run report"));
         assert!(text.contains("stage timing:"));
         assert!(text.contains("pipeline.classify"));
+        // A span with a `.bytes.in` counter shows its bytes and throughput
+        // (3 MiB over 1.2 s); one without shows dashes.
+        assert!(text.contains("bytes in") && text.contains("throughput"));
+        assert!(
+            text.contains("3.00MiB") && text.contains("2.50MiB/s"),
+            "{text}"
+        );
         assert!(text.contains("counters:"));
         assert!(text.contains("pipeline.units"));
         assert!(text.contains("salvage summary:"));

@@ -1,6 +1,6 @@
-//! Process resource sampling: RSS and CPU time read from `/proc`, a
-//! bounded [`ResourceTrack`] time series behind the background sampler,
-//! and the per-span [`SpanResources`] attribution record.
+//! Process resource sampling: RSS and CPU time read from `/proc` by the
+//! recorder's background sampler and at span enter/exit. What a span
+//! spent is recorded as a [`crate::ResStats`].
 //!
 //! Everything here is std-only and `forbid(unsafe_code)`-clean: no global
 //! allocator hooks, no libc — just `/proc/self/statm` (resident pages) and
@@ -21,9 +21,6 @@
 //! factor but leaves every *relative* comparison — the diff gate, the
 //! per-stage attribution shares — intact.
 
-use std::collections::VecDeque;
-use std::time::Instant;
-
 /// Gauge name the sampler maintains for current resident set size. The
 /// exposition renderer turns it into `diffaudit_process_resident_bytes`.
 pub const PROCESS_RSS_GAUGE: &str = "diffaudit.process.resident.bytes";
@@ -39,11 +36,6 @@ pub const PAGE_SIZE_BYTES: u64 = 4096;
 /// Assumed clock ticks per second for `/proc/self/stat` (see module docs).
 pub const USER_HZ: u64 = 100;
 
-/// Most samples the track retains; older points fall off the front. At the
-/// default 25 ms interval this covers ~27 minutes — far beyond any batch
-/// run, and a bounded footprint for a long-lived daemon.
-pub const TRACK_CAP: usize = 65_536;
-
 /// One point-in-time reading of the process's resource usage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResUsage {
@@ -51,22 +43,6 @@ pub struct ResUsage {
     pub rss_bytes: u64,
     /// Cumulative CPU time (utime + stime), microseconds.
     pub cpu_us: u64,
-}
-
-/// Resource deltas attributed to one completed span: what the process
-/// gained/spent between the span's enter and exit samples.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanResources {
-    /// Highest RSS observed while the span was open (max of the enter
-    /// sample, the exit sample, and every track point in between).
-    pub peak_rss_bytes: u64,
-    /// RSS at exit minus RSS at enter (signed — stages can release).
-    pub rss_delta_bytes: i64,
-    /// CPU time (utime + stime) consumed while the span was open.
-    pub cpu_us: u64,
-    /// Growth of the `{span}.bytes.in` counter while the span was open —
-    /// the logical bytes the stage processed.
-    pub bytes_in: u64,
 }
 
 /// Read the process's current resource usage from `/proc`. `None` when
@@ -78,11 +54,6 @@ pub fn sample_self() -> Option<ResUsage> {
         rss_bytes: parse_statm_rss_bytes(&statm)?,
         cpu_us: parse_stat_cpu_us(&stat)?,
     })
-}
-
-/// Whether resource sampling works on this platform.
-pub fn available() -> bool {
-    sample_self().is_some()
 }
 
 /// Resident bytes from `/proc/self/statm` text (field 2, pages).
@@ -107,111 +78,6 @@ pub fn parse_stat_cpu_us(text: &str) -> Option<u64> {
             .saturating_add(stime)
             .saturating_mul(1_000_000 / USER_HZ),
     )
-}
-
-/// One retained sample in the track.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResourcePoint {
-    /// Microseconds since the track's epoch.
-    pub t_us: u64,
-    /// Resident set size at the sample, bytes.
-    pub rss_bytes: u64,
-    /// Cumulative CPU time at the sample, microseconds.
-    pub cpu_us: u64,
-}
-
-/// A bounded time series of [`ResourcePoint`]s with running aggregates.
-///
-/// The background sampler pushes into the track on its interval; span exit
-/// reads `peak_between` to find the high-water RSS while the span was
-/// open. The peak aggregate is monotone over the whole run even after old
-/// points fall off the [`TRACK_CAP`] horizon.
-#[derive(Debug)]
-pub struct ResourceTrack {
-    epoch: Instant,
-    points: VecDeque<ResourcePoint>,
-    peak_rss_bytes: u64,
-    first: Option<ResUsage>,
-    samples: u64,
-}
-
-impl Default for ResourceTrack {
-    fn default() -> Self {
-        ResourceTrack::new()
-    }
-}
-
-impl ResourceTrack {
-    /// An empty track; the time axis starts now.
-    pub fn new() -> ResourceTrack {
-        ResourceTrack {
-            epoch: Instant::now(),
-            points: VecDeque::new(),
-            peak_rss_bytes: 0,
-            first: None,
-            samples: 0,
-        }
-    }
-
-    /// The track's epoch (`Instant` is `Copy`, so callers can timestamp
-    /// span enters on the same axis without holding the track lock).
-    pub fn epoch(&self) -> Instant {
-        self.epoch
-    }
-
-    /// Microseconds since the epoch.
-    pub fn now_us(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-
-    /// Append a sample taken now.
-    pub fn push(&mut self, usage: ResUsage) {
-        let point = ResourcePoint {
-            t_us: self.now_us(),
-            rss_bytes: usage.rss_bytes,
-            cpu_us: usage.cpu_us,
-        };
-        if self.points.len() >= TRACK_CAP {
-            self.points.pop_front();
-        }
-        self.points.push_back(point);
-        self.peak_rss_bytes = self.peak_rss_bytes.max(usage.rss_bytes);
-        if self.first.is_none() {
-            self.first = Some(usage);
-        }
-        self.samples += 1;
-    }
-
-    /// Highest RSS among retained points with `from_us <= t_us <= to_us`
-    /// (`None` when no point falls in the window).
-    pub fn peak_between(&self, from_us: u64, to_us: u64) -> Option<u64> {
-        self.points
-            .iter()
-            .filter(|p| p.t_us >= from_us && p.t_us <= to_us)
-            .map(|p| p.rss_bytes)
-            .max()
-    }
-
-    /// Highest RSS ever pushed (`None` before the first sample). Survives
-    /// points falling off the retention horizon.
-    pub fn peak_rss_bytes(&self) -> Option<u64> {
-        (self.samples > 0).then_some(self.peak_rss_bytes)
-    }
-
-    /// The newest retained point.
-    pub fn latest(&self) -> Option<ResourcePoint> {
-        self.points.back().copied()
-    }
-
-    /// The very first sample pushed (the run's resource baseline).
-    pub fn first(&self) -> Option<ResUsage> {
-        self.first
-    }
-
-    /// Total samples pushed over the track's lifetime.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
 }
 
 #[cfg(test)]
@@ -248,50 +114,8 @@ mod tests {
     fn sampling_either_works_or_degrades_to_none() {
         // Tier-1 must pass with or without /proc: assert only internal
         // consistency, not availability.
-        match sample_self() {
-            Some(usage) => assert!(usage.rss_bytes > 0, "a live process has pages resident"),
-            None => assert!(!available()),
+        if let Some(usage) = sample_self() {
+            assert!(usage.rss_bytes > 0, "a live process has pages resident");
         }
-    }
-
-    #[test]
-    fn track_aggregates_peak_first_and_window() {
-        let mut track = ResourceTrack::new();
-        assert_eq!(track.peak_rss_bytes(), None);
-        assert_eq!(track.peak_between(0, u64::MAX), None);
-        for rss in [100u64, 300, 200] {
-            track.push(ResUsage {
-                rss_bytes: rss,
-                cpu_us: rss * 10,
-            });
-        }
-        assert_eq!(track.samples(), 3);
-        assert_eq!(track.peak_rss_bytes(), Some(300));
-        assert_eq!(track.first().map(|u| u.rss_bytes), Some(100));
-        assert_eq!(track.latest().map(|p| p.rss_bytes), Some(200));
-        // The full-axis window sees every point.
-        assert_eq!(track.peak_between(0, u64::MAX), Some(300));
-        // An empty window sees none.
-        assert_eq!(track.peak_between(u64::MAX - 1, u64::MAX), None);
-    }
-
-    #[test]
-    fn track_is_bounded_but_peak_is_monotone() {
-        let mut track = ResourceTrack::new();
-        track.push(ResUsage {
-            rss_bytes: 9_999,
-            cpu_us: 0,
-        });
-        for _ in 0..(TRACK_CAP + 8) {
-            track.push(ResUsage {
-                rss_bytes: 1,
-                cpu_us: 0,
-            });
-        }
-        assert_eq!(track.samples() as usize, TRACK_CAP + 9);
-        // The 9_999 point has fallen off the horizon…
-        assert!(track.peak_between(0, u64::MAX).unwrap() < 9_999);
-        // …but the lifetime peak survives.
-        assert_eq!(track.peak_rss_bytes(), Some(9_999));
     }
 }

@@ -110,23 +110,6 @@ pub fn span_record(seq: u64, t_us: u64, name: &str, parent: Option<&str>, dur_us
         .with("durUs", Json::int(dur_us.min(i64::MAX as u64) as i64))
 }
 
-/// Extend a span record with its resource attribution. Optional keys —
-/// parsers written against the resource-free schema skip them, so traces
-/// with and without profiling stay mutually readable.
-pub fn with_span_resources(record: Json, res: &crate::res::SpanResources) -> Json {
-    record
-        .with(
-            "rssPeakB",
-            Json::int(res.peak_rss_bytes.min(i64::MAX as u64) as i64),
-        )
-        .with("rssDeltaB", Json::int(res.rss_delta_bytes))
-        .with("cpuUs", Json::int(res.cpu_us.min(i64::MAX as u64) as i64))
-        .with(
-            "bytesIn",
-            Json::int(res.bytes_in.min(i64::MAX as u64) as i64),
-        )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,24 +151,29 @@ mod tests {
 
     #[test]
     fn span_resources_extend_the_record_with_optional_keys() {
-        let sp = span_record(3, 30, "pipeline.extract", Some("pipeline"), 500);
-        let sp = with_span_resources(
-            sp,
-            &crate::res::SpanResources {
-                peak_rss_bytes: 4096,
-                rss_delta_bytes: -128,
-                cpu_us: 900,
-                bytes_in: 2048,
-            },
-        );
+        // A profiled span record carries its resources as one `res`
+        // object in the snapshot's own keys.
+        let res = crate::ResStats {
+            count: 1,
+            peak_rss_bytes: 4096,
+            rss_delta_bytes: -128,
+            cpu_us: 900,
+        };
+        let sp = span_record(3, 30, "pipeline", None, 500).with("res", res.to_json());
         let back = diffaudit_json::parse(&sp.to_string()).unwrap();
-        assert_eq!(back.pointer("/rssPeakB").and_then(Json::as_i64), Some(4096));
         assert_eq!(
-            back.pointer("/rssDeltaB").and_then(Json::as_i64),
+            back.pointer("/res/peakRssB").and_then(Json::as_i64),
+            Some(4096)
+        );
+        assert_eq!(
+            back.pointer("/res/rssDeltaB").and_then(Json::as_i64),
             Some(-128)
         );
-        assert_eq!(back.pointer("/cpuUs").and_then(Json::as_i64), Some(900));
-        assert_eq!(back.pointer("/bytesIn").and_then(Json::as_i64), Some(2048));
+        assert_eq!(back.pointer("/res/cpuUs").and_then(Json::as_i64), Some(900));
+        assert_eq!(
+            back.get("res").map(crate::ResStats::from_json),
+            Some(Ok(res))
+        );
         // The base span keys survive the extension.
         assert_eq!(back.pointer("/durUs").and_then(Json::as_i64), Some(500));
     }

@@ -32,7 +32,7 @@
 //! the root's own self-time, and the report prints that identity.
 
 use crate::level::Level;
-use crate::res::SpanResources;
+use crate::metrics::ResStats;
 use diffaudit_json::Json;
 use diffaudit_util::fmt::{format_bytes, format_bytes_signed, format_duration_us};
 use std::collections::{BTreeMap, BTreeSet};
@@ -63,9 +63,9 @@ pub struct TraceSpan {
     pub parent: Option<String>,
     /// Wall time, microseconds.
     pub dur_us: u64,
-    /// Resource attribution (`None` when the trace was recorded without
-    /// profiling — the pre-resource record shape).
-    pub res: Option<SpanResources>,
+    /// What the span spent, its `res` object (`None` when the trace was
+    /// recorded without profiling).
+    pub res: Option<ResStats>,
 }
 
 /// A parsed trace record.
@@ -150,19 +150,7 @@ fn parse_line(line: &str) -> Option<TraceRecord> {
                 Json::Null => None,
                 other => Some(other.as_str()?.to_string()),
             };
-            // Resource keys are optional extensions: a span carries them
-            // all (profiled trace) or none (plain trace).
-            let as_u64 = |key: &str| -> Option<u64> {
-                json.get(key)
-                    .and_then(Json::as_i64)
-                    .and_then(|v| u64::try_from(v).ok())
-            };
-            let res = as_u64("rssPeakB").map(|peak_rss_bytes| SpanResources {
-                peak_rss_bytes,
-                rss_delta_bytes: json.get("rssDeltaB").and_then(Json::as_i64).unwrap_or(0),
-                cpu_us: as_u64("cpuUs").unwrap_or(0),
-                bytes_in: as_u64("bytesIn").unwrap_or(0),
-            });
+            let res = json.get("res").map(ResStats::from_json).transpose().ok()?;
             Some(TraceRecord::Span(TraceSpan {
                 seq,
                 t_us,
@@ -188,16 +176,9 @@ pub struct SpanNode {
     /// Total minus children's totals (saturating) — time spent in this
     /// node's own code.
     pub self_us: u64,
-    /// Instances that carried resource attribution.
-    pub res_count: u64,
-    /// Highest peak RSS across attributed instances, bytes.
-    pub peak_rss_bytes: u64,
-    /// Net RSS movement across attributed instances, bytes (signed).
-    pub rss_delta_bytes: i64,
-    /// Total CPU time across attributed instances, microseconds.
-    pub cpu_us: u64,
-    /// Total logical bytes processed across attributed instances.
-    pub bytes_in: u64,
+    /// The fold of the instances' resources (`count` 0 when none carried
+    /// any).
+    pub res: ResStats,
     /// Child nodes, heaviest (by total) first.
     pub children: Vec<SpanNode>,
 }
@@ -214,8 +195,9 @@ impl SpanNode {
 
     /// CPU time minus children's CPU (saturating) — the node's own burn.
     fn self_cpu_us(&self) -> u64 {
-        self.cpu_us
-            .saturating_sub(self.children.iter().map(|c| c.cpu_us).sum())
+        self.res
+            .cpu_us
+            .saturating_sub(self.children.iter().map(|c| c.res.cpu_us).sum())
     }
 
     fn subtree_self_cpu_us(&self) -> u64 {
@@ -230,7 +212,12 @@ impl SpanNode {
     /// RSS delta minus children's deltas — the node's own net movement
     /// (signed arithmetic; no saturation needed, stages can release).
     fn self_rss_delta_bytes(&self) -> i64 {
-        self.rss_delta_bytes - self.children.iter().map(|c| c.rss_delta_bytes).sum::<i64>()
+        self.res.rss_delta_bytes
+            - self
+                .children
+                .iter()
+                .map(|c| c.res.rss_delta_bytes)
+                .sum::<i64>()
     }
 
     fn subtree_self_rss_delta_bytes(&self) -> i64 {
@@ -244,16 +231,12 @@ impl SpanNode {
 }
 
 /// Per-edge fold of span records: call counts, wall time, and the
-/// resource attributions of profiled instances.
+/// resources of profiled instances.
 #[derive(Debug, Clone, Copy, Default)]
 struct EdgeAgg {
     count: u64,
     total_us: u64,
-    res_count: u64,
-    peak_rss_bytes: u64,
-    rss_delta_bytes: i64,
-    cpu_us: u64,
-    bytes_in: u64,
+    res: ResStats,
 }
 
 /// The reconstructed span forest plus trace-level tallies.
@@ -285,11 +268,7 @@ impl SpanTree {
             entry.count += 1;
             entry.total_us = entry.total_us.saturating_add(span.dur_us);
             if let Some(res) = &span.res {
-                entry.res_count += 1;
-                entry.peak_rss_bytes = entry.peak_rss_bytes.max(res.peak_rss_bytes);
-                entry.rss_delta_bytes = entry.rss_delta_bytes.saturating_add(res.rss_delta_bytes);
-                entry.cpu_us = entry.cpu_us.saturating_add(res.cpu_us);
-                entry.bytes_in = entry.bytes_in.saturating_add(res.bytes_in);
+                entry.res.merge_from(res);
             }
             closed_names.insert(&span.name);
         }
@@ -379,11 +358,7 @@ fn grow(
         name,
         count: agg.count,
         total_us: agg.total_us,
-        res_count: agg.res_count,
-        peak_rss_bytes: agg.peak_rss_bytes,
-        rss_delta_bytes: agg.rss_delta_bytes,
-        cpu_us: agg.cpu_us,
-        bytes_in: agg.bytes_in,
+        res: agg.res,
         children,
     }
 }
@@ -473,19 +448,11 @@ pub fn render_trace_report(tree: &SpanTree, options: &TraceReportOptions) -> Str
     out
 }
 
-fn format_throughput(bytes_in: u64, dur_us: u64) -> String {
-    if bytes_in == 0 || dur_us == 0 {
-        return "-".to_string();
-    }
-    let rate = bytes_in as f64 / (dur_us as f64 / 1_000_000.0);
-    format!("{}/s", format_bytes(rate as u64))
-}
-
 /// Render the `--resources` view of a trace: the same span tree, but with
-/// peak RSS, RSS delta, CPU time, bytes processed, and derived throughput
-/// per stage, plus CPU and RSS conservation lines mirroring the wall-time
-/// report's. A trace recorded without profiling (or on a platform without
-/// `/proc`) renders a placeholder instead of a table of zeros.
+/// peak RSS, RSS delta and CPU time per stage, plus CPU and RSS
+/// conservation lines mirroring the wall-time report's. A trace recorded
+/// without profiling (or on a platform without `/proc`) renders a
+/// placeholder instead of a table of zeros.
 pub fn render_resource_report(tree: &SpanTree) -> String {
     let mut out = String::new();
     out.push_str("== resource report ==\n");
@@ -506,12 +473,12 @@ pub fn render_resource_report(tree: &SpanTree) -> String {
         out.push_str("\nno completed spans in trace\n");
         return out;
     }
-    if tree.nodes().iter().all(|n| n.res_count == 0) {
+    if tree.nodes().iter().all(|n| n.res.count == 0) {
         out.push_str("\nresources unavailable (trace carries no resource samples)\n");
         return out;
     }
 
-    out.push_str("\nstage resources (peak RSS / ΔRSS / CPU / bytes in / throughput):\n");
+    out.push_str("\nstage resources (peak RSS / ΔRSS / CPU):\n");
     for root in &tree.roots {
         render_resource_node(&mut out, root, 0);
     }
@@ -520,24 +487,25 @@ pub fn render_resource_report(tree: &SpanTree) -> String {
     // burn inside their parent), and RSS deltas telescope in signed
     // arithmetic (a stage's net movement contains its children's).
     for root in &tree.roots {
-        if root.res_count == 0 {
+        let res = &root.res;
+        if res.count == 0 {
             continue;
         }
         let descendant_cpu = root.subtree_self_cpu_us() - root.self_cpu_us();
         out.push_str(&format!(
             "root {}: cpu {} = stage self {} + untracked {}\n",
             root.name,
-            format_duration_us(root.cpu_us),
+            format_duration_us(res.cpu_us),
             format_duration_us(descendant_cpu),
-            format_duration_us(root.cpu_us.saturating_sub(descendant_cpu)),
+            format_duration_us(res.cpu_us.saturating_sub(descendant_cpu)),
         ));
         let descendant_rss = root.subtree_self_rss_delta_bytes() - root.self_rss_delta_bytes();
         out.push_str(&format!(
             "root {}: rss {} = stage {} + untracked {}\n",
             root.name,
-            format_bytes_signed(root.rss_delta_bytes),
+            format_bytes_signed(res.rss_delta_bytes),
             format_bytes_signed(descendant_rss),
-            format_bytes_signed(root.rss_delta_bytes - descendant_rss),
+            format_bytes_signed(res.rss_delta_bytes - descendant_rss),
         ));
     }
     out
@@ -546,21 +514,17 @@ pub fn render_resource_report(tree: &SpanTree) -> String {
 fn render_resource_node(out: &mut String, node: &SpanNode, depth: usize) {
     let indent = "  ".repeat(depth + 1);
     let label = format!("{indent}{}", node.name);
-    if node.res_count == 0 {
-        out.push_str(&format!(
-            "{label:<40} {:>10} {:>10} {:>10} {:>10} {:>12}\n",
-            "-", "-", "-", "-", "-"
-        ));
+    let res = &node.res;
+    let [peak, delta, cpu] = if res.count == 0 {
+        ["-", "-", "-"].map(str::to_string)
     } else {
-        out.push_str(&format!(
-            "{label:<40} {:>10} {:>10} {:>10} {:>10} {:>12}\n",
-            format_bytes(node.peak_rss_bytes),
-            format_bytes_signed(node.rss_delta_bytes),
-            format_duration_us(node.cpu_us),
-            format_bytes(node.bytes_in),
-            format_throughput(node.bytes_in, node.total_us),
-        ));
-    }
+        [
+            format_bytes(res.peak_rss_bytes),
+            format_bytes_signed(res.rss_delta_bytes),
+            format_duration_us(res.cpu_us),
+        ]
+    };
+    out.push_str(&format!("{label:<40} {peak:>10} {delta:>10} {cpu:>10}\n"));
     for child in &node.children {
         render_resource_node(out, child, depth + 1);
     }
@@ -747,60 +711,28 @@ mod tests {
     fn res_line(
         seq: u64,
         t_us: u64,
-        name: &str,
-        parent: Option<&str>,
+        (name, parent): (&str, Option<&str>),
         dur_us: u64,
-        res: SpanResources,
+        (peak_rss_bytes, rss_delta_bytes, cpu_us): (u64, i64, u64),
     ) -> String {
-        line(&crate::sink::with_span_resources(
-            span_record(seq, t_us, name, parent, dur_us),
-            &res,
-        ))
+        let res = ResStats {
+            count: 1,
+            peak_rss_bytes,
+            rss_delta_bytes,
+            cpu_us,
+        };
+        line(&span_record(seq, t_us, name, parent, dur_us).with("res", res.to_json()))
     }
 
-    /// The sample trace with resource attribution on every span.
+    /// The sample trace with resources on every span.
     fn resource_trace() -> String {
-        let span = |peak, delta, cpu, bytes| SpanResources {
-            peak_rss_bytes: peak,
-            rss_delta_bytes: delta,
-            cpu_us: cpu,
-            bytes_in: bytes,
-        };
         let mut text = String::new();
         for record in [
-            res_line(
-                1,
-                110,
-                "unit",
-                Some("load"),
-                100,
-                span(4_000, 400, 100, 1_000),
-            ),
-            res_line(
-                2,
-                220,
-                "unit",
-                Some("load"),
-                100,
-                span(4_000, 400, 100, 1_000),
-            ),
-            res_line(
-                3,
-                320,
-                "load",
-                Some("audit"),
-                300,
-                span(5_000, 1_000, 300, 3_000),
-            ),
-            res_line(
-                4,
-                540,
-                "render",
-                Some("audit"),
-                200,
-                span(4_500, -100, 100, 0),
-            ),
-            res_line(5, 1020, "audit", None, 1000, span(5_000, 1_200, 800, 0)),
+            res_line(1, 110, ("unit", Some("load")), 100, (4_000, 400, 100)),
+            res_line(2, 220, ("unit", Some("load")), 100, (4_000, 400, 100)),
+            res_line(3, 320, ("load", Some("audit")), 300, (5_000, 1_000, 300)),
+            res_line(4, 540, ("render", Some("audit")), 200, (4_500, -100, 100)),
+            res_line(5, 1020, ("audit", None), 1000, (5_000, 1_200, 800)),
         ] {
             text.push_str(&record);
             text.push('\n');
@@ -814,26 +746,25 @@ mod tests {
         let first = log.spans().next().unwrap();
         assert_eq!(
             first.res,
-            Some(SpanResources {
+            Some(ResStats {
+                count: 1,
                 peak_rss_bytes: 4_000,
                 rss_delta_bytes: 400,
                 cpu_us: 100,
-                bytes_in: 1_000,
             })
         );
         let tree = SpanTree::build(&log);
         let audit = &tree.roots[0];
-        assert_eq!(audit.res_count, 1);
-        assert_eq!(audit.cpu_us, 800);
-        assert_eq!(audit.rss_delta_bytes, 1_200);
+        assert_eq!(audit.res.count, 1);
+        assert_eq!(audit.res.cpu_us, 800);
+        assert_eq!(audit.res.rss_delta_bytes, 1_200);
         let load = &audit.children[0];
         // unit x2 folds: counts and sums add, peak takes the max.
         let unit = &load.children[0];
-        assert_eq!(unit.res_count, 2);
-        assert_eq!(unit.peak_rss_bytes, 4_000);
-        assert_eq!(unit.rss_delta_bytes, 800);
-        assert_eq!(unit.cpu_us, 200);
-        assert_eq!(unit.bytes_in, 2_000);
+        assert_eq!(unit.res.count, 2);
+        assert_eq!(unit.res.peak_rss_bytes, 4_000);
+        assert_eq!(unit.res.rss_delta_bytes, 800);
+        assert_eq!(unit.res.cpu_us, 200);
     }
 
     #[test]
@@ -841,9 +772,11 @@ mod tests {
         let tree = SpanTree::build(&TraceLog::parse(&resource_trace()));
         let text = render_resource_report(&tree);
         assert!(text.contains("== resource report =="));
-        assert!(text.contains("stage resources"));
-        // load: 3000 bytes over 300us = 10 MB/s ≈ 9.54MiB/s.
-        assert!(text.contains("9.54MiB/s"), "throughput missing in:\n{text}");
+        assert!(text.contains("stage resources (peak RSS / ΔRSS / CPU):"));
+        assert!(
+            text.contains("4.9KiB"),
+            "load's peak RSS missing in:\n{text}"
+        );
         // CPU conservation: audit 800 = descendant self (100+200+100) + 400.
         assert!(
             text.contains("root audit: cpu 800us = stage self 400us + untracked 400us"),

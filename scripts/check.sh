@@ -65,8 +65,13 @@ obs_tmp="$(mktemp -d)"
 ./target/release/diffaudit generate --out "$obs_tmp/cap" --scale 0.02 \
     --services tiktok --log-level warn
 ./target/release/diffaudit audit "$obs_tmp/cap/tiktok" --log-level warn \
+    --res-sample-ms 5 -v \
     --trace-out "$obs_tmp/trace.jsonl" --metrics-out "$obs_tmp/metrics.json" \
-    > "$obs_tmp/report.txt"
+    > "$obs_tmp/report.txt" 2> "$obs_tmp/run_report.txt"
+# The -v run report pairs each span with its `.bytes.in` counter; the
+# worker-local HAR decode layer must show a bytes/sec throughput.
+grep -Eq '^ +nettrace\.decode\.har .*B/s$' "$obs_tmp/run_report.txt" \
+    || { echo "run report shows no nettrace.decode.har throughput"; exit 1; }
 grep -q '"schema": "diffaudit-obs/v1"' "$obs_tmp/metrics.json"
 for stage in audit audit.load pipeline pipeline.classify loader.unit \
     nettrace.decode.har nettrace.decode.pcap nettrace.reassemble; do
@@ -85,10 +90,16 @@ done
 diff -r "$obs_tmp/repro_a" "$obs_tmp/repro_b" \
     || { echo "generate wrote different trees for the same seed"; exit 1; }
 
-echo "==> obs trace report (span tree reconstructs from the smoke trace)"
+echo "==> obs trace report (span tree and resource view from the smoke trace)"
 ./target/release/diffaudit obs report "$obs_tmp/trace.jsonl" > "$obs_tmp/trace_report.txt"
 grep -q '^root audit: total ' "$obs_tmp/trace_report.txt"
 grep -q '^critical path:' "$obs_tmp/trace_report.txt"
+./target/release/diffaudit obs report "$obs_tmp/trace.jsonl" --resources \
+    > "$obs_tmp/resource_report.txt"
+if [ -e /proc/self/statm ]; then
+    grep -q '^root audit: cpu ' "$obs_tmp/resource_report.txt" \
+        || { echo "obs report --resources missing the cpu conservation line"; exit 1; }
+fi
 
 echo "==> analyzer self-instrumentation (analyzer.analyze span in its own trace)"
 grep -q '"kind":"span","name":"analyzer.analyze"' "$an_tmp/analyzer_trace.jsonl"

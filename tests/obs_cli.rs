@@ -363,28 +363,18 @@ fn obs_report_and_self_diff_round_trip() {
 }
 
 /// End-to-end resource profiling: an audit under `--res-sample-ms` keeps
-/// stdout byte-identical, its trace renders the `obs report --resources`
-/// view (per-stage peak RSS / ΔRSS / CPU / throughput plus conservation
-/// lines), and its metrics snapshot drives the `--fail-rss-over` gate —
-/// exit 0 on self-diff, exit 2 on a synthetic peak-RSS regression. On a
-/// box without `/proc` the run still succeeds and the report degrades to
-/// "resources unavailable".
+/// stdout byte-identical, its `-v` run report shows each decode layer's
+/// bytes in and throughput, its trace renders the `obs report --resources`
+/// view (per-stage peak RSS / ΔRSS / CPU plus conservation lines), and its
+/// metrics snapshot drives the `--fail-rss-over` gate — exit 0 on
+/// self-diff, exit 2 on a synthetic peak-RSS regression. On a box without
+/// `/proc` the run still succeeds and the report degrades to "resources
+/// unavailable".
 #[test]
 fn resource_profiling_reports_and_gates_end_to_end() {
     let root = temp_dir("resources");
     let dir = capture_dir(&root);
-    // The plain run fills a classification cache that the profiled run
-    // then loads under its `pipeline.classify.cache` span.
-    let cache = root.join("cache");
-    let cache = cache.to_str().unwrap();
-    let plain = run(&[
-        "audit",
-        dir.to_str().unwrap(),
-        "--format",
-        "json",
-        "--cache-dir",
-        cache,
-    ]);
+    let plain = run(&["audit", dir.to_str().unwrap(), "--format", "json"]);
     assert_eq!(plain.code, Some(0), "stderr: {}", plain.stderr);
 
     let trace_path = root.join("trace.jsonl");
@@ -394,10 +384,9 @@ fn resource_profiling_reports_and_gates_end_to_end() {
         dir.to_str().unwrap(),
         "--format",
         "json",
-        "--cache-dir",
-        cache,
         "--res-sample-ms",
         "5",
+        "-v",
         "--trace-out",
         trace_path.to_str().unwrap(),
         "--metrics-out",
@@ -408,6 +397,19 @@ fn resource_profiling_reports_and_gates_end_to_end() {
         plain.stdout, profiled.stdout,
         "resource profiling must not perturb the exported report"
     );
+    // The run report pairs each span with its `.bytes.in` counter: the
+    // worker-local HAR decode layer shows a bytes/sec throughput.
+    assert!(
+        profiled.stderr.contains("bytes in    throughput"),
+        "run report missing the bytes-in columns:\n{}",
+        profiled.stderr
+    );
+    let har_row = profiled
+        .stderr
+        .lines()
+        .find(|line| line.trim_start().starts_with("nettrace.decode.har "))
+        .unwrap_or_else(|| panic!("no nettrace.decode.har row in:\n{}", profiled.stderr));
+    assert!(har_row.ends_with("B/s"), "no HAR throughput in {har_row:?}");
 
     let have_proc = Path::new("/proc/self/statm").exists();
     let report = run(&["obs", "report", trace_path.to_str().unwrap(), "--resources"]);
@@ -419,7 +421,7 @@ fn resource_profiling_reports_and_gates_end_to_end() {
     );
     if have_proc {
         for section in [
-            "stage resources (peak RSS / ΔRSS / CPU / bytes in / throughput):",
+            "stage resources (peak RSS / ΔRSS / CPU):",
             "root audit: cpu ",
             "root audit: rss ",
         ] {
@@ -429,14 +431,6 @@ fn resource_profiling_reports_and_gates_end_to_end() {
                 report.stdout
             );
         }
-        // The cache load carries byte accounting
-        // (`pipeline.classify.cache.bytes.in`), so its stage row derives a
-        // bytes/sec throughput.
-        assert!(
-            report.stdout.contains("B/s"),
-            "no stage throughput in:\n{}",
-            report.stdout
-        );
     } else {
         assert!(
             report.stdout.contains("resources unavailable"),
