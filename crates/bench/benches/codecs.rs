@@ -7,12 +7,15 @@
 use diffaudit_bench::stopwatch::run;
 use diffaudit_domains::Url;
 use diffaudit_json::{flatten, parse, visit_keys};
+use diffaudit_nettrace::packet::{TcpFlags, TcpSegment};
+use diffaudit_nettrace::tls::{decode_client_stream, TlsSession};
 use diffaudit_nettrace::{
     decode_auto_salvage, har_from_exchanges, har_to_exchanges, har_to_exchanges_salvage,
     CaptureOptions, CaptureSession, Exchange, HttpRequest, HttpResponse, KeyLog, PcapReader,
     SalvageLog,
 };
 use diffaudit_services::{generate_dataset_threads, DatasetOptions, MemoryArtifact};
+use diffaudit_util::Rng;
 use std::hint::black_box;
 
 fn sample_exchange(i: usize) -> Exchange {
@@ -122,5 +125,36 @@ fn main() {
     run("capture/decode_auto_salvage", || {
         let mut log = SalvageLog::new();
         black_box(decode_auto_salvage(black_box(&pcap), black_box(&keylog), &mut log).unwrap());
+    });
+
+    // The two word-at-a-time kernels, each on its own. Deciphering a
+    // 16 KiB client stream is keystream-bound; decoding a full-MSS frame
+    // verifies the IPv4 and TCP checksums, so it is checksum-bound.
+    let mut rng = Rng::new(7);
+    let mut tls_keylog = KeyLog::new();
+    let mut tls = TlsSession::open(&mut rng, "api.example.com", Some(&mut tls_keylog));
+    let mut stream = tls.client_hello();
+    let mut plaintext = vec![0u8; 16 * 1024];
+    rng.fill_bytes(&mut plaintext);
+    stream.extend(tls.seal_client(&plaintext));
+    run("tls/decipher", || {
+        black_box(decode_client_stream(black_box(&stream), &tls_keylog).unwrap());
+    });
+    let mss = vec![0x5Au8; 1460];
+    let frame = TcpSegment {
+        src_mac: [2, 0, 0, 0, 0, 1],
+        dst_mac: [2, 0, 0, 0, 0, 2],
+        src_ip: [10, 0, 0, 1],
+        dst_ip: [93, 1, 2, 3],
+        src_port: 40000,
+        dst_port: 443,
+        seq: 1,
+        ack: 1,
+        flags: TcpFlags(TcpFlags::ACK),
+        payload: &mss,
+    }
+    .encode();
+    run("packet/checksum", || {
+        black_box(TcpSegment::decode(black_box(&frame)).unwrap());
     });
 }

@@ -152,11 +152,6 @@ pub fn labeled_examples(truth: &HashMap<String, DataTypeCategory>) -> Vec<Labele
     examples
 }
 
-/// Format a fraction as the paper does (two decimals).
-pub fn fmt2(x: f64) -> String {
-    format!("{x:.2}")
-}
-
 /// Minimal std-only timing harness used by the `benches/` targets. It
 /// auto-scales iteration counts to ~50ms per workload and prints ns/iter,
 /// which is enough to spot order-of-magnitude regressions without any

@@ -5,7 +5,7 @@
 //! policy, lack of age differentiation, and linkable-data sharing for
 //! minors. Each finding cites the statutory provision it rests on.
 
-use crate::diff::age_similarity;
+use crate::diff::{category_cells, cell_similarity, CellSet};
 use crate::linkability::linkable_third_party_count;
 use crate::pipeline::ObservedService;
 use diffaudit_blocklist::DestinationClass;
@@ -118,33 +118,60 @@ impl AuditFinding {
 
 /// Audit one service against its spec's privacy policy.
 pub fn audit_service(service: &ObservedService, spec: &ServiceSpec) -> Vec<AuditFinding> {
+    let cells = ServiceCells::build(service);
     let mut findings = Vec::new();
-    audit_logged_out(service, spec, &mut findings);
-    audit_minor_sharing(service, spec, &mut findings);
-    audit_policy_consistency(service, spec, &mut findings);
-    audit_age_differentiation(service, spec, &mut findings);
+    audit_logged_out(&cells, spec, &mut findings);
+    audit_minor_sharing(&cells, spec, &mut findings);
+    audit_policy_consistency(&cells, spec, &mut findings);
+    audit_age_differentiation(&cells, spec, &mut findings);
     audit_linkability(service, spec, &mut findings);
     findings
 }
 
-fn audit_logged_out(
-    service: &ObservedService,
-    spec: &ServiceSpec,
-    findings: &mut Vec<AuditFinding>,
-) {
-    let flows = service.flows(TraceCategory::LoggedOut);
-    if flows.is_empty() {
-        return;
+/// Each trace category's Table 4 cells, built once per service; every
+/// cell-level rule reads them.
+struct ServiceCells {
+    child: CellSet,
+    adolescent: CellSet,
+    adult: CellSet,
+    logged_out: CellSet,
+}
+
+impl ServiceCells {
+    fn build(service: &ObservedService) -> ServiceCells {
+        ServiceCells {
+            child: category_cells(service, TraceCategory::Child),
+            adolescent: category_cells(service, TraceCategory::Adolescent),
+            adult: category_cells(service, TraceCategory::Adult),
+            logged_out: category_cells(service, TraceCategory::LoggedOut),
+        }
     }
-    let groups: Vec<Level2> = Level2::TABLE4_ROWS
+
+    fn of(&self, trace: TraceCategory) -> &CellSet {
+        match trace {
+            TraceCategory::Child => &self.child,
+            TraceCategory::Adolescent => &self.adolescent,
+            TraceCategory::Adult => &self.adult,
+            TraceCategory::LoggedOut => &self.logged_out,
+        }
+    }
+}
+
+/// The Table 4 data groups with a cell in `cells` for any of `classes`.
+fn groups_with(cells: &CellSet, classes: &[DestinationClass]) -> Vec<Level2> {
+    Level2::TABLE4_ROWS
         .iter()
         .copied()
-        .filter(|&g| {
-            DestinationClass::ALL
-                .iter()
-                .any(|&c| flows.has_group_class(g, c))
-        })
-        .collect();
+        .filter(|&g| classes.iter().any(|&c| cells.contains(&(g, c))))
+        .collect()
+}
+
+fn audit_logged_out(cells: &ServiceCells, spec: &ServiceSpec, findings: &mut Vec<AuditFinding>) {
+    let cells = cells.of(TraceCategory::LoggedOut);
+    if cells.is_empty() {
+        return;
+    }
+    let groups = groups_with(cells, &DestinationClass::ALL);
     if !groups.is_empty() {
         findings.push(AuditFinding {
             rule: AuditRule::PreConsentCollection,
@@ -158,11 +185,7 @@ fn audit_logged_out(
             ),
         });
     }
-    let shared: Vec<Level2> = Level2::TABLE4_ROWS
-        .iter()
-        .copied()
-        .filter(|&g| flows.has_group_class(g, DestinationClass::ThirdParty))
-        .collect();
+    let shared = groups_with(cells, &[DestinationClass::ThirdParty]);
     if !shared.is_empty() {
         findings.push(AuditFinding {
             rule: AuditRule::PreConsentThirdPartySharing,
@@ -175,11 +198,7 @@ fn audit_logged_out(
             ),
         });
     }
-    let ats: Vec<Level2> = Level2::TABLE4_ROWS
-        .iter()
-        .copied()
-        .filter(|&g| flows.has_group_class(g, DestinationClass::ThirdPartyAts))
-        .collect();
+    let ats = groups_with(cells, &[DestinationClass::ThirdPartyAts]);
     if !ats.is_empty() {
         findings.push(AuditFinding {
             rule: AuditRule::PreConsentAtsSharing,
@@ -194,18 +213,9 @@ fn audit_logged_out(
     }
 }
 
-fn audit_minor_sharing(
-    service: &ObservedService,
-    spec: &ServiceSpec,
-    findings: &mut Vec<AuditFinding>,
-) {
+fn audit_minor_sharing(cells: &ServiceCells, spec: &ServiceSpec, findings: &mut Vec<AuditFinding>) {
     for trace in [TraceCategory::Child, TraceCategory::Adolescent] {
-        let flows = service.flows(trace);
-        let ats: Vec<Level2> = Level2::TABLE4_ROWS
-            .iter()
-            .copied()
-            .filter(|&g| flows.has_group_class(g, DestinationClass::ThirdPartyAts))
-            .collect();
+        let ats = groups_with(cells.of(trace), &[DestinationClass::ThirdPartyAts]);
         if !ats.is_empty() {
             findings.push(AuditFinding {
                 rule: AuditRule::MinorAtsSharing,
@@ -222,18 +232,17 @@ fn audit_minor_sharing(
 }
 
 fn audit_policy_consistency(
-    service: &ObservedService,
+    cells: &ServiceCells,
     spec: &ServiceSpec,
     findings: &mut Vec<AuditFinding>,
 ) {
     for trace in TraceCategory::ALL {
-        let flows = service.flows(trace);
-        let mut undisclosed: Vec<(Level2, DestinationClass)> = Vec::new();
-        for (group, class) in flows.group_class_set() {
-            if !spec.policy.discloses(group, class, trace) {
-                undisclosed.push((group, class));
-            }
-        }
+        let undisclosed: Vec<(Level2, DestinationClass)> = cells
+            .of(trace)
+            .iter()
+            .copied()
+            .filter(|&(group, class)| !spec.policy.discloses(group, class, trace))
+            .collect();
         if !undisclosed.is_empty() {
             let detail: Vec<String> = undisclosed
                 .iter()
@@ -255,12 +264,13 @@ fn audit_policy_consistency(
 }
 
 fn audit_age_differentiation(
-    service: &ObservedService,
+    cells: &ServiceCells,
     spec: &ServiceSpec,
     findings: &mut Vec<AuditFinding>,
 ) {
-    let child_adult = age_similarity(service, TraceCategory::Child, TraceCategory::Adult);
-    let adol_adult = age_similarity(service, TraceCategory::Adolescent, TraceCategory::Adult);
+    let adult = cells.of(TraceCategory::Adult);
+    let child_adult = cell_similarity(cells.of(TraceCategory::Child), adult);
+    let adol_adult = cell_similarity(cells.of(TraceCategory::Adolescent), adult);
     if child_adult >= 0.75 && adol_adult >= 0.75 {
         findings.push(AuditFinding {
             rule: AuditRule::NoAgeDifferentiation,

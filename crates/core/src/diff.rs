@@ -115,17 +115,37 @@ fn merged_web_cells(
     set
 }
 
+/// The Table 4 cells of a flow set: its distinct `(data group,
+/// destination class)` pairs.
+pub(crate) type CellSet = BTreeSet<(Level2, DestinationClass)>;
+
+/// The cells of one trace category, merged across kinds and platforms:
+/// `service.flows(category).group_class_set()`, read straight off the
+/// exchanges without building the flows.
+pub(crate) fn category_cells(service: &ObservedService, category: TraceCategory) -> CellSet {
+    service
+        .units
+        .iter()
+        .filter(|u| u.category == category)
+        .flat_map(|u| u.exchanges.iter())
+        .flat_map(|ex| ex.categories.iter().map(move |c| (c.level2(), ex.class)))
+        .collect()
+}
+
 /// Jaccard similarity between the Table 4 cell sets of two trace categories
 /// — the paper's "no service exhibited significantly different data
 /// processing treatment" metric, made explicit.
 pub fn age_similarity(service: &ObservedService, a: TraceCategory, b: TraceCategory) -> f64 {
-    let sa = service.flows(a).group_class_set();
-    let sb = service.flows(b).group_class_set();
-    if sa.is_empty() && sb.is_empty() {
+    cell_similarity(&category_cells(service, a), &category_cells(service, b))
+}
+
+/// Jaccard similarity of two cell sets; two empty sets are identical.
+pub(crate) fn cell_similarity(a: &CellSet, b: &CellSet) -> f64 {
+    if a.is_empty() && b.is_empty() {
         return 1.0;
     }
-    let intersection = sa.intersection(&sb).count();
-    let union = sa.union(&sb).count();
+    let intersection = a.intersection(b).count();
+    let union = a.union(b).count();
     intersection as f64 / union as f64
 }
 
@@ -200,6 +220,11 @@ mod tests {
         assert!(sim > 0.5, "child/adult similarity {sim}");
         let self_sim = age_similarity(&service, TraceCategory::Adult, TraceCategory::Adult);
         assert!((self_sim - 1.0).abs() < 1e-9);
+        // The cells it compares are those of the category's flow table.
+        for category in TraceCategory::ALL {
+            let cells = service.flows(category).group_class_set();
+            assert_eq!(category_cells(&service, category), cells, "{category:?}");
+        }
     }
 
     #[test]

@@ -9,7 +9,6 @@ use crate::audit::AuditFinding;
 use crate::diff::{ObservedGrid, PlatformDiff};
 use crate::linkability;
 use crate::pipeline::{AuditOutcome, ObservedService};
-use crate::stats::DatasetSummary;
 use diffaudit_json::Json;
 use diffaudit_ontology::Level2;
 use diffaudit_services::{FlowAction, TraceCategory};
@@ -81,36 +80,6 @@ pub fn findings_to_json(findings: &[AuditFinding]) -> Json {
             })
             .collect(),
     )
-}
-
-/// Serialize a dataset summary (Table 1) to JSON.
-pub fn summary_to_json(summary: &DatasetSummary) -> Json {
-    let services: Vec<Json> = summary
-        .services
-        .iter()
-        .map(|s| {
-            Json::obj()
-                .with("name", Json::str(s.name.clone()))
-                .with("domains", Json::int(s.domains as i64))
-                .with("eslds", Json::int(s.eslds as i64))
-                .with("packets", Json::int(s.packets as i64))
-                .with("tcpFlows", Json::int(s.tcp_flows as i64))
-        })
-        .collect();
-    Json::obj()
-        .with("services", Json::Arr(services))
-        .with("totalDomains", Json::int(summary.total_domains as i64))
-        .with("totalEslds", Json::int(summary.total_eslds as i64))
-        .with("totalPackets", Json::int(summary.total_packets as i64))
-        .with("totalTcpFlows", Json::int(summary.total_tcp_flows as i64))
-        .with(
-            "uniqueDataTypes",
-            Json::int(summary.unique_data_types as i64),
-        )
-        .with(
-            "uniqueDataFlows",
-            Json::int(summary.unique_data_flows as i64),
-        )
 }
 
 /// Full outcome export: one JSON document for the whole audit.

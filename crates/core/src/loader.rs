@@ -31,24 +31,31 @@
 //!
 //! Three sources feed the same per-unit loader, all holding units as
 //! [`MemoryUnit`]s (defined in `diffaudit_services` next to the trace
-//! taxonomy): a capture directory ([`load_capture_dir`], the CLI), an
-//! in-memory upload ([`load_memory_service`], the serve daemon), and a
+//! taxonomy): capture directories ([`load_capture_dirs`], the CLI),
+//! in-memory uploads ([`load_memory_services`], the serve daemon), and a
 //! generated dataset ([`MemoryService::from_capture`] →
-//! [`load_memory_service`], behind [`crate::pipeline::Pipeline::run`]).
+//! [`load_memory_services`], behind [`crate::pipeline::Pipeline::run`]).
 //! Uploads and generated units share their artifact with their owner (the
 //! daemon's trace store, the dataset), so handing them to the loader copies
-//! a pointer and a label, never the bytes. Each unit is read on its worker
-//! thread (a disk read, or the shared unit itself), salvage-decoded and
-//! accounted under one `loader.unit` span with one ledger entry, then
-//! key-extracted on the same worker under a `pipeline.unit.extract` span.
-//! The worker keeps only each request's host, timestamp and keys
-//! ([`ExtractedUnit`]): it drops its handle on the artifact after decode
-//! (freeing a disk read's bytes) and the decoded exchanges during
-//! extraction, before it takes its next unit, so a load holds at most one
-//! decoded unit per worker however large the corpus. The path tests and
-//! benches exercise is the path the CLI and daemon ship; [`decode_unit`]
-//! alone is the decode step, for callers that want the exchanges
-//! themselves.
+//! a pointer and a label, never the bytes.
+//!
+//! One load is one queue: both entry points put every unit of every
+//! service they are given into one work-stealing fork-join, ordered by
+//! artifact size, largest first, and hand the results back per service in
+//! manifest order. A join per service would end each service with one
+//! worker decoding its last unit while the others wait; with one queue,
+//! largest first, only the audit's smallest units are left for its end.
+//! Each unit is read on its worker thread (a disk
+//! read, or the shared unit itself), salvage-decoded and accounted under
+//! one `loader.unit` span with one ledger entry, then key-extracted on the
+//! same worker under a `pipeline.unit.extract` span. The worker keeps only
+//! each request's host, timestamp and keys ([`ExtractedUnit`]): it drops
+//! its handle on the artifact after decode (freeing a disk read's bytes)
+//! and the decoded exchanges during extraction, before it takes its next
+//! unit, so a load holds at most one decoded unit per worker however large
+//! the corpus. The path tests and benches exercise is the path the CLI and
+//! daemon ship; [`decode_unit`] alone is the decode step, for callers that
+//! want the exchanges themselves.
 
 use crate::pipeline::{ExtractedService, ExtractedUnit, KeyBatch, LoadedUnit, UnitCtx};
 use crate::salvage::{ServiceLedger, UnitLedger};
@@ -139,12 +146,18 @@ fn str_field<'a>(obj: &'a Json, key: &str, ctx: &str) -> Result<&'a str, LoadErr
         .ok_or_else(|| shape_error(format!("{ctx}: missing string field {key:?}")))
 }
 
-/// The service header plus raw unit entries of a parsed manifest.
-struct Manifest {
-    path: PathBuf,
+/// A service's header, as its manifest or upload gives it.
+#[derive(Clone)]
+struct ServiceHead {
     name: String,
     slug: String,
     first_party_domains: Vec<String>,
+}
+
+/// The service header plus raw unit entries of a parsed manifest.
+struct Manifest {
+    path: PathBuf,
+    head: ServiceHead,
     unit_entries: Vec<Json>,
 }
 
@@ -175,9 +188,11 @@ fn read_manifest(dir: &Path) -> Result<Manifest, LoadError> {
         }
         Ok(Manifest {
             path: manifest_path.clone(),
-            name,
-            slug,
-            first_party_domains,
+            head: ServiceHead {
+                name,
+                slug,
+                first_party_domains,
+            },
             unit_entries: manifest
                 .get("units")
                 .and_then(Json::as_arr)
@@ -189,9 +204,8 @@ fn read_manifest(dir: &Path) -> Result<Manifest, LoadError> {
 }
 
 /// Read one manifest unit entry from `dir` into memory. Runs on the
-/// per-unit worker, so disk reads overlap other units' decode.
-// lint:allow(par-discipline): one read per unit, on purpose — a worker
-// reads its own unit's files so I/O overlaps other units' decode.
+/// per-unit worker, one read per unit on purpose, so disk reads overlap
+/// other units' decode.
 fn read_unit(dir: &Path, entry: &Json, index: usize) -> Result<MemoryUnit, LoadError> {
     let ctx = format!("units[{index}]");
     let file = str_field(entry, "file", &ctx)?;
@@ -298,15 +312,17 @@ pub fn decode_unit(
 /// recorder; any error becomes a `unit`-stage drop (offset = unit index) in
 /// the unit's own salvage log. Returns the unit's ledger label, the load
 /// result (the error rendered to its display string), and that log.
+#[allow(clippy::too_many_arguments)]
 fn load_unit(
     label: String,
     path: &Path,
+    service: usize,
     index: usize,
     ctx: &mut UnitCtx,
     interner: &KeyInterner,
     ctl: &Ctl,
     read: impl FnOnce() -> Result<MemoryUnit, LoadError>,
-) -> (String, Result<ExtractedUnit, String>, SalvageLog) {
+) -> UnitOutcome {
     let mut log = SalvageLog::new();
     let recorder = &mut ctx.recorder;
     // A unit whose control is already tripped drops without being read;
@@ -329,7 +345,7 @@ fn load_unit(
                 &diffaudit_obs::RECORD_BOUNDS,
                 unit.exchanges.len() as u64,
             );
-            Ok(ctx.extract(unit, interner))
+            Ok(ctx.extract(unit, service, interner))
         }
         Err(e) => {
             let reason = e.to_string();
@@ -341,67 +357,132 @@ fn load_unit(
     (label, result, log)
 }
 
-/// Load a capture directory (containing `manifest.json`) into an
-/// [`ExtractedService`] ready for
-/// [`crate::pipeline::Pipeline::run_extracted_scoped`], plus its
+/// Load capture directories (each containing `manifest.json`) into one
+/// [`ExtractedService`] per directory, in argument order, ready for
+/// [`crate::pipeline::Pipeline::run_extracted_scoped`], each with its
 /// degradation ledger. Raw keys are interned through `interner`, which one
 /// audit shares across all of its services.
 ///
-/// Manifest-level damage (unreadable or malformed `manifest.json`, broken
-/// service header) is a hard error, but each unit is isolated: a unit that
-/// cannot be loaded is dropped into the ledger (stage `unit`, offset =
-/// manifest entry index) instead of aborting the audit, and units that do
-/// load account their own per-record damage through the salvage readers.
-/// Whether any damage fails the run is the caller's
-/// [`crate::salvage::SalvagePolicy`] (`--strict` tolerates none).
+/// Every manifest is read before any unit is: manifest-level damage
+/// (unreadable or malformed `manifest.json`, broken service header) in any
+/// directory is a hard error, returned before a single unit is decoded.
+/// Each unit is isolated: a unit that cannot be loaded is dropped into its
+/// service's ledger (stage `unit`, offset = manifest entry index) instead
+/// of aborting the audit, and units that do load account their own
+/// per-record damage through the salvage readers. Whether any damage fails
+/// the run is the caller's [`crate::salvage::SalvagePolicy`] (`--strict`
+/// tolerates none).
 ///
-/// Units load in parallel over `threads` workers (1 = serial), with
+/// The units of every directory share one queue over `threads` workers
+/// (1 = serial), largest artifact first (see [`load_queue`]), with
 /// instrumentation in `scope`. A tripped `ctl` does not abort the load:
 /// every unit still gets a ledger entry, but interrupted units are dropped
 /// with a `timeout:`/`cancelled:` reason so the run degrades per salvage
 /// policy instead of vanishing.
-pub fn load_capture_dir(
-    dir: &Path,
+pub fn load_capture_dirs(
+    dirs: &[PathBuf],
     threads: usize,
     scope: &Scope,
     ctl: &Ctl,
     interner: &KeyInterner,
-) -> Result<(ExtractedService, ServiceLedger), LoadError> {
-    scope.time("loader.dir", || {
-        let manifest = read_manifest(dir)?;
-        // Workers record `loader.unit` timings and counters into per-thread
-        // recorders, and their units' unique keys into per-thread sets, all
-        // merged at join; they never emit events — the debug/warn lines go
-        // out on this thread afterwards, in manifest order, so the event
-        // stream and both returned values are identical for every thread
-        // count.
-        let batch = KeyBatch::new();
-        let loaded = diffaudit_util::par::par_map_ctx(
-            threads.max(1),
-            &manifest.unit_entries,
-            UnitCtx::new,
-            |ctx, i, entry| {
-                let label = entry
-                    .get("file")
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .unwrap_or_else(|| format!("units[{i}]"));
-                let path = dir.join(&label);
-                load_unit(label, &path, i, ctx, interner, ctl, || {
-                    read_unit(dir, entry, i).map_err(|e| e.with_manifest_path(&manifest.path))
-                })
-            },
-            |ctx| ctx.finish(&batch, scope),
-        );
-        Ok(collect_loaded_units(
-            manifest.name,
-            manifest.slug,
-            manifest.first_party_domains,
-            loaded,
-            batch,
-            scope,
-        ))
-    })
+) -> Result<Vec<(ExtractedService, ServiceLedger)>, LoadError> {
+    let manifests = dirs
+        .iter()
+        .map(|dir| read_manifest(dir))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut queue = Vec::new();
+    for (service, (dir, manifest)) in dirs.iter().zip(&manifests).enumerate() {
+        for (index, entry) in manifest.unit_entries.iter().enumerate() {
+            let bytes = ["file", "keylog"]
+                .iter()
+                .filter_map(|key| entry.get(key).and_then(Json::as_str))
+                .filter_map(|file| std::fs::metadata(dir.join(file)).ok())
+                .map(|meta| meta.len())
+                .sum();
+            queue.push(QueuedUnit {
+                service,
+                index,
+                bytes,
+                source: (dir.as_path(), manifest.path.as_path(), entry),
+            });
+        }
+    }
+    let heads = manifests.iter().map(|m| m.head.clone()).collect();
+    Ok(load_queue(heads, queue, threads, scope, |ctx, q| {
+        let (dir, manifest_path, entry) = q.source;
+        let label = entry
+            .get("file")
+            .and_then(Json::as_str)
+            .map(str::to_string)
+            .unwrap_or_else(|| format!("units[{}]", q.index));
+        let path = dir.join(&label);
+        load_unit(label, &path, q.service, q.index, ctx, interner, ctl, || {
+            read_unit(dir, entry, q.index).map_err(|e| e.with_manifest_path(manifest_path))
+        })
+    }))
+}
+
+/// One unit waiting in a load's queue: its service and manifest index, the
+/// artifact's byte length (the queue's sort key), and what its worker
+/// reads it from (a manifest entry, or the in-memory unit).
+struct QueuedUnit<T> {
+    service: usize,
+    index: usize,
+    bytes: u64,
+    source: T,
+}
+
+/// One unit's load result: its ledger label, the extracted unit or the
+/// drop reason, and its salvage log.
+type UnitOutcome = (String, Result<ExtractedUnit, String>, SalvageLog);
+
+/// Load every queued unit of the services `heads` names over one
+/// [`par_map_ctx`](diffaudit_util::par::par_map_ctx), largest artifact
+/// first (ties by service, then manifest index), so no worker waits at a
+/// service boundary and only the smallest units are left for the end.
+/// Returns one [`ExtractedService`] + [`ServiceLedger`] pair
+/// per head, its units in manifest order.
+///
+/// Workers record `loader.unit` timings and counters into per-thread
+/// recorders, and their units' unique keys into per-thread, per-service
+/// sets, all merged at join; they never emit events — the debug/warn lines
+/// go out on the calling thread afterwards ([`collect_loaded_units`]), so
+/// the event stream and every returned value are identical for every
+/// thread count.
+fn load_queue<T: Send>(
+    heads: Vec<ServiceHead>,
+    mut queue: Vec<QueuedUnit<T>>,
+    threads: usize,
+    scope: &Scope,
+    load: impl Fn(&mut UnitCtx, QueuedUnit<T>) -> UnitOutcome + Sync,
+) -> Vec<(ExtractedService, ServiceLedger)> {
+    queue.sort_by(|a, b| {
+        b.bytes
+            .cmp(&a.bytes)
+            .then(a.service.cmp(&b.service))
+            .then(a.index.cmp(&b.index))
+    });
+    let batches: Vec<KeyBatch> = heads.iter().map(|_| KeyBatch::new()).collect();
+    let mut loaded = diffaudit_util::par::par_map_ctx(
+        threads.max(1),
+        queue,
+        UnitCtx::new,
+        |ctx, _, q| (q.service, q.index, load(ctx, q)),
+        |ctx| ctx.finish(&batches, scope),
+    );
+    loaded.sort_unstable_by_key(|&(service, index, _)| (service, index));
+    let mut loaded = loaded.into_iter().peekable();
+    heads
+        .into_iter()
+        .zip(batches)
+        .enumerate()
+        .map(|(service, (head, batch))| {
+            let units = std::iter::from_fn(|| loaded.next_if(|(s, _, _)| *s == service))
+                .map(|(_, _, outcome)| outcome)
+                .collect();
+            collect_loaded_units(head, units, batch, scope)
+        })
+        .collect()
 }
 
 /// Fold per-unit load results and the workers' key batch into an
@@ -409,10 +490,8 @@ pub fn load_capture_dir(
 /// `unit loaded`/`unit dropped` events in manifest order on the calling
 /// thread (shared by the disk and in-memory loaders).
 fn collect_loaded_units(
-    name: String,
-    slug: String,
-    first_party_domains: Vec<String>,
-    loaded: Vec<(String, Result<ExtractedUnit, String>, SalvageLog)>,
+    head: ServiceHead,
+    loaded: Vec<UnitOutcome>,
     batch: KeyBatch,
     scope: &Scope,
 ) -> (ExtractedService, ServiceLedger) {
@@ -443,6 +522,11 @@ fn collect_loaded_units(
         ledger_units.push(UnitLedger { file: label, log });
     }
     let (keys, key_occurrences) = batch.into_parts();
+    let ServiceHead {
+        name,
+        slug,
+        first_party_domains,
+    } = head;
     (
         ExtractedService {
             name,
@@ -493,40 +577,46 @@ impl MemoryService {
     }
 }
 
-/// Salvage-load an in-memory service upload into an [`ExtractedService`] +
-/// [`ServiceLedger`] pair — [`load_capture_dir`] for the serve daemon's
-/// HTTP upload path and for generated datasets. There is no manifest file
-/// to fail on, so this is infallible at the service level: every unit
-/// either loads or lands in the ledger as a drop (interrupted units with a
-/// `timeout:`/`cancelled:` reason), and the salvage policy decides what the
-/// degradation means.
-pub fn load_memory_service(
-    svc: MemoryService,
+/// Salvage-load in-memory service uploads into one [`ExtractedService`] +
+/// [`ServiceLedger`] pair per service, in argument order —
+/// [`load_capture_dirs`] for the serve daemon's HTTP upload path and for
+/// generated datasets, over the same largest-first queue, under one
+/// `loader.memory` span. There is no manifest file to fail on, so this is
+/// infallible at the service level: every unit either loads or lands in
+/// the ledger as a drop (interrupted units with a `timeout:`/`cancelled:`
+/// reason), and the salvage policy decides what the degradation means.
+pub fn load_memory_services(
+    services: Vec<MemoryService>,
     threads: usize,
     scope: &Scope,
     ctl: &Ctl,
     interner: &KeyInterner,
-) -> (ExtractedService, ServiceLedger) {
+) -> Vec<(ExtractedService, ServiceLedger)> {
     scope.time("loader.memory", || {
-        let MemoryService {
-            name,
-            slug,
-            first_party_domains,
-            units,
-        } = svc;
-        let batch = KeyBatch::new();
-        let loaded = diffaudit_util::par::par_map_ctx(
-            threads.max(1),
-            units,
-            UnitCtx::new,
-            |ctx, i, unit| {
-                let label = unit.label.clone();
-                let path = PathBuf::from(&label);
-                load_unit(label, &path, i, ctx, interner, ctl, || Ok(unit))
-            },
-            |ctx| ctx.finish(&batch, scope),
-        );
-        collect_loaded_units(name, slug, first_party_domains, loaded, batch, scope)
+        let mut heads = Vec::with_capacity(services.len());
+        let mut queue = Vec::new();
+        for (service, svc) in services.into_iter().enumerate() {
+            for (index, unit) in svc.units.into_iter().enumerate() {
+                queue.push(QueuedUnit {
+                    service,
+                    index,
+                    bytes: unit.artifact.byte_len(),
+                    source: unit,
+                });
+            }
+            heads.push(ServiceHead {
+                name: svc.name,
+                slug: svc.slug,
+                first_party_domains: svc.first_party_domains,
+            });
+        }
+        load_queue(heads, queue, threads, scope, |ctx, q| {
+            let label = q.source.label.clone();
+            let path = PathBuf::from(&label);
+            load_unit(label, &path, q.service, q.index, ctx, interner, ctl, || {
+                Ok(q.source)
+            })
+        })
     })
 }
 
@@ -615,13 +705,21 @@ mod tests {
     }
 
     fn load(dir: &Path) -> Result<(ExtractedService, ServiceLedger), LoadError> {
-        load_capture_dir(
-            dir,
-            2,
-            &Scope::global(),
-            &Ctl::unbounded(),
-            &KeyInterner::new(),
-        )
+        load_dir(dir, 2, &Ctl::unbounded())
+    }
+
+    /// Load one directory alone.
+    fn load_dir(
+        dir: &Path,
+        threads: usize,
+        ctl: &Ctl,
+    ) -> Result<(ExtractedService, ServiceLedger), LoadError> {
+        let dirs = [dir.to_path_buf()];
+        let loaded = load_capture_dirs(&dirs, threads, &Scope::global(), ctl, &KeyInterner::new())?;
+        Ok(loaded
+            .into_iter()
+            .next()
+            .expect("one service per directory"))
     }
 
     fn load_memory(
@@ -629,7 +727,8 @@ mod tests {
         scope: &Scope,
         ctl: &Ctl,
     ) -> (ExtractedService, ServiceLedger) {
-        load_memory_service(svc, 2, scope, ctl, &KeyInterner::new())
+        let loaded = load_memory_services(vec![svc], 2, scope, ctl, &KeyInterner::new());
+        loaded.into_iter().next().expect("one service per upload")
     }
 
     /// Decode (without extracting) every unit of a written service
@@ -733,6 +832,97 @@ mod tests {
     }
 
     #[test]
+    fn one_queue_over_many_directories_matches_each_directory_alone() {
+        let dataset = generate_dataset(&DatasetOptions {
+            seed: 5,
+            volume_scale: 0.01,
+            mobile_pinned_fraction: 0.1,
+            services: vec!["tiktok".into(), "duolingo".into(), "roblox".into()],
+        });
+        let root = temp_dir("many-dirs");
+        let dirs = write_dataset(&dataset, &root).unwrap();
+        assert_eq!(dirs.len(), 3);
+        for threads in [1, 2] {
+            let (scope, ctl) = (Scope::global(), Ctl::unbounded());
+            let together =
+                load_capture_dirs(&dirs, threads, &scope, &ctl, &KeyInterner::new()).unwrap();
+            assert_eq!(together.len(), dirs.len());
+            for (dir, (service, ledger)) in dirs.iter().zip(together) {
+                let (alone, alone_ledger) = load_dir(dir, threads, &ctl).unwrap();
+                let at = format!("{} at --threads {threads}", alone.slug);
+                assert_eq!(service.slug, alone.slug, "{at}");
+                assert_eq!(service.units, alone.units, "{at}");
+                assert_eq!(service.keys, alone.keys, "{at}");
+                assert_eq!(service.key_occurrences, alone.key_occurrences, "{at}");
+                assert_eq!(ledger_json(ledger), ledger_json(alone_ledger), "{at}");
+            }
+        }
+
+        // A broken manifest in the second directory fails the whole load,
+        // with the error loading that directory alone gives, before any
+        // unit of the first is decoded.
+        std::fs::write(dirs[1].join("manifest.json"), "{oops").unwrap();
+        let alone = load_dir(&dirs[1], 2, &Ctl::unbounded()).unwrap_err();
+        let scope = Scope::job("test.many-dirs");
+        let err = load_capture_dirs(&dirs, 2, &scope, &Ctl::unbounded(), &KeyInterner::new())
+            .unwrap_err();
+        assert!(matches!(err, LoadError::ManifestJson(..)));
+        assert_eq!(err.to_string(), alone.to_string());
+        let snap = scope.finish().expect("job snapshot");
+        assert!(!snap.metrics.spans().any(|(n, _)| n == "loader.unit"));
+        assert_eq!(snap.metrics.counter("loader.units.loaded"), 0);
+        assert_eq!(snap.metrics.counter("loader.units.dropped"), 0);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn queue_runs_largest_first_and_returns_manifest_order() {
+        // (service, index, bytes): ties break by service, then index.
+        let units = [(0, 0, 5), (0, 1, 90), (0, 2, 5), (1, 0, 90), (1, 1, 40)];
+        let queue = units
+            .iter()
+            .map(|&(service, index, bytes)| QueuedUnit {
+                service,
+                index,
+                bytes,
+                source: (),
+            })
+            .collect();
+        let heads = ["a", "b", "c"].map(|slug| ServiceHead {
+            name: slug.to_uppercase(),
+            slug: slug.to_string(),
+            first_party_domains: vec![format!("{slug}.com")],
+        });
+        let scope = Scope::job("test.queue");
+        let started = std::sync::Mutex::new(Vec::new());
+        let loaded = load_queue(heads.to_vec(), queue, 1, &scope, |_, q| {
+            started.lock().unwrap().push((q.service, q.index));
+            let label = format!("{}/{}", q.service, q.index);
+            (label, Err("dropped".into()), SalvageLog::new())
+        });
+        assert_eq!(
+            started.into_inner().unwrap(),
+            [(0, 1), (1, 0), (1, 1), (0, 0), (0, 2)]
+        );
+        let ledgers: Vec<(&str, Vec<&str>)> = loaded
+            .iter()
+            .map(|(_, ledger)| {
+                let files = ledger.units.iter().map(|u| u.file.as_str()).collect();
+                (ledger.slug.as_str(), files)
+            })
+            .collect();
+        assert_eq!(
+            ledgers,
+            [
+                ("a", vec!["0/0", "0/1", "0/2"]),
+                ("b", vec!["1/0", "1/1"]),
+                ("c", vec![])
+            ]
+        );
+        let _ = scope.finish();
+    }
+
+    #[test]
     fn manifest_errors_are_described() {
         let dir = temp_dir("errors");
         // No manifest at all.
@@ -805,7 +995,7 @@ mod tests {
         let (_, dir, service_dir) = written_service_dir("salvage-clean");
         let (salvaged, ledger) = load(&service_dir).unwrap();
         let manifest = read_manifest(&service_dir).unwrap();
-        assert_eq!(salvaged.slug, manifest.slug);
+        assert_eq!(salvaged.slug, manifest.head.slug);
         assert_eq!(salvaged.units.len(), manifest.unit_entries.len());
         // The strict HAR driver and a direct capture decode are the
         // reference for the decode step the loader runs before extraction.
@@ -930,8 +1120,7 @@ mod tests {
             diffaudit_util::cancel::CancelToken::new(),
             diffaudit_util::cancel::Deadline::within(std::time::Duration::ZERO),
         );
-        let (input, ledger) =
-            load_capture_dir(&service_dir, 2, &Scope::global(), &ctl, &KeyInterner::new()).unwrap();
+        let (input, ledger) = load_dir(&service_dir, 2, &ctl).unwrap();
         assert!(input.units.is_empty());
         assert!(ledger.units.iter().all(|u| u
             .log

@@ -21,7 +21,7 @@
 use crate::dest::DestinationAnalyzer;
 use crate::extract::visit_request_keys;
 use crate::flow::{DataFlow, FlowTable4};
-use crate::loader::{load_memory_service, MemoryService};
+use crate::loader::{load_memory_services, MemoryService};
 use diffaudit_blocklist::DestinationClass;
 use diffaudit_classifier::cache::{config_fingerprint, CacheReport, ClassifyCache};
 use diffaudit_classifier::majority::TEMPERATURE_GRID;
@@ -224,20 +224,22 @@ impl Pipeline {
 
     /// Run over a generated dataset, through the same salvage loader as
     /// capture directories and daemon uploads: each service becomes a
-    /// [`MemoryService`] and is loaded (decoded and key-extracted) by
-    /// [`load_memory_service`]. The service's units share the dataset's
-    /// artifacts, so no capture byte is copied, and each unit's decoded
-    /// exchanges are freed on its worker once its keys are extracted.
+    /// [`MemoryService`], and [`load_memory_services`] loads (decodes and
+    /// key-extracts) the units of all of them over one queue. The units
+    /// share the dataset's artifacts, so no capture byte is copied, and
+    /// each unit's decoded exchanges are freed on its worker once its keys
+    /// are extracted.
     pub fn run(&self, dataset: &GeneratedDataset) -> AuditOutcome {
         let (scope, ctl) = (Scope::global(), Ctl::unbounded());
         let interner = KeyInterner::new();
         let services = dataset
             .services
             .iter()
-            .map(|capture| {
-                let svc = MemoryService::from_capture(capture);
-                load_memory_service(svc, self.threads(), &scope, &ctl, &interner).0
-            })
+            .map(MemoryService::from_capture)
+            .collect();
+        let services = load_memory_services(services, self.threads(), &scope, &ctl, &interner)
+            .into_iter()
+            .map(|(service, _)| service)
             .collect();
         unbounded(self.run_extracted_scoped(services, &scope, &ctl))
     }
@@ -261,8 +263,8 @@ impl Pipeline {
                             threads,
                             input.units,
                             UnitCtx::new,
-                            |ctx, _, unit| ctx.extract(unit, &interner),
-                            |ctx| ctx.finish(&batch, &scope),
+                            |ctx, _, unit| ctx.extract(unit, 0, &interner),
+                            |ctx| ctx.finish(std::slice::from_ref(&batch), &scope),
                         );
                         let (keys, key_occurrences) = batch.into_parts();
                         ExtractedService {
@@ -552,8 +554,8 @@ pub struct ExtractedUnit {
 }
 
 /// One service's loaded and key-extracted units — what
-/// [`crate::loader::load_capture_dir`] and
-/// [`crate::loader::load_memory_service`] return for
+/// [`crate::loader::load_capture_dirs`] and
+/// [`crate::loader::load_memory_services`] return for
 /// [`Pipeline::run_extracted_scoped`].
 #[derive(Debug)]
 pub struct ExtractedService {
@@ -572,49 +574,59 @@ pub struct ExtractedService {
 }
 
 /// Per-worker extract context: a private metric recorder plus the
-/// thread's share of the unique-key batch. Merged once at join.
+/// thread's share of each service's unique-key batch. Merged once at join.
 pub(crate) struct UnitCtx {
     pub(crate) recorder: diffaudit_obs::LocalRecorder,
-    keys: BTreeSet<Key>,
-    occurrences: u64,
+    /// Unique keys and key occurrences, by service index.
+    keys: Vec<(BTreeSet<Key>, u64)>,
 }
 
 impl UnitCtx {
     pub(crate) fn new() -> UnitCtx {
         UnitCtx {
             recorder: diffaudit_obs::LocalRecorder::new(),
-            keys: BTreeSet::new(),
-            occurrences: 0,
+            keys: Vec::new(),
         }
     }
 
     /// Extract one decoded unit's keys under a `pipeline.unit.extract`
-    /// span and fold them into this worker's batch. The unit's exchanges
-    /// are consumed, so their payloads are freed as extraction walks them.
-    pub(crate) fn extract(&mut self, unit: LoadedUnit, interner: &KeyInterner) -> ExtractedUnit {
+    /// span and fold them into this worker's batch for `service`. The
+    /// unit's exchanges are consumed, so their payloads are freed as
+    /// extraction walks them.
+    pub(crate) fn extract(
+        &mut self,
+        unit: LoadedUnit,
+        service: usize,
+        interner: &KeyInterner,
+    ) -> ExtractedUnit {
         self.recorder
             .add("pipeline.unit.extract.bytes.in", unit_bytes(&unit));
         let unit = self
             .recorder
             .time("pipeline.unit.extract", |_| extract_unit(unit, interner));
-        for (_, _, keys) in &unit.requests {
-            self.occurrences += keys.len() as u64;
-            self.keys.extend(keys.iter().cloned());
+        if self.keys.len() <= service {
+            self.keys.resize_with(service + 1, Default::default);
+        }
+        let (keys, occurrences) = &mut self.keys[service];
+        for (_, _, request_keys) in &unit.requests {
+            *occurrences += request_keys.len() as u64;
+            keys.extend(request_keys.iter().cloned());
         }
         unit
     }
 
-    /// Merge this worker's batch into the shared one (called at join). The
-    /// recorder lands wherever the run's scope points — the global registry
-    /// for the batch path, the job's private registry under the daemon.
-    pub(crate) fn finish(self, batch: &KeyBatch, scope: &Scope) {
-        match batch.keys.lock() {
-            Ok(mut shared) => shared.extend(self.keys),
-            Err(poisoned) => poisoned.into_inner().extend(self.keys),
+    /// Merge this worker's per-service batches into the shared ones, which
+    /// `batches` holds by service index (called at join). The recorder
+    /// lands wherever the run's scope points — the global registry for the
+    /// batch path, the job's private registry under the daemon.
+    pub(crate) fn finish(self, batches: &[KeyBatch], scope: &Scope) {
+        for ((keys, occurrences), batch) in self.keys.into_iter().zip(batches) {
+            match batch.keys.lock() {
+                Ok(mut shared) => shared.extend(keys),
+                Err(poisoned) => poisoned.into_inner().extend(keys),
+            }
+            batch.occurrences.fetch_add(occurrences, Ordering::Relaxed);
         }
-        batch
-            .occurrences
-            .fetch_add(self.occurrences, Ordering::Relaxed);
         scope.absorb(self.recorder);
     }
 }

@@ -165,11 +165,6 @@ impl Json {
         }
     }
 
-    /// `true` for `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
     /// RFC 6901 JSON-pointer lookup, e.g. `"/log/entries/0/request"`.
     /// The empty pointer returns `self`. `~0`/`~1` escapes are honored.
     pub fn pointer(&self, pointer: &str) -> Option<&Json> {

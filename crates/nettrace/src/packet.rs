@@ -102,19 +102,25 @@ impl std::error::Error for FrameError {}
 const ETHERTYPE_IPV4: u16 = 0x0800;
 const IP_PROTO_TCP: u8 = 6;
 
-/// RFC 1071 ones'-complement checksum.
+/// RFC 1071 ones'-complement checksum, summed over big-endian 32-bit
+/// words. A 32-bit word is congruent to the sum of its two 16-bit halves
+/// modulo 0xFFFF, so one fold of the `u64` total gives the 16-bit sum.
+/// Each chunk's tail (1–3 bytes) is zero-padded on its own, as a 16-bit
+/// sum pads an odd chunk.
 fn ones_complement_sum(chunks: &[&[u8]]) -> u16 {
-    let mut sum: u32 = 0;
+    let mut sum: u64 = 0;
     for chunk in chunks {
-        let mut iter = chunk.chunks_exact(2);
-        for pair in &mut iter {
-            if let &[hi, lo] = pair {
-                sum += u16::from_be_bytes([hi, lo]) as u32;
+        let mut words = chunk.chunks_exact(4);
+        for word in &mut words {
+            if let Ok(word) = <[u8; 4]>::try_from(word) {
+                sum += u64::from(u32::from_be_bytes(word));
             }
         }
-        if let [last] = iter.remainder() {
-            sum += u16::from_be_bytes([*last, 0]) as u32;
+        let mut tail = [0u8; 4];
+        for (t, b) in tail.iter_mut().zip(words.remainder()) {
+            *t = *b;
         }
+        sum += u64::from(u32::from_be_bytes(tail));
     }
     while sum > 0xFFFF {
         sum = (sum & 0xFFFF) + (sum >> 16);
@@ -337,5 +343,55 @@ mod tests {
         // (ones' complement of 0xddf2).
         let data = [0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7];
         assert_eq!(ones_complement_sum(&[&data]), !0xddf2u16);
+        assert_eq!(ones_complement_sum_16(&[&data]), !0xddf2u16);
+    }
+
+    /// The 16-bit-word checksum: the reference the 32-bit word loop of
+    /// [`ones_complement_sum`] must match.
+    fn ones_complement_sum_16(chunks: &[&[u8]]) -> u16 {
+        let mut sum: u32 = 0;
+        for chunk in chunks {
+            let mut iter = chunk.chunks_exact(2);
+            for pair in &mut iter {
+                sum += u16::from_be_bytes([pair[0], pair[1]]) as u32;
+            }
+            if let [last] = iter.remainder() {
+                sum += u16::from_be_bytes([*last, 0]) as u32;
+            }
+        }
+        while sum > 0xFFFF {
+            sum = (sum & 0xFFFF) + (sum >> 16);
+        }
+        !(sum as u16)
+    }
+
+    #[test]
+    fn word_checksum_matches_16_bit_reference() {
+        use diffaudit_util::prop::{self, check};
+        check("word_checksum_matches_16_bit_reference", 512, |rng| {
+            // Long runs of 0xFF push the sum through many carries.
+            let mut data = prop::bytes(rng, 0..=1600);
+            if rng.range(0, 4) == 0 {
+                data.iter_mut().for_each(|b| *b = 0xFF);
+            }
+            let mut cuts: Vec<usize> = (0..rng.range(0, 3))
+                .map(|_| rng.range(0, data.len() + 1))
+                .collect();
+            cuts.sort_unstable();
+            let mut chunks = Vec::new();
+            let mut start = 0;
+            for cut in cuts {
+                chunks.push(&data[start..cut]);
+                start = cut;
+            }
+            chunks.push(&data[start..]);
+            assert_eq!(
+                ones_complement_sum(&chunks),
+                ones_complement_sum_16(&chunks),
+                "len {} chunks {:?}",
+                data.len(),
+                chunks.iter().map(|c| c.len()).collect::<Vec<_>>()
+            );
+        });
     }
 }

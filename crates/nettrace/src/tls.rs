@@ -184,8 +184,9 @@ impl ClientHello {
 
 /// XOR the per-record cipher stream over `data` in place (the same call
 /// enciphers and deciphers). The stream is the byte sequence
-/// `Rng::fill_bytes` would produce for the record's seed, generated eight
-/// bytes at a time so no keystream buffer is allocated.
+/// `Rng::fill_bytes` would produce for the record's seed, generated and
+/// applied one little-endian `u64` word at a time, so no keystream buffer
+/// is allocated.
 fn apply_keystream(
     data: &mut [u8],
     client_random: &[u8; 32],
@@ -193,20 +194,43 @@ fn apply_keystream(
     direction: Direction,
     record_index: u32,
 ) {
+    let mut rng = Rng::new(keystream_seed(
+        client_random,
+        secret,
+        direction,
+        record_index,
+    ));
+    let mut words = data.chunks_exact_mut(8);
+    for chunk in &mut words {
+        if let Ok(word) = <[u8; 8]>::try_from(&*chunk) {
+            let word = u64::from_le_bytes(word) ^ rng.next_u64();
+            chunk.copy_from_slice(&word.to_le_bytes());
+        }
+    }
+    let tail = words.into_remainder();
+    if !tail.is_empty() {
+        for (b, k) in tail.iter_mut().zip(rng.next_u64().to_le_bytes()) {
+            *b ^= k;
+        }
+    }
+}
+
+/// The keystream seed of one record: client random, session secret,
+/// direction and record index.
+fn keystream_seed(
+    client_random: &[u8; 32],
+    secret: &[u8; 32],
+    direction: Direction,
+    record_index: u32,
+) -> u64 {
     let dir_tag: u64 = match direction {
         Direction::ClientToServer => 0x1111_1111,
         Direction::ServerToClient => 0x2222_2222,
     };
-    let seed = fnv1a64(client_random)
+    fnv1a64(client_random)
         ^ fnv1a64(secret).rotate_left(21)
         ^ dir_tag.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (record_index as u64).rotate_left(43);
-    let mut rng = Rng::new(seed);
-    for chunk in data.chunks_mut(8) {
-        for (b, k) in chunk.iter_mut().zip(rng.next_u64().to_le_bytes()) {
-            *b ^= k;
-        }
-    }
+        ^ (record_index as u64).rotate_left(43)
 }
 
 /// The client side of a simulated TLS session: produces the wire bytes the
@@ -392,6 +416,50 @@ fn decode_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diffaudit_util::prop::{self, check};
+
+    /// The byte-at-a-time keystream: the reference [`apply_keystream`]'s
+    /// word loop must match.
+    fn apply_keystream_bytewise(
+        data: &mut [u8],
+        client_random: &[u8; 32],
+        secret: &[u8; 32],
+        direction: Direction,
+        record_index: u32,
+    ) {
+        let seed = keystream_seed(client_random, secret, direction, record_index);
+        let mut rng = Rng::new(seed);
+        for chunk in data.chunks_mut(8) {
+            for (b, k) in chunk.iter_mut().zip(rng.next_u64().to_le_bytes()) {
+                *b ^= k;
+            }
+        }
+    }
+
+    #[test]
+    fn word_keystream_matches_bytewise_reference() {
+        check("word_keystream_matches_bytewise_reference", 32, |rng| {
+            let data = prop::bytes(rng, 70..=70);
+            let mut client_random = [0u8; 32];
+            let mut secret = [0u8; 32];
+            rng.fill_bytes(&mut client_random);
+            rng.fill_bytes(&mut secret);
+            let record_index = *rng.choose(&[0, 1, 2, 7, 1000, u32::MAX]);
+            for len in 0..=data.len() {
+                for direction in [Direction::ClientToServer, Direction::ServerToClient] {
+                    let mut word = data[..len].to_vec();
+                    let mut byte = word.clone();
+                    apply_keystream(&mut word, &client_random, &secret, direction, record_index);
+                    let (cr, key) = (&client_random, &secret);
+                    apply_keystream_bytewise(&mut byte, cr, key, direction, record_index);
+                    assert_eq!(word, byte, "len {len} {direction:?}");
+                    // The same call deciphers.
+                    apply_keystream(&mut word, &client_random, &secret, direction, record_index);
+                    assert_eq!(word, &data[..len]);
+                }
+            }
+        });
+    }
 
     #[test]
     fn server_stream_round_trip() {

@@ -93,7 +93,7 @@
 
 use diffaudit::audit::AuditFinding;
 use diffaudit::export;
-use diffaudit::loader::{load_capture_dir, write_dataset};
+use diffaudit::loader::{load_capture_dirs, write_dataset};
 use diffaudit::report;
 use diffaudit::run::{run_audit, AuditRun, AuditSettings};
 use diffaudit::salvage::{DegradationLedger, RunStatus, SalvagePolicy};
@@ -494,31 +494,31 @@ fn cmd_audit(args: &[String], threads: usize) -> ExitCode {
     let load_span = obs::span("audit.load");
     let (scope, ctl) = (obs::Scope::global(), Ctl::unbounded());
     // One interner for the whole audit: every directory's raw keys share
-    // one allocation per distinct spelling.
+    // one allocation per distinct spelling. One load: the units of every
+    // directory share one queue.
     let interner = KeyInterner::new();
+    let loaded = match load_capture_dirs(&dirs, threads, &scope, &ctl, &interner) {
+        Ok(loaded) => loaded,
+        Err(e) => {
+            obs::error(&e.to_string(), &[]);
+            return ExitCode::FAILURE;
+        }
+    };
     let mut services = Vec::new();
     let mut ledger = DegradationLedger::new();
-    for dir in &dirs {
-        match load_capture_dir(dir, threads, &scope, &ctl, &interner) {
-            Ok((service, service_ledger)) => {
-                let dropped = service_ledger.merged().total_dropped();
-                let mut fields = vec![
-                    obs::field("service", service.name.as_str()),
-                    obs::field("units", service.units.len()),
-                    obs::field("dir", dir.display().to_string()),
-                ];
-                if dropped > 0 {
-                    fields.push(obs::field("dropped", dropped));
-                }
-                obs::info("loaded capture directory", &fields);
-                services.push(service);
-                ledger.services.push(service_ledger);
-            }
-            Err(e) => {
-                obs::error(&e.to_string(), &[]);
-                return ExitCode::FAILURE;
-            }
+    for (dir, (service, service_ledger)) in dirs.iter().zip(loaded) {
+        let dropped = service_ledger.merged().total_dropped();
+        let mut fields = vec![
+            obs::field("service", service.name.as_str()),
+            obs::field("units", service.units.len()),
+            obs::field("dir", dir.display().to_string()),
+        ];
+        if dropped > 0 {
+            fields.push(obs::field("dropped", dropped));
         }
+        obs::info("loaded capture directory", &fields);
+        services.push(service);
+        ledger.services.push(service_ledger);
     }
     load_span.finish();
 

@@ -11,7 +11,7 @@
 
 use crate::job::{JobCompletion, JobPhase};
 use diffaudit::export;
-use diffaudit::loader::{load_memory_service, MemoryService};
+use diffaudit::loader::{load_memory_services, MemoryService};
 use diffaudit::pipeline::AuditOutcome;
 use diffaudit::report;
 use diffaudit::run::{run_audit, AuditRun, AuditSettings};
@@ -109,8 +109,9 @@ pub fn run_job(request: JobRequest, token: CancelToken) -> JobOutput {
 
     let settings = request.settings;
     let interner = KeyInterner::new();
+    let services = vec![request.service];
     let (service, service_ledger) = scope.time("serve.job.load", || {
-        load_memory_service(request.service, settings.threads, &scope, &ctl, &interner)
+        load_memory_services(services, settings.threads, &scope, &ctl, &interner).remove(0)
     });
     let ledger = DegradationLedger {
         services: vec![service_ledger],

@@ -46,19 +46,6 @@ impl Default for DatasetOptions {
     }
 }
 
-impl DatasetOptions {
-    /// A small-volume configuration for tests (≈4% of paper scale, light
-    /// padding is kept as-is).
-    pub fn test_scale(seed: u64) -> DatasetOptions {
-        DatasetOptions {
-            seed,
-            volume_scale: 0.06,
-            mobile_pinned_fraction: 0.12,
-            services: Vec::new(),
-        }
-    }
-}
-
 /// One generated unit: the capture unit the loader reads, plus ground
 /// truth it never reads.
 #[derive(Debug)]

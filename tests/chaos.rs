@@ -357,7 +357,7 @@ fn a_stalled_load_surfaces_as_timeout_drops_even_on_damaged_units() {
     // not — must land in the degradation ledger with a `timeout:` reason
     // code (the interrupt wins over whatever decode damage the bytes
     // also carry), and the ledger must conserve the full unit count.
-    use diffaudit::loader::{load_memory_service, MemoryService};
+    use diffaudit::loader::{load_memory_services, MemoryService};
     use diffaudit_util::cancel::{CancelToken, Ctl, Deadline};
     use std::time::Duration;
 
@@ -401,7 +401,7 @@ fn a_stalled_load_surfaces_as_timeout_drops_even_on_damaged_units() {
     );
     let scope = diffaudit_obs::Scope::job("chaos.stall");
     let interner = diffaudit_util::par::KeyInterner::new();
-    let (input, ledger) = load_memory_service(svc, 2, &scope, &ctl, &interner);
+    let (input, ledger) = load_memory_services(vec![svc], 2, &scope, &ctl, &interner).remove(0);
     assert!(
         input.units.is_empty(),
         "an expired deadline must drop every unit"

@@ -115,7 +115,6 @@ fn trace_and_metrics_files_parse_and_cover_the_pipeline_stages() {
         "audit.load",
         "audit.findings",
         "audit.render",
-        "loader.dir",
         "loader.unit",
         "pipeline",
         "pipeline.classify",

@@ -24,7 +24,7 @@
 use diffaudit::audit::audit_service;
 use diffaudit::export::{outcome_to_json, outcome_to_json_with_ledger};
 use diffaudit::loader::{
-    decode_unit, load_capture_dir, load_memory_service, write_dataset, MemoryService,
+    decode_unit, load_capture_dirs, load_memory_services, write_dataset, MemoryService,
 };
 use diffaudit::pipeline::{ClassificationMode, Pipeline, ServiceInput};
 use diffaudit::{AuditFinding, DegradationLedger, ServiceLedger, UnitLedger};
@@ -302,14 +302,15 @@ fn degradation_ledger_is_conserved_and_identical_under_concurrency() {
 
     let load_with = |threads: usize| {
         let interner = KeyInterner::new();
-        load_capture_dir(
-            &dir,
+        load_capture_dirs(
+            std::slice::from_ref(&dir),
             threads,
             &Scope::global(),
             &Ctl::unbounded(),
             &interner,
         )
         .expect("salvage load succeeds on damaged dir")
+        .remove(0)
     };
     let (serial_input, serial_ledger) = load_with(1);
     let (parallel_input, parallel_ledger) = load_with(PARALLEL);
@@ -498,7 +499,7 @@ fn fused_load_audits_like_run_inputs_over_the_decoded_units() {
             let (scope, ctl) = (Scope::global(), Ctl::unbounded());
             let interner = KeyInterner::new();
             let (service, ledger) =
-                load_memory_service(svc.clone(), threads, &scope, &ctl, &interner);
+                load_memory_services(vec![svc.clone()], threads, &scope, &ctl, &interner).remove(0);
             let fused = pipeline("fused")
                 .run_extracted_scoped(vec![service], &scope, &ctl)
                 .unwrap();
