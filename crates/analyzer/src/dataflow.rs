@@ -9,13 +9,19 @@
 //! a count) is itself a carrier. The fixpoint is monotone over a finite
 //! set, so it terminates.
 //!
+//! The decoders also hand payload *into* a closure: each decoded exchange
+//! goes to the sink argument of [`SINK_SOURCE_FNS`]. A fn that forwards its
+//! own closure parameter into such a call is a **sink source** too (a
+//! second fixpoint), and the parameters of a closure literal passed to any
+//! sink source are payload inside that closure.
+//!
 //! Resolution is by name (last path segment) within one crate — the same
 //! approximation the parser makes. Cross-crate carriers are covered by the
 //! seed list naming the public source API of `nettrace` and
 //! `core::pipeline`.
 
 use crate::lexer::is_ident;
-use crate::parser::FileModel;
+use crate::parser::{call_args, FileModel};
 use std::collections::{HashMap, HashSet};
 
 /// Functions whose return value IS raw payload or extracted data-type
@@ -30,6 +36,11 @@ pub const SOURCE_FNS: [&str; 7] = [
     "decode_auto_salvage_ctl",
     "extract_request",
 ];
+
+/// Functions that hand raw payload to a closure argument: the salvage
+/// decoders call their sink with each decoded `Exchange` instead of
+/// returning them. Matched by last path segment at call sites.
+pub const SINK_SOURCE_FNS: [&str; 2] = ["har_to_exchanges_salvage_ctl", "decode_auto_salvage_ctl"];
 
 /// Field accesses whose value is raw payload. `.body` covers
 /// `HttpRequest::body` / `HttpResponse::body` (the raw bytes the paper's
@@ -59,27 +70,80 @@ const DATA_RETURNS: [&str; 10] = [
 ];
 
 /// The per-crate model: every production file's [`FileModel`] plus the
-/// crate-wide carrier set.
+/// crate-wide carrier and sink-source sets.
 pub struct CrateModel<'a> {
-    /// `(workspace-relative path, model)` for each production file.
-    pub files: Vec<(&'a str, &'a FileModel)>,
+    /// `(workspace-relative path, model, stripped text)` for each
+    /// production file.
+    pub files: Vec<(&'a str, &'a FileModel, &'a str)>,
     carriers: HashSet<String>,
+    sink_sources: HashSet<String>,
 }
 
 impl<'a> CrateModel<'a> {
-    /// Build the model and run the carrier fixpoint.
-    pub fn build(files: Vec<(&'a str, &'a FileModel)>) -> CrateModel<'a> {
+    /// Build the model and run the carrier and sink-source fixpoints.
+    pub fn build(files: Vec<(&'a str, &'a FileModel, &'a str)>) -> CrateModel<'a> {
         let mut model = CrateModel {
             files,
             carriers: HashSet::new(),
+            sink_sources: HashSet::new(),
         };
         model.carriers = model.carrier_fixpoint();
+        model.sink_sources = model.sink_source_fixpoint();
         model
     }
 
     /// Is a call to `name` (last path segment) payload-carrying?
     pub fn is_carrier(&self, name: &str) -> bool {
         SOURCE_FNS.contains(&name) || self.carriers.contains(name)
+    }
+
+    /// Does a call to `name` hand payload to the closures it is passed?
+    pub fn is_sink_source(&self, name: &str) -> bool {
+        SINK_SOURCE_FNS.contains(&name) || self.sink_sources.contains(name)
+    }
+
+    /// Intra-crate fns that pass one of their own closure-typed parameters
+    /// (`Fn`/`FnMut`/`FnOnce`) into a call to a sink source, so the closure
+    /// their callers hand them receives payload.
+    fn sink_source_fixpoint(&self) -> HashSet<String> {
+        let mut sink_sources: HashSet<String> = HashSet::new();
+        loop {
+            let mut changed = false;
+            for (_, model, stripped) in &self.files {
+                for f in &model.fns {
+                    if sink_sources.contains(&f.name) || SINK_SOURCE_FNS.contains(&f.name.as_str())
+                    {
+                        continue;
+                    }
+                    let closures: Vec<&str> = f
+                        .param_list()
+                        .into_iter()
+                        .filter(|(name, ty)| !name.is_empty() && is_closure_type(ty))
+                        .map(|(name, _)| name)
+                        .collect();
+                    let forwards = f.calls.iter().any(|call| {
+                        let is_sink_source = SINK_SOURCE_FNS.contains(&call.name.as_str())
+                            || sink_sources.contains(&call.name);
+                        is_sink_source
+                            && stripped[call.at..].find('(').is_some_and(|rel| {
+                                call_args(stripped, call.at + rel).iter().any(|&(lo, hi)| {
+                                    closures
+                                        .iter()
+                                        .any(|c| contains_ident(&stripped[lo..hi], c))
+                                })
+                            })
+                    });
+                    if forwards {
+                        sink_sources.insert(f.name.clone());
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        sink_sources
     }
 
     /// Names of intra-crate fns promoted to carrier by the fixpoint
@@ -93,7 +157,7 @@ impl<'a> CrateModel<'a> {
     fn carrier_fixpoint(&self) -> HashSet<String> {
         // name -> (returns data?, called carrier-ish names)
         let mut fns: HashMap<&str, (bool, Vec<&str>)> = HashMap::new();
-        for (_, model) in &self.files {
+        for (_, model, _) in &self.files {
             for f in &model.fns {
                 let returns_data = DATA_RETURNS.iter().any(|t| f.ret.contains(t));
                 let callees: Vec<&str> = f.calls.iter().map(|c| c.name.as_str()).collect();
@@ -125,6 +189,11 @@ impl<'a> CrateModel<'a> {
         }
         carriers
     }
+}
+
+/// Is `ty` a closure type (`impl FnMut(..)`, `&dyn Fn(..)`, ..)?
+fn is_closure_type(ty: &str) -> bool {
+    ["Fn(", "FnMut(", "FnOnce("].iter().any(|f| ty.contains(f))
 }
 
 /// Does `expr` contain a sanitizer marker (see [`SANITIZERS`])? Matching is
@@ -159,8 +228,10 @@ mod tests {
     use super::*;
     use crate::lexer;
 
-    fn model(src: &str) -> FileModel {
-        FileModel::parse(&lexer::strip(src))
+    fn model(src: &str) -> (String, FileModel) {
+        let stripped = lexer::strip(src);
+        let fm = FileModel::parse(&stripped);
+        (stripped, fm)
     }
 
     #[test]
@@ -184,8 +255,8 @@ fn count(text: &str) -> usize {
     load(text).len()
 }
 ";
-        let fm = model(src);
-        let m = CrateModel::build(vec![("a.rs", &fm)]);
+        let (stripped, fm) = model(src);
+        let m = CrateModel::build(vec![("a.rs", &fm, &stripped)]);
         assert!(m.is_carrier("load"));
         assert!(m.is_carrier("relay"), "two-hop propagation");
         // `count` calls a carrier but returns usize — payload cannot leave.
@@ -206,10 +277,33 @@ fn format_n(n: usize) -> String {
     n.to_string()
 }
 ";
-        let fm = model(src);
-        let m = CrateModel::build(vec![("a.rs", &fm)]);
+        let (stripped, fm) = model(src);
+        let m = CrateModel::build(vec![("a.rs", &fm, &stripped)]);
         assert!(!m.is_carrier("measure"));
         assert!(!m.is_carrier("report"), "chain broken at measure");
+    }
+
+    #[test]
+    fn forwarding_a_closure_parameter_makes_a_sink_source() {
+        let src = "\
+fn decode_into(text: &str, sink: &mut dyn FnMut(Exchange)) -> usize {
+    har_to_exchanges_salvage_ctl(text, log, rec, ctl, sink)
+}
+fn relay(text: &str, mut each: impl FnMut(Exchange)) {
+    decode_into(text, &mut |exchange| each(exchange));
+}
+fn with_text(text: &str, log: &mut SalvageLog) -> usize {
+    decode_into(text, &mut |_| {})
+}
+";
+        let (stripped, fm) = model(src);
+        let m = CrateModel::build(vec![("a.rs", &fm, &stripped)]);
+        assert!(m.is_sink_source("decode_auto_salvage_ctl"));
+        assert!(m.is_sink_source("decode_into"));
+        assert!(m.is_sink_source("relay"), "two-hop propagation");
+        // `with_text` passes its plain parameters along, but no closure.
+        assert!(!m.is_sink_source("with_text"));
+        assert!(!m.is_carrier("decode_into"), "a count is not payload");
     }
 
     #[test]

@@ -11,7 +11,11 @@
 //! Mechanics: every call to a `par_map*` entry point is located, its full
 //! argument region (including the closures) is scanned for forbidden
 //! patterns, and — one hop deep — so are the bodies of same-file functions
-//! called from inside that region. `diffaudit_obs::absorb`,
+//! called from inside that region. When the region calls a closure
+//! parameter of its enclosing function (a queue runner's `load`), the
+//! closures its same-file callers pass in that position run on the worker
+//! too: each such argument is scanned, plus one hop into the same-file
+//! functions it calls. `diffaudit_obs::absorb`,
 //! `diffaudit_obs::field`, and everything on `LocalRecorder` (method
 //! calls) stay allowed.
 //!
@@ -25,7 +29,7 @@
 use crate::annotations::Allows;
 use crate::findings::{Finding, Lint};
 use crate::lexer::{self, is_ident};
-use crate::parser::{matching_close, FileModel};
+use crate::parser::{call_args, matching_close, Call, FileModel};
 use crate::passes::SourceFile;
 
 /// The executor's entry points (callable as `par::par_map*` or fully
@@ -105,36 +109,211 @@ pub fn par_discipline(
             continue;
         };
         let region = (open + 1, close);
-        scan_region(file, region, kind, None, entry_line, allows, findings);
+        let site = Site {
+            file,
+            model,
+            allows,
+            kind,
+            entry_line,
+        };
+        site.scan(region, "", findings);
 
         // One hop: same-file functions called from inside the region run on
         // the worker thread (or inside the containment boundary) too.
         let Some(enclosing) = model.enclosing_fn(entry_at) else {
             continue;
         };
-        let mut visited: Vec<&str> = vec![enclosing.name.as_str()];
+        let mut visited = vec![enclosing.name.clone()];
+        site.hop(region, &enclosing.calls, "", &mut visited, findings);
+
+        // A closure parameter the region calls runs whatever each same-file
+        // caller passes in that position: scan it, and one hop from there.
+        let params = enclosing.param_list();
         for call in &enclosing.calls {
             if call.at < region.0 || call.at >= region.1 || call.method {
                 continue;
             }
-            if visited.contains(&call.name.as_str()) {
-                continue;
-            }
-            visited.push(call.name.as_str());
-            let Some(callee) = model.fn_named(&call.name) else {
+            let Some(position) = params.iter().position(|&(name, _)| name == call.name) else {
                 continue;
             };
-            if let Some(body) = callee.body {
-                scan_region(
-                    file,
-                    body,
-                    kind,
-                    Some(&call.name),
-                    entry_line,
-                    allows,
-                    findings,
-                );
+            for caller in &model.fns {
+                for passing in &caller.calls {
+                    if passing.method || passing.name != enclosing.name {
+                        continue;
+                    }
+                    if file.in_test_code(lexer::line_of(file.line_starts(), passing.at)) {
+                        continue;
+                    }
+                    let Some(open_rel) = stripped[passing.at..].find('(') else {
+                        continue;
+                    };
+                    let args = call_args(stripped, passing.at + open_rel);
+                    let Some(&arg) = args.get(position) else {
+                        continue;
+                    };
+                    let passed = format!(
+                        "`{}`, the closure `{}` passes to `{}`",
+                        call.name, caller.name, enclosing.name
+                    );
+                    let via = format!("via {passed}");
+                    site.scan(arg, &via, findings);
+                    let from = format!(" from {passed}");
+                    site.hop(arg, &caller.calls, &from, &mut visited, findings);
+                }
             }
+        }
+    }
+}
+
+/// One scanned `par_map*`/`catch_unwind` site: what each scan of the code
+/// it reaches needs.
+struct Site<'a> {
+    file: &'a SourceFile,
+    model: &'a FileModel,
+    allows: &'a Allows,
+    kind: Region,
+    entry_line: usize,
+}
+
+impl Site<'_> {
+    /// Scan the bodies of the same-file functions `calls` makes from inside
+    /// `region`, each once per site (`visited`). `from` ends the message's
+    /// account of how the region is reached.
+    fn hop(
+        &self,
+        region: (usize, usize),
+        calls: &[Call],
+        from: &str,
+        visited: &mut Vec<String>,
+        findings: &mut Vec<Finding>,
+    ) {
+        for call in calls {
+            if call.at < region.0 || call.at >= region.1 || call.method {
+                continue;
+            }
+            if visited.contains(&call.name) {
+                continue;
+            }
+            visited.push(call.name.clone());
+            let Some(body) = self.model.fn_named(&call.name).and_then(|f| f.body) else {
+                continue;
+            };
+            let via = format!("via `{}`{from}", call.name);
+            self.scan(body, &via, findings);
+        }
+    }
+
+    /// Scan one region for forbidden patterns. `via` says how the region is
+    /// reached from the par_map closure (empty for the closure itself).
+    fn scan(&self, (lo, hi): (usize, usize), via: &str, findings: &mut Vec<Finding>) {
+        let (file, kind, entry_line, allows) = (self.file, self.kind, self.entry_line, self.allows);
+        let stripped = file.stripped();
+        let region = &stripped[lo..hi];
+        let mut hits: Vec<(usize, String)> = Vec::new();
+
+        // Global obs registry / trace-stream writes.
+        for prefix in ["diffaudit_obs::", "obs::"] {
+            let mut from = 0usize;
+            while let Some(rel) = region[from..].find(prefix) {
+                let at = from + rel;
+                from = at + 1;
+                if at > 0 && is_ident(region.as_bytes()[at - 1]) {
+                    continue;
+                }
+                let after = &region[at + prefix.len()..];
+                let ident_end = after
+                    .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                    .unwrap_or(after.len());
+                let name = &after[..ident_end];
+                if !FORBIDDEN_OBS.contains(&name) {
+                    continue;
+                }
+                let message = match kind {
+                    Region::Worker => format!(
+                        "`{prefix}{name}` hits the process-global obs registry from a worker; \
+                         record into the per-worker `LocalRecorder` and `absorb` at join"
+                    ),
+                    Region::PanicGuard => format!(
+                        "`{prefix}{name}` hits the process-global obs registry inside a \
+                         panic-contained job region; a panic mid-write poisons the registry \
+                         for surviving jobs — record into the job's private `Scope` and merge \
+                         after the guard returns"
+                    ),
+                };
+                hits.push((lo + at, message));
+            }
+        }
+
+        // Blocking I/O — a worker-closure rule only: inside a panic guard the
+        // job itself owns its I/O budget (the deadline cuts a stall off).
+        if kind == Region::Worker {
+            for (pattern, what) in BLOCKING_PATTERNS {
+                let mut from = 0usize;
+                while let Some(rel) = region[from..].find(pattern) {
+                    let at = from + rel;
+                    from = at + 1;
+                    if at > 0 && is_ident(region.as_bytes()[at - 1]) {
+                        continue;
+                    }
+                    // `std::fs::` subsumes `fs::read`/`fs::write`; report once.
+                    if pattern.starts_with("fs::") && at >= 5 && &region[at - 5..at] == "std::" {
+                        continue;
+                    }
+                    hits.push((
+                        lo + at,
+                        format!("blocking {what} (`{pattern}…`) inside a worker closure stalls the work-stealing queue"),
+                    ));
+                }
+            }
+        }
+
+        // Stderr/stdout emission.
+        for needle in PRINT_MACROS {
+            let mut from = 0usize;
+            while let Some(rel) = region[from..].find(needle) {
+                let at = from + rel;
+                from = at + 1;
+                if at > 0 && is_ident(region.as_bytes()[at - 1]) {
+                    continue;
+                }
+                let message = match kind {
+                    Region::Worker => format!(
+                        "`{needle}` emits to a shared stream from a worker closure; \
+                         workers must stay silent (merge diagnostics at join)"
+                    ),
+                    Region::PanicGuard => format!(
+                        "`{needle}` emits to a shared stream inside a panic-contained job \
+                         region; jobs must stay silent (report through the job completion)"
+                    ),
+                };
+                hits.push((lo + at, message));
+            }
+        }
+
+        // Hits were gathered pattern-by-pattern; report in source order.
+        hits.sort_by_key(|&(at, _)| at);
+        let mut seen_lines: Vec<usize> = Vec::new();
+        for (at, mut message) in hits {
+            let line = lexer::line_of(file.line_starts(), at);
+            if seen_lines.contains(&line) {
+                continue;
+            }
+            seen_lines.push(line);
+            if file.in_test_code(line)
+                || allows.allows(Lint::ParDiscipline, line)
+                || allows.allows(Lint::ParDiscipline, entry_line)
+            {
+                continue;
+            }
+            if !via.is_empty() {
+                message.push_str(&format!(" (reached from the par_map closure {via})"));
+            }
+            findings.push(Finding::new(
+                file.path.clone(),
+                line,
+                Lint::ParDiscipline,
+                message,
+            ));
         }
     }
 }
@@ -171,125 +350,6 @@ fn call_sites(stripped: &str, entries: &[&str], kind: Region) -> Vec<(usize, Reg
     }
     sites.sort_by_key(|&(at, _)| at);
     sites
-}
-
-fn scan_region(
-    file: &SourceFile,
-    (lo, hi): (usize, usize),
-    kind: Region,
-    via: Option<&str>,
-    entry_line: usize,
-    allows: &Allows,
-    findings: &mut Vec<Finding>,
-) {
-    let stripped = file.stripped();
-    let region = &stripped[lo..hi];
-    let mut hits: Vec<(usize, String)> = Vec::new();
-
-    // Global obs registry / trace-stream writes.
-    for prefix in ["diffaudit_obs::", "obs::"] {
-        let mut from = 0usize;
-        while let Some(rel) = region[from..].find(prefix) {
-            let at = from + rel;
-            from = at + 1;
-            if at > 0 && is_ident(region.as_bytes()[at - 1]) {
-                continue;
-            }
-            let after = &region[at + prefix.len()..];
-            let ident_end = after
-                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-                .unwrap_or(after.len());
-            let name = &after[..ident_end];
-            if !FORBIDDEN_OBS.contains(&name) {
-                continue;
-            }
-            let message = match kind {
-                Region::Worker => format!(
-                    "`{prefix}{name}` hits the process-global obs registry from a worker; \
-                     record into the per-worker `LocalRecorder` and `absorb` at join"
-                ),
-                Region::PanicGuard => format!(
-                    "`{prefix}{name}` hits the process-global obs registry inside a \
-                     panic-contained job region; a panic mid-write poisons the registry \
-                     for surviving jobs — record into the job's private `Scope` and merge \
-                     after the guard returns"
-                ),
-            };
-            hits.push((lo + at, message));
-        }
-    }
-
-    // Blocking I/O — a worker-closure rule only: inside a panic guard the
-    // job itself owns its I/O budget (the deadline cuts a stall off).
-    if kind == Region::Worker {
-        for (pattern, what) in BLOCKING_PATTERNS {
-            let mut from = 0usize;
-            while let Some(rel) = region[from..].find(pattern) {
-                let at = from + rel;
-                from = at + 1;
-                if at > 0 && is_ident(region.as_bytes()[at - 1]) {
-                    continue;
-                }
-                // `std::fs::` subsumes `fs::read`/`fs::write`; report once.
-                if pattern.starts_with("fs::") && at >= 5 && &region[at - 5..at] == "std::" {
-                    continue;
-                }
-                hits.push((
-                    lo + at,
-                    format!("blocking {what} (`{pattern}…`) inside a worker closure stalls the work-stealing queue"),
-                ));
-            }
-        }
-    }
-
-    // Stderr/stdout emission.
-    for needle in PRINT_MACROS {
-        let mut from = 0usize;
-        while let Some(rel) = region[from..].find(needle) {
-            let at = from + rel;
-            from = at + 1;
-            if at > 0 && is_ident(region.as_bytes()[at - 1]) {
-                continue;
-            }
-            let message = match kind {
-                Region::Worker => format!(
-                    "`{needle}` emits to a shared stream from a worker closure; \
-                     workers must stay silent (merge diagnostics at join)"
-                ),
-                Region::PanicGuard => format!(
-                    "`{needle}` emits to a shared stream inside a panic-contained job \
-                     region; jobs must stay silent (report through the job completion)"
-                ),
-            };
-            hits.push((lo + at, message));
-        }
-    }
-
-    // Hits were gathered pattern-by-pattern; report in source order.
-    hits.sort_by_key(|&(at, _)| at);
-    let mut seen_lines: Vec<usize> = Vec::new();
-    for (at, mut message) in hits {
-        let line = lexer::line_of(file.line_starts(), at);
-        if seen_lines.contains(&line) {
-            continue;
-        }
-        seen_lines.push(line);
-        if file.in_test_code(line)
-            || allows.allows(Lint::ParDiscipline, line)
-            || allows.allows(Lint::ParDiscipline, entry_line)
-        {
-            continue;
-        }
-        if let Some(name) = via {
-            message.push_str(&format!(" (reached from the par_map closure via `{name}`)"));
-        }
-        findings.push(Finding::new(
-            file.path.clone(),
-            line,
-            Lint::ParDiscipline,
-            message,
-        ));
-    }
 }
 
 #[cfg(test)]
@@ -375,6 +435,37 @@ fn helper(x: u8) -> u8 {
         assert_eq!(findings.len(), 1, "{findings:#?}");
         assert_eq!(findings[0].line, 5);
         assert!(findings[0].message.contains("via `helper`"));
+    }
+
+    #[test]
+    fn closure_passed_to_the_enclosing_fn_is_scanned() {
+        let src = "\
+fn run_queue(items: Vec<u8>, threads: usize, load: impl Fn(u8) -> u8 + Sync) -> Vec<u8> {
+    par_map(threads, items, |_, x| load(x))
+}
+fn load_all(items: Vec<u8>) -> Vec<u8> {
+    run_queue(items, 2, |x| {
+        diffaudit_obs::add(\"loaded\", 1);
+        read_one(x)
+    })
+}
+fn read_one(x: u8) -> u8 {
+    std::fs::read(\"f\").map_or(x, |b| b[0])
+}
+fn serial(items: Vec<u8>) -> Vec<u8> {
+    items.into_iter().map(|x| { diffaudit_obs::add(\"fine\", 1); x }).collect()
+}
+";
+        let findings = run(src);
+        assert_eq!(findings.len(), 2, "{findings:#?}");
+        assert_eq!(findings[0].line, 6);
+        assert!(findings[0]
+            .message
+            .contains("via `load`, the closure `load_all` passes to `run_queue`"));
+        assert_eq!(findings[1].line, 11);
+        assert!(findings[1]
+            .message
+            .contains("via `read_one` from `load`, the closure `load_all` passes to `run_queue`"));
     }
 
     #[test]

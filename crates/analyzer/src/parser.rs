@@ -40,6 +40,119 @@ impl FnItem {
         self.body
             .is_some_and(|(lo, hi)| lo <= offset && offset < hi)
     }
+
+    /// `(name, type)` of each parameter, in order: the identifier a simple
+    /// `name: Type` parameter binds (`mut` stripped), and `self` for a
+    /// receiver. Pattern parameters (`(a, b): (u8, u8)`) yield an empty
+    /// name, so positions still line up with call arguments.
+    pub fn param_list(&self) -> Vec<(&str, &str)> {
+        split_top_level(&self.params, 0, true)
+            .into_iter()
+            .map(|(lo, hi)| {
+                let param = self.params[lo..hi].trim();
+                let (pattern, ty) = param.split_once(':').unwrap_or((param, ""));
+                let pattern = pattern.trim();
+                let name = pattern.strip_prefix("mut ").unwrap_or(pattern).trim();
+                let name = if name.ends_with("self") {
+                    "self"
+                } else if name.bytes().all(is_ident) {
+                    name
+                } else {
+                    ""
+                };
+                (name, ty.trim())
+            })
+            .filter(|&(name, ty)| !(name.is_empty() && ty.is_empty()))
+            .collect()
+    }
+}
+
+/// Comma-separated top-level pieces of `text`, as byte ranges offset by
+/// `base`. Brackets nest, and so do `<..>` when `types` says the text is a
+/// parameter list (`->` is not a closer; in expressions `<` compares). A
+/// closure's `|a, b|` parameter list at the start of a piece is not split.
+fn split_top_level(text: &str, base: usize, types: bool) -> Vec<(usize, usize)> {
+    let bytes = text.as_bytes();
+    let mut pieces = Vec::new();
+    let (mut depth, mut start, mut i) = (0i64, 0usize, 0usize);
+    while i < bytes.len() {
+        match bytes[i] {
+            b'(' | b'[' | b'{' => depth += 1,
+            b')' | b']' | b'}' => depth -= 1,
+            b'<' if types => depth += 1,
+            b'>' if types && (i == 0 || bytes[i - 1] != b'-') => depth -= 1,
+            b'|' if depth == 0 && closure_may_start(&text[start..i]) => {
+                // Skip the closure's parameter list (`||` has none).
+                let close = bytes[i + 1..].iter().position(|&b| b == b'|');
+                i += close.map_or(0, |c| c + 1);
+            }
+            b',' if depth == 0 => {
+                pieces.push((base + start, base + i));
+                start = i + 1;
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    if !text[start..].trim().is_empty() {
+        pieces.push((base + start, base + bytes.len()));
+    }
+    pieces
+}
+
+/// Can a `|` that follows `before` (the text since the start of an
+/// argument) open a closure? Only modifiers may precede it.
+fn closure_may_start(before: &str) -> bool {
+    before
+        .split_whitespace()
+        .all(|w| matches!(w, "&" | "&mut" | "mut" | "move"))
+}
+
+/// Top-level argument ranges of the call whose argument list opens at
+/// `open` (the `(`), as absolute byte ranges into `stripped`; empty when
+/// the parens do not balance.
+pub fn call_args(stripped: &str, open: usize) -> Vec<(usize, usize)> {
+    match matching_close(stripped.as_bytes(), open) {
+        Some(close) => split_top_level(&stripped[open + 1..close], open + 1, false),
+        None => Vec::new(),
+    }
+}
+
+/// Names the closure literals inside `stripped[lo..hi]` bind as their
+/// parameters (`|exchange| ..`, `move |(i, x): (usize, u8)| ..`), type
+/// annotations and `mut`/`ref`/`_` left out.
+pub fn closure_params(stripped: &str, (lo, hi): (usize, usize)) -> Vec<String> {
+    let region = &stripped[lo..hi];
+    let bytes = region.as_bytes();
+    let mut names = Vec::new();
+    let mut i = 0usize;
+    while i < bytes.len() {
+        if bytes[i] != b'|' {
+            i += 1;
+            continue;
+        }
+        let before = region[..i].trim_end();
+        let opens = before.is_empty()
+            || before.ends_with(['(', ',', '&', '=', '{', ';'])
+            || before.ends_with("mut")
+            || before.ends_with("move");
+        let close = bytes[i + 1..].iter().position(|&b| b == b'|');
+        let Some(close) = close.filter(|_| opens) else {
+            i += 1;
+            continue;
+        };
+        let params = &region[i + 1..i + 1 + close];
+        for (plo, phi) in split_top_level(params, 0, true) {
+            let pattern = params[plo..phi].split(':').next().unwrap_or("");
+            for word in pattern.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
+                if !word.is_empty() && !matches!(word, "mut" | "ref" | "_") {
+                    names.push(word.to_string());
+                }
+            }
+        }
+        i += close + 2;
+    }
+    names
 }
 
 /// One call site inside a function body: `path(` or `expr.name(`.
@@ -388,6 +501,37 @@ mod tests {
 
     fn model(src: &str) -> FileModel {
         FileModel::parse(&lexer::strip(src))
+    }
+
+    #[test]
+    fn params_arguments_and_closure_parameters() {
+        let src = "\
+fn queue(mut items: Vec<(u8, u8)>, (a, b): (u8, u8), load: impl Fn(&mut Ctx, Q<T, U>) -> R + Sync) {
+    run(a < b, &mut |ctx, (i, x): (usize, u8)| load(ctx, x), move || done(), f(1, 2));
+}
+";
+        let stripped = lexer::strip(src);
+        let m = FileModel::parse(&stripped);
+        let f = m.fn_named("queue").unwrap();
+        let params: Vec<&str> = f.param_list().into_iter().map(|(n, _)| n).collect();
+        assert_eq!(params, ["items", "", "load"]);
+        let run = f.calls.iter().find(|c| c.name == "run").unwrap();
+        let open = run.at + stripped[run.at..].find('(').unwrap();
+        let args: Vec<&str> = call_args(&stripped, open)
+            .into_iter()
+            .map(|(lo, hi)| stripped[lo..hi].trim())
+            .collect();
+        assert_eq!(
+            args,
+            [
+                "a < b",
+                "&mut |ctx, (i, x): (usize, u8)| load(ctx, x)",
+                "move || done()",
+                "f(1, 2)"
+            ]
+        );
+        let body = f.body.unwrap();
+        assert_eq!(closure_params(&stripped, body), ["ctx", "i", "x"]);
     }
 
     #[test]

@@ -185,7 +185,7 @@ pub fn analyze_units(units: &[FileUnit<'_>]) -> Vec<Finding> {
         units
             .iter()
             .filter(|u| u.policy.redaction)
-            .map(|u| (u.source.path.as_str(), u.model))
+            .map(|u| (u.source.path.as_str(), u.model, u.source.stripped()))
             .collect(),
     );
     for (unit, allow) in units.iter().zip(&allows) {

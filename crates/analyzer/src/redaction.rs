@@ -7,7 +7,11 @@
 //!
 //! - **Sources** — `.body`/`.plaintext` field reads and calls to the
 //!   payload-decoding API ([`crate::dataflow::SOURCE_FNS`]), extended by
-//!   the intra-crate carrier fixpoint ([`crate::dataflow::CrateModel`]).
+//!   the intra-crate carrier fixpoint ([`crate::dataflow::CrateModel`]);
+//!   and the parameters of a closure literal handed to a decoder that
+//!   calls it with each decoded exchange
+//!   ([`crate::dataflow::SINK_SOURCE_FNS`], plus the fns that forward
+//!   their closure parameter to one).
 //! - **Propagation** — a `let` binding whose initializer contains a source
 //!   (or an already-tainted identifier) becomes tainted, unless the
 //!   initializer passes through a sanitizer ([`crate::dataflow::SANITIZERS`]
@@ -25,7 +29,7 @@ use crate::annotations::Allows;
 use crate::dataflow::{contains_ident, is_sanitized, CrateModel, SOURCE_FIELDS};
 use crate::findings::{Finding, Lint};
 use crate::lexer::{self, is_ident};
-use crate::parser::{matching_close, FileModel, FnItem};
+use crate::parser::{call_args, closure_params, matching_close, FileModel, FnItem};
 use crate::passes::SourceFile;
 
 /// Sink macros (argument region = everything inside the parens).
@@ -51,7 +55,8 @@ pub fn redaction(
             continue;
         }
         let sources = source_sites(file.stripped(), body, f, crate_model);
-        let tainted = tainted_idents(file.stripped(), body, &sources);
+        let sink_params = sink_params(file.stripped(), f, crate_model);
+        let tainted = tainted_idents(file.stripped(), body, &sources, &sink_params);
         if sources.is_empty() && tainted.is_empty() {
             continue;
         }
@@ -70,6 +75,9 @@ pub fn redaction(
                 continue;
             }
             let carrier = match via_ident {
+                Some(id) if !direct && sink_params.contains(id) => {
+                    format!("decoder sink parameter `{id}`")
+                }
                 Some(id) if !direct => format!("tainted binding `{id}`"),
                 _ => "a payload expression".to_string(),
             };
@@ -123,9 +131,37 @@ fn source_sites(
     sites
 }
 
-/// Identifiers bound by `let` whose initializer carries taint. Fixpoint
-/// over the body so `let a = src(); let b = a;` taints both.
-fn tainted_idents(stripped: &str, (lo, hi): (usize, usize), sources: &[usize]) -> Vec<String> {
+/// Parameters of the closure literals `f` passes to sink sources: each is
+/// called with a decoded exchange.
+fn sink_params(stripped: &str, f: &FnItem, crate_model: &CrateModel<'_>) -> Vec<String> {
+    let mut params = Vec::new();
+    for call in &f.calls {
+        if !crate_model.is_sink_source(&call.name) {
+            continue;
+        }
+        let Some(open_rel) = stripped[call.at..].find('(') else {
+            continue;
+        };
+        for arg in call_args(stripped, call.at + open_rel) {
+            for name in closure_params(stripped, arg) {
+                if !params.contains(&name) {
+                    params.push(name);
+                }
+            }
+        }
+    }
+    params
+}
+
+/// Identifiers bound by `let` whose initializer carries taint, plus the
+/// `seeds` (sink parameters). Fixpoint over the body so
+/// `let a = src(); let b = a;` taints both.
+fn tainted_idents(
+    stripped: &str,
+    (lo, hi): (usize, usize),
+    sources: &[usize],
+    seeds: &[String],
+) -> Vec<String> {
     // Collect `let <ident> = <expr up to top-level ;>` statements.
     let region = &stripped[lo..hi];
     let bytes = region.as_bytes();
@@ -175,7 +211,7 @@ fn tainted_idents(stripped: &str, (lo, hi): (usize, usize), sources: &[usize]) -
         lets.push((name, lo + expr_lo, lo + expr_hi));
     }
 
-    let mut tainted: Vec<String> = Vec::new();
+    let mut tainted: Vec<String> = seeds.to_vec();
     loop {
         let mut changed = false;
         for (name, expr_lo, expr_hi) in &lets {
@@ -280,7 +316,7 @@ mod tests {
         let model = FileModel::parse(file.stripped());
         let mut findings = Vec::new();
         let allows = annotations::parse("t.rs", src, file.stripped(), &mut findings);
-        let crate_model = CrateModel::build(vec![("t.rs", &model)]);
+        let crate_model = CrateModel::build(vec![("t.rs", &model, file.stripped())]);
         redaction(&file, &model, &crate_model, &allows, &mut findings);
         findings
     }
@@ -373,6 +409,49 @@ fn fine(name: &str, count: usize) {
 }
 ";
         assert!(run(src).is_empty());
+    }
+
+    #[test]
+    fn decoder_sink_parameter_is_a_source() {
+        let src = "\
+fn leak(text: &str, log: &mut SalvageLog, rec: &mut LocalRecorder, ctl: &Ctl) {
+    let _ = har_to_exchanges_salvage_ctl(text, log, rec, ctl, |exchange| {
+        eprintln!(\"{:?}\", exchange.request);
+    });
+}
+fn fine(text: &str, log: &mut SalvageLog, rec: &mut LocalRecorder, ctl: &Ctl) {
+    let _ = har_to_exchanges_salvage_ctl(text, log, rec, ctl, |exchange| {
+        eprintln!(\"{}\", exchange.request.headers.len());
+    });
+    let names = vec![1, 2].into_iter().map(|item| item + 1);
+    eprintln!(\"{:?}\", names);
+}
+";
+        let findings = run(src);
+        assert_eq!(findings.len(), 1, "{findings:#?}");
+        assert_eq!(findings[0].line, 3);
+        assert!(findings[0]
+            .message
+            .contains("decoder sink parameter `exchange`"));
+    }
+
+    #[test]
+    fn closure_forwarded_to_a_decoder_is_a_source() {
+        let src = "\
+fn decode_into(bytes: &[u8], sink: &mut dyn FnMut(Exchange)) -> usize {
+    decode_auto_salvage_ctl(bytes, keys, log, rec, ctl, sink).map_or(0, |t| t.flow_count)
+}
+fn leak(bytes: &[u8]) {
+    decode_into(bytes, &mut |ex| {
+        let first = ex.request;
+        diffaudit_obs::warn(\"decoded\", &[diffaudit_obs::field(\"req\", format!(\"{:?}\", first))]);
+    });
+}
+";
+        let findings = run(src);
+        assert_eq!(findings.len(), 1, "{findings:#?}");
+        assert_eq!(findings[0].line, 7);
+        assert!(findings[0].message.contains("tainted binding `first`"));
     }
 
     #[test]

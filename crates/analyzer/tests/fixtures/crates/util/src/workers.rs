@@ -1,5 +1,7 @@
 //! par-discipline true positives: blocking I/O, global-registry metric
-//! writes, and stream emission inside `par_map*` worker closures.
+//! writes, and stream emission inside `par_map*` worker closures — the
+//! last one inside a closure that reaches the worker as an argument of the
+//! function whose `par_map` calls it.
 
 fn load_all(paths: Vec<String>) -> Vec<String> {
     par_map(4, paths, |_, p| {
@@ -28,4 +30,15 @@ fn assemble(items: Vec<u8>, ctl: &Ctl) -> Result<Vec<u8>, Interrupt> {
         },
         |()| {},
     )
+}
+
+fn run_queue(items: Vec<u8>, work: impl Fn(u8) -> u8 + Sync) -> Vec<u8> {
+    par_map(2, items, |_, x| work(x))
+}
+
+fn count_items(items: Vec<u8>) -> Vec<u8> {
+    run_queue(items, |x| {
+        diffaudit_obs::add("items.counted", 1);
+        x
+    })
 }

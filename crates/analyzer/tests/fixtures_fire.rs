@@ -31,8 +31,8 @@ fn every_pass_fires_on_its_fixture_file() {
         ("unsafe-audit", "json/src/unsafe_use.rs", 2),
         ("no-bare-eprintln", "core/src/printing.rs", 2),
         ("global-state", "core/src/globals.rs", 4),
-        ("redaction", "core/src/leaks.rs", 4),
-        ("par-discipline", "util/src/workers.rs", 4),
+        ("redaction", "core/src/leaks.rs", 6),
+        ("par-discipline", "util/src/workers.rs", 5),
         ("par-discipline", "serve/src/daemon.rs", 2),
         ("metric-discipline", "serve/src/telemetry.rs", 3),
     ] {
@@ -80,6 +80,30 @@ fn redaction_fixture_exercises_the_derived_carrier_path() {
 }
 
 #[test]
+fn redaction_fixture_follows_payload_into_decoder_sinks() {
+    // `trace_each_request` prints from the closure it hands the HAR
+    // decoder; `trace_each_captured` from the closure it hands
+    // `decode_into`, which forwards it to the capture decoder. Neither
+    // payload is a return value, so only the sink-parameter rule sees them.
+    let findings = corpus_findings();
+    let leaks = of(&findings, "redaction", "core/src/leaks.rs");
+    for id in ["`exchange`", "`request`"] {
+        assert!(
+            leaks.iter().any(|f| f.message.contains(id)),
+            "a payload from a decoder sink ({id}) must fire:\n{}",
+            report::render_text(&findings)
+        );
+    }
+    assert!(
+        leaks
+            .iter()
+            .any(|f| f.message.contains("decoder sink parameter `exchange`")),
+        "{}",
+        report::render_text(&findings)
+    );
+}
+
+#[test]
 fn par_fixture_flags_each_forbidden_category() {
     let findings = corpus_findings();
     let messages: Vec<&str> = findings
@@ -99,6 +123,27 @@ fn par_fixture_flags_each_forbidden_category() {
         messages.iter().any(|m| m.contains("shared stream")),
         "stream emission must fire: {messages:#?}"
     );
+}
+
+#[test]
+fn par_fixture_follows_a_closure_passed_to_the_queue_runner() {
+    // `run_queue`'s par_map closure calls its `work` parameter, so the
+    // closure `count_items` passes in that position runs on the worker.
+    let findings = corpus_findings();
+    let hit = of(&findings, "par-discipline", "util/src/workers.rs")
+        .into_iter()
+        .find(|f| {
+            f.message
+                .contains("via `work`, the closure `count_items` passes to `run_queue`")
+        });
+    let hit = hit.unwrap_or_else(|| {
+        panic!(
+            "the global write in a closure argument must fire:\n{}",
+            report::render_text(&findings)
+        )
+    });
+    assert!(hit.message.contains("obs registry"), "{hit}");
+    assert_eq!(hit.severity, Severity::Error);
 }
 
 #[test]

@@ -46,23 +46,30 @@
 //! worker decoding its last unit while the others wait; with one queue,
 //! largest first, only the audit's smallest units are left for its end.
 //! Each unit is read on its worker thread (a disk
-//! read, or the shared unit itself), salvage-decoded and accounted under
-//! one `loader.unit` span with one ledger entry, then key-extracted on the
-//! same worker under a `pipeline.unit.extract` span. The worker keeps only
-//! each request's host, timestamp and keys ([`ExtractedUnit`]): it drops
-//! its handle on the artifact after decode (freeing a disk read's bytes)
-//! and the decoded exchanges during extraction, before it takes its next
-//! unit, so a load holds at most one decoded unit per worker however large
-//! the corpus. The path tests and benches exercise is the path the CLI and
-//! daemon ship; [`decode_unit`] alone is the decode step, for callers that
-//! want the exchanges themselves.
+//! read, or the shared unit itself), then salvage-decoded and accounted
+//! under one `loader.unit` span with one ledger entry. The decoders hand
+//! each exchange to the worker the moment it is parsed, and the worker
+//! key-extracts it at once, keeping only the request's host, timestamp
+//! and keys ([`ExtractedUnit`]) and dropping the rest; the unit's summed
+//! extraction time is its `pipeline.unit.extract` span. Its keys join the
+//! service's key set only once the unit has loaded, so a unit that fails
+//! midway adds nothing. The worker drops its handle on the artifact after
+//! decode (freeing a disk read's bytes) before it takes its next unit, so
+//! a load holds at most one artifact and one decoded request per worker,
+//! however large the units. The path tests and benches exercise is the
+//! path the CLI and daemon ship; [`decode_unit`] collects the same decode
+//! into exchanges, for callers that want them.
 
-use crate::pipeline::{ExtractedService, ExtractedUnit, KeyBatch, LoadedUnit, UnitCtx};
+use crate::pipeline::{
+    ExtractedService, ExtractedUnit, KeyBatch, LoadedUnit, UnitCtx, UnitRequests,
+};
 use crate::salvage::{ServiceLedger, UnitLedger};
 use diffaudit_json::{parse, Json};
 use diffaudit_nettrace::capture::DecodeError;
 use diffaudit_nettrace::salvage::{SalvageLog, Stage};
-use diffaudit_nettrace::{decode_auto_salvage_ctl, har_to_exchanges_salvage_ctl, HarError, KeyLog};
+use diffaudit_nettrace::{
+    decode_auto_salvage_ctl, har_to_exchanges_salvage_ctl, Exchange, HarError, KeyLog,
+};
 use diffaudit_obs::{LocalRecorder, Scope};
 use diffaudit_services::{
     MemoryArtifact, MemoryUnit, Platform, ServiceCapture, TraceCategory, TraceKind,
@@ -204,8 +211,9 @@ fn read_manifest(dir: &Path) -> Result<Manifest, LoadError> {
 }
 
 /// Read one manifest unit entry from `dir` into memory. Runs on the
-/// per-unit worker, one read per unit on purpose, so disk reads overlap
-/// other units' decode.
+/// per-unit worker, so disk reads overlap other units' decode.
+// lint:allow(par-discipline): one read per unit, on purpose — a worker
+// reads its own unit's files so I/O overlaps other units' decode.
 fn read_unit(dir: &Path, entry: &Json, index: usize) -> Result<MemoryUnit, LoadError> {
     let ctx = format!("units[{index}]");
     let file = str_field(entry, "file", &ctx)?;
@@ -254,8 +262,8 @@ fn read_unit(dir: &Path, entry: &Json, index: usize) -> Result<MemoryUnit, LoadE
 /// optional key log. Per-record damage is accounted in `log`; the salvage
 /// readers check `ctl` between records, and the decoders record their
 /// spans and counters into `rec`. `path` names the artifact in errors (the
-/// file on disk, or the upload label). The loaders follow this step with
-/// key extraction on the same worker; call it directly to keep the decoded
+/// file on disk, or the upload label). The loaders run key extraction on
+/// each exchange as it is decoded instead; call this to keep the decoded
 /// exchanges (e.g. for [`crate::pipeline::Pipeline::run_inputs`]).
 pub fn decode_unit(
     unit: &MemoryUnit,
@@ -264,54 +272,79 @@ pub fn decode_unit(
     rec: &mut LocalRecorder,
     ctl: &Ctl,
 ) -> Result<LoadedUnit, LoadError> {
-    let (exchanges, opaque_snis, packet_count, flow_count) = match &*unit.artifact {
+    let mut exchanges = Vec::new();
+    let (mut loaded, kept) = decode_into(unit, path, log, rec, ctl, &mut |exchange| {
+        exchanges.push(exchange)
+    })?;
+    exchanges.drain(..exchanges.len().saturating_sub(kept));
+    loaded.exchanges = exchanges;
+    Ok(loaded)
+}
+
+/// [`decode_unit`] with each exchange handed to `sink` as soon as it is
+/// decoded: the returned unit's `exchanges` is empty, and the unit keeps
+/// the last `kept` exchanges `sink` received (all of them, unless a HAR
+/// repeats its `log` or `entries` member). On an error, everything `sink`
+/// received belongs to a unit that did not load.
+fn decode_into(
+    unit: &MemoryUnit,
+    path: &Path,
+    log: &mut SalvageLog,
+    rec: &mut LocalRecorder,
+    ctl: &Ctl,
+    sink: &mut dyn FnMut(Exchange),
+) -> Result<(LoadedUnit, usize), LoadError> {
+    let (kept, opaque_snis, packet_count, flow_count) = match &*unit.artifact {
         MemoryArtifact::Har(text) => {
-            let exchanges =
-                har_to_exchanges_salvage_ctl(text, log, rec, ctl).map_err(|e| match e {
+            let kept =
+                har_to_exchanges_salvage_ctl(text, log, rec, ctl, sink).map_err(|e| match e {
                     HarError::Interrupted(i) => LoadError::Interrupted(path.to_path_buf(), i),
                     other => LoadError::Artifact(path.to_path_buf(), other.to_string()),
                 })?;
-            let n = exchanges.len();
-            (exchanges, Vec::new(), n, n)
+            (kept, Vec::new(), kept, kept)
         }
         MemoryArtifact::Capture { bytes, keylog } => {
             let keys = match keylog {
                 Some(text) => KeyLog::parse_salvage(text, log),
                 None => KeyLog::new(),
             };
-            let decoded =
-                decode_auto_salvage_ctl(bytes, &keys, log, rec, ctl).map_err(|e| match e {
-                    DecodeError::Interrupted(i) => LoadError::Interrupted(path.to_path_buf(), i),
-                    other => LoadError::Artifact(path.to_path_buf(), other.to_string()),
-                })?;
+            let mut kept = 0;
+            let decoded = decode_auto_salvage_ctl(bytes, &keys, log, rec, ctl, |exchange| {
+                kept += 1;
+                sink(exchange)
+            })
+            .map_err(|e| match e {
+                DecodeError::Interrupted(i) => LoadError::Interrupted(path.to_path_buf(), i),
+                other => LoadError::Artifact(path.to_path_buf(), other.to_string()),
+            })?;
             let opaque = decoded.opaque.into_iter().filter_map(|o| o.sni).collect();
-            (
-                decoded.exchanges,
-                opaque,
-                decoded.packet_count,
-                decoded.flow_count,
-            )
+            (kept, opaque, decoded.packet_count, decoded.flow_count)
         }
     };
-    Ok(LoadedUnit {
+    let loaded = LoadedUnit {
         platform: unit.platform,
         kind: unit.kind,
         category: unit.category,
-        exchanges,
+        exchanges: Vec::new(),
         opaque_snis,
         packet_count,
         flow_count,
-    })
+    };
+    Ok((loaded, kept))
 }
 
 /// Load one unit on a worker thread, from disk or memory alike: `read`
 /// yields the in-memory unit, which is salvage-decoded under a
-/// `loader.unit` span and then key-extracted into `ctx`'s batch (the
-/// artifact is dropped before extraction starts). Loaded/dropped counters,
-/// bytes in and the exchange-count histogram go to the worker's private
-/// recorder; any error becomes a `unit`-stage drop (offset = unit index) in
-/// the unit's own salvage log. Returns the unit's ledger label, the load
-/// result (the error rendered to its display string), and that log.
+/// `loader.unit` span, each exchange key-extracted into a
+/// [`UnitRequests`] the moment it is decoded. Once the unit has loaded, its
+/// requests are folded into `ctx`'s batch; a unit that fails to load
+/// discards them. So a worker holds its unit's artifact (dropped when
+/// decode ends) plus one decoded exchange, never the unit's payloads.
+/// Loaded/dropped counters, bytes in and the exchange-count histogram go
+/// to the worker's private recorder; any error becomes a `unit`-stage drop
+/// (offset = unit index) in the unit's own salvage log. Returns the unit's
+/// ledger label, the load result (the error rendered to its display
+/// string), and that log.
 #[allow(clippy::too_many_arguments)]
 fn load_unit(
     label: String,
@@ -324,6 +357,7 @@ fn load_unit(
     read: impl FnOnce() -> Result<MemoryUnit, LoadError>,
 ) -> UnitOutcome {
     let mut log = SalvageLog::new();
+    let mut requests = UnitRequests::default();
     let recorder = &mut ctx.recorder;
     // A unit whose control is already tripped drops without being read;
     // units that start decoding are interrupted between records by the
@@ -333,19 +367,22 @@ fn load_unit(
             .map_err(|i| LoadError::Interrupted(path.to_path_buf(), i))?;
         let unit = read()?;
         let in_bytes = unit.artifact.byte_len();
-        decode_unit(&unit, path, &mut log, rec, ctl).map(|loaded| (loaded, in_bytes))
+        decode_into(&unit, path, &mut log, rec, ctl, &mut |exchange| {
+            requests.push(exchange, interner)
+        })
+        .map(|loaded| (loaded, in_bytes))
     });
     let result = match outcome {
-        Ok((unit, in_bytes)) => {
+        Ok(((unit, kept), in_bytes)) => {
             log.ok(Stage::Unit);
             recorder.add("loader.units.loaded", 1);
             recorder.add("loader.unit.bytes.in", in_bytes);
             recorder.observe(
                 "loader.unit.exchanges",
                 &diffaudit_obs::RECORD_BOUNDS,
-                unit.exchanges.len() as u64,
+                kept as u64,
             );
-            Ok(ctx.extract(unit, service, interner))
+            Ok(ctx.fold(unit, requests, kept, service))
         }
         Err(e) => {
             let reason = e.to_string();
@@ -1172,5 +1209,236 @@ mod tests {
         };
         assert_eq!(strict.evaluate(&run), RunStatus::Failed);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// What the loader gave before extraction ran on each decoded request:
+    /// decode every unit with [`decode_unit`], extract the collected
+    /// exchanges' keys, and account the unit as [`load_unit`] does.
+    fn decode_then_extract(
+        svc: &MemoryService,
+        interner: &KeyInterner,
+    ) -> (ExtractedService, ServiceLedger) {
+        let mut units = Vec::new();
+        let mut ledger_units = Vec::new();
+        let mut keys = std::collections::BTreeSet::new();
+        let mut key_occurrences = 0u64;
+        for (index, unit) in svc.units.iter().enumerate() {
+            let mut log = SalvageLog::new();
+            let path = PathBuf::from(&unit.label);
+            let decoded = decode_unit(
+                unit,
+                &path,
+                &mut log,
+                &mut LocalRecorder::new(),
+                &Ctl::unbounded(),
+            );
+            match decoded {
+                Ok(loaded) => {
+                    log.ok(Stage::Unit);
+                    let requests: Vec<_> = loaded
+                        .exchanges
+                        .into_iter()
+                        .map(|ex| {
+                            let mut request_keys = Vec::new();
+                            crate::extract::visit_request_keys(&ex.request, |k| {
+                                request_keys.push(interner.intern(k))
+                            });
+                            request_keys.sort();
+                            request_keys.dedup();
+                            (ex.request.url.host, ex.timestamp_ms, request_keys)
+                        })
+                        .collect();
+                    for (_, _, request_keys) in &requests {
+                        key_occurrences += request_keys.len() as u64;
+                        keys.extend(request_keys.iter().cloned());
+                    }
+                    units.push(ExtractedUnit {
+                        platform: loaded.platform,
+                        kind: loaded.kind,
+                        category: loaded.category,
+                        requests,
+                        opaque_snis: loaded.opaque_snis,
+                        packet_count: loaded.packet_count,
+                        flow_count: loaded.flow_count,
+                    });
+                }
+                Err(e) => log.dropped(Stage::Unit, e.to_string(), Some(index as u64)),
+            }
+            ledger_units.push(UnitLedger {
+                file: unit.label.clone(),
+                log,
+            });
+        }
+        let service = ExtractedService {
+            name: svc.name.clone(),
+            slug: svc.slug.clone(),
+            first_party_domains: svc.first_party_domains.clone(),
+            units,
+            keys,
+            key_occurrences,
+        };
+        let ledger = ServiceLedger {
+            slug: svc.slug.clone(),
+            units: ledger_units,
+        };
+        (service, ledger)
+    }
+
+    /// `unit` with its artifact replaced and its label prefixed.
+    fn variant(unit: &MemoryUnit, tag: &str, artifact: MemoryArtifact) -> MemoryUnit {
+        MemoryUnit {
+            label: format!("{tag}-{}", unit.label),
+            artifact: Arc::new(artifact),
+            ..unit.clone()
+        }
+    }
+
+    #[test]
+    fn streaming_load_matches_decode_then_extract() {
+        use diffaudit_nettrace::fault::{FaultOp, FaultSpec};
+        let dataset = generate_dataset(&DatasetOptions {
+            seed: 19,
+            volume_scale: 0.05,
+            mobile_pinned_fraction: 0.12,
+            services: Vec::new(),
+        });
+        let mut services: Vec<MemoryService> = dataset
+            .services
+            .iter()
+            .map(MemoryService::from_capture)
+            .collect();
+
+        // Every fault operator on one capture unit and one HAR unit.
+        let first = &services[0];
+        let capture = first
+            .units
+            .iter()
+            .find(|u| matches!(*u.artifact, MemoryArtifact::Capture { .. }))
+            .expect("a capture unit")
+            .clone();
+        let har = first
+            .units
+            .iter()
+            .find(|u| matches!(*u.artifact, MemoryArtifact::Har(_)))
+            .expect("a HAR unit")
+            .clone();
+        let (MemoryArtifact::Capture { bytes, keylog }, MemoryArtifact::Har(text)) =
+            (&*capture.artifact, &*har.artifact)
+        else {
+            unreachable!("matched above");
+        };
+        let mut damaged = Vec::new();
+        for op in FaultOp::ALL {
+            let spec = FaultSpec {
+                op,
+                seed: 5,
+                rate: 0.05,
+            };
+            damaged.push(variant(
+                &capture,
+                op.label(),
+                MemoryArtifact::Capture {
+                    bytes: spec.apply_pcap(bytes),
+                    keylog: keylog.as_deref().map(|k| spec.apply_keylog(k)),
+                },
+            ));
+            damaged.push(variant(
+                &har,
+                op.label(),
+                MemoryArtifact::Har(spec.apply_har(text)),
+            ));
+        }
+        // A HAR that repeats its `log` member keeps only the last one.
+        let other = first
+            .units
+            .iter()
+            .find(|u| matches!(*u.artifact, MemoryArtifact::Har(_)) && u.label != har.label)
+            .expect("a second HAR unit")
+            .clone();
+        let MemoryArtifact::Har(other_text) = &*other.artifact else {
+            unreachable!("matched above");
+        };
+        let log_of = |t: &str| parse(t).unwrap().get("log").unwrap().to_string();
+        let repeated = format!(r#"{{"log":{},"log":{}}}"#, log_of(text), log_of(other_text));
+        damaged.push(variant(&har, "repeated-log", MemoryArtifact::Har(repeated)));
+        services[0].units.extend(damaged);
+
+        // A HAR cut by its last byte drops, and adds no key to its service.
+        let cut = text[..text.len() - 1].to_string();
+        services.push(MemoryService {
+            name: "Cut".into(),
+            slug: "cut".into(),
+            first_party_domains: vec!["cut.example".into()],
+            units: vec![variant(&har, "cut", MemoryArtifact::Har(cut))],
+        });
+
+        let interner = KeyInterner::new();
+        let expected: Vec<_> = services
+            .iter()
+            .map(|svc| decode_then_extract(svc, &interner))
+            .collect();
+        let (cut_service, cut_ledger) = expected.last().unwrap();
+        assert!(cut_service.units.is_empty() && cut_service.keys.is_empty());
+        assert_eq!(cut_service.key_occurrences, 0);
+        assert_eq!(cut_ledger.merged().stage(Stage::Unit).dropped, 1);
+        let damaged_ledger = expected[0].1.merged();
+        assert!(damaged_ledger.total_dropped() > 0, "the faults did damage");
+        assert!(
+            damaged_ledger.stage(Stage::Unit).dropped > 0,
+            "a damaged unit dropped"
+        );
+
+        for threads in [1, 2] {
+            let loaded = load_memory_services(
+                services.clone(),
+                threads,
+                &Scope::global(),
+                &Ctl::unbounded(),
+                &KeyInterner::new(),
+            );
+            assert_eq!(loaded.len(), expected.len());
+            for ((service, ledger), (want, want_ledger)) in loaded.into_iter().zip(&expected) {
+                let at = format!("{} at --threads {threads}", want.slug);
+                assert_eq!(service.units, want.units, "{at}");
+                assert_eq!(service.keys, want.keys, "{at}");
+                assert_eq!(service.key_occurrences, want.key_occurrences, "{at}");
+                assert_eq!(
+                    ledger_json(ledger),
+                    ledger_json(ServiceLedger {
+                        slug: want_ledger.slug.clone(),
+                        units: want_ledger
+                            .units
+                            .iter()
+                            .map(|u| UnitLedger {
+                                file: u.file.clone(),
+                                log: u.log.clone(),
+                            })
+                            .collect(),
+                    }),
+                    "{at}"
+                );
+            }
+        }
+
+        // The repeated-log unit reads as the last `log` member alone.
+        let requests_of = |label: &str| {
+            let service = &expected[0].0;
+            let ledger = &expected[0].1;
+            let loaded: Vec<&str> = ledger
+                .units
+                .iter()
+                .filter(|u| !u.unit_dropped())
+                .map(|u| u.file.as_str())
+                .collect();
+            let at = loaded
+                .iter()
+                .position(|f| *f == label)
+                .expect("unit loaded");
+            &service.units[at].requests
+        };
+        assert_eq!(
+            requests_of(&format!("repeated-log-{}", har.label)),
+            requests_of(&other.label)
+        );
     }
 }

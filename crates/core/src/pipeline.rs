@@ -2,11 +2,11 @@
 //!
 //! Mirrors the paper's post-processing: [`crate::loader`] decodes each
 //! unit's artifact (HAR or pcap + key log) and extracts raw data types from
-//! every outgoing request on the same worker, keeping only each request's
-//! host, timestamp and keys ([`ExtractedUnit`]); the pipeline then
-//! classifies the *unique* raw types once (the paper classified its 3,968
-//! unique types in batch), analyzes destinations, and assembles per-unit
-//! observations ready for the differential audit.
+//! each outgoing request on the same worker as it is decoded, keeping only
+//! each request's host, timestamp and keys ([`ExtractedUnit`]); the
+//! pipeline then classifies the *unique* raw types once (the paper
+//! classified its 3,968 unique types in batch), analyzes destinations, and
+//! assembles per-unit observations ready for the differential audit.
 //!
 //! Extraction (on the loader's per-unit workers) and per-service assembly
 //! shard per unit over the scoped-thread executor in
@@ -36,6 +36,7 @@ use diffaudit_util::par::{self, Key, KeyInterner};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// How raw data types are mapped to ontology categories.
 #[derive(Clone)]
@@ -227,8 +228,8 @@ impl Pipeline {
     /// [`MemoryService`], and [`load_memory_services`] loads (decodes and
     /// key-extracts) the units of all of them over one queue. The units
     /// share the dataset's artifacts, so no capture byte is copied, and
-    /// each unit's decoded exchanges are freed on its worker once its keys
-    /// are extracted.
+    /// each decoded exchange is freed on its worker once its keys are
+    /// extracted.
     pub fn run(&self, dataset: &GeneratedDataset) -> AuditOutcome {
         let (scope, ctl) = (Scope::global(), Ctl::unbounded());
         let interner = KeyInterner::new();
@@ -532,8 +533,9 @@ pub struct ServiceInput {
 
 /// One capture unit after decode and key extraction: what classification
 /// and assembly read of it, and nothing else. The loader's worker builds it
-/// and drops the unit's capture bytes and decoded exchanges before taking
-/// its next unit, so a run holds no request or response payloads.
+/// request by request as the unit decodes, dropping each exchange once its
+/// keys are extracted and the capture bytes before taking its next unit, so
+/// a run holds no request or response payloads.
 #[derive(Debug, PartialEq)]
 pub struct ExtractedUnit {
     /// Platform the unit was captured on.
@@ -589,30 +591,64 @@ impl UnitCtx {
         }
     }
 
-    /// Extract one decoded unit's keys under a `pipeline.unit.extract`
-    /// span and fold them into this worker's batch for `service`. The
-    /// unit's exchanges are consumed, so their payloads are freed as
-    /// extraction walks them.
+    /// Extract one decoded unit's keys and fold them into this worker's
+    /// batch for `service`: its exchanges go through [`UnitRequests`] one at
+    /// a time, as the loader's decoders hand them over, so their payloads
+    /// are freed as extraction walks them.
     pub(crate) fn extract(
         &mut self,
-        unit: LoadedUnit,
+        mut unit: LoadedUnit,
         service: usize,
         interner: &KeyInterner,
     ) -> ExtractedUnit {
+        let exchanges = std::mem::take(&mut unit.exchanges);
+        let kept = exchanges.len();
+        let mut requests = UnitRequests::default();
+        for exchange in exchanges {
+            requests.push(exchange, interner);
+        }
+        self.fold(unit, requests, kept, service)
+    }
+
+    /// Fold a loaded unit into this worker's batch for `service`. The
+    /// unit's exchanges went to `requests` as they were decoded (`unit`
+    /// carries the rest of it), and the unit keeps the last `kept` of them
+    /// (see [`diffaudit_nettrace::har_to_exchanges_salvage_ctl`]). Records
+    /// the unit's bytes in and summed extraction time as one
+    /// `pipeline.unit.extract` span.
+    pub(crate) fn fold(
+        &mut self,
+        unit: LoadedUnit,
+        mut requests: UnitRequests,
+        kept: usize,
+        service: usize,
+    ) -> ExtractedUnit {
+        let superseded = requests.requests.len().saturating_sub(kept);
+        requests.requests.drain(..superseded);
+        // The unit's requests live until assembly; keep no growth slack.
+        requests.requests.shrink_to_fit();
+        let bytes_in = requests.bytes.iter().skip(superseded).sum();
         self.recorder
-            .add("pipeline.unit.extract.bytes.in", unit_bytes(&unit));
-        let unit = self
-            .recorder
-            .time("pipeline.unit.extract", |_| extract_unit(unit, interner));
+            .add("pipeline.unit.extract.bytes.in", bytes_in);
+        let busy_us = u64::try_from(requests.busy.as_micros()).unwrap_or(u64::MAX);
+        self.recorder.span("pipeline.unit.extract", busy_us);
         if self.keys.len() <= service {
             self.keys.resize_with(service + 1, Default::default);
         }
         let (keys, occurrences) = &mut self.keys[service];
-        for (_, _, request_keys) in &unit.requests {
+        for (_, _, request_keys) in &requests.requests {
             *occurrences += request_keys.len() as u64;
             keys.extend(request_keys.iter().cloned());
         }
-        unit
+        ExtractedUnit {
+            platform: unit.platform,
+            kind: unit.kind,
+            category: unit.category,
+            requests: requests.requests,
+            opaque_snis: unit.opaque_snis,
+            packet_count: unit.packet_count,
+            flow_count: unit.flow_count,
+        }
     }
 
     /// Merge this worker's per-service batches into the shared ones, which
@@ -657,36 +693,33 @@ impl KeyBatch {
     }
 }
 
-/// Logical size of one decoded unit: the exchange payloads the extract
-/// stage walks (`pipeline.unit.extract.bytes.in`).
-fn unit_bytes(unit: &LoadedUnit) -> u64 {
-    unit.exchanges.iter().map(Exchange::logical_bytes).sum()
+/// One unit's outgoing requests, key-extracted one at a time as its
+/// decoder hands them over: each request keeps its host, timestamp and
+/// sorted, deduplicated raw keys, and the rest of the exchange is dropped
+/// before the next one is decoded. Pure per-request work; the unit's keys
+/// reach a batch only through [`UnitCtx::fold`], once the unit has loaded.
+#[derive(Default)]
+pub(crate) struct UnitRequests {
+    requests: Vec<(DomainName, u64, Vec<Key>)>,
+    /// Each request's exchange payload, as the extract stage walks it
+    /// (`pipeline.unit.extract.bytes.in`).
+    bytes: Vec<u64>,
+    /// Time spent extracting, summed over the requests.
+    busy: Duration,
 }
 
-/// Extract sorted, deduplicated raw keys from every outgoing request of a
-/// loaded unit, keeping each request's host and timestamp and dropping the
-/// rest of the exchange. Pure per-unit work — safe to shard over the
-/// executor.
-fn extract_unit(unit: LoadedUnit, interner: &KeyInterner) -> ExtractedUnit {
-    let requests = unit
-        .exchanges
-        .into_iter()
-        .map(|ex| {
-            let mut keys: Vec<Key> = Vec::new();
-            visit_request_keys(&ex.request, |key| keys.push(interner.intern(key)));
-            keys.sort();
-            keys.dedup();
-            (ex.request.url.host, ex.timestamp_ms, keys)
-        })
-        .collect();
-    ExtractedUnit {
-        platform: unit.platform,
-        kind: unit.kind,
-        category: unit.category,
-        requests,
-        opaque_snis: unit.opaque_snis,
-        packet_count: unit.packet_count,
-        flow_count: unit.flow_count,
+impl UnitRequests {
+    /// Extract one exchange's request keys, then drop the exchange.
+    pub(crate) fn push(&mut self, exchange: Exchange, interner: &KeyInterner) {
+        let start = Instant::now();
+        let mut keys: Vec<Key> = Vec::new();
+        visit_request_keys(&exchange.request, |key| keys.push(interner.intern(key)));
+        keys.sort();
+        keys.dedup();
+        self.bytes.push(exchange.logical_bytes());
+        self.requests
+            .push((exchange.request.url.host, exchange.timestamp_ms, keys));
+        self.busy += start.elapsed();
     }
 }
 

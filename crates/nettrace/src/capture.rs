@@ -297,7 +297,8 @@ pub struct OpaqueFlow {
 /// Everything recovered from a pcap + key log.
 #[derive(Debug)]
 pub struct DecodedTrace {
-    /// Fully decrypted and parsed exchanges, in flow order.
+    /// Fully decrypted and parsed exchanges, in flow order. Empty when they
+    /// went to [`decode_auto_salvage_ctl`]'s sink instead.
     pub exchanges: Vec<Exchange>,
     /// Flows that could not be decrypted (pinned apps) — destination still
     /// known via SNI.
@@ -343,14 +344,6 @@ impl From<PcapError> for DecodeError {
     }
 }
 
-/// HTTP body bytes the exchanges keep.
-fn body_bytes(exchanges: &[Exchange]) -> u64 {
-    exchanges
-        .iter()
-        .map(|e| (e.request.body.len() + e.response.body.len()) as u64)
-        .sum()
-}
-
 /// The Wireshark/editcap step: capture bytes + key log → exchanges.
 ///
 /// Dispatches on the container magic: legacy pcap (decrypted with the
@@ -360,14 +353,25 @@ fn body_bytes(exchanges: &[Exchange]) -> u64 {
 /// resync and every downstream stage skips-and-records into `log` instead
 /// of aborting; on undamaged input the log stays clean. Only an unusable
 /// container header remains an error. The decode's spans and counters go
-/// to a throwaway recorder; [`decode_auto_salvage_ctl`] keeps them.
+/// to a throwaway recorder; [`decode_auto_salvage_ctl`] keeps them. The
+/// exchanges are collected from [`decode_auto_salvage_ctl`]'s sink.
 pub fn decode_auto_salvage(
     bytes: &[u8],
     external_keylog: &KeyLog,
     log: &mut SalvageLog,
 ) -> Result<DecodedTrace, DecodeError> {
     let mut rec = LocalRecorder::new();
-    decode_auto_salvage_ctl(bytes, external_keylog, log, &mut rec, &Ctl::unbounded())
+    let mut exchanges = Vec::new();
+    let mut decoded = decode_auto_salvage_ctl(
+        bytes,
+        external_keylog,
+        log,
+        &mut rec,
+        &Ctl::unbounded(),
+        |exchange| exchanges.push(exchange),
+    )?;
+    decoded.exchanges = exchanges;
+    Ok(decoded)
 }
 
 /// [`decode_auto_salvage`] with a cancellation checkpoint per frame and per
@@ -375,18 +379,32 @@ pub fn decode_auto_salvage(
 /// salvage log is kept, so the caller's ledger still accounts the records
 /// processed before the cut-off). Spans, counters and histograms go to
 /// `rec`, the caller's per-worker recorder.
+///
+/// Each exchange is handed to `sink` as soon as its request is parsed, in
+/// flow order, so the decoder holds no exchange past that call (only the
+/// current flow's parsed responses wait for their requests); the returned
+/// trace's `exchanges` is empty. On an error, the exchanges already handed
+/// over belong to a capture that did not decode, and the caller discards
+/// them.
 pub fn decode_auto_salvage_ctl(
     bytes: &[u8],
     external_keylog: &KeyLog,
     log: &mut SalvageLog,
     rec: &mut LocalRecorder,
     ctl: &Ctl,
+    mut sink: impl FnMut(Exchange),
 ) -> Result<DecodedTrace, DecodeError> {
     rec.observe(
         "nettrace.capture.bytes",
         &diffaudit_obs::BYTE_BOUNDS,
         bytes.len() as u64,
     );
+    let (mut exchanges, mut retained) = (0u64, 0u64);
+    let mut counted = |exchange: Exchange| {
+        exchanges += 1;
+        retained += exchange.logical_bytes();
+        sink(exchange);
+    };
     let decoded = if PcapngReader::sniff(bytes) {
         rec.add("nettrace.decode.pcapng.bytes.in", bytes.len() as u64);
         rec.time("nettrace.decode.pcapng", |rec| {
@@ -394,28 +412,32 @@ pub fn decode_auto_salvage_ctl(
             // External secrets win over embedded ones for a shared session.
             let mut merged = reader.keylog;
             merged.extend(external_keylog.clone());
-            reassemble(&reader.packets, &merged, log, rec, ctl)
+            reassemble(&reader.packets, &merged, log, rec, ctl, &mut counted)
         })
     } else {
         rec.add("nettrace.decode.pcap.bytes.in", bytes.len() as u64);
         rec.time("nettrace.decode.pcap", |rec| {
             let reader = PcapReader::parse_salvage(bytes, log)?;
-            reassemble(&reader.packets, external_keylog, log, rec, ctl)
+            reassemble(
+                &reader.packets,
+                external_keylog,
+                log,
+                rec,
+                ctl,
+                &mut counted,
+            )
         })
     }?;
     rec.add("nettrace.packets", decoded.packet_count as u64);
     rec.add("nettrace.flows", decoded.flow_count as u64);
-    rec.add("nettrace.exchanges", decoded.exchanges.len() as u64);
-    rec.add(
-        "nettrace.bytes.retained",
-        decoded.exchanges.iter().map(Exchange::logical_bytes).sum(),
-    );
+    rec.add("nettrace.exchanges", exchanges);
+    rec.add("nettrace.bytes.retained", retained);
     rec.add("nettrace.flows.opaque", decoded.opaque.len() as u64);
     rec.add("nettrace.bytes.copied", decoded.bytes_copied);
     rec.observe(
         "nettrace.exchanges.per-capture",
         &diffaudit_obs::RECORD_BOUNDS,
-        decoded.exchanges.len() as u64,
+        exchanges,
     );
     Ok(decoded)
 }
@@ -427,11 +449,12 @@ fn reassemble(
     log: &mut SalvageLog,
     rec: &mut LocalRecorder,
     ctl: &Ctl,
+    sink: &mut dyn FnMut(Exchange),
 ) -> Result<DecodedTrace, DecodeError> {
     let bytes_in = packets.iter().map(|p| p.data.len() as u64).sum();
     rec.add("nettrace.reassemble.bytes.in", bytes_in);
     rec.time("nettrace.reassemble", |_| {
-        decode_packets(packets, keylog, log, ctl)
+        decode_packets(packets, keylog, log, ctl, sink)
     })
 }
 
@@ -444,11 +467,13 @@ fn reassemble(
 /// The only non-salvageable outcomes are a broken container (upstream) and
 /// a tripped `ctl` — checked once per frame and once per flow so a stalled
 /// record stream is cut off at its deadline instead of wedging the worker.
+/// Each parsed exchange goes to `sink` before the next flow is decoded.
 fn decode_packets(
     packets: &[crate::pcap::PcapPacket<'_>],
     keylog: &KeyLog,
     log: &mut SalvageLog,
     ctl: &Ctl,
+    sink: &mut dyn FnMut(Exchange),
 ) -> Result<DecodedTrace, DecodeError> {
     let packet_count = packets.len();
     let mut table = FlowTable::new();
@@ -462,10 +487,9 @@ fn decode_packets(
             Err(e) => log.dropped(Stage::Frame, e.to_string(), Some(i as u64)),
         }
     }
-    let mut exchanges = Vec::new();
     let mut opaque = Vec::new();
-    // Bytes decode copies out of the capture buffer: assembled streams and
-    // TLS plaintext here, kept HTTP bodies once the flows are done.
+    // Bytes decode copies out of the capture buffer: assembled streams, TLS
+    // plaintext and the HTTP bodies of the exchanges handed to `sink`.
     let mut copied = 0u64;
     for flow in table.flows() {
         ctl.check().map_err(DecodeError::Interrupted)?;
@@ -534,7 +558,8 @@ fn decode_packets(
                     .and_then(|rest| HttpRequest::parse_wire(rest, "https"))
                 {
                     let response = responses.next().unwrap_or_else(HttpResponse::ok);
-                    exchanges.push(Exchange {
+                    copied += (request.body.len() + response.body.len()) as u64;
+                    sink(Exchange {
                         timestamp_ms: flow.first_ts_ms,
                         request,
                         response,
@@ -573,13 +598,12 @@ fn decode_packets(
             }
         }
     }
-    let bytes_copied = copied + body_bytes(&exchanges);
     Ok(DecodedTrace {
-        exchanges,
+        exchanges: Vec::new(),
         opaque,
         packet_count,
         flow_count: table.flow_count(),
-        bytes_copied,
+        bytes_copied: copied,
     })
 }
 
@@ -793,7 +817,8 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(1));
         let mut log = SalvageLog::new();
         let mut rec = LocalRecorder::new();
-        let err = decode_auto_salvage_ctl(&pcap, &keylog, &mut log, &mut rec, &ctl).unwrap_err();
+        let err =
+            decode_auto_salvage_ctl(&pcap, &keylog, &mut log, &mut rec, &ctl, |_| {}).unwrap_err();
         assert_eq!(err, DecodeError::Interrupted(Interrupt::TimedOut));
         assert!(err.to_string().starts_with("timeout"), "{err}");
     }
@@ -808,9 +833,18 @@ mod tests {
         let mut log_b = SalvageLog::new();
         let plain = decode_auto_salvage(&pcap, &keylog, &mut log_a).unwrap();
         let mut rec = LocalRecorder::new();
-        let ctl = decode_auto_salvage_ctl(&pcap, &keylog, &mut log_b, &mut rec, &Ctl::unbounded())
-            .unwrap();
-        assert_eq!(plain.exchanges, ctl.exchanges);
+        let mut sunk = Vec::new();
+        let ctl = decode_auto_salvage_ctl(
+            &pcap,
+            &keylog,
+            &mut log_b,
+            &mut rec,
+            &Ctl::unbounded(),
+            |exchange| sunk.push(exchange),
+        )
+        .unwrap();
+        assert!(ctl.exchanges.is_empty(), "the sink took every exchange");
+        assert_eq!(plain.exchanges, sunk);
         assert_eq!(log_a.total_dropped(), log_b.total_dropped());
         // The decode records into the recorder it is handed.
         let metrics = rec.metrics();

@@ -587,20 +587,30 @@ fn read_headers(c: &mut Cursor<'_>) -> Result<Result<HeaderMap, HeaderFault>, Js
     Ok(headers)
 }
 
-/// What the reader made of `log.entries`: each entry's exchange or the
-/// reason it was dropped, in order, up to the entry at which `ctl` tripped,
-/// if it did.
+/// What the reader made of the `log.entries` array the document keeps: how
+/// many of its exchanges went to the sink and their logical bytes, each
+/// dropped entry's index and reason, in order, up to the entry at which
+/// `ctl` tripped, if it did.
 #[derive(Default)]
 struct Entries {
-    outcomes: Vec<Result<Exchange, HarError>>,
+    kept: usize,
+    retained: u64,
+    drops: Vec<(usize, HarError)>,
     interrupted: Option<diffaudit_util::cancel::Interrupt>,
 }
 
-/// Read a HAR document one entry at a time. The whole document is checked
-/// before anything is returned, so a syntax error anywhere (or a missing
+/// Read a HAR document one entry at a time, handing each entry's exchange
+/// to `sink` as soon as it is read. The whole document is checked before
+/// anything is returned, so a syntax error anywhere (or a missing
 /// `log.entries` array) fails the document however many entries read well.
-/// Duplicated `log` and `entries` members read as their last occurrence.
-fn read_har(text: &str, ctl: &diffaudit_util::cancel::Ctl) -> Result<Entries, HarError> {
+/// Duplicated `log` and `entries` members read as their last occurrence:
+/// the document keeps the last array the reader met, so its exchanges are
+/// the last `Entries::kept` ones `sink` received.
+fn read_har(
+    text: &str,
+    ctl: &diffaudit_util::cancel::Ctl,
+    sink: &mut dyn FnMut(Exchange),
+) -> Result<Entries, HarError> {
     let json = |e: JsonError| HarError::Json(e.to_string());
     let mut c = Cursor::new(text);
     let mut entries = None;
@@ -608,7 +618,7 @@ fn read_har(text: &str, ctl: &diffaudit_util::cancel::Ctl) -> Result<Entries, Ha
         c.begin_object().map_err(json)?;
         while let Some(key) = c.next_key().map_err(json)? {
             if key == "log" {
-                entries = read_log(&mut c, ctl).map_err(json)?;
+                entries = read_log(&mut c, ctl, sink).map_err(json)?;
             } else {
                 c.skip().map_err(json)?;
             }
@@ -625,6 +635,7 @@ fn read_har(text: &str, ctl: &diffaudit_util::cancel::Ctl) -> Result<Entries, Ha
 fn read_log(
     c: &mut Cursor<'_>,
     ctl: &diffaudit_util::cancel::Ctl,
+    sink: &mut dyn FnMut(Exchange),
 ) -> Result<Option<Entries>, JsonError> {
     if c.peek()? != Kind::Object {
         c.skip()?;
@@ -636,7 +647,7 @@ fn read_log(
         if key != "entries" {
             c.skip()?;
         } else if c.peek()? == Kind::Array {
-            entries = Some(read_entries(c, ctl)?);
+            entries = Some(read_entries(c, ctl, sink)?);
         } else {
             c.skip()?;
             entries = None;
@@ -645,11 +656,12 @@ fn read_log(
     Ok(entries)
 }
 
-/// Read the `entries` array, checking `ctl` before each entry. Once it
-/// trips, the rest of the array is only checked for syntax.
+/// Read the `entries` array into `sink`, checking `ctl` before each entry.
+/// Once it trips, the rest of the array is only checked for syntax.
 fn read_entries(
     c: &mut Cursor<'_>,
     ctl: &diffaudit_util::cancel::Ctl,
+    sink: &mut dyn FnMut(Exchange),
 ) -> Result<Entries, JsonError> {
     let mut entries = Entries::default();
     c.begin_array()?;
@@ -661,8 +673,14 @@ fn read_entries(
         if entries.interrupted.is_some() {
             c.skip()?;
         } else {
-            let fields = EntryFields::read(c)?;
-            entries.outcomes.push(fields.into_exchange(index));
+            match EntryFields::read(c)?.into_exchange(index) {
+                Ok(exchange) => {
+                    entries.kept += 1;
+                    entries.retained += exchange.logical_bytes();
+                    sink(exchange);
+                }
+                Err(e) => entries.drops.push((index, e)),
+            }
         }
         index += 1;
     }
@@ -671,10 +689,23 @@ fn read_entries(
 
 /// Parse a HAR document (as text) back into exchanges.
 pub fn har_to_exchanges(text: &str) -> Result<Vec<Exchange>, HarError> {
-    read_har(text, &diffaudit_util::cancel::Ctl::unbounded())?
-        .outcomes
-        .into_iter()
-        .collect()
+    let mut exchanges = Vec::new();
+    let entries = read_har(
+        text,
+        &diffaudit_util::cancel::Ctl::unbounded(),
+        &mut |exchange| exchanges.push(exchange),
+    )?;
+    match entries.drops.into_iter().next() {
+        Some((_, e)) => Err(e),
+        None => Ok(keep_last(exchanges, entries.kept)),
+    }
+}
+
+/// The last `kept` of `exchanges`: what a document that repeats its `log`
+/// or `entries` member keeps of everything its reader handed over.
+fn keep_last(mut exchanges: Vec<Exchange>, kept: usize) -> Vec<Exchange> {
+    exchanges.drain(..exchanges.len().saturating_sub(kept));
+    exchanges
 }
 
 /// Parse an already-parsed HAR JSON value into exchanges.
@@ -694,14 +725,19 @@ pub fn har_json_to_exchanges(doc: &Json) -> Result<Vec<Exchange>, HarError> {
 /// array) are still errors, but each malformed entry is skipped and
 /// accounted for in `log` (stage `HarEntry`, offset = entry index) instead
 /// of aborting the whole document. The decode's span and counters go to a
-/// throwaway recorder; [`har_to_exchanges_salvage_ctl`] keeps them.
+/// throwaway recorder; [`har_to_exchanges_salvage_ctl`] keeps them. The
+/// exchanges are collected from [`har_to_exchanges_salvage_ctl`]'s sink.
 pub fn har_to_exchanges_salvage(
     text: &str,
     log: &mut crate::salvage::SalvageLog,
 ) -> Result<Vec<Exchange>, HarError> {
     let mut rec = LocalRecorder::new();
     let ctl = diffaudit_util::cancel::Ctl::unbounded();
-    har_to_exchanges_salvage_ctl(text, log, &mut rec, &ctl)
+    let mut exchanges = Vec::new();
+    let kept = har_to_exchanges_salvage_ctl(text, log, &mut rec, &ctl, |exchange| {
+        exchanges.push(exchange)
+    })?;
+    Ok(keep_last(exchanges, kept))
 }
 
 /// [`har_to_exchanges_salvage`] with a cancellation checkpoint per entry: a
@@ -709,16 +745,22 @@ pub fn har_to_exchanges_salvage(
 /// kept) so a pathological document is cut off at its deadline.
 ///
 /// The document is read one entry at a time and only the members an
-/// [`Exchange`] needs are decoded; `log` is written only once the whole
-/// document has been checked, so a document-level error leaves it as it
-/// was. The span and counters go to `rec`, the caller's per-worker
-/// recorder.
+/// [`Exchange`] needs are decoded; each entry's exchange is handed to
+/// `sink` as soon as it is read, so one entry is the only decoded payload
+/// alive at once. `log` is written only once the whole document has been
+/// checked, so a document-level error leaves it as it was, and the caller
+/// discards whatever `sink` received. Returns how many exchanges the
+/// document keeps: the last that many `sink` received. That is all of
+/// them unless the document repeats its `log` or `entries` member, which
+/// reads as its last occurrence. The span and counters go to `rec`, the
+/// caller's per-worker recorder.
 pub fn har_to_exchanges_salvage_ctl(
     text: &str,
     log: &mut crate::salvage::SalvageLog,
     rec: &mut LocalRecorder,
     ctl: &diffaudit_util::cancel::Ctl,
-) -> Result<Vec<Exchange>, HarError> {
+    mut sink: impl FnMut(Exchange),
+) -> Result<usize, HarError> {
     use crate::salvage::Stage;
     rec.add("nettrace.decode.har.bytes.in", text.len() as u64);
     rec.observe(
@@ -726,26 +768,19 @@ pub fn har_to_exchanges_salvage_ctl(
         &diffaudit_obs::BYTE_BOUNDS,
         text.len() as u64,
     );
-    let entries = rec.time("nettrace.decode.har", |_| read_har(text, ctl))?;
-    let mut exchanges = Vec::with_capacity(entries.outcomes.len());
-    for (i, outcome) in entries.outcomes.into_iter().enumerate() {
-        match outcome {
-            Ok(exchange) => {
-                exchanges.push(exchange);
-                log.ok(Stage::HarEntry);
-            }
-            Err(e) => log.dropped(Stage::HarEntry, e.to_string(), Some(i as u64)),
-        }
+    let entries = rec.time("nettrace.decode.har", |_| read_har(text, ctl, &mut sink))?;
+    if entries.kept > 0 {
+        log.ok_n(Stage::HarEntry, entries.kept as u64);
+    }
+    for (i, e) in entries.drops {
+        log.dropped(Stage::HarEntry, e.to_string(), Some(i as u64));
     }
     if let Some(interrupt) = entries.interrupted {
         return Err(HarError::Interrupted(interrupt));
     }
-    rec.add("nettrace.har.entries", exchanges.len() as u64);
-    rec.add(
-        "nettrace.bytes.retained",
-        exchanges.iter().map(Exchange::logical_bytes).sum(),
-    );
-    Ok(exchanges)
+    rec.add("nettrace.har.entries", entries.kept as u64);
+    rec.add("nettrace.bytes.retained", entries.retained);
+    Ok(entries.kept)
 }
 
 #[cfg(test)]

@@ -309,6 +309,7 @@ fn a_stalled_decoder_is_cut_off_at_the_deadline_across_the_fault_grid() {
         &mut pristine_log,
         &mut LocalRecorder::new(),
         &stalled_ctl(),
+        |_| {},
     )
     .expect_err("a stalled decode must be interrupted, not complete");
     assert!(
@@ -332,6 +333,7 @@ fn a_stalled_decoder_is_cut_off_at_the_deadline_across_the_fault_grid() {
                 &mut log,
                 &mut LocalRecorder::new(),
                 &stalled_ctl(),
+                |_| {},
             ) {
                 Err(DecodeError::Interrupted(i)) => assert!(
                     matches!(i, Interrupt::TimedOut),

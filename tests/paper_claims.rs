@@ -9,15 +9,21 @@ use diffaudit::stats::summarize;
 use diffaudit_blocklist::DestinationClass;
 use diffaudit_ontology::Level2;
 use diffaudit_services::{generate_dataset, service_by_slug, DatasetOptions, TraceCategory};
+use std::sync::OnceLock;
 
-fn full_outcome() -> AuditOutcome {
-    let dataset = generate_dataset(&DatasetOptions {
-        seed: 2023,
-        volume_scale: 0.06,
-        mobile_pinned_fraction: 0.12,
-        services: Vec::new(),
-    });
-    Pipeline::new(ClassificationMode::Oracle(dataset.key_truth.clone())).run(&dataset)
+/// The seed-2023, scale-0.06 Oracle audit every claim below reads, built
+/// once per test binary on first use.
+fn full_outcome() -> &'static AuditOutcome {
+    static OUTCOME: OnceLock<AuditOutcome> = OnceLock::new();
+    OUTCOME.get_or_init(|| {
+        let dataset = generate_dataset(&DatasetOptions {
+            seed: 2023,
+            volume_scale: 0.06,
+            mobile_pinned_fraction: 0.12,
+            services: Vec::new(),
+        });
+        Pipeline::new(ClassificationMode::Oracle(dataset.key_truth.clone())).run(&dataset)
+    })
 }
 
 /// §4.1.1: "All of the services engaged in data collection and/or sharing
